@@ -24,7 +24,7 @@ from .retrieval import (HashingEmbedder, RemoteEmbedder, RetrievedDoc,
                         Retriever, VectorIndex, build_index, recall_at_k)
 from .scorer import (BiLabel, BiLabelScore, LabeledPair, ScorerModel,
                      TrainConfig, TrainingSet, annotate_training_pair,
-                     bce_loss, build_training_set, hypergradient_step, score,
+                     bce_loss, build_training_set, hypergradient_step,
                      train_scorer, train_step, weighted_loss)
 
 __version__ = "0.1.0"

@@ -265,9 +265,13 @@ class HttpLlmClient:
                 continue
             if status >= 400:
                 raise LlmTransportError(f"HTTP {status} from {self.endpoint}")
-            payload = response.json()
+            try:
+                text = str(response.json()["text"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise LlmTransportError(
+                    f"malformed response from {self.endpoint}: {exc!r}") from exc
             latency_ms = int((time.monotonic() - start) * 1000)
-            return LlmResponse(text=str(payload["text"]), latency_ms=latency_ms)
+            return LlmResponse(text=text, latency_ms=latency_ms)
         raise LlmTransportError(
             f"LLM request failed after {self.retries + 1} attempts: {last_error}"
         ) from last_error

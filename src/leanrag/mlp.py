@@ -85,9 +85,14 @@ class Mlp:
 
     def forward_logits(self, inputs: np.ndarray,
                        params: np.ndarray | None = None) -> np.ndarray:
-        logits, _ = self._forward(np.atleast_2d(inputs),
+        """Logits, one row per input row. Each row goes through its own
+        vector-matrix products, so its logits are bit-identical whatever
+        else is in the batch: identical inputs score identically, and a
+        batch scores exactly as one call per row would."""
+        x = np.atleast_2d(inputs)
+        logits, _ = self._forward(x[:, None, :],
                                   self._params if params is None else params)
-        return logits
+        return logits[:, 0, :]
 
     def probabilities(self, inputs: np.ndarray,
                       params: np.ndarray | None = None) -> np.ndarray:

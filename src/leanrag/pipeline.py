@@ -28,9 +28,11 @@ from .recognizer import (Decision, NnReferenceSet, RecognizerConfig,
                          neighbor_score)
 from .reducer import (DetectorModel, RerankedDoc, ScoredSubDoc,
                       SubDocCombination, make_combination, reduce, rerank_topk)
-from .retrieval import (EmbeddingProviderError, HashingEmbedder, RemoteEmbedder,
-                        RetrievedDoc, Retriever, VectorIndex, recall_at_k)
+from .retrieval import (EmbeddingProviderError, HashingEmbedder,
+                        IndexIntegrityError, RemoteEmbedder, RetrievedDoc,
+                        Retriever, VectorIndex, recall_at_k)
 from .scorer import BiLabelScore, ScorerModel
+from .seeds import stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -104,6 +106,20 @@ class PipelineContext:
     fixed_w_scorer: ScorerModel | None = None
     max_workers: int = 1
 
+    def __post_init__(self):
+        # the question is embedded once with the retriever's provider and
+        # that vector is fed to the scorers, so they must embed alike
+        expected = getattr(getattr(self.retriever, "provider", None),
+                           "fingerprint", None)
+        for scorer in (self.scorer, self.fixed_w_scorer):
+            actual = getattr(getattr(scorer, "provider", None),
+                             "fingerprint", None)
+            if expected is not None and actual is not None \
+                    and actual != expected:
+                raise ValueError(
+                    f"scorer embeds with {actual!r} but the retriever "
+                    f"embeds with {expected!r}")
+
 
 def _template_overrides(overrides: Mapping) -> dict[str, PromptTemplate]:
     templates = dict(DEFAULT_TEMPLATES)
@@ -156,7 +172,9 @@ def load_pipeline(config: PipelineConfig,
                   ) -> PipelineContext:
     """Assemble a context from the files a config points at. ``require``
     names the artifacts that must be present ("corpus", "index", "scorer",
-    "detector", "nn_ref", "llm")."""
+    "detector", "nn_ref", "llm"). A required artifact that does not match
+    the provider or the corpus raises ``IndexIntegrityError``; an optional
+    one is left out with a warning."""
     require = set(require)
     provider = build_provider(config.provider)
 
@@ -170,21 +188,51 @@ def load_pipeline(config: PipelineConfig,
             return None  # optional artifact not built yet
         return path
 
+    def _checked(name: str, artifact, check):
+        # a stale optional artifact is left out rather than fatal, so that
+        # the command rebuilding it does not fail on the file it replaces
+        if artifact is not None:
+            try:
+                check(artifact)
+            except IndexIntegrityError as exc:
+                if name in require:
+                    raise
+                logger.warning("ignoring stale %s: %s", name, exc)
+                return None
+        return artifact
+
+    def _check_index(index: VectorIndex) -> None:
+        index.verify_provider(provider)
+        if corpus is not None:
+            index.verify_corpus(corpus)
+
+    def _check_scorer(model: ScorerModel) -> None:
+        if model.provider_fingerprint not in (None, provider.fingerprint):
+            raise IndexIntegrityError(
+                f"scorer trained with {model.provider_fingerprint!r}, "
+                f"provider is {provider.fingerprint!r}")
+
     corpus_path = _need("corpus", config.corpus_path)
     corpus = load_corpus(corpus_path) if corpus_path else None
     index_path = _need("index", config.index_path)
-    index = VectorIndex.load(index_path) if index_path else None
+    index = _checked("index", VectorIndex.load(index_path)
+                     if index_path else None, _check_index)
     retriever = (Retriever(corpus, index, provider)
                  if index is not None and corpus is not None else None)
 
     scorer_path = _need("scorer", config.scorer_path)
-    scorer = ScorerModel.load(scorer_path, provider) if scorer_path else None
+    scorer = _checked("scorer", ScorerModel.load(scorer_path)
+                      if scorer_path else None, _check_scorer)
+    if scorer is not None:
+        scorer.provider = provider
 
     detector_path = _need("detector", config.detector_path)
     detector = DetectorModel.load(detector_path) if detector_path else None
 
     nn_path = _need("nn_ref", config.nn_ref_path)
-    nn_reference = NnReferenceSet.load(nn_path) if nn_path else None
+    nn_reference = _checked("nn_ref", NnReferenceSet.load(nn_path)
+                            if nn_path else None,
+                            lambda ref: ref.verify_provider(provider))
 
     llm = build_llm_client(config.llm) if (config.llm or "llm" in require) else None
     return PipelineContext(
@@ -249,7 +297,7 @@ def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
     if isinstance(qa, str):
         record: QARecord | None = None
         question = qa
-        question_id = f"adhoc-{abs(hash(qa)) % 10 ** 8}"
+        question_id = f"adhoc-{stable_hash(qa) % 10 ** 8}"
     else:
         record = qa
         question = qa.question
@@ -268,10 +316,13 @@ def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
         timings[stage] = time.perf_counter() - start
         return result
 
+    # embedded once; retrieve, score, recognize and reduce share the vector
+    # (PipelineContext checks that the scorer embeds like the retriever)
+    question_vec = _timed("embed", ctx.retriever.provider.embed, question)
     retrieved = _timed("retrieve", ctx.retriever.retrieve, question,
-                       ctx.top_retrieve)
-    scored = _timed("score", lambda: [
-        (r, ctx.scorer.score(question, r.doc.text)) for r in retrieved])
+                       ctx.top_retrieve, question_vec)
+    scored = _timed("score", lambda: list(zip(retrieved, ctx.scorer.score_many(
+        question, [r.doc.text for r in retrieved], question_vec))))
 
     def _recognize() -> RecognizerVerdict:
         if "no_recognizer" in ablations:
@@ -283,8 +334,7 @@ def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
         if ctx.nn_reference is None:
             raise ValueError("recognizer requires a nearest-neighbor reference "
                              "set (or the no_recognizer ablation)")
-        nn = neighbor_score(ctx.retriever.provider.embed(question),
-                            ctx.nn_reference, cfg.k_neighbors)
+        nn = neighbor_score(question_vec, ctx.nn_reference, cfg.k_neighbors)
         return decide(ltod, nn, cfg)
 
     verdict = _timed("recognize", _recognize)
@@ -305,7 +355,8 @@ def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
                                  "(or the no_reducer ablation)")
             combination = _timed("reduce", reduce, question, scored,
                                  ctx.scorer, ctx.detector, ctx.top_rerank,
-                                 ctx.window, ctx.stride, ctx.tokenizer)
+                                 ctx.window, ctx.stride, ctx.tokenizer,
+                                 question_embedding=question_vec)
         request = _timed("prompt", build_retrieve_prompt, question,
                          combination, template, ctx.tokenizer)
 

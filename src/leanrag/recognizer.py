@@ -20,7 +20,7 @@ import numpy as np
 from .corpus import QARecord, Tokenizer
 from .llm import (DEFAULT_TEMPLATES, LlmClient, PromptTemplate,
                   build_noretrieve_prompt, is_correct)
-from .retrieval import EmbeddingProvider, RetrievedDoc
+from .retrieval import EmbeddingProvider, IndexIntegrityError, RetrievedDoc
 from .scorer import BiLabelScore
 
 logger = logging.getLogger(__name__)
@@ -77,18 +77,37 @@ class NnEntry:
 
 
 class NnReferenceSet:
-    """Labeled question embeddings for the nearest-neighbor facet."""
+    """Labeled question embeddings for the nearest-neighbor facet, stacked
+    once into ``embeddings`` (one row per entry)."""
 
     def __init__(self, entries: Sequence[NnEntry],
                  provider_fingerprint: str | None = None):
         dims = {e.embedding.shape for e in entries}
         if len(dims) > 1:
             raise ValueError(f"mixed embedding shapes: {dims}")
-        self.entries = list(entries)
+        self.embeddings = np.array([e.embedding for e in entries],
+                                   dtype=np.float64)
+        # each entry keeps a view of its row, so the matrix is the only copy
+        self.entries = [NnEntry(e.question_id, row, e.correct)
+                        for e, row in zip(entries, self.embeddings)]
+        self.correct = np.array([e.correct for e in entries], dtype=bool)
+        # rank of each entry's question id, the distance tie-break
+        self.id_ranks = np.unique([e.question_id for e in entries],
+                                  return_inverse=True)[1]
         self.provider_fingerprint = provider_fingerprint
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def verify_provider(self, provider: EmbeddingProvider) -> None:
+        if provider.fingerprint != self.provider_fingerprint:
+            raise IndexIntegrityError(
+                f"NN reference built with {self.provider_fingerprint!r}, "
+                f"provider is {provider.fingerprint!r}")
+        if len(self) and self.embeddings.shape[1] != provider.dim:
+            raise IndexIntegrityError(
+                f"NN reference dim {self.embeddings.shape[1]} != provider "
+                f"dim {provider.dim}")
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -129,7 +148,8 @@ def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,
     """Ask every question without retrieval and label it by containment
     correctness. LLM failures skip the question with a warning."""
     template = template or DEFAULT_TEMPLATES["no_retrieve"]
-    entries = []
+    answered: list[QARecord] = []
+    correct: list[bool] = []
     for qa in qa_records:
         request = build_noretrieve_prompt(qa.question, template, tokenizer)
         try:
@@ -138,11 +158,14 @@ def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,
             logger.warning("skipping question %s in reference set: %s",
                            qa.question_id, exc)
             continue
-        entries.append(NnEntry(
-            question_id=qa.question_id,
-            embedding=provider.embed(qa.question),
-            correct=is_correct(response.text, qa.gold_answers)))
-    return NnReferenceSet(entries, provider.fingerprint)
+        answered.append(qa)
+        correct.append(is_correct(response.text, qa.gold_answers))
+    embeddings = (provider.embed_many([qa.question for qa in answered])
+                  if answered else [])
+    return NnReferenceSet(
+        [NnEntry(qa.question_id, row, ok)
+         for qa, row, ok in zip(answered, embeddings, correct)],
+        provider.fingerprint)
 
 
 def long_tail_score(scored_docs: Sequence[tuple[RetrievedDoc, BiLabelScore]],
@@ -168,12 +191,13 @@ def neighbor_score(question_embedding: np.ndarray, reference: NnReferenceSet,
         raise ValueError("k must be >= 1")
     if len(reference) < k:
         raise ValueError(f"reference set has {len(reference)} entries, need >= {k}")
-    query = np.asarray(question_embedding, dtype=np.float64)
-    ranked = sorted(
-        reference.entries,
-        key=lambda e: (float(np.linalg.norm(e.embedding - query)), e.question_id))
-    top = ranked[:k]
-    return sum(1 for e in top if e.correct) / k
+    diff = reference.embeddings - np.asarray(question_embedding,
+                                             dtype=np.float64)
+    # one dot product per row, the routine np.linalg.norm uses for a single
+    # vector, so equal distances compare equal exactly as in a per-entry scan
+    distances = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+    top = np.lexsort((reference.id_ranks, distances))[:k]
+    return int(reference.correct[top].sum()) / k
 
 
 def decide(s_ltod_value: float, s_nn_value: float,

@@ -86,24 +86,37 @@ def rerank_topk(scored: Sequence[tuple[RetrievedDoc, BiLabelScore]],
     ]
 
 
+def scored_windows(docs: Sequence[RerankedDoc], scorer: ScorerModel,
+                   question: str, window: int = 3, stride: int = 1,
+                   tokenizer: Tokenizer | None = None,
+                   question_embedding: np.ndarray | None = None
+                   ) -> list[list[ScoredSubDoc]]:
+    """Every sliding window of every document, scored in one batch; one list
+    per document, windows in order."""
+    windows = [generate_subdocuments(doc.doc, window, stride, tokenizer)
+               for doc in docs]
+    scores = iter(scorer.score_many(
+        question, [sub.text for subs in windows for sub in subs],
+        question_embedding))
+    return [[ScoredSubDoc(subdoc=sub, score=sc, combined=sc.combined,
+                          parent_position=doc.position)
+             for sub, sc in zip(subs, scores)]
+            for doc, subs in zip(docs, windows)]
+
+
 def representative_subdocs(docs: Sequence[RerankedDoc], scorer: ScorerModel,
                            question: str, window: int = 3, stride: int = 1,
-                           tokenizer: Tokenizer | None = None) -> list[ScoredSubDoc]:
+                           tokenizer: Tokenizer | None = None,
+                           question_embedding: np.ndarray | None = None
+                           ) -> list[ScoredSubDoc]:
     """One sub-document per input document: the sliding window with the
     highest combined score (earliest window wins ties)."""
     if not docs:
         raise ValueError("docs must be non-empty")
-    out = []
-    for doc in docs:
-        best: ScoredSubDoc | None = None
-        for subdoc in generate_subdocuments(doc.doc, window, stride, tokenizer):
-            sc = scorer.score(question, subdoc.text)
-            if best is None or sc.combined > best.combined:
-                best = ScoredSubDoc(subdoc=subdoc, score=sc,
-                                    combined=sc.combined,
-                                    parent_position=doc.position)
-        out.append(best)
-    return out
+    # max keeps the first of equal maxima
+    return [max(subs, key=lambda sub: sub.combined)
+            for subs in scored_windows(docs, scorer, question, window, stride,
+                                       tokenizer, question_embedding)]
 
 
 def prerank(subdocs: Sequence[ScoredSubDoc]) -> list[ScoredSubDoc]:
@@ -200,12 +213,14 @@ def greedy_filter(sorted_subdocs: Sequence[ScoredSubDoc],
 def reduce(question: str, scored_top: Sequence[tuple[RetrievedDoc, BiLabelScore]],
            scorer: ScorerModel, detector: Detector, max_docs: int = 10,
            window: int = 3, stride: int = 1,
-           tokenizer: Tokenizer | None = None) -> SubDocCombination:
+           tokenizer: Tokenizer | None = None,
+           question_embedding: np.ndarray | None = None) -> SubDocCombination:
     """Full reduction: rerank to the top documents, pick each document's best
     window, sort, and greedily cut off as early as the detector allows."""
     reranked = rerank_topk(scored_top, max_docs)
     representatives = representative_subdocs(reranked, scorer, question,
-                                             window, stride, tokenizer)
+                                             window, stride, tokenizer,
+                                             question_embedding)
     return greedy_filter(prerank(representatives), detector)
 
 
@@ -304,7 +319,8 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
                            qa.question_id, exc)
             continue
         retrieved = retriever.retrieve(qa.question, top_retrieve)
-        scored = [(r, scorer.score(qa.question, r.doc.text)) for r in retrieved]
+        scored = list(zip(retrieved, scorer.score_many(
+            qa.question, [r.doc.text for r in retrieved])))
         top = rerank_topk(scored, max_docs)
         try:
             with_docs = llm.complete(build_retrieve_prompt(
@@ -316,13 +332,9 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
                            qa.question_id, exc)
             continue
 
-        pool: list[ScoredSubDoc] = []
-        for doc in top:
-            for subdoc in generate_subdocuments(doc.doc, window, stride, tokenizer):
-                sc = scorer.score(qa.question, subdoc.text)
-                pool.append(ScoredSubDoc(subdoc=subdoc, score=sc,
-                                         combined=sc.combined,
-                                         parent_position=doc.position))
+        pool = [sub for subs in scored_windows(top, scorer, qa.question,
+                                               window, stride, tokenizer)
+                for sub in subs]
         if not pool:
             continue
         rng = derive_rng(seed, f"detector-data:{qa.question_id}")

@@ -25,6 +25,8 @@ logger = logging.getLogger(__name__)
 
 INDEX_FORMAT = "leanrag-index"
 INDEX_VERSION = 1
+# appended to the provider fingerprint: documents are embedded as "title. text"
+INDEX_FIELDS = "|fields=title+text"
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -36,7 +38,8 @@ class EmbeddingProviderError(RuntimeError):
 
 
 class IndexIntegrityError(RuntimeError):
-    """A persisted index is inconsistent with itself or with the provider."""
+    """A persisted index or reference set is inconsistent with itself, the
+    corpus or the provider."""
 
 
 class EmbeddingProvider(Protocol):
@@ -185,13 +188,22 @@ class VectorIndex:
         return [(self.doc_ids[i], float(sims[i])) for i in order]
 
     def verify_provider(self, provider: EmbeddingProvider) -> None:
-        if provider.fingerprint != self.provider_fingerprint:
+        expected = provider.fingerprint + INDEX_FIELDS
+        if expected != self.provider_fingerprint:
             raise IndexIntegrityError(
                 f"index built with {self.provider_fingerprint!r}, "
-                f"provider is {provider.fingerprint!r}")
+                f"provider gives {expected!r}")
         if provider.dim != self.dim:
             raise IndexIntegrityError(
                 f"index dim {self.dim} != provider dim {provider.dim}")
+
+    def verify_corpus(self, corpus: Corpus) -> None:
+        """Every indexed doc id must name a corpus document."""
+        missing = [doc_id for doc_id in self.doc_ids if doc_id not in corpus]
+        if missing:
+            raise IndexIntegrityError(
+                f"{len(missing)} indexed doc ids are not in the corpus, "
+                f"e.g. {missing[:3]}")
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -234,7 +246,7 @@ def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
     texts = [document_embedding_text(d) for d in docs]
     vectors = provider.embed_many(texts)
     return VectorIndex([d.doc_id for d in docs], vectors,
-                       provider.fingerprint + "|fields=title+text")
+                       provider.fingerprint + INDEX_FIELDS)
 
 
 class Retriever:
@@ -246,9 +258,14 @@ class Retriever:
         self.index = index
         self.provider = provider
 
-    def retrieve(self, question: str, k: int = 100) -> list[RetrievedDoc]:
-        """Top-k documents by cosine similarity, rank 1 first."""
-        hits = self.index.search(self.provider.embed(question), k)
+    def retrieve(self, question: str, k: int = 100,
+                 query_embedding: np.ndarray | None = None) -> list[RetrievedDoc]:
+        """Top-k documents by cosine similarity, rank 1 first.
+        ``query_embedding`` reuses the question's vector when the caller
+        already has it from this retriever's provider."""
+        if query_embedding is None:
+            query_embedding = self.provider.embed(question)
+        hits = self.index.search(query_embedding, k)
         return [
             RetrievedDoc(doc=self.corpus.get(doc_id), similarity=sim, rank=rank)
             for rank, (doc_id, sim) in enumerate(hits, start=1)

@@ -346,15 +346,36 @@ class ScorerModel:
     provider_fingerprint: str | None = None
 
     def score_features(self, features: np.ndarray) -> BiLabelScore:
-        logits = self.head.forward_logits(features.reshape(1, -1))[0]
+        return self._score_rows(features.reshape(1, -1))[0]
+
+    def _score_rows(self, features: np.ndarray) -> list[BiLabelScore]:
+        logits = self.head.forward_logits(features)
         probs = sigmoid(logits)
-        return BiLabelScore(logit_ans=float(logits[0]), logit_pref=float(logits[1]),
-                            p_ans=float(probs[0]), p_pref=float(probs[1]))
+        return [BiLabelScore(logit_ans=la, logit_pref=lp, p_ans=pa, p_pref=pp)
+                for (la, lp), (pa, pp) in zip(logits.tolist(), probs.tolist())]
 
     def score(self, question: str, doc_text: str) -> BiLabelScore:
+        return self.score_many(question, [doc_text])[0]
+
+    def score_many(self, question: str, doc_texts: Sequence[str],
+                   question_embedding: np.ndarray | None = None
+                   ) -> list[BiLabelScore]:
+        """Score every text against one question with one ``embed_many``
+        call and one forward pass; row i equals ``score(question,
+        doc_texts[i])``. ``question_embedding`` reuses the question's vector
+        when the caller already has it from this model's provider."""
         if self.provider is None:
             raise ValueError("model has no embedding provider attached")
-        return self.score_features(pair_features(self.provider, question, doc_text))
+        if not doc_texts:
+            return []
+        if question_embedding is None:
+            question_embedding = self.provider.embed(question)
+        doc_vectors = self.provider.embed_many(list(doc_texts))
+        features = np.concatenate([
+            np.broadcast_to(question_embedding,
+                            (len(doc_texts), len(question_embedding))),
+            doc_vectors], axis=1)
+        return self._score_rows(features)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -385,10 +406,6 @@ class ScorerModel:
         return cls(head=head, balance_weight=float(payload["balance_weight"]),
                    seed=int(payload["seed"]), provider=provider,
                    provider_fingerprint=fingerprint)
-
-
-def score(model: ScorerModel, question: str, doc_text: str) -> BiLabelScore:
-    return model.score(question, doc_text)
 
 
 class TrainResult(NamedTuple):

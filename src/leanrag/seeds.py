@@ -12,9 +12,15 @@ import hashlib
 import numpy as np
 
 
+def stable_hash(text: str) -> int:
+    """A 64-bit hash of ``text`` that, unlike ``hash``, is the same in every
+    process."""
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
 def stream_entropy(root_seed: int, label: str) -> list[int]:
-    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
-    return [int(root_seed) & 0xFFFFFFFFFFFFFFFF, int.from_bytes(digest, "little")]
+    return [int(root_seed) & 0xFFFFFFFFFFFFFFFF, stable_hash(label)]
 
 
 def derive_rng(root_seed: int, label: str) -> np.random.Generator:

@@ -179,3 +179,45 @@ def test_missing_command_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_rebuild_over_artifacts_of_another_provider(tmp_path):
+    """After a provider change the set-up commands rebuild over the old
+    files; only a command that needs a stale artifact refuses it."""
+    paths = write_redundant_fixture(tmp_path)
+    config = {
+        "seed": 3,
+        "corpus_path": str(paths["corpus"]),
+        "index_path": str(tmp_path / "index.json"),
+        "scorer_path": str(tmp_path / "scorer.json"),
+        "nn_ref_path": str(tmp_path / "nnref.jsonl"),
+        "top_retrieve": 10,
+        "provider": {"kind": "hash", "dim": 128, "seed": 11},
+        "llm": {"kind": "mock", "script_path": str(paths["script"])},
+    }
+    config_path = tmp_path / "config.json"
+    base = ["--config", str(config_path)]
+    qa = ["--qa", str(paths["qa"])]
+    detector_data = ["build-detector-data", *base, *qa,
+                     "--out", str(tmp_path / "detdata.jsonl"),
+                     "--samples", "20"]
+
+    def build_all():
+        config_path.write_text(json.dumps(config))
+        assert main(["index", *base, "--out", config["index_path"]]) == 0
+        assert main(["annotate", *base, *qa,
+                     "--out", str(tmp_path / "pairs.jsonl"),
+                     "--per-question-k", "10"]) == 0
+        assert main(["build-nn-ref", *base, *qa,
+                     "--out", config["nn_ref_path"]]) == 0
+        assert main(["train-scorer", *base,
+                     "--pairs", str(tmp_path / "pairs.jsonl"),
+                     "--out", config["scorer_path"], "--epochs", "2"]) == 0
+        assert main(detector_data) == 0
+
+    build_all()
+    config["provider"]["seed"] = 12
+    config_path.write_text(json.dumps(config))
+    assert main(["index", *base, "--out", config["index_path"]]) == 0
+    assert main(detector_data) == 1  # needs the scorer, still the old one
+    build_all()

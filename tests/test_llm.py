@@ -135,6 +135,11 @@ class FakeResponse:
         return self._payload
 
 
+class NotJsonResponse(FakeResponse):
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
 class FakeSession:
     def __init__(self, outcomes):
         self.outcomes = list(outcomes)
@@ -177,6 +182,16 @@ class TestHttpClient:
         with pytest.raises(LlmTransportError):
             client.complete(self.request())
         assert len(session.calls) == 1
+
+    @pytest.mark.parametrize("response", [
+        NotJsonResponse(),
+        FakeResponse({"answer": "missing text field"}),
+        FakeResponse(["not", "an", "object"]),
+    ])
+    def test_malformed_body_raises_transport_error(self, response):
+        client = HttpLlmClient("http://llm", session=FakeSession([response]))
+        with pytest.raises(LlmTransportError):
+            client.complete(self.request())
 
     def test_request_body_shape(self):
         session = FakeSession([FakeResponse({"text": "ok"})])

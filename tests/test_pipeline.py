@@ -1,17 +1,31 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from synthetic import prefix_detector_examples, trained_redundant_setup
+from synthetic import (SHARED_ANSWER, prefix_detector_examples,
+                       trained_redundant_setup, write_redundant_fixture)
+from test_llm import FakeResponse, FakeSession, NotJsonResponse
 
-from leanrag.llm import LlmTransportError, ScriptedLlmClient, build_noretrieve_prompt
+import leanrag
+
+from leanrag.corpus import load_corpus, make_document
+from leanrag.llm import (HttpLlmClient, LlmTransportError, ScriptedLlmClient,
+                         build_noretrieve_prompt)
 from leanrag.pipeline import (PipelineConfig, PipelineContext,
-                              PipelineStageError, answer_question, evaluate,
-                              load_pipeline, ordered_docs)
+                              PipelineStageError, answer_question,
+                              build_provider, evaluate, load_pipeline,
+                              ordered_docs)
 from leanrag.recognizer import (Decision, NnEntry, NnReferenceSet,
                                 RecognizerConfig)
 from leanrag.reducer import DetectorTrainConfig, train_detector
+from leanrag.retrieval import (EmbeddingProviderError, IndexIntegrityError,
+                               Retriever, build_index)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +118,157 @@ class FailOnce:
         return self.inner.complete(request)
 
 
+class FailingEmbed:
+    """Delegates to the inner provider, except that embedding the poisoned
+    question fails at transport level."""
+
+    def __init__(self, inner, poison):
+        self.inner = inner
+        self.poison = poison
+        self.dim = inner.dim
+        self.fingerprint = inner.fingerprint
+
+    def embed(self, text):
+        if self.poison in text:
+            raise EmbeddingProviderError("embedding endpoint down")
+        return self.inner.embed(text)
+
+    def embed_many(self, texts):
+        return self.inner.embed_many(texts)
+
+
+class TestQuestionEmbedding:
+    def test_failure_is_attributed_to_embed_stage(self, setup, detector):
+        corpus, qa, mock, provider, retriever, scorer = setup
+        failing = Retriever(corpus, retriever.index,
+                            FailingEmbed(provider, "zorblat2x"))
+        ctx = make_ctx(setup, detector, retriever=failing)
+        with pytest.raises(PipelineStageError) as excinfo:
+            answer_question(qa[1], ctx)
+        assert excinfo.value.stage == "embed"
+        assert isinstance(excinfo.value.cause, EmbeddingProviderError)
+
+    def test_failure_excludes_only_that_question(self, setup, detector):
+        corpus, qa, mock, provider, retriever, scorer = setup
+        failing = Retriever(corpus, retriever.index,
+                            FailingEmbed(provider, "zorblat2x"))
+        report = evaluate(qa, make_ctx(setup, detector, retriever=failing))
+        assert report.excluded_question_ids == ["q2"]
+        assert report.accuracy == 1.0
+
+
+class TestAdhocQuestionId:
+    SCRIPT = """
+from leanrag.corpus import Corpus, make_document
+from leanrag.llm import ScriptedLlmClient
+from leanrag.mlp import Mlp
+from leanrag.pipeline import PipelineContext, answer_question
+from leanrag.recognizer import RecognizerConfig
+from leanrag.retrieval import HashingEmbedder, Retriever, build_index
+from leanrag.scorer import ScorerModel
+
+corpus = Corpus([make_document("d", "", "Some words here.")])
+provider = HashingEmbedder(dim=8)
+scorer = ScorerModel(head=Mlp([16, 2]), balance_weight=0.5, seed=0,
+                     provider=provider)
+ctx = PipelineContext(
+    corpus=corpus, retriever=Retriever(corpus, build_index(corpus, provider),
+                                       provider),
+    scorer=scorer, recognizer_config=RecognizerConfig(),
+    llm=ScriptedLlmClient(default_answer="ok"), top_retrieve=1, top_rerank=1)
+print(answer_question("which words?", ctx,
+                      ("no_recognizer", "no_reducer")).question_id)
+"""
+
+    def question_id(self, hash_seed):
+        src = Path(leanrag.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        return done.stdout.strip()
+
+    def test_same_across_processes(self):
+        first = self.question_id(1)
+        assert first.startswith("adhoc-")
+        assert self.question_id(2) == first
+
+
+class TestLoadIntegrity:
+    @pytest.fixture
+    def config(self, tmp_path):
+        paths = write_redundant_fixture(tmp_path)
+        return PipelineConfig(corpus_path=str(paths["corpus"]),
+                              index_path=str(tmp_path / "index.json"),
+                              nn_ref_path=str(tmp_path / "nnref.jsonl"))
+
+    def save_index(self, config, corpus, provider_spec=None):
+        provider = build_provider(provider_spec or config.provider)
+        build_index(corpus, provider).save(config.index_path)
+
+    def test_matching_artifacts_load(self, config):
+        corpus = load_corpus(config.corpus_path)
+        self.save_index(config, corpus)
+        provider = build_provider(config.provider)
+        NnReferenceSet([NnEntry("q", provider.embed("a question"), True)],
+                       provider.fingerprint).save(config.nn_ref_path)
+        ctx = load_pipeline(config, require=("corpus", "index", "nn_ref"))
+        assert len(ctx.retriever.index) == len(corpus)
+
+    def test_index_from_other_provider_rejected(self, config):
+        self.save_index(config, load_corpus(config.corpus_path),
+                        {"kind": "hash", "dim": 256, "seed": 5})
+        with pytest.raises(IndexIntegrityError):
+            load_pipeline(config, require=("corpus", "index"))
+
+    def test_stale_index_rejected(self, config):
+        corpus = load_corpus(config.corpus_path)
+        extra = make_document("gone", "", "A document since deleted.")
+        self.save_index(config, type(corpus)([*corpus, extra]))
+        with pytest.raises(IndexIntegrityError):
+            load_pipeline(config, require=("corpus", "index"))
+
+    @pytest.mark.parametrize("fingerprint, dim", [
+        ("hash-bow:v1:dim=256:seed=5", 256),  # another embedder
+        (None, 256),                           # no fingerprint recorded
+        ("hash-bow:v1:dim=256:seed=0", 8),     # right name, wrong width
+    ])
+    def test_mismatched_nn_reference_rejected(self, config, fingerprint,
+                                              dim):
+        self.save_index(config, load_corpus(config.corpus_path))
+        NnReferenceSet([NnEntry("q", np.ones(dim) / np.sqrt(dim), True)],
+                       fingerprint).save(config.nn_ref_path)
+        assert build_provider(config.provider).fingerprint == \
+            "hash-bow:v1:dim=256:seed=0"
+        with pytest.raises(IndexIntegrityError):
+            load_pipeline(config, require=("corpus", "index", "nn_ref"))
+
+
+    def test_stale_optional_artifacts_left_out(self, config):
+        corpus = load_corpus(config.corpus_path)
+        self.save_index(config, corpus, {"kind": "hash", "dim": 256,
+                                         "seed": 5})
+        NnReferenceSet([NnEntry("q", np.ones(256) / 16.0, True)],
+                       "hash-bow:v1:dim=256:seed=5").save(config.nn_ref_path)
+        ctx = load_pipeline(config, require=("corpus",))
+        assert ctx.retriever is None and ctx.nn_reference is None
+        with pytest.raises(IndexIntegrityError):
+            load_pipeline(config, require=("corpus", "nn_ref"))
+
+
+class TestProviderConsistency:
+    def test_scorer_with_other_provider_rejected(self, setup, detector):
+        scorer = setup[5]
+        other = replace(scorer, provider=build_provider(
+            {"kind": "hash", "dim": scorer.provider.dim, "seed": 99}))
+        with pytest.raises(ValueError, match="scorer embeds with"):
+            make_ctx(setup, detector, scorer=other)
+        with pytest.raises(ValueError, match="scorer embeds with"):
+            replace(make_ctx(setup, detector), fixed_w_scorer=other)
+
+
 class TestEvaluate:
     def test_all_correct_accuracy_one(self, setup, detector):
         ctx = make_ctx(setup, detector)
@@ -163,6 +328,16 @@ class TestEvaluate:
         assert report.n_excluded == 1
         assert report.excluded_question_ids == ["q2"]
         assert report.accuracy == 1.0  # remaining questions unaffected
+
+    @pytest.mark.parametrize("bad", [NotJsonResponse(),
+                                     FakeResponse({"answer": "no text"})])
+    def test_malformed_llm_response_excluded(self, setup, detector, bad):
+        good = FakeResponse({"text": f"It is {SHARED_ANSWER}."})
+        client = HttpLlmClient("http://llm", retries=0, session=FakeSession(
+            [good, bad, good, good]))
+        report = evaluate(setup[1], make_ctx(setup, detector, llm=client))
+        assert report.excluded_question_ids == ["q2"]
+        assert report.accuracy == 1.0
 
     def test_concurrent_equals_serial(self, setup, detector):
         serial = evaluate(setup[1], make_ctx(setup, detector, max_workers=1))

@@ -9,7 +9,7 @@ from leanrag.recognizer import (Decision, LABEL_CORRECT, NnEntry,
                                 NnReferenceSet, RecognizerConfig,
                                 build_nn_reference, decide, long_tail_score,
                                 neighbor_score)
-from leanrag.retrieval import HashingEmbedder, RetrievedDoc
+from leanrag.retrieval import HashingEmbedder, IndexIntegrityError, RetrievedDoc
 from leanrag.scorer import BiLabelScore
 
 
@@ -97,6 +97,40 @@ class TestNeighborScore:
         ref = NnReferenceSet(entries)
         # equidistant from the origin: "a" wins the single slot
         assert neighbor_score(np.zeros(2), ref, 1) == 1.0
+
+    def test_distance_ties_across_k_boundary(self):
+        # one entry nearest, then four equidistant entries listed out of id
+        # order; the first k-1 of those by question id fill the top k
+        entries = [NnEntry("z", np.array([0.5, 0.0]), False)]
+        for qid, correct in (("q3", True), ("q1", False), ("q2", True),
+                             ("q0", True)):
+            entries.append(NnEntry(qid, np.array([0.0, 2.0]), correct))
+        ref = NnReferenceSet(entries)
+        query = np.zeros(2)
+        assert neighbor_score(query, ref, 2) == 1 / 2  # z, q0
+        assert neighbor_score(query, ref, 3) == 1 / 3  # z, q0, q1
+        assert neighbor_score(query, ref, 4) == 2 / 4  # z, q0, q1, q2
+
+    def test_integer_ties_match_full_sort(self):
+        rng = np.random.default_rng(4)
+        entries = [NnEntry(f"q{i}", rng.integers(-1, 2, size=3).astype(float),
+                           bool(rng.integers(0, 2)))
+                   for i in rng.permutation(60)]
+        ref = NnReferenceSet(entries)
+        for _ in range(10):
+            query = rng.integers(-1, 2, size=3).astype(float)
+            ranked = sorted(entries, key=lambda e: (
+                float(np.linalg.norm(e.embedding - query)), e.question_id))
+            for k in (1, 4, 9, 30):
+                expected = sum(e.correct for e in ranked[:k]) / k
+                assert neighbor_score(query, ref, k) == expected
+
+    def test_entries_view_the_stacked_matrix(self):
+        ref = NnReferenceSet(reference_entries([1, 0, 1]))
+        assert ref.embeddings.shape == (3, 4)
+        for row, entry in zip(ref.embeddings, ref.entries):
+            assert np.shares_memory(entry.embedding, ref.embeddings)
+            np.testing.assert_array_equal(entry.embedding, row)
 
     def test_reference_smaller_than_k(self):
         ref = NnReferenceSet(reference_entries([1, 0]))
@@ -211,6 +245,19 @@ class TestBuildReference:
                [e.correct for e in ref.entries]
         np.testing.assert_allclose(loaded.entries[0].embedding,
                                    ref.entries[0].embedding)
+
+    def test_verify_provider(self):
+        provider = HashingEmbedder(dim=32, seed=0)
+        qa = self.qa(3)
+        ref = build_nn_reference(qa, ScriptedLlmClient(default_answer="x"),
+                                 provider)
+        ref.verify_provider(provider)
+        with pytest.raises(IndexIntegrityError):
+            ref.verify_provider(HashingEmbedder(dim=32, seed=1))
+        narrow = NnReferenceSet([NnEntry("q0", np.ones(8), True)],
+                                provider.fingerprint)
+        with pytest.raises(IndexIntegrityError):
+            narrow.verify_provider(provider)
 
     def test_file_without_meta_line_accepted(self, tmp_path):
         import json

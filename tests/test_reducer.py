@@ -59,6 +59,9 @@ class FixedScorer:
         p_pref = 0.8 if "velvet" in text else 0.2
         return BiLabelScore(0.0, 0.0, p_ans, p_pref)
 
+    def score_many(self, question, texts, question_embedding=None):
+        return [self.score(question, text) for text in texts]
+
 
 class TestRepresentatives:
     def test_single_sentence_doc_uses_whole_doc(self):

@@ -125,6 +125,46 @@ class TestIndex:
         with pytest.raises(IndexIntegrityError):
             index.verify_provider(other)
 
+    def test_own_provider_accepted(self, provider):
+        build_index(small_corpus(), provider).verify_provider(provider)
+
+    def test_doc_ids_missing_from_corpus_detected(self, provider):
+        index = build_index(small_corpus(), provider)
+        index.verify_corpus(small_corpus())
+        stale = Corpus([make_document("a", "", "the cat sat on the mat")])
+        with pytest.raises(IndexIntegrityError):
+            index.verify_corpus(stale)
+
+
+class TestSearch:
+    @staticmethod
+    def full_sort(index, query, k):
+        sims = index.vectors @ query
+        order = np.argsort(-sims, kind="stable")[:k]
+        return [(index.doc_ids[i], float(sims[i])) for i in order]
+
+    def test_ties_straddling_kth_place(self):
+        # ids deliberately out of order; rows 1-5 tie on the middle value
+        values = [3.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0]
+        ids = ["h", "e", "b", "g", "a", "d", "c", "f"]
+        index = VectorIndex(ids, np.array([[v, 0.0] for v in values]), "fp")
+        query = np.array([1.0, 0.0])
+        for k in range(1, len(ids) + 2):
+            assert index.search(query, k) == self.full_sort(index, query, k)
+        assert [doc_id for doc_id, _ in index.search(query, 3)] == \
+            ["h", "a", "b"]
+
+    def test_matches_full_sort_with_many_ties(self):
+        rng = np.random.default_rng(5)
+        vectors = rng.integers(-2, 3, size=(300, 4)).astype(np.float64)
+        index = VectorIndex([f"d{i}" for i in rng.permutation(300)], vectors,
+                            "fp")
+        for _ in range(20):
+            query = rng.integers(-1, 2, size=4).astype(np.float64)
+            for k in (1, 5, 17, 100, 299, 300):
+                assert index.search(query, k) == \
+                    self.full_sort(index, query, k)
+
 
 class TestRetrieve:
     def test_identical_text_ranks_first(self, provider):

@@ -15,7 +15,7 @@ from leanrag.scorer import (AnnotationError, BiLabel, BiLabelScore,
                             ImbalanceDegenerateError, LabeledPair, ScorerModel,
                             TrainConfig, TrainingSet, annotate_training_pair,
                             bce_loss, build_training_set, hyper_direction,
-                            hypergradient_step, match_weights, score,
+                            hypergradient_step, match_weights,
                             split_losses, train_scorer, train_step,
                             weighted_loss)
 
@@ -347,7 +347,7 @@ class TestScoring:
 
     def test_score_requires_provider(self, trained):
         with pytest.raises(ValueError):
-            score(trained, "question", "doc text")
+            trained.score("question", "doc text")
 
     def test_model_round_trip(self, tmp_path, trained):
         path = tmp_path / "scorer.json"
