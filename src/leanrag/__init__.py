@@ -11,7 +11,7 @@ from .corpus import (Corpus, Document, QARecord, SubDocument, contains_answer,
                      split_sentences)
 from .llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmRequest, LlmResponse,
                   PromptTemplate, ScriptedLlmClient, build_noretrieve_prompt,
-                  build_retrieve_prompt, complete, is_correct)
+                  build_retrieve_prompt, is_correct)
 from .pipeline import (AnswerTrace, EvalReport, PipelineConfig, PipelineContext,
                        answer_question, evaluate, load_pipeline)
 from .recognizer import (Decision, NnReferenceSet, RecognizerConfig,

@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from .corpus import load_corpus, load_qa
-from .pipeline import (EvalReport, PipelineConfig, answer_question, evaluate,
-                       load_pipeline)
+from .pipeline import (EvalReport, PipelineConfig, answer_question,
+                       build_provider, evaluate, load_pipeline)
 from .recognizer import build_nn_reference
 from .reducer import (DetectorTrainConfig, build_detector_dataset,
                       load_detector_dataset, save_detector_dataset,
@@ -112,7 +112,7 @@ def _load_config(args) -> PipelineConfig:
 def _cmd_index(args) -> int:
     config = _load_config(args)
     corpus = load_corpus(config.corpus_path)
-    index = build_index(corpus, build_provider_from(config))
+    index = build_index(corpus, build_provider(config.provider))
     index.save(args.out)
     print(f"indexed {len(index)} documents -> {args.out}")
     return 0
@@ -134,14 +134,11 @@ def _cmd_annotate(args) -> int:
 
 def _cmd_train_scorer(args) -> int:
     config = _load_config(args)
-    from .pipeline import build_provider
-
-    provider = build_provider(config.provider)
     training_set = TrainingSet.load(args.pairs)
     result = train_scorer(training_set, TrainConfig(
         learning_rate=args.learning_rate, hyper_step_size=args.hyper_step_size,
         epochs=args.epochs, batch_size=args.batch_size, seed=config.seed),
-        provider=provider)
+        provider=build_provider(config.provider))
     result.model.save(args.out)
     final = result.history[-1]
     print(f"trained scorer: weight={result.balance_weight:.4f} "
@@ -154,19 +151,13 @@ def _cmd_build_nn_ref(args) -> int:
     config = _load_config(args)
     ctx = load_pipeline(config, require=("corpus", "llm"))
     qa = load_qa(args.qa)
-    reference = build_nn_reference(qa, ctx.llm, build_provider_from(config),
+    reference = build_nn_reference(qa, ctx.llm, build_provider(config.provider),
                                    template=ctx.templates["no_retrieve"])
     reference.save(args.out)
     positives = sum(1 for e in reference.entries if e.correct)
     print(f"labeled {len(reference)} questions "
           f"({positives} correct without retrieval) -> {args.out}")
     return 0
-
-
-def build_provider_from(config: PipelineConfig):
-    from .pipeline import build_provider
-
-    return build_provider(config.provider)
 
 
 def _cmd_build_detector_data(args) -> int:
@@ -177,7 +168,8 @@ def _cmd_build_detector_data(args) -> int:
         qa, ctx.retriever, ctx.scorer, ctx.llm, max_docs=config.top_rerank,
         top_retrieve=config.top_retrieve, samples_per_question=args.samples,
         seed=config.seed, window=config.window, stride=config.stride,
-        template=ctx.templates[config.template])
+        template=ctx.templates[config.template],
+        no_retrieve_template=ctx.templates["no_retrieve"])
     save_detector_dataset(examples, args.out)
     positives = sum(1 for e in examples if e.label == 1)
     print(f"built {len(examples)} combinations ({positives} positive) "

@@ -135,10 +135,6 @@ def build_noretrieve_prompt(question: str,
     return LlmRequest(prompt=prompt, token_count=count_tokens(prompt, tokenizer))
 
 
-def complete(client: LlmClient, request: LlmRequest) -> LlmResponse:
-    return client.complete(request)
-
-
 def is_correct(response_text: str, gold_answers: Iterable[str]) -> bool:
     """Containment-style correctness: any gold answer appears in the response."""
     return contains_answer(response_text, gold_answers)

@@ -14,6 +14,10 @@ import numpy as np
 PROB_EPS = 1e-7
 
 
+class TrainingError(RuntimeError):
+    """Training produced a non-finite gradient or loss."""
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=np.float64)
     pos = z >= 0
@@ -132,3 +136,49 @@ class Mlp:
             if idx > 0:
                 delta = (delta @ w) * (1.0 - activations[idx] ** 2)
         return loss, grad
+
+
+def sgd_step(net: Mlp, params: np.ndarray, inputs: np.ndarray,
+             targets: np.ndarray, sample_weights: np.ndarray,
+             learning_rate: float) -> np.ndarray:
+    """One gradient-descent step on the batch's weighted BCE, normalized by
+    the batch size."""
+    if learning_rate < 0:
+        raise ValueError("learning_rate must be >= 0")
+    _, grad = net.weighted_bce(params, inputs, targets, sample_weights,
+                               len(inputs))
+    if not np.all(np.isfinite(grad)):
+        raise TrainingError("non-finite gradient")
+    return params - learning_rate * grad
+
+
+def sgd_epoch(net: Mlp, params: np.ndarray, inputs: np.ndarray,
+              targets: np.ndarray, sample_weights: np.ndarray,
+              batch_size: int, learning_rate: float,
+              rng: np.random.Generator) -> np.ndarray:
+    """One pass of mini-batch steps over the examples in an order drawn
+    from ``rng``."""
+    order = rng.permutation(len(inputs))
+    for lo in range(0, len(inputs), batch_size):
+        batch = order[lo:lo + batch_size]
+        params = sgd_step(net, params, inputs[batch], targets[batch],
+                          sample_weights[batch], learning_rate)
+    return params
+
+
+def stratified_split(flags: np.ndarray, val_fraction: float,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted index arrays (train, validation), stratified on a boolean flag
+    (the flagged stratum is permuted first). Each stratum sends
+    round(n * val_fraction) of its n examples to validation, at least one,
+    and keeps at least one for training when n >= 2."""
+    train_idx: list[int] = []
+    val_idx: list[int] = []
+    for mask in (flags, ~flags):
+        stratum = rng.permutation(np.flatnonzero(mask))
+        n_val = min(max(1, int(round(len(stratum) * val_fraction))),
+                    max(len(stratum) - 1, 1))
+        val_idx.extend(stratum[:n_val])
+        train_idx.extend(stratum[n_val:])
+    return (np.sort(np.array(train_idx, dtype=np.intp)),
+            np.sort(np.array(val_idx, dtype=np.intp)))

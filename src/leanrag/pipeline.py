@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .artifacts import check_provider
 from .corpus import (Corpus, QARecord, Tokenizer, load_corpus,
                      whole_document_subdoc)
 from .llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmClient, LlmTransportError,
@@ -28,9 +29,9 @@ from .recognizer import (Decision, NnReferenceSet, RecognizerConfig,
                          neighbor_score)
 from .reducer import (DetectorModel, RerankedDoc, ScoredSubDoc,
                       SubDocCombination, make_combination, reduce, rerank_topk)
-from .retrieval import (EmbeddingProviderError, HashingEmbedder,
+from .retrieval import (INDEX_FIELDS, EmbeddingProviderError, HashingEmbedder,
                         IndexIntegrityError, RemoteEmbedder, RetrievedDoc,
-                        Retriever, VectorIndex, recall_at_k)
+                        Retriever, VectorIndex, mean_recall_at_k)
 from .scorer import BiLabelScore, ScorerModel
 from .seeds import stable_hash
 
@@ -39,7 +40,7 @@ logger = logging.getLogger(__name__)
 RECALL_KS = (1, 5, 10, 20, 100)
 SCORE_ORDERINGS = ("similarity", "has_answer_only", "llm_prefer_only",
                    "bilabel_sum")
-KNOWN_ABLATIONS = ("no_recognizer", "no_reducer", "fixed_w")
+KNOWN_ABLATIONS = ("no_recognizer", "no_reducer")
 
 
 class PipelineStageError(RuntimeError):
@@ -103,22 +104,19 @@ class PipelineContext:
     stride: int = 1
     tokenizer: Tokenizer | None = None
     seed: int = 0
-    fixed_w_scorer: ScorerModel | None = None
     max_workers: int = 1
 
     def __post_init__(self):
         # the question is embedded once with the retriever's provider and
-        # that vector is fed to the scorers, so they must embed alike
+        # that vector is fed to the scorer, so they must embed alike
         expected = getattr(getattr(self.retriever, "provider", None),
                            "fingerprint", None)
-        for scorer in (self.scorer, self.fixed_w_scorer):
-            actual = getattr(getattr(scorer, "provider", None),
-                             "fingerprint", None)
-            if expected is not None and actual is not None \
-                    and actual != expected:
-                raise ValueError(
-                    f"scorer embeds with {actual!r} but the retriever "
-                    f"embeds with {expected!r}")
+        actual = getattr(getattr(self.scorer, "provider", None),
+                         "fingerprint", None)
+        if expected is not None and actual is not None and actual != expected:
+            raise ValueError(
+                f"scorer embeds with {actual!r} but the retriever "
+                f"embeds with {expected!r}")
 
 
 def _template_overrides(overrides: Mapping) -> dict[str, PromptTemplate]:
@@ -172,72 +170,62 @@ def load_pipeline(config: PipelineConfig,
                   ) -> PipelineContext:
     """Assemble a context from the files a config points at. ``require``
     names the artifacts that must be present ("corpus", "index", "scorer",
-    "detector", "nn_ref", "llm"). A required artifact that does not match
-    the provider or the corpus raises ``IndexIntegrityError``; an optional
-    one is left out with a warning."""
+    "detector", "nn_ref", "llm"). A required artifact that is malformed, of
+    another format version, or does not match the provider or the corpus
+    raises ``IndexIntegrityError``; an optional one is left out with a
+    warning."""
     require = set(require)
     provider = build_provider(config.provider)
+    recognizer_config = RecognizerConfig(**config.recognizer)
 
-    def _need(name: str, path: str | None) -> str | None:
+    def _load(name: str, path: str | None, load, check=None):
         required = name in require
         if required and path is None:
             raise ValueError(f"config is missing {name}_path")
-        if path is not None and not Path(path).exists():
+        if path is None or not Path(path).exists():
             if required:
                 raise FileNotFoundError(f"{name} file not found: {path}")
             return None  # optional artifact not built yet
-        return path
-
-    def _checked(name: str, artifact, check):
         # a stale optional artifact is left out rather than fatal, so that
         # the command rebuilding it does not fail on the file it replaces
-        if artifact is not None:
-            try:
+        try:
+            artifact = load(path)
+            if check is not None:
                 check(artifact)
-            except IndexIntegrityError as exc:
-                if name in require:
-                    raise
-                logger.warning("ignoring stale %s: %s", name, exc)
-                return None
+        except IndexIntegrityError as exc:
+            if required:
+                raise
+            logger.warning("ignoring stale %s: %s", name, exc)
+            return None
         return artifact
 
     def _check_index(index: VectorIndex) -> None:
-        index.verify_provider(provider)
+        check_provider("index", index.provider_fingerprint, index.dim,
+                       provider, INDEX_FIELDS)
         if corpus is not None:
             index.verify_corpus(corpus)
 
-    def _check_scorer(model: ScorerModel) -> None:
-        if model.provider_fingerprint not in (None, provider.fingerprint):
-            raise IndexIntegrityError(
-                f"scorer trained with {model.provider_fingerprint!r}, "
-                f"provider is {provider.fingerprint!r}")
-
-    corpus_path = _need("corpus", config.corpus_path)
-    corpus = load_corpus(corpus_path) if corpus_path else None
-    index_path = _need("index", config.index_path)
-    index = _checked("index", VectorIndex.load(index_path)
-                     if index_path else None, _check_index)
+    corpus = _load("corpus", config.corpus_path, load_corpus)
+    index = _load("index", config.index_path, VectorIndex.load, _check_index)
     retriever = (Retriever(corpus, index, provider)
                  if index is not None and corpus is not None else None)
-
-    scorer_path = _need("scorer", config.scorer_path)
-    scorer = _checked("scorer", ScorerModel.load(scorer_path)
-                      if scorer_path else None, _check_scorer)
+    scorer = _load("scorer", config.scorer_path, ScorerModel.load,
+                   lambda model: check_provider(
+                       "scorer", model.provider_fingerprint,
+                       model.head.n_inputs // 2, provider))
     if scorer is not None:
         scorer.provider = provider
-
-    detector_path = _need("detector", config.detector_path)
-    detector = DetectorModel.load(detector_path) if detector_path else None
-
-    nn_path = _need("nn_ref", config.nn_ref_path)
-    nn_reference = _checked("nn_ref", NnReferenceSet.load(nn_path)
-                            if nn_path else None,
-                            lambda ref: ref.verify_provider(provider))
+    detector = _load("detector", config.detector_path, DetectorModel.load)
+    nn_reference = _load("nn_ref", config.nn_ref_path, NnReferenceSet.load,
+                         lambda ref: check_provider(
+                             "NN reference", ref.provider_fingerprint,
+                             ref.embeddings.shape[1] if len(ref) else None,
+                             provider))
 
     llm = build_llm_client(config.llm) if (config.llm or "llm" in require) else None
     return PipelineContext(
         corpus=corpus, retriever=retriever, scorer=scorer,
-        recognizer_config=RecognizerConfig.from_mapping(config.recognizer),
+        recognizer_config=recognizer_config,
         llm=llm, detector=detector, nn_reference=nn_reference,
         templates=_template_overrides(config.templates),
         top_retrieve=config.top_retrieve, top_rerank=config.top_rerank,
@@ -329,8 +317,7 @@ def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
             return RecognizerVerdict(s_ltod=0.0, s_nn=0.0,
                                      decision=Decision.RETRIEVE)
         cfg = ctx.recognizer_config
-        ltod = long_tail_score(scored, cfg.delta_ltod,
-                               cfg.threshold_on_probability)
+        ltod = long_tail_score(scored, cfg.delta_ltod)
         if ctx.nn_reference is None:
             raise ValueError("recognizer requires a nearest-neighbor reference "
                              "set (or the no_recognizer ablation)")
@@ -458,23 +445,18 @@ def evaluate(qa_set: Sequence[QARecord], ctx: PipelineContext,
     for flag in ablations:
         if flag.startswith("template="):
             template_name = flag.split("=", 1)[1]
-    run_ctx = ctx
-    if "fixed_w" in ablations:
-        if ctx.fixed_w_scorer is None:
-            raise ValueError("fixed_w ablation requires ctx.fixed_w_scorer")
-        run_ctx = _with_scorer(ctx, ctx.fixed_w_scorer)
 
     def _one(qa: QARecord):
         try:
-            return _answer_with_details(qa, run_ctx, ablations, template_name)
+            return _answer_with_details(qa, ctx, ablations, template_name)
         except PipelineStageError as exc:
             if isinstance(exc.cause, (LlmTransportError, EmbeddingProviderError)):
                 logger.warning("excluding %s: %s", qa.question_id, exc)
                 return exc
             raise
 
-    if run_ctx.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=run_ctx.max_workers) as pool:
+    if ctx.max_workers > 1:
+        with ThreadPoolExecutor(max_workers=ctx.max_workers) as pool:
             outcomes = list(pool.map(_one, qa_set))
     else:
         outcomes = [_one(qa) for qa in qa_set]
@@ -495,15 +477,12 @@ def evaluate(qa_set: Sequence[QARecord], ctx: PipelineContext,
     if not traces:
         raise RuntimeError("every question failed at transport level")
 
+    golds = [qa.gold_answers for qa in answered_qa]
     recall: dict[str, dict[str, float]] = {}
     for ordering in SCORE_ORDERINGS:
-        recall[ordering] = {}
-        for k in RECALL_KS:
-            total = 0.0
-            for qa, scored in zip(answered_qa, scored_lists):
-                docs = ordered_docs(scored, ordering)
-                total += recall_at_k(docs, qa.gold_answers, min(k, len(docs)))
-            recall[ordering][str(k)] = total / len(answered_qa)
+        docs = [ordered_docs(scored, ordering) for scored in scored_lists]
+        recall[ordering] = {str(k): mean_recall_at_k(docs, golds, k)
+                            for k in RECALL_KS}
 
     n_answered = len(traces)
     accuracy = sum(1 for t in traces if t.correct) / n_answered
@@ -532,9 +511,3 @@ def evaluate(qa_set: Sequence[QARecord], ctx: PipelineContext,
     for name, flags in (ablation_suites or {}).items():
         report.sub_reports[name] = evaluate(qa_set, ctx, flags)
     return report
-
-
-def _with_scorer(ctx: PipelineContext, scorer: ScorerModel) -> PipelineContext:
-    from dataclasses import replace
-
-    return replace(ctx, scorer=scorer)

@@ -8,28 +8,22 @@ Both thresholds are strict.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import artifacts
 from .corpus import QARecord, Tokenizer
 from .llm import (DEFAULT_TEMPLATES, LlmClient, PromptTemplate,
                   build_noretrieve_prompt, is_correct)
-from .retrieval import EmbeddingProvider, IndexIntegrityError, RetrievedDoc
+from .retrieval import EmbeddingProvider, RetrievedDoc
 from .scorer import BiLabelScore
 
 logger = logging.getLogger(__name__)
-
-NNREF_FORMAT = "leanrag-nnref"
-NNREF_VERSION = 1
-
-LABEL_CORRECT = "correct_w/o_retrieve"
-LABEL_INCORRECT = "incorrect_w/o_retrieve"
 
 
 class Decision(str, Enum):
@@ -39,27 +33,18 @@ class Decision(str, Enum):
 
 @dataclass(frozen=True)
 class RecognizerConfig:
-    # threshold on the answer-presence head; applied to the raw logit, since a
-    # useful cutoff above 1 cannot be a probability. Set threshold_on_probability
-    # for sensitivity studies.
+    # threshold on the answer-presence head's raw logit, since a useful
+    # cutoff above 1 cannot be a probability
     delta_ltod: float = 4.5
     s_l: float = 0.04
     s_n: float = 0.67
     k_neighbors: int = 10
-    threshold_on_probability: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.s_l <= 1.0 or not 0.0 <= self.s_n <= 1.0:
             raise ValueError("s_l and s_n must be in [0, 1]")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping) -> "RecognizerConfig":
-        known = {k: mapping[k] for k in
-                 ("delta_ltod", "s_l", "s_n", "k_neighbors",
-                  "threshold_on_probability") if k in mapping}
-        return cls(**known)
 
 
 @dataclass(frozen=True)
@@ -99,46 +84,21 @@ class NnReferenceSet:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def verify_provider(self, provider: EmbeddingProvider) -> None:
-        if provider.fingerprint != self.provider_fingerprint:
-            raise IndexIntegrityError(
-                f"NN reference built with {self.provider_fingerprint!r}, "
-                f"provider is {provider.fingerprint!r}")
-        if len(self) and self.embeddings.shape[1] != provider.dim:
-            raise IndexIntegrityError(
-                f"NN reference dim {self.embeddings.shape[1]} != provider "
-                f"dim {provider.dim}")
-
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({
-                "_meta": {"format": NNREF_FORMAT, "version": NNREF_VERSION,
-                          "provider_fingerprint": self.provider_fingerprint},
-            }) + "\n")
-            for entry in self.entries:
-                handle.write(json.dumps({
-                    "question_id": entry.question_id,
-                    "label": LABEL_CORRECT if entry.correct else LABEL_INCORRECT,
-                    "embedding": entry.embedding.tolist(),
-                }) + "\n")
+        artifacts.save(path, "nnref", {
+            "provider_fingerprint": self.provider_fingerprint,
+            "question_ids": [e.question_id for e in self.entries],
+            "correct": self.correct.tolist(),
+        }, {"embeddings": self.embeddings})
 
     @classmethod
     def load(cls, path: str | Path) -> "NnReferenceSet":
-        entries = []
-        fingerprint = None
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if "_meta" in record:
-                    fingerprint = record["_meta"].get("provider_fingerprint")
-                    continue
-                entries.append(NnEntry(
-                    question_id=record["question_id"],
-                    embedding=np.asarray(record["embedding"], dtype=np.float64),
-                    correct=record["label"] == LABEL_CORRECT))
-        return cls(entries, fingerprint)
+        meta, arrays = artifacts.load(path, "nnref")
+        return cls([NnEntry(qid, row, correct)
+                    for qid, row, correct in zip(meta["question_ids"],
+                                                 arrays["embeddings"],
+                                                 meta["correct"])],
+                   meta["provider_fingerprint"])
 
 
 def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,
@@ -169,16 +129,14 @@ def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,
 
 
 def long_tail_score(scored_docs: Sequence[tuple[RetrievedDoc, BiLabelScore]],
-                    delta_ltod: float,
-                    on_probability: bool = False) -> float:
-    """Fraction of retrieved documents whose answer-presence output exceeds
+                    delta_ltod: float) -> float:
+    """Fraction of retrieved documents whose answer-presence logit exceeds
     the cutoff. Order-invariant; undefined (raises) on empty input."""
     if not scored_docs:
         raise ValueError("cannot score an empty retrieved set")
     hits = 0
     for _, sc in scored_docs:
-        value = sc.p_ans if on_probability else sc.logit_ans
-        if value > delta_ltod:
+        if sc.logit_ans > delta_ltod:
             hits += 1
     return hits / len(scored_docs)
 

@@ -10,7 +10,6 @@ pairs in order, zero-padded to a fixed width.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,19 +17,17 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .corpus import (Document, QARecord, SubDocument, Tokenizer,
                      generate_subdocuments)
 from .llm import (DEFAULT_TEMPLATES, LlmClient, PromptTemplate,
                   build_noretrieve_prompt, build_retrieve_prompt, is_correct)
-from .mlp import Mlp
+from .mlp import Mlp, sgd_epoch, stratified_split
 from .retrieval import RetrievedDoc, Retriever
 from .scorer import BiLabelScore, ScorerModel
 from .seeds import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
-
-DETECTOR_FORMAT = "leanrag-detector"
-DETECTOR_VERSION = 1
 
 DEFAULT_DETECTOR_HIDDEN = (64, 32, 16)
 
@@ -168,28 +165,20 @@ class DetectorModel:
         return (1 if prob > self.threshold else 0), prob
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format": DETECTOR_FORMAT,
-            "version": DETECTOR_VERSION,
-            "architecture": {"layer_sizes": list(self.net.layer_sizes)},
-            "parameters": self.net.get_params().tolist(),
+        artifacts.save(path, "detector", {
+            "layer_sizes": list(self.net.layer_sizes),
             "max_docs": self.max_docs,
             "threshold": self.threshold,
             "seed": self.seed,
-        }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        }, {"params": self.net.get_params()})
 
     @classmethod
     def load(cls, path: str | Path) -> "DetectorModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != DETECTOR_FORMAT:
-            raise ValueError(f"{path}: not a {DETECTOR_FORMAT} file")
-        sizes = payload["architecture"]["layer_sizes"]
-        net = Mlp(sizes, seed=payload["seed"])
-        net.set_params(np.asarray(payload["parameters"], dtype=np.float64))
-        return cls(max_docs=int(payload["max_docs"]),
-                   hidden_sizes=sizes[1:-1], seed=int(payload["seed"]),
-                   threshold=float(payload["threshold"]), net=net)
+        meta, arrays = artifacts.load(path, "detector")
+        net = Mlp(meta["layer_sizes"], seed=meta["seed"])
+        net.set_params(arrays["params"])
+        return cls(max_docs=meta["max_docs"], seed=meta["seed"],
+                   threshold=meta["threshold"], net=net)
 
 
 def greedy_filter(sorted_subdocs: Sequence[ScoredSubDoc],
@@ -236,33 +225,21 @@ class DetectorExample:
 
 def save_detector_dataset(examples: Sequence[DetectorExample],
                           path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for ex in examples:
-            handle.write(json.dumps({
-                "question_id": ex.question_id,
-                "member_subdoc_ids": list(ex.member_ids),
-                "features": ex.features.tolist(),
-                "label": ex.label,
-            }) + "\n")
+    artifacts.save(path, "detector-data", {
+        "question_ids": [ex.question_id for ex in examples],
+        "member_subdoc_ids": [list(ex.member_ids) for ex in examples],
+        "labels": [ex.label for ex in examples],
+    }, {"features": [ex.features for ex in examples],
+        "means": [(ex.mean_ans, ex.mean_pref) for ex in examples]})
 
 
 def load_detector_dataset(path: str | Path) -> list[DetectorExample]:
-    out = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            features = np.asarray(rec["features"], dtype=np.float64)
-            pairs = features.reshape(-1, 2)
-            live = pairs[(pairs != 0).any(axis=1)]
-            out.append(DetectorExample(
-                question_id=rec["question_id"],
-                member_ids=tuple(rec["member_subdoc_ids"]),
-                features=features, label=int(rec["label"]),
-                mean_ans=float(live[:, 0].mean()) if len(live) else 0.0,
-                mean_pref=float(live[:, 1].mean()) if len(live) else 0.0))
-    return out
+    meta, arrays = artifacts.load(path, "detector-data")
+    return [DetectorExample(qid, tuple(ids), features, label,
+                            float(mean_ans), float(mean_pref))
+            for qid, ids, features, label, (mean_ans, mean_pref)
+            in zip(meta["question_ids"], meta["member_subdoc_ids"],
+                   arrays["features"], meta["labels"], arrays["means"])]
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:
@@ -295,7 +272,8 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
                            overlap_threshold: float = 0.8, seed: int = 0,
                            window: int = 3, stride: int = 1,
                            template: PromptTemplate | None = None,
-                           tokenizer: Tokenizer | None = None
+                           tokenizer: Tokenizer | None = None,
+                           no_retrieve_template: PromptTemplate | None = None
                            ) -> list[DetectorExample]:
     """Training data for the detector.
 
@@ -305,13 +283,15 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
     Jaccard above the threshold against an already-kept combination) are
     dropped, only combinations on the (mean p_ans, mean p_pref) skyline
     survive, and each survivor is labeled by whether the LLM answers
-    correctly with it appended.
+    correctly with it appended. The bare-question probe uses
+    ``no_retrieve_template`` (default: the built-in no-retrieve prompt).
     """
     template = template or DEFAULT_TEMPLATES["comprehensive"]
     examples: list[DetectorExample] = []
     for qa in qa_records:
         try:
-            bare = llm.complete(build_noretrieve_prompt(qa.question, tokenizer=tokenizer))
+            bare = llm.complete(build_noretrieve_prompt(
+                qa.question, no_retrieve_template, tokenizer))
             if is_correct(bare.text, qa.gold_answers):
                 continue  # no retrieval needed; uninformative for the detector
         except Exception as exc:
@@ -403,19 +383,9 @@ def train_detector(dataset: Sequence[DetectorExample],
     features = np.stack([ex.features for ex in dataset])
     targets = np.array([[ex.label] for ex in dataset], dtype=np.float64)
 
-    rng = derive_rng(config.seed, "detector.split")
-    positive = np.flatnonzero(targets[:, 0] == 1)
-    negative = np.flatnonzero(targets[:, 0] == 0)
-    val_idx: list[int] = []
-    train_idx: list[int] = []
-    for stratum in (positive, negative):
-        stratum = rng.permutation(stratum)
-        n_val = min(max(1, int(round(len(stratum) * config.val_fraction))),
-                    max(len(stratum) - 1, 1))
-        val_idx.extend(stratum[:n_val])
-        train_idx.extend(stratum[n_val:])
-    train_idx = np.sort(np.array(train_idx))
-    val_idx = np.sort(np.array(val_idx))
+    train_idx, val_idx = stratified_split(
+        targets[:, 0] == 1, config.val_fraction,
+        derive_rng(config.seed, "detector.split"))
 
     model = DetectorModel(max_docs=max_docs, hidden_sizes=config.hidden_sizes,
                           seed=derive_seed(config.seed, "detector.init"),
@@ -424,14 +394,8 @@ def train_detector(dataset: Sequence[DetectorExample],
     batch_rng = derive_rng(config.seed, "detector.batches")
     x_t, y_t = features[train_idx], targets[train_idx]
     for _ in range(config.epochs):
-        order = batch_rng.permutation(len(x_t))
-        for lo in range(0, len(x_t), config.batch_size):
-            batch = order[lo:lo + config.batch_size]
-            _, grad = model.net.weighted_bce(params, x_t[batch], y_t[batch],
-                                             np.ones(len(batch)), len(batch))
-            if not np.all(np.isfinite(grad)):
-                raise RuntimeError("non-finite detector gradient")
-            params = params - config.learning_rate * grad
+        params = sgd_epoch(model.net, params, x_t, y_t, np.ones(len(x_t)),
+                           config.batch_size, config.learning_rate, batch_rng)
     model.net.set_params(params)
 
     val_probs = model.net.probabilities(features[val_idx])[:, 0]

@@ -9,7 +9,6 @@ inner product, with ties broken by ascending doc id.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
@@ -19,12 +18,12 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
+from . import artifacts
+from .artifacts import IndexIntegrityError
 from .corpus import Corpus, Document, contains_answer
 
 logger = logging.getLogger(__name__)
 
-INDEX_FORMAT = "leanrag-index"
-INDEX_VERSION = 1
 # appended to the provider fingerprint: documents are embedded as "title. text"
 INDEX_FIELDS = "|fields=title+text"
 
@@ -35,11 +34,6 @@ class EmbeddingProviderError(RuntimeError):
     """Provider failure (network, protocol). Safe to retry."""
 
     retryable = True
-
-
-class IndexIntegrityError(RuntimeError):
-    """A persisted index or reference set is inconsistent with itself, the
-    corpus or the provider."""
 
 
 class EmbeddingProvider(Protocol):
@@ -187,16 +181,6 @@ class VectorIndex:
         order = np.argsort(-sims, kind="stable")[:k]
         return [(self.doc_ids[i], float(sims[i])) for i in order]
 
-    def verify_provider(self, provider: EmbeddingProvider) -> None:
-        expected = provider.fingerprint + INDEX_FIELDS
-        if expected != self.provider_fingerprint:
-            raise IndexIntegrityError(
-                f"index built with {self.provider_fingerprint!r}, "
-                f"provider gives {expected!r}")
-        if provider.dim != self.dim:
-            raise IndexIntegrityError(
-                f"index dim {self.dim} != provider dim {provider.dim}")
-
     def verify_corpus(self, corpus: Corpus) -> None:
         """Every indexed doc id must name a corpus document."""
         missing = [doc_id for doc_id in self.doc_ids if doc_id not in corpus]
@@ -206,36 +190,16 @@ class VectorIndex:
                 f"e.g. {missing[:3]}")
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "dim": self.dim,
-            "provider_fingerprint": self.provider_fingerprint,
-            "entries": [
-                {"doc_id": doc_id, "vector": vec.tolist()}
-                for doc_id, vec in zip(self.doc_ids, self.vectors)
-            ],
-        }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        artifacts.save(path, "index",
+                       {"doc_ids": self.doc_ids,
+                        "provider_fingerprint": self.provider_fingerprint},
+                       {"vectors": self.vectors})
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != INDEX_FORMAT:
-            raise IndexIntegrityError(f"{path}: not a {INDEX_FORMAT} file")
-        dim = int(payload["dim"])
-        doc_ids = []
-        rows = []
-        for entry in payload["entries"]:
-            vec = entry["vector"]
-            if len(vec) != dim:
-                raise IndexIntegrityError(
-                    f"{path}: vector for {entry['doc_id']!r} has dim "
-                    f"{len(vec)}, expected {dim}")
-            doc_ids.append(entry["doc_id"])
-            rows.append(vec)
-        return cls(doc_ids, np.asarray(rows, dtype=np.float64),
-                   payload["provider_fingerprint"])
+        meta, arrays = artifacts.load(path, "index")
+        return cls(meta["doc_ids"], arrays["vectors"],
+                   meta["provider_fingerprint"])
 
 
 def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:

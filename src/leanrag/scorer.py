@@ -11,25 +11,23 @@ downhill.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .corpus import Document, QARecord, Tokenizer, contains_answer
 from .llm import (DEFAULT_TEMPLATES, LlmClient, PromptTemplate,
                   build_retrieve_prompt, is_correct)
-from .mlp import Mlp, PROB_EPS, sigmoid
+from .mlp import (Mlp, PROB_EPS, sgd_epoch, sgd_step, sigmoid,
+                  stratified_split)
 from .retrieval import EmbeddingProvider, Retriever
 from .seeds import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
-
-SCORER_FORMAT = "leanrag-scorer"
-SCORER_VERSION = 1
 
 DEFAULT_HIDDEN_SIZES = (64, 32)
 
@@ -41,10 +39,6 @@ class AnnotationError(RuntimeError):
         self.question_id = question_id
         self.doc_id = doc_id
         self.cause = cause
-
-
-class TrainingError(RuntimeError):
-    """Training produced a non-finite gradient or loss."""
 
 
 class ImbalanceDegenerateError(ValueError):
@@ -115,30 +109,23 @@ class TrainingSet:
         return self.matched_count / mismatched
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            for pair in self.pairs:
-                handle.write(json.dumps({
-                    "question_id": pair.question_id,
-                    "doc_id": pair.doc_id,
-                    "features": pair.features.tolist(),
-                    "has_answer": pair.label.has_answer,
-                    "llm_prefer": pair.label.llm_prefer,
-                }) + "\n")
+        artifacts.save(path, "training-set", {
+            "question_ids": [p.question_id for p in self.pairs],
+            "doc_ids": [p.doc_id for p in self.pairs],
+            "has_answer": [p.label.has_answer for p in self.pairs],
+            "llm_prefer": [p.label.llm_prefer for p in self.pairs],
+        }, {"features": [p.features for p in self.pairs]})
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainingSet":
-        pairs = []
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                label = BiLabel(rec["has_answer"], rec["llm_prefer"])
-                pairs.append(LabeledPair(
-                    question_id=rec["question_id"], doc_id=rec["doc_id"],
-                    features=np.asarray(rec["features"], dtype=np.float64),
-                    label=label, matched=label.matched))
-        return cls(pairs=pairs)
+        meta, arrays = artifacts.load(path, "training-set")
+        labels = [BiLabel(a, p)
+                  for a, p in zip(meta["has_answer"], meta["llm_prefer"])]
+        return cls(pairs=[
+            LabeledPair(question_id=q, doc_id=d, features=f, label=label,
+                        matched=label.matched)
+            for q, d, f, label in zip(meta["question_ids"], meta["doc_ids"],
+                                      arrays["features"], labels)])
 
 
 def pair_features(provider: EmbeddingProvider, question: str,
@@ -240,13 +227,8 @@ def train_step(head: Mlp, params: np.ndarray, features: np.ndarray,
                targets: np.ndarray, matched: np.ndarray, weight: float,
                learning_rate: float) -> np.ndarray:
     """One gradient-descent step on the f(w)-weighted batch loss."""
-    if learning_rate < 0:
-        raise ValueError("learning_rate must be >= 0")
-    _, grad = head.weighted_bce(params, features, targets,
-                                match_weights(matched, weight), len(features))
-    if not np.all(np.isfinite(grad)):
-        raise TrainingError("non-finite gradient")
-    return params - learning_rate * grad
+    return sgd_step(head, params, features, targets,
+                    match_weights(matched, weight), learning_rate)
 
 
 def split_losses(head: Mlp, params: np.ndarray, features: np.ndarray,
@@ -378,61 +360,29 @@ class ScorerModel:
         return self._score_rows(features)
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format": SCORER_FORMAT,
-            "version": SCORER_VERSION,
-            "architecture": {"layer_sizes": list(self.head.layer_sizes)},
-            "params": self.head.get_params().tolist(),
+        artifacts.save(path, "scorer", {
+            "layer_sizes": list(self.head.layer_sizes),
             "balance_weight": self.balance_weight,
             "provider_fingerprint": self.provider_fingerprint,
             "seed": self.seed,
-        }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        }, {"params": self.head.get_params()})
 
     @classmethod
-    def load(cls, path: str | Path,
-             provider: EmbeddingProvider | None = None) -> "ScorerModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != SCORER_FORMAT:
-            raise ValueError(f"{path}: not a {SCORER_FORMAT} file")
-        fingerprint = payload.get("provider_fingerprint")
-        if provider is not None and fingerprint is not None \
-                and provider.fingerprint != fingerprint:
-            raise ValueError(
-                f"model trained with provider {fingerprint!r}, "
-                f"got {provider.fingerprint!r}")
-        head = Mlp(payload["architecture"]["layer_sizes"], seed=payload["seed"])
-        head.set_params(np.asarray(payload["params"], dtype=np.float64))
-        return cls(head=head, balance_weight=float(payload["balance_weight"]),
-                   seed=int(payload["seed"]), provider=provider,
-                   provider_fingerprint=fingerprint)
+    def load(cls, path: str | Path) -> "ScorerModel":
+        """The saved model, with no provider attached; ``load_pipeline``
+        checks its fingerprint and attaches one."""
+        meta, arrays = artifacts.load(path, "scorer")
+        head = Mlp(meta["layer_sizes"], seed=meta["seed"])
+        head.set_params(arrays["params"])
+        return cls(head=head, balance_weight=meta["balance_weight"],
+                   seed=meta["seed"],
+                   provider_fingerprint=meta["provider_fingerprint"])
 
 
 class TrainResult(NamedTuple):
     model: ScorerModel
     balance_weight: float
     history: list[EpochStats]
-
-
-def stratified_split(matched: np.ndarray, val_fraction: float,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (train, validation), stratified on the matched flag.
-
-    Each stratum contributes at least one validation example.
-    """
-    train_idx: list[int] = []
-    val_idx: list[int] = []
-    for mask in (matched, ~matched):
-        stratum = np.flatnonzero(mask)
-        if len(stratum) < 2:
-            raise ImbalanceDegenerateError(
-                "need at least 2 examples per class to split off validation")
-        stratum = rng.permutation(stratum)
-        n_val = max(1, int(round(len(stratum) * val_fraction)))
-        n_val = min(n_val, len(stratum) - 1)
-        val_idx.extend(stratum[:n_val])
-        train_idx.extend(stratum[n_val:])
-    return np.sort(np.array(train_idx)), np.sort(np.array(val_idx))
 
 
 def train_scorer(pairs: Sequence[LabeledPair] | TrainingSet,
@@ -453,9 +403,10 @@ def train_scorer(pairs: Sequence[LabeledPair] | TrainingSet,
     if not pairs:
         raise ValueError("no training pairs")
     features, targets, matched = pairs_to_arrays(pairs)
-    if matched.all() or not matched.any():
+    # each class must keep a training and a validation example
+    if min(matched.sum(), (~matched).sum()) < 2:
         raise ImbalanceDegenerateError(
-            "training data needs both matched and mismatched pairs")
+            "training data needs at least 2 matched and 2 mismatched pairs")
 
     split_rng = derive_rng(config.seed, "scorer.split")
     train_idx, val_idx = stratified_split(matched, config.val_fraction, split_rng)
@@ -473,11 +424,8 @@ def train_scorer(pairs: Sequence[LabeledPair] | TrainingSet,
     n_train = len(x_t)
     for epoch in range(1, config.epochs + 1):
         params_start = params
-        order = batch_rng.permutation(n_train)
-        for lo in range(0, n_train, config.batch_size):
-            batch = order[lo:lo + config.batch_size]
-            params = train_step(head, params, x_t[batch], y_t[batch],
-                                m_t[batch], weight, config.learning_rate)
+        params = sgd_epoch(head, params, x_t, y_t, match_weights(m_t, weight),
+                           config.batch_size, config.learning_rate, batch_rng)
         if config.hyper_step_size != 0.0:
             if n_train > config.full_grad_max:
                 sub = np.sort(sample_rng.choice(n_train, config.full_grad_max,

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from synthetic import write_redundant_fixture
 
+import leanrag.pipeline
 from leanrag.cli import main
 from leanrag.reducer import load_detector_dataset
 
@@ -109,6 +111,26 @@ def test_query_prints_trace(ready, capsys):
     assert trace["prompt_tokens"] > 0
 
 
+def test_detector_data_probe_uses_configured_template(workspace, tmp_path,
+                                                      monkeypatch):
+    root, config_path, paths = workspace
+    config = json.loads(config_path.read_text())
+    config["templates"] = {"no_retrieve": {"instruction": "Answer from memory."}}
+    custom = tmp_path / "config.json"
+    custom.write_text(json.dumps(config))
+    clients = []
+    build = leanrag.pipeline.build_llm_client
+    monkeypatch.setattr(leanrag.pipeline, "build_llm_client",
+                        lambda spec: clients.append(build(spec)) or clients[-1])
+    assert main(["build-detector-data", "--config", str(custom),
+                 "--qa", str(paths["qa"]), "--out", str(tmp_path / "d"),
+                 "--samples", "5"]) == 0
+    bare = [prompt for prompt, _ in clients[0].transcript
+            if "Passages:" not in prompt]
+    assert len(bare) == 4  # one probe per question
+    assert all(p.startswith("Answer from memory.\n") for p in bare)
+
+
 def test_eval_report_and_reuse_of_saved_index(ready, capsys):
     root, config_path, paths = ready
     out = root / "report.json"
@@ -181,9 +203,10 @@ def test_missing_command_is_usage_error():
     assert excinfo.value.code == 2
 
 
-def test_rebuild_over_artifacts_of_another_provider(tmp_path):
-    """After a provider change the set-up commands rebuild over the old
-    files; only a command that needs a stale artifact refuses it."""
+def test_rebuild_over_artifacts_of_another_provider(tmp_path, capsys):
+    """After a provider change, or over files of the version-1 layout, the
+    set-up commands rebuild over the old files; only a command that needs a
+    stale artifact refuses it."""
     paths = write_redundant_fixture(tmp_path)
     config = {
         "seed": 3,
@@ -215,6 +238,17 @@ def test_rebuild_over_artifacts_of_another_provider(tmp_path):
                      "--out", config["scorer_path"], "--epochs", "2"]) == 0
         assert main(detector_data) == 0
 
+    version_1 = {
+        "index_path": {"format": "leanrag-index", "version": 1},
+        "scorer_path": {"format": "leanrag-scorer", "version": 1},
+        "nn_ref_path": {"_meta": {"format": "leanrag-nnref", "version": 1}}}
+    for name, header in version_1.items():
+        Path(config[name]).write_text(json.dumps(header) + "\n")
+    config_path.write_text(json.dumps(config))
+    assert main(["index", *base, "--out", config["index_path"]]) == 0
+    capsys.readouterr()
+    assert main(detector_data) == 1  # needs the scorer, still version 1
+    assert "leanrag-scorer version 1" in capsys.readouterr().err
     build_all()
     config["provider"]["seed"] = 12
     config_path.write_text(json.dumps(config))

@@ -6,7 +6,7 @@ from leanrag.corpus import count_tokens
 from leanrag.llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmRequest,
                          LlmTransportError, ScriptedLlmClient,
                          UnscriptedPromptError, build_noretrieve_prompt,
-                         build_retrieve_prompt, complete, is_correct)
+                         build_retrieve_prompt, is_correct)
 
 QUESTION = "Who was the British Prime Minister in 1953?"
 PASSAGES = ["de Valera met the Prime Minister.", "Denis Thatcher married."]
@@ -83,7 +83,7 @@ class TestScriptedClient:
     def test_exact_question_match(self):
         client = ScriptedLlmClient({QUESTION: "Winston Churchill led then."})
         request = build_retrieve_prompt(QUESTION, PASSAGES)
-        assert complete(client, request).text == "Winston Churchill led then."
+        assert client.complete(request).text == "Winston Churchill led then."
 
     def test_pattern_match_in_order(self):
         client = ScriptedLlmClient(patterns=[

@@ -245,6 +245,10 @@ class TestLoadIntegrity:
         with pytest.raises(IndexIntegrityError):
             load_pipeline(config, require=("corpus", "index", "nn_ref"))
 
+    def test_unknown_recognizer_key_rejected(self, config):
+        config.recognizer = {"s_N": 0.5}  # a typo of s_n
+        with pytest.raises(TypeError, match="s_N"):
+            load_pipeline(config, require=("corpus",))
 
     def test_stale_optional_artifacts_left_out(self, config):
         corpus = load_corpus(config.corpus_path)
@@ -265,8 +269,6 @@ class TestProviderConsistency:
             {"kind": "hash", "dim": scorer.provider.dim, "seed": 99}))
         with pytest.raises(ValueError, match="scorer embeds with"):
             make_ctx(setup, detector, scorer=other)
-        with pytest.raises(ValueError, match="scorer embeds with"):
-            replace(make_ctx(setup, detector), fixed_w_scorer=other)
 
 
 class TestEvaluate:
@@ -307,14 +309,6 @@ class TestEvaluate:
         ctx = make_ctx(setup, detector)
         with pytest.raises(ValueError):
             evaluate([], ctx)
-
-    def test_fixed_w_requires_alternate_scorer(self, setup, detector):
-        ctx = make_ctx(setup, detector)
-        with pytest.raises(ValueError):
-            evaluate(setup[1], ctx, ablations={"fixed_w"})
-        with_alt = replace(ctx, fixed_w_scorer=ctx.scorer)
-        report = evaluate(setup[1], with_alt, ablations={"fixed_w"})
-        assert report.ablations == ["fixed_w"]
 
     def test_template_ablation_switches_template(self, setup, detector):
         ctx = make_ctx(setup, detector)

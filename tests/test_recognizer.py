@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leanrag.artifacts import check_provider
 from leanrag.corpus import QARecord, make_document
 from leanrag.llm import ScriptedLlmClient
-from leanrag.recognizer import (Decision, LABEL_CORRECT, NnEntry,
+from leanrag.pipeline import PipelineConfig, load_pipeline
+from leanrag.recognizer import (Decision, NnEntry,
                                 NnReferenceSet, RecognizerConfig,
                                 build_nn_reference, decide, long_tail_score,
                                 neighbor_score)
@@ -40,10 +42,6 @@ class TestLongTailScore:
 
     def test_strict_inequality_at_cutoff(self):
         assert long_tail_score(scored_docs([4.5]), 4.5) == 0.0
-
-    def test_probability_mode(self):
-        docs = scored_docs([5.0, -5.0])
-        assert long_tail_score(docs, 0.5, on_probability=True) == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -187,8 +185,9 @@ class TestDecide:
             RecognizerConfig(k_neighbors=0)
 
     def test_config_from_mapping(self):
-        config = RecognizerConfig.from_mapping(
-            {"delta_ltod": 2.0, "s_l": 0.1, "s_n": 0.5, "k_neighbors": 3})
+        config = load_pipeline(PipelineConfig(recognizer={
+            "delta_ltod": 2.0, "s_l": 0.1, "s_n": 0.5, "k_neighbors": 3}),
+            require=()).recognizer_config
         assert config.delta_ltod == 2.0
         assert config.k_neighbors == 3
 
@@ -251,20 +250,25 @@ class TestBuildReference:
         qa = self.qa(3)
         ref = build_nn_reference(qa, ScriptedLlmClient(default_answer="x"),
                                  provider)
-        ref.verify_provider(provider)
+
+        def check(ref, provider):
+            check_provider("NN reference", ref.provider_fingerprint,
+                           ref.embeddings.shape[1], provider)
+
+        check(ref, provider)
         with pytest.raises(IndexIntegrityError):
-            ref.verify_provider(HashingEmbedder(dim=32, seed=1))
+            check(ref, HashingEmbedder(dim=32, seed=1))
         narrow = NnReferenceSet([NnEntry("q0", np.ones(8), True)],
                                 provider.fingerprint)
         with pytest.raises(IndexIntegrityError):
-            narrow.verify_provider(provider)
+            check(narrow, provider)
 
-    def test_file_without_meta_line_accepted(self, tmp_path):
+    def test_file_without_header_rejected(self, tmp_path):
         import json
 
         path = tmp_path / "ref.jsonl"
         path.write_text(json.dumps({
-            "question_id": "q0", "label": LABEL_CORRECT,
+            "question_id": "q0", "label": "correct_w/o_retrieve",
             "embedding": [0.0, 1.0]}) + "\n")
-        loaded = NnReferenceSet.load(path)
-        assert loaded.entries[0].correct
+        with pytest.raises(IndexIntegrityError):
+            NnReferenceSet.load(path)

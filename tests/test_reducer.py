@@ -6,7 +6,7 @@ from synthetic import scored_subdoc, trained_redundant_setup
 from leanrag.corpus import (Corpus, QARecord, count_tokens,
                             generate_subdocuments, make_document)
 from leanrag.llm import ScriptedLlmClient
-from leanrag.mlp import Mlp
+from leanrag.mlp import Mlp, TrainingError
 from leanrag.reducer import (DetectorExample, DetectorModel,
                              DetectorTrainConfig, build_detector_dataset,
                              combination_features, greedy_filter, jaccard,
@@ -254,6 +254,12 @@ class TestTrainDetector:
                                DetectorTrainConfig(learning_rate=0.3,
                                                    epochs=300, seed=1))
         assert model.holdout_accuracy >= 0.95
+
+    def test_non_finite_gradient_is_a_training_error(self):
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingError):
+            train_detector(self.separable_dataset(20),
+                           DetectorTrainConfig(learning_rate=float("inf"),
+                                               epochs=2))
 
     def test_deterministic(self):
         dataset = self.separable_dataset()

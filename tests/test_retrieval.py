@@ -1,13 +1,12 @@
-import json
-
 import numpy as np
 import pytest
 
+from leanrag.artifacts import check_provider
 from leanrag.corpus import Corpus, make_document
-from leanrag.retrieval import (EmbeddingProviderError, HashingEmbedder,
-                               IndexIntegrityError, RemoteEmbedder, Retriever,
-                               VectorIndex, build_index, mean_recall_at_k,
-                               recall_at_k)
+from leanrag.retrieval import (INDEX_FIELDS, EmbeddingProviderError,
+                               HashingEmbedder, IndexIntegrityError,
+                               RemoteEmbedder, Retriever, VectorIndex,
+                               build_index, mean_recall_at_k, recall_at_k)
 
 
 @pytest.fixture
@@ -113,20 +112,26 @@ class TestIndex:
         index = build_index(small_corpus(), provider)
         path = tmp_path / "index.json"
         index.save(path)
-        payload = json.loads(path.read_text())
-        payload["entries"][1]["vector"] = payload["entries"][1]["vector"][:-1]
-        path.write_text(json.dumps(payload))
+        # the payload's array header claims one column fewer than written
+        data = path.read_bytes()
+        assert data.count(b"(3, 64)") == 1
+        path.write_bytes(data.replace(b"(3, 64)", b"(3, 63)"))
         with pytest.raises(IndexIntegrityError):
             VectorIndex.load(path)
+
+    @staticmethod
+    def check(index, provider):
+        check_provider("index", index.provider_fingerprint, index.dim,
+                       provider, INDEX_FIELDS)
 
     def test_fingerprint_mismatch_detected(self, tmp_path, provider):
         index = build_index(small_corpus(), provider)
         other = HashingEmbedder(dim=64, seed=8)
         with pytest.raises(IndexIntegrityError):
-            index.verify_provider(other)
+            self.check(index, other)
 
     def test_own_provider_accepted(self, provider):
-        build_index(small_corpus(), provider).verify_provider(provider)
+        self.check(build_index(small_corpus(), provider), provider)
 
     def test_doc_ids_missing_from_corpus_detected(self, provider):
         index = build_index(small_corpus(), provider)

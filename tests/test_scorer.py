@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from synthetic import imbalanced_feature_pairs
 
+from leanrag.artifacts import IndexIntegrityError, check_provider
 from leanrag.corpus import Corpus, QARecord, make_document
 from leanrag.llm import ScriptedLlmClient
 from leanrag.mlp import Mlp, PROB_EPS, sigmoid
@@ -364,8 +365,13 @@ class TestScoring:
                             provider_fingerprint=provider.fingerprint)
         path = tmp_path / "scorer.json"
         model.save(path)
-        with pytest.raises(ValueError):
-            ScorerModel.load(path, HashingEmbedder(dim=8, seed=2))
+        loaded = ScorerModel.load(path)
+        check_provider("scorer", loaded.provider_fingerprint,
+                       loaded.head.n_inputs // 2, provider)
+        with pytest.raises(IndexIntegrityError):
+            check_provider("scorer", loaded.provider_fingerprint,
+                           loaded.head.n_inputs // 2,
+                           HashingEmbedder(dim=8, seed=2))
 
 
 def annotation_fixture():
