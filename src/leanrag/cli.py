@@ -154,7 +154,7 @@ def _cmd_build_nn_ref(args) -> int:
     reference = build_nn_reference(qa, ctx.llm, build_provider(config.provider),
                                    template=ctx.templates["no_retrieve"])
     reference.save(args.out)
-    positives = sum(1 for e in reference.entries if e.correct)
+    positives = int(reference.correct.sum())
     print(f"labeled {len(reference)} questions "
           f"({positives} correct without retrieval) -> {args.out}")
     return 0
@@ -167,8 +167,7 @@ def _cmd_build_detector_data(args) -> int:
     examples = build_detector_dataset(
         qa, ctx.retriever, ctx.scorer, ctx.llm, max_docs=config.top_rerank,
         top_retrieve=config.top_retrieve, samples_per_question=args.samples,
-        seed=config.seed, window=config.window, stride=config.stride,
-        template=ctx.templates[config.template],
+        seed=config.seed, template=ctx.templates[config.template],
         no_retrieve_template=ctx.templates["no_retrieve"])
     save_detector_dataset(examples, args.out)
     positives = sum(1 for e in examples if e.label == 1)

@@ -13,12 +13,11 @@ import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 logger = logging.getLogger(__name__)
 
 Span = tuple[int, int]
-Tokenizer = Callable[[str], list[str]]
 
 _PUNCT = set(string.punctuation)
 _TERMINATORS = ".!?"
@@ -194,12 +193,12 @@ def default_tokenizer(text: str) -> list[str]:
     return tokens
 
 
-def count_tokens(text: str, tokenizer: Tokenizer | None = None) -> int:
-    """Deterministic token count under ``tokenizer`` (default splitter above).
+def count_tokens(text: str) -> int:
+    """Deterministic token count under ``default_tokenizer``.
 
     Additive over whitespace joins: count(a + " " + b) == count(a) + count(b).
     """
-    return len((tokenizer or default_tokenizer)(text))
+    return len(default_tokenizer(text))
 
 
 def normalize_for_match(text: str) -> str:
@@ -212,11 +211,10 @@ def normalize_for_match(text: str) -> str:
     return " ".join(tokens)
 
 
-def contains_answer(text: str, gold_answers: Iterable[str], exact: bool = False) -> bool:
+def contains_answer(text: str, gold_answers: Iterable[str]) -> bool:
     """True iff the normalized text contains any normalized gold answer.
 
-    Containment is substring-based ("Parisian" contains "Paris"); pass
-    ``exact=True`` to require the whole normalized text to equal an answer.
+    Containment is substring-based ("Parisian" contains "Paris").
     """
     answers = list(gold_answers)
     if not answers:
@@ -224,22 +222,13 @@ def contains_answer(text: str, gold_answers: Iterable[str], exact: bool = False)
     normalized = normalize_for_match(text)
     for answer in answers:
         target = normalize_for_match(answer)
-        if not target:
-            continue
-        if exact:
-            if normalized == target:
-                return True
-        elif target in normalized:
+        if target and target in normalized:
             return True
     return False
 
 
-def generate_subdocuments(
-    doc: Document,
-    window: int = 3,
-    stride: int = 1,
-    tokenizer: Tokenizer | None = None,
-) -> list[SubDocument]:
+def generate_subdocuments(doc: Document, window: int = 3,
+                          stride: int = 1) -> list[SubDocument]:
     """Slice ``doc`` into sliding sentence windows.
 
     With S >= window sentences and stride 1 this yields S - window + 1
@@ -273,12 +262,12 @@ def generate_subdocuments(
             start_sentence=start,
             sentence_count=size,
             text=text,
-            token_count=count_tokens(text, tokenizer),
+            token_count=count_tokens(text),
         ))
     return out
 
 
-def whole_document_subdoc(doc: Document, tokenizer: Tokenizer | None = None) -> SubDocument:
+def whole_document_subdoc(doc: Document) -> SubDocument:
     """A single sub-document covering every sentence of ``doc``."""
     text = " ".join(doc.sentence_texts())
     return SubDocument(
@@ -286,7 +275,7 @@ def whole_document_subdoc(doc: Document, tokenizer: Tokenizer | None = None) -> 
         start_sentence=0,
         sentence_count=max(doc.sentence_count, 1),
         text=text,
-        token_count=count_tokens(text, tokenizer),
+        token_count=count_tokens(text),
     )
 
 

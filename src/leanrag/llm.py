@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .corpus import Tokenizer, contains_answer, count_tokens
+from .corpus import contains_answer, count_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -87,12 +87,6 @@ class LlmClient(Protocol):
     def complete(self, request: LlmRequest) -> LlmResponse: ...
 
 
-def _passage_texts(passages) -> list[str]:
-    if hasattr(passages, "passage_texts"):
-        return list(passages.passage_texts())
-    return [str(p) for p in passages]
-
-
 def render_retrieve_prompt(template: PromptTemplate, question: str,
                            passages: Sequence[str]) -> str:
     lines = [template.instruction, template.passage_header]
@@ -104,26 +98,20 @@ def render_retrieve_prompt(template: PromptTemplate, question: str,
     return "\n".join(lines)
 
 
-def build_retrieve_prompt(question: str, combination,
-                          template: PromptTemplate | None = None,
-                          tokenizer: Tokenizer | None = None) -> LlmRequest:
+def build_retrieve_prompt(question: str, passages: Sequence[str],
+                          template: PromptTemplate | None = None) -> LlmRequest:
     """Render the retrieval-augmented prompt: instruction, numbered passages
-    in combination order, then the question.
-
-    ``combination`` is anything with a passage_texts() method (a sub-document
-    combination) or a plain sequence of passage strings.
-    """
-    texts = _passage_texts(combination)
-    if not texts:
-        raise ValueError("combination must contain at least one passage")
+    in the given order, then the question."""
+    if not passages:
+        raise ValueError("passages must be non-empty")
     template = template or DEFAULT_TEMPLATES["comprehensive"]
-    prompt = render_retrieve_prompt(template, question, texts)
-    return LlmRequest(prompt=prompt, token_count=count_tokens(prompt, tokenizer))
+    prompt = render_retrieve_prompt(template, question, passages)
+    return LlmRequest(prompt=prompt, token_count=count_tokens(prompt))
 
 
 def build_noretrieve_prompt(question: str,
-                            template: PromptTemplate | None = None,
-                            tokenizer: Tokenizer | None = None) -> LlmRequest:
+                            template: PromptTemplate | None = None
+                            ) -> LlmRequest:
     """Render the self-knowledge prompt: generate-background instruction plus
     the question, no passages."""
     template = template or DEFAULT_TEMPLATES["no_retrieve"]
@@ -132,7 +120,7 @@ def build_noretrieve_prompt(question: str,
     if template.suffix:
         lines.append(template.suffix)
     prompt = "\n".join(lines)
-    return LlmRequest(prompt=prompt, token_count=count_tokens(prompt, tokenizer))
+    return LlmRequest(prompt=prompt, token_count=count_tokens(prompt))
 
 
 def is_correct(response_text: str, gold_answers: Iterable[str]) -> bool:

@@ -19,8 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .artifacts import check_provider
-from .corpus import (Corpus, QARecord, Tokenizer, load_corpus,
-                     whole_document_subdoc)
+from .corpus import Corpus, QARecord, load_corpus, whole_document_subdoc
 from .llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmClient, LlmTransportError,
                   PromptTemplate, ScriptedLlmClient, build_noretrieve_prompt,
                   build_retrieve_prompt, is_correct)
@@ -63,8 +62,6 @@ class PipelineConfig:
     top_retrieve: int = 100
     top_rerank: int = 10
     template: str = "comprehensive"
-    window: int = 3
-    stride: int = 1
     provider: dict = field(default_factory=lambda: {"kind": "hash", "dim": 256})
     recognizer: dict = field(default_factory=dict)
     llm: dict = field(default_factory=dict)
@@ -100,9 +97,6 @@ class PipelineContext:
     top_retrieve: int = 100
     top_rerank: int = 10
     template_name: str = "comprehensive"
-    window: int = 3
-    stride: int = 1
-    tokenizer: Tokenizer | None = None
     seed: int = 0
     max_workers: int = 1
 
@@ -229,8 +223,7 @@ def load_pipeline(config: PipelineConfig,
         llm=llm, detector=detector, nn_reference=nn_reference,
         templates=_template_overrides(config.templates),
         top_retrieve=config.top_retrieve, top_rerank=config.top_rerank,
-        template_name=config.template, window=config.window,
-        stride=config.stride, seed=config.seed,
+        template_name=config.template, seed=config.seed,
         max_workers=int(config.llm.get("concurrency", 1)) if config.llm else 1)
 
 
@@ -267,16 +260,14 @@ class AnswerTrace:
         return data
 
 
-def _whole_doc_combination(reranked: Sequence[RerankedDoc],
-                           tokenizer: Tokenizer | None,
-                           max_docs: int) -> SubDocCombination:
+def _whole_doc_combination(reranked: Sequence[RerankedDoc]
+                           ) -> SubDocCombination:
     members = [
-        ScoredSubDoc(subdoc=whole_document_subdoc(d.doc, tokenizer),
-                     score=d.score, combined=d.combined,
+        ScoredSubDoc(subdoc=whole_document_subdoc(d.doc), score=d.score,
                      parent_position=d.position)
         for d in reranked
     ]
-    return make_combination(members, max(max_docs, len(members)))
+    return make_combination(members)
 
 
 def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
@@ -329,23 +320,20 @@ def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
     combination: SubDocCombination | None = None
     if verdict.decision is Decision.NO_RETRIEVE:
         request = _timed("prompt", build_noretrieve_prompt, question,
-                         ctx.templates["no_retrieve"], ctx.tokenizer)
+                         ctx.templates["no_retrieve"])
     else:
         if "no_reducer" in ablations:
-            combination = _timed(
-                "reduce", lambda: _whole_doc_combination(
-                    rerank_topk(scored, ctx.top_rerank), ctx.tokenizer,
-                    ctx.top_rerank))
+            combination = _timed("reduce", lambda: _whole_doc_combination(
+                rerank_topk(scored, ctx.top_rerank)))
         else:
             if ctx.detector is None:
                 raise ValueError("reducer requires a detector model "
                                  "(or the no_reducer ablation)")
             combination = _timed("reduce", reduce, question, scored,
                                  ctx.scorer, ctx.detector, ctx.top_rerank,
-                                 ctx.window, ctx.stride, ctx.tokenizer,
                                  question_embedding=question_vec)
         request = _timed("prompt", build_retrieve_prompt, question,
-                         combination, template, ctx.tokenizer)
+                         combination.passage_texts(), template)
 
     response = _timed("llm", ctx.llm.complete, request)
     correct = None

@@ -17,9 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from . import artifacts
-from .corpus import QARecord, Tokenizer
-from .llm import (DEFAULT_TEMPLATES, LlmClient, PromptTemplate,
-                  build_noretrieve_prompt, is_correct)
+from .corpus import QARecord
+from .llm import LlmClient, PromptTemplate, build_noretrieve_prompt, is_correct
 from .retrieval import EmbeddingProvider, RetrievedDoc
 from .scorer import BiLabelScore
 
@@ -54,64 +53,51 @@ class RecognizerVerdict:
     decision: Decision
 
 
-@dataclass(frozen=True)
-class NnEntry:
-    question_id: str
-    embedding: np.ndarray
-    correct: bool
-
-
 class NnReferenceSet:
-    """Labeled question embeddings for the nearest-neighbor facet, stacked
-    once into ``embeddings`` (one row per entry)."""
+    """Labeled question embeddings for the nearest-neighbor facet: row i of
+    ``embeddings`` is question ``question_ids[i]``, answered correctly
+    without retrieval when ``correct[i]``."""
 
-    def __init__(self, entries: Sequence[NnEntry],
+    def __init__(self, question_ids: Sequence[str], embeddings: np.ndarray,
+                 correct: Sequence[bool],
                  provider_fingerprint: str | None = None):
-        dims = {e.embedding.shape for e in entries}
-        if len(dims) > 1:
-            raise ValueError(f"mixed embedding shapes: {dims}")
-        self.embeddings = np.array([e.embedding for e in entries],
-                                   dtype=np.float64)
-        # each entry keeps a view of its row, so the matrix is the only copy
-        self.entries = [NnEntry(e.question_id, row, e.correct)
-                        for e, row in zip(entries, self.embeddings)]
-        self.correct = np.array([e.correct for e in entries], dtype=bool)
+        self.question_ids = list(question_ids)
+        # a float64 matrix is kept as given, not copied
+        self.embeddings = np.asarray(embeddings, dtype=np.float64)
+        self.correct = np.asarray(correct, dtype=bool)
+        if not len(self.question_ids) == len(self.embeddings) == len(self.correct):
+            raise ValueError("question_ids, embeddings and correct differ in length")
         # rank of each entry's question id, the distance tie-break
-        self.id_ranks = np.unique([e.question_id for e in entries],
-                                  return_inverse=True)[1]
+        self.id_ranks = np.unique(self.question_ids, return_inverse=True)[1]
         self.provider_fingerprint = provider_fingerprint
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.question_ids)
 
     def save(self, path: str | Path) -> None:
         artifacts.save(path, "nnref", {
             "provider_fingerprint": self.provider_fingerprint,
-            "question_ids": [e.question_id for e in self.entries],
+            "question_ids": self.question_ids,
             "correct": self.correct.tolist(),
         }, {"embeddings": self.embeddings})
 
     @classmethod
     def load(cls, path: str | Path) -> "NnReferenceSet":
         meta, arrays = artifacts.load(path, "nnref")
-        return cls([NnEntry(qid, row, correct)
-                    for qid, row, correct in zip(meta["question_ids"],
-                                                 arrays["embeddings"],
-                                                 meta["correct"])],
+        return cls(meta["question_ids"], arrays["embeddings"], meta["correct"],
                    meta["provider_fingerprint"])
 
 
 def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,
                        provider: EmbeddingProvider,
-                       template: PromptTemplate | None = None,
-                       tokenizer: Tokenizer | None = None) -> NnReferenceSet:
+                       template: PromptTemplate | None = None
+                       ) -> NnReferenceSet:
     """Ask every question without retrieval and label it by containment
     correctness. LLM failures skip the question with a warning."""
-    template = template or DEFAULT_TEMPLATES["no_retrieve"]
     answered: list[QARecord] = []
     correct: list[bool] = []
     for qa in qa_records:
-        request = build_noretrieve_prompt(qa.question, template, tokenizer)
+        request = build_noretrieve_prompt(qa.question, template)
         try:
             response = llm.complete(request)
         except Exception as exc:
@@ -122,10 +108,8 @@ def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,
         correct.append(is_correct(response.text, qa.gold_answers))
     embeddings = (provider.embed_many([qa.question for qa in answered])
                   if answered else [])
-    return NnReferenceSet(
-        [NnEntry(qa.question_id, row, ok)
-         for qa, row, ok in zip(answered, embeddings, correct)],
-        provider.fingerprint)
+    return NnReferenceSet([qa.question_id for qa in answered], embeddings,
+                          correct, provider.fingerprint)
 
 
 def long_tail_score(scored_docs: Sequence[tuple[RetrievedDoc, BiLabelScore]],

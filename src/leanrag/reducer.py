@@ -1,8 +1,8 @@
 """Sub-document-level token reduction.
 
 The retrieved top documents are reranked by the sum of the two scorer
-probabilities, each document is represented by its best-scoring sliding
-window, the representatives are sorted, and a greedy pass accumulates them
+probabilities, each document is represented by its best-scoring
+three-sentence sliding window, the representatives are sorted, and a greedy pass accumulates them
 until a learned detector says the running combination suffices to answer the
 question. Features for the detector are the combination's (p_ans, p_pref)
 pairs in order, zero-padded to a fixed width.
@@ -18,10 +18,9 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import artifacts
-from .corpus import (Document, QARecord, SubDocument, Tokenizer,
-                     generate_subdocuments)
-from .llm import (DEFAULT_TEMPLATES, LlmClient, PromptTemplate,
-                  build_noretrieve_prompt, build_retrieve_prompt, is_correct)
+from .corpus import Document, QARecord, SubDocument, generate_subdocuments
+from .llm import (LlmClient, PromptTemplate, build_noretrieve_prompt,
+                  build_retrieve_prompt, is_correct)
 from .mlp import Mlp, sgd_epoch, stratified_split
 from .retrieval import RetrievedDoc, Retriever
 from .scorer import BiLabelScore, ScorerModel
@@ -36,8 +35,6 @@ DEFAULT_DETECTOR_HIDDEN = (64, 32, 16)
 class RerankedDoc:
     doc: Document
     score: BiLabelScore
-    combined: float
-    retrieval_rank: int
     position: int  # 1-based position after reranking
 
 
@@ -45,14 +42,16 @@ class RerankedDoc:
 class ScoredSubDoc:
     subdoc: SubDocument
     score: BiLabelScore
-    combined: float
     parent_position: int
+
+    @property
+    def combined(self) -> float:
+        return self.score.combined
 
 
 @dataclass(frozen=True)
 class SubDocCombination:
     members: tuple[ScoredSubDoc, ...]
-    feature_vector: np.ndarray
     token_count: int
 
     def passage_texts(self) -> list[str]:
@@ -76,34 +75,26 @@ def rerank_topk(scored: Sequence[tuple[RetrievedDoc, BiLabelScore]],
     """Order by p_ans + p_pref descending, ties kept in retrieval order,
     truncated to k."""
     ordered = sorted(scored, key=lambda pair: (-pair[1].combined, pair[0].rank))
-    return [
-        RerankedDoc(doc=r.doc, score=s, combined=s.combined,
-                    retrieval_rank=r.rank, position=pos)
-        for pos, (r, s) in enumerate(ordered[:k], start=1)
-    ]
+    return [RerankedDoc(doc=r.doc, score=s, position=pos)
+            for pos, (r, s) in enumerate(ordered[:k], start=1)]
 
 
 def scored_windows(docs: Sequence[RerankedDoc], scorer: ScorerModel,
-                   question: str, window: int = 3, stride: int = 1,
-                   tokenizer: Tokenizer | None = None,
-                   question_embedding: np.ndarray | None = None
+                   question: str, question_embedding: np.ndarray | None = None
                    ) -> list[list[ScoredSubDoc]]:
     """Every sliding window of every document, scored in one batch; one list
     per document, windows in order."""
-    windows = [generate_subdocuments(doc.doc, window, stride, tokenizer)
-               for doc in docs]
+    windows = [generate_subdocuments(doc.doc) for doc in docs]
     scores = iter(scorer.score_many(
         question, [sub.text for subs in windows for sub in subs],
         question_embedding))
-    return [[ScoredSubDoc(subdoc=sub, score=sc, combined=sc.combined,
-                          parent_position=doc.position)
+    return [[ScoredSubDoc(subdoc=sub, score=sc, parent_position=doc.position)
              for sub, sc in zip(subs, scores)]
             for doc, subs in zip(docs, windows)]
 
 
 def representative_subdocs(docs: Sequence[RerankedDoc], scorer: ScorerModel,
-                           question: str, window: int = 3, stride: int = 1,
-                           tokenizer: Tokenizer | None = None,
+                           question: str,
                            question_embedding: np.ndarray | None = None
                            ) -> list[ScoredSubDoc]:
     """One sub-document per input document: the sliding window with the
@@ -112,8 +103,8 @@ def representative_subdocs(docs: Sequence[RerankedDoc], scorer: ScorerModel,
         raise ValueError("docs must be non-empty")
     # max keeps the first of equal maxima
     return [max(subs, key=lambda sub: sub.combined)
-            for subs in scored_windows(docs, scorer, question, window, stride,
-                                       tokenizer, question_embedding)]
+            for subs in scored_windows(docs, scorer, question,
+                                       question_embedding)]
 
 
 def prerank(subdocs: Sequence[ScoredSubDoc]) -> list[ScoredSubDoc]:
@@ -133,11 +124,9 @@ def combination_features(members: Sequence[ScoredSubDoc],
     return vec
 
 
-def make_combination(members: Sequence[ScoredSubDoc],
-                     max_docs: int) -> SubDocCombination:
+def make_combination(members: Sequence[ScoredSubDoc]) -> SubDocCombination:
     return SubDocCombination(
         members=tuple(members),
-        feature_vector=combination_features(members, max_docs),
         token_count=sum(m.subdoc.token_count for m in members))
 
 
@@ -196,19 +185,16 @@ def greedy_filter(sorted_subdocs: Sequence[ScoredSubDoc],
         fired, _ = detector.predict(combination_features(taken, max_docs))
         if fired:
             break
-    return make_combination(taken, max_docs)
+    return make_combination(taken)
 
 
 def reduce(question: str, scored_top: Sequence[tuple[RetrievedDoc, BiLabelScore]],
            scorer: ScorerModel, detector: Detector, max_docs: int = 10,
-           window: int = 3, stride: int = 1,
-           tokenizer: Tokenizer | None = None,
            question_embedding: np.ndarray | None = None) -> SubDocCombination:
     """Full reduction: rerank to the top documents, pick each document's best
     window, sort, and greedily cut off as early as the detector allows."""
     reranked = rerank_topk(scored_top, max_docs)
     representatives = representative_subdocs(reranked, scorer, question,
-                                             window, stride, tokenizer,
                                              question_embedding)
     return greedy_filter(prerank(representatives), detector)
 
@@ -270,9 +256,7 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
                            max_docs: int = 10, top_retrieve: int = 100,
                            samples_per_question: int = 200,
                            overlap_threshold: float = 0.8, seed: int = 0,
-                           window: int = 3, stride: int = 1,
                            template: PromptTemplate | None = None,
-                           tokenizer: Tokenizer | None = None,
                            no_retrieve_template: PromptTemplate | None = None
                            ) -> list[DetectorExample]:
     """Training data for the detector.
@@ -286,12 +270,11 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
     correctly with it appended. The bare-question probe uses
     ``no_retrieve_template`` (default: the built-in no-retrieve prompt).
     """
-    template = template or DEFAULT_TEMPLATES["comprehensive"]
     examples: list[DetectorExample] = []
     for qa in qa_records:
         try:
             bare = llm.complete(build_noretrieve_prompt(
-                qa.question, no_retrieve_template, tokenizer))
+                qa.question, no_retrieve_template))
             if is_correct(bare.text, qa.gold_answers):
                 continue  # no retrieval needed; uninformative for the detector
         except Exception as exc:
@@ -304,7 +287,7 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
         top = rerank_topk(scored, max_docs)
         try:
             with_docs = llm.complete(build_retrieve_prompt(
-                qa.question, [d.doc.text for d in top], template, tokenizer))
+                qa.question, [d.doc.text for d in top], template))
             if not is_correct(with_docs.text, qa.gold_answers):
                 continue  # retrieval does not help; no positive signal to learn
         except Exception as exc:
@@ -312,8 +295,7 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
                            qa.question_id, exc)
             continue
 
-        pool = [sub for subs in scored_windows(top, scorer, qa.question,
-                                               window, stride, tokenizer)
+        pool = [sub for subs in scored_windows(top, scorer, qa.question)
                 for sub in subs]
         if not pool:
             continue
@@ -340,8 +322,7 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
             mean_ans, mean_pref = points[idx]
             try:
                 response = llm.complete(build_retrieve_prompt(
-                    qa.question, [m.subdoc.text for m in members],
-                    template, tokenizer))
+                    qa.question, [m.subdoc.text for m in members], template))
             except Exception as exc:
                 logger.warning("detector data: skipping combination for %s: %s",
                                qa.question_id, exc)

@@ -19,9 +19,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import artifacts
-from .corpus import Document, QARecord, Tokenizer, contains_answer
-from .llm import (DEFAULT_TEMPLATES, LlmClient, PromptTemplate,
-                  build_retrieve_prompt, is_correct)
+from .corpus import Document, QARecord, contains_answer
+from .llm import LlmClient, PromptTemplate, build_retrieve_prompt, is_correct
 from .mlp import (Mlp, PROB_EPS, sgd_epoch, sgd_step, sigmoid,
                   stratified_split)
 from .retrieval import EmbeddingProvider, Retriever
@@ -135,8 +134,7 @@ def pair_features(provider: EmbeddingProvider, question: str,
 
 
 def annotate_training_pair(qa: QARecord, doc: Document, llm: LlmClient,
-                           template: PromptTemplate | None = None,
-                           tokenizer: Tokenizer | None = None) -> BiLabel:
+                           template: PromptTemplate | None = None) -> BiLabel:
     """Label one (question, document) pair.
 
     has_answer: the document text contains a gold answer. llm_prefer: the LLM
@@ -144,9 +142,7 @@ def annotate_training_pair(qa: QARecord, doc: Document, llm: LlmClient,
     prompt used is kept in the client transcript where the client records one).
     """
     has_answer = int(contains_answer(doc.text, qa.gold_answers))
-    request = build_retrieve_prompt(qa.question, [doc.text],
-                                    template or DEFAULT_TEMPLATES["comprehensive"],
-                                    tokenizer)
+    request = build_retrieve_prompt(qa.question, [doc.text], template)
     try:
         response = llm.complete(request)
     except Exception as exc:
@@ -157,8 +153,7 @@ def annotate_training_pair(qa: QARecord, doc: Document, llm: LlmClient,
 
 def build_training_set(qa_records: Sequence[QARecord], retriever: Retriever,
                        llm: LlmClient, per_question_k: int = 50,
-                       template: PromptTemplate | None = None,
-                       tokenizer: Tokenizer | None = None) -> TrainingSet:
+                       template: PromptTemplate | None = None) -> TrainingSet:
     """Retrieve top-k documents per question and annotate every pair.
 
     Individual annotation failures are logged and counted, not fatal.
@@ -172,7 +167,7 @@ def build_training_set(qa_records: Sequence[QARecord], retriever: Retriever,
         for result in retriever.retrieve(qa.question, per_question_k):
             doc = result.doc
             try:
-                label = annotate_training_pair(qa, doc, llm, template, tokenizer)
+                label = annotate_training_pair(qa, doc, llm, template)
             except AnnotationError as exc:
                 failures += 1
                 logger.warning("skipping pair: %s", exc)

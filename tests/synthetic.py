@@ -265,7 +265,6 @@ def scored_subdoc(subdoc_id, p_ans, p_pref, parent_position=1,
     sub = generate_subdocuments(doc)[0]
     return ScoredSubDoc(subdoc=sub,
                         score=BiLabelScore(0.0, 0.0, p_ans, p_pref),
-                        combined=p_ans + p_pref,
                         parent_position=parent_position)
 
 

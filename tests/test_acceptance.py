@@ -16,8 +16,8 @@ from synthetic import (imbalanced_feature_pairs, planted_corpus,
 from leanrag.llm import build_noretrieve_prompt
 from leanrag.mlp import Mlp
 from leanrag.pipeline import PipelineContext, evaluate, ordered_docs
-from leanrag.recognizer import (Decision, NnEntry, NnReferenceSet,
-                                RecognizerConfig, decide)
+from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
+                                decide)
 from leanrag.reducer import (DetectorExample, DetectorModel,
                              DetectorTrainConfig, build_detector_dataset,
                              combination_features, greedy_filter, jaccard,
@@ -58,8 +58,9 @@ def redundant_detector(redundant_setup):
 def redundant_ctx(setup, detector, recognizer=None, all_known=False):
     corpus, qa, mock, provider, retriever, scorer = setup
     reference = NnReferenceSet(
-        [NnEntry(q.question_id, provider.embed(q.question), all_known)
-         for q in qa], provider.fingerprint)
+        [q.question_id for q in qa],
+        provider.embed_many([q.question for q in qa]),
+        [all_known] * len(qa), provider.fingerprint)
     return PipelineContext(
         corpus=corpus, retriever=retriever, scorer=scorer,
         recognizer_config=recognizer or RecognizerConfig(s_n=1.0,

@@ -9,7 +9,7 @@ import pytest
 from leanrag.artifacts import IndexIntegrityError
 from leanrag.corpus import Corpus, make_document
 from leanrag.mlp import Mlp
-from leanrag.recognizer import NnEntry, NnReferenceSet
+from leanrag.recognizer import NnReferenceSet
 from leanrag.reducer import (DetectorExample, DetectorModel,
                              load_detector_dataset, save_detector_dataset)
 from leanrag.retrieval import HashingEmbedder, VectorIndex, build_index
@@ -34,8 +34,10 @@ def detector():
 
 def nn_reference():
     rng = np.random.default_rng(0)
-    return NnReferenceSet([NnEntry(f"q{i}", rng.standard_normal(8), i % 2 == 0)
-                           for i in range(5)], "hash-bow:v1:dim=8:seed=1")
+    return NnReferenceSet([f"q{i}" for i in range(5)],
+                          rng.standard_normal((5, 8)),
+                          [i % 2 == 0 for i in range(5)],
+                          "hash-bow:v1:dim=8:seed=1")
 
 
 def training_set():
@@ -74,8 +76,7 @@ def same_detector(a, b):
 
 def same_nn_reference(a, b):
     return (np.array_equal(a.embeddings, b.embeddings)
-            and [e.question_id for e in a.entries]
-            == [e.question_id for e in b.entries]
+            and a.question_ids == b.question_ids
             and a.correct.tolist() == b.correct.tolist()
             and a.provider_fingerprint == b.provider_fingerprint)
 

@@ -165,10 +165,6 @@ class TestContainsAnswer:
     def test_case_insensitive(self):
         assert contains_answer("PARIS", {"Paris"})
 
-    def test_exact_variant(self):
-        assert contains_answer("Paris.", {"paris"}, exact=True)
-        assert not contains_answer("in Paris", {"Paris"}, exact=True)
-
     def test_empty_gold_rejected(self):
         with pytest.raises(ValueError):
             contains_answer("text", set())

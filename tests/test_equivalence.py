@@ -20,8 +20,8 @@ from synthetic import (imbalanced_feature_pairs, planted_corpus,
 from leanrag.corpus import generate_subdocuments
 from leanrag.mlp import sigmoid
 from leanrag.pipeline import PipelineContext, evaluate
-from leanrag.recognizer import (Decision, NnEntry, NnReferenceSet,
-                                RecognizerConfig, build_nn_reference)
+from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
+                                build_nn_reference)
 from leanrag.reducer import (DetectorTrainConfig, ScoredSubDoc, greedy_filter,
                              prerank, rerank_topk, train_detector)
 from leanrag.retrieval import (HashingEmbedder, Retriever, VectorIndex,
@@ -42,9 +42,10 @@ def per_item_search(index, query, k):
 
 def per_item_neighbor_score(question_embedding, reference, k):
     query = np.asarray(question_embedding, dtype=np.float64)
-    ranked = sorted(reference.entries, key=lambda e: (
-        float(np.linalg.norm(e.embedding - query)), e.question_id))
-    return sum(1 for e in ranked[:k] if e.correct) / k
+    ranked = sorted(zip(reference.question_ids, reference.embeddings,
+                        reference.correct),
+                    key=lambda e: (float(np.linalg.norm(e[1] - query)), e[0]))
+    return sum(1 for _, _, correct in ranked[:k] if correct) / k
 
 
 class PerItemScorer:
@@ -67,15 +68,14 @@ class PerItemScorer:
 
 
 def per_item_reduce(question, scored_top, scorer, detector, max_docs=10,
-                    window=3, stride=1, tokenizer=None,
                     question_embedding=None):
     representatives = []
     for doc in rerank_topk(scored_top, max_docs):
         best = None
-        for sub in generate_subdocuments(doc.doc, window, stride, tokenizer):
+        for sub in generate_subdocuments(doc.doc):
             sc = scorer.score(question, sub.text)
             if best is None or sc.combined > best.combined:
-                best = ScoredSubDoc(subdoc=sub, score=sc, combined=sc.combined,
+                best = ScoredSubDoc(subdoc=sub, score=sc,
                                     parent_position=doc.position)
         representatives.append(best)
     return greedy_filter(prerank(representatives), detector)
@@ -145,8 +145,9 @@ def test_redundant_corpus_equivalent(redundant, monkeypatch):
     # every other question is its own nearest neighbor labeled correct, so
     # both branches run
     reference = NnReferenceSet(
-        [NnEntry(q.question_id, provider.embed(q.question), i % 2 == 0)
-         for i, q in enumerate(qa)], provider.fingerprint)
+        [q.question_id for q in qa],
+        provider.embed_many([q.question for q in qa]),
+        [i % 2 == 0 for i in range(len(qa))], provider.fingerprint)
     ctx = PipelineContext(
         corpus=corpus, retriever=retriever, scorer=scorer,
         recognizer_config=RecognizerConfig(delta_ltod=-1e9, s_l=0.0, s_n=0.5,

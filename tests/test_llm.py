@@ -54,14 +54,6 @@ class TestPromptRendering:
         b = build_retrieve_prompt(QUESTION, PASSAGES)
         assert a == b
 
-    def test_accepts_combination_like_object(self):
-        class ComboStub:
-            def passage_texts(self):
-                return ["only passage"]
-
-        request = build_retrieve_prompt(QUESTION, ComboStub())
-        assert "1. only passage" in request.prompt
-
 
 class TestNoRetrievePrompt:
     def test_contains_instruction_and_question(self):

@@ -21,8 +21,7 @@ from leanrag.pipeline import (PipelineConfig, PipelineContext,
                               PipelineStageError, answer_question,
                               build_provider, evaluate, load_pipeline,
                               ordered_docs)
-from leanrag.recognizer import (Decision, NnEntry, NnReferenceSet,
-                                RecognizerConfig)
+from leanrag.recognizer import Decision, NnReferenceSet, RecognizerConfig
 from leanrag.reducer import DetectorTrainConfig, train_detector
 from leanrag.retrieval import (EmbeddingProviderError, IndexIntegrityError,
                                Retriever, build_index)
@@ -43,8 +42,9 @@ def detector(setup):
 def make_ctx(setup, detector, all_known=False, **overrides):
     corpus, qa, mock, provider, retriever, scorer = setup
     reference = NnReferenceSet(
-        [NnEntry(q.question_id, provider.embed(q.question), all_known)
-         for q in qa], provider.fingerprint)
+        [q.question_id for q in qa],
+        provider.embed_many([q.question for q in qa]),
+        [all_known] * len(qa), provider.fingerprint)
     defaults = dict(
         corpus=corpus, retriever=retriever, scorer=scorer,
         recognizer_config=RecognizerConfig(s_n=1.0, k_neighbors=2),
@@ -212,7 +212,7 @@ class TestLoadIntegrity:
         corpus = load_corpus(config.corpus_path)
         self.save_index(config, corpus)
         provider = build_provider(config.provider)
-        NnReferenceSet([NnEntry("q", provider.embed("a question"), True)],
+        NnReferenceSet(["q"], provider.embed_many(["a question"]), [True],
                        provider.fingerprint).save(config.nn_ref_path)
         ctx = load_pipeline(config, require=("corpus", "index", "nn_ref"))
         assert len(ctx.retriever.index) == len(corpus)
@@ -238,7 +238,7 @@ class TestLoadIntegrity:
     def test_mismatched_nn_reference_rejected(self, config, fingerprint,
                                               dim):
         self.save_index(config, load_corpus(config.corpus_path))
-        NnReferenceSet([NnEntry("q", np.ones(dim) / np.sqrt(dim), True)],
+        NnReferenceSet(["q"], np.ones((1, dim)) / np.sqrt(dim), [True],
                        fingerprint).save(config.nn_ref_path)
         assert build_provider(config.provider).fingerprint == \
             "hash-bow:v1:dim=256:seed=0"
@@ -254,7 +254,7 @@ class TestLoadIntegrity:
         corpus = load_corpus(config.corpus_path)
         self.save_index(config, corpus, {"kind": "hash", "dim": 256,
                                          "seed": 5})
-        NnReferenceSet([NnEntry("q", np.ones(256) / 16.0, True)],
+        NnReferenceSet(["q"], np.ones((1, 256)) / 16.0, [True],
                        "hash-bow:v1:dim=256:seed=5").save(config.nn_ref_path)
         ctx = load_pipeline(config, require=("corpus",))
         assert ctx.retriever is None and ctx.nn_reference is None

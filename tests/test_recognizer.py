@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,7 @@ from leanrag.artifacts import check_provider
 from leanrag.corpus import QARecord, make_document
 from leanrag.llm import ScriptedLlmClient
 from leanrag.pipeline import PipelineConfig, load_pipeline
-from leanrag.recognizer import (Decision, NnEntry,
-                                NnReferenceSet, RecognizerConfig,
+from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
                                 build_nn_reference, decide, long_tail_score,
                                 neighbor_score)
 from leanrag.retrieval import HashingEmbedder, IndexIntegrityError, RetrievedDoc
@@ -48,23 +49,37 @@ class TestLongTailScore:
             long_tail_score([], 4.5)
 
 
+class Entry(NamedTuple):
+    """One labeled reference question, for the per-entry oracles below."""
+
+    question_id: str
+    embedding: np.ndarray
+    correct: bool
+
+
+def make_reference(entries, fingerprint=None):
+    return NnReferenceSet([e.question_id for e in entries],
+                          np.array([e.embedding for e in entries]),
+                          [e.correct for e in entries], fingerprint)
+
+
 def reference_entries(labels, spread=1.0):
     entries = []
     for i, correct in enumerate(labels):
         offset = np.zeros(4)
         offset[0] = i * spread
-        entries.append(NnEntry(f"q{i}", offset, bool(correct)))
+        entries.append(Entry(f"q{i}", offset, bool(correct)))
     return entries
 
 
 class TestNeighborScore:
     def test_all_neighbors_positive(self):
-        ref = NnReferenceSet(reference_entries([1] * 10))
+        ref = make_reference(reference_entries([1] * 10))
         assert neighbor_score(np.zeros(4), ref, 5) == 1.0
 
     def test_zero_distance_entry_included(self):
-        ref = NnReferenceSet(reference_entries([0, 1, 0, 0, 0]))
-        query = ref.entries[1].embedding
+        ref = make_reference(reference_entries([0, 1, 0, 0, 0]))
+        query = ref.embeddings[1]
         assert neighbor_score(query, ref, 1) == 1.0
 
     def test_two_cluster_oracle(self):
@@ -73,12 +88,12 @@ class TestNeighborScore:
         rng = np.random.default_rng(3)
         entries = []
         for i in range(20):
-            entries.append(NnEntry(f"pos{i}",
-                                   rng.normal(0.0, 0.1, size=6), True))
+            entries.append(Entry(f"pos{i}",
+                                 rng.normal(0.0, 0.1, size=6), True))
         for i in range(20):
-            entries.append(NnEntry(f"neg{i}",
-                                   rng.normal(8.0, 0.1, size=6), False))
-        ref = NnReferenceSet(entries)
+            entries.append(Entry(f"neg{i}",
+                                 rng.normal(8.0, 0.1, size=6), False))
+        ref = make_reference(entries)
         query = rng.normal(0.0, 0.1, size=6)
         assert neighbor_score(query, ref, 5) == 1.0
         ranked = sorted(entries,
@@ -89,21 +104,21 @@ class TestNeighborScore:
 
     def test_distance_ties_break_by_question_id(self):
         entries = [
-            NnEntry("b", np.array([1.0, 0.0]), False),
-            NnEntry("a", np.array([0.0, 1.0]), True),
+            Entry("b", np.array([1.0, 0.0]), False),
+            Entry("a", np.array([0.0, 1.0]), True),
         ]
-        ref = NnReferenceSet(entries)
+        ref = make_reference(entries)
         # equidistant from the origin: "a" wins the single slot
         assert neighbor_score(np.zeros(2), ref, 1) == 1.0
 
     def test_distance_ties_across_k_boundary(self):
         # one entry nearest, then four equidistant entries listed out of id
         # order; the first k-1 of those by question id fill the top k
-        entries = [NnEntry("z", np.array([0.5, 0.0]), False)]
+        entries = [Entry("z", np.array([0.5, 0.0]), False)]
         for qid, correct in (("q3", True), ("q1", False), ("q2", True),
                              ("q0", True)):
-            entries.append(NnEntry(qid, np.array([0.0, 2.0]), correct))
-        ref = NnReferenceSet(entries)
+            entries.append(Entry(qid, np.array([0.0, 2.0]), correct))
+        ref = make_reference(entries)
         query = np.zeros(2)
         assert neighbor_score(query, ref, 2) == 1 / 2  # z, q0
         assert neighbor_score(query, ref, 3) == 1 / 3  # z, q0, q1
@@ -111,10 +126,10 @@ class TestNeighborScore:
 
     def test_integer_ties_match_full_sort(self):
         rng = np.random.default_rng(4)
-        entries = [NnEntry(f"q{i}", rng.integers(-1, 2, size=3).astype(float),
-                           bool(rng.integers(0, 2)))
+        entries = [Entry(f"q{i}", rng.integers(-1, 2, size=3).astype(float),
+                         bool(rng.integers(0, 2)))
                    for i in rng.permutation(60)]
-        ref = NnReferenceSet(entries)
+        ref = make_reference(entries)
         for _ in range(10):
             query = rng.integers(-1, 2, size=3).astype(float)
             ranked = sorted(entries, key=lambda e: (
@@ -123,23 +138,27 @@ class TestNeighborScore:
                 expected = sum(e.correct for e in ranked[:k]) / k
                 assert neighbor_score(query, ref, k) == expected
 
-    def test_entries_view_the_stacked_matrix(self):
-        ref = NnReferenceSet(reference_entries([1, 0, 1]))
+    def test_shares_the_given_matrix(self):
+        embeddings = np.arange(12, dtype=np.float64).reshape(3, 4)
+        ref = NnReferenceSet(["q0", "q1", "q2"], embeddings,
+                             [True, False, True])
         assert ref.embeddings.shape == (3, 4)
-        for row, entry in zip(ref.embeddings, ref.entries):
-            assert np.shares_memory(entry.embedding, ref.embeddings)
-            np.testing.assert_array_equal(entry.embedding, row)
+        assert np.shares_memory(ref.embeddings, embeddings)
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError):
+            NnReferenceSet(["q0"], np.ones((2, 4)), [True, False])
 
     def test_reference_smaller_than_k(self):
-        ref = NnReferenceSet(reference_entries([1, 0]))
+        ref = make_reference(reference_entries([1, 0]))
         with pytest.raises(ValueError):
             neighbor_score(np.zeros(4), ref, 3)
 
     def test_matches_full_scan_fraction(self):
         rng = np.random.default_rng(11)
-        entries = [NnEntry(f"q{i}", rng.standard_normal(5),
-                           bool(rng.integers(0, 2))) for i in range(200)]
-        ref = NnReferenceSet(entries)
+        entries = [Entry(f"q{i}", rng.standard_normal(5),
+                         bool(rng.integers(0, 2))) for i in range(200)]
+        ref = make_reference(entries)
         query = rng.standard_normal(5)
         for k in (1, 7, 50):
             ranked = sorted(entries, key=lambda e: (
@@ -204,12 +223,12 @@ class TestBuildReference:
              for q in qa})
         ref = build_nn_reference(qa, llm, HashingEmbedder(dim=32, seed=0))
         assert len(ref) == 10
-        assert all(e.correct for e in ref.entries)
+        assert ref.correct.all()
 
     def test_all_wrong(self):
         llm = ScriptedLlmClient(default_answer="no idea")
         ref = build_nn_reference(self.qa(), llm, HashingEmbedder(dim=32, seed=0))
-        assert not any(e.correct for e in ref.entries)
+        assert not ref.correct.any()
 
     def test_mixed_seven_of_ten(self):
         qa = self.qa()
@@ -221,14 +240,14 @@ class TestBuildReference:
                 answers[q.question] = "cannot say"
         llm = ScriptedLlmClient(answers)
         ref = build_nn_reference(qa, llm, HashingEmbedder(dim=32, seed=0))
-        assert sum(e.correct for e in ref.entries) == 7
+        assert ref.correct.sum() == 7
 
     def test_failures_skip_with_warning(self, caplog):
         qa = self.qa(4)
         llm = ScriptedLlmClient({qa[0].question: "gold0", qa[2].question: "x"})
         ref = build_nn_reference(qa, llm, HashingEmbedder(dim=32, seed=0))
         assert len(ref) == 2
-        assert {e.question_id for e in ref.entries} == {"q0", "q2"}
+        assert set(ref.question_ids) == {"q0", "q2"}
 
     def test_round_trip(self, tmp_path):
         qa = self.qa(5)
@@ -240,10 +259,8 @@ class TestBuildReference:
         loaded = NnReferenceSet.load(path)
         assert loaded.provider_fingerprint == provider.fingerprint
         assert len(loaded) == 5
-        assert [e.correct for e in loaded.entries] == \
-               [e.correct for e in ref.entries]
-        np.testing.assert_allclose(loaded.entries[0].embedding,
-                                   ref.entries[0].embedding)
+        assert loaded.correct.tolist() == ref.correct.tolist()
+        np.testing.assert_allclose(loaded.embeddings[0], ref.embeddings[0])
 
     def test_verify_provider(self):
         provider = HashingEmbedder(dim=32, seed=0)
@@ -258,7 +275,7 @@ class TestBuildReference:
         check(ref, provider)
         with pytest.raises(IndexIntegrityError):
             check(ref, HashingEmbedder(dim=32, seed=1))
-        narrow = NnReferenceSet([NnEntry("q0", np.ones(8), True)],
+        narrow = NnReferenceSet(["q0"], np.ones((1, 8)), [True],
                                 provider.fingerprint)
         with pytest.raises(IndexIntegrityError):
             check(narrow, provider)

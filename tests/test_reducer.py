@@ -134,7 +134,7 @@ class TestCombinationFeatures:
     def test_token_count_is_member_sum(self):
         members = [scored_subdoc("a", 0.7, 0.3, text="Three tokens here."),
                    scored_subdoc("b", 0.2, 0.9, text="Two tokens.")]
-        combo = make_combination(members, 5)
+        combo = make_combination(members)
         assert combo.token_count == sum(m.subdoc.token_count for m in members)
 
 
