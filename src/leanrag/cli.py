@@ -149,7 +149,7 @@ def _cmd_train_scorer(args) -> int:
 
 def _cmd_build_nn_ref(args) -> int:
     config = _load_config(args)
-    ctx = load_pipeline(config, require=("corpus", "llm"))
+    ctx = load_pipeline(config, require=("llm",))
     qa = load_qa(args.qa)
     reference = build_nn_reference(qa, ctx.llm, build_provider(config.provider),
                                    template=ctx.templates["no_retrieve"])
@@ -190,8 +190,7 @@ def _cmd_train_detector(args) -> int:
 
 def _cmd_query(args) -> int:
     config = _load_config(args)
-    ctx = load_pipeline(config, require=("corpus", "index", "scorer",
-                                         "detector", "nn_ref", "llm"))
+    ctx = load_pipeline(config)
     trace = answer_question(args.question, ctx)
     print(json.dumps(trace.to_dict(), sort_keys=True, indent=2))
     return 0
@@ -199,8 +198,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _load_config(args)
-    ctx = load_pipeline(config, require=("corpus", "index", "scorer",
-                                         "detector", "nn_ref", "llm"))
+    ctx = load_pipeline(config)
     qa = load_qa(args.qa)
     if not qa:
         print("error: QA file is empty", file=sys.stderr)

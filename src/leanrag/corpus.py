@@ -116,9 +116,6 @@ class Corpus:
     def get(self, doc_id: str) -> Document:
         return self._docs[doc_id]
 
-    def doc_ids(self) -> list[str]:
-        return list(self._docs)
-
 
 def split_sentences(text: str) -> list[Span]:
     """Segment ``text`` into sentence spans.

@@ -80,7 +80,6 @@ class LlmRequest:
 @dataclass(frozen=True)
 class LlmResponse:
     text: str
-    latency_ms: int
 
 
 class LlmClient(Protocol):
@@ -158,7 +157,14 @@ class ScriptedLlmClient:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
-                entry = json.loads(line)
+                try:
+                    entry = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"{path}:{line_no}: not JSON ({exc.msg})") from exc
+                if not isinstance(entry, dict) or "answer" not in entry:
+                    raise ValueError(
+                        f"{path}:{line_no}: entry needs an 'answer'")
                 match = entry.get("match", {})
                 answer = entry["answer"]
                 if "question" in match:
@@ -174,7 +180,7 @@ class ScriptedLlmClient:
         text = self._resolve(request.prompt)
         with self._lock:
             self.transcript.append((request.prompt, text))
-        return LlmResponse(text=text, latency_ms=0)
+        return LlmResponse(text=text)
 
     def _resolve(self, prompt: str) -> str:
         question = self._extract_question(prompt)
@@ -229,7 +235,6 @@ class HttpLlmClient:
         body = {"prompt": request.prompt, "max_tokens": self.max_tokens,
                 "temperature": 0}
         last_error: Exception | None = None
-        start = time.monotonic()
         for attempt in range(self.retries + 1):
             if attempt:
                 self._sleep(self.backoff * (2 ** (attempt - 1)))
@@ -254,8 +259,7 @@ class HttpLlmClient:
             except (ValueError, KeyError, TypeError) as exc:
                 raise LlmTransportError(
                     f"malformed response from {self.endpoint}: {exc!r}") from exc
-            latency_ms = int((time.monotonic() - start) * 1000)
-            return LlmResponse(text=text, latency_ms=latency_ms)
+            return LlmResponse(text=text)
         raise LlmTransportError(
             f"LLM request failed after {self.retries + 1} attempts: {last_error}"
         ) from last_error

@@ -12,6 +12,8 @@ from typing import Sequence
 import numpy as np
 
 PROB_EPS = 1e-7
+# share of each stratum both trainers hold out for validation
+VAL_FRACTION = 0.1
 
 
 class TrainingError(RuntimeError):
@@ -61,10 +63,6 @@ class Mlp:
     @property
     def n_inputs(self) -> int:
         return self.layer_sizes[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.layer_sizes[-1]
 
     def get_params(self) -> np.ndarray:
         return self._params.copy()
@@ -166,17 +164,17 @@ def sgd_epoch(net: Mlp, params: np.ndarray, inputs: np.ndarray,
     return params
 
 
-def stratified_split(flags: np.ndarray, val_fraction: float,
+def stratified_split(flags: np.ndarray,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sorted index arrays (train, validation), stratified on a boolean flag
     (the flagged stratum is permuted first). Each stratum sends
-    round(n * val_fraction) of its n examples to validation, at least one,
+    round(n * VAL_FRACTION) of its n examples to validation, at least one,
     and keeps at least one for training when n >= 2."""
     train_idx: list[int] = []
     val_idx: list[int] = []
     for mask in (flags, ~flags):
         stratum = rng.permutation(np.flatnonzero(mask))
-        n_val = min(max(1, int(round(len(stratum) * val_fraction))),
+        n_val = min(max(1, int(round(len(stratum) * VAL_FRACTION))),
                     max(len(stratum) - 1, 1))
         val_idx.extend(stratum[:n_val])
         train_idx.extend(stratum[n_val:])

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .artifacts import check_provider
-from .corpus import Corpus, QARecord, load_corpus, whole_document_subdoc
+from .corpus import QARecord, load_corpus, whole_document_subdoc
 from .llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmClient, LlmTransportError,
                   PromptTemplate, ScriptedLlmClient, build_noretrieve_prompt,
                   build_retrieve_prompt, is_correct)
@@ -40,6 +40,7 @@ RECALL_KS = (1, 5, 10, 20, 100)
 SCORE_ORDERINGS = ("similarity", "has_answer_only", "llm_prefer_only",
                    "bilabel_sum")
 KNOWN_ABLATIONS = ("no_recognizer", "no_reducer")
+ARTIFACTS = ("corpus", "index", "scorer", "detector", "nn_ref", "llm")
 
 
 class PipelineStageError(RuntimeError):
@@ -68,8 +69,9 @@ class PipelineConfig:
     templates: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.top_rerank > self.top_retrieve:
-            raise ValueError("top_rerank must be <= top_retrieve")
+        if not 1 <= self.top_rerank <= self.top_retrieve:
+            raise ValueError("need 1 <= top_rerank <= top_retrieve, got "
+                             f"{self.top_rerank} and {self.top_retrieve}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -85,7 +87,6 @@ class PipelineConfig:
 class PipelineContext:
     """Everything answer_question needs, loaded and immutable."""
 
-    corpus: Corpus
     retriever: Retriever
     scorer: ScorerModel
     recognizer_config: RecognizerConfig
@@ -111,6 +112,7 @@ class PipelineContext:
             raise ValueError(
                 f"scorer embeds with {actual!r} but the retriever "
                 f"embeds with {expected!r}")
+        _check_template(self.template_name, self.templates)
 
 
 def _template_overrides(overrides: Mapping) -> dict[str, PromptTemplate]:
@@ -125,6 +127,12 @@ def _template_overrides(overrides: Mapping) -> dict[str, PromptTemplate]:
             question_line=spec.get("question_line", base.question_line),
             suffix=spec.get("suffix", base.suffix))
     return templates
+
+
+def _check_template(name: str, templates: Mapping) -> None:
+    if name not in templates:
+        raise ValueError(f"unknown template {name!r}; known templates: "
+                         f"{sorted(templates)}")
 
 
 def build_provider(spec: Mapping):
@@ -160,65 +168,56 @@ def build_llm_client(spec: Mapping) -> LlmClient:
 
 
 def load_pipeline(config: PipelineConfig,
-                  require: Iterable[str] = ("corpus", "index", "scorer")
-                  ) -> PipelineContext:
-    """Assemble a context from the files a config points at. ``require``
-    names the artifacts that must be present ("corpus", "index", "scorer",
-    "detector", "nn_ref", "llm"). A required artifact that is malformed, of
-    another format version, or does not match the provider or the corpus
-    raises ``IndexIntegrityError``; an optional one is left out with a
-    warning."""
+                  require: Iterable[str] = ARTIFACTS) -> PipelineContext:
+    """Assemble a context from what a config points at, reading exactly the
+    artifacts ``require`` names (from ``ARTIFACTS``) and leaving the others
+    ``None``. Each one read must be configured and present; one that is
+    malformed, of another format version, or does not match the provider,
+    the corpus or the recognizer config raises ``IndexIntegrityError``."""
     require = set(require)
+    unknown = require - set(ARTIFACTS)
+    if unknown:
+        raise ValueError(f"unknown artifacts: {sorted(unknown)}")
     provider = build_provider(config.provider)
     recognizer_config = RecognizerConfig(**config.recognizer)
 
-    def _load(name: str, path: str | None, load, check=None):
-        required = name in require
-        if required and path is None:
-            raise ValueError(f"config is missing {name}_path")
-        if path is None or not Path(path).exists():
-            if required:
-                raise FileNotFoundError(f"{name} file not found: {path}")
-            return None  # optional artifact not built yet
-        # a stale optional artifact is left out rather than fatal, so that
-        # the command rebuilding it does not fail on the file it replaces
-        try:
-            artifact = load(path)
-            if check is not None:
-                check(artifact)
-        except IndexIntegrityError as exc:
-            if required:
-                raise
-            logger.warning("ignoring stale %s: %s", name, exc)
+    def _read(name: str, path: str | None, load):
+        if name not in require:
             return None
-        return artifact
+        if path is None:
+            raise ValueError(f"config is missing {name}_path")
+        if not Path(path).exists():
+            raise FileNotFoundError(f"{name} file not found: {path}")
+        return load(path)
 
-    def _check_index(index: VectorIndex) -> None:
+    corpus = _read("corpus", config.corpus_path, load_corpus)
+    index = _read("index", config.index_path, VectorIndex.load)
+    retriever = None
+    if index is not None:
         check_provider("index", index.provider_fingerprint, index.dim,
                        provider, INDEX_FIELDS)
         if corpus is not None:
             index.verify_corpus(corpus)
-
-    corpus = _load("corpus", config.corpus_path, load_corpus)
-    index = _load("index", config.index_path, VectorIndex.load, _check_index)
-    retriever = (Retriever(corpus, index, provider)
-                 if index is not None and corpus is not None else None)
-    scorer = _load("scorer", config.scorer_path, ScorerModel.load,
-                   lambda model: check_provider(
-                       "scorer", model.provider_fingerprint,
-                       model.head.n_inputs // 2, provider))
+            retriever = Retriever(corpus, index, provider)
+    scorer = _read("scorer", config.scorer_path, ScorerModel.load)
     if scorer is not None:
+        check_provider("scorer", scorer.provider_fingerprint,
+                       scorer.head.n_inputs // 2, provider)
         scorer.provider = provider
-    detector = _load("detector", config.detector_path, DetectorModel.load)
-    nn_reference = _load("nn_ref", config.nn_ref_path, NnReferenceSet.load,
-                         lambda ref: check_provider(
-                             "NN reference", ref.provider_fingerprint,
-                             ref.embeddings.shape[1] if len(ref) else None,
-                             provider))
+    detector = _read("detector", config.detector_path, DetectorModel.load)
+    nn_reference = _read("nn_ref", config.nn_ref_path, NnReferenceSet.load)
+    if nn_reference is not None:
+        check_provider("NN reference", nn_reference.provider_fingerprint,
+                       nn_reference.embeddings.shape[1]
+                       if len(nn_reference) else None, provider)
+        if len(nn_reference) < recognizer_config.k_neighbors:
+            raise IndexIntegrityError(
+                f"NN reference has {len(nn_reference)} entries, fewer than "
+                f"k_neighbors={recognizer_config.k_neighbors}")
 
-    llm = build_llm_client(config.llm) if (config.llm or "llm" in require) else None
+    llm = build_llm_client(config.llm) if "llm" in require else None
     return PipelineContext(
-        corpus=corpus, retriever=retriever, scorer=scorer,
+        retriever=retriever, scorer=scorer,
         recognizer_config=recognizer_config,
         llm=llm, detector=detector, nn_reference=nn_reference,
         templates=_template_overrides(config.templates),
@@ -433,6 +432,7 @@ def evaluate(qa_set: Sequence[QARecord], ctx: PipelineContext,
     for flag in ablations:
         if flag.startswith("template="):
             template_name = flag.split("=", 1)[1]
+            _check_template(template_name, ctx.templates)
 
     def _one(qa: QARecord):
         try:

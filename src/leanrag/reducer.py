@@ -29,6 +29,10 @@ from .seeds import derive_rng, derive_seed
 logger = logging.getLogger(__name__)
 
 DEFAULT_DETECTOR_HIDDEN = (64, 32, 16)
+DETECTOR_BATCH_SIZE = 32
+# detector data drops a sampled combination whose member set overlaps an
+# already-kept one by more than this Jaccard similarity
+MAX_OVERLAP = 0.8
 
 
 @dataclass(frozen=True)
@@ -254,8 +258,7 @@ def skyline_filter(scored: Sequence[tuple[float, float]]) -> list[int]:
 def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
                            scorer: ScorerModel, llm: LlmClient,
                            max_docs: int = 10, top_retrieve: int = 100,
-                           samples_per_question: int = 200,
-                           overlap_threshold: float = 0.8, seed: int = 0,
+                           samples_per_question: int = 200, seed: int = 0,
                            template: PromptTemplate | None = None,
                            no_retrieve_template: PromptTemplate | None = None
                            ) -> list[DetectorExample]:
@@ -264,7 +267,7 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
     Only questions that need retrieval contribute (the LLM fails on the bare
     question but succeeds with the reranked top documents). Per question:
     random sub-document combinations are sampled, near-duplicates (member-set
-    Jaccard above the threshold against an already-kept combination) are
+    Jaccard above ``MAX_OVERLAP`` against an already-kept combination) are
     dropped, only combinations on the (mean p_ans, mean p_pref) skyline
     survive, and each survivor is labeled by whether the LLM answers
     correctly with it appended. The bare-question probe uses
@@ -310,7 +313,7 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
                 key=lambda s: (-s.combined, s.parent_position,
                                s.subdoc.start_sentence))
             ids = frozenset(m.subdoc.subdoc_id for m in members)
-            if any(jaccard(ids, seen) > overlap_threshold for seen in kept_sets):
+            if any(jaccard(ids, seen) > MAX_OVERLAP for seen in kept_sets):
                 continue
             kept_members.append(members)
             kept_sets.append(ids)
@@ -340,11 +343,7 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
 class DetectorTrainConfig:
     learning_rate: float = 0.1
     epochs: int = 300
-    batch_size: int = 32
     seed: int = 0
-    val_fraction: float = 0.1
-    hidden_sizes: Sequence[int] = DEFAULT_DETECTOR_HIDDEN
-    threshold: float = 0.5
 
 
 def train_detector(dataset: Sequence[DetectorExample],
@@ -365,22 +364,21 @@ def train_detector(dataset: Sequence[DetectorExample],
     targets = np.array([[ex.label] for ex in dataset], dtype=np.float64)
 
     train_idx, val_idx = stratified_split(
-        targets[:, 0] == 1, config.val_fraction,
-        derive_rng(config.seed, "detector.split"))
+        targets[:, 0] == 1, derive_rng(config.seed, "detector.split"))
 
-    model = DetectorModel(max_docs=max_docs, hidden_sizes=config.hidden_sizes,
-                          seed=derive_seed(config.seed, "detector.init"),
-                          threshold=config.threshold)
+    model = DetectorModel(max_docs=max_docs,
+                          seed=derive_seed(config.seed, "detector.init"))
     params = model.net.get_params()
     batch_rng = derive_rng(config.seed, "detector.batches")
     x_t, y_t = features[train_idx], targets[train_idx]
     for _ in range(config.epochs):
         params = sgd_epoch(model.net, params, x_t, y_t, np.ones(len(x_t)),
-                           config.batch_size, config.learning_rate, batch_rng)
+                           DETECTOR_BATCH_SIZE, config.learning_rate,
+                           batch_rng)
     model.net.set_params(params)
 
     val_probs = model.net.probabilities(features[val_idx])[:, 0]
-    predictions = (val_probs > config.threshold).astype(np.float64)
+    predictions = (val_probs > model.threshold).astype(np.float64)
     model.holdout_accuracy = float((predictions == targets[val_idx, 0]).mean())
     logger.info("detector held-out accuracy: %.3f (%d examples)",
                 model.holdout_accuracy, len(val_idx))

@@ -29,6 +29,9 @@ from .seeds import derive_rng, derive_seed
 logger = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN_SIZES = (64, 32)
+# above this many training pairs the hypergradient's full-split gradients
+# are evaluated on a fixed seeded subsample per epoch
+FULL_GRAD_MAX = 10_000
 
 
 class AnnotationError(RuntimeError):
@@ -244,15 +247,15 @@ def hyper_direction(head: Mlp, params_before: np.ndarray,
                     train_targets: np.ndarray, train_matched: np.ndarray,
                     val_features: np.ndarray, val_targets: np.ndarray,
                     val_matched: np.ndarray,
-                    learning_rate: float) -> tuple[float, float, float]:
-    """Derivative of each validation split's loss with respect to the balance
+                    learning_rate: float) -> float:
+    """Common descent direction of the balance weight: the mean over the two
+    validation splits of each split loss's derivative with respect to the
     weight, following the parameter update one step back.
 
     The update moves parameters by -lr * (w * g_mat + (1-w) * g_mis), so the
     chain rule gives d loss_v / dw = -lr * grad_v(after) . (g_mat - g_mis),
     where g_mat/g_mis are the per-split training gradients (normalized by the
-    full training-set size) at the pre-update parameters. Returns
-    (d_matched, d_mismatched, common direction = their mean).
+    full training-set size) at the pre-update parameters.
     """
     if not train_matched.any() or train_matched.all():
         raise ImbalanceDegenerateError("training data is single-class")
@@ -271,7 +274,7 @@ def hyper_direction(head: Mlp, params_before: np.ndarray,
                                       val_targets[mask], np.ones(count), count)
         directions.append(-learning_rate * float(grad_v @ diff))
     d_mat, d_mis = directions
-    return d_mat, d_mis, (d_mat + d_mis) / 2.0
+    return (d_mat + d_mis) / 2.0
 
 
 def hypergradient_step(head: Mlp, params_before: np.ndarray,
@@ -282,10 +285,10 @@ def hypergradient_step(head: Mlp, params_before: np.ndarray,
                        learning_rate: float, step_size: float) -> float:
     """Move the balance weight along the common descent direction, clamped
     to [0, 1]."""
-    _, _, common = hyper_direction(head, params_before, params_after,
-                                   train_features, train_targets, train_matched,
-                                   val_features, val_targets, val_matched,
-                                   learning_rate)
+    common = hyper_direction(head, params_before, params_after,
+                             train_features, train_targets, train_matched,
+                             val_features, val_targets, val_matched,
+                             learning_rate)
     return float(np.clip(weight - step_size * common, 0.0, 1.0))
 
 
@@ -297,16 +300,11 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
     initial_weight: float = 0.5
-    val_fraction: float = 0.1
-    # above this many training pairs the hypergradient's full-split gradients
-    # are evaluated on a fixed seeded subsample per epoch
-    full_grad_max: int = 10_000
 
 
 @dataclass
 class EpochStats:
     epoch: int
-    train_loss: float
     val_matched_loss: float
     val_mismatched_loss: float
     weight: float
@@ -389,7 +387,7 @@ def train_scorer(pairs: Sequence[LabeledPair] | TrainingSet,
     Each epoch runs seeded mini-batch steps over the training split, then one
     hypergradient step on the balance weight using the epoch's start and end
     parameters with per-split gradients over the full training split (or a
-    fixed seeded subsample above ``full_grad_max`` pairs). Deterministic for
+    fixed seeded subsample above ``FULL_GRAD_MAX`` pairs). Deterministic for
     a fixed config.
     """
     if isinstance(pairs, TrainingSet):
@@ -404,7 +402,7 @@ def train_scorer(pairs: Sequence[LabeledPair] | TrainingSet,
             "training data needs at least 2 matched and 2 mismatched pairs")
 
     split_rng = derive_rng(config.seed, "scorer.split")
-    train_idx, val_idx = stratified_split(matched, config.val_fraction, split_rng)
+    train_idx, val_idx = stratified_split(matched, split_rng)
     x_t, y_t, m_t = features[train_idx], targets[train_idx], matched[train_idx]
     x_v, y_v, m_v = features[val_idx], targets[val_idx], matched[val_idx]
 
@@ -422,8 +420,8 @@ def train_scorer(pairs: Sequence[LabeledPair] | TrainingSet,
         params = sgd_epoch(head, params, x_t, y_t, match_weights(m_t, weight),
                            config.batch_size, config.learning_rate, batch_rng)
         if config.hyper_step_size != 0.0:
-            if n_train > config.full_grad_max:
-                sub = np.sort(sample_rng.choice(n_train, config.full_grad_max,
+            if n_train > FULL_GRAD_MAX:
+                sub = np.sort(sample_rng.choice(n_train, FULL_GRAD_MAX,
                                                 replace=False))
                 hx, hy, hm = x_t[sub], y_t[sub], m_t[sub]
                 if hm.all() or not hm.any():
@@ -434,10 +432,8 @@ def train_scorer(pairs: Sequence[LabeledPair] | TrainingSet,
                                         x_v, y_v, m_v, weight,
                                         config.learning_rate,
                                         config.hyper_step_size)
-        train_loss = weighted_loss(head, params, x_t, y_t, m_t, weight)
         val_mat, val_mis = split_losses(head, params, x_v, y_v, m_v)
-        history.append(EpochStats(epoch=epoch, train_loss=train_loss,
-                                  val_matched_loss=val_mat,
+        history.append(EpochStats(epoch=epoch, val_matched_loss=val_mat,
                                   val_mismatched_loss=val_mis, weight=weight))
 
     head.set_params(params)

@@ -62,7 +62,7 @@ def redundant_ctx(setup, detector, recognizer=None, all_known=False):
         provider.embed_many([q.question for q in qa]),
         [all_known] * len(qa), provider.fingerprint)
     return PipelineContext(
-        corpus=corpus, retriever=retriever, scorer=scorer,
+        retriever=retriever, scorer=scorer,
         recognizer_config=recognizer or RecognizerConfig(s_n=1.0,
                                                          k_neighbors=2),
         llm=mock, detector=detector, nn_reference=reference,
@@ -109,8 +109,8 @@ def test_criterion_1_gradient_correctness():
     mv = yv[:, 0] == yv[:, 1]
     lr = 0.05
     after = train_step(head, params, x, y, matched, weight, lr)
-    _, _, common = hyper_direction(head, params, after, x, y, matched,
-                                   xv, yv, mv, lr)
+    common = hyper_direction(head, params, after, x, y, matched,
+                             xv, yv, mv, lr)
 
     def objective(w):
         stepped = train_step(head, params, x, y, matched, w, lr)

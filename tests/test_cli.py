@@ -7,6 +7,7 @@ from synthetic import write_redundant_fixture
 
 import leanrag.pipeline
 from leanrag.cli import main
+from leanrag.recognizer import NnReferenceSet
 from leanrag.reducer import load_detector_dataset
 
 
@@ -201,6 +202,17 @@ def test_missing_command_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_build_nn_ref_needs_no_corpus(tmp_path):
+    paths = write_redundant_fixture(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {"llm": {"kind": "mock", "script_path": str(paths["script"])}}))
+    out = tmp_path / "nnref.jsonl"
+    assert main(["build-nn-ref", "--config", str(config_path),
+                 "--qa", str(paths["qa"]), "--out", str(out)]) == 0
+    assert len(NnReferenceSet.load(out)) > 0
 
 
 def test_rebuild_over_artifacts_of_another_provider(tmp_path, capsys):

@@ -149,7 +149,7 @@ def test_redundant_corpus_equivalent(redundant, monkeypatch):
         provider.embed_many([q.question for q in qa]),
         [i % 2 == 0 for i in range(len(qa))], provider.fingerprint)
     ctx = PipelineContext(
-        corpus=corpus, retriever=retriever, scorer=scorer,
+        retriever=retriever, scorer=scorer,
         recognizer_config=RecognizerConfig(delta_ltod=-1e9, s_l=0.0, s_n=0.5,
                                            k_neighbors=1),
         llm=mock, detector=detector, nn_reference=reference,
@@ -169,7 +169,7 @@ def planted(redundant):
         learning_rate=0.2, hyper_step_size=0.5, epochs=5, batch_size=16,
         seed=9), hidden_sizes=(48, 24), provider=provider).model
     ctx = PipelineContext(
-        corpus=corpus, retriever=retriever, scorer=scorer,
+        retriever=retriever, scorer=scorer,
         # the five known questions are correct without retrieval; most
         # distances between planted questions tie, so the question-id
         # tie-break decides which of them skip
@@ -191,7 +191,8 @@ def test_at_most_three_embedding_calls_per_question(planted):
     qa, ctx = planted
     counting = CountingProvider(ctx.retriever.provider)
     counted = replace(
-        ctx, retriever=Retriever(ctx.corpus, ctx.retriever.index, counting),
+        ctx, retriever=Retriever(ctx.retriever.corpus, ctx.retriever.index,
+                                 counting),
         scorer=replace(ctx.scorer, provider=counting))
     for q in qa[:10]:
         before = counting.calls

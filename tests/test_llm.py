@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -116,6 +117,18 @@ class TestScriptedClient:
         client = ScriptedLlmClient.from_script_file(path)
         assert client.complete(
             build_retrieve_prompt(QUESTION, PASSAGES)).text == "Churchill"
+
+    @pytest.mark.parametrize("line", [
+        '{"match": {"question": "q"}, "answer": "a"',  # not JSON
+        '{"match": {"question": "q"}}',                # no answer
+        '[{"question": "q"}, "a"]',                    # not an object
+    ])
+    def test_script_file_names_bad_line(self, tmp_path, line):
+        path = tmp_path / "script.jsonl"
+        good = json.dumps({"match": {"pattern": "x"}, "answer": "a"})
+        path.write_text(f"{good}\n\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+            ScriptedLlmClient.from_script_file(path)
 
 
 class FakeResponse:

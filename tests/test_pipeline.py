@@ -22,9 +22,10 @@ from leanrag.pipeline import (PipelineConfig, PipelineContext,
                               build_provider, evaluate, load_pipeline,
                               ordered_docs)
 from leanrag.recognizer import Decision, NnReferenceSet, RecognizerConfig
-from leanrag.reducer import DetectorTrainConfig, train_detector
+from leanrag.reducer import DetectorModel, DetectorTrainConfig, train_detector
 from leanrag.retrieval import (EmbeddingProviderError, IndexIntegrityError,
-                               Retriever, build_index)
+                               Retriever, VectorIndex, build_index)
+from leanrag.scorer import ScorerModel
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,7 @@ def make_ctx(setup, detector, all_known=False, **overrides):
         provider.embed_many([q.question for q in qa]),
         [all_known] * len(qa), provider.fingerprint)
     defaults = dict(
-        corpus=corpus, retriever=retriever, scorer=scorer,
+        retriever=retriever, scorer=scorer,
         recognizer_config=RecognizerConfig(s_n=1.0, k_neighbors=2),
         llm=mock, detector=detector, nn_reference=reference,
         top_retrieve=10, top_rerank=10, seed=0)
@@ -172,8 +173,7 @@ provider = HashingEmbedder(dim=8)
 scorer = ScorerModel(head=Mlp([16, 2]), balance_weight=0.5, seed=0,
                      provider=provider)
 ctx = PipelineContext(
-    corpus=corpus, retriever=Retriever(corpus, build_index(corpus, provider),
-                                       provider),
+    retriever=Retriever(corpus, build_index(corpus, provider), provider),
     scorer=scorer, recognizer_config=RecognizerConfig(),
     llm=ScriptedLlmClient(default_answer="ok"), top_retrieve=1, top_rerank=1)
 print(answer_question("which words?", ctx,
@@ -209,6 +209,7 @@ class TestLoadIntegrity:
         build_index(corpus, provider).save(config.index_path)
 
     def test_matching_artifacts_load(self, config):
+        config.recognizer = {"k_neighbors": 1}
         corpus = load_corpus(config.corpus_path)
         self.save_index(config, corpus)
         provider = build_provider(config.provider)
@@ -237,6 +238,7 @@ class TestLoadIntegrity:
     ])
     def test_mismatched_nn_reference_rejected(self, config, fingerprint,
                                               dim):
+        config.recognizer = {"k_neighbors": 1}
         self.save_index(config, load_corpus(config.corpus_path))
         NnReferenceSet(["q"], np.ones((1, dim)) / np.sqrt(dim), [True],
                        fingerprint).save(config.nn_ref_path)
@@ -250,16 +252,40 @@ class TestLoadIntegrity:
         with pytest.raises(TypeError, match="s_N"):
             load_pipeline(config, require=("corpus",))
 
-    def test_stale_optional_artifacts_left_out(self, config):
-        corpus = load_corpus(config.corpus_path)
-        self.save_index(config, corpus, {"kind": "hash", "dim": 256,
-                                         "seed": 5})
-        NnReferenceSet(["q"], np.ones((1, 256)) / 16.0, [True],
-                       "hash-bow:v1:dim=256:seed=5").save(config.nn_ref_path)
+    def test_nn_reference_smaller_than_k_rejected(self, config):
+        provider = build_provider(config.provider)
+        NnReferenceSet(["q"], provider.embed_many(["a question"]), [True],
+                       provider.fingerprint).save(config.nn_ref_path)
+        with pytest.raises(IndexIntegrityError,
+                           match="1 entries, fewer than k_neighbors=10"):
+            load_pipeline(config, require=("nn_ref",))
+
+    def test_unknown_template_rejected(self, config):
+        config.template = "nope"
+        with pytest.raises(ValueError, match="'nope'.*'simple'"):
+            load_pipeline(config, require=())
+
+    def test_unknown_artifact_name_rejected(self, config):
+        with pytest.raises(ValueError, match="nnref"):
+            load_pipeline(config, require=("corpus", "nnref"))
+
+    def test_reads_only_required_artifacts(self, config, tmp_path,
+                                           monkeypatch):
+        config.scorer_path = str(tmp_path / "scorer.json")
+        config.detector_path = str(tmp_path / "detector.json")
+        config.llm = {"kind": "mock"}  # no script_path: fails if built
+        for path in (config.index_path, config.scorer_path,
+                     config.detector_path, config.nn_ref_path):
+            Path(path).write_text("not an artifact\n")
+
+        def refuse(path):
+            raise AssertionError(f"read {path}")
+
+        for cls in (VectorIndex, ScorerModel, DetectorModel, NnReferenceSet):
+            monkeypatch.setattr(cls, "load", staticmethod(refuse))
         ctx = load_pipeline(config, require=("corpus",))
-        assert ctx.retriever is None and ctx.nn_reference is None
-        with pytest.raises(IndexIntegrityError):
-            load_pipeline(config, require=("corpus", "nn_ref"))
+        assert (ctx.retriever, ctx.scorer, ctx.detector, ctx.nn_reference,
+                ctx.llm) == (None,) * 5
 
 
 class TestProviderConsistency:
@@ -269,6 +295,10 @@ class TestProviderConsistency:
             {"kind": "hash", "dim": scorer.provider.dim, "seed": 99}))
         with pytest.raises(ValueError, match="scorer embeds with"):
             make_ctx(setup, detector, scorer=other)
+
+    def test_unknown_template_rejected(self, setup, detector):
+        with pytest.raises(ValueError, match="'nope'.*'simple'"):
+            make_ctx(setup, detector, template_name="nope")
 
 
 class TestEvaluate:
@@ -304,6 +334,11 @@ class TestEvaluate:
         ctx = make_ctx(setup, detector)
         with pytest.raises(ValueError):
             evaluate(setup[1], ctx, ablations={"bogus"})
+
+    def test_unknown_template_ablation_rejected(self, setup, detector):
+        ctx = make_ctx(setup, detector)
+        with pytest.raises(ValueError, match="'nope'.*'simple'"):
+            evaluate(setup[1], ctx, ablations={"template=nope"})
 
     def test_empty_qa_rejected(self, setup, detector):
         ctx = make_ctx(setup, detector)
@@ -386,6 +421,10 @@ class TestConfig:
     def test_rerank_bounded_by_retrieve(self):
         with pytest.raises(ValueError):
             PipelineConfig(top_retrieve=10, top_rerank=20)
+
+    def test_rerank_at_least_one(self):
+        with pytest.raises(ValueError, match="1 <= top_rerank"):
+            PipelineConfig(top_retrieve=10, top_rerank=0)
 
     def test_provider_dispatch(self):
         from leanrag.pipeline import build_provider

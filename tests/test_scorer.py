@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from synthetic import imbalanced_feature_pairs
 
+import leanrag.scorer as scorer_module
 from leanrag.artifacts import IndexIntegrityError, check_provider
 from leanrag.corpus import Corpus, QARecord, make_document
 from leanrag.llm import ScriptedLlmClient
@@ -195,8 +196,8 @@ class TestHypergradient:
         matched = np.array([True, True, False, False])
         params = self.head.get_params()
         after = train_step(self.head, params, x, y, matched, 0.5, self.lr)
-        _, _, common = hyper_direction(self.head, params, after, x, y, matched,
-                                       self.xv, self.yv, self.mv, self.lr)
+        common = hyper_direction(self.head, params, after, x, y, matched,
+                                 self.xv, self.yv, self.mv, self.lr)
         assert abs(common) < 1e-12
 
     def test_direction_matches_finite_difference(self):
@@ -212,9 +213,9 @@ class TestHypergradient:
 
         after = train_step(self.head, params, self.xt, self.yt, self.mt,
                            weight, self.lr)
-        _, _, common = hyper_direction(self.head, params, after, self.xt,
-                                       self.yt, self.mt, self.xv, self.yv,
-                                       self.mv, self.lr)
+        common = hyper_direction(self.head, params, after, self.xt,
+                                 self.yt, self.mt, self.xv, self.yv,
+                                 self.mv, self.lr)
         delta = 1e-4
         fd = (validation_objective(weight + delta)
               - validation_objective(weight - delta)) / (2 * delta)
@@ -307,6 +308,20 @@ class TestTrainScorer:
                               hidden_sizes=(16, 8))
         assert [h.epoch for h in result.history] == \
             list(range(1, small_config.epochs + 1))
+
+    def test_hypergradient_subsample(self, imbalanced_pairs, small_config,
+                                     monkeypatch):
+        full = train_scorer(imbalanced_pairs, small_config,
+                            hidden_sizes=(16, 8))
+        # about 590 training pairs, so the per-epoch subsample branch runs
+        monkeypatch.setattr(scorer_module, "FULL_GRAD_MAX", 100)
+        first = train_scorer(imbalanced_pairs, small_config,
+                             hidden_sizes=(16, 8))
+        second = train_scorer(imbalanced_pairs, small_config,
+                              hidden_sizes=(16, 8))
+        assert first.history == second.history
+        assert all(0.0 <= h.weight <= 1.0 for h in first.history)
+        assert first.history != full.history
 
 
 @pytest.fixture(scope="module")
