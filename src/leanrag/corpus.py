@@ -12,6 +12,7 @@ import logging
 import re
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -49,16 +50,21 @@ class DuplicateDocumentError(ValueError):
 
 @dataclass(frozen=True)
 class Document:
-    """A corpus unit with pre-segmented sentences.
+    """A corpus unit and its sentences.
 
     ``sentences`` holds (start, end) character spans into ``text``; spans are
     ordered, non-overlapping, and jointly cover all non-whitespace text.
+    They are split on first use, once per document, since a question reads
+    the spans of only the few documents it reranks.
     """
 
     doc_id: str
     title: str
     text: str
-    sentences: tuple[Span, ...]
+
+    @cached_property
+    def sentences(self) -> tuple[Span, ...]:
+        return tuple(split_sentences(self.text))
 
     @property
     def sentence_count(self) -> int:
@@ -277,8 +283,7 @@ def whole_document_subdoc(doc: Document) -> SubDocument:
 
 
 def make_document(doc_id: str, title: str, text: str) -> Document:
-    return Document(doc_id=doc_id, title=title, text=text,
-                    sentences=tuple(split_sentences(text)))
+    return Document(doc_id=doc_id, title=title, text=text)
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -14,7 +14,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -69,9 +69,7 @@ class PipelineConfig:
     templates: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 1 <= self.top_rerank <= self.top_retrieve:
-            raise ValueError("need 1 <= top_rerank <= top_retrieve, got "
-                             f"{self.top_rerank} and {self.top_retrieve}")
+        _check_rerank(self.top_rerank, self.top_retrieve)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -113,6 +111,16 @@ class PipelineContext:
                 f"scorer embeds with {actual!r} but the retriever "
                 f"embeds with {expected!r}")
         _check_template(self.template_name, self.templates)
+        _check_rerank(self.top_rerank, self.top_retrieve)
+        k = self.recognizer_config.k_neighbors
+        if self.nn_reference is not None and len(self.nn_reference) < k:
+            raise IndexIntegrityError(
+                f"NN reference has {len(self.nn_reference)} entries, fewer "
+                f"than k_neighbors={k}")
+        # candidates and windows read the vectors set-up stored with the
+        # index instead of embedding them again
+        if isinstance(self.scorer, ScorerModel) and self.retriever is not None:
+            self.scorer = replace(self.scorer, stored=self.retriever.stored)
 
 
 def _template_overrides(overrides: Mapping) -> dict[str, PromptTemplate]:
@@ -127,6 +135,12 @@ def _template_overrides(overrides: Mapping) -> dict[str, PromptTemplate]:
             question_line=spec.get("question_line", base.question_line),
             suffix=spec.get("suffix", base.suffix))
     return templates
+
+
+def _check_rerank(top_rerank: int, top_retrieve: int) -> None:
+    if not 1 <= top_rerank <= top_retrieve:
+        raise ValueError("need 1 <= top_rerank <= top_retrieve, got "
+                         f"{top_rerank} and {top_retrieve}")
 
 
 def _check_template(name: str, templates: Mapping) -> None:
@@ -210,10 +224,6 @@ def load_pipeline(config: PipelineConfig,
         check_provider("NN reference", nn_reference.provider_fingerprint,
                        nn_reference.embeddings.shape[1]
                        if len(nn_reference) else None, provider)
-        if len(nn_reference) < recognizer_config.k_neighbors:
-            raise IndexIntegrityError(
-                f"NN reference has {len(nn_reference)} entries, fewer than "
-                f"k_neighbors={recognizer_config.k_neighbors}")
 
     llm = build_llm_client(config.llm) if "llm" in require else None
     return PipelineContext(

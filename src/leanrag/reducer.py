@@ -11,7 +11,7 @@ pairs in order, zero-padded to a fixed width.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -273,6 +273,8 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
     correctly with it appended. The bare-question probe uses
     ``no_retrieve_template`` (default: the built-in no-retrieve prompt).
     """
+    # candidates and short documents' windows read set-up's stored rows
+    scorer = replace(scorer, stored=retriever.stored)
     examples: list[DetectorExample] = []
     for qa in qa_records:
         try:

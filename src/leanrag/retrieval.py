@@ -8,6 +8,7 @@ inner product, with ties broken by ascending doc id.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -21,6 +22,7 @@ import numpy as np
 from . import artifacts
 from .artifacts import IndexIntegrityError
 from .corpus import Corpus, Document, contains_answer
+from .seeds import stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -28,6 +30,11 @@ logger = logging.getLogger(__name__)
 INDEX_FIELDS = "|fields=title+text"
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
+
+# distinct tokens whose (bucket, sign) one HashingEmbedder remembers; at
+# this cap the memo holds about 16 MB, so a long-running process cannot
+# grow it with every new question's tokens
+TOKEN_MEMO_SIZE = 1 << 16
 
 
 class EmbeddingProviderError(RuntimeError):
@@ -59,6 +66,8 @@ class HashingEmbedder:
         self.seed = seed
         self._key = int(seed).to_bytes(8, "little", signed=False)
         self.fingerprint = f"hash-bow:v1:dim={dim}:seed={seed}"
+        self._slot = functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)(
+            self._token_slot)
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -71,9 +80,8 @@ class HashingEmbedder:
                 raise ValueError("cannot embed empty text")
             vec = out[row]
             for token in _WORD_RE.findall(stripped.lower()):
-                h = self._hash(token)
-                sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-                vec[h % self.dim] += sign
+                bucket, sign = self._slot(token)
+                vec[bucket] += sign
             norm = np.linalg.norm(vec)
             if norm == 0.0:
                 # pathological sign cancellation: fall back to a one-hot
@@ -81,6 +89,11 @@ class HashingEmbedder:
                 norm = 1.0
             vec /= norm
         return out
+
+    def _token_slot(self, token: str) -> tuple[int, float]:
+        """The bucket a token adds to and the sign it adds with."""
+        h = self._hash(token)
+        return h % self.dim, 1.0 if (h >> 63) & 1 == 0 else -1.0
 
     def _hash(self, token: str) -> int:
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8,
@@ -157,17 +170,41 @@ def document_embedding_text(doc: Document) -> str:
 
 class VectorIndex:
     """Exact-scan dense index. Entries are kept sorted by doc_id so that a
-    stable sort on similarity yields the documented tie-break for free."""
+    stable sort on similarity yields the documented tie-break for free.
+
+    ``text_vectors`` holds more rows embedded with the same provider
+    (``build_index``: the text of each titled document, in doc-id order).
+    ``digests`` gives the ``stable_hash`` of the text each row of
+    ``vectors``, then of ``text_vectors``, was embedded from; without them
+    ``StoredVectors`` serves no row of this index."""
 
     def __init__(self, doc_ids: Sequence[str], vectors: np.ndarray,
-                 provider_fingerprint: str):
+                 provider_fingerprint: str,
+                 text_vectors: np.ndarray | None = None,
+                 digests: Sequence[int] | None = None):
         if len(doc_ids) == 0:
             raise ValueError("cannot build an index over an empty corpus")
         if vectors.ndim != 2 or vectors.shape[0] != len(doc_ids):
             raise ValueError("vectors must be one row per doc id")
+        if text_vectors is None:
+            text_vectors = np.zeros((0, vectors.shape[1]))
+        if text_vectors.ndim != 2 or text_vectors.shape[1] != vectors.shape[1]:
+            raise ValueError("text vectors must have the index's width")
+        if digests is not None and \
+                len(digests) != len(vectors) + len(text_vectors):
+            raise ValueError("digests must be one per row")
         order = sorted(range(len(doc_ids)), key=lambda i: doc_ids[i])
-        self.doc_ids = [doc_ids[i] for i in order]
-        self.vectors = np.ascontiguousarray(vectors[order], dtype=np.float64)
+        if order != list(range(len(doc_ids))):
+            doc_ids = [doc_ids[i] for i in order]
+            vectors = vectors[order]
+            if digests is not None:
+                digests = [digests[i] for i in order] + \
+                    list(digests[len(order):])
+        self.doc_ids = list(doc_ids)
+        self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        self.text_vectors = np.ascontiguousarray(text_vectors,
+                                                 dtype=np.float64)
+        self.digests = None if digests is None else list(digests)
         self.dim = int(self.vectors.shape[1])
         self.provider_fingerprint = provider_fingerprint
 
@@ -182,35 +219,104 @@ class VectorIndex:
         return [(self.doc_ids[i], float(sims[i])) for i in order]
 
     def verify_corpus(self, corpus: Corpus) -> None:
-        """Every indexed doc id must name a corpus document."""
+        """Every indexed doc id must name a corpus document, and there must
+        be one text row per titled corpus document."""
         missing = [doc_id for doc_id in self.doc_ids if doc_id not in corpus]
         if missing:
             raise IndexIntegrityError(
                 f"{len(missing)} indexed doc ids are not in the corpus, "
                 f"e.g. {missing[:3]}")
+        titled = sum(1 for doc in corpus if _titled(doc))
+        if len(self.text_vectors) != titled:
+            raise IndexIntegrityError(
+                f"index has {len(self.text_vectors)} text vectors, the "
+                f"corpus {titled} titled documents")
 
     def save(self, path: str | Path) -> None:
         artifacts.save(path, "index",
-                       {"doc_ids": self.doc_ids,
+                       {"doc_ids": self.doc_ids, "digests": self.digests,
                         "provider_fingerprint": self.provider_fingerprint},
-                       {"vectors": self.vectors})
+                       {"vectors": self.vectors,
+                        "text_vectors": self.text_vectors})
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         meta, arrays = artifacts.load(path, "index")
+        if "text_vectors" not in arrays or "digests" not in meta:
+            raise IndexIntegrityError(
+                f"{path}: index has no text vectors; rebuild it")
         return cls(meta["doc_ids"], arrays["vectors"],
-                   meta["provider_fingerprint"])
+                   meta["provider_fingerprint"], arrays["text_vectors"],
+                   meta["digests"])
+
+
+def _titled(doc: Document) -> bool:
+    return bool(doc.title.strip())
 
 
 def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
-    """Embed every document ("title. text") into a fresh index."""
+    """Embed every document ("title. text") into a fresh index, in doc-id
+    order, and, as its text rows, the text of every titled document, which
+    is what the scorer embeds."""
     if len(corpus) == 0:
         raise ValueError("cannot build an index over an empty corpus")
-    docs = list(corpus)
+    docs = sorted(corpus, key=lambda d: d.doc_id)
     texts = [document_embedding_text(d) for d in docs]
-    vectors = provider.embed_many(texts)
-    return VectorIndex([d.doc_id for d in docs], vectors,
-                       provider.fingerprint + INDEX_FIELDS)
+    titled = [d.text for d in docs if _titled(d)]
+    text_vectors = provider.embed_many(titled) if titled else None
+    return VectorIndex([d.doc_id for d in docs], provider.embed_many(texts),
+                       provider.fingerprint + INDEX_FIELDS, text_vectors,
+                       [stable_hash(text) for text in texts + titled])
+
+
+class StoredVectors:
+    """The rows an index already holds, served by the exact text each was
+    embedded from: a corpus document's index text, and a titled document's
+    text. A row serves only a text whose digest equals the one stored with
+    it, so a document edited after indexing is embedded afresh, and only a
+    provider with the index's fingerprint. The lookup is built on first
+    use."""
+
+    def __init__(self, corpus: Corpus, index: VectorIndex):
+        self.corpus = corpus
+        self.index = index
+        self._rows: dict[str, np.ndarray] | None = None
+
+    def _lookup(self) -> dict[str, np.ndarray]:
+        # two threads may both build it; they build the same lookup
+        if self._rows is None:
+            index = self.index
+            by_digest = dict(zip(index.digests or (),
+                                 [*index.vectors, *index.text_vectors]))
+            rows = {}
+            for doc in self.corpus:
+                for text in {document_embedding_text(doc), doc.text}:
+                    row = by_digest.get(stable_hash(text))
+                    if row is not None:
+                        rows[text] = row
+            self._rows = rows
+        return self._rows
+
+    def embed_many(self, provider: EmbeddingProvider,
+                   texts: Sequence[str]) -> np.ndarray:
+        """``provider.embed_many(texts)``: each text the lookup holds is
+        read from its row, the rest are embedded in one call (none when
+        every text is held)."""
+        fingerprint = provider.fingerprint + INDEX_FIELDS
+        if fingerprint != self.index.provider_fingerprint:
+            return provider.embed_many(list(texts))
+        rows = self._lookup()
+        out = np.empty((len(texts), self.index.dim))
+        missing = []
+        for i, text in enumerate(texts):
+            row = rows.get(text)
+            if row is None:
+                missing.append(i)
+            else:
+                out[i] = row
+        if missing:
+            out[missing] = provider.embed_many([texts[i] for i in missing])
+        return out
 
 
 class Retriever:
@@ -221,6 +327,7 @@ class Retriever:
         self.corpus = corpus
         self.index = index
         self.provider = provider
+        self.stored = StoredVectors(corpus, index)
 
     def retrieve(self, question: str, k: int = 100,
                  query_embedding: np.ndarray | None = None) -> list[RetrievedDoc]:

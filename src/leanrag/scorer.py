@@ -12,7 +12,7 @@ downhill.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -23,7 +23,7 @@ from .corpus import Document, QARecord, contains_answer
 from .llm import LlmClient, PromptTemplate, build_retrieve_prompt, is_correct
 from .mlp import (Mlp, PROB_EPS, sgd_epoch, sgd_step, sigmoid,
                   stratified_split)
-from .retrieval import EmbeddingProvider, Retriever
+from .retrieval import EmbeddingProvider, Retriever, StoredVectors
 from .seeds import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -162,12 +162,14 @@ def build_training_set(qa_records: Sequence[QARecord], retriever: Retriever,
     Individual annotation failures are logged and counted, not fatal.
     """
     provider = retriever.provider
-    doc_vectors: dict[str, np.ndarray] = {}
     pairs: list[LabeledPair] = []
     failures = 0
     for qa in qa_records:
         question_vec = provider.embed(qa.question)
-        for result in retriever.retrieve(qa.question, per_question_k):
+        results = retriever.retrieve(qa.question, per_question_k, question_vec)
+        doc_vectors = retriever.stored.embed_many(
+            provider, [result.doc.text for result in results])
+        for result, doc_vec in zip(results, doc_vectors):
             doc = result.doc
             try:
                 label = annotate_training_pair(qa, doc, llm, template)
@@ -175,12 +177,10 @@ def build_training_set(qa_records: Sequence[QARecord], retriever: Retriever,
                 failures += 1
                 logger.warning("skipping pair: %s", exc)
                 continue
-            if doc.doc_id not in doc_vectors:
-                doc_vectors[doc.doc_id] = provider.embed(doc.text)
-            features = np.concatenate([question_vec, doc_vectors[doc.doc_id]])
             pairs.append(LabeledPair(
                 question_id=qa.question_id, doc_id=doc.doc_id,
-                features=features, label=label, matched=label.matched))
+                features=np.concatenate([question_vec, doc_vec]),
+                label=label, matched=label.matched))
     training_set = TrainingSet(pairs=pairs, annotation_failures=failures)
     logger.info("built %d pairs (%d matched : %d mismatched, ratio %.2f, "
                 "%d failures)", len(pairs), training_set.matched_count,
@@ -312,13 +312,19 @@ class EpochStats:
 
 @dataclass
 class ScorerModel:
-    """Frozen encoder reference plus the trained two-head MLP."""
+    """Frozen encoder reference plus the trained two-head MLP.
+
+    ``stored`` (not saved; ``PipelineContext`` binds its retriever's) gives
+    the vectors set-up already embedded, so that scoring embeds only the
+    texts it lacks."""
 
     head: Mlp
     balance_weight: float
     seed: int
     provider: EmbeddingProvider | None = None
     provider_fingerprint: str | None = None
+    stored: StoredVectors | None = field(default=None, repr=False,
+                                         compare=False)
 
     def score_features(self, features: np.ndarray) -> BiLabelScore:
         return self._score_rows(features.reshape(1, -1))[0]
@@ -335,17 +341,21 @@ class ScorerModel:
     def score_many(self, question: str, doc_texts: Sequence[str],
                    question_embedding: np.ndarray | None = None
                    ) -> list[BiLabelScore]:
-        """Score every text against one question with one ``embed_many``
-        call and one forward pass; row i equals ``score(question,
-        doc_texts[i])``. ``question_embedding`` reuses the question's vector
-        when the caller already has it from this model's provider."""
+        """Score every text against one question with at most one
+        ``embed_many`` call (for the texts ``stored`` lacks) and one forward
+        pass; row i equals ``score(question, doc_texts[i])``.
+        ``question_embedding`` reuses the question's vector when the caller
+        already has it from this model's provider."""
         if self.provider is None:
             raise ValueError("model has no embedding provider attached")
         if not doc_texts:
             return []
         if question_embedding is None:
             question_embedding = self.provider.embed(question)
-        doc_vectors = self.provider.embed_many(list(doc_texts))
+        if self.stored is None:
+            doc_vectors = self.provider.embed_many(list(doc_texts))
+        else:
+            doc_vectors = self.stored.embed_many(self.provider, doc_texts)
         features = np.concatenate([
             np.broadcast_to(question_embedding,
                             (len(doc_texts), len(question_embedding))),

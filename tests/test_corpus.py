@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leanrag.corpus as corpus_module
 from leanrag.corpus import (Corpus, CorpusFormatError, DuplicateDocumentError,
                             QARecord, contains_answer, count_tokens,
                             default_tokenizer, generate_subdocuments,
@@ -73,6 +74,23 @@ class TestLoadCorpus:
         ])
         with pytest.raises(CorpusFormatError):
             load_qa(path)
+
+    def test_sentences_split_on_first_use(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        text = "Mr. J. Smith won. The vote was close! Was it fair? Yes. Done."
+        write_jsonl(path, [{"id": "a", "title": "A", "text": text}])
+
+        def refuse(text):
+            raise AssertionError("split while loading")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus_module, "split_sentences", refuse)
+            corpus = load_corpus(path)
+        loaded = corpus.get("a")
+        eager = make_document("a", "A", text)
+        assert loaded.sentences == tuple(split_sentences(text))
+        assert generate_subdocuments(loaded) == generate_subdocuments(eager)
+        assert loaded == eager
 
 
 class TestSplitSentences:

@@ -17,7 +17,7 @@ import leanrag.pipeline as pipeline_module
 from synthetic import (imbalanced_feature_pairs, planted_corpus,
                        prefix_detector_examples, trained_redundant_setup)
 
-from leanrag.corpus import generate_subdocuments
+from leanrag.corpus import Corpus, generate_subdocuments, make_document
 from leanrag.mlp import sigmoid
 from leanrag.pipeline import PipelineContext, evaluate
 from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
@@ -194,12 +194,90 @@ def test_at_most_three_embedding_calls_per_question(planted):
         ctx, retriever=Retriever(ctx.retriever.corpus, ctx.retriever.index,
                                  counting),
         scorer=replace(ctx.scorer, provider=counting))
+    decisions = set()
     for q in qa[:10]:
         before = counting.calls
         trace = pipeline_module.answer_question(q, counted)
-        # the question, the candidates, and the windows if the reducer runs
-        assert counting.calls - before == \
-            2 + (trace.verdict.decision is Decision.RETRIEVE)
+        decisions.add(trace.verdict.decision)
+        # the question only: the documents are untitled and have at most
+        # three sentences, so every candidate and window is an index row
+        assert counting.calls - before == 1
+    assert Decision.RETRIEVE in decisions
+
+
+def counted_context(ctx, stored_rows: bool):
+    """``ctx`` with a counting provider, and with set-up's stored rows or
+    with an index that serves none, so that every text is embedded."""
+    index = ctx.retriever.index
+    if not stored_rows:
+        index = VectorIndex(index.doc_ids, index.vectors,
+                            index.provider_fingerprint)
+    counting = CountingProvider(ctx.retriever.provider)
+    return replace(
+        ctx, retriever=Retriever(ctx.retriever.corpus, index, counting),
+        scorer=replace(ctx.scorer, provider=counting)), counting
+
+
+def assert_stored_rows_change_nothing(qa, ctx):
+    stored_ctx, stored_calls = counted_context(ctx, stored_rows=True)
+    embedded_ctx, embedded_calls = counted_context(ctx, stored_rows=False)
+    stored, stored_report = run_questions(qa, stored_ctx)
+    embedded, embedded_report = run_questions(qa, embedded_ctx)
+    assert stored_calls.calls < embedded_calls.calls
+    assert stored_report == embedded_report
+    for (trace, scored), (want, want_scored) in zip(stored, embedded):
+        assert trace.to_dict(include_timings=False) == \
+            want.to_dict(include_timings=False)
+        # dataclass equality: every BiLabelScore field exactly
+        assert scored == want_scored
+        if trace.combination is not None:
+            assert trace.combination.members == want.combination.members
+
+
+def test_stored_rows_change_nothing_redundant(redundant):
+    """Titled 12-sentence documents: candidates read text rows, windows
+    are embedded."""
+    (corpus, qa, mock, provider, retriever, scorer), detector = redundant
+    ctx = PipelineContext(
+        retriever=retriever, scorer=scorer,
+        recognizer_config=RecognizerConfig(delta_ltod=-1e9, s_l=0.0, s_n=0.5,
+                                           k_neighbors=1),
+        llm=mock, detector=detector,
+        nn_reference=NnReferenceSet(
+            [q.question_id for q in qa],
+            provider.embed_many([q.question for q in qa]),
+            [i % 2 == 0 for i in range(len(qa))], provider.fingerprint),
+        top_retrieve=10, top_rerank=10)
+    assert_stored_rows_change_nothing(qa, ctx)
+
+
+def test_stored_rows_change_nothing_planted(planted):
+    """Untitled documents of at most three sentences: candidates and
+    windows read index rows."""
+    qa, ctx = planted
+    assert_stored_rows_change_nothing(qa, ctx)
+
+
+def test_stored_rows_change_nothing_mixed(redundant):
+    """Documents of 2 to 6 sentences, every other one untitled: a question
+    reads index rows, text rows, and embeds the windows that miss."""
+    (corpus, qa, mock, provider, _, scorer), detector = redundant
+    mixed = Corpus([
+        make_document(doc.doc_id, doc.title if i % 2 else "",
+                      " ".join(doc.sentence_texts()[:2 + i % 5]))
+        for i, doc in enumerate(corpus)])
+    ctx = PipelineContext(
+        retriever=Retriever(mixed, build_index(mixed, provider), provider),
+        scorer=scorer,
+        recognizer_config=RecognizerConfig(delta_ltod=-1e9, s_l=0.0, s_n=0.5,
+                                           k_neighbors=1),
+        llm=mock, detector=detector,
+        nn_reference=NnReferenceSet(
+            [q.question_id for q in qa],
+            provider.embed_many([q.question for q in qa]),
+            [i % 2 == 1 for i in range(len(qa))], provider.fingerprint),
+        top_retrieve=10, top_rerank=10)
+    assert_stored_rows_change_nothing(qa, ctx)
 
 
 def test_feature_pairs_batch_equals_rows():

@@ -301,6 +301,20 @@ class TestProviderConsistency:
             make_ctx(setup, detector, template_name="nope")
 
 
+class TestContextChecks:
+    @pytest.mark.parametrize("top_rerank", [0, 11])
+    def test_rerank_outside_retrieve_rejected(self, setup, detector,
+                                              top_rerank):
+        with pytest.raises(ValueError, match="1 <= top_rerank"):
+            make_ctx(setup, detector, top_retrieve=10, top_rerank=top_rerank)
+
+    def test_nn_reference_smaller_than_k_rejected(self, setup, detector):
+        with pytest.raises(IndexIntegrityError,
+                           match="4 entries, fewer than k_neighbors=5"):
+            make_ctx(setup, detector,
+                     recognizer_config=RecognizerConfig(k_neighbors=5))
+
+
 class TestEvaluate:
     def test_all_correct_accuracy_one(self, setup, detector):
         ctx = make_ctx(setup, detector)

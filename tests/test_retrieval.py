@@ -1,6 +1,13 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import leanrag.retrieval as retrieval_module
+from leanrag import artifacts
 from leanrag.artifacts import check_provider
 from leanrag.corpus import Corpus, make_document
 from leanrag.retrieval import (INDEX_FIELDS, EmbeddingProviderError,
@@ -44,6 +51,38 @@ class TestHashingEmbedder:
         a = HashingEmbedder(dim=64, seed=1).embed("hello world")
         b = HashingEmbedder(dim=64, seed=2).embed("hello world")
         assert not np.array_equal(a, b)
+
+    @staticmethod
+    def unmemoized(dim, seed, text):
+        """Every token occurrence hashed on its own."""
+        def digest(token):
+            return int.from_bytes(hashlib.blake2b(
+                token.encode("utf-8"), digest_size=8,
+                key=seed.to_bytes(8, "little")).digest(), "little")
+
+        vec = np.zeros(dim)
+        stripped = text.strip().lower()
+        for token in re.findall(r"[a-z0-9]+", stripped):
+            h = digest(token)
+            vec[h % dim] += 1.0 if (h >> 63) & 1 == 0 else -1.0
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            vec[digest(stripped) % dim] = 1.0
+            norm = 1.0
+        return vec / norm
+
+    @given(st.lists(st.text(alphabet="abcdef .", max_size=30).filter(
+        lambda text: re.search("[a-f]", text)), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_memo_matches_unmemoized_hashing(self, texts):
+        with pytest.MonkeyPatch.context() as patch:
+            # a cap this small evicts within almost every example
+            patch.setattr(retrieval_module, "TOKEN_MEMO_SIZE", 3)
+            embedder = HashingEmbedder(dim=16, seed=5)
+        want = np.stack([self.unmemoized(16, 5, text) for text in texts])
+        for _ in range(2):  # the second pass reads what the memo kept
+            assert embedder.embed_many(texts).tobytes() == want.tobytes()
+        assert embedder._slot.cache_info().currsize <= 3
 
 
 class FakeResponse:
@@ -139,6 +178,94 @@ class TestIndex:
         stale = Corpus([make_document("a", "", "the cat sat on the mat")])
         with pytest.raises(IndexIntegrityError):
             index.verify_corpus(stale)
+
+    def test_one_text_row_per_titled_document(self, provider):
+        index = build_index(titled_corpus(), provider)
+        assert index.text_vectors.tobytes() == provider.embed_many(
+            [doc.text for doc in titled_corpus() if doc.title]).tobytes()
+        index.verify_corpus(titled_corpus())
+        retitled = Corpus([make_document(doc.doc_id, "Now titled", doc.text)
+                           for doc in titled_corpus()])
+        with pytest.raises(IndexIntegrityError, match="2 text vectors"):
+            index.verify_corpus(retitled)
+
+    def test_ids_in_order_not_copied(self):
+        vectors = np.arange(12.0).reshape(4, 3)
+        index = VectorIndex(["a", "b", "c", "d"], vectors, "fp")
+        assert np.shares_memory(index.vectors, vectors)
+
+    def test_round_trip_keeps_text_rows(self, tmp_path, provider):
+        index = build_index(titled_corpus(), provider)
+        index.save(tmp_path / "index")
+        loaded = VectorIndex.load(tmp_path / "index")
+        assert loaded.text_vectors.tobytes() == index.text_vectors.tobytes()
+        assert loaded.digests == index.digests
+
+    def test_file_without_text_rows_rejected(self, tmp_path, provider):
+        index = build_index(small_corpus(), provider)
+        path = tmp_path / "index"
+        artifacts.save(path, "index",
+                       {"doc_ids": index.doc_ids,
+                        "provider_fingerprint": index.provider_fingerprint},
+                       {"vectors": index.vectors})
+        with pytest.raises(IndexIntegrityError, match="rebuild it"):
+            VectorIndex.load(path)
+
+
+def titled_corpus():
+    return Corpus([
+        make_document("a", "Cats", "The cat sat. It purred. It slept. "
+                                   "It woke."),
+        make_document("b", "", "dogs chase cats around town"),
+        make_document("c", "Physics", "quantum mechanics of large systems"),
+    ])
+
+
+class RecordingProvider:
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.fingerprint = inner.fingerprint
+        self.batches = []
+
+    def embed_many(self, texts):
+        self.batches.append(list(texts))
+        return self.inner.embed_many(texts)
+
+
+class TestStoredVectors:
+    def test_serves_what_set_up_embedded(self, provider):
+        corpus = titled_corpus()
+        index = build_index(corpus, provider)
+        texts = ["a question?", *(doc.text for doc in corpus),
+                 "Cats. " + corpus.get("a").text]
+        recording = RecordingProvider(provider)
+        got = Retriever(corpus, index, recording).stored.embed_many(
+            recording, texts)
+        assert got.tobytes() == provider.embed_many(texts).tobytes()
+        assert recording.batches == [["a question?"]]
+
+    def test_document_edited_after_indexing_embedded_afresh(self, provider):
+        index = build_index(titled_corpus(), provider)
+        edited = Corpus([make_document(doc.doc_id, doc.title,
+                                       doc.text + " Edited.")
+                         for doc in titled_corpus()])
+        texts = [doc.text for doc in edited]
+        recording = RecordingProvider(provider)
+        got = Retriever(edited, index, recording).stored.embed_many(
+            recording, texts)
+        assert got.tobytes() == provider.embed_many(texts).tobytes()
+        assert recording.batches == [texts]
+
+    def test_other_provider_served_nothing(self, provider):
+        corpus = titled_corpus()
+        other = RecordingProvider(HashingEmbedder(dim=64, seed=8))
+        stored = Retriever(corpus, build_index(corpus, provider),
+                           other).stored
+        texts = [doc.text for doc in corpus]
+        assert stored.embed_many(other, texts).tobytes() == \
+            other.inner.embed_many(texts).tobytes()
+        assert other.batches == [texts]
 
 
 class TestSearch:
