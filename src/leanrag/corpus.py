@@ -54,8 +54,8 @@ class Document:
 
     ``sentences`` holds (start, end) character spans into ``text``; spans are
     ordered, non-overlapping, and jointly cover all non-whitespace text.
-    They are split on first use, once per document, since a question reads
-    the spans of only the few documents it reranks.
+    They and ``sentence_tokens`` are computed on first use, once per
+    document, since a question reads only the few documents it reranks.
     """
 
     doc_id: str
@@ -65,6 +65,11 @@ class Document:
     @cached_property
     def sentences(self) -> tuple[Span, ...]:
         return tuple(split_sentences(self.text))
+
+    @cached_property
+    def sentence_tokens(self) -> tuple[int, ...]:
+        """``count_tokens`` of each sentence, counted once per document."""
+        return tuple(count_tokens(text) for text in self.sentence_texts())
 
     @property
     def sentence_count(self) -> int:
@@ -257,28 +262,29 @@ def generate_subdocuments(doc: Document, window: int = 3,
         if starts[-1] != total - window:
             starts.append(total - window)
         size = window
+    # count_tokens is additive over the joins, so a window's count is the
+    # sum of its sentences'
+    tokens = doc.sentence_tokens
     out = []
     for start in starts:
-        text = " ".join(texts[start:start + size])
         out.append(SubDocument(
             parent_doc_id=doc.doc_id,
             start_sentence=start,
             sentence_count=size,
-            text=text,
-            token_count=count_tokens(text),
+            text=" ".join(texts[start:start + size]),
+            token_count=sum(tokens[start:start + size]),
         ))
     return out
 
 
 def whole_document_subdoc(doc: Document) -> SubDocument:
     """A single sub-document covering every sentence of ``doc``."""
-    text = " ".join(doc.sentence_texts())
     return SubDocument(
         parent_doc_id=doc.doc_id,
         start_sentence=0,
         sentence_count=max(doc.sentence_count, 1),
-        text=text,
-        token_count=count_tokens(text),
+        text=" ".join(doc.sentence_texts()),
+        token_count=sum(doc.sentence_tokens),
     )
 
 

@@ -240,6 +240,33 @@ class TestSubdocuments:
         with pytest.raises(ValueError):
             generate_subdocuments(self.doc(3), window=0)
 
+    @given(text=st.text(alphabet=st.characters(codec="ascii",
+                                               exclude_categories=("Cc",)),
+                        max_size=300).filter(str.strip),
+           window=st.integers(1, 4), stride=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_window_counts_equal_counting_the_text(self, text, window,
+                                                   stride):
+        doc = make_document("d", "t", text)
+        for sub in generate_subdocuments(doc, window=window, stride=stride):
+            assert sub.token_count == count_tokens(sub.text)
+        whole = whole_document_subdoc(doc)
+        assert whole.token_count == count_tokens(whole.text)
+
+    def test_each_sentence_tokenized_once(self, monkeypatch):
+        counted = []
+
+        def counting(text):
+            counted.append(text)
+            return count_tokens(text)
+
+        monkeypatch.setattr(corpus_module, "count_tokens", counting)
+        doc = self.doc(12)
+        first = generate_subdocuments(doc)
+        assert generate_subdocuments(doc) == first
+        assert len(first) == 10
+        assert sorted(counted) == sorted(doc.sentence_texts())
+
     def test_whole_document_subdoc(self):
         doc = self.doc(4)
         sub = whole_document_subdoc(doc)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import leanrag.recognizer as recognizer_module
+from leanrag import artifacts
 from leanrag.artifacts import check_provider
 from leanrag.corpus import QARecord, make_document
 from leanrag.llm import ScriptedLlmClient
@@ -165,6 +168,190 @@ class TestNeighborScore:
                 float(np.linalg.norm(e.embedding - query)), e.question_id))
             expected = sum(e.correct for e in ranked[:k]) / k
             assert neighbor_score(query, ref, k) == expected
+
+
+def oracle_scores(entries, query):
+    """The fraction for every k in 1..n, from one exact sort of all
+    entries."""
+    ranked = sorted(entries, key=lambda e: (
+        float(np.linalg.norm(e.embedding - query)), e.question_id))
+    hits = np.cumsum([e.correct for e in ranked])
+    return [int(hits[k - 1]) / k for k in range(1, len(entries) + 1)]
+
+
+def assert_matches_oracle(entries, query):
+    ref = make_reference(entries)
+    for k, expected in enumerate(oracle_scores(entries, query), start=1):
+        assert neighbor_score(query, ref, k) == expected
+
+
+@st.composite
+def labeled_case(draw, rows, query_elements):
+    """Entries for ``rows`` under shuffled ids, with labels constant or
+    drawn per row, and a query that is one of the rows or drawn afresh."""
+    n, dim = rows.shape
+    if draw(st.booleans()):
+        labels = [draw(st.booleans())] * n
+    else:
+        labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ids = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        query = rows[draw(st.integers(0, n - 1))].copy()
+    else:
+        query = draw(hnp.arrays(np.float64, dim, elements=query_elements))
+    entries = [Entry(f"q{i}", row, bool(c))
+               for i, row, c in zip(ids, rows, labels)]
+    return entries, query
+
+
+GRID = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+UNIT = st.floats(-1.0, 1.0, allow_nan=False, width=64)
+
+
+@st.composite
+def grid_cases(draw):
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 4)))
+    rows = draw(hnp.arrays(np.float64, shape, elements=GRID))
+    return draw(labeled_case(rows, GRID))
+
+
+@st.composite
+def duplicated_cases(draw):
+    dim = draw(st.integers(1, 6))
+    base = draw(hnp.arrays(np.float64, (draw(st.integers(1, 5)), dim),
+                           elements=UNIT))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1,
+                          max_size=30))
+    return draw(labeled_case(base[picks], UNIT))
+
+
+@st.composite
+def sparse_sign_cases(draw, dim=32):
+    """Unit rows with a few +-1 entries, as the hashing embedder makes."""
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        support = draw(st.sets(st.integers(0, dim - 1), min_size=1,
+                               max_size=4))
+        row = np.zeros(dim)
+        for j in support:
+            row[j] = draw(st.sampled_from([-1.0, 1.0]))
+        rows.append(row / np.linalg.norm(row))
+    return draw(labeled_case(np.array(rows), st.sampled_from([-0.5, 0.0, 0.5])))
+
+
+@st.composite
+def scaled_cases(draw):
+    """Row norms spanning 1e-3 to 1e3."""
+    shape = (draw(st.integers(1, 30)), draw(st.integers(1, 6)))
+    rows = draw(hnp.arrays(np.float64, shape, elements=UNIT))
+    scales = draw(hnp.arrays(np.float64, (shape[0], 1),
+                             elements=st.floats(-3.0, 3.0)))
+    return draw(labeled_case(rows * 10.0 ** scales,
+                             st.floats(-1e3, 1e3, allow_nan=False)))
+
+
+class TestNeighborScoreMatchesFullSort:
+    """neighbor_score against an exact sort of every entry, for every k."""
+
+    @given(grid_cases())
+    @settings(deadline=None)
+    def test_integer_grid(self, case):
+        assert_matches_oracle(*case)
+
+    @given(duplicated_cases())
+    @settings(deadline=None)
+    def test_duplicated_rows(self, case):
+        assert_matches_oracle(*case)
+
+    @given(sparse_sign_cases())
+    @settings(deadline=None)
+    def test_sparse_sign_rows(self, case):
+        assert_matches_oracle(*case)
+
+    @given(scaled_cases())
+    @settings(deadline=None)
+    def test_norms_across_six_decades(self, case):
+        assert_matches_oracle(*case)
+
+    def test_norms_too_large_for_the_margin(self):
+        # squared distances overflow to inf and tie, so ids decide
+        rng = np.random.default_rng(5)
+        entries = [Entry(f"q{i}", rng.standard_normal(3) * 1e200,
+                         bool(rng.integers(0, 2))) for i in range(12)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_matches_oracle(entries, rng.standard_normal(3) * 1e200)
+
+    def measured(self, monkeypatch):
+        calls = []
+        exact = recognizer_module._exact_distances
+
+        def spy(embeddings, query):
+            calls.append(len(embeddings))
+            return exact(embeddings, query)
+
+        monkeypatch.setattr(recognizer_module, "_exact_distances", spy)
+        return calls
+
+    def test_label_uniform_tier_is_not_measured(self, monkeypatch):
+        calls = self.measured(monkeypatch)
+        # one nearest entry, then four tied entries of one label
+        entries = [Entry("z", np.array([0.5, 0.0]), False)]
+        for qid, row in (("q3", [2.0, 0.0]), ("q1", [0.0, 2.0]),
+                         ("q2", [-2.0, 0.0]), ("q0", [0.0, -2.0])):
+            entries.append(Entry(qid, np.array(row), True))
+        assert_matches_oracle(entries, np.zeros(2))
+        assert calls == []
+
+    def test_mixed_tier_is_measured(self, monkeypatch):
+        calls = self.measured(monkeypatch)
+        entries = [Entry("z", np.array([0.5, 0.0]), False)]
+        for qid, correct in (("q3", True), ("q1", False), ("q2", True),
+                             ("q0", True)):
+            entries.append(Entry(qid, np.array([0.0, 2.0]), correct))
+        ref = make_reference(entries)
+        assert neighbor_score(np.zeros(2), ref, 3) == 1 / 3  # z, q0, q1
+        # only the four tied entries are measured, not the sure nearest one
+        assert calls == [4]
+
+
+class TestNonFiniteInputs:
+    def test_reference_rejects_nan_and_inf(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            embeddings = np.ones((3, 4))
+            embeddings[1, 2] = bad
+            with pytest.raises(ValueError):
+                NnReferenceSet(["q0", "q1", "q2"], embeddings,
+                               [True, False, True])
+
+    def test_load_rejects_nan(self, tmp_path):
+        path = tmp_path / "ref.jsonl"
+        embeddings = np.ones((2, 4))
+        embeddings[0, 0] = np.nan
+        artifacts.save(path, "nnref", {
+            "provider_fingerprint": None, "question_ids": ["q0", "q1"],
+            "correct": [True, False]}, {"embeddings": embeddings})
+        with pytest.raises(IndexIntegrityError):
+            NnReferenceSet.load(path)
+
+    def test_question_must_be_finite(self):
+        ref = make_reference(reference_entries([1, 0, 1]))
+        for bad in (np.nan, np.inf):
+            query = np.zeros(4)
+            query[3] = bad
+            with pytest.raises(ValueError):
+                neighbor_score(query, ref, 2)
+
+    def test_empty_reference_round_trips(self, tmp_path):
+        llm = ScriptedLlmClient({})
+        ref = build_nn_reference(TestBuildReference().qa(3), llm,
+                                 HashingEmbedder(dim=32, seed=0))
+        assert len(ref) == 0
+        path = tmp_path / "ref.jsonl"
+        ref.save(path)
+        loaded = NnReferenceSet.load(path)
+        assert len(loaded) == 0
+        with pytest.raises(ValueError, match="need >= 1"):
+            neighbor_score(np.zeros(32), loaded, 1)
 
 
 class TestDecide:
