@@ -2,8 +2,12 @@
 
 Two providers ship by default: a seeded feature-hashing bag-of-words embedder
 (no model weights, fully deterministic) and a remote HTTP embedding client.
-The index is an exact cosine scan: vectors are unit-normalized and scored by
-inner product, with ties broken by ascending doc id.
+The index is an exact cosine scan over unit-normalized vectors. A document's
+similarity to a question is defined as the sum, starting from +0.0, of each
+coordinate's separately rounded product ``v_j * q_j``, added in ascending
+coordinate order; equal similarities rank by ascending doc id. So a row's
+similarity depends only on that row and the question, never on where the row
+sits in the index or on how a BLAS routine orders its sums.
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ _WORD_RE = re.compile(r"[a-z0-9]+")
 # this cap the memo holds about 16 MB, so a long-running process cannot
 # grow it with every new question's tokens
 TOKEN_MEMO_SIZE = 1 << 16
+
+# an index with at most this share of nonzero entries is scanned column by
+# column, touching only the coordinates a question has; the hashing
+# embedder's rows fill about 3-9 % of their coordinates
+SPARSE_SHARE = 0.25
 
 
 class EmbeddingProviderError(RuntimeError):
@@ -169,14 +178,19 @@ def document_embedding_text(doc: Document) -> str:
 
 
 class VectorIndex:
-    """Exact-scan dense index. Entries are kept sorted by doc_id so that a
-    stable sort on similarity yields the documented tie-break for free.
+    """Exact-scan dense index. Entries are kept sorted by doc_id, so that
+    ascending row order is the documented tie-break.
 
     ``text_vectors`` holds more rows embedded with the same provider
     (``build_index``: the text of each titled document, in doc-id order).
     ``digests`` gives the ``stable_hash`` of the text each row of
     ``vectors``, then of ``text_vectors``, was embedded from; without them
-    ``StoredVectors`` serves no row of this index."""
+    ``StoredVectors`` serves no row of this index.
+
+    The first search reads how the scan should run from the matrix and keeps
+    it, unsaved: a matrix with at most ``SPARSE_SHARE`` of its entries
+    nonzero gets per-coordinate column lists, any other its largest row
+    norm."""
 
     def __init__(self, doc_ids: Sequence[str], vectors: np.ndarray,
                  provider_fingerprint: str,
@@ -204,33 +218,100 @@ class VectorIndex:
         self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         self.text_vectors = np.ascontiguousarray(text_vectors,
                                                  dtype=np.float64)
+        # search is exact for finite values only; a row's sum is non-finite
+        # when one of its entries is (or when it overflows), so only then is
+        # every entry checked
+        ones = np.ones(self.vectors.shape[1])
+        for matrix in (self.vectors, self.text_vectors):
+            if not np.isfinite(matrix @ ones).all() and \
+                    not np.isfinite(matrix).all():
+                raise ValueError("index vectors must be finite")
         self.digests = None if digests is None else list(digests)
         self.dim = int(self.vectors.shape[1])
         self.provider_fingerprint = provider_fingerprint
+        self._columns: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._max_norm: float | None = None
 
     def __len__(self) -> int:
         return len(self.doc_ids)
 
     def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
+        """The k most similar documents (module docstring), most similar
+        first, ties by ascending doc id: the first k of a stable sort of
+        every row by descending similarity.
+
+        A sparse index sums, for each coordinate the question has, only the
+        rows whose entry there is nonzero: every product it leaves out is
+        +-0, and adding +-0 never changes a sum that starts from +0.0. A
+        dense index sums every product, but only for the rows that one
+        matrix-vector product, under a proven rounding margin, cannot rule
+        out of the top k."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        sims = self.vectors @ np.asarray(query, dtype=np.float64)
-        order = np.argsort(-sims, kind="stable")[:k]
-        return [(self.doc_ids[i], float(sims[i])) for i in order]
+        query = np.asarray(query, dtype=np.float64)
+        if query.shape != (self.dim,):
+            raise ValueError(f"query must have shape ({self.dim},)")
+        if not np.isfinite(query).all():
+            raise ValueError("query must be finite")
+        if self._columns is None and self._max_norm is None:
+            # on the first search, not at load; two threads may both derive
+            # it, and they derive the same
+            if np.count_nonzero(self.vectors) <= \
+                    SPARSE_SHARE * self.vectors.size:
+                self._columns = _column_lists(self.vectors)
+            else:
+                self._max_norm = float(np.sqrt(np.einsum(
+                    "ij,ij->i", self.vectors, self.vectors).max()))
+        if self._columns is not None:
+            rows = np.arange(len(self))
+            sims = np.zeros(len(self))
+            for j in np.flatnonzero(query):
+                column_rows, values = self._columns[j]
+                sims[column_rows] += values * query[j]
+        else:
+            rows = self._dense_candidates(query, k)
+            # cumsum adds in coordinate order; + 0.0 turns a -0.0 first
+            # product into the +0.0 the sum starts from
+            sims = np.cumsum(self.vectors[rows] * query, axis=1)[:, -1] + 0.0
+        top = _top(sims, k)
+        return [(self.doc_ids[row], float(sim))
+                for row, sim in zip(rows[top], sims[top])]
+
+    def _dense_candidates(self, query: np.ndarray, k: int) -> np.ndarray:
+        """Ascending rows that include every row whose similarity is at or
+        above the k-th largest."""
+        margin = _filter_margin(self.dim, self._max_norm,
+                                float(np.sqrt(query @ query)))
+        if k >= len(self) or not np.isfinite(margin):
+            return np.arange(len(self))
+        approx = self.vectors @ query
+        kth = np.partition(approx, len(self) - k)[len(self) - k]
+        return np.flatnonzero(approx >= kth - margin)
 
     def verify_corpus(self, corpus: Corpus) -> None:
-        """Every indexed doc id must name a corpus document, and there must
-        be one text row per titled corpus document."""
-        missing = [doc_id for doc_id in self.doc_ids if doc_id not in corpus]
+        """The index must hold each corpus document exactly once, and one
+        text row per titled corpus document."""
+        indexed = set(self.doc_ids)
+        missing = sorted(indexed.difference(doc.doc_id for doc in corpus))
         if missing:
             raise IndexIntegrityError(
                 f"{len(missing)} indexed doc ids are not in the corpus, "
-                f"e.g. {missing[:3]}")
+                f"e.g. {missing[:3]}; rebuild it")
+        if len(indexed) != len(self):
+            # the ids are sorted, so a repeated id repeats at the next row
+            repeated = [a for a, b in zip(self.doc_ids, self.doc_ids[1:])
+                        if a == b]
+            raise IndexIntegrityError(
+                f"index repeats doc ids, e.g. {repeated[:3]}; rebuild it")
+        if len(self) != len(corpus):
+            raise IndexIntegrityError(
+                f"index has {len(self)} documents, the corpus "
+                f"{len(corpus)}; rebuild it")
         titled = sum(1 for doc in corpus if _titled(doc))
         if len(self.text_vectors) != titled:
             raise IndexIntegrityError(
                 f"index has {len(self.text_vectors)} text vectors, the "
-                f"corpus {titled} titled documents")
+                f"corpus {titled} titled documents; rebuild it")
 
     def save(self, path: str | Path) -> None:
         artifacts.save(path, "index",
@@ -245,9 +326,60 @@ class VectorIndex:
         if "text_vectors" not in arrays or "digests" not in meta:
             raise IndexIntegrityError(
                 f"{path}: index has no text vectors; rebuild it")
-        return cls(meta["doc_ids"], arrays["vectors"],
-                   meta["provider_fingerprint"], arrays["text_vectors"],
-                   meta["digests"])
+        try:
+            return cls(meta["doc_ids"], arrays["vectors"],
+                       meta["provider_fingerprint"], arrays["text_vectors"],
+                       meta["digests"])
+        except ValueError as exc:
+            raise IndexIntegrityError(f"{path}: {exc}") from exc
+
+
+def _column_lists(vectors: np.ndarray
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each coordinate j, the rows whose entry j is nonzero (ascending,
+    int32) and those entries. One column at a time, so that building holds
+    little more memory than the lists it returns."""
+    columns = []
+    for column in vectors.T:
+        rows = np.flatnonzero(column)
+        columns.append((rows.astype(np.int32), column[rows]))
+    return columns
+
+
+def _top(sims: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k largest ``sims``, ties by ascending position: the
+    first k of a stable sort of every position by descending value."""
+    n = len(sims)
+    tied = (np.flatnonzero(sims >= np.partition(sims, n - k)[n - k])
+            if k < n else np.arange(n))
+    return tied[np.argsort(-sims[tied], kind="stable")[:k]]
+
+
+def _filter_margin(dim: int, max_norm: float, query_norm: float) -> float:
+    """A bound M such that every row whose similarity is at or above the
+    k-th largest similarity has ``vectors @ query`` at or above the k-th
+    largest of ``vectors @ query``, less M; inf when a sum could overflow.
+
+    With u = eps/2, B = max ||v|| ||q|| and gamma_n = n u / (1 - n u): a dot
+    product of length n, summed in any order, with or without fused
+    multiply-adds, is off from the exact value by at most gamma_n times the
+    sum of its terms' magnitudes, which is at most ||v|| ||q|| <= B. The
+    BLAS product and the coordinate-order sum are both such dot products, so
+    on any row they differ by at most E = 2 gamma_dim B.
+      - At least k rows have a product at or above its k-th largest, kth,
+        so at least k similarities are >= kth - E, and so is the k-th
+        largest similarity s_k.
+      - A row whose similarity is >= s_k has a product >= s_k - E >=
+        kth - 2 E, where 2 E is about 2 dim eps B.
+    Rounding B and kth - M adds about eps B, and each product that
+    underflows adds up to 2^-1075 to either sum, at most dim of them per
+    sum. M = 4 (dim + 2) (eps B + 2^-1074) covers all of this about twice
+    over. When 2 B is finite, no sum above can overflow."""
+    scale = max_norm * query_norm
+    if not np.isfinite(2.0 * scale):
+        return np.inf
+    eps = np.finfo(np.float64).eps
+    return 4 * (dim + 2) * (eps * scale + np.nextafter(0.0, 1.0))
 
 
 def _titled(doc: Document) -> bool:

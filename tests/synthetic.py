@@ -10,6 +10,9 @@ Three families:
 * a small redundant corpus where each answer sits in one sliding window of a
   12-sentence document (token-reduction tests).
 
+``exact_search`` is the index's documented ranking computed one row at a
+time in plain Python, the oracle for ``VectorIndex.search``.
+
 Everything is seeded; rebuilding with the same arguments gives identical
 objects.
 """
@@ -35,6 +38,20 @@ SHARED_ANSWER = "quixilshared"
 
 _FILLER = ("the archive holds many records about history and trade routes "
            "over centuries of careful note keeping by patient scribes").split()
+
+
+def exact_search(index, query, k):
+    """Top k of ``index`` for ``query``: each row's similarity is the sum,
+    from +0.0, of its separately rounded products in coordinate order,
+    ranked by (-similarity, doc id)."""
+    query = [float(b) for b in query]
+    sims = []
+    for doc_id, row in zip(index.doc_ids, index.vectors.tolist()):
+        total = 0.0
+        for a, b in zip(row, query):
+            total += a * b
+        sims.append((doc_id, total))
+    return sorted(sims, key=lambda pair: (-pair[1], pair[0]))[:k]
 
 
 def _filler_sentence(rng, vocab=None, n=8) -> str:

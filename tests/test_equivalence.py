@@ -2,7 +2,8 @@
 
 The reference implementations below are the per-item originals: every
 (question, text) pair embedded and scored on its own, the NN facet a sort of
-reference entries by per-entry distance, the index a full stable argsort.
+reference entries by per-entry distance, the index a plain-Python sum of
+products per row (``synthetic.exact_search``).
 Over every synthetic corpus the two paths must agree exactly on decisions,
 combination ids, prompt tokens and the evaluation report, and on scores to
 within 1e-9.
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 import leanrag.pipeline as pipeline_module
-from synthetic import (imbalanced_feature_pairs, planted_corpus,
-                       prefix_detector_examples, trained_redundant_setup)
+from synthetic import (exact_search, imbalanced_feature_pairs,
+                       planted_corpus, prefix_detector_examples,
+                       trained_redundant_setup)
 
 from leanrag.corpus import Corpus, generate_subdocuments, make_document
 from leanrag.mlp import sigmoid
@@ -35,9 +37,7 @@ SCORE_TOLERANCE = 1e-9
 def per_item_search(index, query, k):
     if k < 1:
         raise ValueError("k must be >= 1")
-    sims = index.vectors @ np.asarray(query, dtype=np.float64)
-    order = np.argsort(-sims, kind="stable")[:k]
-    return [(index.doc_ids[i], float(sims[i])) for i in order]
+    return exact_search(index, query, k)
 
 
 def per_item_neighbor_score(question_embedding, reference, k):

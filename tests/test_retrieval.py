@@ -3,8 +3,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from synthetic import exact_search
 
 import leanrag.retrieval as retrieval_module
 from leanrag import artifacts
@@ -179,6 +180,21 @@ class TestIndex:
         with pytest.raises(IndexIntegrityError):
             index.verify_corpus(stale)
 
+    def test_document_missing_from_index_detected(self, provider):
+        index = build_index(small_corpus(), provider)
+        grown = Corpus([*small_corpus(),
+                        make_document("d", "", "a document added later")])
+        with pytest.raises(IndexIntegrityError, match="rebuild it"):
+            index.verify_corpus(grown)
+
+    def test_repeated_doc_ids_detected(self, provider):
+        index = build_index(small_corpus(), provider)
+        repeated = VectorIndex(["a", "a", "b", "c"],
+                               np.vstack([index.vectors[:1], index.vectors]),
+                               index.provider_fingerprint)
+        with pytest.raises(IndexIntegrityError, match="repeats"):
+            repeated.verify_corpus(small_corpus())
+
     def test_one_text_row_per_titled_document(self, provider):
         index = build_index(titled_corpus(), provider)
         assert index.text_vectors.tobytes() == provider.embed_many(
@@ -296,6 +312,131 @@ class TestSearch:
             for k in (1, 5, 17, 100, 299, 300):
                 assert index.search(query, k) == \
                     self.full_sort(index, query, k)
+
+
+@st.composite
+def scan_cases(draw, sparse: bool):
+    """An index on the ``sparse`` side of ``SPARSE_SHARE`` and a query:
+    integer grids with heavy ties, +-1 rows or Gaussian rows with norms
+    from 1e-3 to 1e3, some rows copies of others; the query a grid, a
+    Gaussian, zero, or equal to a row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 24))
+    dim = draw(st.integers(4, 12))
+    kind = draw(st.sampled_from(["grid", "signs", "gauss"]))
+    if kind == "grid":
+        vectors = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+    elif kind == "signs":
+        vectors = rng.choice([-1.0, 1.0], size=(n, dim))
+    else:
+        vectors = rng.standard_normal((n, dim)) * \
+            10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    if sparse:  # at most a quarter of each row's entries kept
+        kept = np.zeros((n, dim), dtype=bool)
+        for row in kept:
+            row[rng.choice(dim, rng.integers(0, dim // 4 + 1),
+                           replace=False)] = True
+        vectors = np.where(kept, vectors, 0.0)
+    copies = rng.integers(0, n, size=draw(st.integers(0, n)))
+    vectors[rng.permutation(n)[:len(copies)]] = vectors[copies]
+    assume((np.count_nonzero(vectors) <= retrieval_module.SPARSE_SHARE
+            * vectors.size) == sparse)
+    query_kind = draw(st.sampled_from(["grid", "gauss", "zero", "row"]))
+    if query_kind == "grid":
+        query = rng.integers(-1, 2, size=dim).astype(np.float64)
+    elif query_kind == "gauss":
+        query = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+    elif query_kind == "zero":
+        query = np.zeros(dim)
+    else:
+        query = vectors[rng.integers(n)].copy()
+    ids = [f"d{i:02d}" for i in rng.permutation(n)]
+    return VectorIndex(ids, vectors, "fp"), query
+
+
+class TestExactScan:
+    """``search`` against the plain-Python definition of similarity, on both
+    sides of the sparse threshold, for every k."""
+
+    @staticmethod
+    def check_every_k(index, query):
+        for k in range(1, len(index) + 2):
+            assert index.search(query, k) == exact_search(index, query, k)
+
+    @given(scan_cases(sparse=True))
+    @settings(deadline=None)
+    def test_sparse_index_matches_definition(self, case):
+        index, query = case
+        self.check_every_k(index, query)
+        assert index._columns is not None
+
+    @given(scan_cases(sparse=False))
+    @settings(deadline=None)
+    def test_dense_index_matches_definition(self, case):
+        index, query = case
+        self.check_every_k(index, query)
+        assert index._columns is None
+
+    def test_identical_rows_score_identically_wherever_they_sit(self):
+        # a matrix-vector product may sum the last n mod 4 rows in another
+        # order than the rest, so copies of row 0 placed there drifted
+        rng = np.random.default_rng(11)
+        vectors = rng.standard_normal((23, 64))
+        vectors[20:] = vectors[0]
+        index = VectorIndex([f"d{i:02d}" for i in range(23)], vectors, "fp")
+        for _ in range(200):
+            query = rng.standard_normal(64)
+            got = index.search(query, 23)
+            sims = dict(got)
+            assert sims["d00"] == sims["d20"] == sims["d21"] == sims["d22"]
+            assert got == exact_search(index, query, 23)
+
+    def test_column_lists_built_on_first_search_only(self, tmp_path,
+                                                     provider, monkeypatch):
+        builds = []
+        build = retrieval_module._column_lists
+
+        def spy(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(retrieval_module, "_column_lists", spy)
+        index = build_index(small_corpus(), provider)
+        index.save(tmp_path / "index")
+        loaded = VectorIndex.load(tmp_path / "index")
+        assert builds == []
+        query = provider.embed("cats and dogs")
+        assert loaded.search(query, 3) == loaded.search(query, 3) == \
+            exact_search(loaded, query, 3)
+        assert len(builds) == 1
+        dense = VectorIndex(["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]),
+                            "fp")
+        assert dense.search(np.array([1.0, 1.0]), 1) == [("b", 7.0)]
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_refused(self, tmp_path, bad):
+        vectors = np.eye(3)
+        vectors[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            VectorIndex(["a", "b", "c"], vectors, "fp")
+        with pytest.raises(ValueError, match="finite"):
+            VectorIndex(["a", "b", "c"], np.eye(3), "fp", vectors)
+        path = tmp_path / "index"
+        artifacts.save(path, "index",
+                       {"doc_ids": ["a", "b", "c"], "digests": None,
+                        "provider_fingerprint": "fp"},
+                       {"vectors": vectors, "text_vectors": np.eye(3)})
+        with pytest.raises(IndexIntegrityError, match="finite"):
+            VectorIndex.load(path)
+        index = VectorIndex(["a", "b", "c"], np.eye(3), "fp")
+        with pytest.raises(ValueError, match="finite"):
+            index.search(np.array([1.0, bad, 0.0]), 2)
+
+    def test_query_of_wrong_width_refused(self):
+        index = VectorIndex(["a", "b"], np.eye(2), "fp")
+        with pytest.raises(ValueError, match="shape"):
+            index.search(np.ones(3), 1)
 
 
 class TestRetrieve:
