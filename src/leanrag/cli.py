@@ -59,10 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--learning-rate", type=float, default=3e-4)
-    p.add_argument("--hyper-step-size", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--learning-rate", type=float,
+                   default=TrainConfig.learning_rate)
+    p.add_argument("--hyper-step-size", type=float,
+                   default=TrainConfig.hyper_step_size)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
 
     p = sub.add_parser("build-nn-ref",
                        help="label questions by no-retrieval correctness")
@@ -81,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--learning-rate", type=float,
+                   default=DetectorTrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=DetectorTrainConfig.epochs)
 
     p = sub.add_parser("query", help="answer one question, print the trace")
     _add_common(p)

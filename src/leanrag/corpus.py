@@ -34,6 +34,9 @@ _ABBREVIATIONS = frozenset({
 # or another initial ("K.").
 _NAME_NEXT_RE = re.compile(r"[A-Z](?:[a-z]|\.)")
 
+# sentences per sub-document window, the paper's three-sentence window
+WINDOW = 3
+
 
 class CorpusFormatError(ValueError):
     """A corpus or QA file line could not be parsed."""
@@ -235,38 +238,23 @@ def contains_answer(text: str, gold_answers: Iterable[str]) -> bool:
     return False
 
 
-def generate_subdocuments(doc: Document, window: int = 3,
-                          stride: int = 1) -> list[SubDocument]:
-    """Slice ``doc`` into sliding sentence windows.
+def generate_subdocuments(doc: Document) -> list[SubDocument]:
+    """Slice ``doc`` into sliding windows of ``WINDOW`` sentences, stride 1.
 
-    With S >= window sentences and stride 1 this yields S - window + 1
-    sub-documents; shorter documents yield a single whole-document slice.
-    Every sentence is covered by at least one sub-document: a tail window is
-    appended when the stride skips past the end, and a stride larger than
-    the window is capped to the window size.
+    With S >= WINDOW sentences this yields S - WINDOW + 1 sub-documents;
+    shorter documents yield a single whole-document slice. Either way every
+    sentence is covered by at least one sub-document.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    stride = min(stride, window)
     texts = doc.sentence_texts()
     total = len(texts)
     if total == 0:
         raise ValueError(f"document {doc.doc_id!r} has no sentences")
-    if total <= window:
-        starts = [0]
-        size = total
-    else:
-        starts = list(range(0, total - window + 1, stride))
-        if starts[-1] != total - window:
-            starts.append(total - window)
-        size = window
+    size = min(total, WINDOW)
     # count_tokens is additive over the joins, so a window's count is the
     # sum of its sentences'
     tokens = doc.sentence_tokens
     out = []
-    for start in starts:
+    for start in range(total - size + 1):
         out.append(SubDocument(
             parent_doc_id=doc.doc_id,
             start_sentence=start,
@@ -312,7 +300,7 @@ def load_corpus(path: str | Path) -> Corpus:
 
 def load_qa(path: str | Path) -> list[QARecord]:
     """Read a JSONL QA set ({"question_id", "question", "answers"} per line)."""
-    records: list[QARecord] = []
+    records: dict[str, QARecord] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -322,12 +310,16 @@ def load_qa(path: str | Path) -> list[QARecord]:
             answers = record["answers"]
             if not isinstance(answers, list) or not answers:
                 raise CorpusFormatError(path, line_no, "answers must be a non-empty list")
-            records.append(QARecord(
-                question_id=str(record["question_id"]),
+            question_id = str(record["question_id"])
+            if question_id in records:
+                raise CorpusFormatError(
+                    path, line_no, f"duplicate question_id {question_id!r}")
+            records[question_id] = QARecord(
+                question_id=question_id,
                 question=str(record["question"]),
                 gold_answers=frozenset(str(a) for a in answers),
-            ))
-    return records
+            )
+    return list(records.values())
 
 
 def _parse_record(path: str | Path, line_no: int, line: str,

@@ -148,12 +148,12 @@ class ScriptedLlmClient:
         self.transcript: list[tuple[str, str]] = []
 
     @classmethod
-    def from_script_file(cls, path: str | Path,
+    def from_script_file(cls, script_path: str | Path,
                          default_answer: str | None = None) -> "ScriptedLlmClient":
         """Load a JSONL script: {"match": {"question"|"pattern"}, "answer"}."""
         by_question: dict[str, str] = {}
         patterns: list[tuple[str, str]] = []
-        with open(path, encoding="utf-8") as handle:
+        with open(script_path, encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
@@ -161,10 +161,10 @@ class ScriptedLlmClient:
                     entry = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(
-                        f"{path}:{line_no}: not JSON ({exc.msg})") from exc
+                        f"{script_path}:{line_no}: not JSON ({exc.msg})") from exc
                 if not isinstance(entry, dict) or "answer" not in entry:
                     raise ValueError(
-                        f"{path}:{line_no}: entry needs an 'answer'")
+                        f"{script_path}:{line_no}: entry needs an 'answer'")
                 match = entry.get("match", {})
                 answer = entry["answer"]
                 if "question" in match:
@@ -172,8 +172,8 @@ class ScriptedLlmClient:
                 elif "pattern" in match:
                     patterns.append((match["pattern"], answer))
                 else:
-                    raise ValueError(
-                        f"{path}:{line_no}: match needs 'question' or 'pattern'")
+                    raise ValueError(f"{script_path}:{line_no}: match needs "
+                                     "'question' or 'pattern'")
         return cls(by_question, patterns, default_answer)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
@@ -214,6 +214,14 @@ class HttpLlmClient:
                  backoff: float = 0.5, max_tokens: int = 256,
                  token_env: str = "LEANRAG_LLM_TOKEN",
                  session=None, sleep=time.sleep):
+        if not timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {timeout!r}")
+        if not isinstance(retries, int) or retries < 0:
+            raise ValueError(f"retries must be an int >= 0, got {retries!r}")
+        if not backoff >= 0:
+            raise ValueError(f"backoff must be >= 0, got {backoff!r}")
+        if not isinstance(max_tokens, int) or max_tokens < 1:
+            raise ValueError(f"max_tokens must be an int >= 1: {max_tokens!r}")
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries

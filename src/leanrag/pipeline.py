@@ -14,7 +14,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -63,7 +63,7 @@ class PipelineConfig:
     top_retrieve: int = 100
     top_rerank: int = 10
     template: str = "comprehensive"
-    provider: dict = field(default_factory=lambda: {"kind": "hash", "dim": 256})
+    provider: dict = field(default_factory=lambda: {"kind": "hash"})
     recognizer: dict = field(default_factory=dict)
     llm: dict = field(default_factory=dict)
     templates: dict = field(default_factory=dict)
@@ -74,11 +74,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return _construct(str(path), cls, data)
 
 
 @dataclass
@@ -110,31 +106,28 @@ class PipelineContext:
             raise ValueError(
                 f"scorer embeds with {actual!r} but the retriever "
                 f"embeds with {expected!r}")
-        _check_template(self.template_name, self.templates)
+        if self.template_name not in self.templates:
+            raise ValueError(f"unknown template {self.template_name!r}; "
+                             f"known templates: {sorted(self.templates)}")
         _check_rerank(self.top_rerank, self.top_retrieve)
+        if not isinstance(self.max_workers, int) or self.max_workers < 1:
+            raise ValueError("max_workers (llm.concurrency) must be an int "
+                             f">= 1, got {self.max_workers!r}")
         k = self.recognizer_config.k_neighbors
         if self.nn_reference is not None and len(self.nn_reference) < k:
             raise IndexIntegrityError(
                 f"NN reference has {len(self.nn_reference)} entries, fewer "
                 f"than k_neighbors={k}")
+        # greedy_filter reads only the first detector.max_docs documents
+        if self.detector is not None and \
+                self.detector.max_docs < self.top_rerank:
+            raise IndexIntegrityError(
+                f"detector takes {self.detector.max_docs} documents, fewer "
+                f"than top_rerank={self.top_rerank}; rebuild it")
         # candidates and windows read the vectors set-up stored with the
         # index instead of embedding them again
         if isinstance(self.scorer, ScorerModel) and self.retriever is not None:
             self.scorer = replace(self.scorer, stored=self.retriever.stored)
-
-
-def _template_overrides(overrides: Mapping) -> dict[str, PromptTemplate]:
-    templates = dict(DEFAULT_TEMPLATES)
-    for name, spec in overrides.items():
-        base = templates.get(name, PromptTemplate(name=name, instruction=""))
-        templates[name] = PromptTemplate(
-            name=name,
-            instruction=spec.get("instruction", base.instruction),
-            passage_header=spec.get("passage_header", base.passage_header),
-            passage_line=spec.get("passage_line", base.passage_line),
-            question_line=spec.get("question_line", base.question_line),
-            suffix=spec.get("suffix", base.suffix))
-    return templates
 
 
 def _check_rerank(top_rerank: int, top_retrieve: int) -> None:
@@ -143,42 +136,33 @@ def _check_rerank(top_rerank: int, top_retrieve: int) -> None:
                          f"{top_rerank} and {top_retrieve}")
 
 
-def _check_template(name: str, templates: Mapping) -> None:
-    if name not in templates:
-        raise ValueError(f"unknown template {name!r}; known templates: "
-                         f"{sorted(templates)}")
+def _construct(section: str, make, spec: Mapping):
+    """``make(**spec)``: a config section goes to the constructor that
+    defines its keys, so each default lives in that constructor and an
+    unknown or missing key is a ``ValueError`` naming the section."""
+    try:
+        return make(**spec)
+    except TypeError as exc:
+        raise ValueError(f"config {section!r}: {exc}") from exc
+
+
+def _construct_kind(section: str, spec: Mapping, **kinds):
+    rest = dict(spec)
+    kind = rest.pop("kind", None)
+    if kind not in kinds:
+        raise ValueError(f"config {section!r}: unknown kind {kind!r}; "
+                         f"known kinds: {sorted(kinds)}")
+    return _construct(section, kinds[kind], rest)
 
 
 def build_provider(spec: Mapping):
-    kind = spec.get("kind", "hash")
-    if kind == "hash":
-        return HashingEmbedder(dim=int(spec.get("dim", 256)),
-                               seed=int(spec.get("seed", 0)))
-    if kind == "remote":
-        return RemoteEmbedder(endpoint=spec["endpoint"], dim=int(spec["dim"]),
-                              timeout=float(spec.get("timeout", 30.0)),
-                              token_env=spec.get("token_env",
-                                                 "LEANRAG_EMBED_TOKEN"))
-    raise ValueError(f"unknown provider kind {kind!r}")
+    return _construct_kind("provider", spec, hash=HashingEmbedder,
+                           remote=RemoteEmbedder)
 
 
 def build_llm_client(spec: Mapping) -> LlmClient:
-    kind = spec.get("kind", "mock")
-    if kind == "mock":
-        path = spec.get("script_path")
-        if path is None:
-            raise ValueError("mock llm config needs script_path")
-        return ScriptedLlmClient.from_script_file(
-            path, default_answer=spec.get("default_answer"))
-    if kind == "remote":
-        return HttpLlmClient(endpoint=spec["endpoint"],
-                             timeout=float(spec.get("timeout", 60.0)),
-                             retries=int(spec.get("retries", 2)),
-                             backoff=float(spec.get("backoff", 0.5)),
-                             max_tokens=int(spec.get("max_tokens", 256)),
-                             token_env=spec.get("token_env",
-                                                "LEANRAG_LLM_TOKEN"))
-    raise ValueError(f"unknown llm kind {kind!r}")
+    return _construct_kind("llm", spec, remote=HttpLlmClient,
+                           mock=ScriptedLlmClient.from_script_file)
 
 
 def load_pipeline(config: PipelineConfig,
@@ -192,8 +176,18 @@ def load_pipeline(config: PipelineConfig,
     unknown = require - set(ARTIFACTS)
     if unknown:
         raise ValueError(f"unknown artifacts: {sorted(unknown)}")
+    # config sections before artifacts: a typo must not wait for a corpus parse
     provider = build_provider(config.provider)
-    recognizer_config = RecognizerConfig(**config.recognizer)
+    recognizer_config = _construct("recognizer", RecognizerConfig,
+                                   config.recognizer)
+    templates = dict(DEFAULT_TEMPLATES)
+    for name, spec in config.templates.items():
+        base = asdict(templates[name]) if name in templates else {}
+        templates[name] = _construct(f"templates.{name}", PromptTemplate,
+                                     {**base, **spec, "name": name})
+    llm_spec = dict(config.llm)
+    max_workers = llm_spec.pop("concurrency", PipelineContext.max_workers)
+    llm = build_llm_client(llm_spec) if "llm" in require else None
 
     def _read(name: str, path: str | None, load):
         if name not in require:
@@ -224,16 +218,14 @@ def load_pipeline(config: PipelineConfig,
         check_provider("NN reference", nn_reference.provider_fingerprint,
                        nn_reference.embeddings.shape[1]
                        if len(nn_reference) else None, provider)
-
-    llm = build_llm_client(config.llm) if "llm" in require else None
     return PipelineContext(
         retriever=retriever, scorer=scorer,
         recognizer_config=recognizer_config,
         llm=llm, detector=detector, nn_reference=nn_reference,
-        templates=_template_overrides(config.templates),
+        templates=templates,
         top_retrieve=config.top_retrieve, top_rerank=config.top_rerank,
         template_name=config.template, seed=config.seed,
-        max_workers=int(config.llm.get("concurrency", 1)) if config.llm else 1)
+        max_workers=max_workers)
 
 
 @dataclass
@@ -280,8 +272,7 @@ def _whole_doc_combination(reranked: Sequence[RerankedDoc]
 
 
 def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
-                         ablations: frozenset[str] = frozenset(),
-                         template_name: str | None = None):
+                         ablations: frozenset[str] = frozenset()):
     if isinstance(qa, str):
         record: QARecord | None = None
         question = qa
@@ -290,7 +281,7 @@ def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
         record = qa
         question = qa.question
         question_id = qa.question_id
-    template = ctx.templates[template_name or ctx.template_name]
+    template = ctx.templates[ctx.template_name]
     timings: dict[str, float] = {}
 
     def _timed(stage: str, fn, *args, **kwargs):
@@ -357,9 +348,8 @@ def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
 
 
 def answer_question(qa: QARecord | str, ctx: PipelineContext,
-                    ablations: Iterable[str] = (),
-                    template_name: str | None = None) -> AnswerTrace:
-    trace, _ = _answer_with_details(qa, ctx, frozenset(ablations), template_name)
+                    ablations: Iterable[str] = ()) -> AnswerTrace:
+    trace, _ = _answer_with_details(qa, ctx, frozenset(ablations))
     return trace
 
 
@@ -438,15 +428,15 @@ def evaluate(qa_set: Sequence[QARecord], ctx: PipelineContext,
                if a not in KNOWN_ABLATIONS and not a.startswith("template=")}
     if unknown:
         raise ValueError(f"unknown ablations: {sorted(unknown)}")
-    template_name = None
+    # a template flag runs on a copy, so sub-reports keep ctx's template
+    run_ctx = ctx
     for flag in ablations:
         if flag.startswith("template="):
-            template_name = flag.split("=", 1)[1]
-            _check_template(template_name, ctx.templates)
+            run_ctx = replace(ctx, template_name=flag.split("=", 1)[1])
 
     def _one(qa: QARecord):
         try:
-            return _answer_with_details(qa, ctx, ablations, template_name)
+            return _answer_with_details(qa, run_ctx, ablations)
         except PipelineStageError as exc:
             if isinstance(exc.cause, (LlmTransportError, EmbeddingProviderError)):
                 logger.warning("excluding %s: %s", qa.question_id, exc)
@@ -503,7 +493,7 @@ def evaluate(qa_set: Sequence[QARecord], ctx: PipelineContext,
         retrieval_skip_rate=skip_rate, n_questions=len(qa_set),
         n_excluded=len(excluded), excluded_question_ids=excluded,
         ablations=sorted(ablations),
-        template=template_name or ctx.template_name, seed=ctx.seed,
+        template=run_ctx.template_name, seed=ctx.seed,
         per_question=per_question)
 
     for name, flags in (ablation_suites or {}).items():

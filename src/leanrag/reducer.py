@@ -257,8 +257,8 @@ def skyline_filter(scored: Sequence[tuple[float, float]]) -> list[int]:
 
 def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
                            scorer: ScorerModel, llm: LlmClient,
-                           max_docs: int = 10, top_retrieve: int = 100,
-                           samples_per_question: int = 200, seed: int = 0,
+                           max_docs: int, top_retrieve: int,
+                           samples_per_question: int, seed: int,
                            template: PromptTemplate | None = None,
                            no_retrieve_template: PromptTemplate | None = None
                            ) -> list[DetectorExample]:

@@ -69,11 +69,13 @@ class HashingEmbedder:
     """
 
     def __init__(self, dim: int = 256, seed: int = 0):
-        if dim < 2:
-            raise ValueError("dim must be >= 2")
+        if not isinstance(dim, int) or dim < 2:
+            raise ValueError(f"dim must be an int >= 2, got {dim!r}")
+        if not isinstance(seed, int) or not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
         self.dim = dim
         self.seed = seed
-        self._key = int(seed).to_bytes(8, "little", signed=False)
+        self._key = seed.to_bytes(8, "little")
         self.fingerprint = f"hash-bow:v1:dim={dim}:seed={seed}"
         self._slot = functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)(
             self._token_slot)
@@ -119,6 +121,10 @@ class RemoteEmbedder:
 
     def __init__(self, endpoint: str, dim: int, timeout: float = 30.0,
                  token_env: str = "LEANRAG_EMBED_TOKEN", session=None):
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"dim must be an int >= 1, got {dim!r}")
+        if not timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {timeout!r}")
         self.endpoint = endpoint
         self.dim = dim
         self.timeout = timeout
@@ -461,7 +467,7 @@ class Retriever:
         self.provider = provider
         self.stored = StoredVectors(corpus, index)
 
-    def retrieve(self, question: str, k: int = 100,
+    def retrieve(self, question: str, k: int,
                  query_embedding: np.ndarray | None = None) -> list[RetrievedDoc]:
         """Top-k documents by cosine similarity, rank 1 first.
         ``query_embedding`` reuses the question's vector when the caller

@@ -155,7 +155,7 @@ def annotate_training_pair(qa: QARecord, doc: Document, llm: LlmClient,
 
 
 def build_training_set(qa_records: Sequence[QARecord], retriever: Retriever,
-                       llm: LlmClient, per_question_k: int = 50,
+                       llm: LlmClient, per_question_k: int,
                        template: PromptTemplate | None = None) -> TrainingSet:
     """Retrieve top-k documents per question and annotate every pair.
 

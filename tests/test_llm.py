@@ -198,6 +198,15 @@ class TestHttpClient:
         with pytest.raises(LlmTransportError):
             client.complete(self.request())
 
+    @pytest.mark.parametrize("setting", [
+        {"timeout": 0}, {"retries": -1}, {"retries": 1.5}, {"backoff": -0.5},
+        {"max_tokens": 0}, {"max_tokens": 2.5},
+    ])
+    def test_bad_setting_rejected(self, setting):
+        # retries=-1 once sent no request and failed "after 0 attempts"
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            HttpLlmClient("http://llm", session=FakeSession([]), **setting)
+
     def test_request_body_shape(self):
         session = FakeSession([FakeResponse({"text": "ok"})])
         client = HttpLlmClient("http://llm", max_tokens=128, session=session)

@@ -101,7 +101,7 @@ class TestAnswerQuestion:
         ctx = make_ctx(setup, detector)
         q = setup[1][0]
         comprehensive = answer_question(q, ctx)
-        simple = answer_question(q, ctx, template_name="simple")
+        simple = answer_question(q, replace(ctx, template_name="simple"))
         assert simple.prompt_tokens != comprehensive.prompt_tokens
 
 
@@ -249,7 +249,7 @@ class TestLoadIntegrity:
 
     def test_unknown_recognizer_key_rejected(self, config):
         config.recognizer = {"s_N": 0.5}  # a typo of s_n
-        with pytest.raises(TypeError, match="s_N"):
+        with pytest.raises(ValueError, match="s_N"):
             load_pipeline(config, require=("corpus",))
 
     def test_nn_reference_smaller_than_k_rejected(self, config):
@@ -259,6 +259,35 @@ class TestLoadIntegrity:
         with pytest.raises(IndexIntegrityError,
                            match="1 entries, fewer than k_neighbors=10"):
             load_pipeline(config, require=("nn_ref",))
+
+    @pytest.mark.parametrize("section, spec, key", [
+        ("provider", {"kind": "hash", "dimm": 128}, "dimm"),
+        ("provider", {"kind": "remote", "dim": 4}, "endpoint"),
+        ("provider", {"kind": "mystery"}, "mystery"),
+        ("llm", {"kind": "mock", "script_path": "s.jsonl", "concurency": 8},
+         "concurency"),
+        ("llm", {"kind": "mock"}, "script_path"),
+        ("llm", {"kind": "remote"}, "endpoint"),
+        ("llm", {"kind": "oracle"}, "oracle"),
+        ("templates", {"simple": {"instructions": "Answer."}}, "instructions"),
+        ("templates", {"terse": {"suffix": "A:"}}, "instruction"),
+        ("recognizer", {"s_N": 0.5}, "s_N"),
+    ])
+    def test_config_fault_named_before_any_artifact_is_read(
+            self, config, monkeypatch, section, spec, key):
+        def refuse(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(leanrag.pipeline, "load_corpus", refuse)
+        setattr(config, section, spec)
+        with pytest.raises(ValueError, match=rf"'{section}.*{key}"):
+            load_pipeline(config, require=("corpus", "llm"))
+
+    @pytest.mark.parametrize("concurrency", ["8", 0, 2.5])
+    def test_bad_concurrency_rejected(self, config, concurrency):
+        config.llm = {"concurrency": concurrency}
+        with pytest.raises(ValueError, match="llm.concurrency"):
+            load_pipeline(config, require=())
 
     def test_unknown_template_rejected(self, config):
         config.template = "nope"
@@ -313,6 +342,13 @@ class TestContextChecks:
                            match="4 entries, fewer than k_neighbors=5"):
             make_ctx(setup, detector,
                      recognizer_config=RecognizerConfig(k_neighbors=5))
+
+    def test_detector_narrower_than_rerank_rejected(self, setup):
+        # its greedy filter would read only the first 5 of 10 documents
+        narrow = DetectorModel(max_docs=5, hidden_sizes=(4,))
+        with pytest.raises(IndexIntegrityError,
+                           match="5 documents, fewer than top_rerank=10"):
+            make_ctx(setup, narrow, top_rerank=10)
 
 
 class TestEvaluate:

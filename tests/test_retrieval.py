@@ -48,6 +48,15 @@ class TestHashingEmbedder:
         with pytest.raises(ValueError):
             provider.embed("   ")
 
+    @pytest.mark.parametrize("setting", [
+        {"dim": 1}, {"dim": 128.9}, {"dim": "128"}, {"seed": -1},
+        {"seed": 1.5}, {"seed": 1 << 64},
+    ])
+    def test_bad_setting_rejected(self, setting):
+        # seed 1.5 once hashed like seed 1 under another fingerprint
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            HashingEmbedder(**setting)
+
     def test_seed_changes_embedding(self):
         a = HashingEmbedder(dim=64, seed=1).embed("hello world")
         b = HashingEmbedder(dim=64, seed=2).embed("hello world")
@@ -122,6 +131,14 @@ class TestRemoteEmbedder:
         with pytest.raises(EmbeddingProviderError) as excinfo:
             remote.embed("hello")
         assert excinfo.value.retryable
+
+    @pytest.mark.parametrize("setting", [
+        {"dim": 0}, {"dim": 2.5}, {"timeout": 0}, {"timeout": -1.0},
+    ])
+    def test_bad_setting_rejected(self, setting):
+        kwargs = {"dim": 2, **setting}
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            RemoteEmbedder("http://emb", session=FakeSession([]), **kwargs)
 
     def test_dimension_mismatch_rejected(self):
         session = FakeSession([FakeResponse({"embeddings": [[1.0, 2.0, 3.0]]})])
