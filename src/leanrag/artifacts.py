@@ -1,10 +1,12 @@
 """On-disk format of every saved artifact.
 
-A file is one JSON header line followed by the artifact's float arrays, each
-written with ``np.save``. The header carries the format name, the format
-version, any provider fingerprint and the small fields (ids, labels, seeds,
-layer sizes, thresholds); its ``arrays`` entry names the arrays in payload
-order. Saving the same object twice writes the same bytes.
+A file is one JSON header line followed by the artifact's arrays, each
+written with ``np.save``: an ``int32``, ``int64`` or ``uint64`` array keeps
+its dtype, every other array is written as float64. The header carries the
+format name, the format version, any provider fingerprint and the small
+fields (ids, labels, seeds, layer sizes, thresholds); its ``arrays`` entry
+names the arrays in payload order. Saving the same object twice writes the
+same bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from typing import Mapping
 import numpy as np
 
 VERSION = 2
+
+# the integer dtypes an array keeps on disk; load accepts these and float64
+INTEGER_DTYPES = frozenset(
+    np.dtype(t) for t in (np.int32, np.int64, np.uint64))
 
 
 class IndexIntegrityError(RuntimeError):
@@ -33,14 +39,16 @@ def save(path: str | Path, kind: str, meta: Mapping,
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for array in arrays.values():
-            np.save(handle, np.asarray(array, dtype=np.float64),
-                    allow_pickle=False)
+            array = np.asarray(array)
+            if array.dtype not in INTEGER_DTYPES:
+                array = np.asarray(array, dtype=np.float64)
+            np.save(handle, array, allow_pickle=False)
 
 
 def load(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, arrays by name) of a ``kind`` file. A file of another format
-    or version, a bad header, or a short, corrupt or overlong payload raises
-    ``IndexIntegrityError``."""
+    or version, a bad header, an array of a dtype ``save`` never writes, or
+    a short, corrupt or overlong payload raises ``IndexIntegrityError``."""
     expected = f"leanrag-{kind}"
     with open(path, "rb") as handle:
         try:
@@ -60,6 +68,10 @@ def load(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
             except (ValueError, EOFError) as exc:
                 raise IndexIntegrityError(
                     f"{path}: array {name!r} unreadable: {exc}") from exc
+            dtype = arrays[name].dtype
+            if dtype != np.float64 and dtype not in INTEGER_DTYPES:
+                raise IndexIntegrityError(
+                    f"{path}: array {name!r} has dtype {dtype}")
         if handle.read(1):
             raise IndexIntegrityError(f"{path}: data after the last array")
     return header, arrays

@@ -21,7 +21,10 @@ logger = logging.getLogger(__name__)
 Span = tuple[int, int]
 
 _PUNCT = set(string.punctuation)
-_TERMINATORS = ".!?"
+
+# a candidate sentence end: a terminator followed by whitespace or the end
+# of the text (``\s`` and ``str.isspace`` agree on every code point)
+_END_RE = re.compile(r"[.!?](?=\s|\Z)")
 
 # Trailing periods of these never end a sentence, even at sentence start
 # ("Mr. J. Smith won." is one sentence).
@@ -140,27 +143,25 @@ def split_sentences(text: str) -> list[Span]:
     name-like word ("J. Smith"). Text without any terminator is one span.
     """
     spans: list[Span] = []
-    n = len(text)
-    span_start = _next_nonspace(text, 0)
-    i = span_start
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINATORS and (i + 1 >= n or text[i + 1].isspace()):
-            if ch == "." and _is_guarded_period(text, i):
-                i += 1
-                continue
-            spans.append((span_start, i + 1))
-            span_start = _next_nonspace(text, i + 1)
-            i = span_start
+    start = _next_nonspace(text, 0)
+    for match in _END_RE.finditer(text):
+        mark = match.start()
+        if text[mark] == "." and _is_guarded_period(text, mark):
             continue
-        i += 1
-    if span_start < n:
-        end = n
-        while end > span_start and text[end - 1].isspace():
-            end -= 1
-        if end > span_start:
-            spans.append((span_start, end))
+        spans.append((start, mark + 1))
+        start = _next_nonspace(text, mark + 1)
+    end = len(text.rstrip())
+    if end > start:
+        spans.append((start, end))
     return spans
+
+
+def max_sentences(text: str) -> int:
+    """An upper bound on ``len(split_sentences(text))`` that splits
+    nothing: every sentence ends at a candidate end, except a last
+    sentence when the text does not end in a terminator."""
+    ends = len(_END_RE.findall(text))
+    return ends if text.rstrip().endswith((".", "!", "?")) else ends + 1
 
 
 def _next_nonspace(text: str, pos: int) -> int:
@@ -238,6 +239,14 @@ def contains_answer(text: str, gold_answers: Iterable[str]) -> bool:
     return False
 
 
+def window_texts(doc: Document) -> list[str]:
+    """The text of each ``generate_subdocuments`` window, in order."""
+    texts = doc.sentence_texts()
+    size = min(len(texts), WINDOW)
+    return [" ".join(texts[start:start + size])
+            for start in range(len(texts) - size + 1)]
+
+
 def generate_subdocuments(doc: Document) -> list[SubDocument]:
     """Slice ``doc`` into sliding windows of ``WINDOW`` sentences, stride 1.
 
@@ -245,24 +254,17 @@ def generate_subdocuments(doc: Document) -> list[SubDocument]:
     shorter documents yield a single whole-document slice. Either way every
     sentence is covered by at least one sub-document.
     """
-    texts = doc.sentence_texts()
-    total = len(texts)
+    total = doc.sentence_count
     if total == 0:
         raise ValueError(f"document {doc.doc_id!r} has no sentences")
     size = min(total, WINDOW)
     # count_tokens is additive over the joins, so a window's count is the
     # sum of its sentences'
     tokens = doc.sentence_tokens
-    out = []
-    for start in range(total - size + 1):
-        out.append(SubDocument(
-            parent_doc_id=doc.doc_id,
-            start_sentence=start,
-            sentence_count=size,
-            text=" ".join(texts[start:start + size]),
-            token_count=sum(tokens[start:start + size]),
-        ))
-    return out
+    return [SubDocument(parent_doc_id=doc.doc_id, start_sentence=start,
+                        sentence_count=size, text=text,
+                        token_count=sum(tokens[start:start + size]))
+            for start, text in enumerate(window_texts(doc))]
 
 
 def whole_document_subdoc(doc: Document) -> SubDocument:

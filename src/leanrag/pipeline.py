@@ -136,10 +136,20 @@ def _check_rerank(top_rerank: int, top_retrieve: int) -> None:
                          f"{top_rerank} and {top_retrieve}")
 
 
+# constructor parameters through which tests pass fakes of the remote
+# clients' HTTP session and sleep; no config may set them
+INJECTED = frozenset({"session", "sleep"})
+
+
 def _construct(section: str, make, spec: Mapping):
     """``make(**spec)``: a config section goes to the constructor that
     defines its keys, so each default lives in that constructor and an
-    unknown or missing key is a ``ValueError`` naming the section."""
+    unknown or missing key, or one in ``INJECTED``, is a ``ValueError``
+    naming the section."""
+    injected = sorted(INJECTED.intersection(spec))
+    if injected:
+        raise ValueError(f"config {section!r}: {injected[0]!r} cannot be "
+                         "set from a config")
     try:
         return make(**spec)
     except TypeError as exc:

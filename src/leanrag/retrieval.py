@@ -15,8 +15,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import logging
+import math
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
@@ -25,7 +25,8 @@ import numpy as np
 
 from . import artifacts
 from .artifacts import IndexIntegrityError
-from .corpus import Corpus, Document, contains_answer
+from .corpus import (WINDOW, Corpus, Document, contains_answer,
+                     max_sentences, window_texts)
 from .seeds import stable_hash
 
 logger = logging.getLogger(__name__)
@@ -33,11 +34,15 @@ logger = logging.getLogger(__name__)
 # appended to the provider fingerprint: documents are embedded as "title. text"
 INDEX_FIELDS = "|fields=title+text"
 
-_WORD_RE = re.compile(r"[a-z0-9]+")
+# every byte but a-z and 0-9 becomes a space, so that a token is a run of
+# [a-z0-9] (any other character encodes as "?")
+_SEPARATORS = bytes(
+    byte if chr(byte) in "abcdefghijklmnopqrstuvwxyz0123456789" else 32
+    for byte in range(256))
 
-# distinct tokens whose (bucket, sign) one HashingEmbedder remembers; at
-# this cap the memo holds about 16 MB, so a long-running process cannot
-# grow it with every new question's tokens
+# distinct tokens whose slot (bucket and sign) one HashingEmbedder
+# remembers; at this cap the memo holds about 16 MB, so a long-running
+# process cannot grow it with every new question's tokens
 TOKEN_MEMO_SIZE = 1 << 16
 
 # an index with at most this share of nonzero entries is scanned column by
@@ -84,31 +89,37 @@ class HashingEmbedder:
         return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        """Row i is the unit vector of text i's token counts, each token
+        adding +1 or -1 in its bucket. The counts are whole numbers, so
+        their sums and squared norm are exact in any order."""
+        dim = self.dim
+        out = np.empty((len(texts), dim))
         for row, text in enumerate(texts):
-            stripped = text.strip()
-            if not stripped:
+            lowered = text.strip().lower()
+            if not lowered:
                 raise ValueError("cannot embed empty text")
-            vec = out[row]
-            for token in _WORD_RE.findall(stripped.lower()):
-                bucket, sign = self._slot(token)
-                vec[bucket] += sign
-            norm = np.linalg.norm(vec)
-            if norm == 0.0:
+            # the [a-z0-9]+ runs of the lowered text
+            tokens = lowered.encode("ascii", "replace").translate(
+                _SEPARATORS).split()
+            signed = np.bincount(list(map(self._slot, tokens)),
+                                 minlength=2 * dim)
+            counts = signed[:dim] - signed[dim:]
+            square = counts @ counts
+            if square == 0:
                 # pathological sign cancellation: fall back to a one-hot
-                vec[self._hash(stripped.lower()) % self.dim] = 1.0
-                norm = 1.0
-            vec /= norm
+                out[row] = 0.0
+                out[row, self._hash(lowered.encode("utf-8")) % dim] = 1.0
+            else:
+                np.divide(counts, math.sqrt(square), out=out[row])
         return out
 
-    def _token_slot(self, token: str) -> tuple[int, float]:
-        """The bucket a token adds to and the sign it adds with."""
+    def _token_slot(self, token: bytes) -> int:
+        """The bucket a token adds to, plus ``dim`` when it subtracts."""
         h = self._hash(token)
-        return h % self.dim, 1.0 if (h >> 63) & 1 == 0 else -1.0
+        return h % self.dim + (0 if (h >> 63) & 1 == 0 else self.dim)
 
-    def _hash(self, token: str) -> int:
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8,
-                                 key=self._key).digest()
+    def _hash(self, data: bytes) -> int:
+        digest = hashlib.blake2b(data, digest_size=8, key=self._key).digest()
         return int.from_bytes(digest, "little")
 
 
@@ -183,6 +194,77 @@ def document_embedding_text(doc: Document) -> str:
     return f"{title}. {doc.text}" if title else doc.text
 
 
+class SparseRows:
+    """Rows kept as their entries whose bits are not +0.0: ``counts`` has
+    each row's number of such entries, ``columns`` and ``values`` their
+    column ids and values, row after row. Filling a row back writes the
+    exact bits it was kept from, -0.0 and subnormals included. ``digests``
+    has the ``stable_hash`` of the text each row was embedded from."""
+
+    ARRAYS = ("digests", "counts", "columns", "values")
+
+    def __init__(self, digests: np.ndarray, counts: np.ndarray,
+                 columns: np.ndarray, values: np.ndarray, dim: int):
+        self.digests = np.asarray(digests)
+        self.counts = np.asarray(counts)
+        self.columns = np.asarray(columns)
+        self.values = np.asarray(values)
+        if self.digests.dtype != np.uint64 or self.digests.ndim != 1:
+            raise ValueError("row digests must be a uint64 vector")
+        if not (np.issubdtype(self.counts.dtype, np.integer)
+                and np.issubdtype(self.columns.dtype, np.integer)
+                and self.values.dtype == np.float64):
+            raise ValueError("row counts and column ids must be integers, "
+                             "row values float64")
+        if self.counts.shape != self.digests.shape or \
+                (self.counts < 0).any():
+            raise ValueError("row counts must be one >= 0 per digest")
+        self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
+        if not self.columns.shape == self.values.shape == \
+                (self.offsets[-1],):
+            raise ValueError("row entries must number the counts' sum")
+        if len(self.columns) and not \
+                0 <= self.columns.min() <= self.columns.max() < dim:
+            raise ValueError(f"row column ids must be in [0, {dim})")
+        if not np.isfinite(self.values).all():
+            raise ValueError("row values must be finite")
+
+    @classmethod
+    def compress(cls, chunks: Iterable[tuple[Sequence[int], np.ndarray]],
+                 dim: int) -> "SparseRows":
+        """The rows of ``chunks``, each (digests, dense rows), kept one
+        chunk at a time."""
+        digests: list[int] = []
+        counts = [np.zeros(0, dtype=np.int64)]
+        columns = [np.zeros(0, dtype=np.int32)]
+        values = [np.zeros(0)]
+        for chunk_digests, dense in chunks:
+            dense = np.ascontiguousarray(dense, dtype=np.float64)
+            # the bits, not the value, so that a -0.0 is kept
+            kept = dense.view(np.uint64) != 0
+            digests += chunk_digests
+            counts.append(kept.sum(axis=1))
+            columns.append(np.nonzero(kept)[1].astype(np.int32))
+            values.append(dense[kept])
+        return cls(np.array(digests, dtype=np.uint64), np.concatenate(counts),
+                   np.concatenate(columns), np.concatenate(values), dim)
+
+    def __len__(self) -> int:
+        return len(self.digests)
+
+    def fill(self, out: np.ndarray, positions: Sequence[int],
+             rows: Sequence[int]) -> None:
+        """Write row ``rows[i]`` into ``out[positions[i]]`` for every i."""
+        rows = np.asarray(rows)
+        counts = self.counts[rows]
+        # the chosen rows' entry ids, row after row
+        entries = np.arange(counts.sum()) + np.repeat(
+            self.offsets[rows] - (np.cumsum(counts) - counts), counts)
+        out[positions] = 0.0
+        out[np.repeat(positions, counts), self.columns[entries]] = \
+            self.values[entries]
+
+
 class VectorIndex:
     """Exact-scan dense index. Entries are kept sorted by doc_id, so that
     ascending row order is the documented tie-break.
@@ -191,7 +273,9 @@ class VectorIndex:
     (``build_index``: the text of each titled document, in doc-id order).
     ``digests`` gives the ``stable_hash`` of the text each row of
     ``vectors``, then of ``text_vectors``, was embedded from; without them
-    ``StoredVectors`` serves no row of this index.
+    ``StoredVectors`` serves no row of this index. ``windows`` holds still
+    more such rows, sparsely, each with its own digest (``build_index``:
+    every sub-document window no other row holds).
 
     The first search reads how the scan should run from the matrix and keeps
     it, unsaved: a matrix with at most ``SPARSE_SHARE`` of its entries
@@ -201,7 +285,8 @@ class VectorIndex:
     def __init__(self, doc_ids: Sequence[str], vectors: np.ndarray,
                  provider_fingerprint: str,
                  text_vectors: np.ndarray | None = None,
-                 digests: Sequence[int] | None = None):
+                 digests: Sequence[int] | None = None,
+                 windows: SparseRows | None = None):
         if len(doc_ids) == 0:
             raise ValueError("cannot build an index over an empty corpus")
         if vectors.ndim != 2 or vectors.shape[0] != len(doc_ids):
@@ -234,6 +319,8 @@ class VectorIndex:
                 raise ValueError("index vectors must be finite")
         self.digests = None if digests is None else list(digests)
         self.dim = int(self.vectors.shape[1])
+        self.windows = windows if windows is not None else \
+            SparseRows.compress((), self.dim)
         self.provider_fingerprint = provider_fingerprint
         self._columns: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._max_norm: float | None = None
@@ -324,7 +411,9 @@ class VectorIndex:
                        {"doc_ids": self.doc_ids, "digests": self.digests,
                         "provider_fingerprint": self.provider_fingerprint},
                        {"vectors": self.vectors,
-                        "text_vectors": self.text_vectors})
+                        "text_vectors": self.text_vectors,
+                        **{f"window_{name}": getattr(self.windows, name)
+                           for name in SparseRows.ARRAYS}})
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
@@ -332,10 +421,17 @@ class VectorIndex:
         if "text_vectors" not in arrays or "digests" not in meta:
             raise IndexIntegrityError(
                 f"{path}: index has no text vectors; rebuild it")
+        if any(f"window_{name}" not in arrays for name in SparseRows.ARRAYS):
+            raise IndexIntegrityError(
+                f"{path}: index has no window rows; rebuild it")
         try:
-            return cls(meta["doc_ids"], arrays["vectors"],
+            vectors = arrays["vectors"]
+            windows = SparseRows(*(arrays[f"window_{name}"]
+                                   for name in SparseRows.ARRAYS),
+                                 vectors.shape[-1])
+            return cls(meta["doc_ids"], vectors,
                        meta["provider_fingerprint"], arrays["text_vectors"],
-                       meta["digests"])
+                       meta["digests"], windows)
         except ValueError as exc:
             raise IndexIntegrityError(f"{path}: {exc}") from exc
 
@@ -394,35 +490,63 @@ def _titled(doc: Document) -> bool:
 
 def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
     """Embed every document ("title. text") into a fresh index, in doc-id
-    order, and, as its text rows, the text of every titled document, which
-    is what the scorer embeds."""
+    order; as its text rows, the text of every titled document, which is
+    what the scorer embeds; and as its window rows, every sub-document
+    window that no other row holds."""
     if len(corpus) == 0:
         raise ValueError("cannot build an index over an empty corpus")
     docs = sorted(corpus, key=lambda d: d.doc_id)
     texts = [document_embedding_text(d) for d in docs]
     titled = [d.text for d in docs if _titled(d)]
     text_vectors = provider.embed_many(titled) if titled else None
-    return VectorIndex([d.doc_id for d in docs], provider.embed_many(texts),
+    digests = [stable_hash(text) for text in texts + titled]
+    vectors = provider.embed_many(texts)
+    windows = SparseRows.compress(
+        _new_windows(docs, set(digests), provider), vectors.shape[1])
+    return VectorIndex([d.doc_id for d in docs], vectors,
                        provider.fingerprint + INDEX_FIELDS, text_vectors,
-                       [stable_hash(text) for text in texts + titled])
+                       digests, windows)
+
+
+def _new_windows(docs: Iterable[Document], held: set[int],
+                 provider: EmbeddingProvider):
+    """(digests, rows) of each document's windows whose digest is not in
+    ``held``, adding each to it; one document at a time, so that set-up
+    never holds more than one document's windows densely."""
+    for doc in docs:
+        # a single-spaced document of at most WINDOW sentences is its one
+        # window, which its index or text row already holds
+        if max_sentences(doc.text) <= WINDOW and \
+                " ".join(doc.text.split()) == doc.text:
+            continue
+        new = {}
+        for text in window_texts(doc):
+            digest = stable_hash(text)
+            if digest not in held:
+                held.add(digest)
+                new[digest] = text
+        if new:
+            yield list(new), provider.embed_many(list(new.values()))
 
 
 class StoredVectors:
     """The rows an index already holds, served by the exact text each was
-    embedded from: a corpus document's index text, and a titled document's
-    text. A row serves only a text whose digest equals the one stored with
-    it, so a document edited after indexing is embedded afresh, and only a
-    provider with the index's fingerprint. The lookup is built on first
-    use."""
+    embedded from: a corpus document's index text, a titled document's
+    text, and a window row's text. A row serves only a text whose digest
+    equals the one stored with it, so a document edited after indexing is
+    embedded afresh, and only a provider with the index's fingerprint. The
+    lookups are built on first use: by text for the corpus documents, and
+    by digest, from the index alone, for the window rows."""
 
     def __init__(self, corpus: Corpus, index: VectorIndex):
         self.corpus = corpus
         self.index = index
-        self._rows: dict[str, np.ndarray] | None = None
+        self._lookups: tuple[dict[str, np.ndarray], dict[int, int]] | None \
+            = None
 
-    def _lookup(self) -> dict[str, np.ndarray]:
-        # two threads may both build it; they build the same lookup
-        if self._rows is None:
+    def _lookup(self) -> tuple[dict[str, np.ndarray], dict[int, int]]:
+        # two threads may both build them; they build the same lookups
+        if self._lookups is None:
             index = self.index
             by_digest = dict(zip(index.digests or (),
                                  [*index.vectors, *index.text_vectors]))
@@ -432,26 +556,36 @@ class StoredVectors:
                     row = by_digest.get(stable_hash(text))
                     if row is not None:
                         rows[text] = row
-            self._rows = rows
-        return self._rows
+            windows = dict(zip(index.windows.digests.tolist(),
+                               range(len(index.windows))))
+            self._lookups = rows, windows
+        return self._lookups
 
     def embed_many(self, provider: EmbeddingProvider,
                    texts: Sequence[str]) -> np.ndarray:
-        """``provider.embed_many(texts)``: each text the lookup holds is
-        read from its row, the rest are embedded in one call (none when
-        every text is held)."""
+        """``provider.embed_many(texts)``: each text a lookup holds is read
+        from its row, the rest are embedded in one call (none when every
+        text is held)."""
         fingerprint = provider.fingerprint + INDEX_FIELDS
         if fingerprint != self.index.provider_fingerprint:
             return provider.embed_many(list(texts))
-        rows = self._lookup()
+        rows, windows = self._lookup()
         out = np.empty((len(texts), self.index.dim))
         missing = []
+        positions, window_rows = [], []
         for i, text in enumerate(texts):
             row = rows.get(text)
-            if row is None:
+            if row is not None:
+                out[i] = row
+                continue
+            window = windows.get(stable_hash(text)) if windows else None
+            if window is None:
                 missing.append(i)
             else:
-                out[i] = row
+                positions.append(i)
+                window_rows.append(window)
+        if window_rows:
+            self.index.windows.fill(out, positions, window_rows)
         if missing:
             out[missing] = provider.embed_many([texts[i] for i in missing])
         return out

@@ -11,7 +11,9 @@ Three families:
   12-sentence document (token-reduction tests).
 
 ``exact_search`` is the index's documented ranking computed one row at a
-time in plain Python, the oracle for ``VectorIndex.search``.
+time in plain Python, the oracle for ``VectorIndex.search``;
+``loop_split_sentences`` is the character-by-character splitter that
+``split_sentences`` replaced, its oracle.
 
 Everything is seeded; rebuilding with the same arguments gives identical
 objects.
@@ -23,8 +25,9 @@ import re
 
 import numpy as np
 
-from leanrag.corpus import (Corpus, QARecord, contains_answer,
-                            generate_subdocuments, make_document)
+from leanrag.corpus import (Corpus, QARecord, _is_guarded_period,
+                            contains_answer, generate_subdocuments,
+                            make_document)
 from leanrag.llm import ScriptedLlmClient, build_retrieve_prompt, is_correct
 from leanrag.reducer import (DetectorExample, ScoredSubDoc,
                              combination_features, prerank, rerank_topk,
@@ -52,6 +55,37 @@ def exact_search(index, query, k):
             total += a * b
         sims.append((doc_id, total))
     return sorted(sims, key=lambda pair: (-pair[1], pair[0]))[:k]
+
+
+def loop_split_sentences(text):
+    """Sentence spans of ``text``, one character at a time."""
+    def next_nonspace(pos):
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        return pos
+
+    spans = []
+    n = len(text)
+    span_start = next_nonspace(0)
+    i = span_start
+    while i < n:
+        ch = text[i]
+        if ch in ".!?" and (i + 1 >= n or text[i + 1].isspace()):
+            if ch == "." and _is_guarded_period(text, i):
+                i += 1
+                continue
+            spans.append((span_start, i + 1))
+            span_start = next_nonspace(i + 1)
+            i = span_start
+            continue
+        i += 1
+    if span_start < n:
+        end = n
+        while end > span_start and text[end - 1].isspace():
+            end -= 1
+        if end > span_start:
+            spans.append((span_start, end))
+    return spans
 
 
 def _filler_sentence(rng, vocab=None, n=8) -> str:

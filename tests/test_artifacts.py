@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from leanrag import artifacts
 from leanrag.artifacts import IndexIntegrityError
 from leanrag.corpus import Corpus, make_document
 from leanrag.mlp import Mlp
@@ -215,3 +216,73 @@ def test_corrupt_file_rejected(kind, saved, damage):
     path.write_bytes(data)
     with pytest.raises(IndexIntegrityError):
         load(kind, path)
+
+
+def test_integer_arrays_keep_their_dtype(tmp_path):
+    arrays = {
+        "i32": np.array([-(2 ** 31), 0, 2 ** 31 - 1], dtype=np.int32),
+        "i64": np.array([-(2 ** 63), 2 ** 53 + 1, 2 ** 63 - 1],
+                        dtype=np.int64),
+        "u64": np.array([0, 2 ** 53 + 1, 2 ** 64 - 1], dtype=np.uint64),
+        "floats": np.array([0.5, -0.0, 5e-324]),
+        "bools": np.array([True, False]),
+        "ints_as_list": [1, 2, 3],
+    }
+    path = tmp_path / "mixed"
+    artifacts.save(path, "mixed", {}, arrays)
+    _, loaded = artifacts.load(path, "mixed")
+    for name in ("i32", "i64", "u64"):
+        assert loaded[name].dtype == arrays[name].dtype
+        assert loaded[name].tobytes() == arrays[name].tobytes()
+    # every other array is written as float64, as before
+    assert loaded["floats"].tobytes() == arrays["floats"].tobytes()
+    assert loaded["bools"].tolist() == [1.0, 0.0]
+    assert loaded["ints_as_list"].dtype == np.int64
+    assert [a.dtype for a in (loaded["floats"], loaded["bools"])] == \
+        [np.float64, np.float64]
+
+
+@pytest.mark.parametrize("float_kind", sorted(set(KINDS) - {"index"}))
+def test_float_only_kinds_write_float64(float_kind, tmp_path):
+    """Every kind but the index holds only float arrays, so its file is
+    byte for byte what it was before integer arrays kept their dtype."""
+    make, save, _, _ = KINDS[float_kind]
+    path = tmp_path / float_kind
+    save(make(), str(path))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    _, arrays = artifacts.load(
+        path, json.loads(header)["format"].removeprefix("leanrag-"))
+    again = tmp_path / "again"
+    with open(again, "wb") as handle:
+        for array in arrays.values():
+            assert array.dtype == np.float64
+            np.save(handle, array, allow_pickle=False)
+    assert payload == again.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.array(["a", "b"]),
+                                 np.array([1.5, 2.5], dtype=np.float32),
+                                 np.array([1, 2], dtype=np.int16)])
+def test_dtype_never_saved_rejected(tmp_path, bad):
+    path = tmp_path / "bad"
+    artifacts.save(path, "mixed", {}, {})
+    header = path.read_bytes().rstrip(b"\n")
+    with open(path, "wb") as handle:
+        handle.write(header.replace(b'"arrays": []', b'"arrays": ["x"]')
+                     + b"\n")
+        np.save(handle, bad, allow_pickle=False)
+    with pytest.raises(IndexIntegrityError, match="dtype"):
+        artifacts.load(path, "mixed")
+
+
+def test_object_array_rejected(tmp_path):
+    path = tmp_path / "bad"
+    artifacts.save(path, "mixed", {}, {})
+    header = path.read_bytes().rstrip(b"\n")
+    with open(path, "wb") as handle:
+        handle.write(header.replace(b'"arrays": []', b'"arrays": ["x"]')
+                     + b"\n")
+        np.save(handle, np.array([{"a": 1}, None], dtype=object),
+                allow_pickle=True)
+    with pytest.raises(IndexIntegrityError):
+        artifacts.load(path, "mixed")

@@ -9,8 +9,9 @@ from leanrag.corpus import (Corpus, CorpusFormatError, DuplicateDocumentError,
                             QARecord, contains_answer, count_tokens,
                             default_tokenizer, generate_subdocuments,
                             load_corpus, load_qa, make_document,
-                            normalize_for_match, split_sentences,
-                            whole_document_subdoc)
+                            max_sentences, normalize_for_match,
+                            split_sentences, whole_document_subdoc)
+from synthetic import loop_split_sentences
 
 
 def write_jsonl(path, records):
@@ -146,6 +147,33 @@ class TestSplitSentences:
         for i, ch in enumerate(text):
             if not ch.isspace():
                 assert i in covered
+
+    # words the guards read, terminators, ASCII and Unicode whitespace
+    PIECES = ["Mr", "mr", "Dr", "St", "inc", "J", "K", "x", "Smith", "Ab",
+              "the", "3", "\u00c9mile", ".", ".", "!", "?", "..", " ", " ",
+              "  ", "\n", "\t", "\u00a0", "\u2003", "\u3000", "\u2029",
+              "\x1c", "\x85", "\r\n"]
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
+           | st.text(max_size=80))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_character_loop(self, text):
+        assert split_sentences(text) == loop_split_sentences(text)
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+    @settings(max_examples=200, deadline=None)
+    def test_sentence_bound_holds(self, text):
+        assert len(split_sentences(text)) <= max_sentences(text)
+
+    def test_sentence_bound_counts_candidate_ends(self):
+        assert max_sentences("") == 1
+        assert max_sentences("no end") == 1
+        assert max_sentences("A. B! C? ") == 3
+        assert max_sentences("A. B! C? tail") == 4
+        # a decimal point is no candidate end; a guarded one is
+        assert max_sentences("It cost 3.5 units. Mr. Smith paid!") == 3
+        assert len(split_sentences("It cost 3.5 units. Mr. Smith paid!")) \
+            == 2
 
 
 class TestCountTokens:

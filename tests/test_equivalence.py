@@ -205,38 +205,55 @@ def test_at_most_three_embedding_calls_per_question(planted):
     assert Decision.RETRIEVE in decisions
 
 
-def counted_context(ctx, stored_rows: bool):
-    """``ctx`` with a counting provider, and with set-up's stored rows or
-    with an index that serves none, so that every text is embedded."""
-    index = ctx.retriever.index
-    if not stored_rows:
-        index = VectorIndex(index.doc_ids, index.vectors,
-                            index.provider_fingerprint)
+def counted_context(ctx, index):
+    """``ctx`` over ``index`` with a counting provider."""
     counting = CountingProvider(ctx.retriever.provider)
     return replace(
         ctx, retriever=Retriever(ctx.retriever.corpus, index, counting),
         scorer=replace(ctx.scorer, provider=counting)), counting
 
 
+def counted_run(qa, ctx, index):
+    """Answers, evaluate JSON and embedding calls per answered question."""
+    counted, counting = counted_context(ctx, index)
+    answers, calls = [], []
+    for q in qa:
+        before = counting.calls
+        answers.append(pipeline_module._answer_with_details(q, counted))
+        calls.append(counting.calls - before)
+    return answers, evaluate(qa, counted).to_json(), calls
+
+
 def assert_stored_rows_change_nothing(qa, ctx):
-    stored_ctx, stored_calls = counted_context(ctx, stored_rows=True)
-    embedded_ctx, embedded_calls = counted_context(ctx, stored_rows=False)
-    stored, stored_report = run_questions(qa, stored_ctx)
-    embedded, embedded_report = run_questions(qa, embedded_ctx)
-    assert stored_calls.calls < embedded_calls.calls
-    assert stored_report == embedded_report
-    for (trace, scored), (want, want_scored) in zip(stored, embedded):
-        assert trace.to_dict(include_timings=False) == \
-            want.to_dict(include_timings=False)
-        # dataclass equality: every BiLabelScore field exactly
-        assert scored == want_scored
-        if trace.combination is not None:
-            assert trace.combination.members == want.combination.members
+    """Set-up's index against the same index without its window rows and
+    against one that serves no row: identical outputs, and set-up's index
+    embeds only the question."""
+    index = ctx.retriever.index
+    stored, stored_report, stored_calls = counted_run(qa, ctx, index)
+    assert stored_calls == [1] * len(qa)
+    no_windows = VectorIndex(index.doc_ids, index.vectors,
+                             index.provider_fingerprint, index.text_vectors,
+                             index.digests)
+    no_rows = VectorIndex(index.doc_ids, index.vectors,
+                          index.provider_fingerprint)
+    for other in (no_windows, no_rows):
+        embedded, embedded_report, embedded_calls = counted_run(qa, ctx,
+                                                                other)
+        assert stored_report == embedded_report
+        for (trace, scored), (want, want_scored) in zip(stored, embedded):
+            assert trace.to_dict(include_timings=False) == \
+                want.to_dict(include_timings=False)
+            # dataclass equality: every BiLabelScore field exactly
+            assert scored == want_scored
+            if trace.combination is not None:
+                assert trace.combination.members == want.combination.members
+    # the last, serving no row, also embeds candidates and windows
+    assert sum(embedded_calls) > len(qa)
 
 
 def test_stored_rows_change_nothing_redundant(redundant):
     """Titled 12-sentence documents: candidates read text rows, windows
-    are embedded."""
+    read window rows."""
     (corpus, qa, mock, provider, retriever, scorer), detector = redundant
     ctx = PipelineContext(
         retriever=retriever, scorer=scorer,
@@ -260,7 +277,7 @@ def test_stored_rows_change_nothing_planted(planted):
 
 def test_stored_rows_change_nothing_mixed(redundant):
     """Documents of 2 to 6 sentences, every other one untitled: a question
-    reads index rows, text rows, and embeds the windows that miss."""
+    reads index rows, text rows and window rows."""
     (corpus, qa, mock, provider, _, scorer), detector = redundant
     mixed = Corpus([
         make_document(doc.doc_id, doc.title if i % 2 else "",

@@ -502,6 +502,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             build_llm_client({"kind": "mock"})  # script_path missing
 
+    @pytest.mark.parametrize("section,spec", [
+        ("provider", {"kind": "remote", "endpoint": "http://e", "dim": 4,
+                      "session": 1}),
+        ("provider", {"kind": "remote", "endpoint": "http://e", "dim": 4,
+                      "sleep": 0}),
+        ("llm", {"kind": "remote", "endpoint": "http://l", "session": 1}),
+        ("llm", {"kind": "remote", "endpoint": "http://l", "sleep": 0}),
+    ])
+    def test_injected_fakes_refused_from_config(self, section, spec):
+        """A config that sets a remote client's session or sleep fails at
+        build time; before, it built and every request then failed as a
+        retryable transport fault."""
+        from leanrag.pipeline import build_llm_client, build_provider
+
+        build = build_provider if section == "provider" else build_llm_client
+        key = "session" if "session" in spec else "sleep"
+        with pytest.raises(ValueError, match=f"'{section}'.*'{key}'"):
+            build(spec)
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": 1, "bogus": 2}))

@@ -10,11 +10,12 @@ from synthetic import exact_search
 import leanrag.retrieval as retrieval_module
 from leanrag import artifacts
 from leanrag.artifacts import check_provider
-from leanrag.corpus import Corpus, make_document
+from leanrag.corpus import Corpus, make_document, window_texts
 from leanrag.retrieval import (INDEX_FIELDS, EmbeddingProviderError,
                                HashingEmbedder, IndexIntegrityError,
                                RemoteEmbedder, Retriever, VectorIndex,
                                build_index, mean_recall_at_k, recall_at_k)
+from leanrag.seeds import stable_hash
 
 
 @pytest.fixture
@@ -31,6 +32,23 @@ def small_corpus():
 
 
 class TestHashingEmbedder:
+    # tokens, separators the tokenizer must split at, and characters that
+    # lowercase to ASCII or to several characters
+    PIECES = ["a", "b", "ab", "Q", "z9", "0", " ", " ", "-", ".", "\n",
+              "\u00e9", "\u212a", "\u0130", "\u00df", "\u00bd", "\u00b2",
+              "\u2003", "\U0001f600", "quixil", "the"]
+
+    def test_cancelling_tokens_fall_back_to_one_hot(self):
+        # at dim 2, seed 0, "w0" adds -1 and "w7" +1 to bucket 1
+        embedder = HashingEmbedder(dim=2, seed=0)
+        texts = ["w0 w7", "w7 W0", "w0 w7 w0 w7"]
+        rows = embedder.embed_many(texts)
+        assert rows.tobytes() == np.stack(
+            [self.unmemoized(2, 0, text) for text in texts]).tobytes()
+        assert [sorted(row) for row in rows.tolist()] == [[0.0, 1.0]] * 3
+        assert embedder.embed_many(["w0"]).tolist() == [[0.0, -1.0]]
+        assert embedder.embed_many(["w7"]).tolist() == [[0.0, 1.0]]
+
     def test_deterministic(self, provider):
         v1 = provider.embed("abc def")
         v2 = provider.embed("abc def")
@@ -81,9 +99,12 @@ class TestHashingEmbedder:
             norm = 1.0
         return vec / norm
 
-    @given(st.lists(st.text(alphabet="abcdef .", max_size=30).filter(
-        lambda text: re.search("[a-f]", text)), min_size=1, max_size=8))
-    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.one_of(st.text(alphabet="abcdef .", max_size=30),
+                  st.lists(st.sampled_from(PIECES), max_size=30)
+                  .map("".join))
+        .filter(lambda text: text.strip()), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
     def test_memo_matches_unmemoized_hashing(self, texts):
         with pytest.MonkeyPatch.context() as patch:
             # a cap this small evicts within almost every example
@@ -301,6 +322,165 @@ class TestStoredVectors:
         assert other.batches == [texts]
 
 
+def long_corpus():
+    """Titled and untitled documents of 5 and 6 sentences, one repeating
+    another's window, and one of 2 sentences."""
+    return Corpus([
+        make_document("a", "Cats", "The cat sat. It purred. It slept. "
+                                   "It woke. It ate."),
+        make_document("b", "", "Dogs bark. They run. They dig. They sleep. "
+                               "They eat. They play."),
+        make_document("c", "Birds", "They sing. They fly. They dig. "
+                                    "They sleep. They eat."),
+        make_document("d", "", "short one. only two"),
+    ])
+
+
+class SignedZeroProvider:
+    """Rows of +0.0, -0.0, subnormal and normal entries, from each text's
+    hash; not unit rows, which no stored row needs."""
+
+    dim = 8
+    fingerprint = "signed-zero:v1"
+
+    ENTRIES = (0.0, -0.0, 5e-324, -2.5e-320, 1.0, -0.75)
+
+    def __init__(self):
+        self.batches = []
+
+    def embed_many(self, texts):
+        self.batches.append(list(texts))
+        out = np.empty((len(texts), self.dim))
+        for row, text in enumerate(texts):
+            digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+            out[row] = [self.ENTRIES[b % len(self.ENTRIES)]
+                        for b in digest]
+        return out
+
+
+class TestWindowRows:
+    @staticmethod
+    def windows(corpus):
+        return [text for doc in corpus for text in window_texts(doc)]
+
+    def test_only_the_question_is_embedded(self, provider):
+        corpus = long_corpus()
+        index = build_index(corpus, provider)
+        texts = ["a question?", *self.windows(corpus),
+                 *(doc.text for doc in corpus)]
+        recording = RecordingProvider(provider)
+        got = Retriever(corpus, index, recording).stored.embed_many(
+            recording, texts)
+        assert got.tobytes() == provider.embed_many(texts).tobytes()
+        assert recording.batches == [["a question?"]]
+
+    def test_one_row_per_window_no_other_row_holds(self, provider):
+        corpus = long_corpus()
+        index = build_index(corpus, provider)
+        # a: 3 windows, b: 4, c: 3 of which "They dig. They sleep. They
+        # eat." repeats one of b's; d's one window is its text
+        assert len(index.windows) == 3 + 4 + 2
+        assert sorted(index.windows.digests.tolist()) == sorted(
+            {stable_hash(text) for text in self.windows(corpus)[:-1]})
+
+    def test_short_documents_store_no_rows(self, provider):
+        index = build_index(titled_corpus_short(), provider)
+        assert len(index.windows) == 0
+        assert len(build_index(small_corpus(), provider).windows) == 0
+
+    def test_irregular_spacing_stores_the_joined_window(self, provider):
+        corpus = Corpus([make_document("a", "T", "One.  Two.\nThree. ")])
+        index = build_index(corpus, provider)
+        assert len(index.windows) == 1
+        recording = RecordingProvider(provider)
+        stored = Retriever(corpus, index, recording).stored
+        assert stored.embed_many(recording, ["One. Two. Three."]).tobytes() \
+            == provider.embed_many(["One. Two. Three."]).tobytes()
+        assert recording.batches == []
+
+    def test_document_edited_after_indexing_embedded_afresh(self, provider):
+        index = build_index(long_corpus(), provider)
+        edited = Corpus([
+            make_document(doc.doc_id, doc.title,
+                          doc.text.replace("It slept.", "It dozed."))
+            for doc in long_corpus()])
+        texts = self.windows(edited)
+        recording = RecordingProvider(provider)
+        got = Retriever(edited, index, recording).stored.embed_many(
+            recording, texts)
+        assert got.tobytes() == provider.embed_many(texts).tobytes()
+        # a's three windows all held the edited sentence
+        assert recording.batches == [texts[:3]]
+
+    def test_signed_zeros_and_subnormals_served_bit_for_bit(self, tmp_path):
+        fake = SignedZeroProvider()
+        corpus = long_corpus()
+        build_index(corpus, fake).save(tmp_path / "index")
+        index = VectorIndex.load(tmp_path / "index")
+        texts = self.windows(corpus)
+        want = fake.embed_many(texts)
+        assert (want.view(np.uint64) == np.float64(-0.0).view(
+            np.uint64)).any()
+        assert (want.view(np.uint64) == np.float64(5e-324).view(
+            np.uint64)).any()
+        fake.batches.clear()
+        got = Retriever(corpus, index, fake).stored.embed_many(fake, texts)
+        assert got.tobytes() == want.tobytes()
+        assert fake.batches == []
+
+    def test_round_trip_keeps_window_rows(self, tmp_path, provider):
+        index = build_index(long_corpus(), provider)
+        index.save(tmp_path / "index")
+        loaded = VectorIndex.load(tmp_path / "index")
+        for name in ("digests", "counts", "columns", "values"):
+            got, want = (getattr(i.windows, name) for i in (loaded, index))
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_file_without_window_rows_rejected(self, tmp_path, provider):
+        index = build_index(long_corpus(), provider)
+        path = tmp_path / "index"
+        artifacts.save(path, "index",
+                       {"doc_ids": index.doc_ids, "digests": index.digests,
+                        "provider_fingerprint": index.provider_fingerprint},
+                       {"vectors": index.vectors,
+                        "text_vectors": index.text_vectors})
+        with pytest.raises(IndexIntegrityError,
+                           match="no window rows; rebuild it"):
+            VectorIndex.load(path)
+
+    @pytest.mark.parametrize("damage,match", [
+        ({"counts": np.array([1, 2], dtype=np.int64)}, "number the counts"),
+        ({"columns": np.array([0, 8], dtype=np.int32)}, "column ids"),
+        ({"values": np.array([1.0, np.nan])}, "values must be finite"),
+        ({"digests": np.array([1.0, 2.0])}, "uint64"),
+        ({"counts": np.array([1.0, 1.0])}, "integers"),
+    ])
+    def test_damaged_window_rows_rejected(self, tmp_path, damage, match):
+        rows = {"digests": np.array([1, 2], dtype=np.uint64),
+                "counts": np.array([1, 1], dtype=np.int64),
+                "columns": np.array([0, 7], dtype=np.int32),
+                "values": np.array([1.0, -0.0]), **damage}
+        path = tmp_path / "index"
+        artifacts.save(path, "index",
+                       {"doc_ids": ["a"], "digests": [0],
+                        "provider_fingerprint": "fp"},
+                       {"vectors": np.ones((1, 8)),
+                        "text_vectors": np.zeros((0, 8)),
+                        **{f"window_{name}": array
+                           for name, array in rows.items()}})
+        with pytest.raises(IndexIntegrityError, match=match):
+            VectorIndex.load(path)
+
+
+def titled_corpus_short():
+    return Corpus([
+        make_document("a", "Cats", "The cat sat. It purred. It slept."),
+        make_document("b", "", "Dogs bark! Do they? Yes."),
+        make_document("c", "Mr. Smith", "Mr. J. Smith won. He smiled."),
+    ])
+
+
 class TestSearch:
     @staticmethod
     def full_sort(index, query, k):
@@ -440,11 +620,14 @@ class TestExactScan:
         with pytest.raises(ValueError, match="finite"):
             VectorIndex(["a", "b", "c"], np.eye(3), "fp", vectors)
         path = tmp_path / "index"
+        windows = VectorIndex(["a"], np.eye(1, 3), "fp").windows
         artifacts.save(path, "index",
                        {"doc_ids": ["a", "b", "c"], "digests": None,
                         "provider_fingerprint": "fp"},
-                       {"vectors": vectors, "text_vectors": np.eye(3)})
-        with pytest.raises(IndexIntegrityError, match="finite"):
+                       {"vectors": vectors, "text_vectors": np.eye(3),
+                        **{f"window_{name}": getattr(windows, name)
+                           for name in windows.ARRAYS}})
+        with pytest.raises(IndexIntegrityError, match="must be finite"):
             VectorIndex.load(path)
         index = VectorIndex(["a", "b", "c"], np.eye(3), "fp")
         with pytest.raises(ValueError, match="finite"):
