@@ -86,17 +86,6 @@ class LlmClient(Protocol):
     def complete(self, request: LlmRequest) -> LlmResponse: ...
 
 
-def render_retrieve_prompt(template: PromptTemplate, question: str,
-                           passages: Sequence[str]) -> str:
-    lines = [template.instruction, template.passage_header]
-    for index, text in enumerate(passages, start=1):
-        lines.append(template.passage_line.format(index=index, text=text))
-    lines.append(template.question_line.format(question=question))
-    if template.suffix:
-        lines.append(template.suffix)
-    return "\n".join(lines)
-
-
 def build_retrieve_prompt(question: str, passages: Sequence[str],
                           template: PromptTemplate | None = None) -> LlmRequest:
     """Render the retrieval-augmented prompt: instruction, numbered passages
@@ -104,7 +93,13 @@ def build_retrieve_prompt(question: str, passages: Sequence[str],
     if not passages:
         raise ValueError("passages must be non-empty")
     template = template or DEFAULT_TEMPLATES["comprehensive"]
-    prompt = render_retrieve_prompt(template, question, passages)
+    lines = [template.instruction, template.passage_header]
+    for index, text in enumerate(passages, start=1):
+        lines.append(template.passage_line.format(index=index, text=text))
+    lines.append(template.question_line.format(question=question))
+    if template.suffix:
+        lines.append(template.suffix)
+    prompt = "\n".join(lines)
     return LlmRequest(prompt=prompt, token_count=count_tokens(prompt))
 
 
@@ -166,6 +161,9 @@ class ScriptedLlmClient:
                     raise ValueError(
                         f"{script_path}:{line_no}: entry needs an 'answer'")
                 match = entry.get("match", {})
+                if not isinstance(match, dict):
+                    raise ValueError(
+                        f"{script_path}:{line_no}: match must be an object")
                 answer = entry["answer"]
                 if "question" in match:
                     by_question[match["question"]] = answer

@@ -127,7 +127,7 @@ class PipelineContext:
         # candidates and windows read the vectors set-up stored with the
         # index instead of embedding them again
         if isinstance(self.scorer, ScorerModel) and self.retriever is not None:
-            self.scorer = replace(self.scorer, stored=self.retriever.stored)
+            self.scorer = replace(self.scorer, stored=self.retriever.index)
 
 
 def _check_rerank(top_rerank: int, top_retrieve: int) -> None:
@@ -438,11 +438,13 @@ def evaluate(qa_set: Sequence[QARecord], ctx: PipelineContext,
                if a not in KNOWN_ABLATIONS and not a.startswith("template=")}
     if unknown:
         raise ValueError(f"unknown ablations: {sorted(unknown)}")
+    templates = sorted(a for a in ablations if a.startswith("template="))
+    if len(templates) > 1:
+        raise ValueError(f"more than one template flag: {templates}")
     # a template flag runs on a copy, so sub-reports keep ctx's template
     run_ctx = ctx
-    for flag in ablations:
-        if flag.startswith("template="):
-            run_ctx = replace(ctx, template_name=flag.split("=", 1)[1])
+    if templates:
+        run_ctx = replace(ctx, template_name=templates[0].split("=", 1)[1])
 
     def _one(qa: QARecord):
         try:

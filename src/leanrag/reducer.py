@@ -150,11 +150,9 @@ class DetectorModel:
             raise ValueError("detector input width must be 2 * max_docs")
         self.holdout_accuracy: float | None = None
 
-    def predict_prob(self, features: np.ndarray) -> float:
-        return float(self.net.probabilities(np.asarray(features).reshape(1, -1))[0, 0])
-
     def predict(self, features: np.ndarray) -> tuple[int, float]:
-        prob = self.predict_prob(features)
+        prob = float(self.net.probabilities(
+            np.asarray(features).reshape(1, -1))[0, 0])
         return (1 if prob > self.threshold else 0), prob
 
     def save(self, path: str | Path) -> None:
@@ -273,8 +271,8 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
     correctly with it appended. The bare-question probe uses
     ``no_retrieve_template`` (default: the built-in no-retrieve prompt).
     """
-    # candidates and short documents' windows read set-up's stored rows
-    scorer = replace(scorer, stored=retriever.stored)
+    # candidates and windows read set-up's stored rows
+    scorer = replace(scorer, stored=retriever.index)
     examples: list[DetectorExample] = []
     for qa in qa_records:
         try:

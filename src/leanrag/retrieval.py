@@ -269,13 +269,13 @@ class VectorIndex:
     """Exact-scan dense index. Entries are kept sorted by doc_id, so that
     ascending row order is the documented tie-break.
 
-    ``text_vectors`` holds more rows embedded with the same provider
-    (``build_index``: the text of each titled document, in doc-id order).
     ``digests`` gives the ``stable_hash`` of the text each row of
-    ``vectors``, then of ``text_vectors``, was embedded from; without them
-    ``StoredVectors`` serves no row of this index. ``windows`` holds still
-    more such rows, sparsely, each with its own digest (``build_index``:
-    every sub-document window no other row holds).
+    ``vectors`` was embedded from, or is empty, and then ``embed_many``
+    serves no row of ``vectors``. ``rows`` holds more rows embedded with the
+    same provider, sparsely, each with its own digest (``build_index``: the
+    text of each titled document, which is what the scorer embeds, and
+    every sub-document window no other row holds). ``titled`` is the number
+    of titled documents the index was built from.
 
     The first search reads how the scan should run from the matrix and keeps
     it, unsaved: a matrix with at most ``SPARSE_SHARE`` of its entries
@@ -284,46 +284,49 @@ class VectorIndex:
 
     def __init__(self, doc_ids: Sequence[str], vectors: np.ndarray,
                  provider_fingerprint: str,
-                 text_vectors: np.ndarray | None = None,
-                 digests: Sequence[int] | None = None,
-                 windows: SparseRows | None = None):
+                 digests: np.ndarray | None = None,
+                 rows: SparseRows | None = None, titled: int = 0):
         if len(doc_ids) == 0:
             raise ValueError("cannot build an index over an empty corpus")
         if vectors.ndim != 2 or vectors.shape[0] != len(doc_ids):
             raise ValueError("vectors must be one row per doc id")
-        if text_vectors is None:
-            text_vectors = np.zeros((0, vectors.shape[1]))
-        if text_vectors.ndim != 2 or text_vectors.shape[1] != vectors.shape[1]:
-            raise ValueError("text vectors must have the index's width")
-        if digests is not None and \
-                len(digests) != len(vectors) + len(text_vectors):
-            raise ValueError("digests must be one per row")
+        digests = np.zeros(0, dtype=np.uint64) if digests is None \
+            else np.asarray(digests)
+        if digests.dtype != np.uint64 or digests.ndim != 1:
+            raise ValueError("digests must be a uint64 vector")
+        if len(digests) not in (0, len(doc_ids)):
+            raise ValueError("digests must be one per row, or none")
+        if not isinstance(titled, int) or titled < 0:
+            raise ValueError(f"titled must be an int >= 0, got {titled!r}")
         order = sorted(range(len(doc_ids)), key=lambda i: doc_ids[i])
         if order != list(range(len(doc_ids))):
             doc_ids = [doc_ids[i] for i in order]
             vectors = vectors[order]
-            if digests is not None:
-                digests = [digests[i] for i in order] + \
-                    list(digests[len(order):])
+            if len(digests):
+                digests = digests[order]
         self.doc_ids = list(doc_ids)
         self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        self.text_vectors = np.ascontiguousarray(text_vectors,
-                                                 dtype=np.float64)
         # search is exact for finite values only; a row's sum is non-finite
         # when one of its entries is (or when it overflows), so only then is
         # every entry checked
         ones = np.ones(self.vectors.shape[1])
-        for matrix in (self.vectors, self.text_vectors):
-            if not np.isfinite(matrix @ ones).all() and \
-                    not np.isfinite(matrix).all():
-                raise ValueError("index vectors must be finite")
-        self.digests = None if digests is None else list(digests)
+        if not np.isfinite(self.vectors @ ones).all() and \
+                not np.isfinite(self.vectors).all():
+            raise ValueError("index vectors must be finite")
+        self.digests = digests
         self.dim = int(self.vectors.shape[1])
-        self.windows = windows if windows is not None else \
+        self.rows = rows if rows is not None else \
             SparseRows.compress((), self.dim)
+        self.titled = titled
         self.provider_fingerprint = provider_fingerprint
         self._columns: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._max_norm: float | None = None
+        # built on the first embed_many: each stored row's position by its
+        # digest (rows of ``rows`` after those of ``vectors``); and each text
+        # served so far, by its ``vectors`` row or by its number in ``rows``
+        self._positions: dict[int, int] | None = None
+        self._dense: dict[str, np.ndarray] = {}
+        self._sparse: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -382,8 +385,8 @@ class VectorIndex:
         return np.flatnonzero(approx >= kth - margin)
 
     def verify_corpus(self, corpus: Corpus) -> None:
-        """The index must hold each corpus document exactly once, and one
-        text row per titled corpus document."""
+        """The index must hold each corpus document exactly once, and have
+        been built from as many titled documents as the corpus has."""
         indexed = set(self.doc_ids)
         missing = sorted(indexed.difference(doc.doc_id for doc in corpus))
         if missing:
@@ -401,37 +404,84 @@ class VectorIndex:
                 f"index has {len(self)} documents, the corpus "
                 f"{len(corpus)}; rebuild it")
         titled = sum(1 for doc in corpus if _titled(doc))
-        if len(self.text_vectors) != titled:
+        if self.titled != titled:
             raise IndexIntegrityError(
-                f"index has {len(self.text_vectors)} text vectors, the "
-                f"corpus {titled} titled documents; rebuild it")
+                f"index has {self.titled} titled documents, the corpus "
+                f"{titled}; rebuild it")
+
+    def embed_many(self, provider: EmbeddingProvider,
+                   texts: Sequence[str]) -> np.ndarray:
+        """``provider.embed_many(texts)``: each text whose ``stable_hash``
+        a stored row has is read from that row, the rest are embedded in
+        one call (none when every text is held). A row serves only the text
+        it was embedded from, so a document edited after indexing is
+        embedded afresh, and only a provider with the index's fingerprint.
+        A text is hashed once: the texts served are remembered, at most one
+        per stored row."""
+        if provider.fingerprint + INDEX_FIELDS != self.provider_fingerprint:
+            return provider.embed_many(list(texts))
+        if self._positions is None:
+            # two threads may both build it; they build the same map
+            n = len(self)
+            positions = dict(zip(self.digests.tolist(), range(n)))
+            positions.update(zip(self.rows.digests.tolist(),
+                                 range(n, n + len(self.rows))))
+            self._positions = positions
+        dense, sparse = self._dense, self._sparse
+        out = np.empty((len(texts), self.dim))
+        missing, at, rows = [], [], []
+        for i, text in enumerate(texts):
+            row = dense.get(text)
+            if row is not None:
+                out[i] = row
+                continue
+            number = sparse.get(text)
+            if number is None:
+                position = self._positions.get(stable_hash(text))
+                if position is None:
+                    missing.append(i)
+                    continue
+                full = len(dense) + len(sparse) >= len(self._positions)
+                if position < len(self):
+                    out[i] = row = self.vectors[position]
+                    if not full:
+                        dense[text] = row
+                    continue
+                number = position - len(self)
+                if not full:
+                    sparse[text] = number
+            at.append(i)
+            rows.append(number)
+        if rows:
+            self.rows.fill(out, at, rows)
+        if missing:
+            out[missing] = provider.embed_many([texts[i] for i in missing])
+        return out
 
     def save(self, path: str | Path) -> None:
         artifacts.save(path, "index",
-                       {"doc_ids": self.doc_ids, "digests": self.digests,
+                       {"doc_ids": self.doc_ids, "titled": self.titled,
                         "provider_fingerprint": self.provider_fingerprint},
-                       {"vectors": self.vectors,
-                        "text_vectors": self.text_vectors,
-                        **{f"window_{name}": getattr(self.windows, name)
+                       {"vectors": self.vectors, "digests": self.digests,
+                        **{f"row_{name}": getattr(self.rows, name)
                            for name in SparseRows.ARRAYS}})
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         meta, arrays = artifacts.load(path, "index")
-        if "text_vectors" not in arrays or "digests" not in meta:
+        names = {"vectors", "digests",
+                 *(f"row_{name}" for name in SparseRows.ARRAYS)}
+        if set(arrays) != names or "titled" not in meta:
             raise IndexIntegrityError(
-                f"{path}: index has no text vectors; rebuild it")
-        if any(f"window_{name}" not in arrays for name in SparseRows.ARRAYS):
-            raise IndexIntegrityError(
-                f"{path}: index has no window rows; rebuild it")
+                f"{path}: index is in an older layout; rebuild it")
         try:
             vectors = arrays["vectors"]
-            windows = SparseRows(*(arrays[f"window_{name}"]
-                                   for name in SparseRows.ARRAYS),
-                                 vectors.shape[-1])
+            rows = SparseRows(*(arrays[f"row_{name}"]
+                                for name in SparseRows.ARRAYS),
+                              vectors.shape[-1])
             return cls(meta["doc_ids"], vectors,
-                       meta["provider_fingerprint"], arrays["text_vectors"],
-                       meta["digests"], windows)
+                       meta["provider_fingerprint"], arrays["digests"], rows,
+                       meta["titled"])
         except ValueError as exc:
             raise IndexIntegrityError(f"{path}: {exc}") from exc
 
@@ -490,105 +540,43 @@ def _titled(doc: Document) -> bool:
 
 def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
     """Embed every document ("title. text") into a fresh index, in doc-id
-    order; as its text rows, the text of every titled document, which is
-    what the scorer embeds; and as its window rows, every sub-document
-    window that no other row holds."""
+    order, and as its sparse rows, each titled document's text, which is
+    what the scorer embeds, and each sub-document window, where no other
+    row holds that text."""
     if len(corpus) == 0:
         raise ValueError("cannot build an index over an empty corpus")
     docs = sorted(corpus, key=lambda d: d.doc_id)
     texts = [document_embedding_text(d) for d in docs]
-    titled = [d.text for d in docs if _titled(d)]
-    text_vectors = provider.embed_many(titled) if titled else None
-    digests = [stable_hash(text) for text in texts + titled]
+    digests = np.array([stable_hash(text) for text in texts], dtype=np.uint64)
     vectors = provider.embed_many(texts)
-    windows = SparseRows.compress(
-        _new_windows(docs, set(digests), provider), vectors.shape[1])
+    rows = SparseRows.compress(
+        _new_rows(docs, set(digests.tolist()), provider), vectors.shape[1])
     return VectorIndex([d.doc_id for d in docs], vectors,
-                       provider.fingerprint + INDEX_FIELDS, text_vectors,
-                       digests, windows)
+                       provider.fingerprint + INDEX_FIELDS, digests, rows,
+                       sum(1 for d in docs if _titled(d)))
 
 
-def _new_windows(docs: Iterable[Document], held: set[int],
-                 provider: EmbeddingProvider):
-    """(digests, rows) of each document's windows whose digest is not in
-    ``held``, adding each to it; one document at a time, so that set-up
-    never holds more than one document's windows densely."""
+def _new_rows(docs: Iterable[Document], held: set[int],
+              provider: EmbeddingProvider):
+    """(digests, rows) of each document's text, when it is titled, and
+    windows, each whose digest is not in ``held``, adding each to it; one
+    document at a time, so that set-up never holds more than one document's
+    rows densely."""
     for doc in docs:
+        texts = [doc.text] if _titled(doc) else []
         # a single-spaced document of at most WINDOW sentences is its one
         # window, which its index or text row already holds
-        if max_sentences(doc.text) <= WINDOW and \
-                " ".join(doc.text.split()) == doc.text:
-            continue
+        if max_sentences(doc.text) > WINDOW or \
+                " ".join(doc.text.split()) != doc.text:
+            texts += window_texts(doc)
         new = {}
-        for text in window_texts(doc):
+        for text in texts:
             digest = stable_hash(text)
             if digest not in held:
                 held.add(digest)
                 new[digest] = text
         if new:
             yield list(new), provider.embed_many(list(new.values()))
-
-
-class StoredVectors:
-    """The rows an index already holds, served by the exact text each was
-    embedded from: a corpus document's index text, a titled document's
-    text, and a window row's text. A row serves only a text whose digest
-    equals the one stored with it, so a document edited after indexing is
-    embedded afresh, and only a provider with the index's fingerprint. The
-    lookups are built on first use: by text for the corpus documents, and
-    by digest, from the index alone, for the window rows."""
-
-    def __init__(self, corpus: Corpus, index: VectorIndex):
-        self.corpus = corpus
-        self.index = index
-        self._lookups: tuple[dict[str, np.ndarray], dict[int, int]] | None \
-            = None
-
-    def _lookup(self) -> tuple[dict[str, np.ndarray], dict[int, int]]:
-        # two threads may both build them; they build the same lookups
-        if self._lookups is None:
-            index = self.index
-            by_digest = dict(zip(index.digests or (),
-                                 [*index.vectors, *index.text_vectors]))
-            rows = {}
-            for doc in self.corpus:
-                for text in {document_embedding_text(doc), doc.text}:
-                    row = by_digest.get(stable_hash(text))
-                    if row is not None:
-                        rows[text] = row
-            windows = dict(zip(index.windows.digests.tolist(),
-                               range(len(index.windows))))
-            self._lookups = rows, windows
-        return self._lookups
-
-    def embed_many(self, provider: EmbeddingProvider,
-                   texts: Sequence[str]) -> np.ndarray:
-        """``provider.embed_many(texts)``: each text a lookup holds is read
-        from its row, the rest are embedded in one call (none when every
-        text is held)."""
-        fingerprint = provider.fingerprint + INDEX_FIELDS
-        if fingerprint != self.index.provider_fingerprint:
-            return provider.embed_many(list(texts))
-        rows, windows = self._lookup()
-        out = np.empty((len(texts), self.index.dim))
-        missing = []
-        positions, window_rows = [], []
-        for i, text in enumerate(texts):
-            row = rows.get(text)
-            if row is not None:
-                out[i] = row
-                continue
-            window = windows.get(stable_hash(text)) if windows else None
-            if window is None:
-                missing.append(i)
-            else:
-                positions.append(i)
-                window_rows.append(window)
-        if window_rows:
-            self.index.windows.fill(out, positions, window_rows)
-        if missing:
-            out[missing] = provider.embed_many([texts[i] for i in missing])
-        return out
 
 
 class Retriever:
@@ -599,7 +587,6 @@ class Retriever:
         self.corpus = corpus
         self.index = index
         self.provider = provider
-        self.stored = StoredVectors(corpus, index)
 
     def retrieve(self, question: str, k: int,
                  query_embedding: np.ndarray | None = None) -> list[RetrievedDoc]:

@@ -23,7 +23,7 @@ from .corpus import Document, QARecord, contains_answer
 from .llm import LlmClient, PromptTemplate, build_retrieve_prompt, is_correct
 from .mlp import (Mlp, PROB_EPS, sgd_epoch, sgd_step, sigmoid,
                   stratified_split)
-from .retrieval import EmbeddingProvider, Retriever, StoredVectors
+from .retrieval import EmbeddingProvider, Retriever, VectorIndex
 from .seeds import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -167,7 +167,7 @@ def build_training_set(qa_records: Sequence[QARecord], retriever: Retriever,
     for qa in qa_records:
         question_vec = provider.embed(qa.question)
         results = retriever.retrieve(qa.question, per_question_k, question_vec)
-        doc_vectors = retriever.stored.embed_many(
+        doc_vectors = retriever.index.embed_many(
             provider, [result.doc.text for result in results])
         for result, doc_vec in zip(results, doc_vectors):
             doc = result.doc
@@ -196,15 +196,6 @@ def bce_loss(score: BiLabelScore, label: BiLabel) -> float:
         p = min(max(p, PROB_EPS), 1.0 - PROB_EPS)
         total -= y * np.log(p) + (1 - y) * np.log(1.0 - p)
     return float(total)
-
-
-def pairs_to_arrays(pairs: Sequence[LabeledPair]):
-    """(features, targets, matched mask) as dense arrays."""
-    features = np.stack([p.features for p in pairs])
-    targets = np.array([[p.label.has_answer, p.label.llm_prefer] for p in pairs],
-                       dtype=np.float64)
-    matched = np.array([p.matched for p in pairs], dtype=bool)
-    return features, targets, matched
 
 
 def match_weights(matched: np.ndarray, weight: float) -> np.ndarray:
@@ -314,17 +305,17 @@ class EpochStats:
 class ScorerModel:
     """Frozen encoder reference plus the trained two-head MLP.
 
-    ``stored`` (not saved; ``PipelineContext`` binds its retriever's) gives
-    the vectors set-up already embedded, so that scoring embeds only the
-    texts it lacks."""
+    ``stored`` (not saved; ``PipelineContext`` binds its retriever's index)
+    gives the vectors set-up already embedded, so that scoring embeds only
+    the texts it lacks."""
 
     head: Mlp
     balance_weight: float
     seed: int
     provider: EmbeddingProvider | None = None
     provider_fingerprint: str | None = None
-    stored: StoredVectors | None = field(default=None, repr=False,
-                                         compare=False)
+    stored: VectorIndex | None = field(default=None, repr=False,
+                                       compare=False)
 
     def score_features(self, features: np.ndarray) -> BiLabelScore:
         return self._score_rows(features.reshape(1, -1))[0]
@@ -405,7 +396,10 @@ def train_scorer(pairs: Sequence[LabeledPair] | TrainingSet,
     config = config or TrainConfig()
     if not pairs:
         raise ValueError("no training pairs")
-    features, targets, matched = pairs_to_arrays(pairs)
+    features = np.stack([p.features for p in pairs])
+    targets = np.array([[p.label.has_answer, p.label.llm_prefer]
+                        for p in pairs], dtype=np.float64)
+    matched = np.array([p.matched for p in pairs], dtype=bool)
     # each class must keep a training and a validation example
     if min(matched.sum(), (~matched).sum()) < 2:
         raise ImbalanceDegenerateError(

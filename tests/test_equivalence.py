@@ -225,18 +225,17 @@ def counted_run(qa, ctx, index):
 
 
 def assert_stored_rows_change_nothing(qa, ctx):
-    """Set-up's index against the same index without its window rows and
+    """Set-up's index against the same index without its sparse rows and
     against one that serves no row: identical outputs, and set-up's index
     embeds only the question."""
     index = ctx.retriever.index
     stored, stored_report, stored_calls = counted_run(qa, ctx, index)
     assert stored_calls == [1] * len(qa)
-    no_windows = VectorIndex(index.doc_ids, index.vectors,
-                             index.provider_fingerprint, index.text_vectors,
-                             index.digests)
+    no_sparse = VectorIndex(index.doc_ids, index.vectors,
+                            index.provider_fingerprint, index.digests)
     no_rows = VectorIndex(index.doc_ids, index.vectors,
                           index.provider_fingerprint)
-    for other in (no_windows, no_rows):
+    for other in (no_sparse, no_rows):
         embedded, embedded_report, embedded_calls = counted_run(qa, ctx,
                                                                 other)
         assert stored_report == embedded_report

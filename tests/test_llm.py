@@ -8,6 +8,7 @@ from leanrag.llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmRequest,
                          LlmTransportError, ScriptedLlmClient,
                          UnscriptedPromptError, build_noretrieve_prompt,
                          build_retrieve_prompt, is_correct)
+from leanrag.pipeline import build_llm_client
 
 QUESTION = "Who was the British Prime Minister in 1953?"
 PASSAGES = ["de Valera met the Prime Minister.", "Denis Thatcher married."]
@@ -129,6 +130,17 @@ class TestScriptedClient:
         path.write_text(f"{good}\n\n{line}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
             ScriptedLlmClient.from_script_file(path)
+
+    @pytest.mark.parametrize("match", ['"question"', '["question"]', "7"])
+    def test_script_file_match_must_be_an_object(self, tmp_path, match):
+        path = tmp_path / "script.jsonl"
+        path.write_text(f'{{"match": {match}, "answer": "a"}}\n')
+        want = f"^{re.escape(str(path))}:1: match must be an object$"
+        with pytest.raises(ValueError, match=want):
+            ScriptedLlmClient.from_script_file(path)
+        # the config path reports it unchanged
+        with pytest.raises(ValueError, match=want):
+            build_llm_client({"kind": "mock", "script_path": str(path)})
 
 
 class FakeResponse:

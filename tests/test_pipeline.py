@@ -390,6 +390,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="'nope'.*'simple'"):
             evaluate(setup[1], ctx, ablations={"template=nope"})
 
+    def test_several_template_ablations_rejected(self, setup, detector):
+        ctx = make_ctx(setup, detector)
+        with pytest.raises(ValueError,
+                           match="'template=cot', 'template=simple'"):
+            evaluate(setup[1], ctx,
+                     ablations=["template=simple", "template=cot"])
+
     def test_empty_qa_rejected(self, setup, detector):
         ctx = make_ctx(setup, detector)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import hashlib
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from leanrag.artifacts import check_provider
 from leanrag.corpus import Corpus, make_document, window_texts
 from leanrag.retrieval import (INDEX_FIELDS, EmbeddingProviderError,
                                HashingEmbedder, IndexIntegrityError,
-                               RemoteEmbedder, Retriever, VectorIndex,
-                               build_index, mean_recall_at_k, recall_at_k)
+                               RemoteEmbedder, Retriever, SparseRows,
+                               VectorIndex, build_index,
+                               document_embedding_text, mean_recall_at_k,
+                               recall_at_k)
 from leanrag.seeds import stable_hash
 
 
@@ -235,12 +239,16 @@ class TestIndex:
 
     def test_one_text_row_per_titled_document(self, provider):
         index = build_index(titled_corpus(), provider)
-        assert index.text_vectors.tobytes() == provider.embed_many(
-            [doc.text for doc in titled_corpus() if doc.title]).tobytes()
+        titled = [doc.text for doc in titled_corpus() if doc.title]
+        digests = index.rows.digests.tolist()
+        got = np.empty((len(titled), index.dim))
+        index.rows.fill(got, range(len(titled)),
+                        [digests.index(stable_hash(text)) for text in titled])
+        assert got.tobytes() == provider.embed_many(titled).tobytes()
         index.verify_corpus(titled_corpus())
         retitled = Corpus([make_document(doc.doc_id, "Now titled", doc.text)
                            for doc in titled_corpus()])
-        with pytest.raises(IndexIntegrityError, match="2 text vectors"):
+        with pytest.raises(IndexIntegrityError, match="2 titled documents"):
             index.verify_corpus(retitled)
 
     def test_ids_in_order_not_copied(self):
@@ -252,8 +260,12 @@ class TestIndex:
         index = build_index(titled_corpus(), provider)
         index.save(tmp_path / "index")
         loaded = VectorIndex.load(tmp_path / "index")
-        assert loaded.text_vectors.tobytes() == index.text_vectors.tobytes()
-        assert loaded.digests == index.digests
+        for name in ("digests", "counts", "columns", "values"):
+            got, want = (getattr(i.rows, name) for i in (loaded, index))
+            assert got.tobytes() == want.tobytes()
+        assert loaded.digests.dtype == np.uint64
+        assert loaded.digests.tobytes() == index.digests.tobytes()
+        assert loaded.titled == index.titled == 2
 
     def test_file_without_text_rows_rejected(self, tmp_path, provider):
         index = build_index(small_corpus(), provider)
@@ -294,8 +306,7 @@ class TestStoredVectors:
         texts = ["a question?", *(doc.text for doc in corpus),
                  "Cats. " + corpus.get("a").text]
         recording = RecordingProvider(provider)
-        got = Retriever(corpus, index, recording).stored.embed_many(
-            recording, texts)
+        got = index.embed_many(recording, texts)
         assert got.tobytes() == provider.embed_many(texts).tobytes()
         assert recording.batches == [["a question?"]]
 
@@ -306,18 +317,16 @@ class TestStoredVectors:
                          for doc in titled_corpus()])
         texts = [doc.text for doc in edited]
         recording = RecordingProvider(provider)
-        got = Retriever(edited, index, recording).stored.embed_many(
-            recording, texts)
+        got = index.embed_many(recording, texts)
         assert got.tobytes() == provider.embed_many(texts).tobytes()
         assert recording.batches == [texts]
 
     def test_other_provider_served_nothing(self, provider):
         corpus = titled_corpus()
         other = RecordingProvider(HashingEmbedder(dim=64, seed=8))
-        stored = Retriever(corpus, build_index(corpus, provider),
-                           other).stored
+        index = build_index(corpus, provider)
         texts = [doc.text for doc in corpus]
-        assert stored.embed_many(other, texts).tobytes() == \
+        assert index.embed_many(other, texts).tobytes() == \
             other.inner.embed_many(texts).tobytes()
         assert other.batches == [texts]
 
@@ -369,32 +378,37 @@ class TestWindowRows:
         texts = ["a question?", *self.windows(corpus),
                  *(doc.text for doc in corpus)]
         recording = RecordingProvider(provider)
-        got = Retriever(corpus, index, recording).stored.embed_many(
-            recording, texts)
+        got = index.embed_many(recording, texts)
         assert got.tobytes() == provider.embed_many(texts).tobytes()
         assert recording.batches == [["a question?"]]
 
     def test_one_row_per_window_no_other_row_holds(self, provider):
         corpus = long_corpus()
         index = build_index(corpus, provider)
-        # a: 3 windows, b: 4, c: 3 of which "They dig. They sleep. They
-        # eat." repeats one of b's; d's one window is its text
-        assert len(index.windows) == 3 + 4 + 2
-        assert sorted(index.windows.digests.tolist()) == sorted(
-            {stable_hash(text) for text in self.windows(corpus)[:-1]})
+        # a: its text and 3 windows, b: 4 windows, c: its text and 3
+        # windows, of which "They dig. They sleep. They eat." repeats one of
+        # b's; d's one window is its text
+        assert len(index.rows) == 1 + 3 + 4 + 1 + 2
+        assert sorted(index.rows.digests.tolist()) == sorted(
+            {stable_hash(text) for text in [
+                *self.windows(corpus)[:-1], corpus.get("a").text,
+                corpus.get("c").text]})
 
     def test_short_documents_store_no_rows(self, provider):
-        index = build_index(titled_corpus_short(), provider)
-        assert len(index.windows) == 0
-        assert len(build_index(small_corpus(), provider).windows) == 0
+        corpus = titled_corpus_short()
+        index = build_index(corpus, provider)
+        # the titled documents' text rows only
+        assert index.rows.digests.tolist() == [
+            stable_hash(doc.text) for doc in corpus if doc.title]
+        assert len(build_index(small_corpus(), provider).rows) == 0
 
     def test_irregular_spacing_stores_the_joined_window(self, provider):
         corpus = Corpus([make_document("a", "T", "One.  Two.\nThree. ")])
         index = build_index(corpus, provider)
-        assert len(index.windows) == 1
+        # the text row and the joined window
+        assert len(index.rows) == 2
         recording = RecordingProvider(provider)
-        stored = Retriever(corpus, index, recording).stored
-        assert stored.embed_many(recording, ["One. Two. Three."]).tobytes() \
+        assert index.embed_many(recording, ["One. Two. Three."]).tobytes() \
             == provider.embed_many(["One. Two. Three."]).tobytes()
         assert recording.batches == []
 
@@ -406,8 +420,7 @@ class TestWindowRows:
             for doc in long_corpus()])
         texts = self.windows(edited)
         recording = RecordingProvider(provider)
-        got = Retriever(edited, index, recording).stored.embed_many(
-            recording, texts)
+        got = index.embed_many(recording, texts)
         assert got.tobytes() == provider.embed_many(texts).tobytes()
         # a's three windows all held the edited sentence
         assert recording.batches == [texts[:3]]
@@ -424,16 +437,77 @@ class TestWindowRows:
         assert (want.view(np.uint64) == np.float64(5e-324).view(
             np.uint64)).any()
         fake.batches.clear()
-        got = Retriever(corpus, index, fake).stored.embed_many(fake, texts)
+        got = index.embed_many(fake, texts)
         assert got.tobytes() == want.tobytes()
         assert fake.batches == []
+
+    def test_loaded_index_hashes_each_served_text_once(self, tmp_path,
+                                                       provider,
+                                                       monkeypatch):
+        corpus = long_corpus()
+        build_index(corpus, provider).save(tmp_path / "index")
+        index = VectorIndex.load(tmp_path / "index")
+        hashed = []
+
+        def counting_hash(text):
+            hashed.append(text)
+            return stable_hash(text)
+
+        monkeypatch.setattr(retrieval_module, "stable_hash", counting_hash)
+        texts = [*self.windows(corpus), *(doc.text for doc in corpus),
+                 *map(document_embedding_text, corpus)]
+        recording = RecordingProvider(provider)
+        got = index.embed_many(recording, texts)
+        assert got.tobytes() == provider.embed_many(texts).tobytes()
+        assert recording.batches == []
+        assert len(hashed) <= len(texts)
+        hashed.clear()
+        assert index.embed_many(recording, texts).tobytes() == got.tobytes()
+        assert hashed == []
+        # a text no row holds is not remembered, so it is hashed each time
+        unheld = ["a question?", "another question?"]
+        for _ in range(2):
+            index.embed_many(recording, unheld)
+        assert hashed == unheld * 2
+        assert recording.batches == [unheld] * 2
+
+    def test_threads_sharing_an_index_are_served_alike(self, provider):
+        corpus = long_corpus()
+        index = build_index(corpus, provider)
+        texts = [*self.windows(corpus), *(doc.text for doc in corpus),
+                 "a question?"]
+        want = provider.embed_many(texts).tobytes()
+        got = []
+
+        def serve(offset):
+            # each thread asks in its own order, so they memoize at once
+            for _ in range(50):
+                rows = index.embed_many(provider,
+                                        texts[offset:] + texts[:offset])
+                got.append(np.roll(rows, offset, axis=0).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(offset,))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 200
+        assert len(index._dense) + len(index._sparse) <= \
+            len(index) + len(index.rows)
 
     def test_round_trip_keeps_window_rows(self, tmp_path, provider):
         index = build_index(long_corpus(), provider)
         index.save(tmp_path / "index")
         loaded = VectorIndex.load(tmp_path / "index")
         for name in ("digests", "counts", "columns", "values"):
-            got, want = (getattr(i.windows, name) for i in (loaded, index))
+            got, want = (getattr(i.rows, name) for i in (loaded, index))
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
@@ -441,12 +515,29 @@ class TestWindowRows:
         index = build_index(long_corpus(), provider)
         path = tmp_path / "index"
         artifacts.save(path, "index",
-                       {"doc_ids": index.doc_ids, "digests": index.digests,
+                       {"doc_ids": index.doc_ids, "titled": index.titled,
+                        "provider_fingerprint": index.provider_fingerprint},
+                       {"vectors": index.vectors, "digests": index.digests})
+        with pytest.raises(IndexIntegrityError,
+                           match="older layout; rebuild it"):
+            VectorIndex.load(path)
+
+    def test_file_in_the_old_layout_rejected(self, tmp_path, provider):
+        """Text rows as a dense ``text_vectors`` array, the index rows'
+        digests as a header list and window rows as ``window_*`` arrays."""
+        index = build_index(long_corpus(), provider)
+        titled = [doc.text for doc in long_corpus() if doc.title]
+        path = tmp_path / "index"
+        artifacts.save(path, "index",
+                       {"doc_ids": index.doc_ids,
+                        "digests": [*index.digests.tolist(),
+                                    *map(stable_hash, titled)],
                         "provider_fingerprint": index.provider_fingerprint},
                        {"vectors": index.vectors,
-                        "text_vectors": index.text_vectors})
-        with pytest.raises(IndexIntegrityError,
-                           match="no window rows; rebuild it"):
+                        "text_vectors": provider.embed_many(titled),
+                        **{f"window_{name}": getattr(index.rows, name)
+                           for name in index.rows.ARRAYS}})
+        with pytest.raises(IndexIntegrityError, match="rebuild it"):
             VectorIndex.load(path)
 
     @pytest.mark.parametrize("damage,match", [
@@ -463,11 +554,11 @@ class TestWindowRows:
                 "values": np.array([1.0, -0.0]), **damage}
         path = tmp_path / "index"
         artifacts.save(path, "index",
-                       {"doc_ids": ["a"], "digests": [0],
+                       {"doc_ids": ["a"], "titled": 0,
                         "provider_fingerprint": "fp"},
                        {"vectors": np.ones((1, 8)),
-                        "text_vectors": np.zeros((0, 8)),
-                        **{f"window_{name}": array
+                        "digests": np.zeros(1, dtype=np.uint64),
+                        **{f"row_{name}": array
                            for name, array in rows.items()}})
         with pytest.raises(IndexIntegrityError, match=match):
             VectorIndex.load(path)
@@ -618,15 +709,17 @@ class TestExactScan:
         with pytest.raises(ValueError, match="finite"):
             VectorIndex(["a", "b", "c"], vectors, "fp")
         with pytest.raises(ValueError, match="finite"):
-            VectorIndex(["a", "b", "c"], np.eye(3), "fp", vectors)
+            VectorIndex(["a", "b", "c"], np.eye(3), "fp", None,
+                        SparseRows.compress([([1, 2, 3], vectors)], 3))
         path = tmp_path / "index"
-        windows = VectorIndex(["a"], np.eye(1, 3), "fp").windows
+        rows = VectorIndex(["a"], np.eye(1, 3), "fp").rows
         artifacts.save(path, "index",
-                       {"doc_ids": ["a", "b", "c"], "digests": None,
+                       {"doc_ids": ["a", "b", "c"], "titled": 0,
                         "provider_fingerprint": "fp"},
-                       {"vectors": vectors, "text_vectors": np.eye(3),
-                        **{f"window_{name}": getattr(windows, name)
-                           for name in windows.ARRAYS}})
+                       {"vectors": vectors,
+                        "digests": np.zeros(0, dtype=np.uint64),
+                        **{f"row_{name}": getattr(rows, name)
+                           for name in rows.ARRAYS}})
         with pytest.raises(IndexIntegrityError, match="must be finite"):
             VectorIndex.load(path)
         index = VectorIndex(["a", "b", "c"], np.eye(3), "fp")
