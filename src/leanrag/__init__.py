@@ -24,7 +24,6 @@ from .retrieval import (HashingEmbedder, RemoteEmbedder, RetrievedDoc,
                         Retriever, VectorIndex, build_index, recall_at_k)
 from .scorer import (BiLabel, BiLabelScore, LabeledPair, ScorerModel,
                      TrainConfig, TrainingSet, annotate_training_pair,
-                     bce_loss, build_training_set, hypergradient_step,
-                     train_scorer, train_step, weighted_loss)
+                     build_training_set, train_scorer)
 
 __version__ = "0.1.0"

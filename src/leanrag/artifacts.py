@@ -29,6 +29,18 @@ class IndexIntegrityError(RuntimeError):
     inconsistent with the corpus or the provider."""
 
 
+class _Fields(dict):
+    """A loaded header or array map; reading a key the file lacks raises
+    ``IndexIntegrityError`` naming the file and the key."""
+
+    def __init__(self, where: str, items=()):
+        super().__init__(items)
+        self.where = where
+
+    def __missing__(self, key):
+        raise IndexIntegrityError(f"{self.where} {key!r}; rebuild it")
+
+
 def save(path: str | Path, kind: str, meta: Mapping,
          arrays: Mapping[str, np.ndarray]) -> None:
     """Write ``meta`` as the header and ``arrays`` as the payload of a
@@ -48,7 +60,8 @@ def save(path: str | Path, kind: str, meta: Mapping,
 def load(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, arrays by name) of a ``kind`` file. A file of another format
     or version, a bad header, an array of a dtype ``save`` never writes, or
-    a short, corrupt or overlong payload raises ``IndexIntegrityError``."""
+    a short, corrupt or overlong payload raises ``IndexIntegrityError``, and
+    so does reading a header field or an array the file lacks."""
     expected = f"leanrag-{kind}"
     with open(path, "rb") as handle:
         try:
@@ -61,7 +74,7 @@ def load(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise IndexIntegrityError(
                 f"{path}: {expected} version {header.get('version')!r}, "
                 f"expected {VERSION}; rebuild it")
-        arrays = {}
+        arrays = _Fields(f"{path}: no array")
         for name in header.get("arrays", []):
             try:
                 arrays[name] = np.load(handle, allow_pickle=False)
@@ -74,7 +87,7 @@ def load(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
                     f"{path}: array {name!r} has dtype {dtype}")
         if handle.read(1):
             raise IndexIntegrityError(f"{path}: data after the last array")
-    return header, arrays
+    return _Fields(f"{path}: no header field", header), arrays
 
 
 def check_provider(name: str, fingerprint: str | None, dim: int | None,

@@ -31,12 +31,16 @@ USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *overrides: str) -> None:
+    """``--config``, plus ``--seed``/``--template`` where the command reads
+    that config field."""
     parser.add_argument("--config", required=True, help="pipeline config JSON")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--template", default=None,
-                        help="override the prompt template name")
+    if "seed" in overrides:
+        parser.add_argument("--seed", type=int,
+                            help="override the config seed")
+    if "template" in overrides:
+        parser.add_argument("--template",
+                            help="override the prompt template name")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,13 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("annotate", help="build the scorer training set")
-    _add_common(p)
+    _add_common(p, "template")
     p.add_argument("--qa", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--per-question-k", type=int, default=50)
 
     p = sub.add_parser("train-scorer", help="train the two-head scorer")
-    _add_common(p)
+    _add_common(p, "seed")
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--learning-rate", type=float,
@@ -74,13 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-detector-data",
                        help="sample and label sub-document combinations")
-    _add_common(p)
+    _add_common(p, "seed", "template")
     p.add_argument("--qa", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--samples", type=int, default=200)
 
     p = sub.add_parser("train-detector", help="train the combination detector")
-    _add_common(p)
+    _add_common(p, "seed")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--learning-rate", type=float,
@@ -88,11 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=DetectorTrainConfig.epochs)
 
     p = sub.add_parser("query", help="answer one question, print the trace")
-    _add_common(p)
+    _add_common(p, "template")
     p.add_argument("question")
 
     p = sub.add_parser("eval", help="evaluate a QA set")
-    _add_common(p)
+    _add_common(p, "seed", "template")
     p.add_argument("--qa", required=True)
     p.add_argument("--ablation", action="append", default=[],
                    help="e.g. no_reducer, no_recognizer, template=simple")
@@ -105,10 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> PipelineConfig:
     config = PipelineConfig.from_file(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.template is not None:
-        config.template = args.template
+    for key in ("seed", "template"):
+        if getattr(args, key, None) is not None:
+            setattr(config, key, getattr(args, key))
     return config
 
 

@@ -143,9 +143,9 @@ class ScriptedLlmClient:
         self.transcript: list[tuple[str, str]] = []
 
     @classmethod
-    def from_script_file(cls, script_path: str | Path,
-                         default_answer: str | None = None) -> "ScriptedLlmClient":
-        """Load a JSONL script: {"match": {"question"|"pattern"}, "answer"}."""
+    def from_script_file(cls, script_path: str | Path) -> "ScriptedLlmClient":
+        """Load a JSONL script: {"match": {"question"|"pattern"}, "answer"}.
+        The client has no default answer, so a miss raises."""
         by_question: dict[str, str] = {}
         patterns: list[tuple[str, str]] = []
         with open(script_path, encoding="utf-8") as handle:
@@ -172,7 +172,7 @@ class ScriptedLlmClient:
                 else:
                     raise ValueError(f"{script_path}:{line_no}: match needs "
                                      "'question' or 'pattern'")
-        return cls(by_question, patterns, default_answer)
+        return cls(by_question, patterns)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         text = self._resolve(request.prompt)

@@ -57,10 +57,6 @@ class Mlp:
         self._params = np.concatenate(params)
 
     @property
-    def n_params(self) -> int:
-        return self._params.size
-
-    @property
     def n_inputs(self) -> int:
         return self.layer_sizes[0]
 

@@ -131,6 +131,10 @@ class PipelineContext:
 
 
 def _check_rerank(top_rerank: int, top_retrieve: int) -> None:
+    for name, value in (("top_retrieve", top_retrieve),
+                        ("top_rerank", top_rerank)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= top_rerank <= top_retrieve:
         raise ValueError("need 1 <= top_rerank <= top_retrieve, got "
                          f"{top_rerank} and {top_retrieve}")

@@ -42,8 +42,9 @@ class RecognizerConfig:
     def __post_init__(self):
         if not 0.0 <= self.s_l <= 1.0 or not 0.0 <= self.s_n <= 1.0:
             raise ValueError("s_l and s_n must be in [0, 1]")
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
+        k = self.k_neighbors
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValueError(f"k_neighbors must be an integer >= 1, got {k!r}")
 
 
 @dataclass(frozen=True)

@@ -112,8 +112,10 @@ def representative_subdocs(docs: Sequence[RerankedDoc], scorer: ScorerModel,
 
 
 def prerank(subdocs: Sequence[ScoredSubDoc]) -> list[ScoredSubDoc]:
-    """Descending by combined score; ties by the parent's rerank position."""
-    return sorted(subdocs, key=lambda s: (-s.combined, s.parent_position))
+    """Descending by combined score; ties by the parent's rerank position,
+    then by window start."""
+    return sorted(subdocs, key=lambda s: (-s.combined, s.parent_position,
+                                          s.subdoc.start_sentence))
 
 
 def combination_features(members: Sequence[ScoredSubDoc],
@@ -308,10 +310,7 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
         for _ in range(samples_per_question):
             size = int(rng.integers(1, min(max_docs, len(pool)) + 1))
             chosen = rng.choice(len(pool), size=size, replace=False)
-            members = sorted(
-                (pool[i] for i in chosen),
-                key=lambda s: (-s.combined, s.parent_position,
-                               s.subdoc.start_sentence))
+            members = prerank([pool[i] for i in chosen])
             ids = frozenset(m.subdoc.subdoc_id for m in members)
             if any(jaccard(ids, seen) > MAX_OVERLAP for seen in kept_sets):
                 continue
@@ -344,6 +343,10 @@ class DetectorTrainConfig:
     learning_rate: float = 0.1
     epochs: int = 300
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
 
 
 def train_detector(dataset: Sequence[DetectorExample],

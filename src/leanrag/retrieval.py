@@ -471,7 +471,7 @@ class VectorIndex:
         meta, arrays = artifacts.load(path, "index")
         names = {"vectors", "digests",
                  *(f"row_{name}" for name in SparseRows.ARRAYS)}
-        if set(arrays) != names or "titled" not in meta:
+        if set(arrays) != names:
             raise IndexIntegrityError(
                 f"{path}: index is in an older layout; rebuild it")
         try:

@@ -21,8 +21,7 @@ import numpy as np
 from . import artifacts
 from .corpus import Document, QARecord, contains_answer
 from .llm import LlmClient, PromptTemplate, build_retrieve_prompt, is_correct
-from .mlp import (Mlp, PROB_EPS, sgd_epoch, sgd_step, sigmoid,
-                  stratified_split)
+from .mlp import Mlp, sgd_epoch, sigmoid, stratified_split
 from .retrieval import EmbeddingProvider, Retriever, VectorIndex
 from .seeds import derive_rng, derive_seed
 
@@ -189,35 +188,9 @@ def build_training_set(qa_records: Sequence[QARecord], retriever: Retriever,
     return training_set
 
 
-def bce_loss(score: BiLabelScore, label: BiLabel) -> float:
-    """Binary cross-entropy summed over the two heads, probabilities clamped."""
-    total = 0.0
-    for p, y in ((score.p_ans, label.has_answer), (score.p_pref, label.llm_prefer)):
-        p = min(max(p, PROB_EPS), 1.0 - PROB_EPS)
-        total -= y * np.log(p) + (1 - y) * np.log(1.0 - p)
-    return float(total)
-
-
 def match_weights(matched: np.ndarray, weight: float) -> np.ndarray:
     """f(w): w for matched examples, 1 - w for mismatched ones."""
     return np.where(matched, weight, 1.0 - weight)
-
-
-def weighted_loss(head: Mlp, params: np.ndarray, features: np.ndarray,
-                  targets: np.ndarray, matched: np.ndarray,
-                  weight: float) -> float:
-    """Mean over the batch of f(w) * example loss."""
-    loss, _ = head.weighted_bce(params, features, targets,
-                                match_weights(matched, weight), len(features))
-    return loss
-
-
-def train_step(head: Mlp, params: np.ndarray, features: np.ndarray,
-               targets: np.ndarray, matched: np.ndarray, weight: float,
-               learning_rate: float) -> np.ndarray:
-    """One gradient-descent step on the f(w)-weighted batch loss."""
-    return sgd_step(head, params, features, targets,
-                    match_weights(matched, weight), learning_rate)
 
 
 def split_losses(head: Mlp, params: np.ndarray, features: np.ndarray,
@@ -268,21 +241,6 @@ def hyper_direction(head: Mlp, params_before: np.ndarray,
     return (d_mat + d_mis) / 2.0
 
 
-def hypergradient_step(head: Mlp, params_before: np.ndarray,
-                       params_after: np.ndarray, train_features: np.ndarray,
-                       train_targets: np.ndarray, train_matched: np.ndarray,
-                       val_features: np.ndarray, val_targets: np.ndarray,
-                       val_matched: np.ndarray, weight: float,
-                       learning_rate: float, step_size: float) -> float:
-    """Move the balance weight along the common descent direction, clamped
-    to [0, 1]."""
-    common = hyper_direction(head, params_before, params_after,
-                             train_features, train_targets, train_matched,
-                             val_features, val_targets, val_matched,
-                             learning_rate)
-    return float(np.clip(weight - step_size * common, 0.0, 1.0))
-
-
 @dataclass
 class TrainConfig:
     learning_rate: float = 3e-4
@@ -291,6 +249,12 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
     initial_weight: float = 0.5
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
 @dataclass
@@ -432,10 +396,10 @@ def train_scorer(pairs: Sequence[LabeledPair] | TrainingSet,
                     hx, hy, hm = x_t, y_t, m_t
             else:
                 hx, hy, hm = x_t, y_t, m_t
-            weight = hypergradient_step(head, params_start, params, hx, hy, hm,
-                                        x_v, y_v, m_v, weight,
-                                        config.learning_rate,
-                                        config.hyper_step_size)
+            common = hyper_direction(head, params_start, params, hx, hy, hm,
+                                     x_v, y_v, m_v, config.learning_rate)
+            weight = float(np.clip(weight - config.hyper_step_size * common,
+                                   0.0, 1.0))
         val_mat, val_mis = split_losses(head, params, x_v, y_v, m_v)
         history.append(EpochStats(epoch=epoch, val_matched_loss=val_mat,
                                   val_mismatched_loss=val_mis, weight=weight))

@@ -19,13 +19,10 @@ def stable_hash(text: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def stream_entropy(root_seed: int, label: str) -> list[int]:
-    return [int(root_seed) & 0xFFFFFFFFFFFFFFFF, stable_hash(label)]
-
-
 def derive_rng(root_seed: int, label: str) -> np.random.Generator:
     """A generator unique to (root_seed, label), stable across runs."""
-    return np.random.default_rng(np.random.SeedSequence(stream_entropy(root_seed, label)))
+    return np.random.default_rng(np.random.SeedSequence(
+        [int(root_seed) & 0xFFFFFFFFFFFFFFFF, stable_hash(label)]))
 
 
 def derive_seed(root_seed: int, label: str) -> int:

@@ -14,7 +14,7 @@ from synthetic import (imbalanced_feature_pairs, planted_corpus,
                        window_training_pairs)
 
 from leanrag.llm import build_noretrieve_prompt
-from leanrag.mlp import Mlp
+from leanrag.mlp import Mlp, sgd_step
 from leanrag.pipeline import PipelineContext, evaluate, ordered_docs
 from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
                                 decide)
@@ -24,8 +24,7 @@ from leanrag.reducer import (DetectorExample, DetectorModel,
                              skyline_filter, train_detector)
 from leanrag.retrieval import HashingEmbedder, Retriever, build_index, recall_at_k
 from leanrag.scorer import (TrainConfig, build_training_set, hyper_direction,
-                            match_weights, split_losses, train_scorer,
-                            train_step)
+                            match_weights, split_losses, train_scorer)
 from leanrag.seeds import derive_rng
 
 
@@ -91,7 +90,7 @@ def test_criterion_1_gradient_correctness():
     _, grad = head.weighted_bce(params, x, y, weights, n)
     h = 1e-5
     worst = 0.0
-    for i in range(head.n_params):
+    for i in range(params.size):
         up, down = params.copy(), params.copy()
         up[i] += h
         down[i] -= h
@@ -108,12 +107,12 @@ def test_criterion_1_gradient_correctness():
     yv[1] = [0, 1]
     mv = yv[:, 0] == yv[:, 1]
     lr = 0.05
-    after = train_step(head, params, x, y, matched, weight, lr)
+    after = sgd_step(head, params, x, y, weights, lr)
     common = hyper_direction(head, params, after, x, y, matched,
                              xv, yv, mv, lr)
 
     def objective(w):
-        stepped = train_step(head, params, x, y, matched, w, lr)
+        stepped = sgd_step(head, params, x, y, match_weights(matched, w), lr)
         mat, mis = split_losses(head, stepped, xv, yv, mv)
         return 0.5 * (mat + mis)
 
@@ -123,7 +122,7 @@ def test_criterion_1_gradient_correctness():
     assert hyper_rel < 1e-3, f"hypergradient rel error {hyper_rel:.2e}"
 
     elapsed = budget(1, started, 30)
-    passed(1, f"all {head.n_params} parameter gradients within 1e-4 "
+    passed(1, f"all {params.size} parameter gradients within 1e-4 "
               f"(worst {worst:.2e}); hypergradient within 1e-3 "
               f"({hyper_rel:.2e}); {elapsed:.1f}s")
 

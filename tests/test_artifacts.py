@@ -2,6 +2,7 @@
 trips and deterministic bytes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,28 @@ def test_wrong_version_rejected(kind, saved, version):
     _, path = saved
     rewrite_header(path, version=version)
     with pytest.raises(IndexIntegrityError, match="version"):
+        load(kind, path)
+
+
+def test_missing_header_field_rejected(kind, saved):
+    _, path = saved
+    header, payload = path.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    for name in fields:
+        rest = {key: value for key, value in fields.items() if key != name}
+        path.write_bytes(json.dumps(rest).encode() + b"\n" + payload)
+        # format, version and arrays have messages of their own
+        match = (None if name in ("format", "version", "arrays")
+                 else re.escape(f"{path}: no header field '{name}'"))
+        with pytest.raises(IndexIntegrityError, match=match):
+            load(kind, path)
+
+
+def test_renamed_array_rejected(kind, saved):
+    _, path = saved
+    names = json.loads(path.read_bytes().split(b"\n", 1)[0])["arrays"]
+    rewrite_header(path, arrays=["renamed", *names[1:]])
+    with pytest.raises(IndexIntegrityError, match="rebuild it"):
         load(kind, path)
 
 

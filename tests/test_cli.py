@@ -191,6 +191,37 @@ def test_bad_flags_exit_two(ready):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", "--out", "index.json", "--template", "simple"],
+    ["index", "--out", "index.json", "--seed", "1"],
+    ["annotate", "--qa", "qa.jsonl", "--out", "pairs.jsonl", "--seed", "1"],
+    ["train-scorer", "--pairs", "p", "--out", "s", "--template", "simple"],
+    ["build-nn-ref", "--qa", "qa.jsonl", "--out", "n", "--seed", "1"],
+    ["build-nn-ref", "--qa", "qa.jsonl", "--out", "n", "--template", "simple"],
+    ["train-detector", "--data", "d", "--out", "m", "--template", "simple"],
+    ["query", "--seed", "1", "What is the secret attribute of zorblat1x?"],
+])
+def test_flag_the_command_does_not_read_exits_two(ready, tmp_path,
+                                                  monkeypatch, argv):
+    _, config_path, _ = ready
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main([argv[0], "--config", str(config_path), *argv[1:]])
+    assert excinfo.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_scorer_with_no_epochs_writes_nothing(workspace, tmp_path,
+                                                    capsys):
+    root, config_path, _ = workspace
+    out = tmp_path / "scorer.json"
+    assert main(["train-scorer", "--config", str(config_path),
+                 "--pairs", str(root / "pairs.jsonl"), "--out", str(out),
+                 "--epochs", "0"]) == 1
+    assert "epochs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_error_exits_one(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"corpus_path": str(tmp_path / "missing.jsonl")}))

@@ -337,6 +337,13 @@ class TestContextChecks:
         with pytest.raises(ValueError, match="1 <= top_rerank"):
             make_ctx(setup, detector, top_retrieve=10, top_rerank=top_rerank)
 
+    @pytest.mark.parametrize("name,value", [
+        ("top_retrieve", 10.0), ("top_rerank", 5.0), ("top_rerank", True)])
+    def test_non_integer_sizes_rejected(self, setup, detector, name, value):
+        sizes = {"top_retrieve": 10, "top_rerank": 5, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make_ctx(setup, detector, **sizes)
+
     def test_nn_reference_smaller_than_k_rejected(self, setup, detector):
         with pytest.raises(IndexIntegrityError,
                            match="4 entries, fewer than k_neighbors=5"):
@@ -482,6 +489,12 @@ class TestConfig:
     def test_rerank_at_least_one(self):
         with pytest.raises(ValueError, match="1 <= top_rerank"):
             PipelineConfig(top_retrieve=10, top_rerank=0)
+
+    def test_float_from_json_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"top_retrieve": 1e2}')
+        with pytest.raises(ValueError, match="top_retrieve must be an integer"):
+            PipelineConfig.from_file(path)
 
     def test_provider_dispatch(self):
         from leanrag.pipeline import build_provider

@@ -389,6 +389,10 @@ class TestDecide:
             RecognizerConfig(s_l=1.5)
         with pytest.raises(ValueError):
             RecognizerConfig(k_neighbors=0)
+        for k in (2.5, 2.0, True):
+            with pytest.raises(ValueError,
+                               match="k_neighbors must be an integer"):
+                RecognizerConfig(k_neighbors=k)
 
     def test_config_from_mapping(self):
         config = load_pipeline(PipelineConfig(recognizer={

@@ -8,9 +8,10 @@ from leanrag.corpus import (Corpus, QARecord, count_tokens,
 from leanrag.llm import ScriptedLlmClient
 from leanrag.mlp import Mlp, TrainingError
 from leanrag.reducer import (DetectorExample, DetectorModel,
-                             DetectorTrainConfig, build_detector_dataset,
-                             combination_features, greedy_filter, jaccard,
-                             load_detector_dataset, make_combination, prerank,
+                             DetectorTrainConfig, ScoredSubDoc,
+                             build_detector_dataset, combination_features,
+                             greedy_filter, jaccard, load_detector_dataset,
+                             make_combination, prerank,
                              reduce, rerank_topk, representative_subdocs,
                              save_detector_dataset, skyline_filter,
                              train_detector)
@@ -113,6 +114,13 @@ class TestPrerank:
         subs = [scored_subdoc("late", 0.5, 0.5, 7),
                 scored_subdoc("early", 0.5, 0.5, 2)]
         assert [s.subdoc.parent_doc_id for s in prerank(subs)] == ["early", "late"]
+
+    def test_ties_within_a_parent_by_window_start(self):
+        doc = make_document("d", "", "One. Two. Three. Four.")
+        first, second = generate_subdocuments(doc)
+        score = BiLabelScore(0.0, 0.0, 0.5, 0.5)
+        subs = [ScoredSubDoc(second, score, 1), ScoredSubDoc(first, score, 1)]
+        assert [s.subdoc.start_sentence for s in prerank(subs)] == [0, 1]
 
     def test_empty(self):
         assert prerank([]) == []
@@ -255,6 +263,10 @@ class TestTrainDetector:
                                                    epochs=300, seed=1))
         assert model.holdout_accuracy >= 0.95
 
+    def test_no_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            DetectorTrainConfig(epochs=0)
+
     def test_non_finite_gradient_is_a_training_error(self):
         with np.errstate(invalid="ignore"), pytest.raises(TrainingError):
             train_detector(self.separable_dataset(20),
@@ -281,7 +293,7 @@ class TestTrainDetector:
         params = net.get_params()
         _, grad = net.weighted_bce(params, x, y, np.ones(12), 12)
         h = 1e-5
-        for i in range(net.n_params):
+        for i in range(params.size):
             up, down = params.copy(), params.copy()
             up[i] += h
             down[i] -= h

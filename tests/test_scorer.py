@@ -11,15 +11,13 @@ import leanrag.scorer as scorer_module
 from leanrag.artifacts import IndexIntegrityError, check_provider
 from leanrag.corpus import Corpus, QARecord, make_document
 from leanrag.llm import ScriptedLlmClient
-from leanrag.mlp import Mlp, PROB_EPS, sigmoid
+from leanrag.mlp import Mlp, PROB_EPS, bce_elementwise, sgd_step, sigmoid
 from leanrag.retrieval import HashingEmbedder, Retriever, build_index
-from leanrag.scorer import (AnnotationError, BiLabel, BiLabelScore,
+from leanrag.scorer import (AnnotationError, BiLabel,
                             ImbalanceDegenerateError, LabeledPair, ScorerModel,
                             TrainConfig, TrainingSet, annotate_training_pair,
-                            bce_loss, build_training_set, hyper_direction,
-                            hypergradient_step, match_weights,
-                            split_losses, train_scorer, train_step,
-                            weighted_loss)
+                            build_training_set, hyper_direction,
+                            match_weights, split_losses, train_scorer)
 
 
 def random_batch(rng, head, n):
@@ -50,13 +48,13 @@ class TestBiLabel:
 
 class TestBceLoss:
     def test_uniform_probabilities_analytic(self):
-        sc = BiLabelScore(0.0, 0.0, 0.5, 0.5)
-        assert math.isclose(bce_loss(sc, BiLabel(1, 0)), 2 * math.log(2),
-                            rel_tol=1e-9)
+        loss = bce_elementwise(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
+        assert math.isclose(loss[0], 2 * math.log(2), rel_tol=1e-9)
 
     def test_confident_correct_near_zero(self):
-        sc = BiLabelScore(20.0, -20.0, 1 - PROB_EPS, PROB_EPS)
-        assert bce_loss(sc, BiLabel(1, 0)) < 1e-5
+        loss = bce_elementwise(np.array([[1 - PROB_EPS, PROB_EPS]]),
+                               np.array([[1.0, 0.0]]))
+        assert loss[0] < 1e-5
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(4)
@@ -68,10 +66,10 @@ class TestBceLoss:
         for _ in range(50):
             p1, p2 = rng.uniform(0.001, 0.999, size=2)
             y1, y2 = rng.integers(0, 2, size=2)
-            sc = BiLabelScore(0.0, 0.0, p1, p2)
             expected = scalar_bce(p1, y1) + scalar_bce(p2, y2)
-            assert math.isclose(bce_loss(sc, BiLabel(int(y1), int(y2))),
-                                expected, rel_tol=1e-12)
+            loss = bce_elementwise(np.array([[p1, p2]]),
+                                   np.array([[y1, y2]], dtype=float))
+            assert math.isclose(loss[0], expected, rel_tol=1e-12)
 
 
 class TestWeightedLoss:
@@ -84,15 +82,17 @@ class TestWeightedLoss:
         params = self.head.get_params()
         unweighted, _ = self.head.weighted_bce(params, x, y,
                                                np.ones(len(x)), len(x))
-        assert math.isclose(weighted_loss(self.head, params, x, y, matched, 0.5),
-                            0.5 * unweighted, rel_tol=1e-12)
+        loss, _ = self.head.weighted_bce(params, x, y,
+                                         match_weights(matched, 0.5), len(x))
+        assert math.isclose(loss, 0.5 * unweighted, rel_tol=1e-12)
 
     def test_full_weight_zeroes_mismatched_batch(self):
         x = self.rng.standard_normal((4, 6))
         y = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=float)
         matched = np.zeros(4, dtype=bool)
-        assert weighted_loss(self.head, self.head.get_params(), x, y,
-                             matched, 1.0) == 0.0
+        loss, _ = self.head.weighted_bce(self.head.get_params(), x, y,
+                                         match_weights(matched, 1.0), len(x))
+        assert loss == 0.0
 
     def test_single_matched_pair_scaling(self):
         # one matched example with loss l contributes f(w) * l = 0.3 * l
@@ -101,7 +101,8 @@ class TestWeightedLoss:
         matched = np.ones(1, dtype=bool)
         params = self.head.get_params()
         base, _ = self.head.weighted_bce(params, x, y, np.ones(1), 1)
-        got = weighted_loss(self.head, params, x, y, matched, 0.3)
+        got, _ = self.head.weighted_bce(params, x, y,
+                                        match_weights(matched, 0.3), len(x))
         assert math.isclose(got, 0.3 * base, rel_tol=1e-12)
 
     @given(weight=st.floats(0.0, 1.0))
@@ -113,7 +114,8 @@ class TestWeightedLoss:
         rng = np.random.default_rng(7)
         x, y, matched = random_batch(rng, head, 16)
         params = head.get_params()
-        total = weighted_loss(head, params, x, y, matched, weight)
+        total, _ = head.weighted_bce(params, x, y,
+                                     match_weights(matched, weight), len(x))
         l_mat, _ = head.weighted_bce(params, x, y,
                                      matched.astype(float), len(x))
         l_mis, _ = head.weighted_bce(params, x, y,
@@ -137,18 +139,19 @@ class TestTrainStep:
 
     def test_zero_learning_rate_is_identity(self):
         params = self.head.get_params()
-        after = train_step(self.head, params, self.x, self.y, self.matched,
-                           0.4, 0.0)
+        after = sgd_step(self.head, params, self.x, self.y,
+                         match_weights(self.matched, 0.4), 0.0)
         np.testing.assert_array_equal(params, after)
 
     def test_small_step_descends(self):
         params = self.head.get_params()
-        before = weighted_loss(self.head, params, self.x, self.y,
-                               self.matched, 0.4)
-        after_params = train_step(self.head, params, self.x, self.y,
-                                  self.matched, 0.4, 1e-4)
-        after = weighted_loss(self.head, after_params, self.x, self.y,
-                              self.matched, 0.4)
+        weights = match_weights(self.matched, 0.4)
+        before, _ = self.head.weighted_bce(params, self.x, self.y, weights,
+                                           len(self.x))
+        after_params = sgd_step(self.head, params, self.x, self.y, weights,
+                                1e-4)
+        after, _ = self.head.weighted_bce(after_params, self.x, self.y,
+                                          weights, len(self.x))
         assert after <= before
 
     def test_gradient_matches_finite_differences(self):
@@ -157,7 +160,7 @@ class TestTrainStep:
         _, grad = self.head.weighted_bce(params, self.x, self.y, weights,
                                          len(self.x))
         h = 1e-5
-        for i in range(self.head.n_params):
+        for i in range(params.size):
             up = params.copy()
             up[i] += h
             down = params.copy()
@@ -179,14 +182,12 @@ class TestHypergradient:
         self.xv, self.yv, self.mv = random_batch(rng, self.head, 20)
         self.lr = 0.05
 
-    def test_zero_step_size_keeps_weight(self):
-        params = self.head.get_params()
-        after = train_step(self.head, params, self.xt, self.yt, self.mt,
-                           0.4, self.lr)
-        new = hypergradient_step(self.head, params, after, self.xt, self.yt,
-                                 self.mt, self.xv, self.yv, self.mv, 0.4,
-                                 self.lr, 0.0)
-        assert new == 0.4
+    def test_zero_step_size_keeps_weight(self, imbalanced_pairs):
+        result = train_scorer(imbalanced_pairs, TrainConfig(
+            learning_rate=0.08, hyper_step_size=0.0, epochs=3, seed=5,
+            initial_weight=0.4), hidden_sizes=(16, 8))
+        assert [h.weight for h in result.history] == [0.4] * 3
+        assert result.balance_weight == 0.4
 
     def test_identical_split_gradients_give_zero_direction(self):
         # same features, label pairs {(1,1),(0,0)} vs {(1,0),(0,1)}: the
@@ -195,7 +196,8 @@ class TestHypergradient:
         y = np.array([[1, 1], [0, 0], [1, 0], [0, 1]], dtype=float)
         matched = np.array([True, True, False, False])
         params = self.head.get_params()
-        after = train_step(self.head, params, x, y, matched, 0.5, self.lr)
+        after = sgd_step(self.head, params, x, y, match_weights(matched, 0.5),
+                         self.lr)
         common = hyper_direction(self.head, params, after, x, y, matched,
                                  self.xv, self.yv, self.mv, self.lr)
         assert abs(common) < 1e-12
@@ -205,14 +207,14 @@ class TestHypergradient:
         weight = 0.37
 
         def validation_objective(w):
-            stepped = train_step(self.head, params, self.xt, self.yt,
-                                 self.mt, w, self.lr)
+            stepped = sgd_step(self.head, params, self.xt, self.yt,
+                               match_weights(self.mt, w), self.lr)
             mat, mis = split_losses(self.head, stepped, self.xv, self.yv,
                                     self.mv)
             return 0.5 * (mat + mis)
 
-        after = train_step(self.head, params, self.xt, self.yt, self.mt,
-                           weight, self.lr)
+        after = sgd_step(self.head, params, self.xt, self.yt,
+                         match_weights(self.mt, weight), self.lr)
         common = hyper_direction(self.head, params, after, self.xt,
                                  self.yt, self.mt, self.xv, self.yv,
                                  self.mv, self.lr)
@@ -221,24 +223,22 @@ class TestHypergradient:
               - validation_objective(weight - delta)) / (2 * delta)
         assert abs(common - fd) / max(abs(fd), 1e-12) < 1e-3
 
-    def test_weight_clamped_to_unit_interval(self):
-        params = self.head.get_params()
-        after = train_step(self.head, params, self.xt, self.yt, self.mt,
-                           0.01, self.lr)
-        new = hypergradient_step(self.head, params, after, self.xt, self.yt,
-                                 self.mt, self.xv, self.yv, self.mv, 0.01,
-                                 self.lr, 1e9)
-        assert 0.0 <= new <= 1.0
+    def test_weight_clamped_to_unit_interval(self, imbalanced_pairs):
+        result = train_scorer(imbalanced_pairs, TrainConfig(
+            learning_rate=0.08, hyper_step_size=1e9, epochs=3, seed=5,
+            initial_weight=0.01), hidden_sizes=(16, 8))
+        # a step this large leaves [0, 1] unless clamped
+        assert result.history[0].weight in (0.0, 1.0)
+        assert all(0.0 <= h.weight <= 1.0 for h in result.history)
 
     def test_single_class_validation_rejected(self):
         params = self.head.get_params()
-        after = train_step(self.head, params, self.xt, self.yt, self.mt,
-                           0.4, self.lr)
+        after = sgd_step(self.head, params, self.xt, self.yt,
+                         match_weights(self.mt, 0.4), self.lr)
         all_matched = np.ones(len(self.xv), dtype=bool)
         with pytest.raises(ImbalanceDegenerateError):
-            hypergradient_step(self.head, params, after, self.xt, self.yt,
-                               self.mt, self.xv, self.yv, all_matched, 0.4,
-                               self.lr, 1.0)
+            hyper_direction(self.head, params, after, self.xt, self.yt,
+                            self.mt, self.xv, self.yv, all_matched, self.lr)
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +301,11 @@ class TestTrainScorer:
         ]
         with pytest.raises(ImbalanceDegenerateError):
             train_scorer(pairs, TrainConfig(epochs=1, seed=0))
+
+    @pytest.mark.parametrize("name", ["epochs", "batch_size"])
+    def test_no_epochs_or_empty_batches_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            TrainConfig(**{name: 0})
 
     def test_history_has_one_entry_per_epoch(self, imbalanced_pairs,
                                              small_config):
