@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,6 +27,39 @@ INTEGER_DTYPES = frozenset(
 class IndexIntegrityError(RuntimeError):
     """A persisted artifact is malformed, of another format or version, or
     inconsistent with the corpus or the provider."""
+
+
+class Check(NamedTuple):
+    """What a header field must be: ``valid`` says whether a value is,
+    ``expected`` says it in words."""
+
+    valid: Callable[[object], bool]
+    expected: str
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(kind: type) -> Callable[[object], bool]:
+    """A list whose items are all of exactly type ``kind`` (so no bool
+    passes for an int), checked without a Python call per item."""
+    return lambda value: isinstance(value, list) and \
+        set(map(type, value)) <= {kind}
+
+
+COUNT = Check(lambda v: _is_int(v) and v >= 0, "an int >= 0")
+POSITIVE = Check(lambda v: _is_int(v) and v >= 1, "an int >= 1")
+FRACTION = Check(
+    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    and 0 <= v <= 1, "a number in [0, 1]")
+LAYER_SIZES = Check(
+    lambda v: _list_of(int)(v) and len(v) >= 2 and min(v) >= 1,
+    "a list of at least two ints >= 1")
+FINGERPRINT = Check(lambda v: v is None or isinstance(v, str),
+                    "a string or null")
+STRINGS = Check(_list_of(str), "a list of strings")
+FLAGS = Check(_list_of(bool), "a list of booleans")
 
 
 class _Fields(dict):
@@ -57,11 +90,14 @@ def save(path: str | Path, kind: str, meta: Mapping,
             np.save(handle, array, allow_pickle=False)
 
 
-def load(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+def load(path: str | Path, kind: str,
+         **checks: Check) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, arrays by name) of a ``kind`` file. A file of another format
-    or version, a bad header, an array of a dtype ``save`` never writes, or
-    a short, corrupt or overlong payload raises ``IndexIntegrityError``, and
-    so does reading a header field or an array the file lacks."""
+    or version, a bad header, a header field that ``checks`` names and
+    that is missing or fails its check, an array of a dtype ``save`` never
+    writes, or a short, corrupt or overlong payload raises
+    ``IndexIntegrityError`` naming the file, and so does reading a header
+    field or an array the file lacks."""
     expected = f"leanrag-{kind}"
     with open(path, "rb") as handle:
         try:
@@ -74,6 +110,12 @@ def load(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise IndexIntegrityError(
                 f"{path}: {expected} version {header.get('version')!r}, "
                 f"expected {VERSION}; rebuild it")
+        header = _Fields(f"{path}: no header field", header)
+        for name, check in checks.items():
+            if not check.valid(header[name]):
+                raise IndexIntegrityError(
+                    f"{path}: header field {name!r} must be "
+                    f"{check.expected}, got {header[name]!r}; rebuild it")
         arrays = _Fields(f"{path}: no array")
         for name in header.get("arrays", []):
             try:
@@ -87,7 +129,7 @@ def load(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
                     f"{path}: array {name!r} has dtype {dtype}")
         if handle.read(1):
             raise IndexIntegrityError(f"{path}: data after the last array")
-    return _Fields(f"{path}: no header field", header), arrays
+    return header, arrays
 
 
 def check_provider(name: str, fingerprint: str | None, dim: int | None,

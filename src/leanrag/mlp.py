@@ -55,6 +55,9 @@ class Mlp:
             params.append(w.ravel())
             params.append(b)
         self._params = np.concatenate(params)
+        # bumped by every set_params, so that anything computed from the
+        # parameters can tell that it is stale
+        self.version = 0
 
     @property
     def n_inputs(self) -> int:
@@ -68,6 +71,12 @@ class Mlp:
         if vec.shape != self._params.shape:
             raise ValueError(f"expected {self._params.shape}, got {vec.shape}")
         self._params = vec.copy()
+        self.version += 1
+
+    def first_layer(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, b) of the first layer, views of the current parameters
+        (``set_params`` replaces them, never writes into them)."""
+        return self._unpack(self._params)[0]
 
     def _unpack(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         layers = []
@@ -82,14 +91,22 @@ class Mlp:
         return layers
 
     def forward_logits(self, inputs: np.ndarray,
-                       params: np.ndarray | None = None) -> np.ndarray:
+                       params: np.ndarray | None = None, *,
+                       preactivated: bool = False) -> np.ndarray:
         """Logits, one row per input row. Each row goes through its own
         vector-matrix products, so its logits are bit-identical whatever
         else is in the batch: identical inputs score identically, and a
-        batch scores exactly as one call per row would."""
-        x = np.atleast_2d(inputs)
-        logits, _ = self._forward(x[:, None, :],
-                                  self._params if params is None else params)
+        batch scores exactly as one call per row would. With
+        ``preactivated`` each row is already the first layer's
+        pre-activation W x + b, and only the layers after it run, under the
+        same contract. (``ScorerModel.score_many`` passes W_q q + W_d d + b,
+        which is within rounding of W x + b, not bit-equal to it.)"""
+        x = np.atleast_2d(inputs)[:, None, :]
+        layers = self._unpack(self._params if params is None else params)
+        if not preactivated:
+            w, b = layers[0]
+            x = x @ w.T + b
+        logits, _ = _after_first(x, layers[1:])
         return logits[:, 0, :]
 
     def probabilities(self, inputs: np.ndarray,
@@ -98,14 +115,9 @@ class Mlp:
 
     def _forward(self, x: np.ndarray, params: np.ndarray):
         layers = self._unpack(params)
-        activations = [x]
-        h = x
-        for w, b in layers[:-1]:
-            h = np.tanh(h @ w.T + b)
-            activations.append(h)
-        w, b = layers[-1]
-        logits = h @ w.T + b
-        return logits, activations
+        w, b = layers[0]
+        logits, hidden = _after_first(x @ w.T + b, layers[1:])
+        return logits, [x, *hidden]
 
     def weighted_bce(self, params: np.ndarray, inputs: np.ndarray,
                      targets: np.ndarray, sample_weights: np.ndarray,
@@ -130,6 +142,17 @@ class Mlp:
             if idx > 0:
                 delta = (delta @ w) * (1.0 - activations[idx] ** 2)
         return loss, grad
+
+
+def _after_first(z: np.ndarray, layers) -> tuple[np.ndarray, list]:
+    """Logits and hidden activations from the first layer's pre-activation
+    ``z``: tanh, then each later layer, the last without tanh."""
+    hidden = []
+    for w, b in layers:
+        z = np.tanh(z)
+        hidden.append(z)
+        z = z @ w.T + b
+    return z, hidden
 
 
 def sgd_step(net: Mlp, params: np.ndarray, inputs: np.ndarray,

@@ -125,9 +125,12 @@ class PipelineContext:
                 f"detector takes {self.detector.max_docs} documents, fewer "
                 f"than top_rerank={self.top_rerank}; rebuild it")
         # candidates and windows read the vectors set-up stored with the
-        # index instead of embedding them again
+        # index instead of embedding them again; a scorer already bound to
+        # it is kept, with what its memo holds
         if isinstance(self.scorer, ScorerModel) and self.retriever is not None:
-            self.scorer = replace(self.scorer, stored=self.retriever.index)
+            index = self.retriever.index
+            if self.scorer.stored is not index:
+                self.scorer = replace(self.scorer, stored=index)
 
 
 def _check_rerank(top_rerank: int, top_retrieve: int) -> None:

@@ -95,7 +95,10 @@ class NnReferenceSet:
 
     @classmethod
     def load(cls, path: str | Path) -> "NnReferenceSet":
-        meta, arrays = artifacts.load(path, "nnref")
+        meta, arrays = artifacts.load(
+            path, "nnref", question_ids=artifacts.STRINGS,
+            correct=artifacts.FLAGS,
+            provider_fingerprint=artifacts.FINGERPRINT)
         try:
             return cls(meta["question_ids"], arrays["embeddings"],
                        meta["correct"], meta["provider_fingerprint"])

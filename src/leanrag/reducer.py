@@ -167,11 +167,23 @@ class DetectorModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "DetectorModel":
-        meta, arrays = artifacts.load(path, "detector")
+        meta, arrays = artifacts.load(
+            path, "detector", layer_sizes=DETECTOR_SIZES,
+            max_docs=artifacts.POSITIVE, threshold=artifacts.FRACTION,
+            seed=artifacts.COUNT)
         net = Mlp(meta["layer_sizes"], seed=meta["seed"])
-        net.set_params(arrays["params"])
-        return cls(max_docs=meta["max_docs"], seed=meta["seed"],
-                   threshold=meta["threshold"], net=net)
+        try:
+            net.set_params(arrays["params"])
+            return cls(max_docs=meta["max_docs"], seed=meta["seed"],
+                       threshold=meta["threshold"], net=net)
+        except ValueError as exc:
+            raise artifacts.IndexIntegrityError(f"{path}: {exc}") from exc
+
+
+# one output unit, the probability that the combination suffices
+DETECTOR_SIZES = artifacts.Check(
+    lambda sizes: artifacts.LAYER_SIZES.valid(sizes) and sizes[-1] == 1,
+    "a list of at least two ints >= 1, the last 1")
 
 
 def greedy_filter(sorted_subdocs: Sequence[ScoredSubDoc],

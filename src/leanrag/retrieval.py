@@ -321,15 +321,19 @@ class VectorIndex:
         self.provider_fingerprint = provider_fingerprint
         self._columns: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._max_norm: float | None = None
-        # built on the first embed_many: each stored row's position by its
-        # digest (rows of ``rows`` after those of ``vectors``); and each text
-        # served so far, by its ``vectors`` row or by its number in ``rows``
+        # built on the first call to ``positions``: each stored row's
+        # position by its digest; and the position of each text found so far
         self._positions: dict[int, int] | None = None
-        self._dense: dict[str, np.ndarray] = {}
-        self._sparse: dict[str, int] = {}
+        self._found: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.doc_ids)
+
+    @property
+    def stored_count(self) -> int:
+        """The number of stored rows: those of ``vectors``, then those of
+        ``rows``, in the order ``positions`` numbers them."""
+        return len(self) + len(self.rows)
 
     def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
         """The k most similar documents (module docstring), most similar
@@ -409,17 +413,17 @@ class VectorIndex:
                 f"index has {self.titled} titled documents, the corpus "
                 f"{titled}; rebuild it")
 
-    def embed_many(self, provider: EmbeddingProvider,
-                   texts: Sequence[str]) -> np.ndarray:
-        """``provider.embed_many(texts)``: each text whose ``stable_hash``
-        a stored row has is read from that row, the rest are embedded in
-        one call (none when every text is held). A row serves only the text
-        it was embedded from, so a document edited after indexing is
-        embedded afresh, and only a provider with the index's fingerprint.
-        A text is hashed once: the texts served are remembered, at most one
-        per stored row."""
+    def positions(self, provider: EmbeddingProvider,
+                  texts: Sequence[str]) -> np.ndarray:
+        """The position (``stored_count``) of the stored row embedded from
+        each text, or -1 where there is none. A row serves only the text it
+        was embedded from, so a document edited after indexing finds no
+        row, and only a provider with the index's fingerprint; with any
+        other provider every text gets -1. A text is hashed once: the texts
+        found are remembered, at most one per stored row."""
+        out = np.full(len(texts), -1, dtype=np.intp)
         if provider.fingerprint + INDEX_FIELDS != self.provider_fingerprint:
-            return provider.embed_many(list(texts))
+            return out
         if self._positions is None:
             # two threads may both build it; they build the same map
             n = len(self)
@@ -427,34 +431,40 @@ class VectorIndex:
             positions.update(zip(self.rows.digests.tolist(),
                                  range(n, n + len(self.rows))))
             self._positions = positions
-        dense, sparse = self._dense, self._sparse
-        out = np.empty((len(texts), self.dim))
-        missing, at, rows = [], [], []
+        found = self._found
         for i, text in enumerate(texts):
-            row = dense.get(text)
-            if row is not None:
-                out[i] = row
-                continue
-            number = sparse.get(text)
-            if number is None:
+            position = found.get(text)
+            if position is None:
                 position = self._positions.get(stable_hash(text))
                 if position is None:
-                    missing.append(i)
                     continue
-                full = len(dense) + len(sparse) >= len(self._positions)
-                if position < len(self):
-                    out[i] = row = self.vectors[position]
-                    if not full:
-                        dense[text] = row
-                    continue
-                number = position - len(self)
-                if not full:
-                    sparse[text] = number
-            at.append(i)
-            rows.append(number)
-        if rows:
-            self.rows.fill(out, at, rows)
-        if missing:
+                if len(found) < len(self._positions):
+                    found[text] = position
+            out[i] = position
+        return out
+
+    def stored_rows(self, positions: np.ndarray) -> np.ndarray:
+        """The stored rows at ``positions``, each in [0, stored_count)."""
+        positions = np.asarray(positions)
+        out = np.empty((len(positions), self.dim))
+        dense = positions < len(self)
+        out[dense] = self.vectors[positions[dense]]
+        at = np.flatnonzero(~dense)
+        if len(at):
+            self.rows.fill(out, at, positions[at] - len(self))
+        return out
+
+    def embed_many(self, provider: EmbeddingProvider,
+                   texts: Sequence[str]) -> np.ndarray:
+        """``provider.embed_many(texts)``: each text ``positions`` finds is
+        read from its stored row, the rest are embedded in one call (none
+        when every text is held)."""
+        positions = self.positions(provider, texts)
+        held = positions >= 0
+        out = np.empty((len(texts), self.dim))
+        out[held] = self.stored_rows(positions[held])
+        missing = np.flatnonzero(~held)
+        if len(missing):
             out[missing] = provider.embed_many([texts[i] for i in missing])
         return out
 

@@ -12,6 +12,7 @@ downhill.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -131,8 +132,9 @@ class TrainingSet:
 
 def pair_features(provider: EmbeddingProvider, question: str,
                   doc_text: str) -> np.ndarray:
-    """Question embedding concatenated with the document-text embedding."""
-    return np.concatenate([provider.embed(question), provider.embed(doc_text)])
+    """Question embedding concatenated with the document-text embedding,
+    both embedded in one call."""
+    return np.concatenate(provider.embed_many([question, doc_text]))
 
 
 def annotate_training_pair(qa: QARecord, doc: Document, llm: LlmClient,
@@ -269,9 +271,20 @@ class EpochStats:
 class ScorerModel:
     """Frozen encoder reference plus the trained two-head MLP.
 
-    ``stored`` (not saved; ``PipelineContext`` binds its retriever's index)
-    gives the vectors set-up already embedded, so that scoring embeds only
-    the texts it lacks."""
+    The head's first layer acts on [q ; d] as W_q q + W_d d + b, and
+    ``score_many`` computes it in those parts: W_q q once per call, and W_d
+    d, for a text that a row of ``stored`` (not saved; ``PipelineContext``
+    binds its retriever's index) holds, once per stored row and parameter
+    version, kept in a memo of at most ``stored.stored_count`` rows of
+    ``head.layer_sizes[1]`` floats. A copy made with
+    ``dataclasses.replace`` starts with an empty memo. Every part is
+    computed row by row, so:
+    identical texts score identically; a batch scores exactly as one call
+    per text would, whatever the memo held before; a text no stored row
+    holds scores exactly as a stored one would, and is not kept; the
+    logits are within rounding (1e-12) of ``head.forward_logits`` on the
+    concatenated features; and after ``head.set_params`` no kept row is
+    used again."""
 
     head: Mlp
     balance_weight: float
@@ -280,15 +293,11 @@ class ScorerModel:
     provider_fingerprint: str | None = None
     stored: VectorIndex | None = field(default=None, repr=False,
                                        compare=False)
+    _memo: _DocumentHalves | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def score_features(self, features: np.ndarray) -> BiLabelScore:
-        return self._score_rows(features.reshape(1, -1))[0]
-
-    def _score_rows(self, features: np.ndarray) -> list[BiLabelScore]:
-        logits = self.head.forward_logits(features)
-        probs = sigmoid(logits)
-        return [BiLabelScore(logit_ans=la, logit_pref=lp, p_ans=pa, p_pref=pp)
-                for (la, lp), (pa, pp) in zip(logits.tolist(), probs.tolist())]
+        return _scores(self.head.forward_logits(features.reshape(1, -1)))[0]
 
     def score(self, question: str, doc_text: str) -> BiLabelScore:
         return self.score_many(question, [doc_text])[0]
@@ -297,8 +306,9 @@ class ScorerModel:
                    question_embedding: np.ndarray | None = None
                    ) -> list[BiLabelScore]:
         """Score every text against one question with at most one
-        ``embed_many`` call (for the texts ``stored`` lacks) and one forward
-        pass; row i equals ``score(question, doc_texts[i])``.
+        ``embed_many`` call (for the texts neither the memo nor ``stored``
+        holds) and one forward call from the first layer's pre-activation;
+        row i equals ``score(question, doc_texts[i])``.
         ``question_embedding`` reuses the question's vector when the caller
         already has it from this model's provider."""
         if self.provider is None:
@@ -307,15 +317,31 @@ class ScorerModel:
             return []
         if question_embedding is None:
             question_embedding = self.provider.embed(question)
-        if self.stored is None:
-            doc_vectors = self.provider.embed_many(list(doc_texts))
-        else:
-            doc_vectors = self.stored.embed_many(self.provider, doc_texts)
-        features = np.concatenate([
-            np.broadcast_to(question_embedding,
-                            (len(doc_texts), len(question_embedding))),
-            doc_vectors], axis=1)
-        return self._score_rows(features)
+        weights, bias = self.head.first_layer()
+        width = len(question_embedding)
+        question_half = question_embedding @ weights[:, :width].T
+        pre = question_half + self._document_halves(
+            doc_texts, weights[:, width:]) + bias
+        return _scores(self.head.forward_logits(pre, preactivated=True))
+
+    def _document_halves(self, texts: Sequence[str],
+                         weights: np.ndarray) -> np.ndarray:
+        """W_d d of each text: a stored row's from the memo, filled on its
+        first use, any other text's embedded and computed afresh."""
+        out = np.empty((len(texts), len(weights)))
+        positions = (np.full(len(texts), -1) if self.stored is None
+                     else self.stored.positions(self.provider, texts))
+        held = np.flatnonzero(positions >= 0)
+        if len(held):
+            memo = self._memo
+            if memo is None or not memo.serves(self.head, self.stored):
+                memo = self._memo = _DocumentHalves(self.head, self.stored)
+            out[held] = memo.halves(positions[held], weights)
+        fresh = np.flatnonzero(positions < 0)
+        if len(fresh):
+            out[fresh] = _products(self.provider.embed_many(
+                [texts[i] for i in fresh]), weights)
+        return out
 
     def save(self, path: str | Path) -> None:
         artifacts.save(path, "scorer", {
@@ -329,12 +355,78 @@ class ScorerModel:
     def load(cls, path: str | Path) -> "ScorerModel":
         """The saved model, with no provider attached; ``load_pipeline``
         checks its fingerprint and attaches one."""
-        meta, arrays = artifacts.load(path, "scorer")
+        meta, arrays = artifacts.load(
+            path, "scorer", layer_sizes=SCORER_SIZES,
+            balance_weight=artifacts.FRACTION, seed=artifacts.COUNT,
+            provider_fingerprint=artifacts.FINGERPRINT)
         head = Mlp(meta["layer_sizes"], seed=meta["seed"])
-        head.set_params(arrays["params"])
+        try:
+            head.set_params(arrays["params"])
+        except ValueError as exc:
+            raise artifacts.IndexIntegrityError(f"{path}: {exc}") from exc
         return cls(head=head, balance_weight=meta["balance_weight"],
                    seed=meta["seed"],
                    provider_fingerprint=meta["provider_fingerprint"])
+
+
+# the first layer reads [question ; document], the last is the two heads
+SCORER_SIZES = artifacts.Check(
+    lambda sizes: artifacts.LAYER_SIZES.valid(sizes)
+    and sizes[0] % 2 == 0 and sizes[-1] == 2,
+    "a list of at least two ints >= 1, the first even and the last 2")
+
+
+class _DocumentHalves:
+    """W_d d of the stored rows of ``stored`` used so far, under one version
+    of ``head``'s parameters: stored row p's is ``values[slots[p]]`` once
+    ``slots[p] >= 0``. Rows are kept in the order of first use, in an array
+    grown by doubling, so memory follows the rows used, not the size of the
+    index (numpy backs arrays of 4 MB and more with huge pages where it
+    can, so one scattered row would make 2 MB resident)."""
+
+    def __init__(self, head: Mlp, stored: VectorIndex):
+        self.head, self.version, self.stored = head, head.version, stored
+        self.slots = np.full(stored.stored_count, -1, dtype=np.intp)
+        self.values = np.empty((0, head.layer_sizes[1]))
+        self.count = 0
+        self.lock = threading.Lock()
+
+    def serves(self, head: Mlp, stored: VectorIndex) -> bool:
+        return (self.head is head and self.version == head.version
+                and self.stored is stored)
+
+    def halves(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """W_d d of each stored row in ``rows``, computing the new ones with
+        ``weights``, W_d of the parameters at ``version``."""
+        with self.lock:
+            # each new row once (np.unique on integers imports numpy.ma,
+            # about 1 MB)
+            new = np.sort(rows[self.slots[rows] < 0])
+            new = new[np.diff(new, prepend=-1) != 0]
+            if len(new):
+                end = self.count + len(new)
+                if end > len(self.values):
+                    grown = np.empty((min(max(end, 2 * len(self.values)),
+                                          len(self.slots)), len(weights)))
+                    grown[:self.count] = self.values[:self.count]
+                    self.values = grown
+                self.values[self.count:end] = _products(
+                    self.stored.stored_rows(new), weights)
+                self.slots[new] = np.arange(self.count, end)
+                self.count = end
+            return self.values[self.slots[rows]]
+
+
+def _products(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights @ v`` for each row v, each row through its own
+    vector-matrix product, as ``Mlp.forward_logits`` computes a layer."""
+    return (vectors[:, None, :] @ weights.T)[:, 0, :]
+
+
+def _scores(logits: np.ndarray) -> list[BiLabelScore]:
+    probs = sigmoid(logits)
+    return [BiLabelScore(logit_ans=la, logit_pref=lp, p_ans=pa, p_pref=pp)
+            for (la, lp), (pa, pp) in zip(logits.tolist(), probs.tolist())]
 
 
 class TrainResult(NamedTuple):

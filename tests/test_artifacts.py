@@ -309,3 +309,58 @@ def test_object_array_rejected(tmp_path):
                 allow_pickle=True)
     with pytest.raises(IndexIntegrityError):
         artifacts.load(path, "mixed")
+
+
+# (kind, header field, value of the wrong type or out of range)
+BAD_FIELDS = [
+    ("scorer", "layer_sizes", 5),
+    ("scorer", "layer_sizes", [16, 4, 3]),
+    ("scorer", "layer_sizes", [15, 4, 2]),
+    ("scorer", "layer_sizes", [16, 0, 2]),
+    ("scorer", "balance_weight", "0.5"),
+    ("scorer", "balance_weight", 1.5),
+    ("scorer", "seed", -1),
+    ("scorer", "seed", True),
+    ("scorer", "provider_fingerprint", 7),
+    ("detector", "threshold", "x"),
+    ("detector", "threshold", None),
+    ("detector", "layer_sizes", [6, 4, 2]),
+    ("detector", "max_docs", 0),
+    ("detector", "max_docs", 2.0),
+    ("detector", "seed", 1.5),
+    ("nn_reference", "correct", 3),
+    ("nn_reference", "correct", [1, 0, 1, 0, 1]),
+    ("nn_reference", "question_ids", [0, 1, 2, 3, 4]),
+    ("nn_reference", "provider_fingerprint", ["fp"]),
+]
+
+
+@pytest.mark.parametrize("kind, name, value", BAD_FIELDS)
+def test_bad_header_field_rejected(kind, name, value, tmp_path):
+    make, save, load_kind, _ = KINDS[kind]
+    path = tmp_path / kind
+    save(make(), path)
+    rewrite_header(path, **{name: value})
+    with pytest.raises(IndexIntegrityError,
+                       match=re.escape(f"{path}: header field '{name}'")):
+        load_kind(path)
+
+
+@pytest.mark.parametrize("kind", ["scorer", "detector"])
+def test_params_of_another_size_rejected(kind, tmp_path):
+    make, save, load_kind, _ = KINDS[kind]
+    path = tmp_path / kind
+    obj = make()
+    net = obj.head if kind == "scorer" else obj.net
+    net.layer_sizes = (net.layer_sizes[0], 3, *net.layer_sizes[2:])
+    save(obj, path)
+    with pytest.raises(IndexIntegrityError, match=re.escape(str(path))):
+        load_kind(path)
+
+
+def test_detector_of_another_input_width_rejected(tmp_path):
+    path = tmp_path / "detector"
+    DetectorModel.save(detector(), path)
+    rewrite_header(path, max_docs=4)
+    with pytest.raises(IndexIntegrityError, match=re.escape(str(path))):
+        DetectorModel.load(path)

@@ -499,8 +499,7 @@ class TestWindowRows:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == [want] * 200
-        assert len(index._dense) + len(index._sparse) <= \
-            len(index) + len(index.rows)
+        assert len(index._found) <= index.stored_count
 
     def test_round_trip_keeps_window_rows(self, tmp_path, provider):
         index = build_index(long_corpus(), provider)

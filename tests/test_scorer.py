@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from synthetic import imbalanced_feature_pairs
 
 import leanrag.scorer as scorer_module
 from leanrag.artifacts import IndexIntegrityError, check_provider
-from leanrag.corpus import Corpus, QARecord, make_document
+from leanrag.corpus import Corpus, QARecord, make_document, window_texts
 from leanrag.llm import ScriptedLlmClient
 from leanrag.mlp import Mlp, PROB_EPS, bce_elementwise, sgd_step, sigmoid
 from leanrag.retrieval import HashingEmbedder, Retriever, build_index
@@ -17,7 +20,8 @@ from leanrag.scorer import (AnnotationError, BiLabel,
                             ImbalanceDegenerateError, LabeledPair, ScorerModel,
                             TrainConfig, TrainingSet, annotate_training_pair,
                             build_training_set, hyper_direction,
-                            match_weights, split_losses, train_scorer)
+                            match_weights, pair_features, split_losses,
+                            train_scorer)
 
 
 def random_batch(rng, head, n):
@@ -392,6 +396,173 @@ class TestScoring:
             check_provider("scorer", loaded.provider_fingerprint,
                            loaded.head.n_inputs // 2,
                            HashingEmbedder(dim=8, seed=2))
+
+
+WORDS = ("amber basil cedar delta ember fjord grove heron iris jade kelp "
+         "lotus maple nectar onyx").split()
+
+
+def memo_corpus(seed=4, n_docs=12, prefix="d"):
+    """Titled and untitled documents of 2 to 5 sentences, so that the index
+    serves document rows, titled-text rows and window rows."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i in range(n_docs):
+        sentences = [" ".join(rng.choice(WORDS, 4)).capitalize() + "."
+                     for _ in range(2 + i % 4)]
+        docs.append(make_document(f"{prefix}{i:02d}",
+                                  "Title" if i % 2 else "",
+                                  " ".join(sentences)))
+    return Corpus(docs)
+
+
+MEMO_PROVIDER = HashingEmbedder(dim=16, seed=2)
+MEMO_CORPUS = memo_corpus()
+MEMO_INDEX = build_index(MEMO_CORPUS, MEMO_PROVIDER)
+STORED_TEXTS = sorted({text for doc in MEMO_CORPUS
+                       for text in [doc.text, *window_texts(doc)]})
+# texts no stored row holds: an edited document, ad-hoc text
+FRESH_TEXTS = [f"{a} {b} unseen" for a in WORDS[:4] for b in WORDS[4:7]]
+
+
+def memo_scorer(index=MEMO_INDEX, seed=3):
+    """A scorer bound to ``index``, with its own head and an empty memo."""
+    return ScorerModel(head=Mlp([32, 6, 4, 2], seed=seed), balance_weight=0.5,
+                       seed=0, provider=MEMO_PROVIDER,
+                       provider_fingerprint=MEMO_PROVIDER.fingerprint,
+                       stored=index)
+
+
+def logits(scores):
+    return [(s.logit_ans, s.logit_pref) for s in scores]
+
+
+texts_strategy = st.lists(st.sampled_from(STORED_TEXTS + FRESH_TEXTS),
+                          min_size=1, max_size=12)
+question_strategy = st.sampled_from(["amber grove?", "which heron iris",
+                                     "kelp onyx lotus nectar"])
+
+
+class TestFactoredScoring:
+    """``score_many`` splits the first layer into a question half, computed
+    per call, and a document half, kept per stored row."""
+
+    def test_every_text_kind_is_exercised(self):
+        assert MEMO_INDEX.rows.digests.size > 0
+        held = MEMO_INDEX.positions(MEMO_PROVIDER, STORED_TEXTS + FRESH_TEXTS)
+        assert (held[:len(STORED_TEXTS)] >= 0).all()
+        assert (held[len(STORED_TEXTS):] == -1).all()
+        assert (held >= len(MEMO_INDEX)).any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(question=question_strategy, texts=texts_strategy)
+    def test_logits_match_forward_on_features(self, question, texts):
+        scorer = memo_scorer()
+        features = np.stack([pair_features(MEMO_PROVIDER, question, text)
+                             for text in texts])
+        want = scorer.head.forward_logits(features)
+        for _ in range(2):  # cold memo, then warm
+            got = np.array(logits(scorer.score_many(question, texts)))
+            assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(question=question_strategy, texts=texts_strategy,
+           data=st.data())
+    def test_identical_texts_tie_cold_and_warm(self, question, texts, data):
+        batch = texts + data.draw(st.permutations(texts))
+        scorer = memo_scorer()
+        cold = scorer.score_many(question, batch)
+        warm = scorer.score_many(question, batch)
+        assert cold == warm
+        for i, text in enumerate(batch):
+            assert cold[i] == cold[batch.index(text)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(question=question_strategy, texts=texts_strategy,
+           batch_first=st.booleans())
+    def test_batch_equals_one_call_per_text(self, question, texts,
+                                            batch_first):
+        scorer = memo_scorer()
+        if batch_first:
+            batch = scorer.score_many(question, texts)
+            single = [scorer.score(question, text) for text in texts]
+        else:
+            single = [scorer.score(question, text) for text in texts]
+            batch = scorer.score_many(question, texts)
+        assert batch == single
+        # and as a scorer that holds no stored row scores them
+        assert batch == replace(scorer, stored=None).score_many(question,
+                                                                texts)
+
+    def test_set_params_takes_effect(self):
+        scorer = memo_scorer()
+        before = scorer.score_many("amber grove?", STORED_TEXTS)
+        params = np.random.default_rng(6).standard_normal(
+            scorer.head.get_params().shape)
+        scorer.head.set_params(params)
+        after = scorer.score_many("amber grove?", STORED_TEXTS)
+        fresh = memo_scorer()
+        fresh.head.set_params(params)
+        assert after == fresh.score_many("amber grove?", STORED_TEXTS)
+        assert after != before
+
+    def test_copy_bound_to_another_index_reads_its_rows(self):
+        scorer = memo_scorer()
+        scorer.score_many("amber grove?", STORED_TEXTS)
+        # the same texts, at other positions of another index
+        other = build_index(Corpus([*memo_corpus(seed=9, n_docs=5,
+                                                 prefix="a"),
+                                    *MEMO_CORPUS]), MEMO_PROVIDER)
+        copy = replace(scorer, stored=other)
+        assert copy.score_many("amber grove?", STORED_TEXTS) == \
+            replace(scorer, stored=None).score_many("amber grove?",
+                                                     STORED_TEXTS)
+
+    def test_texts_no_row_holds_are_not_kept(self):
+        scorer = memo_scorer()
+        # every stored row kept, and every token the fresh texts use seen
+        scorer.score_many("amber grove?", STORED_TEXTS + FRESH_TEXTS)
+        # distinct texts of seen tokens, so no token memo grows either
+        many = [" ".join(["unseen", *(WORDS[i // 15 ** j % 15]
+                                      for j in range(3))])
+                for i in range(3000)]
+        scorer.score_many("amber grove?", many[:100])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for lo in range(0, len(many), 100):
+                scorer.score_many("amber grove?", many[lo:lo + 100])
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # one kept row of 6 floats for each of the 3,000 texts would be
+        # well over 100 kB
+        assert grown < 32_000
+        assert scorer._memo.count <= MEMO_INDEX.stored_count
+
+    def test_pair_features_embed_once_and_as_two_calls(self):
+        calls = []
+
+        class Counting:
+            dim = MEMO_PROVIDER.dim
+            fingerprint = MEMO_PROVIDER.fingerprint
+
+            def embed(self, text):
+                return self.embed_many([text])[0]
+
+            def embed_many(self, texts):
+                calls.append(list(texts))
+                return MEMO_PROVIDER.embed_many(texts)
+
+        for text in STORED_TEXTS[:3] + FRESH_TEXTS[:3]:
+            calls.clear()
+            got = pair_features(Counting(), "which heron iris", text)
+            assert calls == [["which heron iris", text]]
+            want = np.concatenate([MEMO_PROVIDER.embed("which heron iris"),
+                                   MEMO_PROVIDER.embed(text)])
+            assert got.tobytes() == want.tobytes()
 
 
 def annotation_fixture():
