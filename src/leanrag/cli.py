@@ -141,7 +141,7 @@ def _cmd_annotate(args) -> int:
 def _cmd_train_scorer(args) -> int:
     config = _load_config(args)
     training_set = TrainingSet.load(args.pairs)
-    result = train_scorer(training_set, TrainConfig(
+    result = train_scorer(training_set.pairs, TrainConfig(
         learning_rate=args.learning_rate, hyper_step_size=args.hyper_step_size,
         epochs=args.epochs, batch_size=args.batch_size, seed=config.seed),
         provider=build_provider(config.provider))

@@ -31,13 +31,18 @@ class UnscriptedPromptError(LookupError):
     """A strict mock received a prompt it has no script entry for."""
 
 
+# every template lists its passages under one header, one numbered line
+# each, and then states the question on the line ScriptedLlmClient reads
+PASSAGE_HEADER = "Passages:"
+PASSAGE_LINE = "{index}. {text}"
+QUESTION_LINE = "Question: {question}"
+_QUESTION_LINE_RE = re.compile(r"^Question:\s*(.*)$")
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     name: str
     instruction: str
-    passage_header: str = "Passages:"
-    passage_line: str = "{index}. {text}"
-    question_line: str = "Question: {question}"
     suffix: str = ""
 
 
@@ -93,10 +98,10 @@ def build_retrieve_prompt(question: str, passages: Sequence[str],
     if not passages:
         raise ValueError("passages must be non-empty")
     template = template or DEFAULT_TEMPLATES["comprehensive"]
-    lines = [template.instruction, template.passage_header]
+    lines = [template.instruction, PASSAGE_HEADER]
     for index, text in enumerate(passages, start=1):
-        lines.append(template.passage_line.format(index=index, text=text))
-    lines.append(template.question_line.format(question=question))
+        lines.append(PASSAGE_LINE.format(index=index, text=text))
+    lines.append(QUESTION_LINE.format(question=question))
     if template.suffix:
         lines.append(template.suffix)
     prompt = "\n".join(lines)
@@ -109,8 +114,7 @@ def build_noretrieve_prompt(question: str,
     """Render the self-knowledge prompt: generate-background instruction plus
     the question, no passages."""
     template = template or DEFAULT_TEMPLATES["no_retrieve"]
-    lines = [template.instruction,
-             template.question_line.format(question=question)]
+    lines = [template.instruction, QUESTION_LINE.format(question=question)]
     if template.suffix:
         lines.append(template.suffix)
     prompt = "\n".join(lines)
@@ -120,9 +124,6 @@ def build_noretrieve_prompt(question: str,
 def is_correct(response_text: str, gold_answers: Iterable[str]) -> bool:
     """Containment-style correctness: any gold answer appears in the response."""
     return contains_answer(response_text, gold_answers)
-
-
-_QUESTION_LINE_RE = re.compile(r"^Question:\s*(.*)$")
 
 
 class ScriptedLlmClient:
@@ -144,10 +145,12 @@ class ScriptedLlmClient:
 
     @classmethod
     def from_script_file(cls, script_path: str | Path) -> "ScriptedLlmClient":
-        """Load a JSONL script: {"match": {"question"|"pattern"}, "answer"}.
-        The client has no default answer, so a miss raises."""
+        """Load a JSONL script: {"match": {"question"|"pattern"}, "answer"},
+        each a string and each pattern a valid regex, or a ``ValueError``
+        names the line. The client has no default answer, so a miss
+        raises."""
         by_question: dict[str, str] = {}
-        patterns: list[tuple[str, str]] = []
+        patterns: list[tuple[re.Pattern, str]] = []
         with open(script_path, encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
@@ -164,14 +167,25 @@ class ScriptedLlmClient:
                 if not isinstance(match, dict):
                     raise ValueError(
                         f"{script_path}:{line_no}: match must be an object")
-                answer = entry["answer"]
-                if "question" in match:
-                    by_question[match["question"]] = answer
-                elif "pattern" in match:
-                    patterns.append((match["pattern"], answer))
-                else:
+                key = "question" if "question" in match else "pattern"
+                if key not in match:
                     raise ValueError(f"{script_path}:{line_no}: match needs "
                                      "'question' or 'pattern'")
+                for name, value in ((key, match[key]),
+                                    ("answer", entry["answer"])):
+                    if not isinstance(value, str):
+                        raise ValueError(f"{script_path}:{line_no}: {name} "
+                                         f"must be a string, got {value!r}")
+                answer = entry["answer"]
+                if key == "question":
+                    by_question[match[key]] = answer
+                    continue
+                try:
+                    patterns.append((re.compile(match[key]), answer))
+                except re.error as exc:
+                    raise ValueError(
+                        f"{script_path}:{line_no}: pattern {match[key]!r} "
+                        f"does not compile ({exc})") from exc
         return cls(by_question, patterns)
 
     def complete(self, request: LlmRequest) -> LlmResponse:

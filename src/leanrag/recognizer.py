@@ -9,8 +9,10 @@ Both thresholds are strict.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from pathlib import Path
 from typing import Sequence
 
@@ -40,6 +42,12 @@ class RecognizerConfig:
     k_neighbors: int = 10
 
     def __post_init__(self):
+        for name in ("delta_ltod", "s_l", "s_n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or \
+                    not math.isfinite(value):
+                raise ValueError(
+                    f"{name} must be a finite number, got {value!r}")
         if not 0.0 <= self.s_l <= 1.0 or not 0.0 <= self.s_n <= 1.0:
             raise ValueError("s_l and s_n must be in [0, 1]")
         k = self.k_neighbors

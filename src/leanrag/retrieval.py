@@ -321,18 +321,18 @@ class VectorIndex:
         self.provider_fingerprint = provider_fingerprint
         self._columns: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._max_norm: float | None = None
-        # built on the first call to ``positions``: each stored row's
-        # position by its digest; and the position of each text found so far
+        # built on the first call to ``embed_many``: each stored row's
+        # position (those of ``vectors``, then those of ``rows``) by its
+        # digest
         self._positions: dict[int, int] | None = None
-        self._found: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.doc_ids)
 
     @property
     def stored_count(self) -> int:
-        """The number of stored rows: those of ``vectors``, then those of
-        ``rows``, in the order ``positions`` numbers them."""
+        """The number of stored rows: those of ``vectors`` and of
+        ``rows``."""
         return len(self) + len(self.rows)
 
     def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -413,57 +413,34 @@ class VectorIndex:
                 f"index has {self.titled} titled documents, the corpus "
                 f"{titled}; rebuild it")
 
-    def positions(self, provider: EmbeddingProvider,
-                  texts: Sequence[str]) -> np.ndarray:
-        """The position (``stored_count``) of the stored row embedded from
-        each text, or -1 where there is none. A row serves only the text it
-        was embedded from, so a document edited after indexing finds no
-        row, and only a provider with the index's fingerprint; with any
-        other provider every text gets -1. A text is hashed once: the texts
-        found are remembered, at most one per stored row."""
-        out = np.full(len(texts), -1, dtype=np.intp)
-        if provider.fingerprint + INDEX_FIELDS != self.provider_fingerprint:
-            return out
-        if self._positions is None:
-            # two threads may both build it; they build the same map
-            n = len(self)
-            positions = dict(zip(self.digests.tolist(), range(n)))
-            positions.update(zip(self.rows.digests.tolist(),
-                                 range(n, n + len(self.rows))))
-            self._positions = positions
-        found = self._found
-        for i, text in enumerate(texts):
-            position = found.get(text)
-            if position is None:
-                position = self._positions.get(stable_hash(text))
-                if position is None:
-                    continue
-                if len(found) < len(self._positions):
-                    found[text] = position
-            out[i] = position
-        return out
-
-    def stored_rows(self, positions: np.ndarray) -> np.ndarray:
-        """The stored rows at ``positions``, each in [0, stored_count)."""
-        positions = np.asarray(positions)
-        out = np.empty((len(positions), self.dim))
-        dense = positions < len(self)
-        out[dense] = self.vectors[positions[dense]]
-        at = np.flatnonzero(~dense)
-        if len(at):
-            self.rows.fill(out, at, positions[at] - len(self))
-        return out
-
     def embed_many(self, provider: EmbeddingProvider,
                    texts: Sequence[str]) -> np.ndarray:
-        """``provider.embed_many(texts)``: each text ``positions`` finds is
-        read from its stored row, the rest are embedded in one call (none
-        when every text is held)."""
-        positions = self.positions(provider, texts)
-        held = positions >= 0
+        """``provider.embed_many(texts)``, bit for bit: a text is read from
+        the stored row embedded from it, found by one lookup of its digest,
+        and the rest are embedded in one call (none when every text is
+        held). A row serves only the text it was embedded from, so a
+        document edited after indexing finds no row, and only a provider
+        with the index's fingerprint; any other embeds every text."""
+        if provider.fingerprint + INDEX_FIELDS != self.provider_fingerprint:
+            positions = np.full(len(texts), -1, dtype=np.intp)
+        else:
+            if self._positions is None:
+                # two threads may both build it; they build the same map
+                n = len(self)
+                found = dict(zip(self.digests.tolist(), range(n)))
+                found.update(zip(self.rows.digests.tolist(),
+                                 range(n, n + len(self.rows))))
+                self._positions = found
+            position = self._positions.get
+            positions = np.array([position(stable_hash(text), -1)
+                                  for text in texts], dtype=np.intp)
         out = np.empty((len(texts), self.dim))
-        out[held] = self.stored_rows(positions[held])
-        missing = np.flatnonzero(~held)
+        dense = np.flatnonzero((positions >= 0) & (positions < len(self)))
+        out[dense] = self.vectors[positions[dense]]
+        sparse = np.flatnonzero(positions >= len(self))
+        if len(sparse):
+            self.rows.fill(out, sparse, positions[sparse] - len(self))
+        missing = np.flatnonzero(positions < 0)
         if len(missing):
             out[missing] = provider.embed_many([texts[i] for i in missing])
         return out

@@ -11,7 +11,9 @@ downhill.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import operator
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -273,18 +275,19 @@ class ScorerModel:
 
     The head's first layer acts on [q ; d] as W_q q + W_d d + b, and
     ``score_many`` computes it in those parts: W_q q once per call, and W_d
-    d, for a text that a row of ``stored`` (not saved; ``PipelineContext``
-    binds its retriever's index) holds, once per stored row and parameter
-    version, kept in a memo of at most ``stored.stored_count`` rows of
-    ``head.layer_sizes[1]`` floats. A copy made with
-    ``dataclasses.replace`` starts with an empty memo. Every part is
-    computed row by row, so:
-    identical texts score identically; a batch scores exactly as one call
-    per text would, whatever the memo held before; a text no stored row
-    holds scores exactly as a stored one would, and is not kept; the
-    logits are within rounding (1e-12) of ``head.forward_logits`` on the
-    concatenated features; and after ``head.set_params`` no kept row is
-    used again."""
+    d once per text, kept in a memo from text to its row of
+    ``head.layer_sizes[1]`` floats. The memo serves one head object at one
+    parameter version, one ``stored`` index (not saved; ``PipelineContext``
+    binds its retriever's index) and one provider object, and is emptied
+    when any of them changes. It holds at most ``stored.stored_count``
+    texts, whether a stored row holds them or not (an edited document, an
+    ad-hoc text), and nothing when ``stored`` is None; a copy made with
+    ``dataclasses.replace`` starts empty. Every part is computed row by
+    row, so: identical texts score identically; a batch scores exactly as
+    one call per text would, whatever the memo held before; a text no
+    stored row holds scores exactly as a stored one would; the logits are
+    within rounding (1e-12) of ``head.forward_logits`` on the concatenated
+    features; and after ``head.set_params`` no kept row is used again."""
 
     head: Mlp
     balance_weight: float
@@ -293,11 +296,13 @@ class ScorerModel:
     provider_fingerprint: str | None = None
     stored: VectorIndex | None = field(default=None, repr=False,
                                        compare=False)
-    _memo: _DocumentHalves | None = field(default=None, init=False,
-                                          repr=False, compare=False)
-
-    def score_features(self, features: np.ndarray) -> BiLabelScore:
-        return _scores(self.head.forward_logits(features.reshape(1, -1)))[0]
+    _memo: dict[str, np.ndarray] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
+    # (head, stored, provider, parameter version) the memo was filled for
+    _memo_for: tuple = field(default=(), init=False, repr=False,
+                             compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  init=False, repr=False, compare=False)
 
     def score(self, question: str, doc_text: str) -> BiLabelScore:
         return self.score_many(question, [doc_text])[0]
@@ -317,31 +322,48 @@ class ScorerModel:
             return []
         if question_embedding is None:
             question_embedding = self.provider.embed(question)
+        # the memo's version before the weights, so that a concurrent
+        # set_params can leave new rows only under a version no later call
+        # is served from
+        memo = self._current_memo()
         weights, bias = self.head.first_layer()
         width = len(question_embedding)
         question_half = question_embedding @ weights[:, :width].T
         pre = question_half + self._document_halves(
-            doc_texts, weights[:, width:]) + bias
+            memo, doc_texts, weights[:, width:]) + bias
         return _scores(self.head.forward_logits(pre, preactivated=True))
 
-    def _document_halves(self, texts: Sequence[str],
+    def _current_memo(self) -> dict[str, np.ndarray]:
+        """The memo, emptied first when the head, its parameter version,
+        ``stored`` or the provider is not the one it was filled for."""
+        owner = (self.head, self.stored, self.provider, self.head.version)
+        with self._lock:
+            held = self._memo_for
+            if not (held and all(map(operator.is_, held[:3], owner[:3]))
+                    and held[3] == owner[3]):
+                self._memo, self._memo_for = {}, owner
+            return self._memo
+
+    def _document_halves(self, memo: dict[str, np.ndarray],
+                         texts: Sequence[str],
                          weights: np.ndarray) -> np.ndarray:
-        """W_d d of each text: a stored row's from the memo, filled on its
-        first use, any other text's embedded and computed afresh."""
-        out = np.empty((len(texts), len(weights)))
-        positions = (np.full(len(texts), -1) if self.stored is None
-                     else self.stored.positions(self.provider, texts))
-        held = np.flatnonzero(positions >= 0)
-        if len(held):
-            memo = self._memo
-            if memo is None or not memo.serves(self.head, self.stored):
-                memo = self._memo = _DocumentHalves(self.head, self.stored)
-            out[held] = memo.halves(positions[held], weights)
-        fresh = np.flatnonzero(positions < 0)
-        if len(fresh):
-            out[fresh] = _products(self.provider.embed_many(
-                [texts[i] for i in fresh]), weights)
-        return out
+        """W_d d of each text: from ``memo``, or computed from the text's
+        vector (``stored`` serves a stored row's bits, the provider embeds
+        the rest, in one call) and kept while ``memo`` has room."""
+        missing = list(dict.fromkeys(t for t in texts if t not in memo))
+        computed = {}
+        if missing:
+            vectors = (self.provider.embed_many(missing) if self.stored is None
+                       else self.stored.embed_many(self.provider, missing))
+            computed = dict(zip(missing, _products(vectors, weights)))
+            if self.stored is not None:
+                with self._lock:
+                    # not when another owner's call emptied the memo
+                    if memo is self._memo:
+                        room = self.stored.stored_count - len(memo)
+                        memo.update(itertools.islice(computed.items(), room))
+        return np.stack([computed[t] if t in computed else memo[t]
+                         for t in texts])
 
     def save(self, path: str | Path) -> None:
         artifacts.save(path, "scorer", {
@@ -376,47 +398,6 @@ SCORER_SIZES = artifacts.Check(
     "a list of at least two ints >= 1, the first even and the last 2")
 
 
-class _DocumentHalves:
-    """W_d d of the stored rows of ``stored`` used so far, under one version
-    of ``head``'s parameters: stored row p's is ``values[slots[p]]`` once
-    ``slots[p] >= 0``. Rows are kept in the order of first use, in an array
-    grown by doubling, so memory follows the rows used, not the size of the
-    index (numpy backs arrays of 4 MB and more with huge pages where it
-    can, so one scattered row would make 2 MB resident)."""
-
-    def __init__(self, head: Mlp, stored: VectorIndex):
-        self.head, self.version, self.stored = head, head.version, stored
-        self.slots = np.full(stored.stored_count, -1, dtype=np.intp)
-        self.values = np.empty((0, head.layer_sizes[1]))
-        self.count = 0
-        self.lock = threading.Lock()
-
-    def serves(self, head: Mlp, stored: VectorIndex) -> bool:
-        return (self.head is head and self.version == head.version
-                and self.stored is stored)
-
-    def halves(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """W_d d of each stored row in ``rows``, computing the new ones with
-        ``weights``, W_d of the parameters at ``version``."""
-        with self.lock:
-            # each new row once (np.unique on integers imports numpy.ma,
-            # about 1 MB)
-            new = np.sort(rows[self.slots[rows] < 0])
-            new = new[np.diff(new, prepend=-1) != 0]
-            if len(new):
-                end = self.count + len(new)
-                if end > len(self.values):
-                    grown = np.empty((min(max(end, 2 * len(self.values)),
-                                          len(self.slots)), len(weights)))
-                    grown[:self.count] = self.values[:self.count]
-                    self.values = grown
-                self.values[self.count:end] = _products(
-                    self.stored.stored_rows(new), weights)
-                self.slots[new] = np.arange(self.count, end)
-                self.count = end
-            return self.values[self.slots[rows]]
-
-
 def _products(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``weights @ v`` for each row v, each row through its own
     vector-matrix product, as ``Mlp.forward_logits`` computes a layer."""
@@ -435,7 +416,7 @@ class TrainResult(NamedTuple):
     history: list[EpochStats]
 
 
-def train_scorer(pairs: Sequence[LabeledPair] | TrainingSet,
+def train_scorer(pairs: Sequence[LabeledPair],
                  config: TrainConfig | None = None,
                  hidden_sizes: Sequence[int] = DEFAULT_HIDDEN_SIZES,
                  provider: EmbeddingProvider | None = None) -> TrainResult:
@@ -447,8 +428,6 @@ def train_scorer(pairs: Sequence[LabeledPair] | TrainingSet,
     fixed seeded subsample above ``FULL_GRAD_MAX`` pairs). Deterministic for
     a fixed config.
     """
-    if isinstance(pairs, TrainingSet):
-        pairs = pairs.pairs
     config = config or TrainConfig()
     if not pairs:
         raise ValueError("no training pairs")

@@ -183,7 +183,7 @@ def test_criterion_3_reranking_efficacy():
     retriever = Retriever(corpus, build_index(corpus, provider), provider)
 
     training = build_training_set(qa, retriever, mock, per_question_k=50)
-    result = train_scorer(training, TrainConfig(
+    result = train_scorer(training.pairs, TrainConfig(
         learning_rate=0.2, hyper_step_size=0.5, epochs=25, batch_size=16,
         seed=9), hidden_sizes=(48, 24), provider=provider)
     scorer = result.model

@@ -165,7 +165,7 @@ def planted(redundant):
     provider = HashingEmbedder(dim=192, seed=2)
     retriever = Retriever(corpus, build_index(corpus, provider), provider)
     training = build_training_set(qa[:20], retriever, mock, per_question_k=20)
-    scorer = train_scorer(training, TrainConfig(
+    scorer = train_scorer(training.pairs, TrainConfig(
         learning_rate=0.2, hyper_step_size=0.5, epochs=5, batch_size=16,
         seed=9), hidden_sizes=(48, 24), provider=provider).model
     ctx = PipelineContext(
@@ -304,5 +304,5 @@ def test_feature_pairs_batch_equals_rows():
     features = np.stack([p.features for p in pairs])
     batched = model.head.forward_logits(features)
     for row, pair in zip(batched, pairs):
-        single = model.score_features(pair.features)
-        assert (single.logit_ans, single.logit_pref) == tuple(row)
+        single = model.head.forward_logits(pair.features)
+        assert single.tobytes() == row.tobytes()

@@ -8,7 +8,7 @@ from leanrag.llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmRequest,
                          LlmTransportError, ScriptedLlmClient,
                          UnscriptedPromptError, build_noretrieve_prompt,
                          build_retrieve_prompt, is_correct)
-from leanrag.pipeline import build_llm_client
+from leanrag.pipeline import PipelineConfig, build_llm_client, load_pipeline
 
 QUESTION = "Who was the British Prime Minister in 1953?"
 PASSAGES = ["de Valera met the Prime Minister.", "Denis Thatcher married."]
@@ -55,6 +55,13 @@ class TestPromptRendering:
         a = build_retrieve_prompt(QUESTION, PASSAGES)
         b = build_retrieve_prompt(QUESTION, PASSAGES)
         assert a == b
+
+    @pytest.mark.parametrize("name", ["passage_header", "passage_line",
+                                      "question_line"])
+    def test_passage_and_question_lines_are_not_template_fields(self, name):
+        with pytest.raises(ValueError, match="^config 'templates.simple': "):
+            load_pipeline(PipelineConfig(templates={"simple": {name: "x"}}),
+                          require=())
 
 
 class TestNoRetrievePrompt:
@@ -130,6 +137,26 @@ class TestScriptedClient:
         path.write_text(f"{good}\n\n{line}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
             ScriptedLlmClient.from_script_file(path)
+
+    @pytest.mark.parametrize("entry, complaint", [
+        ({"match": {"question": "q"}, "answer": 42},
+         "answer must be a string, got 42"),
+        ({"match": {"pattern": 7}, "answer": "a"},
+         "pattern must be a string, got 7"),
+        ({"match": {"question": ["q"]}, "answer": "a"},
+         "question must be a string, got ['q']"),
+        ({"match": {"pattern": "(unclosed"}, "answer": "a"},
+         "pattern '(unclosed' does not compile"),
+    ])
+    def test_script_file_refuses_bad_entry(self, tmp_path, entry, complaint):
+        path = tmp_path / "script.jsonl"
+        good = json.dumps({"match": {"pattern": "x"}, "answer": "a"})
+        path.write_text(f"{good}\n{json.dumps(entry)}\n")
+        want = f"^{re.escape(str(path))}:2: {re.escape(complaint)}"
+        with pytest.raises(ValueError, match=want):
+            ScriptedLlmClient.from_script_file(path)
+        with pytest.raises(ValueError, match=want):
+            build_llm_client({"kind": "mock", "script_path": str(path)})
 
     @pytest.mark.parametrize("match", ['"question"', '["question"]', "7"])
     def test_script_file_match_must_be_an_object(self, tmp_path, match):

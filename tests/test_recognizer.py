@@ -393,6 +393,15 @@ class TestDecide:
             with pytest.raises(ValueError,
                                match="k_neighbors must be an integer"):
                 RecognizerConfig(k_neighbors=k)
+        for key, value in (("delta_ltod", "4.5"), ("delta_ltod", None),
+                           ("delta_ltod", True), ("delta_ltod", float("nan")),
+                           ("delta_ltod", float("inf")), ("s_l", True),
+                           ("s_n", False), ("s_l", "0.1"),
+                           ("s_n", float("nan"))):
+            with pytest.raises(ValueError, match=f"^{key} must be a finite"):
+                RecognizerConfig(**{key: value})
+        # a whole-number threshold is still a number
+        assert RecognizerConfig(delta_ltod=4).delta_ltod == 4
 
     def test_config_from_mapping(self):
         config = load_pipeline(PipelineConfig(recognizer={

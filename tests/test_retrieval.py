@@ -441,9 +441,8 @@ class TestWindowRows:
         assert got.tobytes() == want.tobytes()
         assert fake.batches == []
 
-    def test_loaded_index_hashes_each_served_text_once(self, tmp_path,
-                                                       provider,
-                                                       monkeypatch):
+    def test_loaded_index_serves_held_texts_without_the_provider(
+            self, tmp_path, provider, monkeypatch):
         corpus = long_corpus()
         build_index(corpus, provider).save(tmp_path / "index")
         index = VectorIndex.load(tmp_path / "index")
@@ -461,15 +460,12 @@ class TestWindowRows:
         assert got.tobytes() == provider.embed_many(texts).tobytes()
         assert recording.batches == []
         assert len(hashed) <= len(texts)
-        hashed.clear()
-        assert index.embed_many(recording, texts).tobytes() == got.tobytes()
-        assert hashed == []
-        # a text no row holds is not remembered, so it is hashed each time
+        # texts no row holds go to the provider, in one call
         unheld = ["a question?", "another question?"]
-        for _ in range(2):
-            index.embed_many(recording, unheld)
-        assert hashed == unheld * 2
-        assert recording.batches == [unheld] * 2
+        got = index.embed_many(recording, [texts[0], *unheld])
+        assert got.tobytes() == provider.embed_many(
+            [texts[0], *unheld]).tobytes()
+        assert recording.batches == [unheld]
 
     def test_threads_sharing_an_index_are_served_alike(self, provider):
         corpus = long_corpus()
@@ -480,7 +476,8 @@ class TestWindowRows:
         got = []
 
         def serve(offset):
-            # each thread asks in its own order, so they memoize at once
+            # each thread asks in its own order, so they build the digest
+            # map at once
             for _ in range(50):
                 rows = index.embed_many(provider,
                                         texts[offset:] + texts[:offset])
@@ -499,7 +496,6 @@ class TestWindowRows:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == [want] * 200
-        assert len(index._found) <= index.stored_count
 
     def test_round_trip_keeps_window_rows(self, tmp_path, provider):
         index = build_index(long_corpus(), provider)

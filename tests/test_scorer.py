@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -10,18 +12,21 @@ from hypothesis import strategies as st
 
 from synthetic import imbalanced_feature_pairs
 
+import leanrag.retrieval as retrieval_module
 import leanrag.scorer as scorer_module
 from leanrag.artifacts import IndexIntegrityError, check_provider
 from leanrag.corpus import Corpus, QARecord, make_document, window_texts
 from leanrag.llm import ScriptedLlmClient
 from leanrag.mlp import Mlp, PROB_EPS, bce_elementwise, sgd_step, sigmoid
-from leanrag.retrieval import HashingEmbedder, Retriever, build_index
+from leanrag.retrieval import (HashingEmbedder, Retriever, VectorIndex,
+                               build_index)
 from leanrag.scorer import (AnnotationError, BiLabel,
                             ImbalanceDegenerateError, LabeledPair, ScorerModel,
                             TrainConfig, TrainingSet, annotate_training_pair,
                             build_training_set, hyper_direction,
                             match_weights, pair_features, split_losses,
                             train_scorer)
+from leanrag.seeds import stable_hash
 
 
 def random_batch(rng, head, n):
@@ -347,21 +352,21 @@ class TestScoring:
 
     def test_deterministic(self, trained):
         features = np.random.default_rng(2).standard_normal(8)
-        assert trained.score_features(features) == trained.score_features(features)
+        assert trained.head.forward_logits(features).tobytes() == \
+            trained.head.forward_logits(features).tobytes()
 
     def test_probability_is_sigmoid_of_logit(self, trained):
         features = np.random.default_rng(3).standard_normal(8)
-        sc = trained.score_features(features)
-        assert abs(sc.p_ans - sigmoid(np.array([sc.logit_ans]))[0]) < 1e-9
-        assert abs(sc.p_pref - sigmoid(np.array([sc.logit_pref]))[0]) < 1e-9
+        logit = trained.head.forward_logits(features)
+        prob = trained.head.probabilities(features)
+        assert np.abs(prob - sigmoid(logit)).max() < 1e-9
 
     def test_heldout_auc_above_point_nine(self, trained):
         held_out = imbalanced_feature_pairs(n_matched=300, n_mismatched=30,
                                             dim=8, seed=99, tag="-heldout")
-        scores, labels = [], []
-        for pair in held_out:
-            scores.append(trained.score_features(pair.features).p_ans)
-            labels.append(pair.label.has_answer)
+        scores = trained.head.probabilities(
+            np.stack([pair.features for pair in held_out]))[:, 0].tolist()
+        labels = [pair.label.has_answer for pair in held_out]
         # exhaustive pair-counting AUC
         positives = [s for s, y in zip(scores, labels) if y == 1]
         negatives = [s for s, y in zip(scores, labels) if y == 0]
@@ -379,7 +384,8 @@ class TestScoring:
         trained.save(path)
         loaded = ScorerModel.load(path)
         features = np.random.default_rng(8).standard_normal(8)
-        assert loaded.score_features(features) == trained.score_features(features)
+        assert loaded.head.forward_logits(features).tobytes() == \
+            trained.head.forward_logits(features).tobytes()
         assert loaded.balance_weight == trained.balance_weight
 
     def test_load_rejects_wrong_provider(self, tmp_path):
@@ -425,6 +431,23 @@ STORED_TEXTS = sorted({text for doc in MEMO_CORPUS
 FRESH_TEXTS = [f"{a} {b} unseen" for a in WORDS[:4] for b in WORDS[4:7]]
 
 
+class CountingProvider:
+    """``MEMO_PROVIDER``, recording the texts of each ``embed_many``."""
+
+    dim = MEMO_PROVIDER.dim
+    fingerprint = MEMO_PROVIDER.fingerprint
+
+    def __init__(self):
+        self.calls = []
+
+    def embed(self, text):
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts):
+        self.calls.append(list(texts))
+        return MEMO_PROVIDER.embed_many(texts)
+
+
 def memo_scorer(index=MEMO_INDEX, seed=3):
     """A scorer bound to ``index``, with its own head and an empty memo."""
     return ScorerModel(head=Mlp([32, 6, 4, 2], seed=seed), balance_weight=0.5,
@@ -448,11 +471,14 @@ class TestFactoredScoring:
     per call, and a document half, kept per stored row."""
 
     def test_every_text_kind_is_exercised(self):
-        assert MEMO_INDEX.rows.digests.size > 0
-        held = MEMO_INDEX.positions(MEMO_PROVIDER, STORED_TEXTS + FRESH_TEXTS)
-        assert (held[:len(STORED_TEXTS)] >= 0).all()
-        assert (held[len(STORED_TEXTS):] == -1).all()
-        assert (held >= len(MEMO_INDEX)).any()
+        # stored texts come from document rows and from sparse rows, and
+        # only the fresh ones reach the provider
+        digests = {stable_hash(text) for text in STORED_TEXTS}
+        assert digests & set(MEMO_INDEX.digests.tolist())
+        assert digests & set(MEMO_INDEX.rows.digests.tolist())
+        provider = CountingProvider()
+        MEMO_INDEX.embed_many(provider, STORED_TEXTS + FRESH_TEXTS)
+        assert provider.calls == [FRESH_TEXTS]
 
     @settings(max_examples=40, deadline=None)
     @given(question=question_strategy, texts=texts_strategy)
@@ -518,10 +544,27 @@ class TestFactoredScoring:
             replace(scorer, stored=None).score_many("amber grove?",
                                                      STORED_TEXTS)
 
-    def test_texts_no_row_holds_are_not_kept(self):
+    def test_memo_follows_the_provider_and_the_index(self):
         scorer = memo_scorer()
-        # every stored row kept, and every token the fresh texts use seen
+        scorer.score_many("amber grove?", STORED_TEXTS)
+        scorer.provider = HashingEmbedder(dim=16, seed=5)
+        assert scorer.score_many("amber grove?", STORED_TEXTS) == replace(
+            scorer, stored=None).score_many("amber grove?", STORED_TEXTS)
+        small = build_index(Corpus(list(MEMO_CORPUS)[:3]), MEMO_PROVIDER)
+        scorer.provider, scorer.stored = MEMO_PROVIDER, small
+        scorer.score_many("amber grove?", STORED_TEXTS)
+        assert len(scorer._memo) == small.stored_count
+
+    def test_memo_keeps_any_text_up_to_the_stored_row_count(self):
+        scorer = memo_scorer()
+        # every stored text kept, and every token the fresh texts use seen
         scorer.score_many("amber grove?", STORED_TEXTS + FRESH_TEXTS)
+        # a text no row holds is kept while there is room, then none is
+        assert len(STORED_TEXTS) < MEMO_INDEX.stored_count < \
+            len(STORED_TEXTS + FRESH_TEXTS)
+        assert FRESH_TEXTS[0] in scorer._memo
+        assert FRESH_TEXTS[-1] not in scorer._memo
+        assert len(scorer._memo) == MEMO_INDEX.stored_count
         # distinct texts of seen tokens, so no token memo grows either
         many = [" ".join(["unseen", *(WORDS[i // 15 ** j % 15]
                                       for j in range(3))])
@@ -540,26 +583,67 @@ class TestFactoredScoring:
         # one kept row of 6 floats for each of the 3,000 texts would be
         # well over 100 kB
         assert grown < 32_000
-        assert scorer._memo.count <= MEMO_INDEX.stored_count
+        assert len(scorer._memo) <= MEMO_INDEX.stored_count
+
+    def test_warm_batch_hashes_and_embeds_nothing(self, tmp_path,
+                                                  monkeypatch):
+        MEMO_INDEX.save(tmp_path / "index")
+        provider = CountingProvider()
+        scorer = replace(memo_scorer(VectorIndex.load(tmp_path / "index")),
+                         provider=provider)
+        hashed = []
+
+        def counting_hash(text):
+            hashed.append(text)
+            return stable_hash(text)
+
+        monkeypatch.setattr(retrieval_module, "stable_hash", counting_hash)
+        question = MEMO_PROVIDER.embed("which heron iris")
+        texts = STORED_TEXTS + FRESH_TEXTS[:6]
+        cold = scorer.score_many("which heron iris", texts, question)
+        # each text hashed once, and only the fresh ones embedded
+        assert sorted(hashed) == sorted(texts)
+        assert provider.calls == [FRESH_TEXTS[:6]]
+        hashed.clear()
+        provider.calls.clear()
+        assert scorer.score_many("which heron iris", texts, question) == cold
+        assert hashed == []
+        assert provider.calls == []
+
+    def test_threads_sharing_a_scorer_score_alike(self):
+        scorer = memo_scorer()
+        texts = STORED_TEXTS + FRESH_TEXTS
+        want = logits(memo_scorer().score_many("amber grove?", texts))
+        got = []
+
+        def serve(offset):
+            # each thread asks in its own order, so they fill the memo at once
+            for _ in range(30):
+                rows = logits(scorer.score_many(
+                    "amber grove?", texts[offset:] + texts[:offset]))
+                got.append(rows[len(texts) - offset:] +
+                           rows[:len(texts) - offset])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(offset,))
+                       for offset in range(0, 20, 5)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 120
+        assert len(scorer._memo) <= MEMO_INDEX.stored_count
 
     def test_pair_features_embed_once_and_as_two_calls(self):
-        calls = []
-
-        class Counting:
-            dim = MEMO_PROVIDER.dim
-            fingerprint = MEMO_PROVIDER.fingerprint
-
-            def embed(self, text):
-                return self.embed_many([text])[0]
-
-            def embed_many(self, texts):
-                calls.append(list(texts))
-                return MEMO_PROVIDER.embed_many(texts)
-
         for text in STORED_TEXTS[:3] + FRESH_TEXTS[:3]:
-            calls.clear()
-            got = pair_features(Counting(), "which heron iris", text)
-            assert calls == [["which heron iris", text]]
+            provider = CountingProvider()
+            got = pair_features(provider, "which heron iris", text)
+            assert provider.calls == [["which heron iris", text]]
             want = np.concatenate([MEMO_PROVIDER.embed("which heron iris"),
                                    MEMO_PROVIDER.embed(text)])
             assert got.tobytes() == want.tobytes()
