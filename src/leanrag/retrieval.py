@@ -265,6 +265,110 @@ class SparseRows:
             self.values[entries]
 
 
+class ExactScan:
+    """Exact top-k over the rows of a finite float64 matrix, by the
+    similarity in the module docstring, ties by ascending row.
+
+    The first ``top`` reads how the scan should run from the matrix and
+    keeps it, unsaved: a matrix with at most ``SPARSE_SHARE`` of its entries
+    nonzero gets per-coordinate column lists, any other its largest row
+    norm. A matrix of 0 rows is allowed."""
+
+    def __init__(self, vectors: np.ndarray):
+        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2:
+            raise ValueError("vectors must be a matrix")
+        # the scan is exact for finite values only; a row's sum is
+        # non-finite when one of its entries is (or when it overflows), so
+        # only then is every entry checked
+        if not np.isfinite(vectors @ np.ones(vectors.shape[1])).all() and \
+                not np.isfinite(vectors).all():
+            raise ValueError("vectors must be finite")
+        self.vectors = vectors
+        self.dim = int(vectors.shape[1])
+        self._columns: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._max_norm: float | None = None
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def top(self, query: np.ndarray, k: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, similarities) of the k most similar rows, most similar
+        first, ties by ascending row: the first k of a stable sort of every
+        row by descending similarity.
+
+        A sparse matrix sums, for each coordinate the question has, only the
+        rows whose entry there is nonzero: every product it leaves out is
+        +-0, and adding +-0 never changes a sum that starts from +0.0. A
+        dense matrix sums every product, but only for the rows that one
+        matrix-vector product, under a proven rounding margin, cannot rule
+        out of the top k."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        query = np.asarray(query, dtype=np.float64)
+        if query.shape != (self.dim,):
+            raise ValueError(f"query must have shape ({self.dim},)")
+        if not np.isfinite(query).all():
+            raise ValueError("query must be finite")
+        if self._columns is None and self._max_norm is None:
+            # on the first call, not at load; two threads may both derive
+            # it, and they derive the same
+            if np.count_nonzero(self.vectors) <= \
+                    SPARSE_SHARE * self.vectors.size:
+                self._columns = _column_lists(self.vectors)
+            else:
+                self._max_norm = float(np.sqrt(np.einsum(
+                    "ij,ij->i", self.vectors, self.vectors).max()))
+        if self._columns is not None:
+            rows = np.arange(len(self))
+            column_rows, products = [np.zeros(0, np.int32)], [np.zeros(0)]
+            for j in np.flatnonzero(query):
+                column_rows.append(self._columns[j][0])
+                products.append(self._columns[j][1] * query[j])
+            # bincount adds each row's weights from +0.0 in input order: its
+            # products in coordinate order (given no weights, it counts in
+            # integers)
+            sims = np.bincount(np.concatenate(column_rows),
+                               np.concatenate(products), minlength=len(self)
+                               ).astype(np.float64, copy=False)
+        else:
+            rows = self._dense_candidates(query, k)
+            # cumsum adds in coordinate order; + 0.0 turns a -0.0 first
+            # product into the +0.0 the sum starts from
+            sims = np.cumsum(self.vectors[rows] * query, axis=1)[:, -1] + 0.0
+        top = _top(sims, k)
+        return rows[top], sims[top]
+
+    def _dense_candidates(self, query: np.ndarray, k: int) -> np.ndarray:
+        """Ascending rows that include every row whose similarity is at or
+        above the k-th largest."""
+        margin = _filter_margin(self.dim, self._max_norm,
+                                float(np.sqrt(query @ query)))
+        if k >= len(self) or not np.isfinite(margin):
+            return np.arange(len(self))
+        approx = self.vectors @ query
+        kth = np.partition(approx, len(self) - k)[len(self) - k]
+        return np.flatnonzero(approx >= kth - margin)
+
+
+def sort_by_id(ids: Sequence[str], *arrays: np.ndarray
+               ) -> tuple[list[str], tuple[np.ndarray, ...]]:
+    """``ids`` in ascending order, and each array's rows (an empty array
+    stays empty) in the same order; the arrays as given, not copied, when
+    the ids already are in order."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    if order == list(range(len(ids))):
+        return list(ids), arrays
+    return [ids[i] for i in order], \
+        tuple(array[order] if len(array) else array for array in arrays)
+
+
+def repeated_ids(ids: Sequence[str]) -> list[str]:
+    """Each id of the sorted ``ids`` that repeats the one before it."""
+    return [a for a, b in zip(ids, ids[1:]) if a == b]
+
+
 class VectorIndex:
     """Exact-scan dense index. Entries are kept sorted by doc_id, so that
     ascending row order is the documented tie-break.
@@ -275,12 +379,8 @@ class VectorIndex:
     same provider, sparsely, each with its own digest (``build_index``: the
     text of each titled document, which is what the scorer embeds, and
     every sub-document window no other row holds). ``titled`` is the number
-    of titled documents the index was built from.
-
-    The first search reads how the scan should run from the matrix and keeps
-    it, unsaved: a matrix with at most ``SPARSE_SHARE`` of its entries
-    nonzero gets per-coordinate column lists, any other its largest row
-    norm."""
+    of titled documents the index was built from. ``scan`` searches
+    ``vectors``."""
 
     def __init__(self, doc_ids: Sequence[str], vectors: np.ndarray,
                  provider_fingerprint: str,
@@ -298,29 +398,15 @@ class VectorIndex:
             raise ValueError("digests must be one per row, or none")
         if not isinstance(titled, int) or titled < 0:
             raise ValueError(f"titled must be an int >= 0, got {titled!r}")
-        order = sorted(range(len(doc_ids)), key=lambda i: doc_ids[i])
-        if order != list(range(len(doc_ids))):
-            doc_ids = [doc_ids[i] for i in order]
-            vectors = vectors[order]
-            if len(digests):
-                digests = digests[order]
-        self.doc_ids = list(doc_ids)
-        self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        # search is exact for finite values only; a row's sum is non-finite
-        # when one of its entries is (or when it overflows), so only then is
-        # every entry checked
-        ones = np.ones(self.vectors.shape[1])
-        if not np.isfinite(self.vectors @ ones).all() and \
-                not np.isfinite(self.vectors).all():
-            raise ValueError("index vectors must be finite")
-        self.digests = digests
-        self.dim = int(self.vectors.shape[1])
+        self.doc_ids, (vectors, self.digests) = sort_by_id(doc_ids, vectors,
+                                                            digests)
+        self.scan = ExactScan(vectors)
+        self.vectors = self.scan.vectors
+        self.dim = self.scan.dim
         self.rows = rows if rows is not None else \
             SparseRows.compress((), self.dim)
         self.titled = titled
         self.provider_fingerprint = provider_fingerprint
-        self._columns: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._max_norm: float | None = None
         # built on the first call to ``embed_many``: each stored row's
         # position (those of ``vectors``, then those of ``rows``) by its
         # digest
@@ -337,56 +423,10 @@ class VectorIndex:
 
     def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
         """The k most similar documents (module docstring), most similar
-        first, ties by ascending doc id: the first k of a stable sort of
-        every row by descending similarity.
-
-        A sparse index sums, for each coordinate the question has, only the
-        rows whose entry there is nonzero: every product it leaves out is
-        +-0, and adding +-0 never changes a sum that starts from +0.0. A
-        dense index sums every product, but only for the rows that one
-        matrix-vector product, under a proven rounding margin, cannot rule
-        out of the top k."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query must have shape ({self.dim},)")
-        if not np.isfinite(query).all():
-            raise ValueError("query must be finite")
-        if self._columns is None and self._max_norm is None:
-            # on the first search, not at load; two threads may both derive
-            # it, and they derive the same
-            if np.count_nonzero(self.vectors) <= \
-                    SPARSE_SHARE * self.vectors.size:
-                self._columns = _column_lists(self.vectors)
-            else:
-                self._max_norm = float(np.sqrt(np.einsum(
-                    "ij,ij->i", self.vectors, self.vectors).max()))
-        if self._columns is not None:
-            rows = np.arange(len(self))
-            sims = np.zeros(len(self))
-            for j in np.flatnonzero(query):
-                column_rows, values = self._columns[j]
-                sims[column_rows] += values * query[j]
-        else:
-            rows = self._dense_candidates(query, k)
-            # cumsum adds in coordinate order; + 0.0 turns a -0.0 first
-            # product into the +0.0 the sum starts from
-            sims = np.cumsum(self.vectors[rows] * query, axis=1)[:, -1] + 0.0
-        top = _top(sims, k)
-        return [(self.doc_ids[row], float(sim))
-                for row, sim in zip(rows[top], sims[top])]
-
-    def _dense_candidates(self, query: np.ndarray, k: int) -> np.ndarray:
-        """Ascending rows that include every row whose similarity is at or
-        above the k-th largest."""
-        margin = _filter_margin(self.dim, self._max_norm,
-                                float(np.sqrt(query @ query)))
-        if k >= len(self) or not np.isfinite(margin):
-            return np.arange(len(self))
-        approx = self.vectors @ query
-        kth = np.partition(approx, len(self) - k)[len(self) - k]
-        return np.flatnonzero(approx >= kth - margin)
+        first, ties by ascending doc id (``ExactScan.top``)."""
+        rows, sims = self.scan.top(query, k)
+        return [(self.doc_ids[row], sim)
+                for row, sim in zip(rows.tolist(), sims.tolist())]
 
     def verify_corpus(self, corpus: Corpus) -> None:
         """The index must hold each corpus document exactly once, and have
@@ -398,11 +438,9 @@ class VectorIndex:
                 f"{len(missing)} indexed doc ids are not in the corpus, "
                 f"e.g. {missing[:3]}; rebuild it")
         if len(indexed) != len(self):
-            # the ids are sorted, so a repeated id repeats at the next row
-            repeated = [a for a, b in zip(self.doc_ids, self.doc_ids[1:])
-                        if a == b]
             raise IndexIntegrityError(
-                f"index repeats doc ids, e.g. {repeated[:3]}; rebuild it")
+                f"index repeats doc ids, e.g. "
+                f"{repeated_ids(self.doc_ids)[:3]}; rebuild it")
         if len(self) != len(corpus):
             raise IndexIntegrityError(
                 f"index has {len(self)} documents, the corpus "

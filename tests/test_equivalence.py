@@ -2,7 +2,8 @@
 
 The reference implementations below are the per-item originals: every
 (question, text) pair embedded and scored on its own, the NN facet a sort of
-reference entries by per-entry distance, the index a plain-Python sum of
+reference entries by (-similarity, question id) and the index a sort of
+documents by (-similarity, doc id), each similarity a plain-Python sum of
 products per row (``synthetic.exact_search``).
 Over every synthetic corpus the two paths must agree exactly on decisions,
 combination ids, prompt tokens and the evaluation report, and on scores to
@@ -10,6 +11,7 @@ within 1e-9.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,11 +43,11 @@ def per_item_search(index, query, k):
 
 
 def per_item_neighbor_score(question_embedding, reference, k):
-    query = np.asarray(question_embedding, dtype=np.float64)
-    ranked = sorted(zip(reference.question_ids, reference.embeddings,
-                        reference.correct),
-                    key=lambda e: (float(np.linalg.norm(e[1] - query)), e[0]))
-    return sum(1 for _, _, correct in ranked[:k] if correct) / k
+    rows = SimpleNamespace(doc_ids=reference.question_ids,
+                           vectors=reference.embeddings)
+    correct = dict(zip(reference.question_ids, reference.correct))
+    return sum(1 for qid, _ in exact_search(rows, question_embedding, k)
+               if correct[qid]) / k
 
 
 class PerItemScorer:

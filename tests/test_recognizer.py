@@ -1,3 +1,4 @@
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from synthetic import exact_search, planted_corpus, redundant_corpus
 
 import leanrag.recognizer as recognizer_module
 from leanrag import artifacts
@@ -66,13 +68,37 @@ def make_reference(entries, fingerprint=None):
                           [e.correct for e in entries], fingerprint)
 
 
-def reference_entries(labels, spread=1.0):
+def reference_entries(labels):
+    """Unit rows 0.3 radians apart in the first two coordinates."""
     entries = []
     for i, correct in enumerate(labels):
-        offset = np.zeros(4)
-        offset[0] = i * spread
-        entries.append(Entry(f"q{i}", offset, bool(correct)))
+        row = np.zeros(4)
+        row[:2] = np.cos(0.3 * i), np.sin(0.3 * i)
+        entries.append(Entry(f"q{i}", row, bool(correct)))
     return entries
+
+
+def unit(rows):
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+def similarity_ranked(entries, query):
+    """Every entry by (-similarity, question id), the similarity a
+    plain-Python coordinate-order sum (``synthetic.exact_search``)."""
+    by_id = {e.question_id: e for e in entries}
+    rows = SimpleNamespace(doc_ids=list(by_id),
+                           vectors=np.array([e.embedding for e in entries]))
+    return [by_id[qid] for qid, _ in exact_search(rows, query, len(entries))]
+
+
+def euclidean_ranked(entries, query):
+    """Every entry by (per-entry Euclidean distance, question id)."""
+    return sorted(entries, key=lambda e: (
+        float(np.linalg.norm(e.embedding - query)), e.question_id))
+
+
+def fraction(ranked, k):
+    return sum(e.correct for e in ranked[:k]) / k
 
 
 class TestNeighborScore:
@@ -86,24 +112,24 @@ class TestNeighborScore:
         assert neighbor_score(query, ref, 1) == 1.0
 
     def test_two_cluster_oracle(self):
-        # positive cluster near origin, negative cluster far away; verified
-        # against an exhaustive distance sort
+        # unit rows: a positive cluster around e0, a negative one around
+        # -e0; verified against an exhaustive sort
         rng = np.random.default_rng(3)
+        e0 = np.eye(6)[0]
         entries = []
         for i in range(20):
             entries.append(Entry(f"pos{i}",
-                                 rng.normal(0.0, 0.1, size=6), True))
+                                 unit(e0 + rng.normal(0.0, 0.1, size=6)),
+                                 True))
         for i in range(20):
             entries.append(Entry(f"neg{i}",
-                                 rng.normal(8.0, 0.1, size=6), False))
+                                 unit(-e0 + rng.normal(0.0, 0.1, size=6)),
+                                 False))
         ref = make_reference(entries)
-        query = rng.normal(0.0, 0.1, size=6)
+        query = unit(e0 + rng.normal(0.0, 0.1, size=6))
         assert neighbor_score(query, ref, 5) == 1.0
-        ranked = sorted(entries,
-                        key=lambda e: (float(np.linalg.norm(e.embedding - query)),
-                                       e.question_id))
-        expected = sum(e.correct for e in ranked[:5]) / 5
-        assert neighbor_score(query, ref, 5) == expected
+        assert neighbor_score(query, ref, 5) == \
+            fraction(similarity_ranked(entries, query), 5)
 
     def test_distance_ties_break_by_question_id(self):
         entries = [
@@ -111,18 +137,18 @@ class TestNeighborScore:
             Entry("a", np.array([0.0, 1.0]), True),
         ]
         ref = make_reference(entries)
-        # equidistant from the origin: "a" wins the single slot
+        # equally similar to the zero query: "a" wins the single slot
         assert neighbor_score(np.zeros(2), ref, 1) == 1.0
 
     def test_distance_ties_across_k_boundary(self):
-        # one entry nearest, then four equidistant entries listed out of id
-        # order; the first k-1 of those by question id fill the top k
-        entries = [Entry("z", np.array([0.5, 0.0]), False)]
+        # one entry most similar, then four tied unit entries listed out of
+        # id order; the first k-1 of those by question id fill the top k
+        entries = [Entry("z", np.array([1.0, 0.0]), False)]
         for qid, correct in (("q3", True), ("q1", False), ("q2", True),
                              ("q0", True)):
-            entries.append(Entry(qid, np.array([0.0, 2.0]), correct))
+            entries.append(Entry(qid, np.array([0.0, 1.0]), correct))
         ref = make_reference(entries)
-        query = np.zeros(2)
+        query = np.array([1.0, 0.0])
         assert neighbor_score(query, ref, 2) == 1 / 2  # z, q0
         assert neighbor_score(query, ref, 3) == 1 / 3  # z, q0, q1
         assert neighbor_score(query, ref, 4) == 2 / 4  # z, q0, q1, q2
@@ -135,18 +161,59 @@ class TestNeighborScore:
         ref = make_reference(entries)
         for _ in range(10):
             query = rng.integers(-1, 2, size=3).astype(float)
-            ranked = sorted(entries, key=lambda e: (
-                float(np.linalg.norm(e.embedding - query)), e.question_id))
+            ranked = similarity_ranked(entries, query)
             for k in (1, 4, 9, 30):
-                expected = sum(e.correct for e in ranked[:k]) / k
-                assert neighbor_score(query, ref, k) == expected
+                assert neighbor_score(query, ref, k) == fraction(ranked, k)
 
-    def test_shares_the_given_matrix(self):
+    def test_shares_the_given_matrix(self, tmp_path, monkeypatch):
         embeddings = np.arange(12, dtype=np.float64).reshape(3, 4)
         ref = NnReferenceSet(["q0", "q1", "q2"], embeddings,
                              [True, False, True])
         assert ref.embeddings.shape == (3, 4)
         assert np.shares_memory(ref.embeddings, embeddings)
+        # built from questions out of id order, the rows come in id order,
+        # so the saved file loads into a matrix kept as read
+        qa = TestBuildReference().qa(12)[::-1]
+        llm = ScriptedLlmClient({q.question: "gold3" for q in qa})
+        built = build_nn_reference(qa, llm, HashingEmbedder(dim=32, seed=0))
+        assert built.question_ids == sorted(q.question_id for q in qa)
+        assert built.correct.tolist() == \
+            [qid == "q3" for qid in built.question_ids]
+        path = tmp_path / "ref"
+        built.save(path)
+        read = []
+        load = artifacts.load
+
+        def spy(*args, **kwargs):
+            meta, arrays = load(*args, **kwargs)
+            read.append(arrays["embeddings"])
+            return meta, arrays
+
+        monkeypatch.setattr(recognizer_module.artifacts, "load", spy)
+        loaded = NnReferenceSet.load(path)
+        np.testing.assert_array_equal(loaded.embeddings, built.embeddings)
+        assert loaded.question_ids == built.question_ids
+        assert np.shares_memory(loaded.embeddings, read[0])
+
+    def test_rows_kept_in_question_id_order(self):
+        embeddings = np.eye(3)
+        ref = NnReferenceSet(["q2", "q0", "q1"], embeddings,
+                             [True, False, False])
+        assert ref.question_ids == ["q0", "q1", "q2"]
+        np.testing.assert_array_equal(ref.embeddings, embeddings[[1, 2, 0]])
+        assert ref.correct.tolist() == [False, False, True]
+
+    def test_repeated_question_id_refused(self):
+        with pytest.raises(ValueError, match="repeats question ids"):
+            NnReferenceSet(["a", "a", "b"], np.eye(3), [True, False, True])
+
+    def test_load_refuses_repeated_question_id(self, tmp_path):
+        path = tmp_path / "ref"
+        artifacts.save(path, "nnref", {
+            "provider_fingerprint": None, "question_ids": ["a", "a", "b"],
+            "correct": [True, False, True]}, {"embeddings": np.eye(3)})
+        with pytest.raises(IndexIntegrityError, match="repeats question ids"):
+            NnReferenceSet.load(path)
 
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError):
@@ -159,23 +226,19 @@ class TestNeighborScore:
 
     def test_matches_full_scan_fraction(self):
         rng = np.random.default_rng(11)
-        entries = [Entry(f"q{i}", rng.standard_normal(5),
+        entries = [Entry(f"q{i}", unit(rng.standard_normal(5)),
                          bool(rng.integers(0, 2))) for i in range(200)]
         ref = make_reference(entries)
-        query = rng.standard_normal(5)
+        query = unit(rng.standard_normal(5))
+        ranked = similarity_ranked(entries, query)
         for k in (1, 7, 50):
-            ranked = sorted(entries, key=lambda e: (
-                float(np.linalg.norm(e.embedding - query)), e.question_id))
-            expected = sum(e.correct for e in ranked[:k]) / k
-            assert neighbor_score(query, ref, k) == expected
+            assert neighbor_score(query, ref, k) == fraction(ranked, k)
 
 
 def oracle_scores(entries, query):
     """The fraction for every k in 1..n, from one exact sort of all
     entries."""
-    ranked = sorted(entries, key=lambda e: (
-        float(np.linalg.norm(e.embedding - query)), e.question_id))
-    hits = np.cumsum([e.correct for e in ranked])
+    hits = np.cumsum([e.correct for e in similarity_ranked(entries, query)])
     return [int(hits[k - 1]) / k for k in range(1, len(entries) + 1)]
 
 
@@ -183,6 +246,7 @@ def assert_matches_oracle(entries, query):
     ref = make_reference(entries)
     for k, expected in enumerate(oracle_scores(entries, query), start=1):
         assert neighbor_score(query, ref, k) == expected
+    return ref
 
 
 @st.composite
@@ -250,8 +314,20 @@ def scaled_cases(draw):
                              st.floats(-1e3, 1e3, allow_nan=False)))
 
 
+@st.composite
+def gaussian_unit_cases(draw):
+    """Dense Gaussian unit rows, a few of them copies of others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, dim = draw(st.integers(2, 40)), draw(st.integers(2, 16))
+    rows = unit(rng.standard_normal((n, dim)))
+    copies = rng.integers(0, n, size=draw(st.integers(0, n // 2)))
+    rows[rng.permutation(n)[:len(copies)]] = rows[copies]
+    return draw(labeled_case(rows, st.floats(-1.0, 1.0, allow_nan=False)))
+
+
 class TestNeighborScoreMatchesFullSort:
-    """neighbor_score against an exact sort of every entry, for every k."""
+    """neighbor_score against an exact sort of every entry by (-similarity,
+    question id), for every k."""
 
     @given(grid_cases())
     @settings(deadline=None)
@@ -266,7 +342,12 @@ class TestNeighborScoreMatchesFullSort:
     @given(sparse_sign_cases())
     @settings(deadline=None)
     def test_sparse_sign_rows(self, case):
-        assert_matches_oracle(*case)
+        assert assert_matches_oracle(*case).scan._columns is not None
+
+    @given(gaussian_unit_cases())
+    @settings(deadline=None)
+    def test_dense_gaussian_unit_rows(self, case):
+        assert assert_matches_oracle(*case).scan._columns is None
 
     @given(scaled_cases())
     @settings(deadline=None)
@@ -274,44 +355,42 @@ class TestNeighborScoreMatchesFullSort:
         assert_matches_oracle(*case)
 
     def test_norms_too_large_for_the_margin(self):
-        # squared distances overflow to inf and tie, so ids decide
+        # every |row| |query| is about 1.2e308: the sums stay finite, but
+        # twice the bound overflows, so the margin filter keeps every row
         rng = np.random.default_rng(5)
-        entries = [Entry(f"q{i}", rng.standard_normal(3) * 1e200,
+        entries = [Entry(f"q{i}", unit(rng.standard_normal(3)) * 1e154,
                          bool(rng.integers(0, 2))) for i in range(12)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert_matches_oracle(entries, rng.standard_normal(3) * 1e200)
+        query = unit(rng.standard_normal(3)) * 1.2e154
+        assert assert_matches_oracle(entries, query).scan._columns is None
 
-    def measured(self, monkeypatch):
-        calls = []
-        exact = recognizer_module._exact_distances
 
-        def spy(embeddings, query):
-            calls.append(len(embeddings))
-            return exact(embeddings, query)
+class TestCrossDefinition:
+    """On hashing-embedder references built from the synthetic questions,
+    with every question as the query, the most similar k give the same
+    fraction as the k nearest by a per-entry Euclidean sort."""
 
-        monkeypatch.setattr(recognizer_module, "_exact_distances", spy)
-        return calls
+    @staticmethod
+    def question_sets():
+        _, planted, _, _ = planted_corpus()
+        _, redundant, _ = redundant_corpus(n_questions=5)
+        return [planted, redundant, TestBuildReference().qa(40)]
 
-    def test_label_uniform_tier_is_not_measured(self, monkeypatch):
-        calls = self.measured(monkeypatch)
-        # one nearest entry, then four tied entries of one label
-        entries = [Entry("z", np.array([0.5, 0.0]), False)]
-        for qid, row in (("q3", [2.0, 0.0]), ("q1", [0.0, 2.0]),
-                         ("q2", [-2.0, 0.0]), ("q0", [0.0, -2.0])):
-            entries.append(Entry(qid, np.array(row), True))
-        assert_matches_oracle(entries, np.zeros(2))
-        assert calls == []
-
-    def test_mixed_tier_is_measured(self, monkeypatch):
-        calls = self.measured(monkeypatch)
-        entries = [Entry("z", np.array([0.5, 0.0]), False)]
-        for qid, correct in (("q3", True), ("q1", False), ("q2", True),
-                             ("q0", True)):
-            entries.append(Entry(qid, np.array([0.0, 2.0]), correct))
-        ref = make_reference(entries)
-        assert neighbor_score(np.zeros(2), ref, 3) == 1 / 3  # z, q0, q1
-        # only the four tied entries are measured, not the sure nearest one
-        assert calls == [4]
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_similarity_and_euclidean_fractions_agree(self, seed):
+        provider = HashingEmbedder(dim=256, seed=seed)
+        for qa in self.question_sets():
+            vectors = provider.embed_many([q.question for q in qa])
+            for labels in ([i % 2 == 0 for i in range(len(qa))],
+                           [i % 3 == 1 for i in range(len(qa))]):
+                entries = [Entry(q.question_id, row, label)
+                           for q, row, label in zip(qa, vectors, labels)]
+                ref = make_reference(entries)
+                for query in vectors:
+                    ranked = euclidean_ranked(entries, query)
+                    for k in (1, 5, 10):
+                        if k <= len(entries):
+                            assert neighbor_score(query, ref, k) == \
+                                fraction(ranked, k)
 
 
 class TestNonFiniteInputs:

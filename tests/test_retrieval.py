@@ -14,7 +14,7 @@ from leanrag import artifacts
 from leanrag.artifacts import check_provider
 from leanrag.corpus import Corpus, make_document, window_texts
 from leanrag.retrieval import (INDEX_FIELDS, EmbeddingProviderError,
-                               HashingEmbedder, IndexIntegrityError,
+                               ExactScan, HashingEmbedder, IndexIntegrityError,
                                RemoteEmbedder, Retriever, SparseRows,
                                VectorIndex, build_index,
                                document_embedding_text, mean_recall_at_k,
@@ -651,14 +651,14 @@ class TestExactScan:
     def test_sparse_index_matches_definition(self, case):
         index, query = case
         self.check_every_k(index, query)
-        assert index._columns is not None
+        assert index.scan._columns is not None
 
     @given(scan_cases(sparse=False))
     @settings(deadline=None)
     def test_dense_index_matches_definition(self, case):
         index, query = case
         self.check_every_k(index, query)
-        assert index._columns is None
+        assert index.scan._columns is None
 
     def test_identical_rows_score_identically_wherever_they_sit(self):
         # a matrix-vector product may sum the last n mod 4 rows in another
@@ -725,6 +725,17 @@ class TestExactScan:
         index = VectorIndex(["a", "b"], np.eye(2), "fp")
         with pytest.raises(ValueError, match="shape"):
             index.search(np.ones(3), 1)
+
+    def test_zero_rows_and_zero_query(self):
+        rows, sims = ExactScan(np.zeros((0, 3))).top(np.ones(3), 2)
+        assert rows.tolist() == sims.tolist() == []
+        # no coordinate to add on the column path: every similarity +0.0
+        scan = ExactScan(np.eye(8))
+        rows, sims = scan.top(np.zeros(8), 2)
+        assert scan._columns is not None
+        assert rows.tolist() == [0, 1]
+        assert sims.dtype == np.float64
+        assert not np.signbit(sims).any() and not sims.any()
 
 
 class TestRetrieve:
