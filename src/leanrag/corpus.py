@@ -40,6 +40,9 @@ _NAME_NEXT_RE = re.compile(r"[A-Z](?:[a-z]|\.)")
 # sentences per sub-document window, the paper's three-sentence window
 WINDOW = 3
 
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = " \t\n\r"
+
 
 class CorpusFormatError(ValueError):
     """A corpus or QA file line could not be parsed."""
@@ -60,8 +63,9 @@ class Document:
 
     ``sentences`` holds (start, end) character spans into ``text``; spans are
     ordered, non-overlapping, and jointly cover all non-whitespace text.
-    They and ``sentence_tokens`` are computed on first use, once per
-    document, since a question reads only the few documents it reranks.
+    They, ``sentence_tokens`` and ``windows`` are computed on first use,
+    once per document, since a question reads only the few documents it
+    reranks; a window's text is then the same string on every question.
     """
 
     doc_id: str
@@ -77,12 +81,32 @@ class Document:
         """``count_tokens`` of each sentence, counted once per document."""
         return tuple(count_tokens(text) for text in self.sentence_texts())
 
+    @cached_property
+    def windows(self) -> tuple[str, ...]:
+        """The text of each window: ``WINDOW`` sentences joined by single
+        spaces, at stride 1, or the whole document when it has fewer. A
+        document without sentences has no window and raises ``ValueError``."""
+        if not self.sentences:
+            raise ValueError(f"document {self.doc_id!r} has no sentences")
+        texts = self.sentence_texts()
+        size = min(len(texts), WINDOW)
+        return tuple(" ".join(texts[start:start + size])
+                     for start in range(len(texts) - size + 1))
+
     @property
     def sentence_count(self) -> int:
         return len(self.sentences)
 
     def sentence_texts(self) -> list[str]:
         return [self.text[a:b] for a, b in self.sentences]
+
+    def subdocument(self, start: int) -> "SubDocument":
+        """Window ``start`` of ``generate_subdocuments``. Its token count is
+        the sum of its sentences' counts, since ``count_tokens`` is additive
+        over the joins."""
+        size = min(self.sentence_count, WINDOW)
+        return SubDocument(self.doc_id, start, size, self.windows[start],
+                           sum(self.sentence_tokens[start:start + size]))
 
 
 @dataclass(frozen=True)
@@ -239,14 +263,6 @@ def contains_answer(text: str, gold_answers: Iterable[str]) -> bool:
     return False
 
 
-def window_texts(doc: Document) -> list[str]:
-    """The text of each ``generate_subdocuments`` window, in order."""
-    texts = doc.sentence_texts()
-    size = min(len(texts), WINDOW)
-    return [" ".join(texts[start:start + size])
-            for start in range(len(texts) - size + 1)]
-
-
 def generate_subdocuments(doc: Document) -> list[SubDocument]:
     """Slice ``doc`` into sliding windows of ``WINDOW`` sentences, stride 1.
 
@@ -254,17 +270,7 @@ def generate_subdocuments(doc: Document) -> list[SubDocument]:
     shorter documents yield a single whole-document slice. Either way every
     sentence is covered by at least one sub-document.
     """
-    total = doc.sentence_count
-    if total == 0:
-        raise ValueError(f"document {doc.doc_id!r} has no sentences")
-    size = min(total, WINDOW)
-    # count_tokens is additive over the joins, so a window's count is the
-    # sum of its sentences'
-    tokens = doc.sentence_tokens
-    return [SubDocument(parent_doc_id=doc.doc_id, start_sentence=start,
-                        sentence_count=size, text=text,
-                        token_count=sum(tokens[start:start + size]))
-            for start, text in enumerate(window_texts(doc))]
+    return [doc.subdocument(start) for start in range(len(doc.windows))]
 
 
 def whole_document_subdoc(doc: Document) -> SubDocument:
@@ -284,20 +290,22 @@ def make_document(doc_id: str, title: str, text: str) -> Document:
 
 def load_corpus(path: str | Path) -> Corpus:
     """Read a JSONL corpus ({"id", "title", "text"} per line)."""
-    docs: list[Document] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    line_no = 0
+
+    def documents(handle) -> Iterator[Document]:
+        nonlocal line_no
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             record = _parse_record(path, line_no, line, ("id", "title", "text"))
-            doc_id = str(record["id"])
-            if doc_id in seen:
-                raise DuplicateDocumentError(
-                    f"{path}:{line_no}: duplicate doc id {doc_id!r}")
-            seen.add(doc_id)
-            docs.append(make_document(doc_id, str(record["title"]), str(record["text"])))
-    return Corpus(docs)
+            yield make_document(str(record["id"]), str(record["title"]),
+                                str(record["text"]))
+
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return Corpus(documents(handle))
+        except DuplicateDocumentError as exc:
+            raise DuplicateDocumentError(f"{path}:{line_no}: {exc}") from exc
 
 
 def load_qa(path: str | Path) -> list[QARecord]:
@@ -326,10 +334,15 @@ def load_qa(path: str | Path) -> list[QARecord]:
 
 def _parse_record(path: str | Path, line_no: int, line: str,
                   required: Sequence[str]) -> dict:
+    # what json.loads accepts, without its per-call overhead: one value
+    # between JSON whitespace
+    text = line.strip(_JSON_SPACE)
     try:
-        record = json.loads(line)
+        record, end = _DECODER.raw_decode(text)
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
+    if end != len(text):
+        raise CorpusFormatError(path, line_no, "invalid JSON (Extra data)")
     if not isinstance(record, dict):
         raise CorpusFormatError(path, line_no, "expected a JSON object")
     for key in required:

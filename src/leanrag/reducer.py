@@ -6,6 +6,14 @@ three-sentence sliding window, the representatives are sorted, and a greedy pass
 until a learned detector says the running combination suffices to answer the
 question. Features for the detector are the combination's (p_ans, p_pref)
 pairs in order, zero-padded to a fixed width.
+
+Window scoring works on arrays: ``score_windows`` scores every window of the
+reranked documents in one forward pass (each ``Document`` caches its window
+texts and its sentences' token counts), and the best window per document
+and the prerank order are index computations on those arrays.
+``SubDocument``, ``BiLabelScore`` and ``ScoredSubDoc`` objects are built
+only for the windows that the detector, a prompt or a trace sees: at most
+``top_rerank`` per question.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import artifacts
-from .corpus import Document, QARecord, SubDocument, generate_subdocuments
+# unused here; benchmarks/tracing.py times window cutting through this name
+from .corpus import (Document, QARecord, SubDocument,  # noqa: F401
+                     generate_subdocuments)
 from .llm import (LlmClient, PromptTemplate, build_noretrieve_prompt,
                   build_retrieve_prompt, is_correct)
 from .mlp import Mlp, sgd_epoch, stratified_split
@@ -68,6 +78,61 @@ class SubDocCombination:
         return len(self.members)
 
 
+@dataclass(frozen=True)
+class ScoredWindows:
+    """Every window of some documents, scored: row i is window
+    ``starts[i]`` of ``docs[owners[i]]``, a document's rows contiguous and
+    in window order; ``combined`` is p_ans + p_pref, the one IEEE add
+    ``BiLabelScore.combined`` makes."""
+
+    docs: Sequence[RerankedDoc]
+    owners: np.ndarray
+    starts: np.ndarray
+    logits: np.ndarray
+    probs: np.ndarray
+    combined: np.ndarray
+
+    def best_rows(self) -> np.ndarray:
+        """Each document's row of highest combined score, documents in
+        order; the earliest window wins ties, as ``max`` keeps the first of
+        equal maxima. The sort is stable and keeps each document's rows in
+        the places they held, so a document's best sorts to its window 0."""
+        return np.lexsort((-self.combined, self.owners))[self.starts == 0]
+
+    def preranked(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` in ``prerank`` order."""
+        positions = [self.docs[j].position for j in self.owners[rows].tolist()]
+        return rows[_prerank_order(self.combined[rows], positions,
+                                   self.starts[rows])]
+
+    def members(self, rows: Sequence[int]) -> list[ScoredSubDoc]:
+        """The objects of ``rows``, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return [ScoredSubDoc(subdoc=self.docs[j].doc.subdocument(start),
+                             score=BiLabelScore(*logits, *probs),
+                             parent_position=self.docs[j].position)
+                for j, start, logits, probs in zip(
+                    self.owners[rows].tolist(), self.starts[rows].tolist(),
+                    self.logits[rows].tolist(), self.probs[rows].tolist())]
+
+
+def score_windows(docs: Sequence[RerankedDoc], scorer: ScorerModel,
+                  question: str, question_embedding: np.ndarray | None = None
+                  ) -> ScoredWindows:
+    """Every sliding window of every document, scored in one
+    ``score_arrays`` call. Raises ``ValueError`` when ``docs`` is empty or
+    a document has no sentences."""
+    if not docs:
+        raise ValueError("docs must be non-empty")
+    counts = [len(d.doc.windows) for d in docs]
+    logits, probs = scorer.score_arrays(
+        question, [text for d in docs for text in d.doc.windows],
+        question_embedding)
+    return ScoredWindows(docs, np.repeat(np.arange(len(docs)), counts),
+                         np.concatenate([np.arange(n) for n in counts]),
+                         logits, probs, probs[:, 0] + probs[:, 1])
+
+
 class Detector(Protocol):
     max_docs: int
 
@@ -83,39 +148,29 @@ def rerank_topk(scored: Sequence[tuple[RetrievedDoc, BiLabelScore]],
             for pos, (r, s) in enumerate(ordered[:k], start=1)]
 
 
-def scored_windows(docs: Sequence[RerankedDoc], scorer: ScorerModel,
-                   question: str, question_embedding: np.ndarray | None = None
-                   ) -> list[list[ScoredSubDoc]]:
-    """Every sliding window of every document, scored in one batch; one list
-    per document, windows in order."""
-    windows = [generate_subdocuments(doc.doc) for doc in docs]
-    scores = iter(scorer.score_many(
-        question, [sub.text for subs in windows for sub in subs],
-        question_embedding))
-    return [[ScoredSubDoc(subdoc=sub, score=sc, parent_position=doc.position)
-             for sub, sc in zip(subs, scores)]
-            for doc, subs in zip(docs, windows)]
-
-
 def representative_subdocs(docs: Sequence[RerankedDoc], scorer: ScorerModel,
                            question: str,
                            question_embedding: np.ndarray | None = None
                            ) -> list[ScoredSubDoc]:
     """One sub-document per input document: the sliding window with the
     highest combined score (earliest window wins ties)."""
-    if not docs:
-        raise ValueError("docs must be non-empty")
-    # max keeps the first of equal maxima
-    return [max(subs, key=lambda sub: sub.combined)
-            for subs in scored_windows(docs, scorer, question,
-                                       question_embedding)]
+    windows = score_windows(docs, scorer, question, question_embedding)
+    return windows.members(windows.best_rows())
+
+
+def _prerank_order(combined, positions, starts) -> np.ndarray:
+    """The indices that sort by combined score descending, then by parent
+    position, then by window start."""
+    return np.lexsort((starts, positions, -np.asarray(combined, dtype=float)))
 
 
 def prerank(subdocs: Sequence[ScoredSubDoc]) -> list[ScoredSubDoc]:
     """Descending by combined score; ties by the parent's rerank position,
     then by window start."""
-    return sorted(subdocs, key=lambda s: (-s.combined, s.parent_position,
-                                          s.subdoc.start_sentence))
+    order = _prerank_order([s.combined for s in subdocs],
+                           [s.parent_position for s in subdocs],
+                           [s.subdoc.start_sentence for s in subdocs])
+    return [subdocs[i] for i in order]
 
 
 def combination_features(members: Sequence[ScoredSubDoc],
@@ -253,18 +308,11 @@ def jaccard(a: frozenset, b: frozenset) -> float:
 def skyline_filter(scored: Sequence[tuple[float, float]]) -> list[int]:
     """Indices of Pareto-optimal points: kept unless some other point is at
     least as good on both coordinates and strictly better on one."""
-    kept = []
-    for i, (a_i, p_i) in enumerate(scored):
-        dominated = False
-        for j, (a_j, p_j) in enumerate(scored):
-            if j == i:
-                continue
-            if a_j >= a_i and p_j >= p_i and (a_j > a_i or p_j > p_i):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(i)
-    return kept
+    points = np.asarray(scored, dtype=np.float64).reshape(-1, 2)
+    # [i, j]: point j against point i
+    at_least = (points[None, :, :] >= points[:, None, :]).all(axis=2)
+    better = (points[None, :, :] > points[:, None, :]).any(axis=2)
+    return np.flatnonzero(~(at_least & better).any(axis=1)).tolist()
 
 
 def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
@@ -312,27 +360,23 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
                            qa.question_id, exc)
             continue
 
-        pool = [sub for subs in scored_windows(top, scorer, qa.question)
-                for sub in subs]
-        if not pool:
-            continue
+        windows = score_windows(top, scorer, qa.question)
+        n_windows = len(windows.owners)
         rng = derive_rng(seed, f"detector-data:{qa.question_id}")
-        kept_members: list[list[ScoredSubDoc]] = []
-        kept_sets: list[frozenset] = []
+        kept: list[tuple[np.ndarray, frozenset]] = []
         for _ in range(samples_per_question):
-            size = int(rng.integers(1, min(max_docs, len(pool)) + 1))
-            chosen = rng.choice(len(pool), size=size, replace=False)
-            members = prerank([pool[i] for i in chosen])
-            ids = frozenset(m.subdoc.subdoc_id for m in members)
-            if any(jaccard(ids, seen) > MAX_OVERLAP for seen in kept_sets):
-                continue
-            kept_members.append(members)
-            kept_sets.append(ids)
-        points = [(float(np.mean([m.score.p_ans for m in members])),
-                   float(np.mean([m.score.p_pref for m in members])))
-                  for members in kept_members]
+            size = int(rng.integers(1, min(max_docs, n_windows) + 1))
+            rows = windows.preranked(
+                rng.choice(n_windows, size=size, replace=False))
+            # one window per row, so row sets compare as member-id sets
+            ids = frozenset(rows.tolist())
+            if all(jaccard(ids, seen) <= MAX_OVERLAP for _, seen in kept):
+                kept.append((rows, ids))
+        points = [(float(np.mean(windows.probs[rows, 0])),
+                   float(np.mean(windows.probs[rows, 1])))
+                  for rows, _ in kept]
         for idx in skyline_filter(points):
-            members = kept_members[idx]
+            members = windows.members(kept[idx][0])
             mean_ans, mean_pref = points[idx]
             try:
                 response = llm.complete(build_retrieve_prompt(

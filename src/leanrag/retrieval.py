@@ -26,7 +26,7 @@ import numpy as np
 from . import artifacts
 from .artifacts import IndexIntegrityError
 from .corpus import (WINDOW, Corpus, Document, contains_answer,
-                     max_sentences, window_texts)
+                     max_sentences)
 from .seeds import stable_hash
 
 logger = logging.getLogger(__name__)
@@ -593,7 +593,7 @@ def _new_rows(docs: Iterable[Document], held: set[int],
         # window, which its index or text row already holds
         if max_sentences(doc.text) > WINDOW or \
                 " ".join(doc.text.split()) != doc.text:
-            texts += window_texts(doc)
+            texts += doc.windows
         new = {}
         for text in texts:
             digest = stable_hash(text)

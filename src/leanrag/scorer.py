@@ -310,16 +310,26 @@ class ScorerModel:
     def score_many(self, question: str, doc_texts: Sequence[str],
                    question_embedding: np.ndarray | None = None
                    ) -> list[BiLabelScore]:
-        """Score every text against one question with at most one
-        ``embed_many`` call (for the texts neither the memo nor ``stored``
-        holds) and one forward call from the first layer's pre-activation;
-        row i equals ``score(question, doc_texts[i])``.
+        """The rows of ``score_arrays``; row i equals
+        ``score(question, doc_texts[i])``."""
+        logits, probs = self.score_arrays(question, doc_texts,
+                                          question_embedding)
+        return [BiLabelScore(*pair, *prob)
+                for pair, prob in zip(logits.tolist(), probs.tolist())]
+
+    def score_arrays(self, question: str, doc_texts: Sequence[str],
+                     question_embedding: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """(logits, probabilities), each of shape (len(doc_texts), 2),
+        columns (answer, preference), from at most one ``embed_many`` call
+        (for the texts neither the memo nor ``stored`` holds) and one
+        forward call from the first layer's pre-activation.
         ``question_embedding`` reuses the question's vector when the caller
         already has it from this model's provider."""
         if self.provider is None:
             raise ValueError("model has no embedding provider attached")
         if not doc_texts:
-            return []
+            return np.empty((0, 2)), np.empty((0, 2))
         if question_embedding is None:
             question_embedding = self.provider.embed(question)
         # the memo's version before the weights, so that a concurrent
@@ -331,7 +341,8 @@ class ScorerModel:
         question_half = question_embedding @ weights[:, :width].T
         pre = question_half + self._document_halves(
             memo, doc_texts, weights[:, width:]) + bias
-        return _scores(self.head.forward_logits(pre, preactivated=True))
+        logits = self.head.forward_logits(pre, preactivated=True)
+        return logits, sigmoid(logits)
 
     def _current_memo(self) -> dict[str, np.ndarray]:
         """The memo, emptied first when the head, its parameter version,
@@ -402,12 +413,6 @@ def _products(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``weights @ v`` for each row v, each row through its own
     vector-matrix product, as ``Mlp.forward_logits`` computes a layer."""
     return (vectors[:, None, :] @ weights.T)[:, 0, :]
-
-
-def _scores(logits: np.ndarray) -> list[BiLabelScore]:
-    probs = sigmoid(logits)
-    return [BiLabelScore(logit_ans=la, logit_pref=lp, p_ans=pa, p_pref=pp)
-            for (la, lp), (pa, pp) in zip(logits.tolist(), probs.tolist())]
 
 
 class TrainResult(NamedTuple):

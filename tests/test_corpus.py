@@ -51,13 +51,30 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match=":2:"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("tail", ["{}", "x", "1", '"a"', "\f"])
+    def test_trailing_data_names_line(self, tmp_path, tail):
+        path = tmp_path / "corpus.jsonl"
+        record = json.dumps({"id": "b", "title": "t", "text": "y"})
+        path.write_text('{"id": "a", "title": "t", "text": "x"}\n'
+                        f" {record} \t{tail}\r\n")
+        with pytest.raises(CorpusFormatError,
+                           match=r":2: invalid JSON \(Extra data\)"):
+            load_corpus(path)
+
+    def test_json_whitespace_around_a_record(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        record = json.dumps({"id": "a", "title": "t", "text": "x"})
+        path.write_text(f" \t{record} \t\r\n")
+        assert load_corpus(path).get("a").text == "x"
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [
             {"id": "a", "title": "", "text": "x"},
-            {"id": "a", "title": "", "text": "y"},
+            {"id": "b", "title": "", "text": "y"},
+            {"id": "a", "title": "", "text": "z"},
         ])
-        with pytest.raises(DuplicateDocumentError):
+        with pytest.raises(DuplicateDocumentError, match=r":3: .*'a'"):
             load_corpus(path)
 
     def test_load_qa(self, tmp_path):
@@ -295,6 +312,31 @@ class TestSubdocuments:
         assert generate_subdocuments(doc) == first
         assert len(first) == 10
         assert sorted(counted) == sorted(doc.sentence_texts())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12])
+    def test_window_cache_matches_joined_sentences(self, n):
+        doc = self.doc(n)
+        texts = doc.sentence_texts()
+        size = min(n, 3)
+        want = [(" ".join(texts[start:start + size]), start)
+                for start in range(n - size + 1)]
+        subs = generate_subdocuments(doc)
+        assert [(s.text, s.start_sentence) for s in subs] == want
+        assert list(doc.windows) == [text for text, _ in want]
+        assert [count_tokens(text) for text in doc.windows] == \
+            [s.token_count for s in subs]
+        assert [doc.subdocument(s.start_sentence) for s in subs] == subs
+        # computed once: later calls read the same strings
+        assert generate_subdocuments(doc) == subs
+        assert all(a.text is text for a, text in zip(
+            generate_subdocuments(doc), doc.windows))
+
+    def test_no_sentences_no_windows(self):
+        doc = make_document("d", "t", "  ")
+        with pytest.raises(ValueError, match="'d' has no sentences"):
+            generate_subdocuments(doc)
+        with pytest.raises(ValueError, match="'d' has no sentences"):
+            doc.windows
 
     def test_whole_document_subdoc(self):
         doc = self.doc(4)

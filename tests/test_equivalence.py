@@ -27,9 +27,10 @@ from leanrag.pipeline import PipelineContext, evaluate
 from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
                                 build_nn_reference)
 from leanrag.reducer import (DetectorTrainConfig, ScoredSubDoc, greedy_filter,
-                             prerank, rerank_topk, train_detector)
-from leanrag.retrieval import (HashingEmbedder, Retriever, VectorIndex,
-                               build_index)
+                             prerank, reduce, rerank_topk, score_windows,
+                             train_detector)
+from leanrag.retrieval import (HashingEmbedder, RetrievedDoc, Retriever,
+                               VectorIndex, build_index)
 from leanrag.scorer import (BiLabelScore, TrainConfig, build_training_set,
                             pair_features, train_scorer)
 
@@ -296,6 +297,123 @@ def test_stored_rows_change_nothing_mixed(redundant):
             [i % 2 == 1 for i in range(len(qa))], provider.fingerprint),
         top_retrieve=10, top_rerank=10)
     assert_stored_rows_change_nothing(qa, ctx)
+
+
+def tie_corpus(corpus):
+    """Per document of ``corpus``: itself; a copy under another id, so
+    candidates and representatives tie across documents; one sentence six
+    times, so every window ties; its first three sentences three times, so
+    windows 0, 3 and 6 tie; and its first one, two and three sentences, one
+    window each."""
+    docs = []
+    for doc in corpus:
+        sentences = doc.sentence_texts()
+        docs += [doc, make_document(f"{doc.doc_id}-copy", doc.title, doc.text),
+                 make_document(f"{doc.doc_id}-same", "",
+                               " ".join(sentences[:1] * 6)),
+                 make_document(f"{doc.doc_id}-rep", doc.title,
+                               " ".join(sentences[:3] * 3))]
+        docs += [make_document(f"{doc.doc_id}-{n}", "",
+                               " ".join(sentences[:n])) for n in (1, 2, 3)]
+    return Corpus(docs)
+
+
+class RecordingDetector:
+    """The detector's decisions (or, without one, never firing, so that
+    every representative is taken), with every feature vector it was
+    shown."""
+
+    def __init__(self, detector=None, max_docs=10):
+        self.detector = detector
+        self.max_docs = detector.max_docs if detector else max_docs
+        self.seen = []
+
+    def predict(self, features):
+        self.seen.append(features.copy())
+        return self.detector.predict(features) if self.detector else (0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def tied(redundant):
+    (corpus, qa, mock, provider, _, scorer), detector = redundant
+    ties = tie_corpus(corpus)
+    ctx = PipelineContext(
+        retriever=Retriever(ties, build_index(ties, provider), provider),
+        scorer=scorer,
+        recognizer_config=RecognizerConfig(delta_ltod=-1e9, s_l=0.0, s_n=0.5,
+                                           k_neighbors=1),
+        llm=mock, detector=detector,
+        nn_reference=NnReferenceSet(
+            [q.question_id for q in qa],
+            provider.embed_many([q.question for q in qa]),
+            [i % 2 == 0 for i in range(len(qa))], provider.fingerprint),
+        top_retrieve=30, top_rerank=10)
+    return qa, ctx
+
+
+def test_tied_corpus_equivalent(tied, monkeypatch):
+    qa, ctx = tied
+    assert assert_equivalent(qa, ctx, monkeypatch) == {
+        Decision.RETRIEVE, Decision.NO_RETRIEVE}
+
+
+def test_tied_reduce_equals_per_item(tied):
+    """Member ids, token counts and every detector input of the array
+    reduction equal the per-window loop's, with one scorer on both sides
+    (a batch row equals the single-text score bit for bit), and the tie
+    rules actually decide: windows and representatives tie."""
+    qa, ctx = tied
+    tied_windows = tied_docs = 0
+    for q in qa:
+        vec = ctx.retriever.provider.embed(q.question)
+        retrieved = ctx.retriever.retrieve(q.question, ctx.top_retrieve, vec)
+        scored = list(zip(retrieved, ctx.scorer.score_many(
+            q.question, [r.doc.text for r in retrieved], vec)))
+        for detector in (ctx.detector, None):
+            got_detector = RecordingDetector(detector)
+            want_detector = RecordingDetector(detector)
+            got = reduce(q.question, scored, ctx.scorer, got_detector,
+                         ctx.top_rerank, question_embedding=vec)
+            want = per_item_reduce(q.question, scored, ctx.scorer,
+                                   want_detector, ctx.top_rerank)
+            assert got.member_ids() == want.member_ids()
+            assert got.token_count == want.token_count
+            assert got.members == want.members
+            assert len(got_detector.seen) == len(want_detector.seen)
+            for a, b in zip(got_detector.seen, want_detector.seen):
+                assert a.tobytes() == b.tobytes()
+        assert len(got) == ctx.top_rerank
+
+        windows = score_windows(rerank_topk(scored, ctx.top_rerank),
+                                ctx.scorer, q.question, vec)
+        combined = windows.combined
+        best = windows.best_rows()
+        tied_windows += sum(
+            int((combined[windows.owners == j] == combined[row]).sum()) > 1
+            for j, row in enumerate(best))
+        tied_docs += len(best) - len(set(combined[best].tolist()))
+        # prerank of any rows, windows of one document included, is the
+        # sort by (-combined, parent position, window start)
+        rows = np.arange(len(windows.owners))
+        assert windows.members(windows.preranked(rows)) == sorted(
+            windows.members(rows), key=lambda s: (
+                -s.combined, s.parent_position, s.subdoc.start_sentence))
+    assert tied_windows and tied_docs
+
+
+def test_document_without_sentences_raises_alike(tied):
+    qa, ctx = tied
+    empty = make_document("empty", "", "   ")
+    scored = [(RetrievedDoc(doc=doc, similarity=0.0, rank=rank),
+               BiLabelScore(0.0, 0.0, 0.5, 0.5))
+              for rank, doc in enumerate([*ctx.retriever.corpus][:2] + [empty],
+                                         start=1)]
+    errors = []
+    for run in (reduce, per_item_reduce):
+        with pytest.raises(ValueError) as info:
+            run(qa[0].question, scored, ctx.scorer, ctx.detector, 10)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == "document 'empty' has no sentences"
 
 
 def test_feature_pairs_batch_equals_rows():

@@ -63,6 +63,11 @@ class FixedScorer:
     def score_many(self, question, texts, question_embedding=None):
         return [self.score(question, text) for text in texts]
 
+    def score_arrays(self, question, texts, question_embedding=None):
+        scores = self.score_many(question, texts)
+        return (np.array([[s.logit_ans, s.logit_pref] for s in scores]),
+                np.array([[s.p_ans, s.p_pref] for s in scores]))
+
 
 class TestRepresentatives:
     def test_single_sentence_doc_uses_whole_doc(self):

@@ -12,7 +12,7 @@ from synthetic import exact_search
 import leanrag.retrieval as retrieval_module
 from leanrag import artifacts
 from leanrag.artifacts import check_provider
-from leanrag.corpus import Corpus, make_document, window_texts
+from leanrag.corpus import Corpus, make_document
 from leanrag.retrieval import (INDEX_FIELDS, EmbeddingProviderError,
                                ExactScan, HashingEmbedder, IndexIntegrityError,
                                RemoteEmbedder, Retriever, SparseRows,
@@ -370,7 +370,7 @@ class SignedZeroProvider:
 class TestWindowRows:
     @staticmethod
     def windows(corpus):
-        return [text for doc in corpus for text in window_texts(doc)]
+        return [text for doc in corpus for text in doc.windows]
 
     def test_only_the_question_is_embedded(self, provider):
         corpus = long_corpus()

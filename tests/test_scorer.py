@@ -15,7 +15,7 @@ from synthetic import imbalanced_feature_pairs
 import leanrag.retrieval as retrieval_module
 import leanrag.scorer as scorer_module
 from leanrag.artifacts import IndexIntegrityError, check_provider
-from leanrag.corpus import Corpus, QARecord, make_document, window_texts
+from leanrag.corpus import Corpus, QARecord, make_document
 from leanrag.llm import ScriptedLlmClient
 from leanrag.mlp import Mlp, PROB_EPS, bce_elementwise, sgd_step, sigmoid
 from leanrag.retrieval import (HashingEmbedder, Retriever, VectorIndex,
@@ -426,7 +426,7 @@ MEMO_PROVIDER = HashingEmbedder(dim=16, seed=2)
 MEMO_CORPUS = memo_corpus()
 MEMO_INDEX = build_index(MEMO_CORPUS, MEMO_PROVIDER)
 STORED_TEXTS = sorted({text for doc in MEMO_CORPUS
-                       for text in [doc.text, *window_texts(doc)]})
+                       for text in [doc.text, *doc.windows]})
 # texts no stored row holds: an edited document, ad-hoc text
 FRESH_TEXTS = [f"{a} {b} unseen" for a in WORDS[:4] for b in WORDS[4:7]]
 
