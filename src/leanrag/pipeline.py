@@ -10,16 +10,21 @@ retrieval skip rate, and supports ablation flags.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .artifacts import check_provider
-from .corpus import QARecord, load_corpus, whole_document_subdoc
+from .corpus import (QARecord, contains_answer, load_corpus,
+                     whole_document_subdoc)
 from .llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmClient, LlmTransportError,
                   PromptTemplate, ScriptedLlmClient, build_noretrieve_prompt,
                   build_retrieve_prompt, is_correct)
@@ -30,8 +35,9 @@ from .reducer import (DetectorModel, RerankedDoc, ScoredSubDoc,
                       SubDocCombination, make_combination, reduce, rerank_topk)
 from .retrieval import (INDEX_FIELDS, EmbeddingProviderError, HashingEmbedder,
                         IndexIntegrityError, RemoteEmbedder, RetrievedDoc,
-                        Retriever, VectorIndex, mean_recall_at_k)
-from .scorer import BiLabelScore, ScorerModel
+                        Retriever, VectorIndex)
+from .scorer import (BiLabelScore, ScoredCandidates, ScorerModel,
+                     score_candidates)
 from .seeds import stable_hash
 
 logger = logging.getLogger(__name__)
@@ -317,8 +323,8 @@ def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
     question_vec = _timed("embed", ctx.retriever.provider.embed, question)
     retrieved = _timed("retrieve", ctx.retriever.retrieve, question,
                        ctx.top_retrieve, question_vec)
-    scored = _timed("score", lambda: list(zip(retrieved, ctx.scorer.score_many(
-        question, [r.doc.text for r in retrieved], question_vec))))
+    scored = _timed("score", score_candidates, ctx.scorer, question,
+                    retrieved, question_vec)
 
     def _recognize() -> RecognizerVerdict:
         if "no_recognizer" in ablations:
@@ -370,22 +376,38 @@ def answer_question(qa: QARecord | str, ctx: PipelineContext,
     return trace
 
 
-def _ordering_key(name: str):
-    if name == "similarity":
-        return lambda pair: pair[0].rank
-    if name == "has_answer_only":
-        return lambda pair: (-pair[1].p_ans, pair[0].rank)
-    if name == "llm_prefer_only":
-        return lambda pair: (-pair[1].p_pref, pair[0].rank)
-    if name == "bilabel_sum":
-        return lambda pair: (-pair[1].combined, pair[0].rank)
-    raise ValueError(f"unknown ordering {name!r}")
+def _ordered_rows(scored: ScoredCandidates, ordering: str) -> np.ndarray:
+    """The rows of ``scored`` in one of ``SCORE_ORDERINGS``: rank order, or
+    one score descending with ties in rank order (a stable sort)."""
+    if ordering == "similarity":
+        return np.arange(len(scored))
+    columns = {"has_answer_only": scored.probs[:, 0],
+               "llm_prefer_only": scored.probs[:, 1],
+               "bilabel_sum": scored.combined}
+    if ordering not in columns:
+        raise ValueError(f"unknown ordering {ordering!r}")
+    return np.argsort(-columns[ordering], kind="stable")
 
 
-def ordered_docs(scored: Sequence[tuple[RetrievedDoc, BiLabelScore]],
+def ordered_docs(scored: ScoredCandidates
+                 | Sequence[tuple[RetrievedDoc, BiLabelScore]],
                  ordering: str) -> list[RetrievedDoc]:
-    ordered = sorted(scored, key=_ordering_key(ordering))
-    return [r for r, _ in ordered]
+    scored = ScoredCandidates.of(scored)
+    return [scored.candidates[row]
+            for row in _ordered_rows(scored, ordering).tolist()]
+
+
+def _answer_positions(scored: ScoredCandidates,
+                      gold_answers: Iterable[str]) -> list[float]:
+    """Per ordering of ``SCORE_ORDERINGS``, the position of its first
+    candidate that contains a gold answer (inf when none does): recall@k is
+    1 when it is below k. Each candidate's text is matched at most once."""
+    contains = functools.cache(lambda row: contains_answer(
+        scored.candidates.docs[row].text, gold_answers))
+    return [next((position for position, row in enumerate(
+                  _ordered_rows(scored, ordering).tolist()) if contains(row)),
+                 math.inf)
+            for ordering in SCORE_ORDERINGS]
 
 
 @dataclass
@@ -469,7 +491,7 @@ def evaluate(qa_set: Sequence[QARecord], ctx: PipelineContext,
         outcomes = [_one(qa) for qa in qa_set]
 
     traces: list[AnswerTrace] = []
-    scored_lists: list = []
+    scored_lists: list[ScoredCandidates] = []
     answered_qa: list[QARecord] = []
     excluded: list[str] = []
     for qa, outcome in zip(qa_set, outcomes):
@@ -484,12 +506,11 @@ def evaluate(qa_set: Sequence[QARecord], ctx: PipelineContext,
     if not traces:
         raise RuntimeError("every question failed at transport level")
 
-    golds = [qa.gold_answers for qa in answered_qa]
-    recall: dict[str, dict[str, float]] = {}
-    for ordering in SCORE_ORDERINGS:
-        docs = [ordered_docs(scored, ordering) for scored in scored_lists]
-        recall[ordering] = {str(k): mean_recall_at_k(docs, golds, k)
-                            for k in RECALL_KS}
+    positions = [_answer_positions(scored, qa.gold_answers)
+                 for scored, qa in zip(scored_lists, answered_qa)]
+    recall = {ordering: {str(k): sum(p[i] < k for p in positions)
+                         / len(positions) for k in RECALL_KS}
+              for i, ordering in enumerate(SCORE_ORDERINGS)}
 
     n_answered = len(traces)
     accuracy = sum(1 for t in traces if t.correct) / n_answered

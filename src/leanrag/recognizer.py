@@ -25,7 +25,7 @@ from .corpus import QARecord
 from .llm import LlmClient, PromptTemplate, build_noretrieve_prompt, is_correct
 from .retrieval import (EmbeddingProvider, ExactScan, RetrievedDoc,
                         repeated_ids, sort_by_id)
-from .scorer import BiLabelScore
+from .scorer import BiLabelScore, ScoredCandidates
 
 logger = logging.getLogger(__name__)
 
@@ -137,17 +137,16 @@ def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,
                           [ok for _, ok in labeled], provider.fingerprint)
 
 
-def long_tail_score(scored_docs: Sequence[tuple[RetrievedDoc, BiLabelScore]],
+def long_tail_score(scored_docs: ScoredCandidates
+                    | Sequence[tuple[RetrievedDoc, BiLabelScore]],
                     delta_ltod: float) -> float:
     """Fraction of retrieved documents whose answer-presence logit exceeds
     the cutoff. Order-invariant; undefined (raises) on empty input."""
-    if not scored_docs:
+    scored = ScoredCandidates.of(scored_docs)
+    if not len(scored):
         raise ValueError("cannot score an empty retrieved set")
-    hits = 0
-    for _, sc in scored_docs:
-        if sc.logit_ans > delta_ltod:
-            hits += 1
-    return hits / len(scored_docs)
+    return int(np.count_nonzero(scored.logits[:, 0] > delta_ltod)) / \
+        len(scored)
 
 
 def neighbor_score(question_embedding: np.ndarray, reference: NnReferenceSet,

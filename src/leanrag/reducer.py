@@ -33,7 +33,8 @@ from .llm import (LlmClient, PromptTemplate, build_noretrieve_prompt,
                   build_retrieve_prompt, is_correct)
 from .mlp import Mlp, sgd_epoch, stratified_split
 from .retrieval import RetrievedDoc, Retriever
-from .scorer import BiLabelScore, ScorerModel
+from .scorer import (BiLabelScore, ScoredCandidates, ScorerModel,
+                     score_candidates)
 from .seeds import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -139,13 +140,17 @@ class Detector(Protocol):
     def predict(self, features: np.ndarray) -> tuple[int, float]: ...
 
 
-def rerank_topk(scored: Sequence[tuple[RetrievedDoc, BiLabelScore]],
+def rerank_topk(scored: ScoredCandidates
+                | Sequence[tuple[RetrievedDoc, BiLabelScore]],
                 k: int = 10) -> list[RerankedDoc]:
     """Order by p_ans + p_pref descending, ties kept in retrieval order,
-    truncated to k."""
-    ordered = sorted(scored, key=lambda pair: (-pair[1].combined, pair[0].rank))
-    return [RerankedDoc(doc=r.doc, score=s, position=pos)
-            for pos, (r, s) in enumerate(ordered[:k], start=1)]
+    truncated to k: one stable sort of the score arrays (pairs are read
+    into them first), and objects for the first k only."""
+    scored = ScoredCandidates.of(scored)
+    rows = np.argsort(-scored.combined, kind="stable")[:k]
+    return [RerankedDoc(doc=scored.candidates.docs[row],
+                        score=scored.score(row), position=position)
+            for position, row in enumerate(rows.tolist(), start=1)]
 
 
 def representative_subdocs(docs: Sequence[RerankedDoc], scorer: ScorerModel,
@@ -259,7 +264,8 @@ def greedy_filter(sorted_subdocs: Sequence[ScoredSubDoc],
     return make_combination(taken)
 
 
-def reduce(question: str, scored_top: Sequence[tuple[RetrievedDoc, BiLabelScore]],
+def reduce(question: str, scored_top: ScoredCandidates
+           | Sequence[tuple[RetrievedDoc, BiLabelScore]],
            scorer: ScorerModel, detector: Detector, max_docs: int = 10,
            question_embedding: np.ndarray | None = None) -> SubDocCombination:
     """Full reduction: rerank to the top documents, pick each document's best
@@ -346,10 +352,9 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
             logger.warning("detector data: skipping %s (bare question failed: %s)",
                            qa.question_id, exc)
             continue
-        retrieved = retriever.retrieve(qa.question, top_retrieve)
-        scored = list(zip(retrieved, scorer.score_many(
-            qa.question, [r.doc.text for r in retrieved])))
-        top = rerank_topk(scored, max_docs)
+        top = rerank_topk(score_candidates(
+            scorer, qa.question,
+            retriever.retrieve(qa.question, top_retrieve)), max_docs)
         try:
             with_docs = llm.complete(build_retrieve_prompt(
                 qa.question, [d.doc.text for d in top], template))

@@ -188,6 +188,23 @@ class RetrievedDoc:
     rank: int
 
 
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Retrieved documents, most similar first: ``docs[i]`` has rank i + 1
+    and similarity ``similarity[i]``. Iterating or indexing builds each
+    ``RetrievedDoc`` anew; the query path reads ``docs`` and the array."""
+
+    docs: Sequence[Document]
+    similarity: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.docs)
+
+    def __getitem__(self, i: int) -> RetrievedDoc:
+        i = range(len(self))[i]
+        return RetrievedDoc(self.docs[i], float(self.similarity[i]), i + 1)
+
+
 def document_embedding_text(doc: Document) -> str:
     """Text fed to the embedder for a document: "title. text"."""
     title = doc.title.strip()
@@ -612,19 +629,18 @@ class Retriever:
         self.corpus = corpus
         self.index = index
         self.provider = provider
+        # the document of each index row
+        self._docs = [corpus.get(doc_id) for doc_id in index.doc_ids]
 
     def retrieve(self, question: str, k: int,
-                 query_embedding: np.ndarray | None = None) -> list[RetrievedDoc]:
+                 query_embedding: np.ndarray | None = None) -> Candidates:
         """Top-k documents by cosine similarity, rank 1 first.
         ``query_embedding`` reuses the question's vector when the caller
         already has it from this retriever's provider."""
         if query_embedding is None:
             query_embedding = self.provider.embed(question)
-        hits = self.index.search(query_embedding, k)
-        return [
-            RetrievedDoc(doc=self.corpus.get(doc_id), similarity=sim, rank=rank)
-            for rank, (doc_id, sim) in enumerate(hits, start=1)
-        ]
+        rows, sims = self.index.scan.top(query_embedding, k)
+        return Candidates([self._docs[row] for row in rows.tolist()], sims)
 
 
 def recall_at_k(results: Sequence[RetrievedDoc], gold_answers: Iterable[str],
@@ -637,14 +653,3 @@ def recall_at_k(results: Sequence[RetrievedDoc], gold_answers: Iterable[str],
         if contains_answer(result.doc.text, answers):
             return 1.0
     return 0.0
-
-
-def mean_recall_at_k(per_question: Sequence[Sequence[RetrievedDoc]],
-                     golds: Sequence[Iterable[str]], k: int) -> float:
-    """Mean of per-question recall@k; k is clamped per question."""
-    if not per_question:
-        raise ValueError("no questions")
-    total = 0.0
-    for results, answers in zip(per_question, golds):
-        total += recall_at_k(results, answers, min(k, len(results)))
-    return total / len(per_question)

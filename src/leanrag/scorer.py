@@ -11,13 +11,13 @@ downhill.
 
 from __future__ import annotations
 
-import itertools
 import logging
+import mmap
 import operator
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from . import artifacts
 from .corpus import Document, QARecord, contains_answer
 from .llm import LlmClient, PromptTemplate, build_retrieve_prompt, is_correct
 from .mlp import Mlp, sgd_epoch, sigmoid, stratified_split
-from .retrieval import EmbeddingProvider, Retriever, VectorIndex
+from .retrieval import (Candidates, EmbeddingProvider, RetrievedDoc,
+                        Retriever, VectorIndex)
 from .seeds import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -74,6 +75,54 @@ class BiLabelScore:
     @property
     def combined(self) -> float:
         return self.p_ans + self.p_pref
+
+
+class ScoredCandidates:
+    """Candidates and their scores, row i for the candidate of rank i + 1:
+    ``logits`` and ``probs`` of shape (n, 2), columns (answer, preference),
+    and ``combined``, p_ans + p_pref, the one IEEE add that
+    ``BiLabelScore.combined`` makes. The recognizer, the reranker and the
+    evaluation read the arrays; iterating or indexing builds each
+    (``RetrievedDoc``, ``BiLabelScore``) pair anew."""
+
+    def __init__(self, candidates: Candidates, logits: np.ndarray,
+                 probs: np.ndarray):
+        self.candidates = candidates
+        self.logits = logits
+        self.probs = probs
+        self.combined = probs[:, 0] + probs[:, 1]
+
+    @classmethod
+    def of(cls, scored: ScoredCandidates
+           | Iterable[tuple[RetrievedDoc, BiLabelScore]]) -> ScoredCandidates:
+        """``scored`` itself, or its (``RetrievedDoc``, ``BiLabelScore``)
+        pairs in rank order, read into arrays."""
+        if isinstance(scored, cls):
+            return scored
+        pairs = sorted(scored, key=lambda pair: pair[0].rank)
+        rows = np.array([(r.similarity, s.logit_ans, s.logit_pref, s.p_ans,
+                          s.p_pref) for r, s in pairs]).reshape(-1, 5)
+        return cls(Candidates([r.doc for r, _ in pairs], rows[:, 0]),
+                   rows[:, 1:3], rows[:, 3:])
+
+    def __len__(self) -> int:
+        return len(self.candidates)
+
+    def __getitem__(self, row: int) -> tuple[RetrievedDoc, BiLabelScore]:
+        return self.candidates[row], self.score(row)
+
+    def score(self, row: int) -> BiLabelScore:
+        return BiLabelScore(*self.logits[row].tolist(),
+                            *self.probs[row].tolist())
+
+
+def score_candidates(scorer: ScorerModel, question: str,
+                     candidates: Candidates,
+                     question_embedding: np.ndarray | None = None
+                     ) -> ScoredCandidates:
+    """Every candidate's text scored in one ``score_arrays`` call."""
+    return ScoredCandidates(candidates, *scorer.score_arrays(
+        question, [doc.text for doc in candidates.docs], question_embedding))
 
 
 @dataclass
@@ -171,9 +220,8 @@ def build_training_set(qa_records: Sequence[QARecord], retriever: Retriever,
         question_vec = provider.embed(qa.question)
         results = retriever.retrieve(qa.question, per_question_k, question_vec)
         doc_vectors = retriever.index.embed_many(
-            provider, [result.doc.text for result in results])
-        for result, doc_vec in zip(results, doc_vectors):
-            doc = result.doc
+            provider, [doc.text for doc in results.docs])
+        for doc, doc_vec in zip(results.docs, doc_vectors):
             try:
                 label = annotate_training_pair(qa, doc, llm, template)
             except AnnotationError as exc:
@@ -274,20 +322,21 @@ class ScorerModel:
     """Frozen encoder reference plus the trained two-head MLP.
 
     The head's first layer acts on [q ; d] as W_q q + W_d d + b, and
-    ``score_many`` computes it in those parts: W_q q once per call, and W_d
-    d once per text, kept in a memo from text to its row of
-    ``head.layer_sizes[1]`` floats. The memo serves one head object at one
-    parameter version, one ``stored`` index (not saved; ``PipelineContext``
-    binds its retriever's index) and one provider object, and is emptied
-    when any of them changes. It holds at most ``stored.stored_count``
-    texts, whether a stored row holds them or not (an edited document, an
-    ad-hoc text), and nothing when ``stored`` is None; a copy made with
-    ``dataclasses.replace`` starts empty. Every part is computed row by
-    row, so: identical texts score identically; a batch scores exactly as
-    one call per text would, whatever the memo held before; a text no
-    stored row holds scores exactly as a stored one would; the logits are
-    within rounding (1e-12) of ``head.forward_logits`` on the concatenated
-    features; and after ``head.set_params`` no kept row is used again."""
+    ``score_arrays`` computes it in those parts: W_q q once per call, and
+    W_d d once per text, kept as one row of ``head.layer_sizes[1]`` floats
+    in a 2-D array, with a memo from text to row. The memo serves one head
+    object at one parameter version, one ``stored`` index (not saved;
+    ``PipelineContext`` binds its retriever's index) and one provider
+    object, and is emptied when any of them changes. It holds at most
+    ``stored.stored_count`` texts, whether a stored row holds them or not
+    (an edited document, an ad-hoc text), and nothing when ``stored`` is
+    None; a copy made with ``dataclasses.replace`` starts empty. Every
+    part is computed row by row, so: identical texts score identically; a
+    batch scores exactly as one call per text would, whatever the memo held
+    before; a text no stored row holds scores exactly as a stored one
+    would; the logits are within rounding (1e-12) of
+    ``head.forward_logits`` on the concatenated features; and after
+    ``head.set_params`` no kept row is used again."""
 
     head: Mlp
     balance_weight: float
@@ -296,8 +345,11 @@ class ScorerModel:
     provider_fingerprint: str | None = None
     stored: VectorIndex | None = field(default=None, repr=False,
                                        compare=False)
-    _memo: dict[str, np.ndarray] = field(default_factory=dict, init=False,
-                                         repr=False, compare=False)
+    # each memo text's row of ``_rows``, which holds its W_d d
+    _memo: dict[str, int] = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
+    _rows: np.ndarray = field(default_factory=lambda: np.empty((0, 0)),
+                              init=False, repr=False, compare=False)
     # (head, stored, provider, parameter version) the memo was filled for
     _memo_for: tuple = field(default=(), init=False, repr=False,
                              compare=False)
@@ -335,46 +387,66 @@ class ScorerModel:
         # the memo's version before the weights, so that a concurrent
         # set_params can leave new rows only under a version no later call
         # is served from
-        memo = self._current_memo()
+        memo, rows = self._current_memo()
         weights, bias = self.head.first_layer()
         width = len(question_embedding)
         question_half = question_embedding @ weights[:, :width].T
         pre = question_half + self._document_halves(
-            memo, doc_texts, weights[:, width:]) + bias
+            memo, rows, doc_texts, weights[:, width:]) + bias
         logits = self.head.forward_logits(pre, preactivated=True)
         return logits, sigmoid(logits)
 
-    def _current_memo(self) -> dict[str, np.ndarray]:
-        """The memo, emptied first when the head, its parameter version,
-        ``stored`` or the provider is not the one it was filled for."""
+    def _current_memo(self) -> tuple[dict[str, int], np.ndarray]:
+        """The memo and its rows, both replaced first, when the head, its
+        parameter version, ``stored`` or the provider is not the one they
+        were filled for, by an empty memo with room for
+        ``stored.stored_count`` rows (none when ``stored`` is None)."""
         owner = (self.head, self.stored, self.provider, self.head.version)
         with self._lock:
             held = self._memo_for
             if not (held and all(map(operator.is_, held[:3], owner[:3]))
                     and held[3] == owner[3]):
+                room = 0 if self.stored is None else self.stored.stored_count
+                width = self.head.layer_sizes[1]
                 self._memo, self._memo_for = {}, owner
-            return self._memo
+                # an anonymous mapping gets a page on its first write, 4 kB
+                # at a time; numpy asks for 2 MB pages for an array of 4 MB
+                # or more, which the first rows written would fill
+                self._rows = np.frombuffer(
+                    mmap.mmap(-1, max(8 * room * width, 1)),
+                    count=room * width).reshape(room, width)
+            return self._memo, self._rows
 
-    def _document_halves(self, memo: dict[str, np.ndarray],
+    def _document_halves(self, memo: dict[str, int], rows: np.ndarray,
                          texts: Sequence[str],
                          weights: np.ndarray) -> np.ndarray:
-        """W_d d of each text: from ``memo``, or computed from the text's
-        vector (``stored`` serves a stored row's bits, the provider embeds
-        the rest, in one call) and kept while ``memo`` has room."""
+        """W_d d of each text: its row of ``rows`` when ``memo`` has it, or
+        computed from the text's vector (``stored`` serves a stored row's
+        bits, the provider embeds the rest, in one call) and written to
+        ``rows`` while they have room, each row before its text enters
+        ``memo``."""
         missing = list(dict.fromkeys(t for t in texts if t not in memo))
-        computed = {}
-        if missing:
-            vectors = (self.provider.embed_many(missing) if self.stored is None
-                       else self.stored.embed_many(self.provider, missing))
-            computed = dict(zip(missing, _products(vectors, weights)))
-            if self.stored is not None:
-                with self._lock:
-                    # not when another owner's call emptied the memo
-                    if memo is self._memo:
-                        room = self.stored.stored_count - len(memo)
-                        memo.update(itertools.islice(computed.items(), room))
-        return np.stack([computed[t] if t in computed else memo[t]
-                         for t in texts])
+        if not missing:
+            return rows[[memo[t] for t in texts]]
+        vectors = (self.provider.embed_many(missing) if self.stored is None
+                   else self.stored.embed_many(self.provider, missing))
+        computed = _products(vectors, weights)
+        with self._lock:
+            # not when another owner's call replaced the memo
+            if memo is self._memo:
+                start = len(memo)
+                # not those another call kept meanwhile
+                new = [i for i, t in enumerate(missing)
+                       if t not in memo][:len(rows) - start]
+                rows[start:start + len(new)] = computed[new]
+                memo.update(zip([missing[i] for i in new],
+                                range(start, start + len(new))))
+        fresh = {text: i for i, text in enumerate(missing)}
+        out = computed[[fresh.get(t, 0) for t in texts]]
+        held = [i for i, t in enumerate(texts) if t not in fresh]
+        if held:
+            out[held] = rows[[memo[texts[i]] for i in held]]
+        return out
 
     def save(self, path: str | Path) -> None:
         artifacts.save(path, "scorer", {

@@ -29,18 +29,23 @@ from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
 from leanrag.reducer import (DetectorTrainConfig, ScoredSubDoc, greedy_filter,
                              prerank, reduce, rerank_topk, score_windows,
                              train_detector)
-from leanrag.retrieval import (HashingEmbedder, RetrievedDoc, Retriever,
-                               VectorIndex, build_index)
+from leanrag.retrieval import (ExactScan, HashingEmbedder, RetrievedDoc,
+                               Retriever, VectorIndex, build_index)
 from leanrag.scorer import (BiLabelScore, TrainConfig, build_training_set,
                             pair_features, train_scorer)
 
 SCORE_TOLERANCE = 1e-9
 
 
-def per_item_search(index, query, k):
+def per_item_top(scan, query, k):
+    """``ExactScan.top`` as a sort of rows by (-similarity, row); an
+    index keeps its rows in doc-id order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return exact_search(index, query, k)
+    hits = exact_search(SimpleNamespace(doc_ids=range(len(scan)),
+                                        vectors=scan.vectors), query, k)
+    return (np.array([row for row, _ in hits], dtype=np.intp),
+            np.array([sim for _, sim in hits], dtype=np.float64))
 
 
 def per_item_neighbor_score(question_embedding, reference, k):
@@ -68,6 +73,13 @@ class PerItemScorer:
 
     def score_many(self, question, texts, question_embedding=None):
         return [self.score(question, text) for text in texts]
+
+    def score_arrays(self, question, texts, question_embedding=None):
+        scores = self.score_many(question, texts)
+        return (np.array([[s.logit_ans, s.logit_pref] for s in scores],
+                         dtype=np.float64).reshape(-1, 2),
+                np.array([[s.p_ans, s.p_pref] for s in scores],
+                         dtype=np.float64).reshape(-1, 2))
 
 
 def per_item_reduce(question, scored_top, scorer, detector, max_docs=10,
@@ -108,7 +120,7 @@ def run_questions(qa, ctx):
 def assert_equivalent(qa, ctx, monkeypatch):
     batched, batched_report = run_questions(qa, ctx)
     with monkeypatch.context() as patch:
-        patch.setattr(VectorIndex, "search", per_item_search)
+        patch.setattr(ExactScan, "top", per_item_top)
         patch.setattr(pipeline_module, "neighbor_score",
                       per_item_neighbor_score)
         patch.setattr(pipeline_module, "reduce", per_item_reduce)
@@ -208,6 +220,29 @@ def test_at_most_three_embedding_calls_per_question(planted):
     assert Decision.RETRIEVE in decisions
 
 
+def test_answer_builds_objects_only_for_what_a_prompt_sees(planted,
+                                                          monkeypatch):
+    """Candidates stay arrays: no ``RetrievedDoc``, and a ``BiLabelScore``
+    only for each reranked document and each representative."""
+    qa, ctx = planted
+    assert ctx.top_retrieve > ctx.top_rerank
+    built = {RetrievedDoc: 0, BiLabelScore: 0}
+    for cls in built:
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    decisions = set()
+    for q in qa[:10]:
+        built.update(dict.fromkeys(built, 0))
+        trace = pipeline_module.answer_question(q, ctx)
+        decisions.add(trace.verdict.decision)
+        assert built[RetrievedDoc] == 0
+        assert built[BiLabelScore] <= 2 * ctx.top_rerank
+    assert Decision.RETRIEVE in decisions
+
+
 def counted_context(ctx, index):
     """``ctx`` over ``index`` with a counting provider."""
     counting = CountingProvider(ctx.retriever.provider)
@@ -245,8 +280,15 @@ def assert_stored_rows_change_nothing(qa, ctx):
         for (trace, scored), (want, want_scored) in zip(stored, embedded):
             assert trace.to_dict(include_timings=False) == \
                 want.to_dict(include_timings=False)
-            # dataclass equality: every BiLabelScore field exactly
-            assert scored == want_scored
+            # the same documents in the same order, and every similarity
+            # and score bit for bit
+            assert [d.doc_id for d in scored.candidates.docs] == \
+                [d.doc_id for d in want_scored.candidates.docs]
+            for a, b in ((scored.candidates.similarity,
+                          want_scored.candidates.similarity),
+                         (scored.logits, want_scored.logits),
+                         (scored.probs, want_scored.probs)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
             if trace.combination is not None:
                 assert trace.combination.members == want.combination.members
     # the last, serving no row, also embeds candidates and windows

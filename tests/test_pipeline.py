@@ -18,13 +18,14 @@ from leanrag.corpus import load_corpus, make_document
 from leanrag.llm import (HttpLlmClient, LlmTransportError, ScriptedLlmClient,
                          build_noretrieve_prompt)
 from leanrag.pipeline import (PipelineConfig, PipelineContext,
-                              PipelineStageError, answer_question,
-                              build_provider, evaluate, load_pipeline,
-                              ordered_docs)
+                              PipelineStageError, _answer_with_details,
+                              answer_question, build_provider, evaluate,
+                              load_pipeline, ordered_docs)
 from leanrag.recognizer import Decision, NnReferenceSet, RecognizerConfig
 from leanrag.reducer import DetectorModel, DetectorTrainConfig, train_detector
 from leanrag.retrieval import (EmbeddingProviderError, IndexIntegrityError,
-                               Retriever, VectorIndex, build_index)
+                               Retriever, VectorIndex, build_index,
+                               recall_at_k)
 from leanrag.scorer import ScorerModel
 
 
@@ -460,6 +461,23 @@ class TestEvaluate:
             ks = sorted(int(k) for k in values)
             series = [values[str(k)] for k in ks]
             assert series == sorted(series), ordering
+
+    def test_recall_is_the_mean_over_questions(self, setup, detector):
+        """Each ordering's recall@k is the mean over questions of
+        ``recall_at_k`` over that question's ``ordered_docs``."""
+        ctx = make_ctx(setup, detector)
+        qa = setup[1]
+        report = evaluate(qa, ctx)
+        scored = [_answer_with_details(q, ctx)[1] for q in qa]
+        for ordering, values in report.recall.items():
+            for k, value in values.items():
+                total = 0.0
+                for candidates, q in zip(scored, qa):
+                    docs = ordered_docs(candidates, ordering)
+                    total += recall_at_k(docs, q.gold_answers,
+                                         min(int(k), len(docs)))
+                assert value == total / len(qa), (ordering, k)
+        assert 0.0 < report.recall["similarity"]["1"] < 1.0
 
 
 class TestOrderedDocs:

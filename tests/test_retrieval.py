@@ -17,8 +17,7 @@ from leanrag.retrieval import (INDEX_FIELDS, EmbeddingProviderError,
                                ExactScan, HashingEmbedder, IndexIntegrityError,
                                RemoteEmbedder, Retriever, SparseRows,
                                VectorIndex, build_index,
-                               document_embedding_text, mean_recall_at_k,
-                               recall_at_k)
+                               document_embedding_text, recall_at_k)
 from leanrag.seeds import stable_hash
 
 
@@ -829,9 +828,3 @@ class TestRecall:
         results = self.results_with_answer_at(1, total=3)
         with pytest.raises(ValueError):
             recall_at_k(results, {"answer"}, 4)
-
-    def test_mean_over_questions(self):
-        hits = self.results_with_answer_at(1)
-        misses = self.results_with_answer_at(9)
-        value = mean_recall_at_k([hits, misses], [{"answer"}, {"answer"}], 5)
-        assert value == 0.5

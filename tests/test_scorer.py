@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import sys
@@ -609,6 +610,27 @@ class TestFactoredScoring:
         assert scorer.score_many("which heron iris", texts, question) == cold
         assert hashed == []
         assert provider.calls == []
+
+    def test_a_text_kept_meanwhile_keeps_one_row(self):
+        """A call that finds texts missing while another call keeps some
+        of them keeps each text in one row, so that no later row
+        overwrites a kept one."""
+        index = copy.copy(MEMO_INDEX)
+        scorer = memo_scorer(index)
+        want = logits(memo_scorer().score_many("amber grove?", STORED_TEXTS))
+
+        def meanwhile(provider, texts):
+            del index.embed_many
+            # another call keeps some of this call's texts between its
+            # look-up and its write
+            scorer.score_many("amber grove?", STORED_TEXTS[:2])
+            return index.embed_many(provider, texts)
+
+        index.embed_many = meanwhile
+        scorer.score_many("amber grove?", STORED_TEXTS[:3])
+        scorer.score_many("amber grove?", STORED_TEXTS)
+        assert logits(scorer.score_many("amber grove?", STORED_TEXTS)) == want
+        assert sorted(scorer._memo.values()) == list(range(len(STORED_TEXTS)))
 
     def test_threads_sharing_a_scorer_score_alike(self):
         scorer = memo_scorer()
