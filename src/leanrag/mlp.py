@@ -99,7 +99,7 @@ class Mlp:
         batch scores exactly as one call per row would. With
         ``preactivated`` each row is already the first layer's
         pre-activation W x + b, and only the layers after it run, under the
-        same contract. (``ScorerModel.score_many`` passes W_q q + W_d d + b,
+        same contract. (``ScorerModel.score_arrays`` passes W_q q + W_d d + b,
         which is within rounding of W x + b, not bit-equal to it.)"""
         x = np.atleast_2d(inputs)[:, None, :]
         layers = self._unpack(self._params if params is None else params)

@@ -31,8 +31,8 @@ from .llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmClient, LlmTransportError
 from .recognizer import (Decision, NnReferenceSet, RecognizerConfig,
                          RecognizerVerdict, decide, long_tail_score,
                          neighbor_score)
-from .reducer import (DetectorModel, RerankedDoc, ScoredSubDoc,
-                      SubDocCombination, make_combination, reduce, rerank_topk)
+from .reducer import (DetectorModel, ScoredSubDoc, SubDocCombination,
+                      make_combination, reduce, rerank_topk)
 from .retrieval import (INDEX_FIELDS, EmbeddingProviderError, HashingEmbedder,
                         IndexIntegrityError, RemoteEmbedder, RetrievedDoc,
                         Retriever, VectorIndex)
@@ -124,7 +124,7 @@ class PipelineContext:
             raise IndexIntegrityError(
                 f"NN reference has {len(self.nn_reference)} entries, fewer "
                 f"than k_neighbors={k}")
-        # greedy_filter reads only the first detector.max_docs documents
+        # accepted_size reads only the first detector.max_docs documents
         if self.detector is not None and \
                 self.detector.max_docs < self.top_rerank:
             raise IndexIntegrityError(
@@ -284,16 +284,6 @@ class AnswerTrace:
         return data
 
 
-def _whole_doc_combination(reranked: Sequence[RerankedDoc]
-                           ) -> SubDocCombination:
-    members = [
-        ScoredSubDoc(subdoc=whole_document_subdoc(d.doc), score=d.score,
-                     parent_position=d.position)
-        for d in reranked
-    ]
-    return make_combination(members)
-
-
 def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
                          ablations: frozenset[str] = frozenset()):
     if isinstance(qa, str):
@@ -346,8 +336,9 @@ def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
                          ctx.templates["no_retrieve"])
     else:
         if "no_reducer" in ablations:
-            combination = _timed("reduce", lambda: _whole_doc_combination(
-                rerank_topk(scored, ctx.top_rerank)))
+            combination = _timed("reduce", lambda: make_combination([
+                ScoredSubDoc(whole_document_subdoc(d.doc), d.score, d.position)
+                for d in rerank_topk(scored, ctx.top_rerank)]))
         else:
             if ctx.detector is None:
                 raise ValueError("reducer requires a detector model "

@@ -23,9 +23,8 @@ import numpy as np
 from . import artifacts
 from .corpus import QARecord
 from .llm import LlmClient, PromptTemplate, build_noretrieve_prompt, is_correct
-from .retrieval import (EmbeddingProvider, ExactScan, RetrievedDoc,
-                        repeated_ids, sort_by_id)
-from .scorer import BiLabelScore, ScoredCandidates
+from .retrieval import EmbeddingProvider, ExactScan, repeated_ids, sort_by_id
+from .scorer import ScoredCandidates
 
 logger = logging.getLogger(__name__)
 
@@ -137,12 +136,9 @@ def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,
                           [ok for _, ok in labeled], provider.fingerprint)
 
 
-def long_tail_score(scored_docs: ScoredCandidates
-                    | Sequence[tuple[RetrievedDoc, BiLabelScore]],
-                    delta_ltod: float) -> float:
+def long_tail_score(scored: ScoredCandidates, delta_ltod: float) -> float:
     """Fraction of retrieved documents whose answer-presence logit exceeds
     the cutoff. Order-invariant; undefined (raises) on empty input."""
-    scored = ScoredCandidates.of(scored_docs)
     if not len(scored):
         raise ValueError("cannot score an empty retrieved set")
     return int(np.count_nonzero(scored.logits[:, 0] > delta_ltod)) / \

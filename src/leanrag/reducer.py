@@ -7,13 +7,12 @@ until a learned detector says the running combination suffices to answer the
 question. Features for the detector are the combination's (p_ans, p_pref)
 pairs in order, zero-padded to a fixed width.
 
-Window scoring works on arrays: ``score_windows`` scores every window of the
-reranked documents in one forward pass (each ``Document`` caches its window
-texts and its sentences' token counts), and the best window per document
-and the prerank order are index computations on those arrays.
-``SubDocument``, ``BiLabelScore`` and ``ScoredSubDoc`` objects are built
-only for the windows that the detector, a prompt or a trace sees: at most
-``top_rerank`` per question.
+``reduce`` runs on score arrays: one stable sort picks the top documents,
+``score_windows`` scores all their windows in one forward pass, the best
+window per document and the prerank order are index computations, and the
+detector walks the preranked (p_ans, p_pref) rows. Objects are built only
+for the accepted prefix; the object forms (``rerank_topk``, ``prerank``,
+``greedy_filter``, ...) call the same functions.
 """
 
 from __future__ import annotations
@@ -81,12 +80,12 @@ class SubDocCombination:
 
 @dataclass(frozen=True)
 class ScoredWindows:
-    """Every window of some documents, scored: row i is window
-    ``starts[i]`` of ``docs[owners[i]]``, a document's rows contiguous and
-    in window order; ``combined`` is p_ans + p_pref, the one IEEE add
-    ``BiLabelScore.combined`` makes."""
+    """Every window of some documents in rerank order, scored: row i is
+    window ``starts[i]`` of ``docs[owners[i]]``, at rerank position
+    ``owners[i] + 1``, a document's rows contiguous and in window order;
+    ``combined`` is p_ans + p_pref, as ``BiLabelScore.combined`` adds."""
 
-    docs: Sequence[RerankedDoc]
+    docs: Sequence[Document]
     owners: np.ndarray
     starts: np.ndarray
     logits: np.ndarray
@@ -101,33 +100,32 @@ class ScoredWindows:
         return np.lexsort((-self.combined, self.owners))[self.starts == 0]
 
     def preranked(self, rows: np.ndarray) -> np.ndarray:
-        """``rows`` in ``prerank`` order."""
-        positions = [self.docs[j].position for j in self.owners[rows].tolist()]
-        return rows[_prerank_order(self.combined[rows], positions,
+        """``rows`` in ``prerank`` order (positions follow owners)."""
+        return rows[_prerank_order(self.combined[rows], self.owners[rows],
                                    self.starts[rows])]
 
     def members(self, rows: Sequence[int]) -> list[ScoredSubDoc]:
         """The objects of ``rows``, in the given order."""
         rows = np.asarray(rows, dtype=np.intp)
-        return [ScoredSubDoc(subdoc=self.docs[j].doc.subdocument(start),
+        return [ScoredSubDoc(subdoc=self.docs[j].subdocument(start),
                              score=BiLabelScore(*logits, *probs),
-                             parent_position=self.docs[j].position)
+                             parent_position=j + 1)
                 for j, start, logits, probs in zip(
                     self.owners[rows].tolist(), self.starts[rows].tolist(),
                     self.logits[rows].tolist(), self.probs[rows].tolist())]
 
 
-def score_windows(docs: Sequence[RerankedDoc], scorer: ScorerModel,
+def score_windows(docs: Sequence[Document], scorer: ScorerModel,
                   question: str, question_embedding: np.ndarray | None = None
                   ) -> ScoredWindows:
-    """Every sliding window of every document, scored in one
-    ``score_arrays`` call. Raises ``ValueError`` when ``docs`` is empty or
-    a document has no sentences."""
+    """Every sliding window of every document, given in rerank order,
+    scored in one ``score_arrays`` call. Raises ``ValueError`` when
+    ``docs`` is empty or a document has no sentences."""
     if not docs:
         raise ValueError("docs must be non-empty")
-    counts = [len(d.doc.windows) for d in docs]
+    counts = [len(d.windows) for d in docs]
     logits, probs = scorer.score_arrays(
-        question, [text for d in docs for text in d.doc.windows],
+        question, [text for d in docs for text in d.windows],
         question_embedding)
     return ScoredWindows(docs, np.repeat(np.arange(len(docs)), counts),
                          np.concatenate([np.arange(n) for n in counts]),
@@ -140,26 +138,32 @@ class Detector(Protocol):
     def predict(self, features: np.ndarray) -> tuple[int, float]: ...
 
 
+def rerank_rows(scored: ScoredCandidates, k: int) -> np.ndarray:
+    """The rows of the top k by p_ans + p_pref descending, ties kept in
+    retrieval order: one stable sort of ``combined``."""
+    return np.argsort(-scored.combined, kind="stable")[:k]
+
+
 def rerank_topk(scored: ScoredCandidates
                 | Sequence[tuple[RetrievedDoc, BiLabelScore]],
                 k: int = 10) -> list[RerankedDoc]:
-    """Order by p_ans + p_pref descending, ties kept in retrieval order,
-    truncated to k: one stable sort of the score arrays (pairs are read
-    into them first), and objects for the first k only."""
+    """``rerank_rows`` as objects, positions 1 to k (pairs are read into
+    the arrays first)."""
     scored = ScoredCandidates.of(scored)
-    rows = np.argsort(-scored.combined, kind="stable")[:k]
     return [RerankedDoc(doc=scored.candidates.docs[row],
                         score=scored.score(row), position=position)
-            for position, row in enumerate(rows.tolist(), start=1)]
+            for position, row in enumerate(rerank_rows(scored, k).tolist(),
+                                           start=1)]
 
 
 def representative_subdocs(docs: Sequence[RerankedDoc], scorer: ScorerModel,
                            question: str,
                            question_embedding: np.ndarray | None = None
                            ) -> list[ScoredSubDoc]:
-    """One sub-document per input document: the sliding window with the
-    highest combined score (earliest window wins ties)."""
-    windows = score_windows(docs, scorer, question, question_embedding)
+    """Each document's window of highest combined score (the earliest wins
+    ties); ``docs`` in rerank order, as ``rerank_topk`` returns them."""
+    windows = score_windows([d.doc for d in docs], scorer, question,
+                            question_embedding)
     return windows.members(windows.best_rows())
 
 
@@ -178,16 +182,22 @@ def prerank(subdocs: Sequence[ScoredSubDoc]) -> list[ScoredSubDoc]:
     return [subdocs[i] for i in order]
 
 
+def detector_features(pairs, max_docs: int) -> np.ndarray:
+    """The detector's input: the (p_ans, p_pref) rows of ``pairs`` in
+    order, zero-padded to 2 * max_docs, in a new array."""
+    pairs = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
+    if len(pairs) > max_docs:
+        raise ValueError(f"{len(pairs)} members exceed max_docs={max_docs}")
+    vec = np.zeros(2 * max_docs, dtype=np.float64)
+    vec[:pairs.size] = pairs.ravel()
+    return vec
+
+
 def combination_features(members: Sequence[ScoredSubDoc],
                          max_docs: int) -> np.ndarray:
     """(p_ans, p_pref) per member in order, zero-padded to 2 * max_docs."""
-    if len(members) > max_docs:
-        raise ValueError(f"{len(members)} members exceed max_docs={max_docs}")
-    vec = np.zeros(2 * max_docs, dtype=np.float64)
-    for i, member in enumerate(members):
-        vec[2 * i] = member.score.p_ans
-        vec[2 * i + 1] = member.score.p_pref
-    return vec
+    return detector_features([(m.score.p_ans, m.score.p_pref)
+                              for m in members], max_docs)
 
 
 def make_combination(members: Sequence[ScoredSubDoc]) -> SubDocCombination:
@@ -246,34 +256,40 @@ DETECTOR_SIZES = artifacts.Check(
     "a list of at least two ints >= 1, the last 1")
 
 
+def accepted_size(pairs, detector: Detector) -> int:
+    """The greedy stop rule: accumulate the (p_ans, p_pref) rows of
+    ``pairs`` in order, at most ``detector.max_docs``, querying the detector
+    after each append; the size of the first accepted prefix, or of all of
+    them when the detector never fires."""
+    pairs = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
+    if not len(pairs):
+        raise ValueError("nothing to filter: no sub-documents")
+    n = min(len(pairs), detector.max_docs)
+    return next((size for size in range(1, n + 1) if detector.predict(
+        detector_features(pairs[:size], detector.max_docs))[0]), n)
+
+
 def greedy_filter(sorted_subdocs: Sequence[ScoredSubDoc],
                   detector: Detector) -> SubDocCombination:
-    """Accumulate sub-documents in the given order, querying the detector
-    after each append; return the first accepted prefix. If the detector
-    never fires, fall back to all (up to max_docs) sub-documents."""
-    if not sorted_subdocs:
-        raise ValueError("sorted_subdocs must be non-empty")
-    max_docs = detector.max_docs
-    candidates = list(sorted_subdocs[:max_docs])
-    taken: list[ScoredSubDoc] = []
-    for subdoc in candidates:
-        taken.append(subdoc)
-        fired, _ = detector.predict(combination_features(taken, max_docs))
-        if fired:
-            break
-    return make_combination(taken)
+    """The first prefix of ``sorted_subdocs`` that ``accepted_size``
+    accepts."""
+    size = accepted_size([(s.score.p_ans, s.score.p_pref)
+                          for s in sorted_subdocs], detector)
+    return make_combination(sorted_subdocs[:size])
 
 
-def reduce(question: str, scored_top: ScoredCandidates
-           | Sequence[tuple[RetrievedDoc, BiLabelScore]],
-           scorer: ScorerModel, detector: Detector, max_docs: int = 10,
+def reduce(question: str, scored_top: ScoredCandidates, scorer: ScorerModel,
+           detector: Detector, max_docs: int = 10,
            question_embedding: np.ndarray | None = None) -> SubDocCombination:
-    """Full reduction: rerank to the top documents, pick each document's best
-    window, sort, and greedily cut off as early as the detector allows."""
-    reranked = rerank_topk(scored_top, max_docs)
-    representatives = representative_subdocs(reranked, scorer, question,
-                                             question_embedding)
-    return greedy_filter(prerank(representatives), detector)
+    """Full reduction: rerank to the top documents, pick each document's
+    best window, sort, and greedily cut off as early as the detector
+    allows, all on score arrays; objects only for the windows kept."""
+    docs = scored_top.candidates.docs
+    windows = score_windows([docs[row] for row in rerank_rows(
+        scored_top, max_docs).tolist()], scorer, question, question_embedding)
+    order = windows.preranked(windows.best_rows())
+    size = accepted_size(windows.probs[order], detector)
+    return make_combination(windows.members(order[:size]))
 
 
 @dataclass
@@ -338,6 +354,7 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
     survive, and each survivor is labeled by whether the LLM answers
     correctly with it appended. The bare-question probe uses
     ``no_retrieve_template`` (default: the built-in no-retrieve prompt).
+    The question is embedded once, by the retriever's provider.
     """
     # candidates and windows read set-up's stored rows
     scorer = replace(scorer, stored=retriever.index)
@@ -352,12 +369,14 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
             logger.warning("detector data: skipping %s (bare question failed: %s)",
                            qa.question_id, exc)
             continue
-        top = rerank_topk(score_candidates(
-            scorer, qa.question,
-            retriever.retrieve(qa.question, top_retrieve)), max_docs)
+        question_vec = retriever.provider.embed(qa.question)
+        scored = score_candidates(scorer, qa.question, retriever.retrieve(
+            qa.question, top_retrieve, question_vec), question_vec)
+        top = [scored.candidates.docs[row]
+               for row in rerank_rows(scored, max_docs).tolist()]
         try:
             with_docs = llm.complete(build_retrieve_prompt(
-                qa.question, [d.doc.text for d in top], template))
+                qa.question, [doc.text for doc in top], template))
             if not is_correct(with_docs.text, qa.gold_answers):
                 continue  # retrieval does not help; no positive signal to learn
         except Exception as exc:
@@ -365,7 +384,7 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
                            qa.question_id, exc)
             continue
 
-        windows = score_windows(top, scorer, qa.question)
+        windows = score_windows(top, scorer, qa.question, question_vec)
         n_windows = len(windows.owners)
         rng = derive_rng(seed, f"detector-data:{qa.question_id}")
         kept: list[tuple[np.ndarray, frozenset]] = []

@@ -81,7 +81,7 @@ class ScoredCandidates:
     """Candidates and their scores, row i for the candidate of rank i + 1:
     ``logits`` and ``probs`` of shape (n, 2), columns (answer, preference),
     and ``combined``, p_ans + p_pref, the one IEEE add that
-    ``BiLabelScore.combined`` makes. The recognizer, the reranker and the
+    ``BiLabelScore.combined`` makes. The recognizer, the reducer and the
     evaluation read the arrays; iterating or indexing builds each
     (``RetrievedDoc``, ``BiLabelScore``) pair anew."""
 
@@ -357,17 +357,9 @@ class ScorerModel:
                                   init=False, repr=False, compare=False)
 
     def score(self, question: str, doc_text: str) -> BiLabelScore:
-        return self.score_many(question, [doc_text])[0]
-
-    def score_many(self, question: str, doc_texts: Sequence[str],
-                   question_embedding: np.ndarray | None = None
-                   ) -> list[BiLabelScore]:
-        """The rows of ``score_arrays``; row i equals
-        ``score(question, doc_texts[i])``."""
-        logits, probs = self.score_arrays(question, doc_texts,
-                                          question_embedding)
-        return [BiLabelScore(*pair, *prob)
-                for pair, prob in zip(logits.tolist(), probs.tolist())]
+        """The one row of ``score_arrays`` for ``doc_text``."""
+        logits, probs = self.score_arrays(question, [doc_text])
+        return BiLabelScore(*logits[0].tolist(), *probs[0].tolist())
 
     def score_arrays(self, question: str, doc_texts: Sequence[str],
                      question_embedding: np.ndarray | None = None

@@ -91,7 +91,7 @@ def test_long_tail_equals_the_pair_loop(scored):
             hits += 1
     want = hits / len(shuffled)
     assert long_tail_score(arrays(pairs), DELTA) == want
-    assert long_tail_score(shuffled, DELTA) == want
+    assert long_tail_score(ScoredCandidates.of(shuffled), DELTA) == want
 
 
 def test_iterating_builds_the_pairs():

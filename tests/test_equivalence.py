@@ -21,18 +21,21 @@ from synthetic import (exact_search, imbalanced_feature_pairs,
                        planted_corpus, prefix_detector_examples,
                        trained_redundant_setup)
 
-from leanrag.corpus import Corpus, generate_subdocuments, make_document
+from leanrag.corpus import (Corpus, SubDocument, generate_subdocuments,
+                            make_document)
 from leanrag.mlp import sigmoid
 from leanrag.pipeline import PipelineContext, evaluate
 from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
                                 build_nn_reference)
-from leanrag.reducer import (DetectorTrainConfig, ScoredSubDoc, greedy_filter,
-                             prerank, reduce, rerank_topk, score_windows,
+from leanrag.reducer import (DetectorTrainConfig, RerankedDoc, ScoredSubDoc,
+                             combination_features, make_combination, prerank,
+                             reduce, rerank_topk, score_windows,
                              train_detector)
 from leanrag.retrieval import (ExactScan, HashingEmbedder, RetrievedDoc,
                                Retriever, VectorIndex, build_index)
-from leanrag.scorer import (BiLabelScore, TrainConfig, build_training_set,
-                            pair_features, train_scorer)
+from leanrag.scorer import (BiLabelScore, ScoredCandidates, TrainConfig,
+                            build_training_set, pair_features,
+                            score_candidates, train_scorer)
 
 SCORE_TOLERANCE = 1e-9
 
@@ -71,11 +74,8 @@ class PerItemScorer:
         return BiLabelScore(float(logits[0, 0]), float(logits[0, 1]),
                             float(probs[0]), float(probs[1]))
 
-    def score_many(self, question, texts, question_embedding=None):
-        return [self.score(question, text) for text in texts]
-
     def score_arrays(self, question, texts, question_embedding=None):
-        scores = self.score_many(question, texts)
+        scores = [self.score(question, text) for text in texts]
         return (np.array([[s.logit_ans, s.logit_pref] for s in scores],
                          dtype=np.float64).reshape(-1, 2),
                 np.array([[s.p_ans, s.p_pref] for s in scores],
@@ -84,6 +84,9 @@ class PerItemScorer:
 
 def per_item_reduce(question, scored_top, scorer, detector, max_docs=10,
                     question_embedding=None):
+    """Each window scored on its own, the best kept per document by a
+    loop, and the detector asked after each append of a prefix built with
+    ``combination_features``."""
     representatives = []
     for doc in rerank_topk(scored_top, max_docs):
         best = None
@@ -93,7 +96,13 @@ def per_item_reduce(question, scored_top, scorer, detector, max_docs=10,
                 best = ScoredSubDoc(subdoc=sub, score=sc,
                                     parent_position=doc.position)
         representatives.append(best)
-    return greedy_filter(prerank(representatives), detector)
+    taken = []
+    for member in prerank(representatives)[:detector.max_docs]:
+        taken.append(member)
+        if detector.predict(combination_features(taken,
+                                                 detector.max_docs))[0]:
+            break
+    return make_combination(taken)
 
 
 class CountingProvider:
@@ -222,11 +231,13 @@ def test_at_most_three_embedding_calls_per_question(planted):
 
 def test_answer_builds_objects_only_for_what_a_prompt_sees(planted,
                                                           monkeypatch):
-    """Candidates stay arrays: no ``RetrievedDoc``, and a ``BiLabelScore``
-    only for each reranked document and each representative."""
+    """Candidates and the reduction stay arrays: no ``RetrievedDoc`` or
+    ``RerankedDoc``, and a ``SubDocument``, a ``BiLabelScore`` and a
+    ``ScoredSubDoc`` for each member of the combination only."""
     qa, ctx = planted
     assert ctx.top_retrieve > ctx.top_rerank
-    built = {RetrievedDoc: 0, BiLabelScore: 0}
+    built = dict.fromkeys((RetrievedDoc, RerankedDoc, SubDocument,
+                           BiLabelScore, ScoredSubDoc), 0)
     for cls in built:
         def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
             built[_cls] += 1
@@ -238,8 +249,9 @@ def test_answer_builds_objects_only_for_what_a_prompt_sees(planted,
         built.update(dict.fromkeys(built, 0))
         trace = pipeline_module.answer_question(q, ctx)
         decisions.add(trace.verdict.decision)
-        assert built[RetrievedDoc] == 0
-        assert built[BiLabelScore] <= 2 * ctx.top_rerank
+        size = 0 if trace.combination is None else len(trace.combination)
+        assert built == {RetrievedDoc: 0, RerankedDoc: 0, SubDocument: size,
+                         BiLabelScore: size, ScoredSubDoc: size}
     assert Decision.RETRIEVE in decisions
 
 
@@ -409,8 +421,7 @@ def test_tied_reduce_equals_per_item(tied):
     for q in qa:
         vec = ctx.retriever.provider.embed(q.question)
         retrieved = ctx.retriever.retrieve(q.question, ctx.top_retrieve, vec)
-        scored = list(zip(retrieved, ctx.scorer.score_many(
-            q.question, [r.doc.text for r in retrieved], vec)))
+        scored = score_candidates(ctx.scorer, q.question, retrieved, vec)
         for detector in (ctx.detector, None):
             got_detector = RecordingDetector(detector)
             want_detector = RecordingDetector(detector)
@@ -426,8 +437,9 @@ def test_tied_reduce_equals_per_item(tied):
                 assert a.tobytes() == b.tobytes()
         assert len(got) == ctx.top_rerank
 
-        windows = score_windows(rerank_topk(scored, ctx.top_rerank),
-                                ctx.scorer, q.question, vec)
+        windows = score_windows(
+            [d.doc for d in rerank_topk(scored, ctx.top_rerank)],
+            ctx.scorer, q.question, vec)
         combined = windows.combined
         best = windows.best_rows()
         tied_windows += sum(
@@ -446,10 +458,11 @@ def test_tied_reduce_equals_per_item(tied):
 def test_document_without_sentences_raises_alike(tied):
     qa, ctx = tied
     empty = make_document("empty", "", "   ")
-    scored = [(RetrievedDoc(doc=doc, similarity=0.0, rank=rank),
-               BiLabelScore(0.0, 0.0, 0.5, 0.5))
-              for rank, doc in enumerate([*ctx.retriever.corpus][:2] + [empty],
-                                         start=1)]
+    scored = ScoredCandidates.of(
+        [(RetrievedDoc(doc=doc, similarity=0.0, rank=rank),
+          BiLabelScore(0.0, 0.0, 0.5, 0.5))
+         for rank, doc in enumerate([*ctx.retriever.corpus][:2] + [empty],
+                                    start=1)])
     errors = []
     for run in (reduce, per_item_reduce):
         with pytest.raises(ValueError) as info:

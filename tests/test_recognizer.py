@@ -18,17 +18,18 @@ from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
                                 build_nn_reference, decide, long_tail_score,
                                 neighbor_score)
 from leanrag.retrieval import HashingEmbedder, IndexIntegrityError, RetrievedDoc
-from leanrag.scorer import BiLabelScore
+from leanrag.scorer import BiLabelScore, ScoredCandidates
 
 
 def scored_docs(logits):
+    """Candidates in the given order whose answer logits are ``logits``."""
     docs = []
     for i, logit in enumerate(logits):
         doc = make_document(f"d{i}", "", "text.")
         prob = 1.0 / (1.0 + np.exp(-logit))
         docs.append((RetrievedDoc(doc=doc, similarity=0.5, rank=i + 1),
                      BiLabelScore(logit, 0.0, prob, 0.5)))
-    return docs
+    return ScoredCandidates.of(docs)
 
 
 class TestLongTailScore:
@@ -43,15 +44,16 @@ class TestLongTailScore:
         assert long_tail_score(scored_docs(logits), 4.5) == 0.03
 
     def test_order_invariant(self):
-        docs = scored_docs([5.0, 1.0, 6.0, -2.0, 4.6])
-        assert long_tail_score(docs, 4.5) == long_tail_score(docs[::-1], 4.5)
+        logits = [5.0, 1.0, 6.0, -2.0, 4.6]
+        assert long_tail_score(scored_docs(logits), 4.5) == \
+            long_tail_score(scored_docs(logits[::-1]), 4.5)
 
     def test_strict_inequality_at_cutoff(self):
         assert long_tail_score(scored_docs([4.5]), 4.5) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            long_tail_score([], 4.5)
+            long_tail_score(scored_docs([]), 4.5)
 
 
 class Entry(NamedTuple):

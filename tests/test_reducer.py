@@ -16,7 +16,7 @@ from leanrag.reducer import (DetectorExample, DetectorModel,
                              save_detector_dataset, skyline_filter,
                              train_detector)
 from leanrag.retrieval import HashingEmbedder, RetrievedDoc, Retriever, build_index
-from leanrag.scorer import BiLabelScore, ScorerModel
+from leanrag.scorer import BiLabelScore, ScoredCandidates, ScorerModel
 from leanrag.seeds import derive_rng
 
 
@@ -60,11 +60,8 @@ class FixedScorer:
         p_pref = 0.8 if "velvet" in text else 0.2
         return BiLabelScore(0.0, 0.0, p_ans, p_pref)
 
-    def score_many(self, question, texts, question_embedding=None):
-        return [self.score(question, text) for text in texts]
-
     def score_arrays(self, question, texts, question_embedding=None):
-        scores = self.score_many(question, texts)
+        scores = [self.score(question, text) for text in texts]
         return (np.array([[s.logit_ans, s.logit_pref] for s in scores]),
                 np.array([[s.p_ans, s.p_pref] for s in scores]))
 
@@ -365,6 +362,23 @@ class TestBuildDetectorDataset:
             contains_needle = any("hit#" in mid for mid in example.member_ids)
             assert example.label == int(contains_needle)
 
+    def test_each_question_embedded_once(self, monkeypatch):
+        qa, retriever, scorer, mock = self.oracle_setting()
+        provider = retriever.provider
+        embedded = []
+        embed_many = provider.embed_many
+
+        def recording(texts):
+            embedded.extend(texts)
+            return embed_many(texts)
+
+        monkeypatch.setattr(provider, "embed_many", recording)
+        dataset = build_detector_dataset(qa, retriever, scorer, mock,
+                                         max_docs=3, top_retrieve=3,
+                                         samples_per_question=20, seed=3)
+        assert dataset
+        assert embedded.count(qa[0].question) == 1
+
     def test_self_known_questions_excluded(self):
         qa, retriever, scorer, _ = self.oracle_setting()
         mock = ScriptedLlmClient({qa[0].question: "gold77 from memory"})
@@ -412,8 +426,9 @@ class TestReduce:
     def test_token_count_bounded_by_topk_concat(self, redundant):
         corpus, qa, mock, provider, retriever, scorer = redundant
         q = qa[0]
-        scored = [(r, scorer.score(q.question, r.doc.text))
-                  for r in retriever.retrieve(q.question, 10)]
+        scored = ScoredCandidates.of(
+            [(r, scorer.score(q.question, r.doc.text))
+             for r in retriever.retrieve(q.question, 10)])
         combo = reduce(q.question, scored, scorer, ThresholdDetector(0.5),
                        max_docs=10)
         top = rerank_topk(scored, 10)
@@ -424,8 +439,9 @@ class TestReduce:
     def test_deterministic(self, redundant):
         corpus, qa, mock, provider, retriever, scorer = redundant
         q = qa[1]
-        scored = [(r, scorer.score(q.question, r.doc.text))
-                  for r in retriever.retrieve(q.question, 10)]
+        scored = ScoredCandidates.of(
+            [(r, scorer.score(q.question, r.doc.text))
+             for r in retriever.retrieve(q.question, 10)])
         first = reduce(q.question, scored, scorer, ThresholdDetector(0.5))
         second = reduce(q.question, scored, scorer, ThresholdDetector(0.5))
         assert first.member_ids() == second.member_ids()
@@ -433,9 +449,9 @@ class TestReduce:
     def test_single_sentence_docs_become_whole_doc_members(self):
         docs = [make_document(f"d{i}", "", f"Lone sentence {i} needle.")
                 for i in range(3)]
-        scored = [scored_pair(f"d{i}", i + 1, 0.5, 0.5,
-                              f"Lone sentence {i} needle.")
-                  for i in range(3)]
+        scored = ScoredCandidates.of([scored_pair(f"d{i}", i + 1, 0.5, 0.5,
+                                                  f"Lone sentence {i} needle.")
+                                      for i in range(3)])
         combo = reduce("q", scored, FixedScorer(), ThresholdDetector(2.0),
                        max_docs=3)
         assert len(combo) == 3

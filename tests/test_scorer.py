@@ -4,7 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -457,8 +457,16 @@ def memo_scorer(index=MEMO_INDEX, seed=3):
                        stored=index)
 
 
-def logits(scores):
-    return [(s.logit_ans, s.logit_pref) for s in scores]
+def score_rows(scorer, question, texts, question_embedding=None):
+    """``score_arrays`` as one (logit_ans, logit_pref, p_ans, p_pref) tuple
+    per text, so that rows compare bit for bit with ``astuple`` of
+    ``ScorerModel.score``."""
+    return [tuple(row) for row in np.hstack(scorer.score_arrays(
+        question, texts, question_embedding)).tolist()]
+
+
+def logits(rows):
+    return [row[:2] for row in rows]
 
 
 texts_strategy = st.lists(st.sampled_from(STORED_TEXTS + FRESH_TEXTS),
@@ -468,7 +476,7 @@ question_strategy = st.sampled_from(["amber grove?", "which heron iris",
 
 
 class TestFactoredScoring:
-    """``score_many`` splits the first layer into a question half, computed
+    """``score_arrays`` splits the first layer into a question half, computed
     per call, and a document half, kept per stored row."""
 
     def test_every_text_kind_is_exercised(self):
@@ -489,7 +497,7 @@ class TestFactoredScoring:
                              for text in texts])
         want = scorer.head.forward_logits(features)
         for _ in range(2):  # cold memo, then warm
-            got = np.array(logits(scorer.score_many(question, texts)))
+            got = np.array(logits(score_rows(scorer, question, texts)))
             assert np.abs(got - want).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -498,8 +506,8 @@ class TestFactoredScoring:
     def test_identical_texts_tie_cold_and_warm(self, question, texts, data):
         batch = texts + data.draw(st.permutations(texts))
         scorer = memo_scorer()
-        cold = scorer.score_many(question, batch)
-        warm = scorer.score_many(question, batch)
+        cold = score_rows(scorer, question, batch)
+        warm = score_rows(scorer, question, batch)
         assert cold == warm
         for i, text in enumerate(batch):
             assert cold[i] == cold[batch.index(text)]
@@ -511,55 +519,58 @@ class TestFactoredScoring:
                                             batch_first):
         scorer = memo_scorer()
         if batch_first:
-            batch = scorer.score_many(question, texts)
-            single = [scorer.score(question, text) for text in texts]
+            batch = score_rows(scorer, question, texts)
+            single = [astuple(scorer.score(question, text))
+                      for text in texts]
         else:
-            single = [scorer.score(question, text) for text in texts]
-            batch = scorer.score_many(question, texts)
+            single = [astuple(scorer.score(question, text))
+                      for text in texts]
+            batch = score_rows(scorer, question, texts)
         assert batch == single
         # and as a scorer that holds no stored row scores them
-        assert batch == replace(scorer, stored=None).score_many(question,
-                                                                texts)
+        assert batch == score_rows(replace(scorer, stored=None), question,
+                                   texts)
 
     def test_set_params_takes_effect(self):
         scorer = memo_scorer()
-        before = scorer.score_many("amber grove?", STORED_TEXTS)
+        before = score_rows(scorer, "amber grove?", STORED_TEXTS)
         params = np.random.default_rng(6).standard_normal(
             scorer.head.get_params().shape)
         scorer.head.set_params(params)
-        after = scorer.score_many("amber grove?", STORED_TEXTS)
+        after = score_rows(scorer, "amber grove?", STORED_TEXTS)
         fresh = memo_scorer()
         fresh.head.set_params(params)
-        assert after == fresh.score_many("amber grove?", STORED_TEXTS)
+        assert after == score_rows(fresh, "amber grove?", STORED_TEXTS)
         assert after != before
 
     def test_copy_bound_to_another_index_reads_its_rows(self):
         scorer = memo_scorer()
-        scorer.score_many("amber grove?", STORED_TEXTS)
+        score_rows(scorer, "amber grove?", STORED_TEXTS)
         # the same texts, at other positions of another index
         other = build_index(Corpus([*memo_corpus(seed=9, n_docs=5,
                                                  prefix="a"),
                                     *MEMO_CORPUS]), MEMO_PROVIDER)
         copy = replace(scorer, stored=other)
-        assert copy.score_many("amber grove?", STORED_TEXTS) == \
-            replace(scorer, stored=None).score_many("amber grove?",
-                                                     STORED_TEXTS)
+        assert score_rows(copy, "amber grove?", STORED_TEXTS) == \
+            score_rows(replace(scorer, stored=None), "amber grove?",
+                       STORED_TEXTS)
 
     def test_memo_follows_the_provider_and_the_index(self):
         scorer = memo_scorer()
-        scorer.score_many("amber grove?", STORED_TEXTS)
+        score_rows(scorer, "amber grove?", STORED_TEXTS)
         scorer.provider = HashingEmbedder(dim=16, seed=5)
-        assert scorer.score_many("amber grove?", STORED_TEXTS) == replace(
-            scorer, stored=None).score_many("amber grove?", STORED_TEXTS)
+        assert score_rows(scorer, "amber grove?", STORED_TEXTS) == \
+            score_rows(replace(scorer, stored=None), "amber grove?",
+                       STORED_TEXTS)
         small = build_index(Corpus(list(MEMO_CORPUS)[:3]), MEMO_PROVIDER)
         scorer.provider, scorer.stored = MEMO_PROVIDER, small
-        scorer.score_many("amber grove?", STORED_TEXTS)
+        score_rows(scorer, "amber grove?", STORED_TEXTS)
         assert len(scorer._memo) == small.stored_count
 
     def test_memo_keeps_any_text_up_to_the_stored_row_count(self):
         scorer = memo_scorer()
         # every stored text kept, and every token the fresh texts use seen
-        scorer.score_many("amber grove?", STORED_TEXTS + FRESH_TEXTS)
+        score_rows(scorer, "amber grove?", STORED_TEXTS + FRESH_TEXTS)
         # a text no row holds is kept while there is room, then none is
         assert len(STORED_TEXTS) < MEMO_INDEX.stored_count < \
             len(STORED_TEXTS + FRESH_TEXTS)
@@ -570,13 +581,13 @@ class TestFactoredScoring:
         many = [" ".join(["unseen", *(WORDS[i // 15 ** j % 15]
                                       for j in range(3))])
                 for i in range(3000)]
-        scorer.score_many("amber grove?", many[:100])
+        score_rows(scorer, "amber grove?", many[:100])
         gc.collect()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             for lo in range(0, len(many), 100):
-                scorer.score_many("amber grove?", many[lo:lo + 100])
+                score_rows(scorer, "amber grove?", many[lo:lo + 100])
             gc.collect()
             grown = tracemalloc.get_traced_memory()[0] - start
         finally:
@@ -601,13 +612,13 @@ class TestFactoredScoring:
         monkeypatch.setattr(retrieval_module, "stable_hash", counting_hash)
         question = MEMO_PROVIDER.embed("which heron iris")
         texts = STORED_TEXTS + FRESH_TEXTS[:6]
-        cold = scorer.score_many("which heron iris", texts, question)
+        cold = score_rows(scorer, "which heron iris", texts, question)
         # each text hashed once, and only the fresh ones embedded
         assert sorted(hashed) == sorted(texts)
         assert provider.calls == [FRESH_TEXTS[:6]]
         hashed.clear()
         provider.calls.clear()
-        assert scorer.score_many("which heron iris", texts, question) == cold
+        assert score_rows(scorer, "which heron iris", texts, question) == cold
         assert hashed == []
         assert provider.calls == []
 
@@ -617,32 +628,32 @@ class TestFactoredScoring:
         overwrites a kept one."""
         index = copy.copy(MEMO_INDEX)
         scorer = memo_scorer(index)
-        want = logits(memo_scorer().score_many("amber grove?", STORED_TEXTS))
+        want = logits(score_rows(memo_scorer(), "amber grove?", STORED_TEXTS))
 
         def meanwhile(provider, texts):
             del index.embed_many
             # another call keeps some of this call's texts between its
             # look-up and its write
-            scorer.score_many("amber grove?", STORED_TEXTS[:2])
+            score_rows(scorer, "amber grove?", STORED_TEXTS[:2])
             return index.embed_many(provider, texts)
 
         index.embed_many = meanwhile
-        scorer.score_many("amber grove?", STORED_TEXTS[:3])
-        scorer.score_many("amber grove?", STORED_TEXTS)
-        assert logits(scorer.score_many("amber grove?", STORED_TEXTS)) == want
+        score_rows(scorer, "amber grove?", STORED_TEXTS[:3])
+        score_rows(scorer, "amber grove?", STORED_TEXTS)
+        assert logits(score_rows(scorer, "amber grove?", STORED_TEXTS)) == want
         assert sorted(scorer._memo.values()) == list(range(len(STORED_TEXTS)))
 
     def test_threads_sharing_a_scorer_score_alike(self):
         scorer = memo_scorer()
         texts = STORED_TEXTS + FRESH_TEXTS
-        want = logits(memo_scorer().score_many("amber grove?", texts))
+        want = logits(score_rows(memo_scorer(), "amber grove?", texts))
         got = []
 
         def serve(offset):
             # each thread asks in its own order, so they fill the memo at once
             for _ in range(30):
-                rows = logits(scorer.score_many(
-                    "amber grove?", texts[offset:] + texts[:offset]))
+                rows = logits(score_rows(
+                    scorer, "amber grove?", texts[offset:] + texts[:offset]))
                 got.append(rows[len(texts) - offset:] +
                            rows[:len(texts) - offset])
 
