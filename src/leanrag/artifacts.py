@@ -132,16 +132,15 @@ def load(path: str | Path, kind: str,
     return header, arrays
 
 
-def check_provider(name: str, fingerprint: str | None, dim: int | None,
+def check_provider(name: str, fingerprint: str | None, dim: int,
                    provider, fields: str = "") -> None:
     """Raise ``IndexIntegrityError`` unless an artifact built with
     ``fingerprint`` and embedding width ``dim`` matches ``provider``.
-    ``fields`` is what the artifact appends to the provider fingerprint;
-    ``dim`` None (an empty artifact) skips the width check."""
+    ``fields`` is what the artifact appends to the provider fingerprint."""
     expected = provider.fingerprint + fields
     if fingerprint != expected:
         raise IndexIntegrityError(
             f"{name} built with {fingerprint!r}, provider gives {expected!r}")
-    if dim is not None and dim != provider.dim:
+    if dim != provider.dim:
         raise IndexIntegrityError(
             f"{name} dim {dim} != provider dim {provider.dim}")

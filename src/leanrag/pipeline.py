@@ -239,8 +239,7 @@ def load_pipeline(config: PipelineConfig,
     nn_reference = _read("nn_ref", config.nn_ref_path, NnReferenceSet.load)
     if nn_reference is not None:
         check_provider("NN reference", nn_reference.provider_fingerprint,
-                       nn_reference.embeddings.shape[1]
-                       if len(nn_reference) else None, provider)
+                       nn_reference.dim, provider)
     return PipelineContext(
         retriever=retriever, scorer=scorer,
         recognizer_config=recognizer_config,

@@ -23,8 +23,10 @@ import numpy as np
 from . import artifacts
 from .corpus import QARecord
 from .llm import LlmClient, PromptTemplate, build_noretrieve_prompt, is_correct
-from .retrieval import EmbeddingProvider, ExactScan, repeated_ids, sort_by_id
+from .retrieval import (EmbeddingProvider, ExactScan, SparseRows,
+                        ascending_ids, repeated_ids)
 from .scorer import ScoredCandidates
+from .seeds import stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -66,27 +68,25 @@ class RecognizerVerdict:
 
 class NnReferenceSet:
     """Labeled question embeddings for the nearest-neighbor facet: row i of
-    ``embeddings`` is question ``question_ids[i]``, answered correctly
-    without retrieval when ``correct[i]``. Rows are kept in question-id
-    order, which ``scan`` breaks ties by; a question id may occur once."""
+    ``rows`` (``retrieval.SparseRows``, each digest its question text's) is
+    question ``question_ids[i]``, answered correctly without retrieval when
+    ``correct[i]``. Question ids ascend, each once, so that ``scan``, built
+    here, breaks ties by question id."""
 
-    def __init__(self, question_ids: Sequence[str], embeddings: np.ndarray,
+    def __init__(self, question_ids: Sequence[str], rows: SparseRows,
                  correct: Sequence[bool],
                  provider_fingerprint: str | None = None):
-        embeddings = np.asarray(embeddings, dtype=np.float64)
-        correct = np.asarray(correct, dtype=bool)
-        if not len(question_ids) == len(embeddings) == len(correct):
-            raise ValueError("question_ids, embeddings and correct differ in length")
-        # a float64 matrix in question-id order is kept as given, not copied
-        self.question_ids, (self.embeddings, self.correct) = sort_by_id(
-            question_ids, embeddings, correct)
+        self.question_ids = ascending_ids(question_ids, "question ids")
+        self.correct = np.asarray(correct, dtype=bool)
+        if not len(self.question_ids) == len(rows) == len(self.correct):
+            raise ValueError("question_ids, rows and correct differ in length")
         repeated = repeated_ids(self.question_ids)
         if repeated:
             raise ValueError(f"NN reference repeats question ids, "
                              f"e.g. {repeated[:3]}")
-        # an empty set (every LLM call failed) holds a 1-D matrix of size 0
-        self.scan = ExactScan(self.embeddings if len(self)
-                              else np.zeros((0, 0)))
+        self.rows = rows
+        self.dim = rows.dim
+        self.scan = ExactScan(rows)
         self.provider_fingerprint = provider_fingerprint
 
     def __len__(self) -> int:
@@ -97,7 +97,8 @@ class NnReferenceSet:
             "provider_fingerprint": self.provider_fingerprint,
             "question_ids": self.question_ids,
             "correct": self.correct.tolist(),
-        }, {"embeddings": self.embeddings})
+            "dim": self.dim,
+        }, self.rows.arrays())
 
     @classmethod
     def load(cls, path: str | Path) -> "NnReferenceSet":
@@ -106,8 +107,9 @@ class NnReferenceSet:
             correct=artifacts.FLAGS,
             provider_fingerprint=artifacts.FINGERPRINT)
         try:
-            return cls(meta["question_ids"], arrays["embeddings"],
-                       meta["correct"], meta["provider_fingerprint"])
+            return cls(meta["question_ids"],
+                       SparseRows.load(path, meta, arrays), meta["correct"],
+                       meta["provider_fingerprint"])
         except ValueError as exc:
             raise artifacts.IndexIntegrityError(f"{path}: {exc}") from exc
 
@@ -130,9 +132,11 @@ def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,
         labeled.append((qa, is_correct(response.text, qa.gold_answers)))
     # in question-id order, which the reference set keeps its rows in
     labeled.sort(key=lambda pair: pair[0].question_id)
-    embeddings = (provider.embed_many([qa.question for qa, _ in labeled])
-                  if labeled else [])
-    return NnReferenceSet([qa.question_id for qa, _ in labeled], embeddings,
+    questions = [qa.question for qa, _ in labeled]
+    rows = SparseRows.compress(
+        [([stable_hash(q) for q in questions], provider.embed_many(questions))]
+        if labeled else [], provider.dim)
+    return NnReferenceSet([qa.question_id for qa, _ in labeled], rows,
                           [ok for _, ok in labeled], provider.fingerprint)
 
 

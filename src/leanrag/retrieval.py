@@ -1,8 +1,11 @@
-"""Embedding providers and the dense similarity index.
+"""Embedding providers, stored rows and the exact similarity index.
 
 Two providers ship by default: a seeded feature-hashing bag-of-words embedder
 (no model weights, fully deterministic) and a remote HTTP embedding client.
-The index is an exact cosine scan over unit-normalized vectors. A document's
+Every stored matrix (the index's rows, the NN reference's questions) is kept
+in one form, ``SparseRows``: each row's entries whose bits are not +0.0.
+The index is an exact cosine scan over unit-normalized vectors, planned once
+from those entries when it is built or loaded. A document's
 similarity to a question is defined as the sum, starting from +0.0, of each
 coordinate's separately rounded product ``v_j * q_j``, added in ascending
 coordinate order; equal similarities rank by ascending doc id. So a row's
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import logging
 import math
 import os
@@ -212,11 +216,12 @@ def document_embedding_text(doc: Document) -> str:
 
 
 class SparseRows:
-    """Rows kept as their entries whose bits are not +0.0: ``counts`` has
-    each row's number of such entries, ``columns`` and ``values`` their
-    column ids and values, row after row. Filling a row back writes the
-    exact bits it was kept from, -0.0 and subnormals included. ``digests``
-    has the ``stable_hash`` of the text each row was embedded from."""
+    """Rows of width ``dim`` kept as their entries whose bits are not +0.0:
+    ``counts`` has each row's number of such entries, ``columns`` and
+    ``values`` their column ids and values, row after row. Filling a row
+    back writes the exact bits it was kept from, -0.0 and subnormals
+    included. ``digests`` has the ``stable_hash`` of the text each row was
+    embedded from."""
 
     ARRAYS = ("digests", "counts", "columns", "values")
 
@@ -226,6 +231,9 @@ class SparseRows:
         self.counts = np.asarray(counts)
         self.columns = np.asarray(columns)
         self.values = np.asarray(values)
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+            raise ValueError(f"row width must be an int >= 0, got {dim!r}")
+        self.dim = dim
         if self.digests.dtype != np.uint64 or self.digests.ndim != 1:
             raise ValueError("row digests must be a uint64 vector")
         if not (np.issubdtype(self.counts.dtype, np.integer)
@@ -266,6 +274,21 @@ class SparseRows:
         return cls(np.array(digests, dtype=np.uint64), np.concatenate(counts),
                    np.concatenate(columns), np.concatenate(values), dim)
 
+    @classmethod
+    def load(cls, path: str | Path, meta: dict,
+             arrays: dict[str, np.ndarray]) -> "SparseRows":
+        """The rows of a file that ``arrays`` and the header ``meta`` (its
+        ``dim``) were loaded from; a file with other arrays is in an older
+        layout."""
+        if set(arrays) != set(cls.ARRAYS):
+            raise IndexIntegrityError(
+                f"{path}: {meta['format']} is in an older layout; rebuild it")
+        return cls(*(arrays[name] for name in cls.ARRAYS), meta["dim"])
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The arrays a file keeps these rows as, by name."""
+        return {name: getattr(self, name) for name in self.ARRAYS}
+
     def __len__(self) -> int:
         return len(self.digests)
 
@@ -283,31 +306,42 @@ class SparseRows:
 
 
 class ExactScan:
-    """Exact top-k over the rows of a finite float64 matrix, by the
-    similarity in the module docstring, ties by ascending row.
+    """Exact top-k over the first ``n`` rows of ``rows`` (all of them when
+    ``n`` is None), by the similarity in the module docstring, ties by
+    ascending row. A scan of 0 rows is allowed.
 
-    The first ``top`` reads how the scan should run from the matrix and
-    keeps it, unsaved: a matrix with at most ``SPARSE_SHARE`` of its entries
-    nonzero gets per-coordinate column lists, any other its largest row
-    norm. A matrix of 0 rows is allowed."""
+    The scan is planned here, once: rows with at most ``SPARSE_SHARE`` of
+    their entries kept get per-coordinate column lists, made by one stable
+    sort of the entries' column ids; any others are filled into a dense
+    matrix and keep their largest row norm."""
 
-    def __init__(self, vectors: np.ndarray):
-        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError("vectors must be a matrix")
-        # the scan is exact for finite values only; a row's sum is
-        # non-finite when one of its entries is (or when it overflows), so
-        # only then is every entry checked
-        if not np.isfinite(vectors @ np.ones(vectors.shape[1])).all() and \
-                not np.isfinite(vectors).all():
-            raise ValueError("vectors must be finite")
-        self.vectors = vectors
-        self.dim = int(vectors.shape[1])
-        self._columns: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._max_norm: float | None = None
+    def __init__(self, rows: SparseRows, n: int | None = None):
+        self.rows = rows
+        self.n = len(rows) if n is None else n
+        self.dim = rows.dim
+        entries = int(rows.offsets[self.n])
+        self._dense: np.ndarray | None = None
+        if entries <= SPARSE_SHARE * self.n * self.dim:
+            ids = rows.columns[:entries]
+            # stable, so that each column keeps its rows ascending; 16-bit
+            # ids sort by radix, several times faster
+            order = np.argsort(ids.astype(np.uint16) if self.dim <= 1 << 16
+                               else ids, kind="stable")
+            self._rows = np.repeat(np.arange(self.n, dtype=np.int32),
+                                   rows.counts[:self.n])[order]
+            self._values = rows.values[order]
+            # coordinate j's rows and entries are those from _starts[j] to
+            # _starts[j + 1]; Python ints slice fastest
+            self._starts = [0, *np.cumsum(
+                np.bincount(ids, minlength=self.dim)).tolist()]
+        else:
+            self._dense = np.empty((self.n, self.dim))
+            rows.fill(self._dense, np.arange(self.n), np.arange(self.n))
+            self._max_norm = float(np.sqrt(np.einsum(
+                "ij,ij->i", self._dense, self._dense).max()))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self.n
 
     def top(self, query: np.ndarray, k: int
             ) -> tuple[np.ndarray, np.ndarray]:
@@ -315,12 +349,11 @@ class ExactScan:
         first, ties by ascending row: the first k of a stable sort of every
         row by descending similarity.
 
-        A sparse matrix sums, for each coordinate the question has, only the
-        rows whose entry there is nonzero: every product it leaves out is
-        +-0, and adding +-0 never changes a sum that starts from +0.0. A
-        dense matrix sums every product, but only for the rows that one
-        matrix-vector product, under a proven rounding margin, cannot rule
-        out of the top k."""
+        Column lists sum, for each coordinate the question has, only the
+        rows with an entry there: every product left out is +-0, and adding
+        +-0 never changes a sum that starts from +0.0. A dense matrix sums
+        every product, but only for the rows that one matrix-vector product,
+        under a proven rounding margin, cannot rule out of the top k."""
         if k < 1:
             raise ValueError("k must be >= 1")
         query = np.asarray(query, dtype=np.float64)
@@ -328,32 +361,24 @@ class ExactScan:
             raise ValueError(f"query must have shape ({self.dim},)")
         if not np.isfinite(query).all():
             raise ValueError("query must be finite")
-        if self._columns is None and self._max_norm is None:
-            # on the first call, not at load; two threads may both derive
-            # it, and they derive the same
-            if np.count_nonzero(self.vectors) <= \
-                    SPARSE_SHARE * self.vectors.size:
-                self._columns = _column_lists(self.vectors)
-            else:
-                self._max_norm = float(np.sqrt(np.einsum(
-                    "ij,ij->i", self.vectors, self.vectors).max()))
-        if self._columns is not None:
-            rows = np.arange(len(self))
+        if self._dense is None:
+            rows = np.arange(self.n)
             column_rows, products = [np.zeros(0, np.int32)], [np.zeros(0)]
-            for j in np.flatnonzero(query):
-                column_rows.append(self._columns[j][0])
-                products.append(self._columns[j][1] * query[j])
+            for j in np.flatnonzero(query).tolist():
+                span = slice(self._starts[j], self._starts[j + 1])
+                column_rows.append(self._rows[span])
+                products.append(self._values[span] * query[j])
             # bincount adds each row's weights from +0.0 in input order: its
             # products in coordinate order (given no weights, it counts in
             # integers)
             sims = np.bincount(np.concatenate(column_rows),
-                               np.concatenate(products), minlength=len(self)
+                               np.concatenate(products), minlength=self.n
                                ).astype(np.float64, copy=False)
         else:
             rows = self._dense_candidates(query, k)
             # cumsum adds in coordinate order; + 0.0 turns a -0.0 first
             # product into the +0.0 the sum starts from
-            sims = np.cumsum(self.vectors[rows] * query, axis=1)[:, -1] + 0.0
+            sims = np.cumsum(self._dense[rows] * query, axis=1)[:, -1] + 0.0
         top = _top(sims, k)
         return rows[top], sims[top]
 
@@ -362,23 +387,20 @@ class ExactScan:
         above the k-th largest."""
         margin = _filter_margin(self.dim, self._max_norm,
                                 float(np.sqrt(query @ query)))
-        if k >= len(self) or not np.isfinite(margin):
-            return np.arange(len(self))
-        approx = self.vectors @ query
-        kth = np.partition(approx, len(self) - k)[len(self) - k]
+        if k >= self.n or not np.isfinite(margin):
+            return np.arange(self.n)
+        approx = self._dense @ query
+        kth = np.partition(approx, self.n - k)[self.n - k]
         return np.flatnonzero(approx >= kth - margin)
 
 
-def sort_by_id(ids: Sequence[str], *arrays: np.ndarray
-               ) -> tuple[list[str], tuple[np.ndarray, ...]]:
-    """``ids`` in ascending order, and each array's rows (an empty array
-    stays empty) in the same order; the arrays as given, not copied, when
-    the ids already are in order."""
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    if order == list(range(len(ids))):
-        return list(ids), arrays
-    return [ids[i] for i in order], \
-        tuple(array[order] if len(array) else array for array in arrays)
+def ascending_ids(ids: Sequence[str], what: str) -> list[str]:
+    """``ids`` as a list; ``ValueError`` unless they ascend (repeats
+    allowed), the order rows are kept in and ties broken by."""
+    ids = list(ids)
+    if ids != sorted(ids):
+        raise ValueError(f"{what} must be in ascending order")
+    return ids
 
 
 def repeated_ids(ids: Sequence[str]) -> list[str]:
@@ -387,56 +409,43 @@ def repeated_ids(ids: Sequence[str]) -> list[str]:
 
 
 class VectorIndex:
-    """Exact-scan dense index. Entries are kept sorted by doc_id, so that
+    """Exact-scan index over documents in ascending doc-id order, so that
     ascending row order is the documented tie-break.
 
-    ``digests`` gives the ``stable_hash`` of the text each row of
-    ``vectors`` was embedded from, or is empty, and then ``embed_many``
-    serves no row of ``vectors``. ``rows`` holds more rows embedded with the
-    same provider, sparsely, each with its own digest (``build_index``: the
-    text of each titled document, which is what the scorer embeds, and
-    every sub-document window no other row holds). ``titled`` is the number
-    of titled documents the index was built from. ``scan`` searches
-    ``vectors``."""
+    ``rows`` holds every stored row, embedded with one provider, each with
+    the digest of the text it was embedded from: first one row per doc id
+    ("title. text"), which ``scan`` searches, then any more (``build_index``:
+    the text of each titled document, which is what the scorer embeds, and
+    every sub-document window no other row holds). ``embed_many`` serves any
+    of them by its text. ``titled`` is the number of titled documents the
+    index was built from."""
 
-    def __init__(self, doc_ids: Sequence[str], vectors: np.ndarray,
-                 provider_fingerprint: str,
-                 digests: np.ndarray | None = None,
-                 rows: SparseRows | None = None, titled: int = 0):
+    def __init__(self, doc_ids: Sequence[str], rows: SparseRows,
+                 provider_fingerprint: str, titled: int = 0):
         if len(doc_ids) == 0:
             raise ValueError("cannot build an index over an empty corpus")
-        if vectors.ndim != 2 or vectors.shape[0] != len(doc_ids):
-            raise ValueError("vectors must be one row per doc id")
-        digests = np.zeros(0, dtype=np.uint64) if digests is None \
-            else np.asarray(digests)
-        if digests.dtype != np.uint64 or digests.ndim != 1:
-            raise ValueError("digests must be a uint64 vector")
-        if len(digests) not in (0, len(doc_ids)):
-            raise ValueError("digests must be one per row, or none")
+        if len(rows) < len(doc_ids):
+            raise ValueError("rows must begin with one row per doc id")
         if not isinstance(titled, int) or titled < 0:
             raise ValueError(f"titled must be an int >= 0, got {titled!r}")
-        self.doc_ids, (vectors, self.digests) = sort_by_id(doc_ids, vectors,
-                                                            digests)
-        self.scan = ExactScan(vectors)
-        self.vectors = self.scan.vectors
-        self.dim = self.scan.dim
-        self.rows = rows if rows is not None else \
-            SparseRows.compress((), self.dim)
+        self.doc_ids = ascending_ids(doc_ids, "doc ids")
+        self.rows = rows
+        self.scan = ExactScan(rows, len(self.doc_ids))
+        self.dim = rows.dim
         self.titled = titled
         self.provider_fingerprint = provider_fingerprint
-        # built on the first call to ``embed_many``: each stored row's
-        # position (those of ``vectors``, then those of ``rows``) by its
-        # digest
-        self._positions: dict[int, int] | None = None
+        # the stored rows' digests ascending, and the row of each; rows of
+        # one digest hold one text, so any of them serves it
+        self._order = np.argsort(rows.digests)
+        self._digests = rows.digests[self._order]
 
     def __len__(self) -> int:
         return len(self.doc_ids)
 
     @property
     def stored_count(self) -> int:
-        """The number of stored rows: those of ``vectors`` and of
-        ``rows``."""
-        return len(self) + len(self.rows)
+        """The number of stored rows, documents' and others'."""
+        return len(self.rows)
 
     def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
         """The k most similar documents (module docstring), most similar
@@ -479,22 +488,16 @@ class VectorIndex:
         if provider.fingerprint + INDEX_FIELDS != self.provider_fingerprint:
             positions = np.full(len(texts), -1, dtype=np.intp)
         else:
-            if self._positions is None:
-                # two threads may both build it; they build the same map
-                n = len(self)
-                found = dict(zip(self.digests.tolist(), range(n)))
-                found.update(zip(self.rows.digests.tolist(),
-                                 range(n, n + len(self.rows))))
-                self._positions = found
-            position = self._positions.get
-            positions = np.array([position(stable_hash(text), -1)
-                                  for text in texts], dtype=np.intp)
+            digests = np.array([stable_hash(text) for text in texts],
+                               dtype=np.uint64)
+            at = np.searchsorted(self._digests, digests).clip(
+                max=len(self._digests) - 1)
+            positions = np.where(self._digests[at] == digests,
+                                 self._order[at], -1)
         out = np.empty((len(texts), self.dim))
-        dense = np.flatnonzero((positions >= 0) & (positions < len(self)))
-        out[dense] = self.vectors[positions[dense]]
-        sparse = np.flatnonzero(positions >= len(self))
-        if len(sparse):
-            self.rows.fill(out, sparse, positions[sparse] - len(self))
+        held = np.flatnonzero(positions >= 0)
+        if len(held):
+            self.rows.fill(out, held, positions[held])
         missing = np.flatnonzero(positions < 0)
         if len(missing):
             out[missing] = provider.embed_many([texts[i] for i in missing])
@@ -503,41 +506,17 @@ class VectorIndex:
     def save(self, path: str | Path) -> None:
         artifacts.save(path, "index",
                        {"doc_ids": self.doc_ids, "titled": self.titled,
-                        "provider_fingerprint": self.provider_fingerprint},
-                       {"vectors": self.vectors, "digests": self.digests,
-                        **{f"row_{name}": getattr(self.rows, name)
-                           for name in SparseRows.ARRAYS}})
+                        "provider_fingerprint": self.provider_fingerprint,
+                        "dim": self.dim}, self.rows.arrays())
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         meta, arrays = artifacts.load(path, "index")
-        names = {"vectors", "digests",
-                 *(f"row_{name}" for name in SparseRows.ARRAYS)}
-        if set(arrays) != names:
-            raise IndexIntegrityError(
-                f"{path}: index is in an older layout; rebuild it")
         try:
-            vectors = arrays["vectors"]
-            rows = SparseRows(*(arrays[f"row_{name}"]
-                                for name in SparseRows.ARRAYS),
-                              vectors.shape[-1])
-            return cls(meta["doc_ids"], vectors,
-                       meta["provider_fingerprint"], arrays["digests"], rows,
-                       meta["titled"])
+            return cls(meta["doc_ids"], SparseRows.load(path, meta, arrays),
+                       meta["provider_fingerprint"], meta["titled"])
         except ValueError as exc:
             raise IndexIntegrityError(f"{path}: {exc}") from exc
-
-
-def _column_lists(vectors: np.ndarray
-                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each coordinate j, the rows whose entry j is nonzero (ascending,
-    int32) and those entries. One column at a time, so that building holds
-    little more memory than the lists it returns."""
-    columns = []
-    for column in vectors.T:
-        rows = np.flatnonzero(column)
-        columns.append((rows.astype(np.int32), column[rows]))
-    return columns
 
 
 def _top(sims: np.ndarray, k: int) -> np.ndarray:
@@ -582,19 +561,19 @@ def _titled(doc: Document) -> bool:
 
 def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
     """Embed every document ("title. text") into a fresh index, in doc-id
-    order, and as its sparse rows, each titled document's text, which is
-    what the scorer embeds, and each sub-document window, where no other
-    row holds that text."""
+    order, then each titled document's text, which is what the scorer
+    embeds, and each sub-document window, where no other row holds that
+    text."""
     if len(corpus) == 0:
         raise ValueError("cannot build an index over an empty corpus")
     docs = sorted(corpus, key=lambda d: d.doc_id)
     texts = [document_embedding_text(d) for d in docs]
-    digests = np.array([stable_hash(text) for text in texts], dtype=np.uint64)
-    vectors = provider.embed_many(texts)
-    rows = SparseRows.compress(
-        _new_rows(docs, set(digests.tolist()), provider), vectors.shape[1])
-    return VectorIndex([d.doc_id for d in docs], vectors,
-                       provider.fingerprint + INDEX_FIELDS, digests, rows,
+    digests = [stable_hash(text) for text in texts]
+    rows = SparseRows.compress(itertools.chain(
+        [(digests, provider.embed_many(texts))],
+        _new_rows(docs, set(digests), provider)), provider.dim)
+    return VectorIndex([d.doc_id for d in docs], rows,
+                       provider.fingerprint + INDEX_FIELDS,
                        sum(1 for d in docs if _titled(d)))
 
 
@@ -643,13 +622,13 @@ class Retriever:
         return Candidates([self._docs[row] for row in rows.tolist()], sims)
 
 
-def recall_at_k(results: Sequence[RetrievedDoc], gold_answers: Iterable[str],
+def recall_at_k(results: Sequence[RetrievedDoc] | Candidates,
+                gold_answers: Iterable[str],
                 k: int) -> float:
     """1.0 if any of the top-k results contains a gold answer, else 0.0."""
     if k < 1 or k > len(results):
         raise ValueError(f"k={k} out of range for {len(results)} results")
     answers = list(gold_answers)
-    for result in results[:k]:
-        if contains_answer(result.doc.text, answers):
-            return 1.0
-    return 0.0
+    # by position, since ``Candidates`` indexes by int only
+    return float(any(contains_answer(results[i].doc.text, answers)
+                     for i in range(k)))

@@ -10,6 +10,9 @@ Three families:
 * a small redundant corpus where each answer sits in one sliding window of a
   12-sentence document (token-reduction tests).
 
+``stored_rows`` keeps a dense matrix as the ``SparseRows`` every stored
+matrix is held in, and ``dense_index`` and ``dense_reference`` build an
+index and an NN reference from one; ``dense_rows`` fills the rows back.
 ``exact_search`` is the index's documented ranking computed one row at a
 time in plain Python, the oracle for ``VectorIndex.search``;
 ``loop_split_sentences`` is the character-by-character splitter that
@@ -32,7 +35,9 @@ from leanrag.llm import ScriptedLlmClient, build_retrieve_prompt, is_correct
 from leanrag.reducer import (DetectorExample, ScoredSubDoc,
                              combination_features, prerank, rerank_topk,
                              representative_subdocs)
-from leanrag.retrieval import HashingEmbedder, Retriever, build_index
+from leanrag.recognizer import NnReferenceSet
+from leanrag.retrieval import (HashingEmbedder, Retriever, SparseRows,
+                               VectorIndex, build_index)
 from leanrag.scorer import (BiLabel, BiLabelScore, LabeledPair, TrainConfig,
                             train_scorer)
 from leanrag.seeds import derive_rng
@@ -43,13 +48,53 @@ _FILLER = ("the archive holds many records about history and trade routes "
            "over centuries of careful note keeping by patient scribes").split()
 
 
+def stored_rows(dense, digests=None):
+    """The rows of the matrix ``dense`` as ``SparseRows``; each row's digest
+    is its position unless ``digests`` are given, so that by default no
+    text's digest finds a row."""
+    dense = np.asarray(dense, dtype=np.float64)
+    digests = range(len(dense)) if digests is None else digests
+    return SparseRows.compress([(list(digests), dense)], dense.shape[1])
+
+
+def dense_rows(rows, n=None):
+    """The first ``n`` (default all) of the ``SparseRows`` ``rows`` as a
+    matrix."""
+    n = len(rows) if n is None else n
+    out = np.empty((n, rows.dim))
+    rows.fill(out, np.arange(n), np.arange(n))
+    return out
+
+
+def _by_id(ids, *arrays):
+    """``ids`` ascending, and each array's rows in the same order."""
+    order = sorted(range(len(ids)), key=list(ids).__getitem__)
+    return [ids[i] for i in order], *(np.asarray(a)[order] for a in arrays)
+
+
+def dense_index(ids, vectors, fingerprint="fp"):
+    """A ``VectorIndex`` of one row of ``vectors`` per doc id, rows put in
+    doc-id order first."""
+    ids, vectors = _by_id(ids, np.asarray(vectors, dtype=np.float64))
+    return VectorIndex(ids, stored_rows(vectors), fingerprint)
+
+
+def dense_reference(question_ids, embeddings, correct, fingerprint=None):
+    """An ``NnReferenceSet`` of one row of ``embeddings`` per question id,
+    rows and labels put in question-id order first."""
+    ids, embeddings, correct = _by_id(question_ids, embeddings,
+                                      np.asarray(correct, dtype=bool))
+    return NnReferenceSet(ids, stored_rows(embeddings), correct, fingerprint)
+
+
 def exact_search(index, query, k):
     """Top k of ``index`` for ``query``: each row's similarity is the sum,
     from +0.0, of its separately rounded products in coordinate order,
     ranked by (-similarity, doc id)."""
     query = [float(b) for b in query]
     sims = []
-    for doc_id, row in zip(index.doc_ids, index.vectors.tolist()):
+    matrix = dense_rows(index.rows, len(index.doc_ids))
+    for doc_id, row in zip(index.doc_ids, matrix.tolist()):
         total = 0.0
         for a, b in zip(row, query):
             total += a * b

@@ -8,16 +8,15 @@ import time
 import numpy as np
 import pytest
 
-from synthetic import (imbalanced_feature_pairs, planted_corpus,
-                       prefix_detector_examples, redundant_corpus,
-                       scored_subdoc, trained_redundant_setup,
-                       window_training_pairs)
+from synthetic import (dense_reference, imbalanced_feature_pairs,
+                       planted_corpus, prefix_detector_examples,
+                       redundant_corpus, scored_subdoc,
+                       trained_redundant_setup, window_training_pairs)
 
 from leanrag.llm import build_noretrieve_prompt
 from leanrag.mlp import Mlp, sgd_step
 from leanrag.pipeline import PipelineContext, evaluate, ordered_docs
-from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
-                                decide)
+from leanrag.recognizer import Decision, RecognizerConfig, decide
 from leanrag.reducer import (DetectorExample, DetectorModel,
                              DetectorTrainConfig, build_detector_dataset,
                              combination_features, greedy_filter, jaccard,
@@ -56,7 +55,7 @@ def redundant_detector(redundant_setup):
 
 def redundant_ctx(setup, detector, recognizer=None, all_known=False):
     corpus, qa, mock, provider, retriever, scorer = setup
-    reference = NnReferenceSet(
+    reference = dense_reference(
         [q.question_id for q in qa],
         provider.embed_many([q.question for q in qa]),
         [all_known] * len(qa), provider.fingerprint)

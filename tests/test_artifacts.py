@@ -6,12 +6,14 @@ import re
 
 import numpy as np
 import pytest
+from synthetic import dense_reference, redundant_corpus
 
 from leanrag import artifacts
 from leanrag.artifacts import IndexIntegrityError
 from leanrag.corpus import Corpus, make_document
+from leanrag.llm import ScriptedLlmClient
 from leanrag.mlp import Mlp
-from leanrag.recognizer import NnReferenceSet
+from leanrag.recognizer import NnReferenceSet, build_nn_reference
 from leanrag.reducer import (DetectorExample, DetectorModel,
                              load_detector_dataset, save_detector_dataset)
 from leanrag.retrieval import HashingEmbedder, VectorIndex, build_index
@@ -36,10 +38,10 @@ def detector():
 
 def nn_reference():
     rng = np.random.default_rng(0)
-    return NnReferenceSet([f"q{i}" for i in range(5)],
-                          rng.standard_normal((5, 8)),
-                          [i % 2 == 0 for i in range(5)],
-                          "hash-bow:v1:dim=8:seed=1")
+    return dense_reference([f"q{i}" for i in range(5)],
+                           rng.standard_normal((5, 8)),
+                           [i % 2 == 0 for i in range(5)],
+                           "hash-bow:v1:dim=8:seed=1")
 
 
 def training_set():
@@ -57,9 +59,18 @@ def detector_data():
             for i in range(3)]
 
 
+def same_rows(a, b):
+    """Equal ``SparseRows``: the same width, and every array of the same
+    dtype and bytes."""
+    return a.dim == b.dim and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in zip(a.arrays().values(), b.arrays().values()))
+
+
 def same_index(a, b):
-    return (a.doc_ids == b.doc_ids and np.array_equal(a.vectors, b.vectors)
-            and a.provider_fingerprint == b.provider_fingerprint)
+    return (a.doc_ids == b.doc_ids and same_rows(a.rows, b.rows)
+            and (a.titled, a.provider_fingerprint)
+            == (b.titled, b.provider_fingerprint))
 
 
 def same_scorer(a, b):
@@ -77,7 +88,7 @@ def same_detector(a, b):
 
 
 def same_nn_reference(a, b):
-    return (np.array_equal(a.embeddings, b.embeddings)
+    return (same_rows(a.rows, b.rows)
             and a.question_ids == b.question_ids
             and a.correct.tolist() == b.correct.tolist()
             and a.provider_fingerprint == b.provider_fingerprint)
@@ -265,10 +276,12 @@ def test_integer_arrays_keep_their_dtype(tmp_path):
         [np.float64, np.float64]
 
 
-@pytest.mark.parametrize("float_kind", sorted(set(KINDS) - {"index"}))
+@pytest.mark.parametrize("float_kind",
+                         sorted(set(KINDS) - {"index", "nn_reference"}))
 def test_float_only_kinds_write_float64(float_kind, tmp_path):
-    """Every kind but the index holds only float arrays, so its file is
-    byte for byte what it was before integer arrays kept their dtype."""
+    """Every kind but the index and the NN reference holds only float
+    arrays, so its file is byte for byte what it was before integer arrays
+    kept their dtype."""
     make, save, _, _ = KINDS[float_kind]
     path = tmp_path / float_kind
     save(make(), str(path))
@@ -281,6 +294,36 @@ def test_float_only_kinds_write_float64(float_kind, tmp_path):
             assert array.dtype == np.float64
             np.save(handle, array, allow_pickle=False)
     assert payload == again.read_bytes()
+
+
+@pytest.mark.parametrize("rows_kind", ["index", "nn_reference"])
+def test_stored_rows_keep_their_dtypes(rows_kind, tmp_path):
+    """The index and the NN reference keep their rows as entries: uint64
+    digests, int64 counts, int32 column ids and float64 values."""
+    make, save, _, _ = KINDS[rows_kind]
+    path = tmp_path / rows_kind
+    save(make(), str(path))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    meta, arrays = artifacts.load(
+        path, json.loads(header)["format"].removeprefix("leanrag-"))
+    assert meta["arrays"] == ["digests", "counts", "columns", "values"]
+    assert [a.dtype for a in arrays.values()] == \
+        [np.uint64, np.int64, np.int32, np.float64]
+
+
+def test_stored_rows_smaller_than_dense(tmp_path):
+    """On a small corpus, each file is smaller than its rows would be as a
+    dense float64 matrix."""
+    corpus, qa, _ = redundant_corpus()
+    provider = HashingEmbedder(dim=256, seed=0)
+    index = build_index(corpus, provider)
+    reference = build_nn_reference(
+        qa, ScriptedLlmClient(default_answer="x"), provider)
+    for obj, n in ((index, index.stored_count), (reference, len(reference))):
+        path = tmp_path / type(obj).__name__
+        obj.save(path)
+        assert n >= 4
+        assert path.stat().st_size < 8 * n * provider.dim
 
 
 @pytest.mark.parametrize("bad", [np.array(["a", "b"]),

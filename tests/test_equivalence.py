@@ -17,16 +17,16 @@ import numpy as np
 import pytest
 
 import leanrag.pipeline as pipeline_module
-from synthetic import (exact_search, imbalanced_feature_pairs,
-                       planted_corpus, prefix_detector_examples,
+from synthetic import (dense_reference, dense_rows, exact_search,
+                       imbalanced_feature_pairs, planted_corpus,
+                       prefix_detector_examples, stored_rows,
                        trained_redundant_setup)
 
 from leanrag.corpus import (Corpus, SubDocument, generate_subdocuments,
                             make_document)
 from leanrag.mlp import sigmoid
 from leanrag.pipeline import PipelineContext, evaluate
-from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
-                                build_nn_reference)
+from leanrag.recognizer import Decision, RecognizerConfig, build_nn_reference
 from leanrag.reducer import (DetectorTrainConfig, RerankedDoc, ScoredSubDoc,
                              combination_features, make_combination, prerank,
                              reduce, rerank_topk, score_windows,
@@ -46,14 +46,14 @@ def per_item_top(scan, query, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     hits = exact_search(SimpleNamespace(doc_ids=range(len(scan)),
-                                        vectors=scan.vectors), query, k)
+                                        rows=scan.rows), query, k)
     return (np.array([row for row, _ in hits], dtype=np.intp),
             np.array([sim for _, sim in hits], dtype=np.float64))
 
 
 def per_item_neighbor_score(question_embedding, reference, k):
     rows = SimpleNamespace(doc_ids=reference.question_ids,
-                           vectors=reference.embeddings)
+                           rows=reference.rows)
     correct = dict(zip(reference.question_ids, reference.correct))
     return sum(1 for qid, _ in exact_search(rows, question_embedding, k)
                if correct[qid]) / k
@@ -168,7 +168,7 @@ def test_redundant_corpus_equivalent(redundant, monkeypatch):
     (corpus, qa, mock, provider, retriever, scorer), detector = redundant
     # every other question is its own nearest neighbor labeled correct, so
     # both branches run
-    reference = NnReferenceSet(
+    reference = dense_reference(
         [q.question_id for q in qa],
         provider.embed_many([q.question for q in qa]),
         [i % 2 == 0 for i in range(len(qa))], provider.fingerprint)
@@ -275,15 +275,17 @@ def counted_run(qa, ctx, index):
 
 
 def assert_stored_rows_change_nothing(qa, ctx):
-    """Set-up's index against the same index without its sparse rows and
-    against one that serves no row: identical outputs, and set-up's index
-    embeds only the question."""
+    """Set-up's index against the same index with its document rows only
+    and against one that serves no row: identical outputs, and set-up's
+    index embeds only the question."""
     index = ctx.retriever.index
     stored, stored_report, stored_calls = counted_run(qa, ctx, index)
     assert stored_calls == [1] * len(qa)
-    no_sparse = VectorIndex(index.doc_ids, index.vectors,
-                            index.provider_fingerprint, index.digests)
-    no_rows = VectorIndex(index.doc_ids, index.vectors,
+    n = len(index)
+    documents = dense_rows(index.rows, n)
+    no_sparse = VectorIndex(index.doc_ids, stored_rows(
+        documents, index.rows.digests[:n]), index.provider_fingerprint)
+    no_rows = VectorIndex(index.doc_ids, stored_rows(documents),
                           index.provider_fingerprint)
     for other in (no_sparse, no_rows):
         embedded, embedded_report, embedded_calls = counted_run(qa, ctx,
@@ -316,7 +318,7 @@ def test_stored_rows_change_nothing_redundant(redundant):
         recognizer_config=RecognizerConfig(delta_ltod=-1e9, s_l=0.0, s_n=0.5,
                                            k_neighbors=1),
         llm=mock, detector=detector,
-        nn_reference=NnReferenceSet(
+        nn_reference=dense_reference(
             [q.question_id for q in qa],
             provider.embed_many([q.question for q in qa]),
             [i % 2 == 0 for i in range(len(qa))], provider.fingerprint),
@@ -345,7 +347,7 @@ def test_stored_rows_change_nothing_mixed(redundant):
         recognizer_config=RecognizerConfig(delta_ltod=-1e9, s_l=0.0, s_n=0.5,
                                            k_neighbors=1),
         llm=mock, detector=detector,
-        nn_reference=NnReferenceSet(
+        nn_reference=dense_reference(
             [q.question_id for q in qa],
             provider.embed_many([q.question for q in qa]),
             [i % 2 == 1 for i in range(len(qa))], provider.fingerprint),
@@ -397,7 +399,7 @@ def tied(redundant):
         recognizer_config=RecognizerConfig(delta_ltod=-1e9, s_l=0.0, s_n=0.5,
                                            k_neighbors=1),
         llm=mock, detector=detector,
-        nn_reference=NnReferenceSet(
+        nn_reference=dense_reference(
             [q.question_id for q in qa],
             provider.embed_many([q.question for q in qa]),
             [i % 2 == 0 for i in range(len(qa))], provider.fingerprint),

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthetic import (SHARED_ANSWER, prefix_detector_examples,
-                       trained_redundant_setup, write_redundant_fixture)
+from synthetic import (SHARED_ANSWER, dense_reference,
+                       prefix_detector_examples, trained_redundant_setup,
+                       write_redundant_fixture)
 from test_llm import FakeResponse, FakeSession, NotJsonResponse
 
 import leanrag
@@ -43,7 +44,7 @@ def detector(setup):
 
 def make_ctx(setup, detector, all_known=False, **overrides):
     corpus, qa, mock, provider, retriever, scorer = setup
-    reference = NnReferenceSet(
+    reference = dense_reference(
         [q.question_id for q in qa],
         provider.embed_many([q.question for q in qa]),
         [all_known] * len(qa), provider.fingerprint)
@@ -214,8 +215,8 @@ class TestLoadIntegrity:
         corpus = load_corpus(config.corpus_path)
         self.save_index(config, corpus)
         provider = build_provider(config.provider)
-        NnReferenceSet(["q"], provider.embed_many(["a question"]), [True],
-                       provider.fingerprint).save(config.nn_ref_path)
+        dense_reference(["q"], provider.embed_many(["a question"]), [True],
+                        provider.fingerprint).save(config.nn_ref_path)
         ctx = load_pipeline(config, require=("corpus", "index", "nn_ref"))
         assert len(ctx.retriever.index) == len(corpus)
 
@@ -241,8 +242,8 @@ class TestLoadIntegrity:
                                               dim):
         config.recognizer = {"k_neighbors": 1}
         self.save_index(config, load_corpus(config.corpus_path))
-        NnReferenceSet(["q"], np.ones((1, dim)) / np.sqrt(dim), [True],
-                       fingerprint).save(config.nn_ref_path)
+        dense_reference(["q"], np.ones((1, dim)) / np.sqrt(dim), [True],
+                        fingerprint).save(config.nn_ref_path)
         assert build_provider(config.provider).fingerprint == \
             "hash-bow:v1:dim=256:seed=0"
         with pytest.raises(IndexIntegrityError):
@@ -255,8 +256,8 @@ class TestLoadIntegrity:
 
     def test_nn_reference_smaller_than_k_rejected(self, config):
         provider = build_provider(config.provider)
-        NnReferenceSet(["q"], provider.embed_many(["a question"]), [True],
-                       provider.fingerprint).save(config.nn_ref_path)
+        dense_reference(["q"], provider.embed_many(["a question"]), [True],
+                        provider.fingerprint).save(config.nn_ref_path)
         with pytest.raises(IndexIntegrityError,
                            match="1 entries, fewer than k_neighbors=10"):
             load_pipeline(config, require=("nn_ref",))

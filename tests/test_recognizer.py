@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from synthetic import exact_search, planted_corpus, redundant_corpus
+from synthetic import (dense_reference, dense_rows, exact_search,
+                       planted_corpus, redundant_corpus, stored_rows)
 
 import leanrag.recognizer as recognizer_module
 from leanrag import artifacts
@@ -19,6 +20,7 @@ from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
                                 neighbor_score)
 from leanrag.retrieval import HashingEmbedder, IndexIntegrityError, RetrievedDoc
 from leanrag.scorer import BiLabelScore, ScoredCandidates
+from leanrag.seeds import stable_hash
 
 
 def scored_docs(logits):
@@ -65,9 +67,9 @@ class Entry(NamedTuple):
 
 
 def make_reference(entries, fingerprint=None):
-    return NnReferenceSet([e.question_id for e in entries],
-                          np.array([e.embedding for e in entries]),
-                          [e.correct for e in entries], fingerprint)
+    return dense_reference([e.question_id for e in entries],
+                           np.array([e.embedding for e in entries]),
+                           [e.correct for e in entries], fingerprint)
 
 
 def reference_entries(labels):
@@ -88,8 +90,8 @@ def similarity_ranked(entries, query):
     """Every entry by (-similarity, question id), the similarity a
     plain-Python coordinate-order sum (``synthetic.exact_search``)."""
     by_id = {e.question_id: e for e in entries}
-    rows = SimpleNamespace(doc_ids=list(by_id),
-                           vectors=np.array([e.embedding for e in entries]))
+    rows = SimpleNamespace(doc_ids=list(by_id), rows=stored_rows(
+        np.array([e.embedding for e in entries])))
     return [by_id[qid] for qid, _ in exact_search(rows, query, len(entries))]
 
 
@@ -110,7 +112,7 @@ class TestNeighborScore:
 
     def test_zero_distance_entry_included(self):
         ref = make_reference(reference_entries([0, 1, 0, 0, 0]))
-        query = ref.embeddings[1]
+        query = dense_rows(ref.rows)[1]
         assert neighbor_score(query, ref, 1) == 1.0
 
     def test_two_cluster_oracle(self):
@@ -168,19 +170,22 @@ class TestNeighborScore:
                 assert neighbor_score(query, ref, k) == fraction(ranked, k)
 
     def test_shares_the_given_matrix(self, tmp_path, monkeypatch):
-        embeddings = np.arange(12, dtype=np.float64).reshape(3, 4)
-        ref = NnReferenceSet(["q0", "q1", "q2"], embeddings,
-                             [True, False, True])
-        assert ref.embeddings.shape == (3, 4)
-        assert np.shares_memory(ref.embeddings, embeddings)
+        rows = stored_rows(np.arange(12, dtype=np.float64).reshape(3, 4))
+        ref = NnReferenceSet(["q0", "q1", "q2"], rows, [True, False, True])
+        assert (ref.dim, ref.rows) == (4, rows)
+        assert ref.scan.rows is rows
         # built from questions out of id order, the rows come in id order,
-        # so the saved file loads into a matrix kept as read
+        # each with its question's digest, and the saved file loads into
+        # entries kept as read
         qa = TestBuildReference().qa(12)[::-1]
         llm = ScriptedLlmClient({q.question: "gold3" for q in qa})
         built = build_nn_reference(qa, llm, HashingEmbedder(dim=32, seed=0))
         assert built.question_ids == sorted(q.question_id for q in qa)
         assert built.correct.tolist() == \
             [qid == "q3" for qid in built.question_ids]
+        by_id = {q.question_id: q.question for q in qa}
+        assert built.rows.digests.tolist() == [
+            stable_hash(by_id[qid]) for qid in built.question_ids]
         path = tmp_path / "ref"
         built.save(path)
         read = []
@@ -188,38 +193,47 @@ class TestNeighborScore:
 
         def spy(*args, **kwargs):
             meta, arrays = load(*args, **kwargs)
-            read.append(arrays["embeddings"])
+            read.append(arrays["values"])
             return meta, arrays
 
         monkeypatch.setattr(recognizer_module.artifacts, "load", spy)
         loaded = NnReferenceSet.load(path)
-        np.testing.assert_array_equal(loaded.embeddings, built.embeddings)
+        for name, array in built.rows.arrays().items():
+            assert getattr(loaded.rows, name).tobytes() == array.tobytes()
         assert loaded.question_ids == built.question_ids
-        assert np.shares_memory(loaded.embeddings, read[0])
+        assert loaded.rows.values is read[0]
 
     def test_rows_kept_in_question_id_order(self):
+        # the rows are the ids' rows only in id order: other orders are
+        # refused, not sorted
+        with pytest.raises(ValueError, match="ascending order"):
+            NnReferenceSet(["q2", "q0", "q1"], stored_rows(np.eye(3)),
+                           [True, False, False])
         embeddings = np.eye(3)
-        ref = NnReferenceSet(["q2", "q0", "q1"], embeddings,
-                             [True, False, False])
+        ref = dense_reference(["q2", "q0", "q1"], embeddings,
+                              [True, False, False])
         assert ref.question_ids == ["q0", "q1", "q2"]
-        np.testing.assert_array_equal(ref.embeddings, embeddings[[1, 2, 0]])
+        np.testing.assert_array_equal(dense_rows(ref.rows),
+                                      embeddings[[1, 2, 0]])
         assert ref.correct.tolist() == [False, False, True]
 
     def test_repeated_question_id_refused(self):
         with pytest.raises(ValueError, match="repeats question ids"):
-            NnReferenceSet(["a", "a", "b"], np.eye(3), [True, False, True])
+            dense_reference(["a", "a", "b"], np.eye(3), [True, False, True])
 
     def test_load_refuses_repeated_question_id(self, tmp_path):
         path = tmp_path / "ref"
         artifacts.save(path, "nnref", {
             "provider_fingerprint": None, "question_ids": ["a", "a", "b"],
-            "correct": [True, False, True]}, {"embeddings": np.eye(3)})
+            "correct": [True, False, True], "dim": 3},
+            stored_rows(np.eye(3)).arrays())
         with pytest.raises(IndexIntegrityError, match="repeats question ids"):
             NnReferenceSet.load(path)
 
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError):
-            NnReferenceSet(["q0"], np.ones((2, 4)), [True, False])
+            NnReferenceSet(["q0"], stored_rows(np.ones((2, 4))),
+                           [True, False])
 
     def test_reference_smaller_than_k(self):
         ref = make_reference(reference_entries([1, 0]))
@@ -344,12 +358,12 @@ class TestNeighborScoreMatchesFullSort:
     @given(sparse_sign_cases())
     @settings(deadline=None)
     def test_sparse_sign_rows(self, case):
-        assert assert_matches_oracle(*case).scan._columns is not None
+        assert assert_matches_oracle(*case).scan._dense is None
 
     @given(gaussian_unit_cases())
     @settings(deadline=None)
     def test_dense_gaussian_unit_rows(self, case):
-        assert assert_matches_oracle(*case).scan._columns is None
+        assert assert_matches_oracle(*case).scan._dense is not None
 
     @given(scaled_cases())
     @settings(deadline=None)
@@ -363,7 +377,7 @@ class TestNeighborScoreMatchesFullSort:
         entries = [Entry(f"q{i}", unit(rng.standard_normal(3)) * 1e154,
                          bool(rng.integers(0, 2))) for i in range(12)]
         query = unit(rng.standard_normal(3)) * 1.2e154
-        assert assert_matches_oracle(entries, query).scan._columns is None
+        assert assert_matches_oracle(entries, query).scan._dense is not None
 
 
 class TestCrossDefinition:
@@ -401,16 +415,16 @@ class TestNonFiniteInputs:
             embeddings = np.ones((3, 4))
             embeddings[1, 2] = bad
             with pytest.raises(ValueError):
-                NnReferenceSet(["q0", "q1", "q2"], embeddings,
-                               [True, False, True])
+                dense_reference(["q0", "q1", "q2"], embeddings,
+                                [True, False, True])
 
     def test_load_rejects_nan(self, tmp_path):
         path = tmp_path / "ref.jsonl"
-        embeddings = np.ones((2, 4))
-        embeddings[0, 0] = np.nan
+        arrays = stored_rows(np.ones((2, 4))).arrays()
+        arrays["values"][0] = np.nan
         artifacts.save(path, "nnref", {
             "provider_fingerprint": None, "question_ids": ["q0", "q1"],
-            "correct": [True, False]}, {"embeddings": embeddings})
+            "correct": [True, False], "dim": 4}, arrays)
         with pytest.raises(IndexIntegrityError):
             NnReferenceSet.load(path)
 
@@ -430,7 +444,8 @@ class TestNonFiniteInputs:
         path = tmp_path / "ref.jsonl"
         ref.save(path)
         loaded = NnReferenceSet.load(path)
-        assert len(loaded) == 0
+        assert len(loaded) == len(loaded.scan) == 0
+        assert loaded.dim == 32
         with pytest.raises(ValueError, match="need >= 1"):
             neighbor_score(np.zeros(32), loaded, 1)
 
@@ -541,7 +556,8 @@ class TestBuildReference:
         assert loaded.provider_fingerprint == provider.fingerprint
         assert len(loaded) == 5
         assert loaded.correct.tolist() == ref.correct.tolist()
-        np.testing.assert_allclose(loaded.embeddings[0], ref.embeddings[0])
+        assert dense_rows(loaded.rows).tobytes() == \
+            dense_rows(ref.rows).tobytes()
 
     def test_verify_provider(self):
         provider = HashingEmbedder(dim=32, seed=0)
@@ -551,13 +567,13 @@ class TestBuildReference:
 
         def check(ref, provider):
             check_provider("NN reference", ref.provider_fingerprint,
-                           ref.embeddings.shape[1], provider)
+                           ref.dim, provider)
 
         check(ref, provider)
         with pytest.raises(IndexIntegrityError):
             check(ref, HashingEmbedder(dim=32, seed=1))
-        narrow = NnReferenceSet(["q0"], np.ones((1, 8)), [True],
-                                provider.fingerprint)
+        narrow = dense_reference(["q0"], np.ones((1, 8)), [True],
+                                 provider.fingerprint)
         with pytest.raises(IndexIntegrityError):
             check(narrow, provider)
 

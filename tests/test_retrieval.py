@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from synthetic import exact_search
+from synthetic import dense_index, dense_rows, exact_search, stored_rows
 
 import leanrag.retrieval as retrieval_module
 from leanrag import artifacts
 from leanrag.artifacts import check_provider
-from leanrag.corpus import Corpus, make_document
+from leanrag.corpus import Corpus, QARecord, make_document
+from leanrag.llm import ScriptedLlmClient
+from leanrag.recognizer import NnReferenceSet, build_nn_reference
 from leanrag.retrieval import (INDEX_FIELDS, EmbeddingProviderError,
                                ExactScan, HashingEmbedder, IndexIntegrityError,
                                RemoteEmbedder, Retriever, SparseRows,
@@ -193,11 +195,12 @@ class TestIndex:
         index = build_index(small_corpus(), provider)
         path = tmp_path / "index.json"
         index.save(path)
-        # the payload's array header claims one column fewer than written
+        # the header claims a width that some stored column id exceeds
+        assert index.rows.columns.max() >= 8
         data = path.read_bytes()
-        assert data.count(b"(3, 64)") == 1
-        path.write_bytes(data.replace(b"(3, 64)", b"(3, 63)"))
-        with pytest.raises(IndexIntegrityError):
+        assert data.count(b'"dim": 64') == 1
+        path.write_bytes(data.replace(b'"dim": 64', b'"dim": 8'))
+        with pytest.raises(IndexIntegrityError, match="column ids"):
             VectorIndex.load(path)
 
     @staticmethod
@@ -230,8 +233,9 @@ class TestIndex:
 
     def test_repeated_doc_ids_detected(self, provider):
         index = build_index(small_corpus(), provider)
-        repeated = VectorIndex(["a", "a", "b", "c"],
-                               np.vstack([index.vectors[:1], index.vectors]),
+        vectors = dense_rows(index.rows, len(index))
+        repeated = dense_index(["a", "a", "b", "c"],
+                               np.vstack([vectors[:1], vectors]),
                                index.provider_fingerprint)
         with pytest.raises(IndexIntegrityError, match="repeats"):
             repeated.verify_corpus(small_corpus())
@@ -251,9 +255,14 @@ class TestIndex:
             index.verify_corpus(retitled)
 
     def test_ids_in_order_not_copied(self):
-        vectors = np.arange(12.0).reshape(4, 3)
-        index = VectorIndex(["a", "b", "c", "d"], vectors, "fp")
-        assert np.shares_memory(index.vectors, vectors)
+        rows = stored_rows(np.arange(12.0).reshape(4, 3))
+        index = VectorIndex(["a", "b", "c", "d"], rows, "fp")
+        assert index.rows is index.scan.rows is rows
+        # rows out of doc-id order are refused, not sorted
+        with pytest.raises(ValueError, match="ascending order"):
+            VectorIndex(["b", "a", "c", "d"], rows, "fp")
+        with pytest.raises(ValueError, match="one row per doc id"):
+            VectorIndex(["a", "b", "c", "d", "e"], rows, "fp")
 
     def test_round_trip_keeps_text_rows(self, tmp_path, provider):
         index = build_index(titled_corpus(), provider)
@@ -262,8 +271,7 @@ class TestIndex:
         for name in ("digests", "counts", "columns", "values"):
             got, want = (getattr(i.rows, name) for i in (loaded, index))
             assert got.tobytes() == want.tobytes()
-        assert loaded.digests.dtype == np.uint64
-        assert loaded.digests.tobytes() == index.digests.tobytes()
+        assert loaded.dim == index.dim == 64
         assert loaded.titled == index.titled == 2
 
     def test_file_without_text_rows_rejected(self, tmp_path, provider):
@@ -272,7 +280,7 @@ class TestIndex:
         artifacts.save(path, "index",
                        {"doc_ids": index.doc_ids,
                         "provider_fingerprint": index.provider_fingerprint},
-                       {"vectors": index.vectors})
+                       {"vectors": dense_rows(index.rows, len(index))})
         with pytest.raises(IndexIntegrityError, match="rebuild it"):
             VectorIndex.load(path)
 
@@ -386,9 +394,11 @@ class TestWindowRows:
         index = build_index(corpus, provider)
         # a: its text and 3 windows, b: 4 windows, c: its text and 3
         # windows, of which "They dig. They sleep. They eat." repeats one of
-        # b's; d's one window is its text
-        assert len(index.rows) == 1 + 3 + 4 + 1 + 2
-        assert sorted(index.rows.digests.tolist()) == sorted(
+        # b's; d's one window is its text; after the 4 document rows
+        assert len(index.rows) == 4 + 1 + 3 + 4 + 1 + 2
+        assert index.rows.digests[:4].tolist() == [
+            stable_hash(document_embedding_text(doc)) for doc in corpus]
+        assert sorted(index.rows.digests[4:].tolist()) == sorted(
             {stable_hash(text) for text in [
                 *self.windows(corpus)[:-1], corpus.get("a").text,
                 corpus.get("c").text]})
@@ -396,16 +406,16 @@ class TestWindowRows:
     def test_short_documents_store_no_rows(self, provider):
         corpus = titled_corpus_short()
         index = build_index(corpus, provider)
-        # the titled documents' text rows only
-        assert index.rows.digests.tolist() == [
+        # the titled documents' text rows only, after the document rows
+        assert index.rows.digests[len(index):].tolist() == [
             stable_hash(doc.text) for doc in corpus if doc.title]
-        assert len(build_index(small_corpus(), provider).rows) == 0
+        assert build_index(small_corpus(), provider).stored_count == 3
 
     def test_irregular_spacing_stores_the_joined_window(self, provider):
         corpus = Corpus([make_document("a", "T", "One.  Two.\nThree. ")])
         index = build_index(corpus, provider)
-        # the text row and the joined window
-        assert len(index.rows) == 2
+        # the document row, the text row and the joined window
+        assert len(index.rows) == 3
         recording = RecordingProvider(provider)
         assert index.embed_many(recording, ["One. Two. Three."]).tobytes() \
             == provider.embed_many(["One. Two. Three."]).tobytes()
@@ -429,7 +439,12 @@ class TestWindowRows:
         corpus = long_corpus()
         build_index(corpus, fake).save(tmp_path / "index")
         index = VectorIndex.load(tmp_path / "index")
-        texts = self.windows(corpus)
+        # most entries are stored, so the document rows scan densely
+        assert index.scan._dense is not None
+        query = fake.embed_many(["a question?"])[0]
+        assert index.search(query, 4) == exact_search(index, query, 4)
+        texts = [*self.windows(corpus),
+                 *map(document_embedding_text, corpus)]
         want = fake.embed_many(texts)
         assert (want.view(np.uint64) == np.float64(-0.0).view(
             np.uint64)).any()
@@ -475,8 +490,7 @@ class TestWindowRows:
         got = []
 
         def serve(offset):
-            # each thread asks in its own order, so they build the digest
-            # map at once
+            # each thread asks in its own order
             for _ in range(50):
                 rows = index.embed_many(provider,
                                         texts[offset:] + texts[:offset])
@@ -511,9 +525,30 @@ class TestWindowRows:
         artifacts.save(path, "index",
                        {"doc_ids": index.doc_ids, "titled": index.titled,
                         "provider_fingerprint": index.provider_fingerprint},
-                       {"vectors": index.vectors, "digests": index.digests})
+                       {"vectors": dense_rows(index.rows, len(index)),
+                        "digests": index.rows.digests[:len(index)]})
         with pytest.raises(IndexIntegrityError,
                            match="older layout; rebuild it"):
+            VectorIndex.load(path)
+
+    def test_file_with_a_dense_matrix_rejected(self, tmp_path, provider):
+        """The document rows as a dense ``vectors`` array with their
+        ``digests``, the others as ``row_*`` arrays."""
+        index = build_index(long_corpus(), provider)
+        n = len(index)
+        path = tmp_path / "index"
+        artifacts.save(path, "index",
+                       {"doc_ids": index.doc_ids, "titled": index.titled,
+                        "provider_fingerprint": index.provider_fingerprint},
+                       {"vectors": dense_rows(index.rows, n),
+                        "digests": index.rows.digests[:n],
+                        **{f"row_{name}": array for name, array in
+                           stored_rows(dense_rows(index.rows)[n:],
+                                       index.rows.digests[n:]).arrays(
+                           ).items()}})
+        with pytest.raises(IndexIntegrityError,
+                           match=re.escape(f"{path}: leanrag-index is in an "
+                                           "older layout; rebuild it")):
             VectorIndex.load(path)
 
     def test_file_in_the_old_layout_rejected(self, tmp_path, provider):
@@ -524,10 +559,10 @@ class TestWindowRows:
         path = tmp_path / "index"
         artifacts.save(path, "index",
                        {"doc_ids": index.doc_ids,
-                        "digests": [*index.digests.tolist(),
+                        "digests": [*index.rows.digests[:len(index)].tolist(),
                                     *map(stable_hash, titled)],
                         "provider_fingerprint": index.provider_fingerprint},
-                       {"vectors": index.vectors,
+                       {"vectors": dense_rows(index.rows, len(index)),
                         "text_vectors": provider.embed_many(titled),
                         **{f"window_{name}": getattr(index.rows, name)
                            for name in index.rows.ARRAYS}})
@@ -549,11 +584,7 @@ class TestWindowRows:
         path = tmp_path / "index"
         artifacts.save(path, "index",
                        {"doc_ids": ["a"], "titled": 0,
-                        "provider_fingerprint": "fp"},
-                       {"vectors": np.ones((1, 8)),
-                        "digests": np.zeros(1, dtype=np.uint64),
-                        **{f"row_{name}": array
-                           for name, array in rows.items()}})
+                        "provider_fingerprint": "fp", "dim": 8}, rows)
         with pytest.raises(IndexIntegrityError, match=match):
             VectorIndex.load(path)
 
@@ -569,7 +600,7 @@ def titled_corpus_short():
 class TestSearch:
     @staticmethod
     def full_sort(index, query, k):
-        sims = index.vectors @ query
+        sims = dense_rows(index.rows, len(index)) @ query
         order = np.argsort(-sims, kind="stable")[:k]
         return [(index.doc_ids[i], float(sims[i])) for i in order]
 
@@ -577,7 +608,7 @@ class TestSearch:
         # ids deliberately out of order; rows 1-5 tie on the middle value
         values = [3.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0]
         ids = ["h", "e", "b", "g", "a", "d", "c", "f"]
-        index = VectorIndex(ids, np.array([[v, 0.0] for v in values]), "fp")
+        index = dense_index(ids, np.array([[v, 0.0] for v in values]))
         query = np.array([1.0, 0.0])
         for k in range(1, len(ids) + 2):
             assert index.search(query, k) == self.full_sort(index, query, k)
@@ -587,8 +618,7 @@ class TestSearch:
     def test_matches_full_sort_with_many_ties(self):
         rng = np.random.default_rng(5)
         vectors = rng.integers(-2, 3, size=(300, 4)).astype(np.float64)
-        index = VectorIndex([f"d{i}" for i in rng.permutation(300)], vectors,
-                            "fp")
+        index = dense_index([f"d{i}" for i in rng.permutation(300)], vectors)
         for _ in range(20):
             query = rng.integers(-1, 2, size=4).astype(np.float64)
             for k in (1, 5, 17, 100, 299, 300):
@@ -600,8 +630,8 @@ class TestSearch:
 def scan_cases(draw, sparse: bool):
     """An index on the ``sparse`` side of ``SPARSE_SHARE`` and a query:
     integer grids with heavy ties, +-1 rows or Gaussian rows with norms
-    from 1e-3 to 1e3, some rows copies of others; the query a grid, a
-    Gaussian, zero, or equal to a row."""
+    from 1e-3 to 1e3, some rows copies of others, some entries -0.0; the
+    query a grid, a Gaussian, zero, or equal to a row."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 24))
     dim = draw(st.integers(4, 12))
@@ -621,8 +651,12 @@ def scan_cases(draw, sparse: bool):
         vectors = np.where(kept, vectors, 0.0)
     copies = rng.integers(0, n, size=draw(st.integers(0, n)))
     vectors[rng.permutation(n)[:len(copies)]] = vectors[copies]
-    assume((np.count_nonzero(vectors) <= retrieval_module.SPARSE_SHARE
-            * vectors.size) == sparse)
+    # a -0.0 is a stored entry, as the value it replaces was
+    signed = rng.random((n, dim)) < draw(st.sampled_from([0.0, 0.3]))
+    vectors[signed & (vectors != 0)] = -0.0
+    stored = np.count_nonzero(vectors.view(np.uint64))
+    assume((stored <= retrieval_module.SPARSE_SHARE * vectors.size)
+           == sparse)
     query_kind = draw(st.sampled_from(["grid", "gauss", "zero", "row"]))
     if query_kind == "grid":
         query = rng.integers(-1, 2, size=dim).astype(np.float64)
@@ -633,7 +667,7 @@ def scan_cases(draw, sparse: bool):
     else:
         query = vectors[rng.integers(n)].copy()
     ids = [f"d{i:02d}" for i in rng.permutation(n)]
-    return VectorIndex(ids, vectors, "fp"), query
+    return dense_index(ids, vectors), query
 
 
 class TestExactScan:
@@ -650,14 +684,14 @@ class TestExactScan:
     def test_sparse_index_matches_definition(self, case):
         index, query = case
         self.check_every_k(index, query)
-        assert index.scan._columns is not None
+        assert index.scan._dense is None
 
     @given(scan_cases(sparse=False))
     @settings(deadline=None)
     def test_dense_index_matches_definition(self, case):
         index, query = case
         self.check_every_k(index, query)
-        assert index.scan._columns is None
+        assert index.scan._dense is not None
 
     def test_identical_rows_score_identically_wherever_they_sit(self):
         # a matrix-vector product may sum the last n mod 4 rows in another
@@ -665,7 +699,7 @@ class TestExactScan:
         rng = np.random.default_rng(11)
         vectors = rng.standard_normal((23, 64))
         vectors[20:] = vectors[0]
-        index = VectorIndex([f"d{i:02d}" for i in range(23)], vectors, "fp")
+        index = dense_index([f"d{i:02d}" for i in range(23)], vectors)
         for _ in range(200):
             query = rng.standard_normal(64)
             got = index.search(query, 23)
@@ -673,65 +707,64 @@ class TestExactScan:
             assert sims["d00"] == sims["d20"] == sims["d21"] == sims["d22"]
             assert got == exact_search(index, query, 23)
 
-    def test_column_lists_built_on_first_search_only(self, tmp_path,
-                                                     provider, monkeypatch):
-        builds = []
-        build = retrieval_module._column_lists
-
-        def spy(*args):
-            builds.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(retrieval_module, "_column_lists", spy)
+    def test_scan_planned_when_built_or_loaded(self, tmp_path, provider):
         index = build_index(small_corpus(), provider)
         index.save(tmp_path / "index")
-        loaded = VectorIndex.load(tmp_path / "index")
-        assert builds == []
+        reference = build_nn_reference(
+            [QARecord(f"q{i}", f"question {i} about cats", ["cats"])
+             for i in range(4)], ScriptedLlmClient(default_answer="cats"),
+            provider)
+        reference.save(tmp_path / "ref")
         query = provider.embed("cats and dogs")
-        assert loaded.search(query, 3) == loaded.search(query, 3) == \
-            exact_search(loaded, query, 3)
-        assert len(builds) == 1
-        dense = VectorIndex(["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]),
-                            "fp")
+        for scan in (index.scan, VectorIndex.load(tmp_path / "index").scan,
+                     reference.scan,
+                     NnReferenceSet.load(tmp_path / "ref").scan):
+            assert scan._dense is None and len(scan._starts) == 65
+            state = {name: value.copy() if isinstance(value, np.ndarray)
+                     else value for name, value in vars(scan).items()}
+            assert scan.top(query, 2) is not None
+            assert vars(scan).keys() == state.keys()
+            for name, value in vars(scan).items():
+                assert (value.tobytes() == state[name].tobytes()
+                        if isinstance(value, np.ndarray)
+                        else value is state[name])
+        dense = dense_index(["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert dense.scan._dense is not None
         assert dense.search(np.array([1.0, 1.0]), 1) == [("b", 7.0)]
-        assert len(builds) == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vectors_refused(self, tmp_path, bad):
         vectors = np.eye(3)
         vectors[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            VectorIndex(["a", "b", "c"], vectors, "fp")
+            dense_index(["a", "b", "c"], vectors)
         with pytest.raises(ValueError, match="finite"):
-            VectorIndex(["a", "b", "c"], np.eye(3), "fp", None,
-                        SparseRows.compress([([1, 2, 3], vectors)], 3))
+            SparseRows.compress([([1, 2, 3], vectors)], 3)
         path = tmp_path / "index"
-        rows = VectorIndex(["a"], np.eye(1, 3), "fp").rows
+        arrays = stored_rows(np.eye(3)).arrays()
+        arrays["values"][1] = bad
         artifacts.save(path, "index",
                        {"doc_ids": ["a", "b", "c"], "titled": 0,
-                        "provider_fingerprint": "fp"},
-                       {"vectors": vectors,
-                        "digests": np.zeros(0, dtype=np.uint64),
-                        **{f"row_{name}": getattr(rows, name)
-                           for name in rows.ARRAYS}})
+                        "provider_fingerprint": "fp", "dim": 3}, arrays)
         with pytest.raises(IndexIntegrityError, match="must be finite"):
             VectorIndex.load(path)
-        index = VectorIndex(["a", "b", "c"], np.eye(3), "fp")
+        index = dense_index(["a", "b", "c"], np.eye(3))
         with pytest.raises(ValueError, match="finite"):
             index.search(np.array([1.0, bad, 0.0]), 2)
 
     def test_query_of_wrong_width_refused(self):
-        index = VectorIndex(["a", "b"], np.eye(2), "fp")
+        index = dense_index(["a", "b"], np.eye(2))
         with pytest.raises(ValueError, match="shape"):
             index.search(np.ones(3), 1)
 
     def test_zero_rows_and_zero_query(self):
-        rows, sims = ExactScan(np.zeros((0, 3))).top(np.ones(3), 2)
+        rows, sims = ExactScan(stored_rows(np.zeros((0, 3)))).top(
+            np.ones(3), 2)
         assert rows.tolist() == sims.tolist() == []
         # no coordinate to add on the column path: every similarity +0.0
-        scan = ExactScan(np.eye(8))
+        scan = ExactScan(stored_rows(np.eye(8)))
         rows, sims = scan.top(np.zeros(8), 2)
-        assert scan._columns is not None
+        assert scan._dense is None
         assert rows.tolist() == [0, 1]
         assert sims.dtype == np.float64
         assert not np.signbit(sims).any() and not sims.any()
@@ -823,6 +856,15 @@ class TestRecall:
         results = self.results_with_answer_at(4)
         values = [recall_at_k(results, {"answer"}, k) for k in range(1, 11)]
         assert values == sorted(values)
+
+    def test_on_a_retrieve_result(self, provider):
+        corpus = small_corpus()
+        retriever = Retriever(corpus, build_index(corpus, provider), provider)
+        results = retriever.retrieve("quantum mechanics of large systems", 3)
+        assert results[0].doc.doc_id == "c"
+        assert recall_at_k(results, {"quantum"}, 1) == 1.0
+        assert recall_at_k(results, {"cat sat"}, 1) == 0.0
+        assert recall_at_k(results, {"cat sat"}, 3) == 1.0
 
     def test_k_out_of_range(self):
         results = self.results_with_answer_at(1, total=3)
