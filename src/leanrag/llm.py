@@ -8,6 +8,7 @@ function of (template, question, passages).
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -92,20 +93,43 @@ class LlmClient(Protocol):
 
 
 def build_retrieve_prompt(question: str, passages: Sequence[str],
-                          template: PromptTemplate | None = None) -> LlmRequest:
+                          template: PromptTemplate | None = None,
+                          passage_tokens: int | None = None) -> LlmRequest:
     """Render the retrieval-augmented prompt: instruction, numbered passages
-    in the given order, then the question."""
+    in the given order, then the question.
+
+    Its token count is summed from its parts, since ``count_tokens`` is
+    additive over the newlines and spaces that join them: the frame (the
+    prompt with an empty question and empty passages), the question, and
+    ``passage_tokens``, the passages' total count when the caller knows it
+    (``SubDocument.token_count``); otherwise each passage is counted here."""
     if not passages:
         raise ValueError("passages must be non-empty")
     template = template or DEFAULT_TEMPLATES["comprehensive"]
+    if passage_tokens is None:
+        passage_tokens = sum(map(count_tokens, passages))
+    return LlmRequest(
+        prompt=_render_retrieve(template, question, passages),
+        token_count=_frame_tokens(template, len(passages))
+        + count_tokens(question) + passage_tokens)
+
+
+def _render_retrieve(template: PromptTemplate, question: str,
+                     passages: Sequence[str]) -> str:
     lines = [template.instruction, PASSAGE_HEADER]
     for index, text in enumerate(passages, start=1):
         lines.append(PASSAGE_LINE.format(index=index, text=text))
     lines.append(QUESTION_LINE.format(question=question))
     if template.suffix:
         lines.append(template.suffix)
-    prompt = "\n".join(lines)
-    return LlmRequest(prompt=prompt, token_count=count_tokens(prompt))
+    return "\n".join(lines)
+
+
+@functools.lru_cache(maxsize=256)
+def _frame_tokens(template: PromptTemplate, passages: int) -> int:
+    """Tokens of a retrieve prompt of ``passages`` passages, less those of
+    its question and passages."""
+    return count_tokens(_render_retrieve(template, "", [""] * passages))
 
 
 def build_noretrieve_prompt(question: str,

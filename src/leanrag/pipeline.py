@@ -346,7 +346,8 @@ def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
                                  ctx.scorer, ctx.detector, ctx.top_rerank,
                                  question_embedding=question_vec)
         request = _timed("prompt", build_retrieve_prompt, question,
-                         combination.passage_texts(), template)
+                         combination.passage_texts(), template,
+                         combination.token_count)
 
     response = _timed("llm", ctx.llm.complete, request)
     correct = None

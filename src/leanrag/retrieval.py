@@ -10,7 +10,10 @@ similarity to a question is defined as the sum, starting from +0.0, of each
 coordinate's separately rounded product ``v_j * q_j``, added in ascending
 coordinate order; equal similarities rank by ascending doc id. So a row's
 similarity depends only on that row and the question, never on where the row
-sits in the index or on how a BLAS routine orders its sums.
+sits in the index or on how a BLAS routine orders its sums. A row the
+question shares no coordinate with scores exactly +0.0, as most rows of a
+large index do, so the k-th largest similarity is selected among the
+positive ones whenever there are k of them.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import itertools
 import logging
 import math
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -205,7 +209,12 @@ class Candidates:
         return len(self.docs)
 
     def __getitem__(self, i: int) -> RetrievedDoc:
-        i = range(len(self))[i]
+        try:
+            i = range(len(self))[operator.index(i)]
+        except TypeError:
+            raise TypeError(
+                f"Candidates index by int only, not {type(i).__name__}; "
+                "slice .docs and .similarity instead") from None
         return RetrievedDoc(self.docs[i], float(self.similarity[i]), i + 1)
 
 
@@ -353,7 +362,14 @@ class ExactScan:
         rows with an entry there: every product left out is +-0, and adding
         +-0 never changes a sum that starts from +0.0. A dense matrix sums
         every product, but only for the rows that one matrix-vector product,
-        under a proven rounding margin, cannot rule out of the top k."""
+        under a proven rounding margin, cannot rule out of the top k.
+
+        The k-th largest similarity is selected among the positive ones
+        when there are at least k: a row without an entry at any of the
+        question's coordinates is exactly +0.0, which is most rows of a
+        large sparse index, and selecting over so many ties is about ten
+        times slower. Every row at or above a positive k-th similarity is
+        positive, so the rows and their order are the same."""
         if k < 1:
             raise ValueError("k must be >= 1")
         query = np.asarray(query, dtype=np.float64)
@@ -521,10 +537,18 @@ class VectorIndex:
 
 def _top(sims: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k largest ``sims``, ties by ascending position: the
-    first k of a stable sort of every position by descending value."""
+    first k of a stable sort of every position by descending value. When
+    at least k values are positive, the k-th largest is the k-th largest
+    of those alone (``ExactScan.top``), so only they are partitioned."""
     n = len(sims)
-    tied = (np.flatnonzero(sims >= np.partition(sims, n - k)[n - k])
-            if k < n else np.arange(n))
+    if k >= n:
+        tied = np.arange(n)
+    else:
+        pool = sims[sims > 0]
+        if len(pool) < k:
+            pool = sims.copy()
+        pool.partition(len(pool) - k)
+        tied = np.flatnonzero(sims >= pool[len(pool) - k])
     return tied[np.argsort(-sims[tied], kind="stable")[:k]]
 
 

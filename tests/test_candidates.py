@@ -5,6 +5,7 @@ long-tail facet against the per-pair code they replaced: a Python sort by
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,3 +103,15 @@ def test_iterating_builds_the_pairs():
     assert list(scored.candidates) == [r for r, _ in pairs]
     assert scored.candidates[-1] == pairs[-1][0]
     assert [scored.score(i) for i in range(3)] == [s for _, s in pairs]
+
+
+def test_slicing_names_the_arrays():
+    candidates = Candidates([make_document(f"d{i}", "", "text.")
+                             for i in range(3)], np.array([0.5, 0.25, 0.0]))
+    for key in (slice(0, 2), slice(None), "0", 1.0):
+        with pytest.raises(TypeError, match=r"int only.*\.docs and "
+                                            r"\.similarity"):
+            candidates[key]
+    assert candidates[np.int64(1)] == RetrievedDoc(candidates.docs[1], 0.25, 2)
+    with pytest.raises(IndexError):
+        candidates[3]

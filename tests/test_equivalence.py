@@ -26,7 +26,8 @@ from leanrag.corpus import (Corpus, SubDocument, generate_subdocuments,
                             make_document)
 from leanrag.mlp import sigmoid
 from leanrag.pipeline import PipelineContext, evaluate
-from leanrag.recognizer import Decision, RecognizerConfig, build_nn_reference
+from leanrag.recognizer import (Decision, RecognizerConfig, build_nn_reference,
+                                neighbor_score)
 from leanrag.reducer import (DetectorTrainConfig, RerankedDoc, ScoredSubDoc,
                              combination_features, make_combination, prerank,
                              reduce, rerank_topk, score_windows,
@@ -209,6 +210,51 @@ def test_planted_corpus_equivalent(planted, monkeypatch):
     qa, ctx = planted
     assert assert_equivalent(qa, ctx, monkeypatch) == {
         Decision.RETRIEVE, Decision.NO_RETRIEVE}
+
+
+def test_scans_equal_the_sort_at_the_workloads_shape():
+    """A planted corpus plus 4,000 filler documents, and an NN reference of
+    its questions plus 2,000 filler questions, all of whose tokens hash to
+    coordinates no planted question has: as on a large benchmark index,
+    most similarities are exactly +0.0. Both scans still equal the
+    per-item sort for k on both sides of the positive count."""
+    corpus, qa, _, _ = planted_corpus()
+    provider = HashingEmbedder(dim=192, seed=2)
+    touched = np.flatnonzero(provider.embed_many(
+        [q.question for q in qa]).any(axis=0))
+    words = [word for word in (f"filler{i}w" for i in range(300))
+             if not provider.embed(word)[touched].any()][:60]
+    rng = np.random.default_rng(17)
+    fillers = [" ".join(rng.choice(words, size=8)) + "."
+               for _ in range(6000)]
+    corpus = Corpus([*corpus, *(make_document(f"zfill{i:04d}", "", text)
+                                for i, text in enumerate(fillers[:4000]))])
+    retriever = Retriever(corpus, build_index(corpus, provider), provider)
+    reference = dense_reference(
+        [q.question_id for q in qa] + [f"zq{i:04d}" for i in range(2000)],
+        provider.embed_many([q.question for q in qa] + fillers[4000:]),
+        [i % 3 == 0 for i in range(len(qa) + 2000)], provider.fingerprint)
+    index = retriever.index
+    for q in qa[::10] + qa[1:30:10]:
+        vector = provider.embed(q.question)
+        for scan in (index.scan, reference.scan):
+            n = len(scan)
+            rows, sims = per_item_top(scan, vector, n)
+            positives = int((sims > 0).sum())
+            assert (sims == 0).sum() >= 0.85 * n
+            for k in sorted({1, 10, 100, positives - 1, positives + 1, n}
+                            & set(range(1, n + 1))):
+                if scan is index.scan:
+                    got = retriever.retrieve(q.question, k, vector)
+                    assert [doc.doc_id for doc in got.docs] == \
+                        [index.doc_ids[row] for row in rows[:k]]
+                    assert got.similarity.tobytes() == sims[:k].tobytes()
+                else:
+                    assert neighbor_score(vector, reference, k) == \
+                        per_item_neighbor_score(vector, reference, k)
+                    got_rows, got_sims = scan.top(vector, k)
+                    assert got_rows.tolist() == rows[:k].tolist()
+                    assert got_sims.tobytes() == sims[:k].tobytes()
 
 
 def test_at_most_three_embedding_calls_per_question(planted):

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import leanrag.llm as llm_module
 from leanrag.corpus import count_tokens
 from leanrag.llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmRequest,
                          LlmTransportError, ScriptedLlmClient,
@@ -42,6 +43,42 @@ class TestPromptRendering:
     def test_token_count_matches_tokenizer(self):
         request = build_retrieve_prompt(QUESTION, PASSAGES)
         assert request.token_count == count_tokens(request.prompt)
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_TEMPLATES))
+    @pytest.mark.parametrize("passages", [
+        PASSAGES,
+        ["...leading dots", "trailing bang!", "(parenthesized)", "'", "",
+         "  spaced  out  ", "two\nlines.", "\u2014dash\u2014", "-", "x"],
+        [f"passage {i}." for i in range(12)],
+    ])
+    def test_token_count_summed_from_the_parts(self, name, passages):
+        template = DEFAULT_TEMPLATES[name]
+        for question in (QUESTION, "?!", "", " (who?) "):
+            request = build_retrieve_prompt(question, passages, template)
+            assert request.token_count == count_tokens(request.prompt)
+            known = build_retrieve_prompt(
+                question, passages, template,
+                sum(count_tokens(text) for text in passages))
+            assert known == request
+
+    def test_prompt_is_not_tokenized_again(self, monkeypatch):
+        counted = []
+
+        def counting(text):
+            counted.append(text)
+            return count_tokens(text)
+
+        monkeypatch.setattr(llm_module, "count_tokens", counting)
+        build_retrieve_prompt(QUESTION, PASSAGES)  # the frame, once
+        counted.clear()
+        request = build_retrieve_prompt(
+            QUESTION, PASSAGES, None,
+            sum(count_tokens(text) for text in PASSAGES))
+        assert counted == [QUESTION]
+        assert request.token_count == count_tokens(request.prompt)
+        counted.clear()
+        build_retrieve_prompt(QUESTION, PASSAGES)
+        assert counted == [*PASSAGES, QUESTION]
 
     def test_question_line_present(self):
         request = build_retrieve_prompt(QUESTION, PASSAGES)

@@ -15,7 +15,7 @@ from test_llm import FakeResponse, FakeSession, NotJsonResponse
 
 import leanrag
 
-from leanrag.corpus import load_corpus, make_document
+from leanrag.corpus import count_tokens, load_corpus, make_document
 from leanrag.llm import (HttpLlmClient, LlmTransportError, ScriptedLlmClient,
                          build_noretrieve_prompt)
 from leanrag.pipeline import (PipelineConfig, PipelineContext,
@@ -65,6 +65,16 @@ class TestAnswerQuestion:
         assert trace.combination is not None
         assert len(trace.combination) >= 1
         assert trace.correct is True
+
+    @pytest.mark.parametrize("ablations", [(), ("no_reducer",)])
+    def test_prompt_tokens_count_the_prompt_sent(self, setup, detector,
+                                                 ablations):
+        ctx = make_ctx(setup, detector)
+        for q in setup[1]:
+            trace = answer_question(q, ctx, ablations)
+            assert trace.combination is not None
+            prompt, _ = ctx.llm.transcript[-1]
+            assert trace.prompt_tokens == count_tokens(prompt)
 
     def test_forced_noretrieve_has_no_combination(self, setup, detector):
         ctx = make_ctx(

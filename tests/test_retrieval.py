@@ -770,6 +770,59 @@ class TestExactScan:
         assert not np.signbit(sims).any() and not sims.any()
 
 
+# positive similarities with ties and subnormals: the smallest subnormal,
+# a subnormal, the smallest normal, and two normals an ulp apart
+POSITIVE_SIMS = np.array([5e-324, 1e-310, 2.2250738585072014e-308, 0.125,
+                          0.3, np.nextafter(0.3, 1.0), 0.75, 1.0])
+
+
+def mostly_zero_sims(seed, n, positives, negatives=300):
+    """``n`` similarities, all exactly +0.0 but ``positives`` drawn from
+    ``POSITIVE_SIMS`` and ``negatives`` below zero (a few of them -0.0),
+    as a question scores a large index whose rows it mostly touches no
+    coordinate of."""
+    rng = np.random.default_rng(seed)
+    sims = np.zeros(n)
+    where = rng.permutation(n)[:positives + negatives]
+    sims[where[:positives]] = rng.choice(POSITIVE_SIMS, positives)
+    sims[where[positives:]] = -rng.choice(
+        np.concatenate([POSITIVE_SIMS, [0.0]]), negatives)
+    return sims
+
+
+class TestTopAtScale:
+    """``_top`` over 20,000 similarities, at least 95 % of them +0.0, with
+    fewer, exactly and more positive ones than k."""
+
+    N = 20_000
+
+    @pytest.mark.parametrize("positives", [0, 1, 99, 100, 101, 700])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_a_stable_sort(self, seed, positives):
+        sims = mostly_zero_sims(seed, self.N, positives)
+        assert np.count_nonzero(sims.view(np.uint64)) <= 0.05 * self.N
+        full = np.argsort(-sims, kind="stable")
+        for k in sorted({1, 100, positives, self.N - 1, self.N} - {0}):
+            top = retrieval_module._top(sims, k)
+            assert top.tolist() == full[:k].tolist()
+            assert sims[top].tobytes() == sims[full[:k]].tobytes()
+
+    @pytest.mark.parametrize("positives, k, pool", [
+        (700, 100, 700), (100, 100, 100), (99, 100, 20_000), (0, 1, 20_000)])
+    def test_selects_among_the_positive_ones(self, positives, k, pool):
+        sizes = []
+
+        class Spy(np.ndarray):
+            def partition(self, kth):
+                sizes.append(len(self))
+                return super().partition(kth)
+
+        sims = mostly_zero_sims(3, self.N, positives)
+        top = retrieval_module._top(sims.view(Spy), k)
+        assert sizes == [pool]
+        assert top.tolist() == np.argsort(-sims, kind="stable")[:k].tolist()
+
+
 class TestRetrieve:
     def test_identical_text_ranks_first(self, provider):
         corpus = small_corpus()
