@@ -38,6 +38,9 @@ PASSAGE_HEADER = "Passages:"
 PASSAGE_LINE = "{index}. {text}"
 QUESTION_LINE = "Question: {question}"
 _QUESTION_LINE_RE = re.compile(r"^Question:\s*(.*)$")
+# (prompt, answer) pairs a ScriptedLlmClient keeps, the latest ones, so that
+# a long-lived client's memory does not grow with the prompts it answers
+TRANSCRIPT_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,8 @@ class ScriptedLlmClient:
     """Deterministic mock. Resolution order: exact question (parsed from the
     prompt's "Question:" line), then ordered regex patterns over the full
     prompt, then the default answer. No default means strict mode: a miss
-    raises UnscriptedPromptError."""
+    raises UnscriptedPromptError. ``transcript`` holds the last
+    ``TRANSCRIPT_LIMIT`` (prompt, answer) pairs, oldest first."""
 
     def __init__(self,
                  answers_by_question: Mapping[str, str] | None = None,
@@ -216,6 +220,8 @@ class ScriptedLlmClient:
         text = self._resolve(request.prompt)
         with self._lock:
             self.transcript.append((request.prompt, text))
+            if len(self.transcript) > TRANSCRIPT_LIMIT:
+                del self.transcript[0]
         return LlmResponse(text=text)
 
     def _resolve(self, prompt: str) -> str:

@@ -3,6 +3,18 @@
 tanh hidden layers, sigmoid output units, binary cross-entropy objective with
 per-example weights. Parameters live in one flat vector so finite-difference
 checks and optimizer code stay trivial.
+
+Every training gradient and loss comes from one routine, ``Backprop``: the
+forward and backward pass of one net at one parameter vector.
+``weighted_bce``, ``sgd_step``, ``sgd_epoch`` and the scorer's hypergradient
+and held-out losses all run it. A ``Backprop`` holds the layer views of its
+vector, their transposes, and every activation, delta and gradient buffer,
+allocated once when it is built (by ``sgd_epoch``, once per epoch) for
+batches of up to ``rows`` rows; a step writes into them and allocates only
+the sigmoid's few small arrays. ``sgd_epoch`` and ``sgd_step`` update a copy
+of their input parameters in place and return it; the input is never
+written. Every result is bit-identical to summing each gradient product into
+zeros and taking ``params - learning_rate * grad`` at each step.
 """
 
 from __future__ import annotations
@@ -21,12 +33,10 @@ class TrainingError(RuntimeError):
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere,
+    both from one exp(-|z|), so that neither side overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def bce_elementwise(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -55,6 +65,7 @@ class Mlp:
             params.append(w.ravel())
             params.append(b)
         self._params = np.concatenate(params)
+        self._layers = self._unpack(self._params)
         # bumped by every set_params, so that anything computed from the
         # parameters can tell that it is stale
         self.version = 0
@@ -71,12 +82,15 @@ class Mlp:
         if vec.shape != self._params.shape:
             raise ValueError(f"expected {self._params.shape}, got {vec.shape}")
         self._params = vec.copy()
+        # the new layers before the new version, so that a reader of the
+        # new version never gets the old layers
+        self._layers = self._unpack(self._params)
         self.version += 1
 
     def first_layer(self) -> tuple[np.ndarray, np.ndarray]:
         """(W, b) of the first layer, views of the current parameters
         (``set_params`` replaces them, never writes into them)."""
-        return self._unpack(self._params)[0]
+        return self._layers[0]
 
     def _unpack(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         layers = []
@@ -102,71 +116,132 @@ class Mlp:
         same contract. (``ScorerModel.score_arrays`` passes W_q q + W_d d + b,
         which is within rounding of W x + b, not bit-equal to it.)"""
         x = np.atleast_2d(inputs)[:, None, :]
-        layers = self._unpack(self._params if params is None else params)
+        layers = self._layers if params is None else self._unpack(params)
         if not preactivated:
             w, b = layers[0]
             x = x @ w.T + b
-        logits, _ = _after_first(x, layers[1:])
-        return logits[:, 0, :]
+        for w, b in layers[1:]:
+            x = np.tanh(x) @ w.T + b
+        return x[:, 0, :]
 
     def probabilities(self, inputs: np.ndarray,
                       params: np.ndarray | None = None) -> np.ndarray:
         return sigmoid(self.forward_logits(inputs, params))
 
-    def _forward(self, x: np.ndarray, params: np.ndarray):
-        layers = self._unpack(params)
-        w, b = layers[0]
-        logits, hidden = _after_first(x @ w.T + b, layers[1:])
-        return logits, [x, *hidden]
-
     def weighted_bce(self, params: np.ndarray, inputs: np.ndarray,
                      targets: np.ndarray, sample_weights: np.ndarray,
                      normalizer: float) -> tuple[float, np.ndarray]:
         """Loss and flat gradient of sum_i weight_i * bce_i / normalizer."""
-        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        sw = np.asarray(sample_weights, dtype=np.float64)
-        layers = self._unpack(params)
-        logits, activations = self._forward(x, params)
-        probs = sigmoid(logits)
-        loss = float((sw * bce_elementwise(probs, y)).sum() / normalizer)
-
-        grad = np.zeros_like(params)
-        grad_layers = self._unpack(grad)  # views into grad
-        delta = (probs - y) * sw[:, None] / normalizer
-        for idx in range(len(layers) - 1, -1, -1):
-            w, _ = layers[idx]
-            gw, gb = grad_layers[idx]
-            gw += delta.T @ activations[idx]
-            gb += delta.sum(axis=0)
-            if idx > 0:
-                delta = (delta @ w) * (1.0 - activations[idx] ** 2)
-        return loss, grad
+        x, y, sw = _as_batch(inputs, targets, sample_weights)
+        work = Backprop(self, params, len(x))
+        work.forward(x)
+        grad = work.backward(y, sw, normalizer)
+        return work.loss(y, sw, normalizer), grad
 
 
-def _after_first(z: np.ndarray, layers) -> tuple[np.ndarray, list]:
-    """Logits and hidden activations from the first layer's pre-activation
-    ``z``: tanh, then each later layer, the last without tanh."""
-    hidden = []
-    for w, b in layers:
-        z = np.tanh(z)
-        hidden.append(z)
-        z = z @ w.T + b
-    return z, hidden
+def _as_batch(inputs, targets, sample_weights):
+    return (np.atleast_2d(np.asarray(inputs, dtype=np.float64)),
+            np.atleast_2d(np.asarray(targets, dtype=np.float64)),
+            np.asarray(sample_weights, dtype=np.float64))
+
+
+class Backprop:
+    """Forward and backward passes of ``net`` at ``params`` over batches of
+    at most ``rows`` rows, each layer one matrix product over the batch.
+
+    ``params`` is read through views made here, so ``step``, which updates
+    it in place, changes what the next pass computes. ``forward`` keeps the
+    activations and ``probs`` for the ``backward`` and ``loss`` calls after
+    it; ``backward`` returns ``grad``, which the next ``backward``
+    overwrites."""
+
+    def __init__(self, net: Mlp, params: np.ndarray, rows: int):
+        self.params = params
+        layers = net._unpack(params)
+        self._weights = [w for w, _ in layers]
+        self._transposed = [w.T for w in self._weights]
+        self._biases = [b for _, b in layers]
+        self.grad = np.empty_like(params)
+        self._grads = net._unpack(self.grad)
+        widths = net.layer_sizes[1:]
+        # each layer's output (tanh activations, the last the logits) and
+        # delta, and each hidden layer's tanh slope 1 - h ** 2
+        self._outputs = [np.empty((rows, n)) for n in widths]
+        self._deltas = [np.empty((rows, n)) for n in widths]
+        self._slopes = [np.empty((rows, n)) for n in widths[:-1]]
+        self._finite = np.empty(params.shape, dtype=bool)
+        self._activations: list[np.ndarray] = []
+        self.probs = np.empty((0, widths[-1]))
+
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        """The logits of ``inputs``, a view of a buffer; sets ``probs``."""
+        n = len(inputs)
+        activations = [inputs]
+        last = len(self._weights) - 1
+        for i, (wt, b, out) in enumerate(zip(self._transposed, self._biases,
+                                             self._outputs)):
+            z = np.matmul(activations[-1], wt, out=out[:n])
+            z += b
+            if i < last:
+                np.tanh(z, out=z)
+            activations.append(z)
+        self._activations = activations
+        self.probs = sigmoid(activations[-1])
+        return activations[-1]
+
+    def backward(self, targets: np.ndarray, sample_weights: np.ndarray,
+                 normalizer: float) -> np.ndarray:
+        """Flat gradient of sum_i weight_i * bce_i / normalizer over the
+        rows of the last ``forward``."""
+        n = len(targets)
+        delta = np.subtract(self.probs, targets, out=self._deltas[-1][:n])
+        delta *= sample_weights[:, None]
+        delta /= normalizer
+        for i in range(len(self._weights) - 1, -1, -1):
+            gw, gb = self._grads[i]
+            np.matmul(delta.T, self._activations[i], out=gw)
+            np.add.reduce(delta, axis=0, out=gb)
+            if i:
+                slope = np.square(self._activations[i],
+                                  out=self._slopes[i - 1][:n])
+                np.subtract(1.0, slope, out=slope)
+                delta = np.matmul(delta, self._weights[i],
+                                  out=self._deltas[i - 1][:n])
+                delta *= slope
+        # as summing into zeros would: a -0.0 product becomes +0.0
+        self.grad += 0.0
+        return self.grad
+
+    def loss(self, targets: np.ndarray, sample_weights: np.ndarray,
+             normalizer: float) -> float:
+        """sum_i weight_i * bce_i / normalizer over the rows of the last
+        ``forward``."""
+        return float((sample_weights * bce_elementwise(self.probs, targets))
+                     .sum() / normalizer)
+
+    def step(self, inputs: np.ndarray, targets: np.ndarray,
+             sample_weights: np.ndarray, learning_rate: float) -> None:
+        """One gradient-descent step on the batch's weighted BCE, normalized
+        by the batch size, made on ``params`` in place."""
+        if learning_rate < 0:
+            raise ValueError("learning_rate must be >= 0")
+        self.forward(inputs)
+        grad = self.backward(targets, sample_weights, len(inputs))
+        if not np.isfinite(grad, out=self._finite).all():
+            raise TrainingError("non-finite gradient")
+        grad *= learning_rate
+        self.params -= grad
 
 
 def sgd_step(net: Mlp, params: np.ndarray, inputs: np.ndarray,
              targets: np.ndarray, sample_weights: np.ndarray,
              learning_rate: float) -> np.ndarray:
     """One gradient-descent step on the batch's weighted BCE, normalized by
-    the batch size."""
-    if learning_rate < 0:
-        raise ValueError("learning_rate must be >= 0")
-    _, grad = net.weighted_bce(params, inputs, targets, sample_weights,
-                               len(inputs))
-    if not np.all(np.isfinite(grad)):
-        raise TrainingError("non-finite gradient")
-    return params - learning_rate * grad
+    the batch size, as new parameters."""
+    x, y, sw = _as_batch(inputs, targets, sample_weights)
+    work = Backprop(net, np.array(params, dtype=np.float64), len(x))
+    work.step(x, y, sw, learning_rate)
+    return work.params
 
 
 def sgd_epoch(net: Mlp, params: np.ndarray, inputs: np.ndarray,
@@ -174,13 +249,25 @@ def sgd_epoch(net: Mlp, params: np.ndarray, inputs: np.ndarray,
               batch_size: int, learning_rate: float,
               rng: np.random.Generator) -> np.ndarray:
     """One pass of mini-batch steps over the examples in an order drawn
-    from ``rng``."""
-    order = rng.permutation(len(inputs))
-    for lo in range(0, len(inputs), batch_size):
+    from ``rng``, as new parameters (``params`` is not written)."""
+    x, y, sw = _as_batch(inputs, targets, sample_weights)
+    order = rng.permutation(len(x))
+    rows = min(batch_size, len(x))
+    work = Backprop(net, np.array(params, dtype=np.float64), rows)
+    # each batch is gathered into these, never the whole matrix permuted
+    x_batch = np.empty((rows, x.shape[1]))
+    y_batch = np.empty((rows, y.shape[1]))
+    sw_batch = np.empty(rows)
+    for lo in range(0, len(x), batch_size):
         batch = order[lo:lo + batch_size]
-        params = sgd_step(net, params, inputs[batch], targets[batch],
-                          sample_weights[batch], learning_rate)
-    return params
+        n = len(batch)
+        # "clip" takes straight into ``out`` ("raise" would buffer); a
+        # permutation's indices are all in range
+        work.step(np.take(x, batch, axis=0, out=x_batch[:n], mode="clip"),
+                  np.take(y, batch, axis=0, out=y_batch[:n], mode="clip"),
+                  np.take(sw, batch, out=sw_batch[:n], mode="clip"),
+                  learning_rate)
+    return work.params
 
 
 def stratified_split(flags: np.ndarray,

@@ -321,10 +321,26 @@ def load_detector_dataset(path: str | Path) -> list[DetectorExample]:
                    arrays["features"], meta["labels"], arrays["means"])]
 
 
-def jaccard(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
-        return 1.0
-    return len(a & b) / len(a | b)
+def jaccard(a: frozenset | int, b: frozenset | int) -> float:
+    """|a & b| / |a | b| (1.0 when both are empty) of two sets, given as
+    frozensets or as int bitmasks (bit i set for member i)."""
+    size = int.bit_count if isinstance(a, int) else len
+    union = size(a | b)
+    return size(a & b) / union if union else 1.0
+
+
+def distinct_draws(draws: Sequence[np.ndarray]) -> list[int]:
+    """The indices of the draws kept, in order: each draw (distinct row
+    numbers) is kept unless its Jaccard similarity with an already-kept one
+    exceeds ``MAX_OVERLAP``; sets are compared as bitmasks."""
+    kept: list[int] = []
+    masks: list[int] = []
+    for i, rows in enumerate(draws):
+        mask = sum(1 << row for row in rows.tolist())
+        if all(jaccard(mask, seen) <= MAX_OVERLAP for seen in masks):
+            kept.append(i)
+            masks.append(mask)
+    return kept
 
 
 def skyline_filter(scored: Sequence[tuple[float, float]]) -> list[int]:
@@ -387,20 +403,18 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
         windows = score_windows(top, scorer, qa.question, question_vec)
         n_windows = len(windows.owners)
         rng = derive_rng(seed, f"detector-data:{qa.question_id}")
-        kept: list[tuple[np.ndarray, frozenset]] = []
+        draws = []
         for _ in range(samples_per_question):
             size = int(rng.integers(1, min(max_docs, n_windows) + 1))
-            rows = windows.preranked(
-                rng.choice(n_windows, size=size, replace=False))
-            # one window per row, so row sets compare as member-id sets
-            ids = frozenset(rows.tolist())
-            if all(jaccard(ids, seen) <= MAX_OVERLAP for _, seen in kept):
-                kept.append((rows, ids))
+            draws.append(windows.preranked(
+                rng.choice(n_windows, size=size, replace=False)))
+        # one window per row, so row sets compare as member-id sets
+        kept = [draws[i] for i in distinct_draws(draws)]
         points = [(float(np.mean(windows.probs[rows, 0])),
                    float(np.mean(windows.probs[rows, 1])))
-                  for rows, _ in kept]
+                  for rows in kept]
         for idx in skyline_filter(points):
-            members = windows.members(kept[idx][0])
+            members = windows.members(kept[idx])
             mean_ans, mean_pref = points[idx]
             try:
                 response = llm.complete(build_retrieve_prompt(

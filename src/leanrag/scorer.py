@@ -24,7 +24,7 @@ import numpy as np
 from . import artifacts
 from .corpus import Document, QARecord, contains_answer
 from .llm import LlmClient, PromptTemplate, build_retrieve_prompt, is_correct
-from .mlp import Mlp, sgd_epoch, sigmoid, stratified_split
+from .mlp import Backprop, Mlp, sgd_epoch, sigmoid, stratified_split
 from .retrieval import (Candidates, EmbeddingProvider, RetrievedDoc,
                         Retriever, VectorIndex)
 from .seeds import derive_rng, derive_seed
@@ -247,14 +247,16 @@ def match_weights(matched: np.ndarray, weight: float) -> np.ndarray:
 
 def split_losses(head: Mlp, params: np.ndarray, features: np.ndarray,
                  targets: np.ndarray, matched: np.ndarray):
-    """Validation losses per split, each normalized by its own split size."""
+    """Validation losses per split, each normalized by its own split size
+    (forward passes only)."""
+    work = Backprop(head, params, len(features))
     out = []
     for mask in (matched, ~matched):
         if not mask.any():
             raise ImbalanceDegenerateError("validation split is single-class")
-        loss, _ = head.weighted_bce(params, features[mask], targets[mask],
-                                    np.ones(int(mask.sum())), int(mask.sum()))
-        out.append(loss)
+        count = int(mask.sum())
+        work.forward(features[mask])
+        out.append(work.loss(targets[mask], np.ones(count), count))
     return out[0], out[1]
 
 
@@ -276,18 +278,22 @@ def hyper_direction(head: Mlp, params_before: np.ndarray,
     if not train_matched.any() or train_matched.all():
         raise ImbalanceDegenerateError("training data is single-class")
     n_train = len(train_features)
-    _, g_mat = head.weighted_bce(params_before, train_features, train_targets,
-                                 train_matched.astype(np.float64), n_train)
-    _, g_mis = head.weighted_bce(params_before, train_features, train_targets,
-                                 (~train_matched).astype(np.float64), n_train)
-    diff = g_mat - g_mis
+    # one forward pass over the training split serves both gradients
+    before = Backprop(head, params_before, n_train)
+    before.forward(train_features)
+    g_mat = before.backward(train_targets, train_matched.astype(np.float64),
+                            n_train).copy()
+    diff = g_mat - before.backward(train_targets,
+                                   (~train_matched).astype(np.float64),
+                                   n_train)
+    after = Backprop(head, params_after, len(val_features))
     directions = []
     for mask in (val_matched, ~val_matched):
         if not mask.any():
             raise ImbalanceDegenerateError("validation split is single-class")
         count = int(mask.sum())
-        _, grad_v = head.weighted_bce(params_after, val_features[mask],
-                                      val_targets[mask], np.ones(count), count)
+        after.forward(val_features[mask])
+        grad_v = after.backward(val_targets[mask], np.ones(count), count)
         directions.append(-learning_rate * float(grad_v @ diff))
     d_mat, d_mis = directions
     return (d_mat + d_mis) / 2.0

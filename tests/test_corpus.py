@@ -1,4 +1,5 @@
 import json
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +223,20 @@ class TestCountTokens:
         if not a.strip() or not b.strip():
             return
         assert count_tokens(a + " " + b) == count_tokens(a) + count_tokens(b)
+
+    @given(st.lists(st.one_of(
+        st.text(max_size=12),
+        st.text(alphabet=string.punctuation, min_size=1, max_size=5),
+        st.sampled_from([" ", "\n", "\t", "\x1c", "\x1f", "\x85", "\u2003",
+                         "\u3000", "(", ")?", "..."])), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_count_is_the_tokenizer_length(self, pieces):
+        text = "".join(pieces)
+        assert count_tokens(text) == len(default_tokenizer(text))
+
+    def test_count_edge_cases(self):
+        for text in ("", " \x1c\t", "?!", "a\x1cb", "(king)?", "'' x ..."):
+            assert count_tokens(text) == len(default_tokenizer(text))
 
 
 class TestContainsAnswer:

@@ -24,7 +24,7 @@ from synthetic import (dense_reference, dense_rows, exact_search,
 
 from leanrag.corpus import (Corpus, SubDocument, generate_subdocuments,
                             make_document)
-from leanrag.mlp import sigmoid
+from leanrag.mlp import Backprop, sigmoid
 from leanrag.pipeline import PipelineContext, evaluate
 from leanrag.recognizer import (Decision, RecognizerConfig, build_nn_reference,
                                 neighbor_score)
@@ -69,8 +69,9 @@ class PerItemScorer:
 
     def score(self, question, text):
         features = pair_features(self.model.provider, question, text)
-        logits, _ = self.model.head._forward(features.reshape(1, -1),
-                                             self.model.head.get_params())
+        head = self.model.head
+        logits = Backprop(head, head.get_params(), 1).forward(
+            features.reshape(1, -1))
         probs = sigmoid(logits[0])
         return BiLabelScore(float(logits[0, 0]), float(logits[0, 1]),
                             float(probs[0]), float(probs[1]))

@@ -7,11 +7,11 @@ from leanrag.corpus import (Corpus, QARecord, count_tokens,
                             generate_subdocuments, make_document)
 from leanrag.llm import ScriptedLlmClient
 from leanrag.mlp import Mlp, TrainingError
-from leanrag.reducer import (DetectorExample, DetectorModel,
+from leanrag.reducer import (MAX_OVERLAP, DetectorExample, DetectorModel,
                              DetectorTrainConfig, ScoredSubDoc,
                              build_detector_dataset, combination_features,
-                             greedy_filter, jaccard, load_detector_dataset,
-                             make_combination, prerank,
+                             distinct_draws, greedy_filter, jaccard,
+                             load_detector_dataset, make_combination, prerank,
                              reduce, rerank_topk, representative_subdocs,
                              save_detector_dataset, skyline_filter,
                              train_detector)
@@ -241,6 +241,25 @@ class TestSkylineAndOverlap:
         b = frozenset({"y", "z"})
         assert jaccard(a, b) == pytest.approx(1 / 3)
         assert jaccard(a, a) == 1.0
+        assert jaccard(frozenset(), frozenset()) == 1.0
+        assert jaccard(0b011, 0b110) == jaccard(frozenset({0, 1}),
+                                                frozenset({1, 2}))
+        assert jaccard(0, 0) == 1.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distinct_draws_keep_what_frozensets_keep(self, seed):
+        # few windows, so that about a third of the draws are dropped
+        rng = np.random.default_rng(seed)
+        n_windows = int(rng.integers(4, 12))
+        draws = [rng.choice(n_windows, size=int(rng.integers(
+            1, min(10, n_windows) + 1)), replace=False) for _ in range(100)]
+        kept: list[int] = []
+        for i, rows in enumerate(draws):
+            ids = frozenset(rows.tolist())
+            if all(jaccard(ids, frozenset(draws[j].tolist())) <= MAX_OVERLAP
+                   for j in kept):
+                kept.append(i)
+        assert distinct_draws(draws) == kept
 
 
 class TestTrainDetector:

@@ -18,7 +18,8 @@ import leanrag.scorer as scorer_module
 from leanrag.artifacts import IndexIntegrityError, check_provider
 from leanrag.corpus import Corpus, QARecord, make_document
 from leanrag.llm import ScriptedLlmClient
-from leanrag.mlp import Mlp, PROB_EPS, bce_elementwise, sgd_step, sigmoid
+from leanrag.mlp import (Mlp, PROB_EPS, bce_elementwise, sgd_epoch, sgd_step,
+                         sigmoid)
 from leanrag.retrieval import (HashingEmbedder, Retriever, VectorIndex,
                                build_index)
 from leanrag.scorer import (AnnotationError, BiLabel,
@@ -182,6 +183,69 @@ class TestTrainStep:
             fd = (lu - ld) / (2 * h)
             denom = max(abs(fd), abs(grad[i]), 1e-6)
             assert abs(fd - grad[i]) / denom < 1e-4
+
+    def test_gradient_bits_equal_the_plain_backprop(self):
+        head = Mlp([8, 6, 4, 2], seed=3)
+        params = head.get_params()
+        weights = match_weights(self.matched, 0.4)
+        weights[::3] = 0.0
+        # zero weights and targets of 1 make every delta -0.0; the
+        # gradient still holds +0.0 only, as summing into zeros gives
+        cases = [(self.y, weights), (np.ones_like(self.y), np.zeros(24))]
+        for targets, weights in cases:
+            loss, grad = head.weighted_bce(params, self.x, targets, weights,
+                                           24)
+            want_loss, want_grad = plain_weighted_bce(head, params, self.x,
+                                                      targets, weights, 24)
+            assert loss == want_loss
+            assert grad.tobytes() == want_grad.tobytes()
+        assert not np.signbit(want_grad).any()
+
+    def test_epoch_is_its_steps_and_leaves_its_input(self):
+        # 24 rows in batches of 7: three full batches and a short one
+        weights = match_weights(self.matched, 0.3)
+        params = self.head.get_params()
+        got = sgd_epoch(self.head, params, self.x, self.y, weights, 7, 0.5,
+                        np.random.default_rng(4))
+        assert params.tobytes() == self.head.get_params().tobytes()
+        want = params
+        order = np.random.default_rng(4).permutation(24)
+        for lo in range(0, 24, 7):
+            batch = order[lo:lo + 7]
+            want = plain_sgd_step(self.head, want, self.x[batch],
+                                  self.y[batch], weights[batch], 0.5)
+        assert got.tobytes() == want.tobytes()
+
+
+def plain_weighted_bce(head, params, x, y, weights, normalizer):
+    """The loss and gradient with a fresh array per operation, each
+    gradient product summed into zeros: the reference ``Backprop`` must
+    equal bit for bit."""
+    layers = head._unpack(params)
+    activations = [x]
+    z = x
+    for i, (w, b) in enumerate(layers):
+        z = z @ w.T + b
+        if i < len(layers) - 1:
+            z = np.tanh(z)
+            activations.append(z)
+    probs = sigmoid(z)
+    loss = float((weights * bce_elementwise(probs, y)).sum() / normalizer)
+    grad = np.zeros_like(params)
+    grad_layers = head._unpack(grad)
+    delta = (probs - y) * weights[:, None] / normalizer
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grad_layers[i]
+        gw += delta.T @ activations[i]
+        gb += delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ layers[i][0]) * (1.0 - activations[i] ** 2)
+    return loss, grad
+
+
+def plain_sgd_step(head, params, x, y, weights, learning_rate):
+    _, grad = plain_weighted_bce(head, params, x, y, weights, len(x))
+    return params - learning_rate * grad
 
 
 class TestHypergradient:

@@ -5,6 +5,11 @@ training split and on a seeded subsample) and a detector on fixed synthetic
 data must give exactly these saved bytes and this epoch history. A change to
 the training loop that moves one bit of one parameter, of the balance
 weight or of a validation loss fails here.
+
+The digests were taken with numpy 2 on OpenBLAS 0.3 (Haswell kernels);
+another BLAS build or CPU family may round the matrix products
+differently, and then the digests are taken anew at a commit whose
+training is known to be unchanged.
 """
 
 import hashlib
