@@ -24,7 +24,7 @@ from . import artifacts
 from .corpus import QARecord
 from .llm import LlmClient, PromptTemplate, build_noretrieve_prompt, is_correct
 from .retrieval import (EmbeddingProvider, ExactScan, SparseRows,
-                        ascending_ids, repeated_ids)
+                        ascending_ids, embedded_rows, repeated_ids)
 from .scorer import ScoredCandidates
 from .seeds import stable_hash
 
@@ -132,10 +132,9 @@ def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,
         labeled.append((qa, is_correct(response.text, qa.gold_answers)))
     # in question-id order, which the reference set keeps its rows in
     labeled.sort(key=lambda pair: pair[0].question_id)
-    questions = [qa.question for qa, _ in labeled]
-    rows = SparseRows.compress(
-        [([stable_hash(q) for q in questions], provider.embed_many(questions))]
-        if labeled else [], provider.dim)
+    rows = SparseRows.compress(embedded_rows(
+        ((stable_hash(qa.question), qa.question) for qa, _ in labeled),
+        provider), provider.dim)
     return NnReferenceSet([qa.question_id for qa, _ in labeled], rows,
                           [ok for _, ok in labeled], provider.fingerprint)
 

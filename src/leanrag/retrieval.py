@@ -27,7 +27,7 @@ import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -52,6 +52,10 @@ _SEPARATORS = bytes(
 # remembers; at this cap the memo holds about 16 MB, so a long-running
 # process cannot grow it with every new question's tokens
 TOKEN_MEMO_SIZE = 1 << 16
+
+# stored rows are embedded and kept this many texts at a time, so that
+# set-up holds at most this many rows densely: 2 MB at dim 256
+EMBED_CHUNK = 1024
 
 # an index with at most this share of nonzero entries is scanned column by
 # column, touching only the coordinates a question has; the hashing
@@ -583,30 +587,41 @@ def _titled(doc: Document) -> bool:
     return bool(doc.title.strip())
 
 
+def embedded_rows(pairs: Iterable[tuple[int, str]],
+                  provider: EmbeddingProvider
+                  ) -> Iterator[tuple[list[int], np.ndarray]]:
+    """(digests, dense rows) of the (``stable_hash``, text) ``pairs``, in
+    order, from one ``provider.embed_many`` call per ``EMBED_CHUNK`` texts:
+    the chunks ``SparseRows.compress`` keeps every stored row from."""
+    pairs = iter(pairs)
+    while chunk := list(itertools.islice(pairs, EMBED_CHUNK)):
+        digests, texts = zip(*chunk)
+        yield list(digests), provider.embed_many(list(texts))
+
+
 def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
     """Embed every document ("title. text") into a fresh index, in doc-id
     order, then each titled document's text, which is what the scorer
-    embeds, and each sub-document window, where no other row holds that
-    text."""
+    embeds, and each sub-document window, where no earlier row holds that
+    text. Every row goes through ``embedded_rows``, so set-up never holds
+    more than ``EMBED_CHUNK`` rows densely."""
     if len(corpus) == 0:
         raise ValueError("cannot build an index over an empty corpus")
     docs = sorted(corpus, key=lambda d: d.doc_id)
     texts = [document_embedding_text(d) for d in docs]
     digests = [stable_hash(text) for text in texts]
-    rows = SparseRows.compress(itertools.chain(
-        [(digests, provider.embed_many(texts))],
-        _new_rows(docs, set(digests), provider)), provider.dim)
+    rows = SparseRows.compress(embedded_rows(itertools.chain(
+        zip(digests, texts), _new_texts(docs, set(digests))), provider),
+        provider.dim)
     return VectorIndex([d.doc_id for d in docs], rows,
                        provider.fingerprint + INDEX_FIELDS,
                        sum(1 for d in docs if _titled(d)))
 
 
-def _new_rows(docs: Iterable[Document], held: set[int],
-              provider: EmbeddingProvider):
-    """(digests, rows) of each document's text, when it is titled, and
-    windows, each whose digest is not in ``held``, adding each to it; one
-    document at a time, so that set-up never holds more than one document's
-    rows densely."""
+def _new_texts(docs: Iterable[Document], held: set[int]
+               ) -> Iterator[tuple[int, str]]:
+    """(digest, text) of each document's text, when it is titled, and
+    windows, each whose digest is not in ``held``, adding each to it."""
     for doc in docs:
         texts = [doc.text] if _titled(doc) else []
         # a single-spaced document of at most WINDOW sentences is its one
@@ -614,14 +629,11 @@ def _new_rows(docs: Iterable[Document], held: set[int],
         if max_sentences(doc.text) > WINDOW or \
                 " ".join(doc.text.split()) != doc.text:
             texts += doc.windows
-        new = {}
         for text in texts:
             digest = stable_hash(text)
             if digest not in held:
                 held.add(digest)
-                new[digest] = text
-        if new:
-            yield list(new), provider.embed_many(list(new.values()))
+                yield digest, text
 
 
 class Retriever:

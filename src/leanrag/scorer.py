@@ -506,7 +506,12 @@ def train_scorer(pairs: Sequence[LabeledPair],
     config = config or TrainConfig()
     if not pairs:
         raise ValueError("no training pairs")
-    features = np.stack([p.features for p in pairs])
+    width = np.shape(pairs[0].features)
+    for pair in pairs:
+        if np.shape(pair.features) != width:
+            raise ValueError(
+                f"pair ({pair.question_id!r}, {pair.doc_id!r}) has features "
+                f"of shape {np.shape(pair.features)}, the first pair {width}")
     targets = np.array([[p.label.has_answer, p.label.llm_prefer]
                         for p in pairs], dtype=np.float64)
     matched = np.array([p.matched for p in pairs], dtype=bool)
@@ -517,10 +522,14 @@ def train_scorer(pairs: Sequence[LabeledPair],
 
     split_rng = derive_rng(config.seed, "scorer.split")
     train_idx, val_idx = stratified_split(matched, split_rng)
-    x_t, y_t, m_t = features[train_idx], targets[train_idx], matched[train_idx]
-    x_v, y_v, m_v = features[val_idx], targets[val_idx], matched[val_idx]
+    # each split stacked straight from its pairs, so that no matrix of
+    # every pair's features is held beside them
+    x_t, x_v = (np.stack([pairs[i].features for i in idx], dtype=np.float64)
+                for idx in (train_idx, val_idx))
+    y_t, m_t = targets[train_idx], matched[train_idx]
+    y_v, m_v = targets[val_idx], matched[val_idx]
 
-    head = Mlp([features.shape[1], *hidden_sizes, 2],
+    head = Mlp([x_t.shape[1], *hidden_sizes, 2],
                seed=derive_seed(config.seed, "scorer.init"))
     params = head.get_params()
     weight = float(config.initial_weight)

@@ -1,7 +1,10 @@
+import gc
 import hashlib
+import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -587,6 +590,121 @@ class TestWindowRows:
                         "provider_fingerprint": "fp", "dim": 8}, rows)
         with pytest.raises(IndexIntegrityError, match=match):
             VectorIndex.load(path)
+
+
+def chunk_corpus():
+    """``long_corpus`` and 6 more: titled, untitled and multi-window
+    documents, two untitled ones with one text, 10 in all, which is not a
+    multiple of 7."""
+    return Corpus([
+        *long_corpus(),
+        make_document("e", "", "Dogs bark. They run. They dig. They sleep. "
+                               "They eat. They play."),
+        make_document("f", "Fish", "They swim. They dive. They rest. "
+                                   "They hide. They feed. They school. "
+                                   "They spawn."),
+        make_document("g", "Owls", "They hoot."),
+        make_document("h", "", "Frogs leap. They croak."),
+        make_document("i", "Bees", "They hum. They dig. They sleep. "
+                                   "They eat."),
+        make_document("j", "", "Ants march. They carry. They build. "
+                               "They rest. They eat."),
+    ])
+
+
+class EchoSession:
+    """An embedding endpoint that answers any batch: each text's vector is
+    read from its hash, never zero. ``batches`` has each request's texts."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.batches = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.batches.append(json["texts"])
+        return FakeResponse({"embeddings": [
+            [byte - 127.5 for byte in hashlib.blake2b(
+                text.encode(), digest_size=self.dim).digest()]
+            for text in json["texts"]]})
+
+
+class TestChunkedEmbedding:
+    QUESTIONS = [QARecord(f"q{i}", f"question {i} about cats", ["cats"])
+                 for i in range(10)]
+
+    def saved(self, where, provider):
+        """The bytes ``build_index`` and ``build_nn_reference`` save, and
+        the bits ``VectorIndex.embed_many`` serves every stored text and a
+        question with."""
+        corpus = chunk_corpus()
+        index = build_index(corpus, provider)
+        index.save(where / "index")
+        build_nn_reference(self.QUESTIONS,
+                           ScriptedLlmClient(default_answer="cats"),
+                           provider).save(where / "ref")
+        texts = ["a question?", *map(document_embedding_text, corpus),
+                 *(doc.text for doc in corpus),
+                 *(text for doc in corpus for text in doc.windows)]
+        return ((where / "index").read_bytes(), (where / "ref").read_bytes(),
+                index.embed_many(provider, texts).tobytes())
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_changes_no_byte(self, tmp_path, provider,
+                                        monkeypatch, chunk):
+        assert retrieval_module.EMBED_CHUNK == 1024
+        (tmp_path / "default").mkdir()
+        want = self.saved(tmp_path / "default", provider)
+        monkeypatch.setattr(retrieval_module, "EMBED_CHUNK", chunk)
+        (tmp_path / "chunked").mkdir()
+        assert self.saved(tmp_path / "chunked", provider) == want
+
+    def test_every_document_keeps_its_own_row(self, provider):
+        corpus = chunk_corpus()
+        index = build_index(corpus, provider)
+        want = [stable_hash(document_embedding_text(doc)) for doc in corpus]
+        assert index.rows.digests[:len(corpus)].tolist() == want
+        assert want[1] == want[4]
+        # no extra row repeats a document row or another extra row
+        extra = index.rows.digests[len(corpus):].tolist()
+        assert len(set(extra)) == len(extra)
+        assert not set(extra) & set(want)
+
+    @pytest.mark.parametrize("chunk", [7, None])
+    def test_remote_requests_hold_at_most_a_chunk(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(retrieval_module, "EMBED_CHUNK", chunk)
+        chunk = retrieval_module.EMBED_CHUNK
+        session = EchoSession(dim=8)
+        index = build_index(chunk_corpus(),
+                            RemoteEmbedder("http://emb", dim=8,
+                                           session=session))
+        assert len(session.batches) == math.ceil(index.stored_count / chunk)
+        assert max(map(len, session.batches)) <= chunk
+        # every stored row was asked for once, in the order it is kept
+        assert [stable_hash(text) for batch in session.batches
+                for text in batch] == index.rows.digests.tolist()
+
+    def test_build_holds_a_chunk_of_dense_rows(self, monkeypatch):
+        provider = HashingEmbedder(dim=256, seed=3)
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(2000)]
+        corpus = Corpus([
+            make_document(f"d{i:05d}", "", " ".join(rng.choice(words, 12)))
+            for i in range(3000)])
+        # fill the token memo first, so that only the build is traced
+        provider.embed_many([doc.text for doc in corpus])
+        monkeypatch.setattr(retrieval_module, "EMBED_CHUNK", 256)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            index = build_index(corpus, provider)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert index.stored_count == 3000
+        dense = 3000 * 256 * 8
+        assert peak < dense / 2
 
 
 def titled_corpus_short():

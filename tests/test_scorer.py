@@ -402,6 +402,34 @@ class TestTrainScorer:
         assert all(0.0 <= h.weight <= 1.0 for h in first.history)
         assert first.history != full.history
 
+    def test_uneven_feature_widths_name_the_pair(self, imbalanced_pairs):
+        pairs = list(imbalanced_pairs)
+        uneven = pairs[7]
+        pairs[7] = replace(uneven, features=uneven.features[:5])
+        pairs[9] = replace(pairs[9], features=pairs[9].features[:5])
+        with pytest.raises(ValueError) as excinfo:
+            train_scorer(pairs, TrainConfig(epochs=1, seed=0))
+        assert repr(uneven.question_id) in str(excinfo.value)
+        assert repr(uneven.doc_id) in str(excinfo.value)
+
+    def test_keeps_one_copy_of_the_features(self):
+        pairs = imbalanced_feature_pairs(n_matched=2700, n_mismatched=300,
+                                         dim=512, seed=13)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_scorer(pairs, TrainConfig(epochs=1, seed=0),
+                         hidden_sizes=(16, 8))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the two splits' rows are one matrix; a (16, 8) head's gradient
+        # buffers and the validation classes' copies add under half of it,
+        # a second copy of the training rows alone about 0.8 of it
+        matrix = 3000 * 512 * 8
+        assert peak < 1.5 * matrix
+
 
 @pytest.fixture(scope="module")
 def trained():
