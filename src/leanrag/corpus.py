@@ -1,6 +1,10 @@
 """Document corpus: loading, sentence segmentation, sub-document windows,
 token counting, and gold-answer containment checks.
 
+Every JSONL input (the corpus, a QA set, the scripted LLM's script) is read
+by one reader, ``read_jsonl``, so a bad line is reported the same way in
+each: ``CorpusFormatError`` with ``path:line: reason``.
+
 The corpus is immutable once loaded; every function here is pure and safe to
 call from concurrent readers.
 """
@@ -14,7 +18,7 @@ import string
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, KeysView, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +49,8 @@ _JSON_SPACE = " \t\n\r"
 
 
 class CorpusFormatError(ValueError):
-    """A corpus or QA file line could not be parsed."""
+    """A line of a JSONL input could not be parsed or is not a valid
+    record."""
 
     def __init__(self, path: str | Path, line_no: int, reason: str):
         super().__init__(f"{path}:{line_no}: {reason}")
@@ -145,6 +150,14 @@ class Corpus:
                 raise DuplicateDocumentError(f"duplicate doc_id {doc.doc_id!r}")
             self._docs[doc.doc_id] = doc
 
+    @classmethod
+    def by_id(cls, docs: dict[str, Document]) -> "Corpus":
+        """The corpus of ``docs``, each document under its own id, in the
+        dict's order; the corpus owns the dict from then on."""
+        corpus = cls.__new__(cls)
+        corpus._docs = docs
+        return corpus
+
     def __len__(self) -> int:
         return len(self._docs)
 
@@ -156,6 +169,16 @@ class Corpus:
 
     def get(self, doc_id: str) -> Document:
         return self._docs[doc_id]
+
+    @property
+    def ids(self) -> KeysView[str]:
+        """The document ids, in corpus order, as a live set-like view."""
+        return self._docs.keys()
+
+    def documents(self, doc_ids: Iterable[str]) -> list[Document]:
+        """The document of each id, in order; an unknown id raises
+        ``KeyError``."""
+        return list(map(self._docs.__getitem__, doc_ids))
 
 
 def split_sentences(text: str) -> list[Span]:
@@ -293,64 +316,73 @@ def make_document(doc_id: str, title: str, text: str) -> Document:
     return Document(doc_id=doc_id, title=title, text=text)
 
 
+def read_jsonl(path: str | Path, required: Sequence[str] = ()
+               ) -> Iterator[tuple[int, dict]]:
+    """(line number, object) of each line of the JSONL file at ``path``,
+    counting from 1, skipping blank and whitespace-only lines. Every other
+    line must hold one JSON object, with each key in ``required``, between
+    JSON whitespace, or ``CorpusFormatError`` names the line."""
+    # what json.loads accepts, without its per-call overhead: the decoder's
+    # scanner, which raw_decode wraps, at the first non-space character
+    scan = _DECODER.scan_once
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                try:
+                    record, end = scan(line, 0)
+                except StopIteration:
+                    if not line.strip():
+                        continue
+                    record, end = scan(
+                        line, len(line) - len(line.lstrip(_JSON_SPACE)))
+            except StopIteration:
+                raise CorpusFormatError(
+                    path, line_no, "invalid JSON (Expecting value)") from None
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(
+                    path, line_no, f"invalid JSON ({exc.msg})") from exc
+            if line[end:] != "\n" and line[end:].strip(_JSON_SPACE):
+                raise CorpusFormatError(path, line_no,
+                                        "invalid JSON (Extra data)")
+            if not isinstance(record, dict):
+                raise CorpusFormatError(path, line_no,
+                                        "expected a JSON object")
+            for key in required:
+                if key not in record:
+                    raise CorpusFormatError(path, line_no,
+                                            f"missing field {key!r}")
+            yield line_no, record
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Read a JSONL corpus ({"id", "title", "text"} per line)."""
-    line_no = 0
-
-    def documents(handle) -> Iterator[Document]:
-        nonlocal line_no
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            record = _parse_record(path, line_no, line, ("id", "title", "text"))
-            yield make_document(str(record["id"]), str(record["title"]),
+    docs: dict[str, Document] = {}
+    for line_no, record in read_jsonl(path, ("id", "title", "text")):
+        doc_id = str(record["id"])
+        if doc_id in docs:
+            raise DuplicateDocumentError(
+                f"{path}:{line_no}: duplicate doc_id {doc_id!r}")
+        docs[doc_id] = Document(doc_id, str(record["title"]),
                                 str(record["text"]))
-
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return Corpus(documents(handle))
-        except DuplicateDocumentError as exc:
-            raise DuplicateDocumentError(f"{path}:{line_no}: {exc}") from exc
+    return Corpus.by_id(docs)
 
 
 def load_qa(path: str | Path) -> list[QARecord]:
     """Read a JSONL QA set ({"question_id", "question", "answers"} per line)."""
     records: dict[str, QARecord] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            record = _parse_record(path, line_no, line,
-                                   ("question_id", "question", "answers"))
-            answers = record["answers"]
-            if not isinstance(answers, list) or not answers:
-                raise CorpusFormatError(path, line_no, "answers must be a non-empty list")
-            question_id = str(record["question_id"])
-            if question_id in records:
-                raise CorpusFormatError(
-                    path, line_no, f"duplicate question_id {question_id!r}")
-            records[question_id] = QARecord(
-                question_id=question_id,
-                question=str(record["question"]),
-                gold_answers=frozenset(str(a) for a in answers),
-            )
+    for line_no, record in read_jsonl(path,
+                                      ("question_id", "question", "answers")):
+        answers = record["answers"]
+        if not isinstance(answers, list) or not answers:
+            raise CorpusFormatError(path, line_no,
+                                    "answers must be a non-empty list")
+        question_id = str(record["question_id"])
+        if question_id in records:
+            raise CorpusFormatError(
+                path, line_no, f"duplicate question_id {question_id!r}")
+        records[question_id] = QARecord(
+            question_id=question_id,
+            question=str(record["question"]),
+            gold_answers=frozenset(str(a) for a in answers),
+        )
     return list(records.values())
-
-
-def _parse_record(path: str | Path, line_no: int, line: str,
-                  required: Sequence[str]) -> dict:
-    # what json.loads accepts, without its per-call overhead: one value
-    # between JSON whitespace
-    text = line.strip(_JSON_SPACE)
-    try:
-        record, end = _DECODER.raw_decode(text)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
-    if end != len(text):
-        raise CorpusFormatError(path, line_no, "invalid JSON (Extra data)")
-    if not isinstance(record, dict):
-        raise CorpusFormatError(path, line_no, "expected a JSON object")
-    for key in required:
-        if key not in record:
-            raise CorpusFormatError(path, line_no, f"missing field {key!r}")
-    return record

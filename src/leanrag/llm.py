@@ -9,7 +9,6 @@ function of (template, question, passages).
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import os
 import re
@@ -19,7 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .corpus import contains_answer, count_tokens
+from .corpus import (CorpusFormatError, contains_answer, count_tokens,
+                     read_jsonl)
 
 logger = logging.getLogger(__name__)
 
@@ -174,46 +174,22 @@ class ScriptedLlmClient:
     @classmethod
     def from_script_file(cls, script_path: str | Path) -> "ScriptedLlmClient":
         """Load a JSONL script: {"match": {"question"|"pattern"}, "answer"},
-        each a string and each pattern a valid regex, or a ``ValueError``
-        names the line. The client has no default answer, so a miss
-        raises."""
+        each a string and each pattern a valid regex, read by
+        ``read_jsonl``; a bad line raises ``CorpusFormatError`` (a
+        ``ValueError``) naming it. The client has no default answer, so a
+        miss raises."""
         by_question: dict[str, str] = {}
         patterns: list[tuple[re.Pattern, str]] = []
-        with open(script_path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{script_path}:{line_no}: not JSON ({exc.msg})") from exc
-                if not isinstance(entry, dict) or "answer" not in entry:
-                    raise ValueError(
-                        f"{script_path}:{line_no}: entry needs an 'answer'")
-                match = entry.get("match", {})
-                if not isinstance(match, dict):
-                    raise ValueError(
-                        f"{script_path}:{line_no}: match must be an object")
-                key = "question" if "question" in match else "pattern"
-                if key not in match:
-                    raise ValueError(f"{script_path}:{line_no}: match needs "
-                                     "'question' or 'pattern'")
-                for name, value in ((key, match[key]),
-                                    ("answer", entry["answer"])):
-                    if not isinstance(value, str):
-                        raise ValueError(f"{script_path}:{line_no}: {name} "
-                                         f"must be a string, got {value!r}")
-                answer = entry["answer"]
-                if key == "question":
-                    by_question[match[key]] = answer
-                    continue
-                try:
-                    patterns.append((re.compile(match[key]), answer))
-                except re.error as exc:
-                    raise ValueError(
-                        f"{script_path}:{line_no}: pattern {match[key]!r} "
-                        f"does not compile ({exc})") from exc
+        for line_no, entry in read_jsonl(script_path):
+            try:
+                key, match, answer = _script_entry(entry)
+            except ValueError as exc:
+                raise CorpusFormatError(script_path, line_no,
+                                        str(exc)) from exc
+            if key == "question":
+                by_question[match] = answer
+            else:
+                patterns.append((match, answer))
         return cls(by_question, patterns)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
@@ -245,6 +221,29 @@ class ScriptedLlmClient:
             if match:
                 return match.group(1).strip()
         return None
+
+
+def _script_entry(entry: dict) -> tuple[str, str | re.Pattern, str]:
+    """("question", question, answer) or ("pattern", compiled pattern,
+    answer) of a script entry, or ``ValueError`` says what is wrong."""
+    if "answer" not in entry:
+        raise ValueError("entry needs an 'answer'")
+    match = entry.get("match", {})
+    if not isinstance(match, dict):
+        raise ValueError("match must be an object")
+    key = "question" if "question" in match else "pattern"
+    if key not in match:
+        raise ValueError("match needs 'question' or 'pattern'")
+    for name, value in ((key, match[key]), ("answer", entry["answer"])):
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
+    if key == "question":
+        return key, match[key], entry["answer"]
+    try:
+        return key, re.compile(match[key]), entry["answer"]
+    except re.error as exc:
+        raise ValueError(f"pattern {match[key]!r} does not compile "
+                         f"({exc})") from exc
 
 
 class HttpLlmClient:

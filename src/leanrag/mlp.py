@@ -48,23 +48,33 @@ def bce_elementwise(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 class Mlp:
-    """Feed-forward net: layer_sizes[0] inputs -> ... -> sigmoid outputs."""
+    """Feed-forward net: layer_sizes[0] inputs -> ... -> sigmoid outputs.
 
-    def __init__(self, layer_sizes: Sequence[int], seed: int = 0):
+    Without ``params`` the weights are drawn from ``seed`` (Gaussian, scaled
+    by 1 / sqrt(fan-in); biases zero), the initialization training starts
+    from. With ``params``, a flat vector such as a saved net's, the net
+    starts at a copy of it and draws nothing; a vector of another length
+    raises ``ValueError``, as ``set_params`` does."""
+
+    def __init__(self, layer_sizes: Sequence[int], seed: int = 0,
+                 params: np.ndarray | None = None):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.seed = int(seed)
-        rng = np.random.default_rng(self.seed)
-        self._shapes: list[tuple[tuple[int, int], tuple[int]]] = []
-        params = []
-        for n_in, n_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            w = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
-            b = np.zeros(n_out)
-            self._shapes.append(((n_out, n_in), (n_out,)))
-            params.append(w.ravel())
-            params.append(b)
-        self._params = np.concatenate(params)
+        self._shapes = [((n_out, n_in), (n_out,)) for n_in, n_out
+                        in zip(self.layer_sizes, self.layer_sizes[1:])]
+        self._size = sum(n_out * (n_in + 1)
+                         for (n_out, n_in), _ in self._shapes)
+        if params is None:
+            rng = np.random.default_rng(self.seed)
+            parts = []
+            for (n_out, n_in), _ in self._shapes:
+                parts.append(rng.standard_normal(n_out * n_in) / np.sqrt(n_in))
+                parts.append(np.zeros(n_out))
+            self._params = np.concatenate(parts)
+        else:
+            self._params = self._checked(params)
         self._layers = self._unpack(self._params)
         # bumped by every set_params, so that anything computed from the
         # parameters can tell that it is stale
@@ -78,14 +88,19 @@ class Mlp:
         return self._params.copy()
 
     def set_params(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != self._params.shape:
-            raise ValueError(f"expected {self._params.shape}, got {vec.shape}")
-        self._params = vec.copy()
+        self._params = self._checked(vec)
         # the new layers before the new version, so that a reader of the
         # new version never gets the old layers
         self._layers = self._unpack(self._params)
         self.version += 1
+
+    def _checked(self, vec: np.ndarray) -> np.ndarray:
+        """A float64 copy of ``vec``, which must hold exactly the net's
+        parameters."""
+        vec = np.array(vec, dtype=np.float64)
+        if vec.shape != (self._size,):
+            raise ValueError(f"expected {(self._size,)}, got {vec.shape}")
+        return vec
 
     def first_layer(self) -> tuple[np.ndarray, np.ndarray]:
         """(W, b) of the first layer, views of the current parameters

@@ -277,15 +277,8 @@ def hyper_direction(head: Mlp, params_before: np.ndarray,
     """
     if not train_matched.any() or train_matched.all():
         raise ImbalanceDegenerateError("training data is single-class")
-    n_train = len(train_features)
-    # one forward pass over the training split serves both gradients
-    before = Backprop(head, params_before, n_train)
-    before.forward(train_features)
-    g_mat = before.backward(train_targets, train_matched.astype(np.float64),
-                            n_train).copy()
-    diff = g_mat - before.backward(train_targets,
-                                   (~train_matched).astype(np.float64),
-                                   n_train)
+    diff = _split_gradient_gap(head, params_before, train_features,
+                               train_targets, train_matched)
     after = Backprop(head, params_after, len(val_features))
     directions = []
     for mask in (val_matched, ~val_matched):
@@ -297,6 +290,20 @@ def hyper_direction(head: Mlp, params_before: np.ndarray,
         directions.append(-learning_rate * float(grad_v @ diff))
     d_mat, d_mis = directions
     return (d_mat + d_mis) / 2.0
+
+
+def _split_gradient_gap(head: Mlp, params: np.ndarray, features: np.ndarray,
+                        targets: np.ndarray, matched: np.ndarray
+                        ) -> np.ndarray:
+    """g_mat - g_mis at ``params``: the gradients of the matched and the
+    mismatched examples' BCE, each normalized by the number of all
+    examples. One forward pass serves both, and its buffers are freed on
+    return, before the caller's validation pass allocates its own."""
+    n = len(features)
+    work = Backprop(head, params, n)
+    work.forward(features)
+    g_mat = work.backward(targets, matched.astype(np.float64), n).copy()
+    return g_mat - work.backward(targets, (~matched).astype(np.float64), n)
 
 
 @dataclass
@@ -462,9 +469,9 @@ class ScorerModel:
             path, "scorer", layer_sizes=SCORER_SIZES,
             balance_weight=artifacts.FRACTION, seed=artifacts.COUNT,
             provider_fingerprint=artifacts.FINGERPRINT)
-        head = Mlp(meta["layer_sizes"], seed=meta["seed"])
         try:
-            head.set_params(arrays["params"])
+            head = Mlp(meta["layer_sizes"], seed=meta["seed"],
+                       params=arrays["params"])
         except ValueError as exc:
             raise artifacts.IndexIntegrityError(f"{path}: {exc}") from exc
         return cls(head=head, balance_weight=meta["balance_weight"],
@@ -538,19 +545,24 @@ def train_scorer(pairs: Sequence[LabeledPair],
 
     history: list[EpochStats] = []
     n_train = len(x_t)
+    subsampled = config.hyper_step_size != 0.0 and n_train > FULL_GRAD_MAX
+    # each epoch's hypergradient subsample is gathered into this one buffer
+    sub_x = np.empty((FULL_GRAD_MAX, x_t.shape[1])) if subsampled else None
     for epoch in range(1, config.epochs + 1):
         params_start = params
         params = sgd_epoch(head, params, x_t, y_t, match_weights(m_t, weight),
                            config.batch_size, config.learning_rate, batch_rng)
         if config.hyper_step_size != 0.0:
-            if n_train > FULL_GRAD_MAX:
+            hx, hy, hm = x_t, y_t, m_t
+            if subsampled:
                 sub = np.sort(sample_rng.choice(n_train, FULL_GRAD_MAX,
                                                 replace=False))
-                hx, hy, hm = x_t[sub], y_t[sub], m_t[sub]
-                if hm.all() or not hm.any():
-                    hx, hy, hm = x_t, y_t, m_t
-            else:
-                hx, hy, hm = x_t, y_t, m_t
+                sub_m = m_t[sub]
+                if sub_m.any() and not sub_m.all():
+                    # "clip" takes straight into ``out``; the indices are
+                    # all in range
+                    hx = np.take(x_t, sub, axis=0, out=sub_x, mode="clip")
+                    hy, hm = y_t[sub], sub_m
             common = hyper_direction(head, params_start, params, hx, hy, hm,
                                      x_v, y_v, m_v, config.learning_rate)
             weight = float(np.clip(weight - config.hyper_step_size * common,

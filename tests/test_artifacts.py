@@ -401,6 +401,43 @@ def test_params_of_another_size_rejected(kind, tmp_path):
         load_kind(path)
 
 
+def net_of(obj) -> Mlp:
+    return obj.head if isinstance(obj, ScorerModel) else obj.net
+
+
+@pytest.mark.parametrize("kind", ["scorer", "detector"])
+def test_nets_load_their_saved_params_without_drawing(kind, tmp_path,
+                                                      monkeypatch):
+    make, save, load_kind, _ = KINDS[kind]
+    path = tmp_path / kind
+    obj = make()
+    save(obj, path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded = net_of(load_kind(path))
+    assert loaded.get_params().tobytes() == net_of(obj).get_params().tobytes()
+    assert loaded.layer_sizes == net_of(obj).layer_sizes
+
+
+@pytest.mark.parametrize("kind", ["scorer", "detector"])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_params_of_another_length_rejected(kind, change, tmp_path):
+    make, save, load_kind, _ = KINDS[kind]
+    path = tmp_path / kind
+    obj = make()
+    net = net_of(obj)
+    params = net.get_params()
+    wrong = np.resize(params, len(params) + change)
+    net.get_params = lambda: wrong
+    save(obj, path)
+    with pytest.raises(IndexIntegrityError, match=re.escape(
+            f"{path}: expected {params.shape}, got {wrong.shape}")):
+        load_kind(path)
+
+
 def test_detector_of_another_input_width_rejected(tmp_path):
     path = tmp_path / "detector"
     DetectorModel.save(detector(), path)

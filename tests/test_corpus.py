@@ -1,4 +1,5 @@
 import json
+import re
 import string
 
 import pytest
@@ -12,6 +13,7 @@ from leanrag.corpus import (Corpus, CorpusFormatError, DuplicateDocumentError,
                             load_corpus, load_qa, make_document,
                             max_sentences, normalize_for_match,
                             split_sentences, whole_document_subdoc)
+from leanrag.llm import ScriptedLlmClient
 from synthetic import loop_split_sentences
 
 
@@ -119,6 +121,57 @@ class TestLoadCorpus:
         assert loaded.sentences == tuple(split_sentences(text))
         assert generate_subdocuments(loaded) == generate_subdocuments(eager)
         assert loaded == eager
+
+
+# every JSONL input: its loader, a good record and one that lacks a field,
+# with the complaint that names it
+JSONL_INPUTS = {
+    "corpus": (load_corpus, {"id": "a", "title": "t", "text": "x"},
+               {"id": "b", "title": "t"}, "missing field 'text'"),
+    "qa": (load_qa, {"question_id": "q", "question": "Q?", "answers": ["x"]},
+           {"question_id": "r", "answers": ["y"]},
+           "missing field 'question'"),
+    "script": (ScriptedLlmClient.from_script_file,
+               {"match": {"pattern": "x"}, "answer": "a"},
+               {"match": {"question": "q"}}, "entry needs an 'answer'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSONL_INPUTS))
+class TestJsonlInputs:
+    @pytest.mark.parametrize("blank", ["", " ", " \t\r", "\f", "\u00a0 "])
+    def test_blank_lines_are_skipped(self, tmp_path, name, blank):
+        load, good, _, _ = JSONL_INPUTS[name]
+        path = tmp_path / "input.jsonl"
+        path.write_text(f"{blank}\n{json.dumps(good)}\n{blank}\n\n",
+                        encoding="utf-8")
+        load(path)
+
+    @pytest.mark.parametrize("line, reason", [
+        ("not json", "invalid JSON (Expecting value)"),
+        ('{"id": "a"', "invalid JSON ("),
+        ('{"a": 1} {}', "invalid JSON (Extra data)"),
+        ('{"a": 1}\f', "invalid JSON (Extra data)"),
+        ('[{"a": 1}]', "expected a JSON object"),
+        ('"text"', "expected a JSON object"),
+    ])
+    def test_bad_line_is_named(self, tmp_path, name, line, reason):
+        load, good, _, _ = JSONL_INPUTS[name]
+        path = tmp_path / "input.jsonl"
+        path.write_text(f"{json.dumps(good)}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match="^" + re.escape(
+                f"{path}:3: {reason}")) as caught:
+            load(path)
+        assert caught.value.line_no == 3
+        assert caught.value.path == str(path)
+
+    def test_missing_field_is_named(self, tmp_path, name):
+        load, good, lacking, reason = JSONL_INPUTS[name]
+        path = tmp_path / "input.jsonl"
+        write_jsonl(path, [good, lacking])
+        with pytest.raises(CorpusFormatError,
+                           match=f"^{re.escape(f'{path}:2: {reason}')}$"):
+            load(path)
 
 
 class TestSplitSentences:

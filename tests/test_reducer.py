@@ -3,6 +3,7 @@ import pytest
 
 from synthetic import scored_subdoc, trained_redundant_setup
 
+import leanrag.reducer as reducer_module
 from leanrag.corpus import (Corpus, QARecord, count_tokens,
                             generate_subdocuments, make_document)
 from leanrag.llm import ScriptedLlmClient
@@ -242,9 +243,16 @@ class TestSkylineAndOverlap:
         assert jaccard(a, b) == pytest.approx(1 / 3)
         assert jaccard(a, a) == 1.0
         assert jaccard(frozenset(), frozenset()) == 1.0
-        assert jaccard(0b011, 0b110) == jaccard(frozenset({0, 1}),
-                                                frozenset({1, 2}))
-        assert jaccard(0, 0) == 1.0
+
+    @staticmethod
+    def frozenset_kept(draws) -> list[int]:
+        kept: list[int] = []
+        for i, rows in enumerate(draws):
+            ids = frozenset(rows.tolist())
+            if all(jaccard(ids, frozenset(draws[j].tolist())) <= MAX_OVERLAP
+                   for j in kept):
+                kept.append(i)
+        return kept
 
     @pytest.mark.parametrize("seed", range(5))
     def test_distinct_draws_keep_what_frozensets_keep(self, seed):
@@ -253,13 +261,28 @@ class TestSkylineAndOverlap:
         n_windows = int(rng.integers(4, 12))
         draws = [rng.choice(n_windows, size=int(rng.integers(
             1, min(10, n_windows) + 1)), replace=False) for _ in range(100)]
-        kept: list[int] = []
-        for i, rows in enumerate(draws):
-            ids = frozenset(rows.tolist())
-            if all(jaccard(ids, frozenset(draws[j].tolist())) <= MAX_OVERLAP
-                   for j in kept):
-                kept.append(i)
-        assert distinct_draws(draws) == kept
+        assert distinct_draws(draws) == self.frozenset_kept(draws)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("block", [reducer_module.OVERLAP_BLOCK, 7])
+    def test_distinct_draws_at_set_up_size(self, seed, block, monkeypatch):
+        # as detector data draws them: 100 draws of up to 10 of the windows
+        # of 10 documents, most of which have many windows; a block of 7
+        # splits the overlaps into many blocks
+        monkeypatch.setattr(reducer_module, "OVERLAP_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        n_windows = int(rng.integers(10, 101))
+        draws = [rng.choice(n_windows, size=int(rng.integers(1, 11)),
+                            replace=False) for _ in range(100)]
+        kept = distinct_draws(draws)
+        assert kept == self.frozenset_kept(draws)
+        assert kept[0] == 0
+
+    def test_distinct_draws_of_empty_draws(self):
+        empty = np.array([], dtype=np.intp)
+        draws = [empty, np.array([0, 1]), empty, np.array([1, 0])]
+        assert distinct_draws(draws) == self.frozenset_kept(draws) == [0, 1]
+        assert distinct_draws([]) == []
 
 
 class TestTrainDetector:
