@@ -150,14 +150,6 @@ class Corpus:
                 raise DuplicateDocumentError(f"duplicate doc_id {doc.doc_id!r}")
             self._docs[doc.doc_id] = doc
 
-    @classmethod
-    def by_id(cls, docs: dict[str, Document]) -> "Corpus":
-        """The corpus of ``docs``, each document under its own id, in the
-        dict's order; the corpus owns the dict from then on."""
-        corpus = cls.__new__(cls)
-        corpus._docs = docs
-        return corpus
-
     def __len__(self) -> int:
         return len(self._docs)
 
@@ -174,11 +166,6 @@ class Corpus:
     def ids(self) -> KeysView[str]:
         """The document ids, in corpus order, as a live set-like view."""
         return self._docs.keys()
-
-    def documents(self, doc_ids: Iterable[str]) -> list[Document]:
-        """The document of each id, in order; an unknown id raises
-        ``KeyError``."""
-        return list(map(self._docs.__getitem__, doc_ids))
 
 
 def split_sentences(text: str) -> list[Span]:
@@ -356,15 +343,20 @@ def read_jsonl(path: str | Path, required: Sequence[str] = ()
 
 def load_corpus(path: str | Path) -> Corpus:
     """Read a JSONL corpus ({"id", "title", "text"} per line)."""
-    docs: dict[str, Document] = {}
-    for line_no, record in read_jsonl(path, ("id", "title", "text")):
-        doc_id = str(record["id"])
-        if doc_id in docs:
-            raise DuplicateDocumentError(
-                f"{path}:{line_no}: duplicate doc_id {doc_id!r}")
-        docs[doc_id] = Document(doc_id, str(record["title"]),
-                                str(record["text"]))
-    return Corpus.by_id(docs)
+    line_no = 0
+
+    def documents() -> Iterator[Document]:
+        nonlocal line_no
+        for line_no, record in read_jsonl(path, ("id", "title", "text")):
+            yield Document(str(record["id"]), str(record["title"]),
+                           str(record["text"]))
+
+    # the corpus fills its id dict as the lines are read, and names the
+    # first duplicate id; the reader's line number places it
+    try:
+        return Corpus(documents())
+    except DuplicateDocumentError as exc:
+        raise DuplicateDocumentError(f"{path}:{line_no}: {exc}") from exc
 
 
 def load_qa(path: str | Path) -> list[QARecord]:

@@ -43,9 +43,6 @@ DETECTOR_BATCH_SIZE = 32
 # detector data drops a sampled combination whose member set overlaps an
 # already-kept one by more than this Jaccard similarity
 MAX_OVERLAP = 0.8
-# draws whose overlaps distinct_draws computes at once, which bounds its
-# overlap matrix to this many rows
-OVERLAP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -324,40 +321,25 @@ def load_detector_dataset(path: str | Path) -> list[DetectorExample]:
                    arrays["features"], meta["labels"], arrays["means"])]
 
 
-def jaccard(a: frozenset, b: frozenset) -> float:
-    """|a & b| / |a | b| of two sets, 1.0 when both are empty."""
-    union = len(a | b)
-    return len(a & b) / union if union else 1.0
+def jaccard(a: frozenset | int, b: frozenset | int) -> float:
+    """|a & b| / |a | b| (1.0 when both are empty) of two sets, given as
+    frozensets or as int bitmasks (bit i set for member i)."""
+    size = int.bit_count if isinstance(a, int) else len
+    union = size(a | b)
+    return size(a & b) / union if union else 1.0
 
 
 def distinct_draws(draws: Sequence[np.ndarray]) -> list[int]:
     """The indices of the draws kept, in order: each draw (distinct row
     numbers) is kept unless its Jaccard similarity with an already-kept one
-    exceeds ``MAX_OVERLAP``. The similarities of up to ``OVERLAP_BLOCK``
-    draws against every earlier one come from one product of membership
-    rows, and each draw then meets all kept draws in one bitmask test."""
-    sizes = np.array(list(map(len, draws)), dtype=np.intp)
-    # the empty array lets no draws concatenate too
-    columns = np.concatenate([*draws, np.zeros(0, dtype=np.intp)])
-    members = np.zeros((len(draws), int(columns.max(initial=-1)) + 1))
-    members[np.repeat(np.arange(len(draws)), sizes), columns] = 1.0
+    exceeds ``MAX_OVERLAP``; sets are compared as bitmasks."""
     kept: list[int] = []
-    kept_mask = 0  # bit j set when draw j is kept
-    for lo in range(0, len(draws), OVERLAP_BLOCK):
-        hi = min(lo + OVERLAP_BLOCK, len(draws))
-        # exact counts, so the quotients are ``jaccard``'s bits, with 1.0
-        # for two empty sets
-        shared = members[lo:hi] @ members[:hi].T
-        union = sizes[lo:hi, None] + sizes[:hi] - shared
-        overlap = np.divide(shared, union, out=np.ones_like(shared),
-                            where=union > 0)
-        # row i: bit j set when draw j overlaps draw i too much
-        clashes = np.packbits(overlap > MAX_OVERLAP, axis=1,
-                              bitorder="little")
-        for i, row in enumerate(clashes.tolist(), start=lo):
-            if not int.from_bytes(bytes(row), "little") & kept_mask:
-                kept.append(i)
-                kept_mask |= 1 << i
+    masks: list[int] = []
+    for i, rows in enumerate(draws):
+        mask = sum(1 << row for row in rows.tolist())
+        if all(jaccard(mask, seen) <= MAX_OVERLAP for seen in masks):
+            kept.append(i)
+            masks.append(mask)
     return kept
 
 

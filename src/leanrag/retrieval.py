@@ -491,7 +491,7 @@ class VectorIndex:
             raise IndexIntegrityError(
                 f"index has {len(self)} documents, the corpus "
                 f"{len(corpus)}; rebuild it")
-        titled = _titled_count(corpus)
+        titled = sum(map(_titled, corpus))
         if self.titled != titled:
             raise IndexIntegrityError(
                 f"index has {self.titled} titled documents, the corpus "
@@ -587,13 +587,6 @@ def _titled(doc: Document) -> bool:
     return bool(doc.title.strip())
 
 
-def _titled_count(docs: Iterable[Document]) -> int:
-    """How many of ``docs`` are titled (``_titled``), counted without a
-    Python call per document."""
-    return sum(map(bool, map(str.strip,
-                               map(operator.attrgetter("title"), docs))))
-
-
 def embedded_rows(pairs: Iterable[tuple[int, str]],
                   provider: EmbeddingProvider
                   ) -> Iterator[tuple[list[int], np.ndarray]]:
@@ -622,7 +615,7 @@ def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
         provider.dim)
     return VectorIndex([d.doc_id for d in docs], rows,
                        provider.fingerprint + INDEX_FIELDS,
-                       _titled_count(docs))
+                       sum(1 for d in docs if _titled(d)))
 
 
 def _new_texts(docs: Iterable[Document], held: set[int]
@@ -652,7 +645,7 @@ class Retriever:
         self.index = index
         self.provider = provider
         # the document of each index row
-        self._docs = corpus.documents(index.doc_ids)
+        self._docs = [corpus.get(doc_id) for doc_id in index.doc_ids]
 
     def retrieve(self, question: str, k: int,
                  query_embedding: np.ndarray | None = None) -> Candidates:

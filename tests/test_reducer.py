@@ -3,7 +3,6 @@ import pytest
 
 from synthetic import scored_subdoc, trained_redundant_setup
 
-import leanrag.reducer as reducer_module
 from leanrag.corpus import (Corpus, QARecord, count_tokens,
                             generate_subdocuments, make_document)
 from leanrag.llm import ScriptedLlmClient
@@ -243,6 +242,9 @@ class TestSkylineAndOverlap:
         assert jaccard(a, b) == pytest.approx(1 / 3)
         assert jaccard(a, a) == 1.0
         assert jaccard(frozenset(), frozenset()) == 1.0
+        assert jaccard(0b011, 0b110) == jaccard(frozenset({0, 1}),
+                                                frozenset({1, 2}))
+        assert jaccard(0, 0) == 1.0
 
     @staticmethod
     def frozenset_kept(draws) -> list[int]:
@@ -264,12 +266,9 @@ class TestSkylineAndOverlap:
         assert distinct_draws(draws) == self.frozenset_kept(draws)
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("block", [reducer_module.OVERLAP_BLOCK, 7])
-    def test_distinct_draws_at_set_up_size(self, seed, block, monkeypatch):
+    def test_distinct_draws_at_set_up_size(self, seed):
         # as detector data draws them: 100 draws of up to 10 of the windows
-        # of 10 documents, most of which have many windows; a block of 7
-        # splits the overlaps into many blocks
-        monkeypatch.setattr(reducer_module, "OVERLAP_BLOCK", block)
+        # of 10 documents, most of which have many windows
         rng = np.random.default_rng(seed)
         n_windows = int(rng.integers(10, 101))
         draws = [rng.choice(n_windows, size=int(rng.integers(1, 11)),

@@ -430,6 +430,28 @@ class TestTrainScorer:
         matrix = 3000 * 512 * 8
         assert peak < 1.5 * matrix
 
+    def test_gathers_each_subsample_into_one_buffer(self, monkeypatch):
+        # about 2,700 training pairs above a subsample of 2,000, the same
+        # branch as above the default FULL_GRAD_MAX at a tenth of the size
+        monkeypatch.setattr(scorer_module, "FULL_GRAD_MAX", 2000)
+        pairs = imbalanced_feature_pairs(n_matched=2700, n_mismatched=300,
+                                         dim=512, seed=13)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_scorer(pairs, TrainConfig(epochs=2, seed=0),
+                         hidden_sizes=(16, 8))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the splits' rows plus one subsample and a (16, 8) head's buffers;
+        # a fresh subsample each epoch, gathered while the last is still
+        # held, made two
+        matrix = 3000 * 512 * 8
+        subsample = 2000 * 512 * 8
+        assert peak < matrix + 1.5 * subsample
+
 
 @pytest.fixture(scope="module")
 def trained():
