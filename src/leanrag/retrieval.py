@@ -18,13 +18,13 @@ positive ones whenever there are k of them.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import logging
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
@@ -49,8 +49,8 @@ _SEPARATORS = bytes(
     for byte in range(256))
 
 # distinct tokens whose slot (bucket and sign) one HashingEmbedder
-# remembers; at this cap the memo holds about 16 MB, so a long-running
-# process cannot grow it with every new question's tokens
+# remembers; at this cap the memo holds about 6 MB of 10-byte tokens, so a
+# long-running process cannot grow it with every new question's tokens
 TOKEN_MEMO_SIZE = 1 << 16
 
 # stored rows are embedded and kept this many texts at a time, so that
@@ -83,6 +83,9 @@ class HashingEmbedder:
 
     Deterministic for a given (dim, seed); output rows are unit-normalized.
     Intended for tests and desk-scale runs where no model weights are wanted.
+    Each distinct token is hashed once into a dict memo of at most
+    ``TOKEN_MEMO_SIZE`` tokens, cleared when full; an ``embed_many`` call
+    counts every text's tokens with one ``np.bincount``.
     """
 
     def __init__(self, dim: int = 256, seed: int = 0):
@@ -94,8 +97,10 @@ class HashingEmbedder:
         self.seed = seed
         self._key = seed.to_bytes(8, "little")
         self.fingerprint = f"hash-bow:v1:dim={dim}:seed={seed}"
-        self._slot = functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)(
-            self._token_slot)
+        self._slot = _SlotMemo(self._token_slot, TOKEN_MEMO_SIZE)
+        # a slot's bucket and the sign it adds with
+        self._buckets = np.tile(np.arange(dim), 2)
+        self._signs = np.repeat([1.0, -1.0], dim)
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -103,26 +108,36 @@ class HashingEmbedder:
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """Row i is the unit vector of text i's token counts, each token
         adding +1 or -1 in its bucket. The counts are whole numbers, so
-        their sums and squared norm are exact in any order."""
-        dim = self.dim
-        out = np.empty((len(texts), dim))
-        for row, text in enumerate(texts):
-            lowered = text.strip().lower()
-            if not lowered:
-                raise ValueError("cannot embed empty text")
-            # the [a-z0-9]+ runs of the lowered text
-            tokens = lowered.encode("ascii", "replace").translate(
-                _SEPARATORS).split()
-            signed = np.bincount(list(map(self._slot, tokens)),
-                                 minlength=2 * dim)
-            counts = signed[:dim] - signed[dim:]
-            square = counts @ counts
-            if square == 0:
-                # pathological sign cancellation: fall back to a one-hot
-                out[row] = 0.0
-                out[row, self._hash(lowered.encode("utf-8")) % dim] = 1.0
-            else:
-                np.divide(counts, math.sqrt(square), out=out[row])
+        their sums and squared norm are exact in any order, and a row is
+        the same bits in a call of any size."""
+        dim, n = self.dim, len(texts)
+        lowered = [text.strip().lower() for text in texts]
+        if not all(lowered):
+            raise ValueError("cannot embed empty text")
+        # the [a-z0-9]+ runs of each lowered text
+        tokens = [text.encode("ascii", "replace").translate(_SEPARATORS)
+                  .split() for text in lowered]
+        slots = np.fromiter(map(self._slot.__getitem__,
+                                itertools.chain.from_iterable(tokens)),
+                            np.intp)
+        at = self._buckets[slots]
+        if n > 1:  # row i counts into entries i * dim to (i + 1) * dim
+            at += np.repeat(np.arange(0, n * dim, dim),
+                            np.fromiter(map(len, tokens), np.intp, n))
+        # bincount counts in integers when a call has no tokens at all
+        out = np.bincount(at, self._signs[slots], minlength=n * dim).astype(
+            np.float64, copy=False).reshape(n, dim)
+        if n == 1 and (square := out[0] @ out[0]):
+            # one text, the query path: a scalar divide, a few numpy calls
+            # fewer than the row-wise form below
+            out /= math.sqrt(square)
+            return out
+        square = np.einsum("ij,ij->i", out, out)
+        for row in np.flatnonzero(square == 0).tolist():
+            # no tokens, or pathological sign cancellation: a one-hot row
+            out[row, self._hash(lowered[row].encode("utf-8")) % dim] = 1.0
+            square[row] = 1.0
+        out /= np.sqrt(square)[:, None]
         return out
 
     def _token_slot(self, token: bytes) -> int:
@@ -133,6 +148,27 @@ class HashingEmbedder:
     def _hash(self, data: bytes) -> int:
         digest = hashlib.blake2b(data, digest_size=8, key=self._key).digest()
         return int.from_bytes(digest, "little")
+
+
+class _SlotMemo(dict):
+    """``slot(key)`` of each key looked up, computed on its first lookup;
+    the memo empties before it would hold more than ``cap`` keys. A hit is
+    a plain dict lookup; a miss takes a lock, so that threads sharing the
+    memo keep it within ``cap``."""
+
+    def __init__(self, slot, cap: int):
+        super().__init__()
+        self.slot = slot
+        self.cap = cap
+        self._lock = threading.Lock()
+
+    def __missing__(self, key):
+        value = self.slot(key)
+        with self._lock:
+            if len(self) >= self.cap:
+                self.clear()
+            self[key] = value
+        return value
 
 
 class RemoteEmbedder:
@@ -626,14 +662,27 @@ def _new_texts(docs: Iterable[Document], held: set[int]
         texts = [doc.text] if _titled(doc) else []
         # a single-spaced document of at most WINDOW sentences is its one
         # window, which its index or text row already holds
-        if max_sentences(doc.text) > WINDOW or \
-                " ".join(doc.text.split()) != doc.text:
+        if not _one_window(doc.text):
             texts += doc.windows
         for text in texts:
             digest = stable_hash(text)
             if digest not in held:
                 held.add(digest)
                 yield digest, text
+
+
+def _one_window(text: str) -> bool:
+    """Whether ``text`` is single-spaced with at most ``WINDOW`` sentences,
+    and so its own one window. Each sentence but a last one without a
+    terminator ends at a ``.``, ``!`` or ``?``, and the only whitespace
+    ``str.isprintable`` passes is the space, so most short texts are
+    decided by counting; the rest by ``max_sentences`` and a re-join."""
+    bound = text.count(".") + text.count("!") + text.count("?") + \
+        (not text.endswith((".", "!", "?")))
+    if bound <= WINDOW and text.isprintable() and "  " not in text and \
+            text[:1] != " " != text[-1:]:
+        return True
+    return max_sentences(text) <= WINDOW and " ".join(text.split()) == text
 
 
 class Retriever:

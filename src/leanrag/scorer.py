@@ -245,19 +245,26 @@ def match_weights(matched: np.ndarray, weight: float) -> np.ndarray:
     return np.where(matched, weight, 1.0 - weight)
 
 
+def _validation_blocks(features: np.ndarray, targets: np.ndarray,
+                       matched: np.ndarray
+                       ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(features, targets) of the matched, then of the mismatched
+    validation rows, each class copied out once."""
+    blocks = []
+    for mask in (matched, ~matched):
+        if not mask.any():
+            raise ImbalanceDegenerateError("validation split is single-class")
+        blocks.append((features[mask], targets[mask]))
+    return blocks
+
+
 def split_losses(head: Mlp, params: np.ndarray, features: np.ndarray,
                  targets: np.ndarray, matched: np.ndarray):
     """Validation losses per split, each normalized by its own split size
     (forward passes only)."""
-    work = Backprop(head, params, len(features))
-    out = []
-    for mask in (matched, ~matched):
-        if not mask.any():
-            raise ImbalanceDegenerateError("validation split is single-class")
-        count = int(mask.sum())
-        work.forward(features[mask])
-        out.append(work.loss(targets[mask], np.ones(count), count))
-    return out[0], out[1]
+    mat, mis = _validation_pass(
+        head, params, _validation_blocks(features, targets, matched))[0]
+    return mat, mis
 
 
 def hyper_direction(head: Mlp, params_before: np.ndarray,
@@ -275,21 +282,43 @@ def hyper_direction(head: Mlp, params_before: np.ndarray,
     where g_mat/g_mis are the per-split training gradients (normalized by the
     full training-set size) at the pre-update parameters.
     """
+    return _hyper_step(head, params_before, params_after, train_features,
+                       train_targets, train_matched,
+                       _validation_blocks(val_features, val_targets,
+                                          val_matched), learning_rate)[0]
+
+
+def _hyper_step(head: Mlp, params_before: np.ndarray,
+                params_after: np.ndarray, train_features: np.ndarray,
+                train_targets: np.ndarray, train_matched: np.ndarray,
+                val_blocks: list[tuple[np.ndarray, np.ndarray]],
+                learning_rate: float) -> tuple[float, list[float]]:
+    """``hyper_direction`` over the ``_validation_blocks``, and the blocks'
+    losses at ``params_after``, which its validation pass computes."""
     if not train_matched.any() or train_matched.all():
         raise ImbalanceDegenerateError("training data is single-class")
     diff = _split_gradient_gap(head, params_before, train_features,
                                train_targets, train_matched)
-    after = Backprop(head, params_after, len(val_features))
-    directions = []
-    for mask in (val_matched, ~val_matched):
-        if not mask.any():
-            raise ImbalanceDegenerateError("validation split is single-class")
-        count = int(mask.sum())
-        after.forward(val_features[mask])
-        grad_v = after.backward(val_targets[mask], np.ones(count), count)
-        directions.append(-learning_rate * float(grad_v @ diff))
-    d_mat, d_mis = directions
-    return (d_mat + d_mis) / 2.0
+    losses, dots = _validation_pass(head, params_after, val_blocks, diff)
+    d_mat, d_mis = (-learning_rate * dot for dot in dots)
+    return (d_mat + d_mis) / 2.0, losses
+
+
+def _validation_pass(head: Mlp, params: np.ndarray,
+                     blocks: list[tuple[np.ndarray, np.ndarray]],
+                     diff: np.ndarray | None = None
+                     ) -> tuple[list[float], list[float]]:
+    """Each block's loss at ``params``, normalized by its size, and, given
+    ``diff``, the gradient of that loss dotted with ``diff``."""
+    work = Backprop(head, params, max(len(x) for x, _ in blocks))
+    losses, dots = [], []
+    for x, y in blocks:
+        count = len(x)
+        work.forward(x)
+        losses.append(work.loss(y, np.ones(count), count))
+        if diff is not None:
+            dots.append(float(work.backward(y, np.ones(count), count) @ diff))
+    return losses, dots
 
 
 def _split_gradient_gap(head: Mlp, params: np.ndarray, features: np.ndarray,
@@ -530,11 +559,13 @@ def train_scorer(pairs: Sequence[LabeledPair],
     split_rng = derive_rng(config.seed, "scorer.split")
     train_idx, val_idx = stratified_split(matched, split_rng)
     # each split stacked straight from its pairs, so that no matrix of
-    # every pair's features is held beside them
+    # every pair's features is held beside them; the validation rows are
+    # split by class once per run
     x_t, x_v = (np.stack([pairs[i].features for i in idx], dtype=np.float64)
                 for idx in (train_idx, val_idx))
     y_t, m_t = targets[train_idx], matched[train_idx]
-    y_v, m_v = targets[val_idx], matched[val_idx]
+    val_blocks = _validation_blocks(x_v, targets[val_idx], matched[val_idx])
+    del x_v
 
     head = Mlp([x_t.shape[1], *hidden_sizes, 2],
                seed=derive_seed(config.seed, "scorer.init"))
@@ -563,11 +594,14 @@ def train_scorer(pairs: Sequence[LabeledPair],
                     # all in range
                     hx = np.take(x_t, sub, axis=0, out=sub_x, mode="clip")
                     hy, hm = y_t[sub], sub_m
-            common = hyper_direction(head, params_start, params, hx, hy, hm,
-                                     x_v, y_v, m_v, config.learning_rate)
+            # the validation losses at ``params`` come from the same pass
+            common, losses = _hyper_step(head, params_start, params, hx, hy,
+                                         hm, val_blocks, config.learning_rate)
             weight = float(np.clip(weight - config.hyper_step_size * common,
                                    0.0, 1.0))
-        val_mat, val_mis = split_losses(head, params, x_v, y_v, m_v)
+        else:
+            losses = _validation_pass(head, params, val_blocks)[0]
+        val_mat, val_mis = losses
         history.append(EpochStats(epoch=epoch, val_matched_loss=val_mat,
                                   val_mismatched_loss=val_mis, weight=weight))
 

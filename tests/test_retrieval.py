@@ -15,7 +15,8 @@ from synthetic import dense_index, dense_rows, exact_search, stored_rows
 import leanrag.retrieval as retrieval_module
 from leanrag import artifacts
 from leanrag.artifacts import check_provider
-from leanrag.corpus import Corpus, QARecord, make_document
+from leanrag.corpus import (WINDOW, Corpus, QARecord, make_document,
+                            max_sentences)
 from leanrag.llm import ScriptedLlmClient
 from leanrag.recognizer import NnReferenceSet, build_nn_reference
 from leanrag.retrieval import (INDEX_FIELDS, EmbeddingProviderError,
@@ -121,7 +122,87 @@ class TestHashingEmbedder:
         want = np.stack([self.unmemoized(16, 5, text) for text in texts])
         for _ in range(2):  # the second pass reads what the memo kept
             assert embedder.embed_many(texts).tobytes() == want.tobytes()
-        assert embedder._slot.cache_info().currsize <= 3
+        assert len(embedder._slot) <= 3
+
+    def test_threads_keep_the_memo_within_its_cap(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(retrieval_module, "TOKEN_MEMO_SIZE", 8)
+            embedder = HashingEmbedder(dim=16, seed=5)
+        texts = [f"t{i} u{i} v{i}" for i in range(60)]
+        want = [self.unmemoized(16, 5, text).tobytes() for text in texts]
+        sizes, wrong = [], []
+
+        def work(offset):
+            for k in range(300):
+                i = (offset + k) % len(texts)
+                if embedder.embed_many([texts[i]])[0].tobytes() != want[i]:
+                    wrong.append(i)
+                sizes.append(len(embedder._slot))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * t,))
+                       for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(sizes) == 6 * 300 and wrong == []
+        assert max(sizes) <= 8
+
+    # "w0 w7" cancels at dim 2, seed 0; "!!" has no token
+    BATCH_PIECES = [*PIECES, "!!", "w0", "w7", "W0 w7", " ", "?"]
+
+    @pytest.mark.parametrize("dim,seed", [(2, 0), (16, 5)])
+    @given(texts=st.lists(
+        st.lists(st.sampled_from(BATCH_PIECES), min_size=1, max_size=12)
+        .map("".join).filter(str.strip), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_matches_one_text_calls(self, dim, seed, texts):
+        embedder = HashingEmbedder(dim=dim, seed=seed)
+        batch = embedder.embed_many(texts)
+        assert batch.shape == (len(texts), dim)
+        assert batch.tobytes() == np.stack(
+            [embedder.embed_many([text])[0] for text in texts]).tobytes()
+
+    @pytest.mark.parametrize("dim,seed", [(2, 0), (64, 7)])
+    def test_batch_and_one_text_calls_match_unmemoized_hashing(self, dim,
+                                                               seed):
+        # at dim 64, seed 7, the last four have counts of 3 and 5 over
+        # norms such as sqrt(12), where dividing and multiplying by the
+        # reciprocal round apart
+        texts = ["!!", "w0 w7", "Caf\u00e9 \u212a", "w0", "a b a", "\u00df!",
+                 "a a a b c d", "x x x y y y y y z", "q", "p p p p p p p r"]
+        embedder = HashingEmbedder(dim=dim, seed=seed)
+        want = np.stack([self.unmemoized(dim, seed, text) for text in texts])
+        assert embedder.embed_many(texts).tobytes() == want.tobytes()
+        for text, row in zip(texts, want):
+            assert embedder.embed_many([text]).tobytes() == row.tobytes()
+
+    def test_empty_text_in_a_batch_rejected(self, provider):
+        with pytest.raises(ValueError, match="empty"):
+            provider.embed_many(["fine", " \n", "also fine"])
+
+    def test_batch_allocates_about_its_output(self):
+        # document-like texts of about 17 tokens, at the benchmark's width
+        embedder = HashingEmbedder(dim=256, seed=0)
+        texts = [f"Title {i}. The archive holds record {i * 7} about trade "
+                 f"routes and careful note keeping by scribe {i % 13}."
+                 for i in range(1024)]
+        embedder.embed_many(texts)  # the memo holds every token from here
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = embedder.embed_many(texts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a count matrix twice as wide would alone add twice the output
+        assert peak <= 2 * out.nbytes
 
 
 class FakeResponse:
@@ -341,6 +422,34 @@ class TestStoredVectors:
         assert other.batches == [texts]
 
 
+# words and separators around the single-window test's edges: every
+# whitespace kind str.split splits at and the one str.isprintable passes
+# (the space), control and format characters, abbreviations, and
+# terminators that end no sentence
+_WORDS = ["It ran.", "Mr.", "J. Smith won!", "Why?", "3.5 kg", "...", "end",
+          "e.g.", "x"]
+_SEPARATORS = [" ", "  ", "\t", "\n", "\xa0", "\u2009", "\x1c", "\x85",
+               "\u3000", "\x00", "\u200b", ""]
+
+
+def window_texts():
+    """Texts of 0 to WINDOW + 3 words, each followed by a separator, with
+    optional leading and trailing whitespace."""
+    edge = st.sampled_from(["", " ", "  ", "\t", "\xa0"])
+    return st.integers(0, WINDOW + 3).flatmap(lambda k: st.tuples(
+        edge, st.lists(st.sampled_from(_WORDS), min_size=k, max_size=k),
+        st.lists(st.sampled_from(_SEPARATORS), min_size=k, max_size=k),
+        edge)).map(lambda parts: parts[0] + "".join(
+            map(str.__add__, parts[1], parts[2])) + parts[3])
+
+
+def full_window_test(text):
+    """Whether ``text`` is a single-spaced text of at most WINDOW
+    sentences, tested as the index once did for every document."""
+    return not (max_sentences(text) > WINDOW
+                or " ".join(text.split()) != text)
+
+
 def long_corpus():
     """Titled and untitled documents of 5 and 6 sentences, one repeating
     another's window, and one of 2 sentences."""
@@ -423,6 +532,34 @@ class TestWindowRows:
         assert index.embed_many(recording, ["One. Two. Three."]).tobytes() \
             == provider.embed_many(["One. Two. Three."]).tobytes()
         assert recording.batches == []
+
+    @given(window_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_one_window_test_matches_the_full_test(self, text):
+        assert retrieval_module._one_window(text) == full_window_test(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "One.", "One. Two. Three.", "One. Two. Three. Four.",
+        "One. Two. Three", "One. Two. Three. Four", " One.", "One. ",
+        "One.  Two.", "One.\tTwo.", "One.\xa0Two.", "One.\u2009Two.",
+        "One.\x1cTwo.", "3.5 kg. 2.5 kg. 1.5 kg. 0.5 kg",
+        "Mr. A. Mr. B. Mr. C.",
+        "Why? Why! Why. Why"])
+    def test_one_window_test_at_its_edges(self, text):
+        assert retrieval_module._one_window(text) == full_window_test(text)
+
+    @given(st.lists(window_texts().filter(str.strip), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_index_rows_as_with_the_full_test(self, texts):
+        corpus = Corpus([make_document(f"d{i}", "T" if i % 2 else "", text)
+                         for i, text in enumerate(texts)])
+        provider = HashingEmbedder(dim=16, seed=3)
+        got = build_index(corpus, provider)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(retrieval_module, "_one_window", full_window_test)
+            want = build_index(corpus, provider)
+        for name, array in want.rows.arrays().items():
+            assert getattr(got.rows, name).tobytes() == array.tobytes()
 
     def test_document_edited_after_indexing_embedded_afresh(self, provider):
         index = build_index(long_corpus(), provider)
