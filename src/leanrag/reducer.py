@@ -43,9 +43,6 @@ DETECTOR_BATCH_SIZE = 32
 # detector data drops a sampled combination whose member set overlaps an
 # already-kept one by more than this Jaccard similarity
 MAX_OVERLAP = 0.8
-# draws compared at once against all others, so that the comparison holds
-# DRAW_BLOCK x draws floats, not draws x draws
-DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -324,36 +321,26 @@ def load_detector_dataset(path: str | Path) -> list[DetectorExample]:
                    arrays["features"], meta["labels"], arrays["means"])]
 
 
-def jaccard(a: frozenset, b: frozenset) -> float:
-    """|a & b| / |a | b| of two sets, 1.0 when both are empty."""
-    union = len(a | b)
-    return len(a & b) / union if union else 1.0
+def jaccard(a: frozenset | int, b: frozenset | int) -> float:
+    """|a & b| / |a | b| (1.0 when both are empty) of two sets, given as
+    frozensets or as int bitmasks (bit i set for member i)."""
+    size = int.bit_count if isinstance(a, int) else len
+    union = size(a | b)
+    return size(a & b) / union if union else 1.0
 
 
 def distinct_draws(draws: Sequence[np.ndarray]) -> list[int]:
     """The indices of the draws kept, in order: each draw (distinct row
     numbers) is kept unless its Jaccard similarity with an already-kept one
-    exceeds ``MAX_OVERLAP``. Each block of ``DRAW_BLOCK`` draws gets its
-    intersection sizes with every draw from one product of the draws'
-    membership matrix, and each draw is then tested against all kept draws
-    in one array operation."""
-    n = len(draws)
-    rows = np.concatenate([np.zeros(0, np.intp), *draws], dtype=np.intp)
-    member = np.zeros((n, rows.max() + 1 if len(rows) else 0))
-    member[np.repeat(np.arange(n), [len(d) for d in draws]), rows] = 1.0
-    sizes = member.sum(axis=1)
-    kept = np.zeros(n)
-    for start in range(0, n, DRAW_BLOCK):
-        # whole numbers, so the product and the quotients are jaccard's
-        shared = member[start:start + DRAW_BLOCK] @ member.T
-        union = sizes[start:start + DRAW_BLOCK, None] + sizes - shared
-        # 1.0 where two draws are too alike; two empty draws are alike
-        close = (np.divide(shared, union, out=np.ones_like(shared),
-                           where=union > 0) > MAX_OVERLAP).astype(np.float64)
-        for i, row in enumerate(close, start):
-            if not row @ kept:
-                kept[i] = 1.0
-    return np.flatnonzero(kept).tolist()
+    exceeds ``MAX_OVERLAP``; sets are compared as bitmasks."""
+    kept: list[int] = []
+    masks: list[int] = []
+    for i, rows in enumerate(draws):
+        mask = sum(1 << row for row in rows.tolist())
+        if all(jaccard(mask, seen) <= MAX_OVERLAP for seen in masks):
+            kept.append(i)
+            masks.append(mask)
+    return kept
 
 
 def skyline_filter(scored: Sequence[tuple[float, float]]) -> list[int]:
