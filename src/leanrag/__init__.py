@@ -18,7 +18,7 @@ from .recognizer import (Decision, NnReferenceSet, RecognizerConfig,
                          RecognizerVerdict, build_nn_reference, decide,
                          long_tail_score, neighbor_score)
 from .reducer import (DetectorModel, DetectorTrainConfig, SubDocCombination,
-                      build_detector_dataset, greedy_filter, prerank, reduce,
+                      build_detector_dataset, prerank, reduce,
                       representative_subdocs, rerank_topk, train_detector)
 from .retrieval import (HashingEmbedder, RemoteEmbedder, RetrievedDoc,
                         Retriever, VectorIndex, build_index, recall_at_k)

@@ -11,6 +11,7 @@ same bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
@@ -60,6 +61,8 @@ FINGERPRINT = Check(lambda v: v is None or isinstance(v, str),
                     "a string or null")
 STRINGS = Check(_list_of(str), "a list of strings")
 FLAGS = Check(_list_of(bool), "a list of booleans")
+LABELS = Check(lambda v: _list_of(int)(v) and set(v) <= {0, 1},
+               "a list of 0s and 1s")
 
 
 class _Fields(dict):
@@ -130,6 +133,19 @@ def load(path: str | Path, kind: str,
         if handle.read(1):
             raise IndexIntegrityError(f"{path}: data after the last array")
     return header, arrays
+
+
+def loader(load: Callable) -> Callable:
+    """``load(path)`` or ``load(cls, path)``, any ``ValueError`` it raises
+    raised as ``IndexIntegrityError`` naming the file."""
+    @functools.wraps(load)
+    def checked(*args, **kwargs):
+        try:
+            return load(*args, **kwargs)
+        except ValueError as exc:
+            path = [*args, *kwargs.values()][-1]
+            raise IndexIntegrityError(f"{path}: {exc}") from exc
+    return checked
 
 
 def check_provider(name: str, fingerprint: str | None, dim: int,

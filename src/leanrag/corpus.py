@@ -156,9 +156,6 @@ class Corpus:
     def __iter__(self) -> Iterator[Document]:
         return iter(self._docs.values())
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._docs
-
     def get(self, doc_id: str) -> Document:
         return self._docs[doc_id]
 

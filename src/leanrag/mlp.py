@@ -6,15 +6,14 @@ checks and optimizer code stay trivial.
 
 Every training gradient and loss comes from one routine, ``Backprop``: the
 forward and backward pass of one net at one parameter vector.
-``weighted_bce``, ``sgd_step``, ``sgd_epoch`` and the scorer's hypergradient
-and held-out losses all run it. A ``Backprop`` holds the layer views of its
-vector, their transposes, and every activation, delta and gradient buffer,
-allocated once when it is built (by ``sgd_epoch``, once per epoch) for
-batches of up to ``rows`` rows; a step writes into them and allocates only
-the sigmoid's few small arrays. ``sgd_epoch`` and ``sgd_step`` update a copy
-of their input parameters in place and return it; the input is never
-written. Every result is bit-identical to summing each gradient product into
-zeros and taking ``params - learning_rate * grad`` at each step.
+``weighted_bce``, ``sgd_epoch`` and the scorer's hypergradient and held-out
+losses all run it. A ``Backprop`` holds the layer views of its vector, their
+transposes, and every activation, delta and gradient buffer, allocated once
+when it is built (by ``sgd_epoch``, once per epoch) for batches of up to
+``rows`` rows; a ``step`` writes into them and allocates only the sigmoid's
+few small arrays. ``sgd_epoch`` updates a copy of its input parameters in
+place and returns it. Every result is bit-identical to summing each gradient
+product into zeros and taking ``params - learning_rate * grad`` each step.
 """
 
 from __future__ import annotations
@@ -119,8 +118,7 @@ class Mlp:
             layers.append((w, b))
         return layers
 
-    def forward_logits(self, inputs: np.ndarray,
-                       params: np.ndarray | None = None, *,
+    def forward_logits(self, inputs: np.ndarray, *,
                        preactivated: bool = False) -> np.ndarray:
         """Logits, one row per input row. Each row goes through its own
         vector-matrix products, so its logits are bit-identical whatever
@@ -131,7 +129,7 @@ class Mlp:
         same contract. (``ScorerModel.score_arrays`` passes W_q q + W_d d + b,
         which is within rounding of W x + b, not bit-equal to it.)"""
         x = np.atleast_2d(inputs)[:, None, :]
-        layers = self._layers if params is None else self._unpack(params)
+        layers = self._layers
         if not preactivated:
             w, b = layers[0]
             x = x @ w.T + b
@@ -139,9 +137,8 @@ class Mlp:
             x = np.tanh(x) @ w.T + b
         return x[:, 0, :]
 
-    def probabilities(self, inputs: np.ndarray,
-                      params: np.ndarray | None = None) -> np.ndarray:
-        return sigmoid(self.forward_logits(inputs, params))
+    def probabilities(self, inputs: np.ndarray) -> np.ndarray:
+        return sigmoid(self.forward_logits(inputs))
 
     def weighted_bce(self, params: np.ndarray, inputs: np.ndarray,
                      targets: np.ndarray, sample_weights: np.ndarray,
@@ -246,17 +243,6 @@ class Backprop:
             raise TrainingError("non-finite gradient")
         grad *= learning_rate
         self.params -= grad
-
-
-def sgd_step(net: Mlp, params: np.ndarray, inputs: np.ndarray,
-             targets: np.ndarray, sample_weights: np.ndarray,
-             learning_rate: float) -> np.ndarray:
-    """One gradient-descent step on the batch's weighted BCE, normalized by
-    the batch size, as new parameters."""
-    x, y, sw = _as_batch(inputs, targets, sample_weights)
-    work = Backprop(net, np.array(params, dtype=np.float64), len(x))
-    work.step(x, y, sw, learning_rate)
-    return work.params
 
 
 def sgd_epoch(net: Mlp, params: np.ndarray, inputs: np.ndarray,

@@ -34,10 +34,9 @@ from .recognizer import (Decision, NnReferenceSet, RecognizerConfig,
 from .reducer import (DetectorModel, ScoredSubDoc, SubDocCombination,
                       make_combination, reduce, rerank_topk)
 from .retrieval import (INDEX_FIELDS, EmbeddingProviderError, HashingEmbedder,
-                        IndexIntegrityError, RemoteEmbedder, RetrievedDoc,
-                        Retriever, VectorIndex)
-from .scorer import (BiLabelScore, ScoredCandidates, ScorerModel,
-                     score_candidates)
+                        IndexIntegrityError, RemoteEmbedder, Retriever,
+                        VectorIndex)
+from .scorer import ScoredCandidates, ScorerModel, score_candidates
 from .seeds import stable_hash
 
 logger = logging.getLogger(__name__)
@@ -261,8 +260,8 @@ class AnswerTrace:
     correct: bool | None
     timings: dict[str, float]
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        data = {
+    def to_dict(self) -> dict:
+        return {
             "question_id": self.question_id,
             "question": self.question,
             "verdict": {
@@ -277,10 +276,8 @@ class AnswerTrace:
             "prompt_tokens": self.prompt_tokens,
             "response_text": self.response_text,
             "correct": self.correct,
+            "timings": self.timings,
         }
-        if include_timings:
-            data["timings"] = self.timings
-        return data
 
 
 def _answer_with_details(qa: QARecord | str, ctx: PipelineContext,
@@ -367,7 +364,7 @@ def answer_question(qa: QARecord | str, ctx: PipelineContext,
     return trace
 
 
-def _ordered_rows(scored: ScoredCandidates, ordering: str) -> np.ndarray:
+def ordered_rows(scored: ScoredCandidates, ordering: str) -> np.ndarray:
     """The rows of ``scored`` in one of ``SCORE_ORDERINGS``: rank order, or
     one score descending with ties in rank order (a stable sort)."""
     if ordering == "similarity":
@@ -380,14 +377,6 @@ def _ordered_rows(scored: ScoredCandidates, ordering: str) -> np.ndarray:
     return np.argsort(-columns[ordering], kind="stable")
 
 
-def ordered_docs(scored: ScoredCandidates
-                 | Sequence[tuple[RetrievedDoc, BiLabelScore]],
-                 ordering: str) -> list[RetrievedDoc]:
-    scored = ScoredCandidates.of(scored)
-    return [scored.candidates[row]
-            for row in _ordered_rows(scored, ordering).tolist()]
-
-
 def _answer_positions(scored: ScoredCandidates,
                       gold_answers: Iterable[str]) -> list[float]:
     """Per ordering of ``SCORE_ORDERINGS``, the position of its first
@@ -396,7 +385,7 @@ def _answer_positions(scored: ScoredCandidates,
     contains = functools.cache(lambda row: contains_answer(
         scored.candidates.docs[row].text, gold_answers))
     return [next((position for position, row in enumerate(
-                  _ordered_rows(scored, ordering).tolist()) if contains(row)),
+                  ordered_rows(scored, ordering).tolist()) if contains(row)),
                  math.inf)
             for ordering in SCORE_ORDERINGS]
 
@@ -417,23 +406,11 @@ class EvalReport:
     sub_reports: dict[str, "EvalReport"] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        data = {
-            "accuracy": self.accuracy,
-            "mean_prompt_tokens": self.mean_prompt_tokens,
-            "recall": self.recall,
-            "retrieval_skip_rate": self.retrieval_skip_rate,
-            "n_questions": self.n_questions,
-            "n_excluded": self.n_excluded,
-            "excluded_question_ids": self.excluded_question_ids,
-            "ablations": self.ablations,
-            "template": self.template,
-            "seed": self.seed,
-            "per_question": self.per_question,
-        }
-        if self.sub_reports:
-            data["sub_reports"] = {name: report.to_dict()
-                                   for name, report in self.sub_reports.items()}
-        return data
+        """Every field, nested reports included; ``sub_reports`` only when
+        there are any."""
+        return asdict(self, dict_factory=lambda items: {
+            name: value for name, value in items
+            if name != "sub_reports" or value})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

@@ -101,17 +101,14 @@ class NnReferenceSet:
         }, self.rows.arrays())
 
     @classmethod
+    @artifacts.loader
     def load(cls, path: str | Path) -> "NnReferenceSet":
         meta, arrays = artifacts.load(
             path, "nnref", question_ids=artifacts.STRINGS,
             correct=artifacts.FLAGS,
             provider_fingerprint=artifacts.FINGERPRINT)
-        try:
-            return cls(meta["question_ids"],
-                       SparseRows.load(path, meta, arrays), meta["correct"],
-                       meta["provider_fingerprint"])
-        except ValueError as exc:
-            raise artifacts.IndexIntegrityError(f"{path}: {exc}") from exc
+        return cls(meta["question_ids"], SparseRows.load(meta, arrays),
+                   meta["correct"], meta["provider_fingerprint"])
 
 
 def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,

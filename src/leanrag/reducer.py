@@ -10,9 +10,9 @@ pairs in order, zero-padded to a fixed width.
 ``reduce`` runs on score arrays: one stable sort picks the top documents,
 ``score_windows`` scores all their windows in one forward pass, the best
 window per document and the prerank order are index computations, and the
-detector walks the preranked (p_ans, p_pref) rows. Objects are built only
-for the accepted prefix; the object forms (``rerank_topk``, ``prerank``,
-``greedy_filter``, ...) call the same functions.
+detector walks the preranked (p_ans, p_pref) rows with ``accepted_size``,
+the one stop rule. Objects are built only for the accepted prefix; the
+object forms (``rerank_topk``, ``prerank``, ...) call the same functions.
 """
 
 from __future__ import annotations
@@ -157,13 +157,10 @@ def rerank_topk(scored: ScoredCandidates
 
 
 def representative_subdocs(docs: Sequence[RerankedDoc], scorer: ScorerModel,
-                           question: str,
-                           question_embedding: np.ndarray | None = None
-                           ) -> list[ScoredSubDoc]:
+                           question: str) -> list[ScoredSubDoc]:
     """Each document's window of highest combined score (the earliest wins
     ties); ``docs`` in rerank order, as ``rerank_topk`` returns them."""
-    windows = score_windows([d.doc for d in docs], scorer, question,
-                            question_embedding)
+    windows = score_windows([d.doc for d in docs], scorer, question)
     return windows.members(windows.best_rows())
 
 
@@ -236,24 +233,24 @@ class DetectorModel:
         }, {"params": self.net.get_params()})
 
     @classmethod
+    @artifacts.loader
     def load(cls, path: str | Path) -> "DetectorModel":
         meta, arrays = artifacts.load(
             path, "detector", layer_sizes=DETECTOR_SIZES,
             max_docs=artifacts.POSITIVE, threshold=artifacts.FRACTION,
             seed=artifacts.COUNT)
-        try:
-            net = Mlp(meta["layer_sizes"], seed=meta["seed"],
-                      params=arrays["params"])
-            return cls(max_docs=meta["max_docs"], seed=meta["seed"],
-                       threshold=meta["threshold"], net=net)
-        except ValueError as exc:
-            raise artifacts.IndexIntegrityError(f"{path}: {exc}") from exc
+        net = Mlp(meta["layer_sizes"], seed=meta["seed"],
+                  params=arrays["params"])
+        return cls(max_docs=meta["max_docs"], seed=meta["seed"],
+                   threshold=meta["threshold"], net=net)
 
 
 # one output unit, the probability that the combination suffices
 DETECTOR_SIZES = artifacts.Check(
     lambda sizes: artifacts.LAYER_SIZES.valid(sizes) and sizes[-1] == 1,
     "a list of at least two ints >= 1, the last 1")
+MEMBER_IDS = artifacts.Check(lambda ids: isinstance(ids, list) and all(
+    map(artifacts.STRINGS.valid, ids)), "a list of lists of strings")
 
 
 def accepted_size(pairs, detector: Detector) -> int:
@@ -267,15 +264,6 @@ def accepted_size(pairs, detector: Detector) -> int:
     n = min(len(pairs), detector.max_docs)
     return next((size for size in range(1, n + 1) if detector.predict(
         detector_features(pairs[:size], detector.max_docs))[0]), n)
-
-
-def greedy_filter(sorted_subdocs: Sequence[ScoredSubDoc],
-                  detector: Detector) -> SubDocCombination:
-    """The first prefix of ``sorted_subdocs`` that ``accepted_size``
-    accepts."""
-    size = accepted_size([(s.score.p_ans, s.score.p_pref)
-                          for s in sorted_subdocs], detector)
-    return make_combination(sorted_subdocs[:size])
 
 
 def reduce(question: str, scored_top: ScoredCandidates, scorer: ScorerModel,
@@ -312,13 +300,17 @@ def save_detector_dataset(examples: Sequence[DetectorExample],
         "means": [(ex.mean_ans, ex.mean_pref) for ex in examples]})
 
 
+@artifacts.loader
 def load_detector_dataset(path: str | Path) -> list[DetectorExample]:
-    meta, arrays = artifacts.load(path, "detector-data")
+    meta, arrays = artifacts.load(
+        path, "detector-data", question_ids=artifacts.STRINGS,
+        member_subdoc_ids=MEMBER_IDS, labels=artifacts.LABELS)
     return [DetectorExample(qid, tuple(ids), features, label,
                             float(mean_ans), float(mean_pref))
             for qid, ids, features, label, (mean_ans, mean_pref)
             in zip(meta["question_ids"], meta["member_subdoc_ids"],
-                   arrays["features"], meta["labels"], arrays["means"])]
+                   arrays["features"], meta["labels"], arrays["means"],
+                   strict=True)]
 
 
 def jaccard(a: frozenset | int, b: frozenset | int) -> float:

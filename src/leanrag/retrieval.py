@@ -324,14 +324,13 @@ class SparseRows:
                    np.concatenate(columns), np.concatenate(values), dim)
 
     @classmethod
-    def load(cls, path: str | Path, meta: dict,
-             arrays: dict[str, np.ndarray]) -> "SparseRows":
+    def load(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "SparseRows":
         """The rows of a file that ``arrays`` and the header ``meta`` (its
         ``dim``) were loaded from; a file with other arrays is in an older
-        layout."""
+        layout, a ``ValueError``."""
         if set(arrays) != set(cls.ARRAYS):
-            raise IndexIntegrityError(
-                f"{path}: {meta['format']} is in an older layout; rebuild it")
+            raise ValueError(
+                f"{meta['format']} is in an older layout; rebuild it")
         return cls(*(arrays[name] for name in cls.ARRAYS), meta["dim"])
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -566,13 +565,11 @@ class VectorIndex:
                         "dim": self.dim}, self.rows.arrays())
 
     @classmethod
+    @artifacts.loader
     def load(cls, path: str | Path) -> "VectorIndex":
         meta, arrays = artifacts.load(path, "index")
-        try:
-            return cls(meta["doc_ids"], SparseRows.load(path, meta, arrays),
-                       meta["provider_fingerprint"], meta["titled"])
-        except ValueError as exc:
-            raise IndexIntegrityError(f"{path}: {exc}") from exc
+        return cls(meta["doc_ids"], SparseRows.load(meta, arrays),
+                   meta["provider_fingerprint"], meta["titled"])
 
 
 def _top(sims: np.ndarray, k: int) -> np.ndarray:

@@ -170,15 +170,17 @@ class TrainingSet:
         }, {"features": [p.features for p in self.pairs]})
 
     @classmethod
+    @artifacts.loader
     def load(cls, path: str | Path) -> "TrainingSet":
-        meta, arrays = artifacts.load(path, "training-set")
-        labels = [BiLabel(a, p)
-                  for a, p in zip(meta["has_answer"], meta["llm_prefer"])]
+        meta, arrays = artifacts.load(
+            path, "training-set", question_ids=artifacts.STRINGS,
+            doc_ids=artifacts.STRINGS, has_answer=artifacts.LABELS,
+            llm_prefer=artifacts.LABELS)
         return cls(pairs=[
-            LabeledPair(question_id=q, doc_id=d, features=f, label=label,
-                        matched=label.matched)
-            for q, d, f, label in zip(meta["question_ids"], meta["doc_ids"],
-                                      arrays["features"], labels)])
+            LabeledPair(q, d, f, BiLabel(a, p), matched=a == p)
+            for q, d, f, a, p in zip(
+                meta["question_ids"], meta["doc_ids"], arrays["features"],
+                meta["has_answer"], meta["llm_prefer"], strict=True)])
 
 
 def pair_features(provider: EmbeddingProvider, question: str,
@@ -245,9 +247,9 @@ def match_weights(matched: np.ndarray, weight: float) -> np.ndarray:
     return np.where(matched, weight, 1.0 - weight)
 
 
-def _validation_blocks(features: np.ndarray, targets: np.ndarray,
-                       matched: np.ndarray
-                       ) -> list[tuple[np.ndarray, np.ndarray]]:
+def validation_blocks(features: np.ndarray, targets: np.ndarray,
+                      matched: np.ndarray
+                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(features, targets) of the matched, then of the mismatched
     validation rows, each class copied out once."""
     blocks = []
@@ -258,56 +260,33 @@ def _validation_blocks(features: np.ndarray, targets: np.ndarray,
     return blocks
 
 
-def split_losses(head: Mlp, params: np.ndarray, features: np.ndarray,
-                 targets: np.ndarray, matched: np.ndarray):
-    """Validation losses per split, each normalized by its own split size
-    (forward passes only)."""
-    mat, mis = _validation_pass(
-        head, params, _validation_blocks(features, targets, matched))[0]
-    return mat, mis
-
-
 def hyper_direction(head: Mlp, params_before: np.ndarray,
                     params_after: np.ndarray, train_features: np.ndarray,
                     train_targets: np.ndarray, train_matched: np.ndarray,
-                    val_features: np.ndarray, val_targets: np.ndarray,
-                    val_matched: np.ndarray,
-                    learning_rate: float) -> float:
-    """Common descent direction of the balance weight: the mean over the two
-    validation splits of each split loss's derivative with respect to the
-    weight, following the parameter update one step back.
+                    val_blocks: list[tuple[np.ndarray, np.ndarray]],
+                    learning_rate: float) -> tuple[float, list[float]]:
+    """Common descent direction of the balance weight, the mean over the two
+    ``validation_blocks`` of each block loss's derivative with respect to
+    the weight through the update, and the blocks' losses at ``params_after``.
 
     The update moves parameters by -lr * (w * g_mat + (1-w) * g_mis), so the
     chain rule gives d loss_v / dw = -lr * grad_v(after) . (g_mat - g_mis),
     where g_mat/g_mis are the per-split training gradients (normalized by the
     full training-set size) at the pre-update parameters.
     """
-    return _hyper_step(head, params_before, params_after, train_features,
-                       train_targets, train_matched,
-                       _validation_blocks(val_features, val_targets,
-                                          val_matched), learning_rate)[0]
-
-
-def _hyper_step(head: Mlp, params_before: np.ndarray,
-                params_after: np.ndarray, train_features: np.ndarray,
-                train_targets: np.ndarray, train_matched: np.ndarray,
-                val_blocks: list[tuple[np.ndarray, np.ndarray]],
-                learning_rate: float) -> tuple[float, list[float]]:
-    """``hyper_direction`` over the ``_validation_blocks``, and the blocks'
-    losses at ``params_after``, which its validation pass computes."""
     if not train_matched.any() or train_matched.all():
         raise ImbalanceDegenerateError("training data is single-class")
     diff = _split_gradient_gap(head, params_before, train_features,
                                train_targets, train_matched)
-    losses, dots = _validation_pass(head, params_after, val_blocks, diff)
+    losses, dots = validation_pass(head, params_after, val_blocks, diff)
     d_mat, d_mis = (-learning_rate * dot for dot in dots)
     return (d_mat + d_mis) / 2.0, losses
 
 
-def _validation_pass(head: Mlp, params: np.ndarray,
-                     blocks: list[tuple[np.ndarray, np.ndarray]],
-                     diff: np.ndarray | None = None
-                     ) -> tuple[list[float], list[float]]:
+def validation_pass(head: Mlp, params: np.ndarray,
+                    blocks: list[tuple[np.ndarray, np.ndarray]],
+                    diff: np.ndarray | None = None
+                    ) -> tuple[list[float], list[float]]:
     """Each block's loss at ``params``, normalized by its size, and, given
     ``diff``, the gradient of that loss dotted with ``diff``."""
     work = Backprop(head, params, max(len(x) for x, _ in blocks))
@@ -491,6 +470,7 @@ class ScorerModel:
         }, {"params": self.head.get_params()})
 
     @classmethod
+    @artifacts.loader
     def load(cls, path: str | Path) -> "ScorerModel":
         """The saved model, with no provider attached; ``load_pipeline``
         checks its fingerprint and attaches one."""
@@ -498,11 +478,8 @@ class ScorerModel:
             path, "scorer", layer_sizes=SCORER_SIZES,
             balance_weight=artifacts.FRACTION, seed=artifacts.COUNT,
             provider_fingerprint=artifacts.FINGERPRINT)
-        try:
-            head = Mlp(meta["layer_sizes"], seed=meta["seed"],
-                       params=arrays["params"])
-        except ValueError as exc:
-            raise artifacts.IndexIntegrityError(f"{path}: {exc}") from exc
+        head = Mlp(meta["layer_sizes"], seed=meta["seed"],
+                   params=arrays["params"])
         return cls(head=head, balance_weight=meta["balance_weight"],
                    seed=meta["seed"],
                    provider_fingerprint=meta["provider_fingerprint"])
@@ -564,7 +541,7 @@ def train_scorer(pairs: Sequence[LabeledPair],
     x_t, x_v = (np.stack([pairs[i].features for i in idx], dtype=np.float64)
                 for idx in (train_idx, val_idx))
     y_t, m_t = targets[train_idx], matched[train_idx]
-    val_blocks = _validation_blocks(x_v, targets[val_idx], matched[val_idx])
+    val_blocks = validation_blocks(x_v, targets[val_idx], matched[val_idx])
     del x_v
 
     head = Mlp([x_t.shape[1], *hidden_sizes, 2],
@@ -595,12 +572,13 @@ def train_scorer(pairs: Sequence[LabeledPair],
                     hx = np.take(x_t, sub, axis=0, out=sub_x, mode="clip")
                     hy, hm = y_t[sub], sub_m
             # the validation losses at ``params`` come from the same pass
-            common, losses = _hyper_step(head, params_start, params, hx, hy,
-                                         hm, val_blocks, config.learning_rate)
+            common, losses = hyper_direction(
+                head, params_start, params, hx, hy, hm, val_blocks,
+                config.learning_rate)
             weight = float(np.clip(weight - config.hyper_step_size * common,
                                    0.0, 1.0))
         else:
-            losses = _validation_pass(head, params, val_blocks)[0]
+            losses = validation_pass(head, params, val_blocks)[0]
         val_mat, val_mis = losses
         history.append(EpochStats(epoch=epoch, val_matched_loss=val_mat,
                                   val_mismatched_loss=val_mis, weight=weight))

@@ -16,7 +16,8 @@ index and an NN reference from one; ``dense_rows`` fills the rows back.
 ``exact_search`` is the index's documented ranking computed one row at a
 time in plain Python, the oracle for ``VectorIndex.search``;
 ``loop_split_sentences`` is the character-by-character splitter that
-``split_sentences`` replaced, its oracle.
+``split_sentences`` replaced, its oracle. ``backprop_step`` takes one
+``Backprop.step``, the step ``sgd_epoch`` takes per batch.
 
 Everything is seeded; rebuilding with the same arguments gives identical
 objects.
@@ -32,6 +33,7 @@ from leanrag.corpus import (Corpus, QARecord, _is_guarded_period,
                             contains_answer, generate_subdocuments,
                             make_document)
 from leanrag.llm import ScriptedLlmClient, build_retrieve_prompt, is_correct
+from leanrag.mlp import Backprop
 from leanrag.reducer import (DetectorExample, ScoredSubDoc,
                              combination_features, prerank, rerank_topk,
                              representative_subdocs)
@@ -131,6 +133,14 @@ def loop_split_sentences(text):
         if end > span_start:
             spans.append((span_start, end))
     return spans
+
+
+def backprop_step(net, params, x, y, weights, learning_rate):
+    """The parameters after one ``Backprop.step`` on the batch; ``params``
+    is not written."""
+    work = Backprop(net, np.array(params, dtype=np.float64), len(x))
+    work.step(x, y, weights, learning_rate)
+    return work.params
 
 
 def _filler_sentence(rng, vocab=None, n=8) -> str:

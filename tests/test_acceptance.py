@@ -8,22 +8,25 @@ import time
 import numpy as np
 import pytest
 
-from synthetic import (dense_reference, imbalanced_feature_pairs,
-                       planted_corpus, prefix_detector_examples,
-                       redundant_corpus, scored_subdoc,
-                       trained_redundant_setup, window_training_pairs)
+from synthetic import (backprop_step, dense_reference,
+                       imbalanced_feature_pairs, planted_corpus,
+                       prefix_detector_examples, redundant_corpus,
+                       scored_subdoc, trained_redundant_setup,
+                       window_training_pairs)
 
 from leanrag.llm import build_noretrieve_prompt
-from leanrag.mlp import Mlp, sgd_step
-from leanrag.pipeline import PipelineContext, evaluate, ordered_docs
+from leanrag.mlp import Mlp
+from leanrag.pipeline import PipelineContext, evaluate, ordered_rows
 from leanrag.recognizer import Decision, RecognizerConfig, decide
 from leanrag.reducer import (DetectorExample, DetectorModel,
-                             DetectorTrainConfig, build_detector_dataset,
-                             combination_features, greedy_filter, jaccard,
-                             skyline_filter, train_detector)
+                             DetectorTrainConfig, accepted_size,
+                             build_detector_dataset, combination_features,
+                             jaccard, make_combination, skyline_filter,
+                             train_detector)
 from leanrag.retrieval import HashingEmbedder, Retriever, build_index, recall_at_k
 from leanrag.scorer import (TrainConfig, build_training_set, hyper_direction,
-                            match_weights, split_losses, train_scorer)
+                            match_weights, score_candidates, train_scorer,
+                            validation_blocks, validation_pass)
 from leanrag.seeds import derive_rng
 
 
@@ -106,13 +109,14 @@ def test_criterion_1_gradient_correctness():
     yv[1] = [0, 1]
     mv = yv[:, 0] == yv[:, 1]
     lr = 0.05
-    after = sgd_step(head, params, x, y, weights, lr)
-    common = hyper_direction(head, params, after, x, y, matched,
-                             xv, yv, mv, lr)
+    blocks = validation_blocks(xv, yv, mv)
+    after = backprop_step(head, params, x, y, weights, lr)
+    common, _ = hyper_direction(head, params, after, x, y, matched, blocks,
+                                lr)
 
     def objective(w):
-        stepped = sgd_step(head, params, x, y, match_weights(matched, w), lr)
-        mat, mis = split_losses(head, stepped, xv, yv, mv)
+        mat, mis = validation_pass(head, backprop_step(
+            head, params, x, y, match_weights(matched, w), lr), blocks)[0]
         return 0.5 * (mat + mis)
 
     delta = 1e-4
@@ -187,18 +191,19 @@ def test_criterion_3_reranking_efficacy():
         seed=9), hidden_sizes=(48, 24), provider=provider)
     scorer = result.model
 
-    scored_by_question = {}
-    for q in qa:
-        results = retriever.retrieve(q.question, 100)
-        scored_by_question[q.question_id] = [
-            (r, scorer.score(q.question, r.doc.text)) for r in results]
+    scored_by_question = {
+        q.question_id: score_candidates(scorer, q.question,
+                                        retriever.retrieve(q.question, 100))
+        for q in qa}
 
     def mean_recall(ordering, k, subset=None):
         total, count = 0.0, 0
         for q in qa:
             if subset is not None and q.question_id not in subset:
                 continue
-            docs = ordered_docs(scored_by_question[q.question_id], ordering)
+            scored = scored_by_question[q.question_id]
+            docs = [scored.candidates[row]
+                    for row in ordered_rows(scored, ordering).tolist()]
             total += recall_at_k(docs, q.gold_answers, min(k, len(docs)))
             count += 1
         return total / count
@@ -267,7 +272,8 @@ def test_criterion_5_greedy_filter_minimality():
                               float(rng.random())) for i in range(n)]
         detector = DetectorModel(max_docs=6, hidden_sizes=(8, 6),
                                  seed=int(rng.integers(0, 100_000)))
-        combination = greedy_filter(subs, detector)
+        combination = make_combination(subs[:accepted_size(
+            [(s.score.p_ans, s.score.p_pref) for s in subs], detector)])
         accepted_sizes = [
             size for size in range(1, n + 1)
             if detector.predict(combination_features(subs[:size], 6))[0] == 1

@@ -375,6 +375,13 @@ BAD_FIELDS = [
     ("nn_reference", "correct", [1, 0, 1, 0, 1]),
     ("nn_reference", "question_ids", [0, 1, 2, 3, 4]),
     ("nn_reference", "provider_fingerprint", ["fp"]),
+    ("training_set", "question_ids", 5),
+    ("training_set", "doc_ids", ["d0", "d1", 2]),
+    ("training_set", "has_answer", [1, 0, 7]),
+    ("training_set", "llm_prefer", [True, True, False]),
+    ("detector_data", "question_ids", 5),
+    ("detector_data", "member_subdoc_ids", [["s0"], ["s0", 1], ["s0"]]),
+    ("detector_data", "labels", [0, 7, 0]),
 ]
 
 
@@ -387,6 +394,26 @@ def test_bad_header_field_rejected(kind, name, value, tmp_path):
     with pytest.raises(IndexIntegrityError,
                        match=re.escape(f"{path}: header field '{name}'")):
         load_kind(path)
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("training_set", "question_ids"), ("training_set", "doc_ids"),
+    ("training_set", "has_answer"), ("training_set", "llm_prefer"),
+    ("detector_data", "question_ids"), ("detector_data", "member_subdoc_ids"),
+    ("detector_data", "labels")])
+def test_header_list_one_short_rejected(kind, name, tmp_path):
+    """A list one entry shorter than the others fails the load, naming the
+    file (given by position or by name), where pairing rows through a
+    plain zip loaded the file short."""
+    make, save, load_kind, _ = KINDS[kind]
+    path = tmp_path / kind
+    save(make(), path)
+    fields = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    rewrite_header(path, **{name: fields[name][:-1]})
+    with pytest.raises(IndexIntegrityError, match=re.escape(f"{path}: ")):
+        load_kind(path)
+    with pytest.raises(IndexIntegrityError, match=re.escape(f"{path}: ")):
+        load_kind(path=path)
 
 
 @pytest.mark.parametrize("kind", ["scorer", "detector"])

@@ -1,9 +1,18 @@
-"""Every module of the package reads each name it imports.
+"""Every module of the package reads each name it imports, and the
+library or the benchmark reads every function and class the package
+defines at module level.
 
 A name counts as read when a later expression (a quoted annotation
 included) names it. ``__future__`` imports, ``__init__.py`` (whose imports
 are the package's re-exports) and an import statement whose first line is
 marked ``# noqa: F401`` are exempt, as flake8 exempts them.
+
+A module-level definition counts as used when a module of the package
+other than ``__init__.py``, or a ``benchmarks/*.py`` file, reads its name:
+as a name, an attribute, an imported name or a string constant (the
+benchmark patches some by their names), docstrings left out. One that only
+tests read is a second copy of what the library runs, so the tests would
+check code that nothing runs.
 """
 
 import ast
@@ -11,10 +20,19 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "leanrag"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "leanrag"
 MODULES = sorted(path.name for path in SRC.glob("*.py")
                  if path.name != "__init__.py")
 NOQA = "# noqa: F401"
+# definitions only tests read, each kept as the reference a test compares
+# the library's own code against
+TEST_ONLY = {
+    # the token list whose length count_tokens returns without building it
+    "default_tokenizer",
+    # one question's recall@k, which evaluate's recall must average
+    "recall_at_k",
+}
 
 
 def read_names(tree: ast.AST) -> set[str]:
@@ -67,3 +85,69 @@ def test_the_check_finds_an_unused_import():
               "def f(x: 'Sequence[int]') -> None:\n"
               "    return sys.argv\n")
     assert unused_imports(source) == ["os"]
+
+
+def used_names(source: str) -> set[str]:
+    """Every name ``source`` reads as a name, an attribute, an imported name
+    or a string constant other than a docstring."""
+    tree = ast.parse(source)
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)
+                  and isinstance(node.value, ast.Constant)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docstrings:
+            names.add(node.value)
+    return names
+
+
+def unread_definitions(definitions: dict[str, str],
+                          readers: dict[str, str]) -> list[str]:
+    """The module-level functions and classes of the ``definitions`` sources
+    that none of the ``readers`` sources reads, by name."""
+    read = set().union(*map(used_names, readers.values()))
+    defined = {node.name for source in definitions.values()
+               for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))}
+    return sorted(defined - read)
+
+
+def test_library_or_benchmark_reads_every_definition():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    readers = {name: source for name, source in sources.items()
+               if name != "__init__.py"}
+    for path in (ROOT / "benchmarks").glob("*.py"):
+        readers[f"benchmarks/{path.name}"] = path.read_text(encoding="utf-8")
+    assert unread_definitions(sources, readers) == sorted(TEST_ONLY)
+
+
+def test_the_check_finds_a_test_only_definition():
+    library = ('"""A docstring that names helper() and Kept."""\n'
+               "def run():\n"
+               '    """helper() is not a read."""\n'
+               "    return _private() + patched.count\n"
+               "def _private():\n"
+               "    return 1\n"
+               "def helper():\n"
+               "    return 2\n"
+               "class Kept:\n"
+               "    pass\n"
+               "def count():\n"
+               "    return 3\n"
+               "def by_name():\n"
+               "    return 4\n")
+    benchmark = ("from library import run, Kept\n"
+                 "setattr(library, 'by_name', None)\n")
+    assert unread_definitions({"library.py": library},
+                                 {"library.py": library,
+                                  "benchmarks/run.py": benchmark}) == \
+        ["helper"]

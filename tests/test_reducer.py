@@ -10,13 +10,12 @@ from leanrag.corpus import (Corpus, QARecord, count_tokens,
 from leanrag.llm import ScriptedLlmClient
 from leanrag.mlp import Mlp, TrainingError
 from leanrag.reducer import (MAX_OVERLAP, DetectorExample, DetectorModel,
-                             DetectorTrainConfig, ScoredSubDoc,
+                             DetectorTrainConfig, ScoredSubDoc, accepted_size,
                              build_detector_dataset, combination_features,
-                             distinct_draws, greedy_filter, jaccard,
-                             load_detector_dataset, make_combination, prerank,
-                             reduce, rerank_topk, representative_subdocs,
-                             save_detector_dataset, skyline_filter,
-                             train_detector)
+                             distinct_draws, jaccard, load_detector_dataset,
+                             make_combination, prerank, reduce, rerank_topk,
+                             representative_subdocs, save_detector_dataset,
+                             skyline_filter, train_detector)
 from leanrag.retrieval import HashingEmbedder, RetrievedDoc, Retriever, build_index
 from leanrag.scorer import BiLabelScore, ScoredCandidates, ScorerModel
 from leanrag.seeds import derive_rng
@@ -165,32 +164,39 @@ class ThresholdDetector:
         return (1 if mean > self.cutoff else 0), mean
 
 
+def accepted_prefix(subs, detector):
+    """The prefix of ``subs`` that ``accepted_size`` accepts, combined with
+    ``make_combination``, as ``reduce`` does with its preranked windows."""
+    return make_combination(subs[:accepted_size(
+        [(s.score.p_ans, s.score.p_pref) for s in subs], detector)])
+
+
 class TestGreedyFilter:
     def test_fires_on_first(self):
         subs = [scored_subdoc("a", 0.9, 0.1), scored_subdoc("b", 0.2, 0.1)]
-        combo = greedy_filter(subs, ThresholdDetector())
+        combo = accepted_prefix(subs, ThresholdDetector())
         assert len(combo) == 1
         assert combo.member_ids()[0].startswith("a")
 
     def test_never_fires_returns_all(self):
         subs = [scored_subdoc(f"s{i}", 0.1, 0.1) for i in range(10)]
-        combo = greedy_filter(subs, ThresholdDetector())
+        combo = accepted_prefix(subs, ThresholdDetector())
         assert len(combo) == 10
 
     def test_truncates_to_max_docs(self):
         subs = [scored_subdoc(f"s{i}", 0.1, 0.1) for i in range(15)]
-        combo = greedy_filter(subs, ThresholdDetector(max_docs=10))
+        combo = accepted_prefix(subs, ThresholdDetector(max_docs=10))
         assert len(combo) == 10
 
     def test_closed_form_thresholds(self):
         stop_at_one = [scored_subdoc("a", 0.9, 0.0), scored_subdoc("b", 0.2, 0.0)]
-        assert len(greedy_filter(stop_at_one, ThresholdDetector(0.6))) == 1
+        assert len(accepted_prefix(stop_at_one, ThresholdDetector(0.6))) == 1
         stop_at_two = [scored_subdoc("a", 0.5, 0.0), scored_subdoc("b", 0.8, 0.0)]
-        assert len(greedy_filter(stop_at_two, ThresholdDetector(0.6))) == 2
+        assert len(accepted_prefix(stop_at_two, ThresholdDetector(0.6))) == 2
 
     def test_result_is_prefix_of_input(self):
         subs = [scored_subdoc(f"s{i}", 0.3 + 0.05 * i, 0.2) for i in range(8)]
-        combo = greedy_filter(subs, ThresholdDetector(0.42))
+        combo = accepted_prefix(subs, ThresholdDetector(0.42))
         expected_ids = tuple(s.subdoc.subdoc_id for s in subs[:len(combo)])
         assert combo.member_ids() == expected_ids
 
@@ -202,7 +208,7 @@ class TestGreedyFilter:
                                   float(rng.random())) for i in range(n)]
             detector = DetectorModel(max_docs=6, hidden_sizes=(8,),
                                      seed=int(rng.integers(0, 10_000)))
-            combo = greedy_filter(subs, detector)
+            combo = accepted_prefix(subs, detector)
             accepted = [size for size in range(1, n + 1)
                         if detector.predict(combination_features(
                             subs[:size], 6))[0] == 1]
@@ -213,7 +219,7 @@ class TestGreedyFilter:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            greedy_filter([], ThresholdDetector())
+            accepted_size([], ThresholdDetector())
 
 
 class TestSkylineAndOverlap:

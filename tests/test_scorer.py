@@ -11,23 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthetic import imbalanced_feature_pairs
+from synthetic import backprop_step, imbalanced_feature_pairs
 
 import leanrag.retrieval as retrieval_module
 import leanrag.scorer as scorer_module
 from leanrag.artifacts import IndexIntegrityError, check_provider
 from leanrag.corpus import Corpus, QARecord, make_document
 from leanrag.llm import ScriptedLlmClient
-from leanrag.mlp import (Mlp, PROB_EPS, bce_elementwise, sgd_epoch, sgd_step,
-                         sigmoid)
+from leanrag.mlp import Mlp, PROB_EPS, bce_elementwise, sgd_epoch, sigmoid
 from leanrag.retrieval import (HashingEmbedder, Retriever, VectorIndex,
                                build_index)
 from leanrag.scorer import (AnnotationError, BiLabel,
                             ImbalanceDegenerateError, LabeledPair, ScorerModel,
                             TrainConfig, TrainingSet, annotate_training_pair,
                             build_training_set, hyper_direction,
-                            match_weights, pair_features, split_losses,
-                            train_scorer)
+                            match_weights, pair_features, train_scorer,
+                            validation_blocks, validation_pass)
 from leanrag.seeds import stable_hash
 
 
@@ -150,8 +149,8 @@ class TestTrainStep:
 
     def test_zero_learning_rate_is_identity(self):
         params = self.head.get_params()
-        after = sgd_step(self.head, params, self.x, self.y,
-                         match_weights(self.matched, 0.4), 0.0)
+        after = backprop_step(self.head, params, self.x, self.y,
+                              match_weights(self.matched, 0.4), 0.0)
         np.testing.assert_array_equal(params, after)
 
     def test_small_step_descends(self):
@@ -159,8 +158,8 @@ class TestTrainStep:
         weights = match_weights(self.matched, 0.4)
         before, _ = self.head.weighted_bce(params, self.x, self.y, weights,
                                            len(self.x))
-        after_params = sgd_step(self.head, params, self.x, self.y, weights,
-                                1e-4)
+        after_params = backprop_step(self.head, params, self.x, self.y,
+                                     weights, 1e-4)
         after, _ = self.head.weighted_bce(after_params, self.x, self.y,
                                           weights, len(self.x))
         assert after <= before
@@ -270,28 +269,31 @@ class TestHypergradient:
         y = np.array([[1, 1], [0, 0], [1, 0], [0, 1]], dtype=float)
         matched = np.array([True, True, False, False])
         params = self.head.get_params()
-        after = sgd_step(self.head, params, x, y, match_weights(matched, 0.5),
-                         self.lr)
-        common = hyper_direction(self.head, params, after, x, y, matched,
-                                 self.xv, self.yv, self.mv, self.lr)
+        after = backprop_step(self.head, params, x, y,
+                              match_weights(matched, 0.5), self.lr)
+        common, _ = hyper_direction(
+            self.head, params, after, x, y, matched,
+            validation_blocks(self.xv, self.yv, self.mv), self.lr)
         assert abs(common) < 1e-12
 
     def test_direction_matches_finite_difference(self):
         params = self.head.get_params()
         weight = 0.37
 
+        blocks = validation_blocks(self.xv, self.yv, self.mv)
+
         def validation_objective(w):
-            stepped = sgd_step(self.head, params, self.xt, self.yt,
-                               match_weights(self.mt, w), self.lr)
-            mat, mis = split_losses(self.head, stepped, self.xv, self.yv,
-                                    self.mv)
+            stepped = backprop_step(self.head, params, self.xt, self.yt,
+                                    match_weights(self.mt, w), self.lr)
+            mat, mis = validation_pass(self.head, stepped, blocks)[0]
             return 0.5 * (mat + mis)
 
-        after = sgd_step(self.head, params, self.xt, self.yt,
-                         match_weights(self.mt, weight), self.lr)
-        common = hyper_direction(self.head, params, after, self.xt,
-                                 self.yt, self.mt, self.xv, self.yv,
-                                 self.mv, self.lr)
+        after = backprop_step(self.head, params, self.xt, self.yt,
+                              match_weights(self.mt, weight), self.lr)
+        common, losses = hyper_direction(self.head, params, after, self.xt,
+                                         self.yt, self.mt, blocks, self.lr)
+        # the losses of the validation pass the direction comes from
+        assert losses == validation_pass(self.head, after, blocks)[0]
         delta = 1e-4
         fd = (validation_objective(weight + delta)
               - validation_objective(weight - delta)) / (2 * delta)
@@ -306,13 +308,9 @@ class TestHypergradient:
         assert all(0.0 <= h.weight <= 1.0 for h in result.history)
 
     def test_single_class_validation_rejected(self):
-        params = self.head.get_params()
-        after = sgd_step(self.head, params, self.xt, self.yt,
-                         match_weights(self.mt, 0.4), self.lr)
         all_matched = np.ones(len(self.xv), dtype=bool)
         with pytest.raises(ImbalanceDegenerateError):
-            hyper_direction(self.head, params, after, self.xt, self.yt,
-                            self.mt, self.xv, self.yv, all_matched, self.lr)
+            validation_blocks(self.xv, self.yv, all_matched)
 
 
 @pytest.fixture(scope="module")
