@@ -109,7 +109,7 @@ def used_names(source: str) -> set[str]:
 
 
 def unread_definitions(definitions: dict[str, str],
-                          readers: dict[str, str]) -> list[str]:
+                       readers: dict[str, str]) -> list[str]:
     """The module-level functions and classes of the ``definitions`` sources
     that none of the ``readers`` sources reads, by name."""
     read = set().union(*map(used_names, readers.values()))
@@ -148,6 +148,5 @@ def test_the_check_finds_a_test_only_definition():
     benchmark = ("from library import run, Kept\n"
                  "setattr(library, 'by_name', None)\n")
     assert unread_definitions({"library.py": library},
-                                 {"library.py": library,
-                                  "benchmarks/run.py": benchmark}) == \
-        ["helper"]
+                              {"library.py": library,
+                               "benchmarks/run.py": benchmark}) == ["helper"]

@@ -279,7 +279,6 @@ class TestHypergradient:
     def test_direction_matches_finite_difference(self):
         params = self.head.get_params()
         weight = 0.37
-
         blocks = validation_blocks(self.xv, self.yv, self.mv)
 
         def validation_objective(w):
