@@ -96,11 +96,11 @@ def save(path: str | Path, kind: str, meta: Mapping,
 def load(path: str | Path, kind: str,
          **checks: Check) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, arrays by name) of a ``kind`` file. A file of another format
-    or version, a bad header, a header field that ``checks`` names and
-    that is missing or fails its check, an array of a dtype ``save`` never
-    writes, or a short, corrupt or overlong payload raises
-    ``IndexIntegrityError`` naming the file, and so does reading a header
-    field or an array the file lacks."""
+    or version, a bad header, an ``arrays`` field that is not a list of
+    strings, a header field that ``checks`` names and that is missing or
+    fails its check, an array of a dtype ``save`` never writes, or a short,
+    corrupt or overlong payload raises ``IndexIntegrityError`` naming the
+    file, and so does reading a header field or an array the file lacks."""
     expected = f"leanrag-{kind}"
     with open(path, "rb") as handle:
         try:
@@ -114,13 +114,13 @@ def load(path: str | Path, kind: str,
                 f"{path}: {expected} version {header.get('version')!r}, "
                 f"expected {VERSION}; rebuild it")
         header = _Fields(f"{path}: no header field", header)
-        for name, check in checks.items():
+        for name, check in {"arrays": STRINGS, **checks}.items():
             if not check.valid(header[name]):
                 raise IndexIntegrityError(
                     f"{path}: header field {name!r} must be "
                     f"{check.expected}, got {header[name]!r}; rebuild it")
         arrays = _Fields(f"{path}: no array")
-        for name in header.get("arrays", []):
+        for name in header["arrays"]:
             try:
                 arrays[name] = np.load(handle, allow_pickle=False)
             except (ValueError, EOFError) as exc:

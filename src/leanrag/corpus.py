@@ -3,7 +3,10 @@ token counting, and gold-answer containment checks.
 
 Every JSONL input (the corpus, a QA set, the scripted LLM's script) is read
 by one reader, ``read_jsonl``, so a bad line is reported the same way in
-each: ``CorpusFormatError`` with ``path:line: reason``.
+each: ``CorpusFormatError`` with ``path:line: reason``. A query-time load
+parses no corpus line up front: ``CorpusRows`` checks the file against the
+digest and line offsets an index recorded, and parses each document's line
+the first time a question reads it, by the same rules.
 
 The corpus is immutable once loaded; every function here is pure and safe to
 call from concurrent readers.
@@ -11,6 +14,7 @@ call from concurrent readers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
@@ -18,7 +22,11 @@ import string
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, KeysView, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+from .artifacts import IndexIntegrityError
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +55,12 @@ WINDOW = 3
 _DECODER = json.JSONDecoder()
 _JSON_SPACE = " \t\n\r"
 
+# the fields of a corpus record
+CORPUS_FIELDS = ("id", "title", "text")
+
+# a line ends at "\n", "\r\n" or a lone "\r", as in text-mode reading
+_LINE_END = re.compile(rb"[\r\n]")
+
 
 class CorpusFormatError(ValueError):
     """A line of a JSONL input could not be parsed or is not a valid
@@ -60,6 +74,10 @@ class CorpusFormatError(ValueError):
 
 class DuplicateDocumentError(ValueError):
     """Two corpus records share the same id."""
+
+
+class _BadLine(ValueError):
+    """Why a JSONL line is neither blank nor a valid record."""
 
 
 @dataclass(frozen=True)
@@ -141,7 +159,10 @@ class QARecord:
 
 
 class Corpus:
-    """An ordered, id-indexed collection of documents."""
+    """An ordered, id-indexed collection of documents. One read from a file
+    (``load_corpus``) also has the file's ``sha256`` and each document's
+    line ``offsets`` in bytes, which ``build_index`` records; an in-memory
+    one has neither."""
 
     def __init__(self, documents: Iterable[Document]):
         self._docs: dict[str, Document] = {}
@@ -149,6 +170,8 @@ class Corpus:
             if doc.doc_id in self._docs:
                 raise DuplicateDocumentError(f"duplicate doc_id {doc.doc_id!r}")
             self._docs[doc.doc_id] = doc
+        self.sha256: str | None = None
+        self.offsets: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -159,10 +182,76 @@ class Corpus:
     def get(self, doc_id: str) -> Document:
         return self._docs[doc_id]
 
-    @property
-    def ids(self) -> KeysView[str]:
-        """The document ids, in corpus order, as a live set-like view."""
-        return self._docs.keys()
+
+class CorpusRows(dict):
+    """The documents of the corpus file at ``path``, by the row of the index
+    at ``index_path``, built from it: ``doc_ids`` and ``offsets`` (each
+    row's line start, in bytes) are the index's, ``sha256`` the digest it
+    recorded of the file (None for an index built from no file).
+
+    The file is read once and checked here against the digest and the
+    offsets; no line is parsed. ``rows[row]`` parses the row's line the
+    first time it is read (``__missing__``), by ``read_jsonl``'s rules, and
+    keeps its document, so a later read is one dict lookup. Reads take no
+    lock: two threads reading one new row may each build an equal
+    ``Document``, and either is kept.
+
+    Any mismatch raises ``IndexIntegrityError`` naming both files."""
+
+    def __init__(self, path: str | Path, index_path: str | Path,
+                 sha256: str | None, doc_ids: Sequence[str],
+                 offsets: np.ndarray):
+        super().__init__()
+        self.path = str(path)
+        self.index_path = str(index_path)
+        if sha256 is None:
+            raise self._error("the index records no corpus file")
+        data = Path(path).read_bytes()
+        if hashlib.sha256(data).hexdigest() != sha256:
+            raise self._error(
+                "the corpus is not the file the index was built from")
+        # each offset a line start: at 0, after "\n", or after an "\r" that
+        # does not begin "\r\n"
+        buf = np.frombuffer(data, dtype=np.uint8)
+        ordered = np.sort(offsets)
+        if len(ordered) and (ordered[0] < 0 or ordered[-1] >= len(buf)):
+            raise self._error(f"a line offset is outside the corpus's "
+                              f"{len(buf)} bytes")
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise self._error("the index repeats a line offset")
+        before = buf[offsets - 1]
+        if not np.all((offsets == 0) | (before == ord("\n")) |
+                      ((before == ord("\r")) & (buf[offsets] != ord("\n")))):
+            raise self._error("a line offset is not at a line start")
+        self._data = data
+        self._doc_ids = doc_ids
+        self._offsets = offsets.tolist()
+
+    def _error(self, reason: str) -> IndexIntegrityError:
+        return IndexIntegrityError(f"corpus {self.path}, index "
+                                   f"{self.index_path}: {reason}; rebuild it")
+
+    def __missing__(self, row: int) -> Document:
+        start = self._offsets[row]
+        end = _LINE_END.search(self._data, start)
+        line = self._data[start:end.start() if end else len(self._data)]
+        try:
+            record = _parse_line(line.decode("utf-8"), CORPUS_FIELDS)
+            if record is None:
+                raise _BadLine("blank line")
+        except (_BadLine, UnicodeDecodeError) as exc:
+            raise self._error(f"{self._where(start)}: {exc}") from exc
+        doc = _document(record)
+        if doc.doc_id != self._doc_ids[row]:
+            raise self._error(f"{self._where(start)} holds document "
+                              f"{doc.doc_id!r}, index row {row} is "
+                              f"{self._doc_ids[row]!r}")
+        self[row] = doc
+        return doc
+
+    def _where(self, start: int) -> str:
+        """``path:line`` of the line at byte ``start``."""
+        return f"{self.path}:{len(self._data[:start].splitlines()) + 1}"
 
 
 def split_sentences(text: str) -> list[Span]:
@@ -300,60 +389,91 @@ def make_document(doc_id: str, title: str, text: str) -> Document:
     return Document(doc_id=doc_id, title=title, text=text)
 
 
-def read_jsonl(path: str | Path, required: Sequence[str] = ()
-               ) -> Iterator[tuple[int, dict]]:
-    """(line number, object) of each line of the JSONL file at ``path``,
-    counting from 1, skipping blank and whitespace-only lines. Every other
-    line must hold one JSON object, with each key in ``required``, between
-    JSON whitespace, or ``CorpusFormatError`` names the line."""
+def _parse_line(line: str, required: Sequence[str]) -> dict | None:
+    """The JSON object on ``line`` (which may end in its line break), with
+    each key in ``required``, or None when the line is blank or
+    whitespace-only; ``_BadLine`` says why a line is neither."""
     # what json.loads accepts, without its per-call overhead: the decoder's
     # scanner, which raw_decode wraps, at the first non-space character
     scan = _DECODER.scan_once
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            try:
-                try:
-                    record, end = scan(line, 0)
-                except StopIteration:
-                    if not line.strip():
-                        continue
-                    record, end = scan(
-                        line, len(line) - len(line.lstrip(_JSON_SPACE)))
-            except StopIteration:
-                raise CorpusFormatError(
-                    path, line_no, "invalid JSON (Expecting value)") from None
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(
-                    path, line_no, f"invalid JSON ({exc.msg})") from exc
-            if line[end:] != "\n" and line[end:].strip(_JSON_SPACE):
-                raise CorpusFormatError(path, line_no,
-                                        "invalid JSON (Extra data)")
-            if not isinstance(record, dict):
-                raise CorpusFormatError(path, line_no,
-                                        "expected a JSON object")
-            for key in required:
-                if key not in record:
-                    raise CorpusFormatError(path, line_no,
-                                            f"missing field {key!r}")
-            yield line_no, record
+    try:
+        try:
+            record, end = scan(line, 0)
+        except StopIteration:
+            if not line.strip():
+                return None
+            record, end = scan(line,
+                               len(line) - len(line.lstrip(_JSON_SPACE)))
+    except StopIteration:
+        raise _BadLine("invalid JSON (Expecting value)") from None
+    except json.JSONDecodeError as exc:
+        raise _BadLine(f"invalid JSON ({exc.msg})") from exc
+    if line[end:] != "\n" and line[end:].strip(_JSON_SPACE):
+        raise _BadLine("invalid JSON (Extra data)")
+    if not isinstance(record, dict):
+        raise _BadLine("expected a JSON object")
+    for key in required:
+        if key not in record:
+            raise _BadLine(f"missing field {key!r}")
+    return record
+
+
+def _records(path: str | Path, data: bytes, required: Sequence[str]
+             ) -> Iterator[tuple[int, int, dict]]:
+    """(line number, byte offset of the line, object) of each non-blank
+    line of ``data``, the bytes of the JSONL file at ``path``."""
+    offset = 0
+    for line_no, line in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            record = _parse_line(line.decode("utf-8"), required)
+        except (_BadLine, UnicodeDecodeError) as exc:
+            raise CorpusFormatError(path, line_no, str(exc)) from exc
+        if record is not None:
+            yield line_no, offset, record
+        offset += len(line)
+
+
+def read_jsonl(path: str | Path, required: Sequence[str] = ()
+               ) -> Iterator[tuple[int, dict]]:
+    """(line number, object) of each line of the JSONL file at ``path``,
+    counting from 1, skipping blank and whitespace-only lines. A line ends
+    at LF, CR LF or a lone CR, as in text-mode reading. Every other line
+    must be UTF-8 and hold one JSON object, with each key in ``required``,
+    between JSON whitespace, or ``CorpusFormatError`` names the line."""
+    for line_no, _, record in _records(path, Path(path).read_bytes(),
+                                       required):
+        yield line_no, record
+
+
+def _document(record: dict) -> Document:
+    return Document(str(record["id"]), str(record["title"]),
+                    str(record["text"]))
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Read a JSONL corpus ({"id", "title", "text"} per line)."""
+    """Read a JSONL corpus ({"id", "title", "text"} per line), reading the
+    file's bytes once: the corpus keeps their sha256 and each document's
+    line offset."""
+    data = Path(path).read_bytes()
+    offsets: dict[str, int] = {}
     line_no = 0
 
     def documents() -> Iterator[Document]:
         nonlocal line_no
-        for line_no, record in read_jsonl(path, ("id", "title", "text")):
-            yield Document(str(record["id"]), str(record["title"]),
-                           str(record["text"]))
+        for line_no, offset, record in _records(path, data, CORPUS_FIELDS):
+            doc = _document(record)
+            offsets[doc.doc_id] = offset
+            yield doc
 
     # the corpus fills its id dict as the lines are read, and names the
     # first duplicate id; the reader's line number places it
     try:
-        return Corpus(documents())
+        corpus = Corpus(documents())
     except DuplicateDocumentError as exc:
         raise DuplicateDocumentError(f"{path}:{line_no}: {exc}") from exc
+    corpus.sha256 = hashlib.sha256(data).hexdigest()
+    corpus.offsets = offsets
+    return corpus
 
 
 def load_qa(path: str | Path) -> list[QARecord]:

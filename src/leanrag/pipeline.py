@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import check_provider
-from .corpus import (QARecord, contains_answer, load_corpus,
+from .corpus import (CorpusRows, QARecord, contains_answer, load_corpus,
                      whole_document_subdoc)
 from .llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmClient, LlmTransportError,
                   PromptTemplate, ScriptedLlmClient, build_noretrieve_prompt,
@@ -220,15 +220,20 @@ def load_pipeline(config: PipelineConfig,
             raise FileNotFoundError(f"{name} file not found: {path}")
         return load(path)
 
-    corpus = _read("corpus", config.corpus_path, load_corpus)
     index = _read("index", config.index_path, VectorIndex.load)
     retriever = None
-    if index is not None:
+    if index is None:
+        _read("corpus", config.corpus_path, load_corpus)
+    else:
         check_provider("index", index.provider_fingerprint, index.dim,
                        provider, INDEX_FIELDS)
-        if corpus is not None:
-            index.verify_corpus(corpus)
-            retriever = Retriever(corpus, index, provider)
+        # checked against the index's digest and offsets; a document is
+        # parsed the first time a question reads it
+        docs = _read("corpus", config.corpus_path, lambda path: CorpusRows(
+            path, config.index_path, index.corpus_sha256, index.doc_ids,
+            index.line_offsets))
+        if docs is not None:
+            retriever = Retriever(docs, index, provider)
     scorer = _read("scorer", config.scorer_path, ScorerModel.load)
     if scorer is not None:
         check_provider("scorer", scorer.provider_fingerprint,

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import artifacts
 from .artifacts import IndexIntegrityError
-from .corpus import (WINDOW, Corpus, Document, contains_answer,
+from .corpus import (WINDOW, Corpus, CorpusRows, Document, contains_answer,
                      max_sentences)
 from .seeds import stable_hash
 
@@ -472,23 +472,36 @@ class VectorIndex:
     ("title. text"), which ``scan`` searches, then any more (``build_index``:
     the text of each titled document, which is what the scorer embeds, and
     every sub-document window no other row holds). ``embed_many`` serves any
-    of them by its text. ``titled`` is the number of titled documents the
-    index was built from."""
+    of them by its text. An index built from a corpus file records the
+    file's ``corpus_sha256`` and each doc id's ``line_offsets`` in it
+    (``int64``, bytes), by which ``CorpusRows`` reads the documents; one
+    built from an in-memory corpus records neither."""
 
     def __init__(self, doc_ids: Sequence[str], rows: SparseRows,
-                 provider_fingerprint: str, titled: int = 0):
+                 provider_fingerprint: str, corpus_sha256: str | None = None,
+                 line_offsets: np.ndarray | None = None):
         if len(doc_ids) == 0:
             raise ValueError("cannot build an index over an empty corpus")
         if len(rows) < len(doc_ids):
             raise ValueError("rows must begin with one row per doc id")
-        if not isinstance(titled, int) or titled < 0:
-            raise ValueError(f"titled must be an int >= 0, got {titled!r}")
+        if (corpus_sha256 is None) != (line_offsets is None):
+            raise ValueError("corpus_sha256 and line_offsets come together")
+        if line_offsets is not None and (
+                line_offsets.dtype != np.int64 or
+                line_offsets.shape != (len(doc_ids),)):
+            raise ValueError(f"line_offsets must be int64, one per doc id; "
+                             f"got {line_offsets.dtype} of shape "
+                             f"{line_offsets.shape} for {len(doc_ids)}")
         self.doc_ids = ascending_ids(doc_ids, "doc ids")
+        repeated = repeated_ids(self.doc_ids)
+        if repeated:
+            raise ValueError(f"index repeats doc ids, e.g. {repeated[:3]}")
         self.rows = rows
         self.scan = ExactScan(rows, len(self.doc_ids))
         self.dim = rows.dim
-        self.titled = titled
         self.provider_fingerprint = provider_fingerprint
+        self.corpus_sha256 = corpus_sha256
+        self.line_offsets = line_offsets
         # the stored rows' digests ascending, and the row of each; rows of
         # one digest hold one text, so any of them serves it
         self._order = np.argsort(rows.digests)
@@ -508,29 +521,6 @@ class VectorIndex:
         rows, sims = self.scan.top(query, k)
         return [(self.doc_ids[row], sim)
                 for row, sim in zip(rows.tolist(), sims.tolist())]
-
-    def verify_corpus(self, corpus: Corpus) -> None:
-        """The index must hold each corpus document exactly once, and have
-        been built from as many titled documents as the corpus has."""
-        indexed = set(self.doc_ids)
-        missing = sorted(indexed.difference(corpus.ids))
-        if missing:
-            raise IndexIntegrityError(
-                f"{len(missing)} indexed doc ids are not in the corpus, "
-                f"e.g. {missing[:3]}; rebuild it")
-        if len(indexed) != len(self):
-            raise IndexIntegrityError(
-                f"index repeats doc ids, e.g. "
-                f"{repeated_ids(self.doc_ids)[:3]}; rebuild it")
-        if len(self) != len(corpus):
-            raise IndexIntegrityError(
-                f"index has {len(self)} documents, the corpus "
-                f"{len(corpus)}; rebuild it")
-        titled = sum(map(_titled, corpus))
-        if self.titled != titled:
-            raise IndexIntegrityError(
-                f"index has {self.titled} titled documents, the corpus "
-                f"{titled}; rebuild it")
 
     def embed_many(self, provider: EmbeddingProvider,
                    texts: Sequence[str]) -> np.ndarray:
@@ -559,17 +549,28 @@ class VectorIndex:
         return out
 
     def save(self, path: str | Path) -> None:
+        arrays = self.rows.arrays()
+        if self.line_offsets is not None:
+            arrays["line_offsets"] = self.line_offsets
         artifacts.save(path, "index",
-                       {"doc_ids": self.doc_ids, "titled": self.titled,
+                       {"doc_ids": self.doc_ids,
+                        "corpus_sha256": self.corpus_sha256,
                         "provider_fingerprint": self.provider_fingerprint,
-                        "dim": self.dim}, self.rows.arrays())
+                        "dim": self.dim}, arrays)
 
     @classmethod
     @artifacts.loader
     def load(cls, path: str | Path) -> "VectorIndex":
         meta, arrays = artifacts.load(path, "index")
-        return cls(meta["doc_ids"], SparseRows.load(meta, arrays),
-                   meta["provider_fingerprint"], meta["titled"])
+        offsets = arrays.pop("line_offsets", None)
+        rows = SparseRows.load(meta, arrays)
+        digest = meta["corpus_sha256"]
+        if digest is not None and not isinstance(digest, str):
+            raise IndexIntegrityError(
+                f"{path}: header field 'corpus_sha256' must be a string or "
+                f"null, got {digest!r}; rebuild it")
+        return cls(meta["doc_ids"], rows, meta["provider_fingerprint"],
+                   digest, offsets)
 
 
 def _top(sims: np.ndarray, k: int) -> np.ndarray:
@@ -616,10 +617,6 @@ def _filter_margin(dim: int, max_norm: float, query_norm: float) -> float:
     return 4 * (dim + 2) * (eps * scale + np.nextafter(0.0, 1.0))
 
 
-def _titled(doc: Document) -> bool:
-    return bool(doc.title.strip())
-
-
 def embedded_rows(pairs: Iterable[tuple[int, str]],
                   provider: EmbeddingProvider
                   ) -> Iterator[tuple[list[int], np.ndarray]]:
@@ -646,9 +643,13 @@ def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
     rows = SparseRows.compress(embedded_rows(itertools.chain(
         zip(digests, texts), _new_texts(docs, set(digests))), provider),
         provider.dim)
+    offsets = None
+    if corpus.sha256 is not None:
+        offsets = np.array([corpus.offsets[d.doc_id] for d in docs],
+                           dtype=np.int64)
     return VectorIndex([d.doc_id for d in docs], rows,
-                       provider.fingerprint + INDEX_FIELDS,
-                       sum(1 for d in docs if _titled(d)))
+                       provider.fingerprint + INDEX_FIELDS, corpus.sha256,
+                       offsets)
 
 
 def _new_texts(docs: Iterable[Document], held: set[int]
@@ -656,7 +657,7 @@ def _new_texts(docs: Iterable[Document], held: set[int]
     """(digest, text) of each document's text, when it is titled, and
     windows, each whose digest is not in ``held``, adding each to it."""
     for doc in docs:
-        texts = [doc.text] if _titled(doc) else []
+        texts = [doc.text] if doc.title.strip() else []
         # a single-spaced document of at most WINDOW sentences is its one
         # window, which its index or text row already holds
         if not _one_window(doc.text):
@@ -683,15 +684,18 @@ def _one_window(text: str) -> bool:
 
 
 class Retriever:
-    """Binds a corpus, its index, and the query-side embedding provider."""
+    """Binds a corpus, its index, and the query-side embedding provider.
+    ``corpus`` is a parsed ``Corpus`` or the ``CorpusRows`` of the index,
+    which parses a document the first time a question reads it."""
 
-    def __init__(self, corpus: Corpus, index: VectorIndex,
+    def __init__(self, corpus: Corpus | CorpusRows, index: VectorIndex,
                  provider: EmbeddingProvider):
         self.corpus = corpus
         self.index = index
         self.provider = provider
         # the document of each index row
-        self._docs = [corpus.get(doc_id) for doc_id in index.doc_ids]
+        self._docs = corpus if isinstance(corpus, CorpusRows) else \
+            [corpus.get(doc_id) for doc_id in index.doc_ids]
 
     def retrieve(self, question: str, k: int,
                  query_embedding: np.ndarray | None = None) -> Candidates:

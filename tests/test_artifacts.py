@@ -23,6 +23,9 @@ def index():
     corpus = Corpus([make_document("b", "", "dogs bark at night"),
                      make_document("a", "Cats", "cats purr"),
                      make_document("c", "", "birds sing at dawn")])
+    # as if read from a file, so the index records a digest and offsets
+    corpus.sha256 = "0" * 64
+    corpus.offsets = {"b": 0, "a": 50, "c": 90}
     return build_index(corpus, HashingEmbedder(dim=16, seed=1))
 
 
@@ -69,8 +72,10 @@ def same_rows(a, b):
 
 def same_index(a, b):
     return (a.doc_ids == b.doc_ids and same_rows(a.rows, b.rows)
-            and (a.titled, a.provider_fingerprint)
-            == (b.titled, b.provider_fingerprint))
+            and a.line_offsets.dtype == b.line_offsets.dtype
+            and a.line_offsets.tobytes() == b.line_offsets.tobytes()
+            and (a.corpus_sha256, a.provider_fingerprint)
+            == (b.corpus_sha256, b.provider_fingerprint))
 
 
 def same_scorer(a, b):
@@ -212,6 +217,17 @@ def test_missing_header_field_rejected(kind, saved):
             load(kind, path)
 
 
+@pytest.mark.parametrize("arrays", [5, [["params"]], "params"])
+def test_bad_arrays_field_rejected(kind, saved, arrays):
+    """The header's list of array names is checked before the payload is
+    read, so a bad one is named, not a ``TypeError``."""
+    _, path = saved
+    rewrite_header(path, arrays=arrays)
+    with pytest.raises(IndexIntegrityError, match=re.escape(
+            f"{path}: header field 'arrays' must be a list of strings")):
+        load(kind, path)
+
+
 def test_renamed_array_rejected(kind, saved):
     _, path = saved
     names = json.loads(path.read_bytes().split(b"\n", 1)[0])["arrays"]
@@ -299,16 +315,19 @@ def test_float_only_kinds_write_float64(float_kind, tmp_path):
 @pytest.mark.parametrize("rows_kind", ["index", "nn_reference"])
 def test_stored_rows_keep_their_dtypes(rows_kind, tmp_path):
     """The index and the NN reference keep their rows as entries: uint64
-    digests, int64 counts, int32 column ids and float64 values."""
+    digests, int64 counts, int32 column ids and float64 values. The index
+    adds its documents' int64 line offsets in the corpus file."""
     make, save, _, _ = KINDS[rows_kind]
     path = tmp_path / rows_kind
     save(make(), str(path))
     header, payload = path.read_bytes().split(b"\n", 1)
     meta, arrays = artifacts.load(
         path, json.loads(header)["format"].removeprefix("leanrag-"))
-    assert meta["arrays"] == ["digests", "counts", "columns", "values"]
+    offsets = ["line_offsets"] if rows_kind == "index" else []
+    assert meta["arrays"] == ["digests", "counts", "columns", "values",
+                              *offsets]
     assert [a.dtype for a in arrays.values()] == \
-        [np.uint64, np.int64, np.int32, np.float64]
+        [np.uint64, np.int64, np.int32, np.float64, *[np.int64] * len(offsets)]
 
 
 def test_stored_rows_smaller_than_dense(tmp_path):

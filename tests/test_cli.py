@@ -163,6 +163,44 @@ def test_cli_report_matches_in_memory_run(ready):
     assert json.loads(report.to_json()) == cli_report
 
 
+def test_documents_parsed_on_first_read_give_the_same_reports(
+        ready, monkeypatch):
+    """A loaded context parses no document before its first question, and
+    its reports are byte-identical to those over the parsed corpus and to
+    its own under four LLM workers."""
+    from dataclasses import replace
+
+    from leanrag.corpus import Document, load_corpus, load_qa
+    from leanrag.pipeline import PipelineConfig, evaluate, load_pipeline
+    from leanrag.retrieval import Retriever
+
+    _, config_path, paths = ready
+    config = PipelineConfig.from_file(config_path)
+    qa = load_qa(paths["qa"])
+    built = []
+    init = Document.__init__
+
+    def counting(doc, *args, **kwargs):
+        built.append(args[0])
+        init(doc, *args, **kwargs)
+
+    monkeypatch.setattr(Document, "__init__", counting)
+    ctx = load_pipeline(config)
+    assert built == []
+    report = evaluate(qa, ctx).to_json()
+    assert 0 < len(built) == len(set(built)) <= len(ctx.retriever.index)
+    monkeypatch.undo()
+
+    retriever = ctx.retriever
+    parsed = replace(ctx, retriever=Retriever(
+        load_corpus(config.corpus_path), retriever.index, retriever.provider))
+    assert evaluate(qa, parsed).to_json() == report
+    config.llm = {**config.llm, "concurrency": 4}
+    concurrent = load_pipeline(config)
+    assert concurrent.max_workers == 4
+    assert evaluate(qa, concurrent).to_json() == report
+
+
 def test_eval_ablation_flag(ready):
     root, config_path, paths = ready
     out = root / "report_noreducer.json"

@@ -1,13 +1,20 @@
+import hashlib
 import json
 import re
 import string
+import sys
+import threading
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leanrag.corpus as corpus_module
-from leanrag.corpus import (Corpus, CorpusFormatError, DuplicateDocumentError,
+from leanrag.artifacts import IndexIntegrityError
+from leanrag.corpus import (Corpus, CorpusFormatError, CorpusRows,
+                            DuplicateDocumentError,
                             QARecord, contains_answer, count_tokens,
                             default_tokenizer, generate_subdocuments,
                             load_corpus, load_qa, make_document,
@@ -62,6 +69,13 @@ class TestLoadCorpus:
                         f" {record} \t{tail}\r\n")
         with pytest.raises(CorpusFormatError,
                            match=r":2: invalid JSON \(Extra data\)"):
+            load_corpus(path)
+
+    def test_undecodable_line_named(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "a", "title": "t", "text": "x"}\r\n'
+                         b'{"id": "b", "title": "t", "text": "\xff"}\n')
+        with pytest.raises(CorpusFormatError, match=":2: 'utf-8' codec"):
             load_corpus(path)
 
     def test_json_whitespace_around_a_record(self, tmp_path):
@@ -121,6 +135,91 @@ class TestLoadCorpus:
         assert loaded.sentences == tuple(split_sentences(text))
         assert generate_subdocuments(loaded) == generate_subdocuments(eager)
         assert loaded == eager
+
+
+class TestCorpusRows:
+    # LF, CR LF and lone CR line ends, blank lines, and no final line end
+    LINES = [' {"id": "c", "title": "", "text": "Third."}\r\n', "\n",
+             '{"id": "a", "title": "A", "text": "First, \\u00e9."}\r',
+             " \t\r\n", '{"id": "b", "title": "", "text": "Second."}']
+
+    def rows(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes("".join(self.LINES).encode("utf-8"))
+        corpus = load_corpus(path)
+        ids = sorted(doc.doc_id for doc in corpus)
+        return corpus, CorpusRows(
+            path, tmp_path / "index", corpus.sha256, ids,
+            np.array([corpus.offsets[i] for i in ids], dtype=np.int64))
+
+    def test_load_records_digest_and_line_offsets(self, tmp_path):
+        corpus, _ = self.rows(tmp_path)
+        data = (tmp_path / "corpus.jsonl").read_bytes()
+        assert corpus.sha256 == hashlib.sha256(data).hexdigest()
+        assert corpus.offsets == {"c": 0, "a": len(
+            "".join(self.LINES[:2]).encode()), "b": len(
+            "".join(self.LINES[:4]).encode())}
+
+    def test_rows_read_as_the_parsed_corpus(self, tmp_path):
+        corpus, rows = self.rows(tmp_path)
+        assert [rows[i] for i in range(3)] == \
+            [corpus.get(doc_id) for doc_id in ("a", "b", "c")]
+        assert rows[0] is rows[0]
+
+    def test_line_start_after_lone_cr_only(self, tmp_path):
+        corpus, _ = self.rows(tmp_path)
+        path = tmp_path / "corpus.jsonl"
+        first, blank, second = (len(line.encode()) for line in self.LINES[:3])
+
+        def rows(offsets):
+            return CorpusRows(path, "index", corpus.sha256, ["a", "b", "c"],
+                              np.array(offsets, dtype=np.int64))
+
+        # inside a CR LF pair is no line start
+        with pytest.raises(IndexIntegrityError, match="not at a line start"):
+            rows([first + blank, first - 1, 0])
+        # after a lone CR is one; that line is blank, refused when read
+        after_cr = rows([first + blank, first + blank + second, 0])
+        assert after_cr[0] == corpus.get("a")
+        with pytest.raises(IndexIntegrityError,
+                           match=re.escape(f"{path}:4: blank line")):
+            after_cr[1]
+
+
+def test_corpus_rows_read_from_many_threads(tmp_path):
+    """Threads reading new rows at once, with no lock, each get the parsed
+    document, and every row keeps one."""
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [{"id": f"d{i:03d}", "title": "", "text": f"Text {i}."}
+                       for i in range(300)])
+    corpus = load_corpus(path)
+    ids = sorted(doc.doc_id for doc in corpus)
+    rows = CorpusRows(path, "index", corpus.sha256, ids, np.array(
+        [corpus.offsets[i] for i in ids], dtype=np.int64))
+    wrong = []
+
+    def read(order):
+        for row in order:
+            if rows[row] != corpus.get(ids[row]):
+                wrong.append(row)
+
+    orders = [np.random.default_rng(seed).permutation(len(ids)).tolist()
+              for seed in range(8)]
+    threads = [threading.Thread(target=read, args=(order,))
+               for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert all(rows[row] is rows[row] == corpus.get(ids[row])
+               for row in range(len(ids)))
 
 
 # every JSONL input: its loader, a good record and one that lacks a field,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,6 +16,7 @@ from test_llm import FakeResponse, FakeSession, NotJsonResponse
 
 import leanrag
 
+from leanrag import artifacts
 from leanrag.corpus import count_tokens, load_corpus, make_document
 from leanrag.llm import (HttpLlmClient, LlmTransportError, ScriptedLlmClient,
                          build_noretrieve_prompt)
@@ -236,12 +238,90 @@ class TestLoadIntegrity:
         with pytest.raises(IndexIntegrityError):
             load_pipeline(config, require=("corpus", "index"))
 
+    def both_files(self, config, reason):
+        """A pattern for a message that names the corpus and the index,
+        then ``reason``."""
+        return re.escape(f"corpus {config.corpus_path}, index "
+                         f"{config.index_path}: ") + f".*{reason}.*rebuild it"
+
     def test_stale_index_rejected(self, config):
+        """An index built from an in-memory corpus records no file."""
         corpus = load_corpus(config.corpus_path)
         extra = make_document("gone", "", "A document since deleted.")
         self.save_index(config, type(corpus)([*corpus, extra]))
-        with pytest.raises(IndexIntegrityError):
+        with pytest.raises(IndexIntegrityError, match=self.both_files(
+                config, "records no corpus file")):
             load_pipeline(config, require=("corpus", "index"))
+
+    @pytest.mark.parametrize("edit", ["text", "title", "deleted", "added"])
+    def test_edited_corpus_rejected(self, config, edit):
+        """A corpus changed after indexing, even under the same ids and
+        line count, no longer has the digest the index recorded."""
+        self.save_index(config, load_corpus(config.corpus_path))
+        path = Path(config.corpus_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[1])
+        if edit == "text":
+            lines[1] = json.dumps({**record, "text": record["text"][::-1]})
+        elif edit == "title":
+            lines[1] = json.dumps({**record, "title": "A new title"})
+        elif edit == "deleted":
+            del lines[1]
+        else:
+            lines.append(json.dumps({**record, "id": "new"}))
+        path.write_text("".join(line.rstrip("\n") + "\n" for line in lines),
+                        encoding="utf-8")
+        assert len(load_corpus(path)) == len(lines)
+        with pytest.raises(IndexIntegrityError, match=self.both_files(
+                config, "not the file the index was built from")):
+            load_pipeline(config, require=("corpus", "index"))
+
+    def save_offsets(self, config, damage):
+        """Re-save the index of the fixture's corpus with its line offsets
+        passed through ``damage``; the corpus digest still matches."""
+        self.save_index(config, load_corpus(config.corpus_path))
+        meta, arrays = artifacts.load(config.index_path, "index")
+        arrays["line_offsets"] = damage(arrays["line_offsets"].copy())
+        artifacts.save(config.index_path, "index",
+                       {key: meta[key] for key in meta
+                        if key not in ("format", "version", "arrays")},
+                       arrays)
+
+    # damage to the offsets of an index whose corpus digest matches, given
+    # the offsets and the corpus's size, and what refuses it at load
+    OFFSET_DAMAGE = {
+        "short": (lambda o, size: o[:-1],
+                  "line_offsets must be int64, one per doc id"),
+        "long": (lambda o, size: np.append(o, 0), "one per doc id"),
+        "int32": (lambda o, size: o.astype(np.int32),
+                  "line_offsets must be int64"),
+        "negative": (lambda o, size: o - o.min() - 1, "outside the corpus"),
+        "at the end": (lambda o, size: np.where(o == o.max(), size, o),
+                       "outside the corpus"),
+        "repeated": (lambda o, size: np.where(o == o.max(), o.min(), o),
+                     "repeats a line offset"),
+        "mid-line": (lambda o, size: o + 1, "not at a line start"),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(OFFSET_DAMAGE))
+    def test_corrupt_offsets_rejected(self, config, damage):
+        change, match = self.OFFSET_DAMAGE[damage]
+        size = Path(config.corpus_path).stat().st_size
+        self.save_offsets(config, lambda offsets: change(offsets, size))
+        with pytest.raises(IndexIntegrityError, match=match):
+            load_pipeline(config, require=("corpus", "index"))
+
+    def test_line_of_another_document_rejected_when_read(self, config):
+        """Offsets that point at other lines' starts load; the first read
+        of such a row finds another id and names both files."""
+        self.save_offsets(config, lambda o: np.roll(o, 1))
+        ctx = load_pipeline(config, require=("corpus", "index"))
+        docs = ctx.retriever.corpus
+        with pytest.raises(IndexIntegrityError, match=self.both_files(
+                config, "holds document .*, index row 0 is ")):
+            docs[0]
+        with pytest.raises(IndexIntegrityError, match="holds document"):
+            ctx.retriever.retrieve("a question", len(ctx.retriever.index))
 
     @pytest.mark.parametrize("fingerprint, dim", [
         ("hash-bow:v1:dim=256:seed=5", 256),  # another embedder

@@ -301,28 +301,13 @@ class TestIndex:
     def test_own_provider_accepted(self, provider):
         self.check(build_index(small_corpus(), provider), provider)
 
-    def test_doc_ids_missing_from_corpus_detected(self, provider):
-        index = build_index(small_corpus(), provider)
-        index.verify_corpus(small_corpus())
-        stale = Corpus([make_document("a", "", "the cat sat on the mat")])
-        with pytest.raises(IndexIntegrityError):
-            index.verify_corpus(stale)
-
-    def test_document_missing_from_index_detected(self, provider):
-        index = build_index(small_corpus(), provider)
-        grown = Corpus([*small_corpus(),
-                        make_document("d", "", "a document added later")])
-        with pytest.raises(IndexIntegrityError, match="rebuild it"):
-            index.verify_corpus(grown)
-
     def test_repeated_doc_ids_detected(self, provider):
         index = build_index(small_corpus(), provider)
         vectors = dense_rows(index.rows, len(index))
-        repeated = dense_index(["a", "a", "b", "c"],
-                               np.vstack([vectors[:1], vectors]),
-                               index.provider_fingerprint)
-        with pytest.raises(IndexIntegrityError, match="repeats"):
-            repeated.verify_corpus(small_corpus())
+        with pytest.raises(ValueError, match="repeats doc ids"):
+            dense_index(["a", "a", "b", "c"],
+                        np.vstack([vectors[:1], vectors]),
+                        index.provider_fingerprint)
 
     def test_one_text_row_per_titled_document(self, provider):
         index = build_index(titled_corpus(), provider)
@@ -332,11 +317,6 @@ class TestIndex:
         index.rows.fill(got, range(len(titled)),
                         [digests.index(stable_hash(text)) for text in titled])
         assert got.tobytes() == provider.embed_many(titled).tobytes()
-        index.verify_corpus(titled_corpus())
-        retitled = Corpus([make_document(doc.doc_id, "Now titled", doc.text)
-                           for doc in titled_corpus()])
-        with pytest.raises(IndexIntegrityError, match="2 titled documents"):
-            index.verify_corpus(retitled)
 
     def test_ids_in_order_not_copied(self):
         rows = stored_rows(np.arange(12.0).reshape(4, 3))
@@ -356,7 +336,9 @@ class TestIndex:
             got, want = (getattr(i.rows, name) for i in (loaded, index))
             assert got.tobytes() == want.tobytes()
         assert loaded.dim == index.dim == 64
-        assert loaded.titled == index.titled == 2
+        # built from an in-memory corpus: no file to record
+        assert loaded.corpus_sha256 is index.corpus_sha256 is None
+        assert loaded.line_offsets is index.line_offsets is None
 
     def test_file_without_text_rows_rejected(self, tmp_path, provider):
         index = build_index(small_corpus(), provider)
@@ -663,7 +645,7 @@ class TestWindowRows:
         index = build_index(long_corpus(), provider)
         path = tmp_path / "index"
         artifacts.save(path, "index",
-                       {"doc_ids": index.doc_ids, "titled": index.titled,
+                       {"doc_ids": index.doc_ids,
                         "provider_fingerprint": index.provider_fingerprint},
                        {"vectors": dense_rows(index.rows, len(index)),
                         "digests": index.rows.digests[:len(index)]})
@@ -678,7 +660,7 @@ class TestWindowRows:
         n = len(index)
         path = tmp_path / "index"
         artifacts.save(path, "index",
-                       {"doc_ids": index.doc_ids, "titled": index.titled,
+                       {"doc_ids": index.doc_ids,
                         "provider_fingerprint": index.provider_fingerprint},
                        {"vectors": dense_rows(index.rows, n),
                         "digests": index.rows.digests[:n],
@@ -723,7 +705,7 @@ class TestWindowRows:
                 "values": np.array([1.0, -0.0]), **damage}
         path = tmp_path / "index"
         artifacts.save(path, "index",
-                       {"doc_ids": ["a"], "titled": 0,
+                       {"doc_ids": ["a"],
                         "provider_fingerprint": "fp", "dim": 8}, rows)
         with pytest.raises(IndexIntegrityError, match=match):
             VectorIndex.load(path)
@@ -999,7 +981,7 @@ class TestExactScan:
         arrays = stored_rows(np.eye(3)).arrays()
         arrays["values"][1] = bad
         artifacts.save(path, "index",
-                       {"doc_ids": ["a", "b", "c"], "titled": 0,
+                       {"doc_ids": ["a", "b", "c"],
                         "provider_fingerprint": "fp", "dim": 3}, arrays)
         with pytest.raises(IndexIntegrityError, match="must be finite"):
             VectorIndex.load(path)
