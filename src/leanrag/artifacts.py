@@ -3,7 +3,7 @@
 A file is one JSON header line followed by the artifact's arrays, each
 written with ``np.save``: an ``int32``, ``int64`` or ``uint64`` array keeps
 its dtype, every other array is written as float64. The header carries the
-format name, the format version, any provider fingerprint and the small
+format name, the format's version, any provider fingerprint and the small
 fields (ids, labels, seeds, layer sizes, thresholds); its ``arrays`` entry
 names the arrays in payload order. Saving the same object twice writes the
 same bytes.
@@ -18,7 +18,11 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
+# a format's version, unless VERSIONS names another; a file of another
+# version is refused. The index and the NN reference went to 3 when their
+# rows lost their text digests
 VERSION = 2
+VERSIONS = {"index": 3, "nnref": 3}
 
 # the integer dtypes an array keeps on disk; load accepts these and float64
 INTEGER_DTYPES = frozenset(
@@ -81,7 +85,8 @@ def save(path: str | Path, kind: str, meta: Mapping,
          arrays: Mapping[str, np.ndarray]) -> None:
     """Write ``meta`` as the header and ``arrays`` as the payload of a
     ``kind`` file at exactly ``path``."""
-    header = {"format": f"leanrag-{kind}", "version": VERSION,
+    header = {"format": f"leanrag-{kind}",
+              "version": VERSIONS.get(kind, VERSION),
               "arrays": list(arrays), **meta}
     # an open handle, since np.save given a str path appends ".npy"
     with open(path, "wb") as handle:
@@ -109,10 +114,11 @@ def load(path: str | Path, kind: str,
             raise IndexIntegrityError(f"{path}: bad header: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != expected:
             raise IndexIntegrityError(f"{path}: not a {expected} file")
-        if header.get("version") != VERSION:
+        version = VERSIONS.get(kind, VERSION)
+        if header.get("version") != version:
             raise IndexIntegrityError(
                 f"{path}: {expected} version {header.get('version')!r}, "
-                f"expected {VERSION}; rebuild it")
+                f"expected {version}; rebuild it")
         header = _Fields(f"{path}: no header field", header)
         for name, check in {"arrays": STRINGS, **checks}.items():
             if not check.valid(header[name]):

@@ -130,8 +130,8 @@ class PipelineContext:
                 f"detector takes {self.detector.max_docs} documents, fewer "
                 f"than top_rerank={self.top_rerank}; rebuild it")
         # candidates and windows read the vectors set-up stored with the
-        # index instead of embedding them again; a scorer already bound to
-        # it is kept, with what its memo holds
+        # index, by row, instead of embedding them again; a scorer already
+        # bound to it is kept, with what its row cache holds
         if isinstance(self.scorer, ScorerModel) and self.retriever is not None:
             index = self.retriever.index
             if self.scorer.stored is not index:

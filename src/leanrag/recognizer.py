@@ -26,7 +26,6 @@ from .llm import LlmClient, PromptTemplate, build_noretrieve_prompt, is_correct
 from .retrieval import (EmbeddingProvider, ExactScan, SparseRows,
                         ascending_ids, embedded_rows, repeated_ids)
 from .scorer import ScoredCandidates
-from .seeds import stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -68,8 +67,7 @@ class RecognizerVerdict:
 
 class NnReferenceSet:
     """Labeled question embeddings for the nearest-neighbor facet: row i of
-    ``rows`` (``retrieval.SparseRows``, each digest its question text's) is
-    question ``question_ids[i]``, answered correctly without retrieval when
+    ``rows`` (``retrieval.SparseRows``) is the embedding of question ``question_ids[i]``, answered correctly without retrieval when
     ``correct[i]``. Question ids ascend, each once, so that ``scan``, built
     here, breaks ties by question id."""
 
@@ -130,8 +128,7 @@ def build_nn_reference(qa_records: Sequence[QARecord], llm: LlmClient,
     # in question-id order, which the reference set keeps its rows in
     labeled.sort(key=lambda pair: pair[0].question_id)
     rows = SparseRows.compress(embedded_rows(
-        ((stable_hash(qa.question), qa.question) for qa, _ in labeled),
-        provider), provider.dim)
+        (qa.question for qa, _ in labeled), provider), provider.dim)
     return NnReferenceSet([qa.question_id for qa, _ in labeled], rows,
                           [ok for _, ok in labeled], provider.fingerprint)
 

@@ -116,20 +116,28 @@ class ScoredWindows:
 
 
 def score_windows(docs: Sequence[Document], scorer: ScorerModel,
-                  question: str, question_embedding: np.ndarray | None = None
-                  ) -> ScoredWindows:
+                  question: str, question_embedding: np.ndarray | None = None,
+                  rows: np.ndarray | None = None) -> ScoredWindows:
     """Every sliding window of every document, given in rerank order,
-    scored in one ``score_arrays`` call. Raises ``ValueError`` when
-    ``docs`` is empty or a document has no sentences."""
+    scored in one call: by the windows' stored rows when ``rows`` gives
+    the documents' rows of the index the scorer reads (``score_rows``),
+    else by their texts. Raises ``ValueError`` when ``docs`` is empty or a
+    document has no sentences."""
     if not docs:
         raise ValueError("docs must be non-empty")
     counts = [len(d.windows) for d in docs]
-    logits, probs = scorer.score_arrays(
-        question, [text for d in docs for text in d.windows],
-        question_embedding)
-    return ScoredWindows(docs, np.repeat(np.arange(len(docs)), counts),
-                         np.concatenate([np.arange(n) for n in counts]),
-                         logits, probs, probs[:, 0] + probs[:, 1])
+    owners = np.repeat(np.arange(len(docs)), counts)
+    starts = np.concatenate([np.arange(n) for n in counts])
+    if rows is None:
+        logits, probs = scorer.score_arrays(
+            question, [text for d in docs for text in d.windows],
+            question_embedding)
+    else:
+        logits, probs = scorer.score_rows(
+            question, scorer.stored.window_rows[rows][owners] + starts,
+            question_embedding)
+    return ScoredWindows(docs, owners, starts, logits, probs,
+                         probs[:, 0] + probs[:, 1])
 
 
 class Detector(Protocol):
@@ -272,12 +280,21 @@ def reduce(question: str, scored_top: ScoredCandidates, scorer: ScorerModel,
     """Full reduction: rerank to the top documents, pick each document's
     best window, sort, and greedily cut off as early as the detector
     allows, all on score arrays; objects only for the windows kept."""
-    docs = scored_top.candidates.docs
-    windows = score_windows([docs[row] for row in rerank_rows(
-        scored_top, max_docs).tolist()], scorer, question, question_embedding)
+    windows = _top_windows(scored_top, rerank_rows(scored_top, max_docs),
+                           scorer, question, question_embedding)
     order = windows.preranked(windows.best_rows())
     size = accepted_size(windows.probs[order], detector)
     return make_combination(windows.members(order[:size]))
+
+
+def _top_windows(scored: ScoredCandidates, top: np.ndarray,
+                 scorer: ScorerModel, question: str,
+                 question_embedding: np.ndarray | None) -> ScoredWindows:
+    """``score_windows`` of the candidates ``top``, by their stored rows
+    when the scorer reads them."""
+    rows = scorer.stored_rows(scored.candidates)
+    return score_windows(scored.candidates.take(top), scorer, question,
+                         question_embedding, None if rows is None else rows[top])
 
 
 @dataclass
@@ -380,11 +397,11 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
         question_vec = retriever.provider.embed(qa.question)
         scored = score_candidates(scorer, qa.question, retriever.retrieve(
             qa.question, top_retrieve, question_vec), question_vec)
-        top = [scored.candidates.docs[row]
-               for row in rerank_rows(scored, max_docs).tolist()]
+        top = rerank_rows(scored, max_docs)
         try:
             with_docs = llm.complete(build_retrieve_prompt(
-                qa.question, [doc.text for doc in top], template))
+                qa.question, [doc.text for doc in scored.candidates.take(top)],
+                template))
             if not is_correct(with_docs.text, qa.gold_answers):
                 continue  # retrieval does not help; no positive signal to learn
         except Exception as exc:
@@ -392,7 +409,7 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
                            qa.question_id, exc)
             continue
 
-        windows = score_windows(top, scorer, qa.question, question_vec)
+        windows = _top_windows(scored, top, scorer, qa.question, question_vec)
         n_windows = len(windows.owners)
         rng = derive_rng(seed, f"detector-data:{qa.question_id}")
         draws = []

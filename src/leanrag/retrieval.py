@@ -5,7 +5,11 @@ Two providers ship by default: a seeded feature-hashing bag-of-words embedder
 Every stored matrix (the index's rows, the NN reference's questions) is kept
 in one form, ``SparseRows``: each row's entries whose bits are not +0.0.
 The index is an exact cosine scan over unit-normalized vectors, planned once
-from those entries when it is built or loaded. A document's
+from those entries when it is built or loaded. The scan returns index rows,
+and the query path addresses every stored vector by its row: ``Candidates``
+keep the scan's rows, and the index records each document's text row and
+first window row, so no text is looked up or hashed per question. A
+document's
 similarity to a question is defined as the sum, starting from +0.0, of each
 coordinate's separately rounded product ``v_j * q_j``, added in ascending
 coordinate order; equal similarities rank by ascending doc id. So a row's
@@ -27,7 +31,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -35,7 +39,6 @@ from . import artifacts
 from .artifacts import IndexIntegrityError
 from .corpus import (WINDOW, Corpus, CorpusRows, Document, contains_answer,
                      max_sentences)
-from .seeds import stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -240,13 +243,24 @@ class RetrievedDoc:
 class Candidates:
     """Retrieved documents, most similar first: ``docs[i]`` has rank i + 1
     and similarity ``similarity[i]``. Iterating or indexing builds each
-    ``RetrievedDoc`` anew; the query path reads ``docs`` and the array."""
+    ``RetrievedDoc`` anew; the query path reads ``docs`` and the arrays.
+    Candidates a ``Retriever`` returns also keep the scan's ``rows`` of
+    its ``index``, by which the scorer reads their stored vectors, and read
+    a document only when ``docs`` is indexed (``RowDocuments``)."""
 
     docs: Sequence[Document]
     similarity: np.ndarray
+    rows: np.ndarray | None = None
+    index: VectorIndex | None = None
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.similarity)
+
+    def take(self, positions: np.ndarray) -> list[Document]:
+        """``docs[i]`` for each i of ``positions``, in order."""
+        if isinstance(self.docs, RowDocuments):
+            return self.docs.take(positions)
+        return [self.docs[i] for i in positions.tolist()]
 
     def __getitem__(self, i: int) -> RetrievedDoc:
         try:
@@ -256,6 +270,30 @@ class Candidates:
                 f"Candidates index by int only, not {type(i).__name__}; "
                 "slice .docs and .similarity instead") from None
         return RetrievedDoc(self.docs[i], float(self.similarity[i]), i + 1)
+
+
+class RowDocuments(Sequence):
+    """The documents of index ``rows``, read from ``documents`` (a list, or
+    a ``CorpusRows`` that parses a line on its first read) when indexed,
+    so that a question parses only the documents it reads."""
+
+    def __init__(self, documents: Mapping[int, Document] | list[Document],
+                 rows: np.ndarray):
+        self._documents = documents
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self._rows))[i])
+        return self._documents[int(self._rows[i])]
+
+    def take(self, positions: np.ndarray) -> list[Document]:
+        """The documents at ``positions``, in order."""
+        documents = self._documents
+        return [documents[row] for row in self._rows[positions].tolist()]
 
 
 def document_embedding_text(doc: Document) -> str:
@@ -269,30 +307,25 @@ class SparseRows:
     ``counts`` has each row's number of such entries, ``columns`` and
     ``values`` their column ids and values, row after row. Filling a row
     back writes the exact bits it was kept from, -0.0 and subnormals
-    included. ``digests`` has the ``stable_hash`` of the text each row was
-    embedded from."""
+    included."""
 
-    ARRAYS = ("digests", "counts", "columns", "values")
+    ARRAYS = ("counts", "columns", "values")
 
-    def __init__(self, digests: np.ndarray, counts: np.ndarray,
-                 columns: np.ndarray, values: np.ndarray, dim: int):
-        self.digests = np.asarray(digests)
+    def __init__(self, counts: np.ndarray, columns: np.ndarray,
+                 values: np.ndarray, dim: int):
         self.counts = np.asarray(counts)
         self.columns = np.asarray(columns)
         self.values = np.asarray(values)
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
             raise ValueError(f"row width must be an int >= 0, got {dim!r}")
         self.dim = dim
-        if self.digests.dtype != np.uint64 or self.digests.ndim != 1:
-            raise ValueError("row digests must be a uint64 vector")
         if not (np.issubdtype(self.counts.dtype, np.integer)
                 and np.issubdtype(self.columns.dtype, np.integer)
                 and self.values.dtype == np.float64):
             raise ValueError("row counts and column ids must be integers, "
                              "row values float64")
-        if self.counts.shape != self.digests.shape or \
-                (self.counts < 0).any():
-            raise ValueError("row counts must be one >= 0 per digest")
+        if self.counts.ndim != 1 or (self.counts < 0).any():
+            raise ValueError("row counts must be a vector of ints >= 0")
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
         if not self.columns.shape == self.values.shape == \
                 (self.offsets[-1],):
@@ -304,24 +337,20 @@ class SparseRows:
             raise ValueError("row values must be finite")
 
     @classmethod
-    def compress(cls, chunks: Iterable[tuple[Sequence[int], np.ndarray]],
-                 dim: int) -> "SparseRows":
-        """The rows of ``chunks``, each (digests, dense rows), kept one
-        chunk at a time."""
-        digests: list[int] = []
+    def compress(cls, chunks: Iterable[np.ndarray], dim: int) -> "SparseRows":
+        """The rows of the dense ``chunks``, kept one chunk at a time."""
         counts = [np.zeros(0, dtype=np.int64)]
         columns = [np.zeros(0, dtype=np.int32)]
         values = [np.zeros(0)]
-        for chunk_digests, dense in chunks:
+        for dense in chunks:
             dense = np.ascontiguousarray(dense, dtype=np.float64)
             # the bits, not the value, so that a -0.0 is kept
             kept = dense.view(np.uint64) != 0
-            digests += chunk_digests
             counts.append(kept.sum(axis=1))
             columns.append(np.nonzero(kept)[1].astype(np.int32))
             values.append(dense[kept])
-        return cls(np.array(digests, dtype=np.uint64), np.concatenate(counts),
-                   np.concatenate(columns), np.concatenate(values), dim)
+        return cls(np.concatenate(counts), np.concatenate(columns),
+                   np.concatenate(values), dim)
 
     @classmethod
     def load(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "SparseRows":
@@ -338,19 +367,19 @@ class SparseRows:
         return {name: getattr(self, name) for name in self.ARRAYS}
 
     def __len__(self) -> int:
-        return len(self.digests)
+        return len(self.counts)
 
-    def fill(self, out: np.ndarray, positions: Sequence[int],
-             rows: Sequence[int]) -> None:
-        """Write row ``rows[i]`` into ``out[positions[i]]`` for every i."""
-        rows = np.asarray(rows)
+    def dense(self, rows: Sequence[int]) -> np.ndarray:
+        """Row ``rows[i]`` as row i of a new dense array."""
+        rows = np.asarray(rows, dtype=np.intp)
         counts = self.counts[rows]
         # the chosen rows' entry ids, row after row
         entries = np.arange(counts.sum()) + np.repeat(
             self.offsets[rows] - (np.cumsum(counts) - counts), counts)
-        out[positions] = 0.0
-        out[np.repeat(positions, counts), self.columns[entries]] = \
-            self.values[entries]
+        out = np.zeros((len(rows), self.dim))
+        out[np.repeat(np.arange(len(rows)), counts), self.columns[entries]] \
+            = self.values[entries]
+        return out
 
 
 class ExactScan:
@@ -383,8 +412,7 @@ class ExactScan:
             self._starts = [0, *np.cumsum(
                 np.bincount(ids, minlength=self.dim)).tolist()]
         else:
-            self._dense = np.empty((self.n, self.dim))
-            rows.fill(self._dense, np.arange(self.n), np.arange(self.n))
+            self._dense = rows.dense(np.arange(self.n))
             self._max_norm = float(np.sqrt(np.einsum(
                 "ij,ij->i", self._dense, self._dense).max()))
 
@@ -467,31 +495,48 @@ class VectorIndex:
     """Exact-scan index over documents in ascending doc-id order, so that
     ascending row order is the documented tie-break.
 
-    ``rows`` holds every stored row, embedded with one provider, each with
-    the digest of the text it was embedded from: first one row per doc id
-    ("title. text"), which ``scan`` searches, then any more (``build_index``:
-    the text of each titled document, which is what the scorer embeds, and
-    every sub-document window no other row holds). ``embed_many`` serves any
-    of them by its text. An index built from a corpus file records the
-    file's ``corpus_sha256`` and each doc id's ``line_offsets`` in it
-    (``int64``, bytes), by which ``CorpusRows`` reads the documents; one
-    built from an in-memory corpus records neither."""
+    ``rows`` holds every stored row, embedded with one provider: first one
+    row per doc id ("title. text"), which ``scan`` searches, then the rest
+    ``build_index`` stores. Document i's text, which the scorer reads, is
+    row ``text_rows[i]``, and its windows are the rows from
+    ``window_rows[i]`` on, one per window of ``Document.windows``, next to
+    each other (``int32``, one per doc id; by default row i). An index built from a corpus
+    file records the file's ``corpus_sha256`` and each doc id's
+    ``line_offsets`` in it (``int64``, bytes), by which ``CorpusRows``
+    reads the documents; one built from an in-memory corpus records
+    neither."""
 
     def __init__(self, doc_ids: Sequence[str], rows: SparseRows,
-                 provider_fingerprint: str, corpus_sha256: str | None = None,
+                 provider_fingerprint: str,
+                 text_rows: np.ndarray | None = None,
+                 window_rows: np.ndarray | None = None,
+                 corpus_sha256: str | None = None,
                  line_offsets: np.ndarray | None = None):
         if len(doc_ids) == 0:
             raise ValueError("cannot build an index over an empty corpus")
+        # by default each document's own row, as for an untitled document
+        # of one window
+        own = np.arange(len(doc_ids), dtype=np.int32)
+        text_rows = own if text_rows is None else text_rows
+        window_rows = own if window_rows is None else window_rows
         if len(rows) < len(doc_ids):
             raise ValueError("rows must begin with one row per doc id")
         if (corpus_sha256 is None) != (line_offsets is None):
             raise ValueError("corpus_sha256 and line_offsets come together")
-        if line_offsets is not None and (
-                line_offsets.dtype != np.int64 or
-                line_offsets.shape != (len(doc_ids),)):
-            raise ValueError(f"line_offsets must be int64, one per doc id; "
-                             f"got {line_offsets.dtype} of shape "
-                             f"{line_offsets.shape} for {len(doc_ids)}")
+        for name, array, dtype in (("text_rows", text_rows, np.int32),
+                                   ("window_rows", window_rows, np.int32),
+                                   ("line_offsets", line_offsets, np.int64)):
+            if array is not None and (array.dtype != dtype or
+                                      array.shape != (len(doc_ids),)):
+                raise ValueError(
+                    f"{name} must be {np.dtype(dtype)}, one per doc id; got "
+                    f"{array.dtype} of shape {array.shape} for "
+                    f"{len(doc_ids)}")
+        for name, array in (("text_rows", text_rows),
+                            ("window_rows", window_rows)):
+            if not 0 <= array.min() <= array.max() < len(rows):
+                raise ValueError(f"{name} must be stored rows, in "
+                                 f"[0, {len(rows)})")
         self.doc_ids = ascending_ids(doc_ids, "doc ids")
         repeated = repeated_ids(self.doc_ids)
         if repeated:
@@ -500,12 +545,10 @@ class VectorIndex:
         self.scan = ExactScan(rows, len(self.doc_ids))
         self.dim = rows.dim
         self.provider_fingerprint = provider_fingerprint
+        self.text_rows = text_rows
+        self.window_rows = window_rows
         self.corpus_sha256 = corpus_sha256
         self.line_offsets = line_offsets
-        # the stored rows' digests ascending, and the row of each; rows of
-        # one digest hold one text, so any of them serves it
-        self._order = np.argsort(rows.digests)
-        self._digests = rows.digests[self._order]
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -522,34 +565,9 @@ class VectorIndex:
         return [(self.doc_ids[row], sim)
                 for row, sim in zip(rows.tolist(), sims.tolist())]
 
-    def embed_many(self, provider: EmbeddingProvider,
-                   texts: Sequence[str]) -> np.ndarray:
-        """``provider.embed_many(texts)``, bit for bit: a text is read from
-        the stored row embedded from it, found by one lookup of its digest,
-        and the rest are embedded in one call (none when every text is
-        held). A row serves only the text it was embedded from, so a
-        document edited after indexing finds no row, and only a provider
-        with the index's fingerprint; any other embeds every text."""
-        if provider.fingerprint + INDEX_FIELDS != self.provider_fingerprint:
-            positions = np.full(len(texts), -1, dtype=np.intp)
-        else:
-            digests = np.array([stable_hash(text) for text in texts],
-                               dtype=np.uint64)
-            at = np.searchsorted(self._digests, digests).clip(
-                max=len(self._digests) - 1)
-            positions = np.where(self._digests[at] == digests,
-                                 self._order[at], -1)
-        out = np.empty((len(texts), self.dim))
-        held = np.flatnonzero(positions >= 0)
-        if len(held):
-            self.rows.fill(out, held, positions[held])
-        missing = np.flatnonzero(positions < 0)
-        if len(missing):
-            out[missing] = provider.embed_many([texts[i] for i in missing])
-        return out
-
     def save(self, path: str | Path) -> None:
-        arrays = self.rows.arrays()
+        arrays = {**self.rows.arrays(), "text_rows": self.text_rows,
+                  "window_rows": self.window_rows}
         if self.line_offsets is not None:
             arrays["line_offsets"] = self.line_offsets
         artifacts.save(path, "index",
@@ -563,14 +581,19 @@ class VectorIndex:
     def load(cls, path: str | Path) -> "VectorIndex":
         meta, arrays = artifacts.load(path, "index")
         offsets = arrays.pop("line_offsets", None)
+        positions = [arrays.pop(name, None)
+                     for name in ("text_rows", "window_rows")]
         rows = SparseRows.load(meta, arrays)
+        if any(array is None for array in positions):
+            raise ValueError("leanrag-index is in an older layout; "
+                             "rebuild it")
         digest = meta["corpus_sha256"]
         if digest is not None and not isinstance(digest, str):
             raise IndexIntegrityError(
                 f"{path}: header field 'corpus_sha256' must be a string or "
                 f"null, got {digest!r}; rebuild it")
         return cls(meta["doc_ids"], rows, meta["provider_fingerprint"],
-                   digest, offsets)
+                   *positions, digest, offsets)
 
 
 def _top(sims: np.ndarray, k: int) -> np.ndarray:
@@ -617,56 +640,73 @@ def _filter_margin(dim: int, max_norm: float, query_norm: float) -> float:
     return 4 * (dim + 2) * (eps * scale + np.nextafter(0.0, 1.0))
 
 
-def embedded_rows(pairs: Iterable[tuple[int, str]],
-                  provider: EmbeddingProvider
-                  ) -> Iterator[tuple[list[int], np.ndarray]]:
-    """(digests, dense rows) of the (``stable_hash``, text) ``pairs``, in
-    order, from one ``provider.embed_many`` call per ``EMBED_CHUNK`` texts:
-    the chunks ``SparseRows.compress`` keeps every stored row from."""
-    pairs = iter(pairs)
-    while chunk := list(itertools.islice(pairs, EMBED_CHUNK)):
-        digests, texts = zip(*chunk)
-        yield list(digests), provider.embed_many(list(texts))
+def embedded_rows(texts: Iterable[str], provider: EmbeddingProvider
+                  ) -> Iterator[np.ndarray]:
+    """The dense rows of ``texts``, in order, from one
+    ``provider.embed_many`` call per ``EMBED_CHUNK`` texts: the chunks
+    ``SparseRows.compress`` keeps every stored row from."""
+    texts = iter(texts)
+    while chunk := list(itertools.islice(texts, EMBED_CHUNK)):
+        yield provider.embed_many(chunk)
 
 
 def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
     """Embed every document ("title. text") into a fresh index, in doc-id
-    order, then each titled document's text, which is what the scorer
-    embeds, and each sub-document window, where no earlier row holds that
-    text. Every row goes through ``embedded_rows``, so set-up never holds
-    more than ``EMBED_CHUNK`` rows densely."""
+    order, then the texts and windows ``_stored_texts`` adds. Every row goes
+    through ``embedded_rows``, so set-up never holds more than
+    ``EMBED_CHUNK`` rows densely."""
     if len(corpus) == 0:
         raise ValueError("cannot build an index over an empty corpus")
     docs = sorted(corpus, key=lambda d: d.doc_id)
-    texts = [document_embedding_text(d) for d in docs]
-    digests = [stable_hash(text) for text in texts]
-    rows = SparseRows.compress(embedded_rows(itertools.chain(
-        zip(digests, texts), _new_texts(docs, set(digests))), provider),
-        provider.dim)
+    text_rows = np.empty(len(docs), dtype=np.int32)
+    window_rows = np.empty(len(docs), dtype=np.int32)
+    rows = SparseRows.compress(embedded_rows(
+        _stored_texts(docs, text_rows, window_rows), provider), provider.dim)
     offsets = None
     if corpus.sha256 is not None:
         offsets = np.array([corpus.offsets[d.doc_id] for d in docs],
                            dtype=np.int64)
     return VectorIndex([d.doc_id for d in docs], rows,
-                       provider.fingerprint + INDEX_FIELDS, corpus.sha256,
-                       offsets)
+                       provider.fingerprint + INDEX_FIELDS, text_rows,
+                       window_rows, corpus.sha256, offsets)
 
 
-def _new_texts(docs: Iterable[Document], held: set[int]
-               ) -> Iterator[tuple[int, str]]:
-    """(digest, text) of each document's text, when it is titled, and
-    windows, each whose digest is not in ``held``, adding each to it."""
-    for doc in docs:
-        texts = [doc.text] if doc.title.strip() else []
-        # a single-spaced document of at most WINDOW sentences is its one
-        # window, which its index or text row already holds
-        if not _one_window(doc.text):
-            texts += doc.windows
-        for text in texts:
-            digest = stable_hash(text)
-            if digest not in held:
-                held.add(digest)
-                yield digest, text
+def _stored_texts(docs: Sequence[Document], text_rows: np.ndarray,
+                  window_rows: np.ndarray) -> Iterator[str]:
+    """The text of each stored row, in row order, writing each document's
+    text row and first window row as it goes: every document's
+    "title. text", then, document by document, its text where no row holds
+    it yet (an untitled document's row already does) and its windows. A
+    document of one window stores it where no row holds it yet (a
+    single-spaced document of at most ``WINDOW`` sentences is its one
+    window); one of several stores them next to each other, unless an
+    earlier document stored the same windows."""
+    held: dict[str, int] = {}  # each stored text's first row
+    for row, doc in enumerate(docs):
+        text = document_embedding_text(doc)
+        held.setdefault(text, row)
+        yield text
+    end = len(docs)
+    runs: dict[tuple[str, ...], int] = {}  # each run of windows' first row
+    for i, doc in enumerate(docs):
+        windows = (doc.text,) if _one_window(doc.text) else doc.windows
+        single = windows if len(windows) == 1 else ()
+        for text in (doc.text, *single):
+            if text not in held:
+                held[text] = end
+                end += 1
+                yield text
+        text_rows[i] = held[doc.text]
+        if len(windows) == 1:
+            window_rows[i] = held[windows[0]]
+            continue
+        if windows not in runs:
+            runs[windows] = end
+            for text in windows:
+                held.setdefault(text, end)
+                end += 1
+                yield text
+        window_rows[i] = runs[windows]
 
 
 def _one_window(text: str) -> bool:
@@ -684,12 +724,18 @@ def _one_window(text: str) -> bool:
 
 
 class Retriever:
-    """Binds a corpus, its index, and the query-side embedding provider.
-    ``corpus`` is a parsed ``Corpus`` or the ``CorpusRows`` of the index,
-    which parses a document the first time a question reads it."""
+    """Binds a corpus, its index, and the query-side embedding provider,
+    which must be the one the index was built with. ``corpus`` is a parsed
+    ``Corpus`` or the ``CorpusRows`` of the index, which parses a document
+    the first time a question reads it; either must hold the documents the
+    index was built from, as ``load_pipeline`` checks by digest."""
 
     def __init__(self, corpus: Corpus | CorpusRows, index: VectorIndex,
                  provider: EmbeddingProvider):
+        if provider.fingerprint + INDEX_FIELDS != index.provider_fingerprint:
+            raise ValueError(
+                f"index built with {index.provider_fingerprint!r}, provider "
+                f"gives {provider.fingerprint + INDEX_FIELDS!r}")
         self.corpus = corpus
         self.index = index
         self.provider = provider
@@ -705,7 +751,8 @@ class Retriever:
         if query_embedding is None:
             query_embedding = self.provider.embed(question)
         rows, sims = self.index.scan.top(query_embedding, k)
-        return Candidates([self._docs[row] for row in rows.tolist()], sims)
+        return Candidates(RowDocuments(self._docs, rows), sims, rows,
+                          self.index)
 
 
 def recall_at_k(results: Sequence[RetrievedDoc] | Candidates,

@@ -1,7 +1,10 @@
 """Two-headed document scorer and its imbalance-aware training loop.
 
 A frozen embedding provider turns (question, document) into features; a small
-MLP head emits two logits — answer presence and LLM preference. Training pairs
+MLP head emits two logits — answer presence and LLM preference. On the query
+path a document's vector is not embedded again: it is the stored row of the
+index that the candidate's scan row names (``ScorerModel.score_rows``), and
+the head's product with it is kept per row. Training pairs
 whose two labels agree ("matched") vastly outnumber the rest, so each
 example's loss is weighted f(w) = w for matched, 1 - w for mismatched, and w
 itself is learned by hypergradient descent: after each parameter update the
@@ -12,8 +15,6 @@ downhill.
 from __future__ import annotations
 
 import logging
-import mmap
-import operator
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,8 +26,8 @@ from . import artifacts
 from .corpus import Document, QARecord, contains_answer
 from .llm import LlmClient, PromptTemplate, build_retrieve_prompt, is_correct
 from .mlp import Backprop, Mlp, sgd_epoch, sigmoid, stratified_split
-from .retrieval import (Candidates, EmbeddingProvider, RetrievedDoc,
-                        Retriever, VectorIndex)
+from .retrieval import (INDEX_FIELDS, Candidates, EmbeddingProvider,
+                        RetrievedDoc, Retriever, VectorIndex)
 from .seeds import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -82,8 +83,8 @@ class ScoredCandidates:
     ``logits`` and ``probs`` of shape (n, 2), columns (answer, preference),
     and ``combined``, p_ans + p_pref, the one IEEE add that
     ``BiLabelScore.combined`` makes. The recognizer, the reducer and the
-    evaluation read the arrays; iterating or indexing builds each
-    (``RetrievedDoc``, ``BiLabelScore``) pair anew."""
+    evaluation read the arrays; ``score`` builds one row's
+    ``BiLabelScore``."""
 
     def __init__(self, candidates: Candidates, logits: np.ndarray,
                  probs: np.ndarray):
@@ -108,9 +109,6 @@ class ScoredCandidates:
     def __len__(self) -> int:
         return len(self.candidates)
 
-    def __getitem__(self, row: int) -> tuple[RetrievedDoc, BiLabelScore]:
-        return self.candidates[row], self.score(row)
-
     def score(self, row: int) -> BiLabelScore:
         return BiLabelScore(*self.logits[row].tolist(),
                             *self.probs[row].tolist())
@@ -120,7 +118,13 @@ def score_candidates(scorer: ScorerModel, question: str,
                      candidates: Candidates,
                      question_embedding: np.ndarray | None = None
                      ) -> ScoredCandidates:
-    """Every candidate's text scored in one ``score_arrays`` call."""
+    """Every candidate scored in one call: by its text's stored row when
+    the scorer reads the candidates' index (``score_rows``), else by its
+    text (``score_arrays``)."""
+    rows = scorer.stored_rows(candidates)
+    if rows is not None:
+        return ScoredCandidates(candidates, *scorer.score_rows(
+            question, scorer.stored.text_rows[rows], question_embedding))
     return ScoredCandidates(candidates, *scorer.score_arrays(
         question, [doc.text for doc in candidates.docs], question_embedding))
 
@@ -211,18 +215,18 @@ def annotate_training_pair(qa: QARecord, doc: Document, llm: LlmClient,
 def build_training_set(qa_records: Sequence[QARecord], retriever: Retriever,
                        llm: LlmClient, per_question_k: int,
                        template: PromptTemplate | None = None) -> TrainingSet:
-    """Retrieve top-k documents per question and annotate every pair.
+    """Retrieve top-k documents per question and annotate every pair. A
+    document's vector is its text's stored row of the retriever's index.
 
     Individual annotation failures are logged and counted, not fatal.
     """
-    provider = retriever.provider
+    index = retriever.index
     pairs: list[LabeledPair] = []
     failures = 0
     for qa in qa_records:
-        question_vec = provider.embed(qa.question)
+        question_vec = retriever.provider.embed(qa.question)
         results = retriever.retrieve(qa.question, per_question_k, question_vec)
-        doc_vectors = retriever.index.embed_many(
-            provider, [doc.text for doc in results.docs])
+        doc_vectors = index.rows.dense(index.text_rows[results.rows])
         for doc, doc_vec in zip(results.docs, doc_vectors):
             try:
                 label = annotate_training_pair(qa, doc, llm, template)
@@ -342,22 +346,20 @@ class EpochStats:
 class ScorerModel:
     """Frozen encoder reference plus the trained two-head MLP.
 
-    The head's first layer acts on [q ; d] as W_q q + W_d d + b, and
-    ``score_arrays`` computes it in those parts: W_q q once per call, and
-    W_d d once per text, kept as one row of ``head.layer_sizes[1]`` floats
-    in a 2-D array, with a memo from text to row. The memo serves one head
-    object at one parameter version, one ``stored`` index (not saved;
-    ``PipelineContext`` binds its retriever's index) and one provider
-    object, and is emptied when any of them changes. It holds at most
-    ``stored.stored_count`` texts, whether a stored row holds them or not
-    (an edited document, an ad-hoc text), and nothing when ``stored`` is
-    None; a copy made with ``dataclasses.replace`` starts empty. Every
+    The head's first layer acts on [q ; d] as W_q q + W_d d + b, computed
+    in those parts: W_q q once per call, W_d d once per document.
+    ``score_arrays`` embeds the texts it is given. ``score_rows`` reads
+    stored rows of ``stored`` (not saved; ``PipelineContext`` binds its
+    retriever's index), and keeps each row's W_d d in one cache
+    (``_RowCache``) that serves one head at one parameter version and one
+    ``stored`` index, and is replaced by an empty one when any of them
+    changes; a copy made with ``dataclasses.replace`` starts empty. Every
     part is computed row by row, so: identical texts score identically; a
-    batch scores exactly as one call per text would, whatever the memo held
-    before; a text no stored row holds scores exactly as a stored one
-    would; the logits are within rounding (1e-12) of
-    ``head.forward_logits`` on the concatenated features; and after
-    ``head.set_params`` no kept row is used again."""
+    batch scores exactly as one call per text would, whatever the cache
+    held before; a stored row scores exactly as its text would; the logits
+    are within rounding (1e-12) of ``head.forward_logits`` on the
+    concatenated features; and after ``head.set_params`` no kept product
+    is used again."""
 
     head: Mlp
     balance_weight: float
@@ -366,100 +368,79 @@ class ScorerModel:
     provider_fingerprint: str | None = None
     stored: VectorIndex | None = field(default=None, repr=False,
                                        compare=False)
-    # each memo text's row of ``_rows``, which holds its W_d d
-    _memo: dict[str, int] = field(default_factory=dict, init=False,
-                                  repr=False, compare=False)
-    _rows: np.ndarray = field(default_factory=lambda: np.empty((0, 0)),
-                              init=False, repr=False, compare=False)
-    # (head, stored, provider, parameter version) the memo was filled for
-    _memo_for: tuple = field(default=(), init=False, repr=False,
-                             compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  init=False, repr=False, compare=False)
+    _cache: _RowCache | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def score(self, question: str, doc_text: str) -> BiLabelScore:
         """The one row of ``score_arrays`` for ``doc_text``."""
         logits, probs = self.score_arrays(question, [doc_text])
         return BiLabelScore(*logits[0].tolist(), *probs[0].tolist())
 
+    def stored_rows(self, candidates: Candidates) -> np.ndarray | None:
+        """The candidates' rows of ``stored``, by which ``score_rows``
+        reads them; None unless a scan of ``stored`` returned them and it
+        was built with this model's provider."""
+        index = candidates.index
+        if index is None or index is not self.stored or \
+                self.provider is None or self.provider.fingerprint + \
+                INDEX_FIELDS != index.provider_fingerprint:
+            return None
+        return candidates.rows
+
     def score_arrays(self, question: str, doc_texts: Sequence[str],
                      question_embedding: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
         """(logits, probabilities), each of shape (len(doc_texts), 2),
-        columns (answer, preference), from at most one ``embed_many`` call
-        (for the texts neither the memo nor ``stored`` holds) and one
-        forward call from the first layer's pre-activation.
+        columns (answer, preference), from one ``embed_many`` call for the
+        texts and one forward call from the first layer's pre-activation.
         ``question_embedding`` reuses the question's vector when the caller
         already has it from this model's provider."""
+        return self._score(question, question_embedding, doc_texts, None)
+
+    def score_rows(self, question: str, rows: np.ndarray,
+                   question_embedding: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """``score_arrays`` of the texts of the stored ``rows`` of
+        ``stored``, bit for bit, from their vectors: W_d d of a row is
+        computed on its first read and kept."""
+        return self._score(question, question_embedding, None, rows)
+
+    def _score(self, question: str, question_embedding: np.ndarray | None,
+               texts: Sequence[str] | None, rows: np.ndarray | None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Of ``texts``, or else of the stored ``rows``."""
         if self.provider is None:
             raise ValueError("model has no embedding provider attached")
-        if not doc_texts:
+        if not len(rows if texts is None else texts):
             return np.empty((0, 2)), np.empty((0, 2))
         if question_embedding is None:
             question_embedding = self.provider.embed(question)
-        # the memo's version before the weights, so that a concurrent
-        # set_params can leave new rows only under a version no later call
-        # is served from
-        memo, rows = self._current_memo()
+        # the cache's version before the weights, so that a concurrent
+        # set_params can leave new products only under a version no later
+        # call is served from
+        cache = None if texts is not None else self._current_cache()
         weights, bias = self.head.first_layer()
         width = len(question_embedding)
         question_half = question_embedding @ weights[:, :width].T
-        pre = question_half + self._document_halves(
-            memo, rows, doc_texts, weights[:, width:]) + bias
+        if cache is None:
+            halves = _products(self.provider.embed_many(list(texts)),
+                               weights[:, width:])
+        else:
+            halves = cache.read(rows, weights[:, width:])
+        pre = question_half + halves + bias
         logits = self.head.forward_logits(pre, preactivated=True)
         return logits, sigmoid(logits)
 
-    def _current_memo(self) -> tuple[dict[str, int], np.ndarray]:
-        """The memo and its rows, both replaced first, when the head, its
-        parameter version, ``stored`` or the provider is not the one they
-        were filled for, by an empty memo with room for
-        ``stored.stored_count`` rows (none when ``stored`` is None)."""
-        owner = (self.head, self.stored, self.provider, self.head.version)
-        with self._lock:
-            held = self._memo_for
-            if not (held and all(map(operator.is_, held[:3], owner[:3]))
-                    and held[3] == owner[3]):
-                room = 0 if self.stored is None else self.stored.stored_count
-                width = self.head.layer_sizes[1]
-                self._memo, self._memo_for = {}, owner
-                # an anonymous mapping gets a page on its first write, 4 kB
-                # at a time; numpy asks for 2 MB pages for an array of 4 MB
-                # or more, which the first rows written would fill
-                self._rows = np.frombuffer(
-                    mmap.mmap(-1, max(8 * room * width, 1)),
-                    count=room * width).reshape(room, width)
-            return self._memo, self._rows
-
-    def _document_halves(self, memo: dict[str, int], rows: np.ndarray,
-                         texts: Sequence[str],
-                         weights: np.ndarray) -> np.ndarray:
-        """W_d d of each text: its row of ``rows`` when ``memo`` has it, or
-        computed from the text's vector (``stored`` serves a stored row's
-        bits, the provider embeds the rest, in one call) and written to
-        ``rows`` while they have room, each row before its text enters
-        ``memo``."""
-        missing = list(dict.fromkeys(t for t in texts if t not in memo))
-        if not missing:
-            return rows[[memo[t] for t in texts]]
-        vectors = (self.provider.embed_many(missing) if self.stored is None
-                   else self.stored.embed_many(self.provider, missing))
-        computed = _products(vectors, weights)
-        with self._lock:
-            # not when another owner's call replaced the memo
-            if memo is self._memo:
-                start = len(memo)
-                # not those another call kept meanwhile
-                new = [i for i, t in enumerate(missing)
-                       if t not in memo][:len(rows) - start]
-                rows[start:start + len(new)] = computed[new]
-                memo.update(zip([missing[i] for i in new],
-                                range(start, start + len(new))))
-        fresh = {text: i for i, text in enumerate(missing)}
-        out = computed[[fresh.get(t, 0) for t in texts]]
-        held = [i for i, t in enumerate(texts) if t not in fresh]
-        if held:
-            out[held] = rows[[memo[texts[i]] for i in held]]
-        return out
+    def _current_cache(self) -> _RowCache:
+        """The row cache, replaced first by an empty one when the head,
+        its parameter version or ``stored`` is not the one it was filled
+        for. Two threads may each replace it; each call reads one cache."""
+        owner = (self.head, self.head.version, self.stored)
+        cache = self._cache
+        if cache is None or cache.owner != owner:
+            cache = self._cache = _RowCache(owner, self.stored,
+                                            self.head.layer_sizes[1])
+        return cache
 
     def save(self, path: str | Path) -> None:
         artifacts.save(path, "scorer", {
@@ -496,6 +477,47 @@ def _products(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``weights @ v`` for each row v, each row through its own
     vector-matrix product, as ``Mlp.forward_logits`` computes a layer."""
     return (vectors[:, None, :] @ weights.T)[:, 0, :]
+
+
+class _RowCache:
+    """W_d d of the stored rows of ``stored`` read so far, packed:
+    ``slots[row]`` (``int32``, -1 until the row is first read) is the row
+    of ``products`` holding row ``row``'s product. Products are appended,
+    under a lock, each written before its slot is set, so a read that finds
+    a slot set, taking no lock, finds its product."""
+
+    def __init__(self, owner: tuple, stored: VectorIndex, width: int):
+        self.owner = owner
+        self.stored = stored
+        self.slots = np.full(stored.stored_count, -1, dtype=np.int32)
+        self.products = np.empty((0, width))
+        self.used = 0
+        self._lock = threading.Lock()
+
+    def read(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """W_d d of each of ``rows``, ``weights`` being W_d."""
+        slots = self.slots[rows]
+        if -1 in slots:
+            self._add(rows[slots < 0], weights)
+            slots = self.slots[rows]
+        return self.products[slots]
+
+    def _add(self, rows: np.ndarray, weights: np.ndarray) -> None:
+        with self._lock:
+            # once each, and not those another call kept meanwhile
+            rows = np.unique(rows[self.slots[rows] < 0])
+            if not len(rows):
+                return
+            computed = _products(self.stored.rows.dense(rows), weights)
+            end = self.used + len(rows)
+            if end > len(self.products):
+                grown = np.empty((min(max(end, 2 * len(self.products)),
+                                      len(self.slots)), len(weights)))
+                grown[:self.used] = self.products[:self.used]
+                self.products = grown
+            self.products[self.used:end] = computed
+            self.slots[rows] = np.arange(self.used, end, dtype=np.int32)
+            self.used = end
 
 
 class TrainResult(NamedTuple):

@@ -50,22 +50,16 @@ _FILLER = ("the archive holds many records about history and trade routes "
            "over centuries of careful note keeping by patient scribes").split()
 
 
-def stored_rows(dense, digests=None):
-    """The rows of the matrix ``dense`` as ``SparseRows``; each row's digest
-    is its position unless ``digests`` are given, so that by default no
-    text's digest finds a row."""
+def stored_rows(dense):
+    """The rows of the matrix ``dense`` as ``SparseRows``."""
     dense = np.asarray(dense, dtype=np.float64)
-    digests = range(len(dense)) if digests is None else digests
-    return SparseRows.compress([(list(digests), dense)], dense.shape[1])
+    return SparseRows.compress([dense], dense.shape[1])
 
 
 def dense_rows(rows, n=None):
     """The first ``n`` (default all) of the ``SparseRows`` ``rows`` as a
     matrix."""
-    n = len(rows) if n is None else n
-    out = np.empty((n, rows.dim))
-    rows.fill(out, np.arange(n), np.arange(n))
-    return out
+    return rows.dense(np.arange(len(rows) if n is None else n))
 
 
 def _by_id(ids, *arrays):

@@ -72,8 +72,10 @@ def same_rows(a, b):
 
 def same_index(a, b):
     return (a.doc_ids == b.doc_ids and same_rows(a.rows, b.rows)
-            and a.line_offsets.dtype == b.line_offsets.dtype
-            and a.line_offsets.tobytes() == b.line_offsets.tobytes()
+            and all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                    for x, y in ((a.text_rows, b.text_rows),
+                                 (a.window_rows, b.window_rows),
+                                 (a.line_offsets, b.line_offsets)))
             and (a.corpus_sha256, a.provider_fingerprint)
             == (b.corpus_sha256, b.provider_fingerprint))
 
@@ -197,8 +199,12 @@ def test_wrong_format_rejected(kind, saved):
 
 @pytest.mark.parametrize("version", [1, 3, None])
 def test_wrong_version_rejected(kind, saved, version):
+    """Version 1, version 3 and no version are refused; for a format now
+    at version 3 (the index and the NN reference), the 3 case writes its
+    previous version, 2."""
     _, path = saved
-    rewrite_header(path, version=version)
+    current = json.loads(path.read_bytes().split(b"\n", 1)[0])["version"]
+    rewrite_header(path, version=2 if version == current else version)
     with pytest.raises(IndexIntegrityError, match="version"):
         load(kind, path)
 
@@ -314,20 +320,21 @@ def test_float_only_kinds_write_float64(float_kind, tmp_path):
 
 @pytest.mark.parametrize("rows_kind", ["index", "nn_reference"])
 def test_stored_rows_keep_their_dtypes(rows_kind, tmp_path):
-    """The index and the NN reference keep their rows as entries: uint64
-    digests, int64 counts, int32 column ids and float64 values. The index
-    adds its documents' int64 line offsets in the corpus file."""
+    """The index and the NN reference keep their rows as entries: int64
+    counts, int32 column ids and float64 values. The index adds its
+    documents' int32 text and first window rows, and their int64 line
+    offsets in the corpus file."""
     make, save, _, _ = KINDS[rows_kind]
     path = tmp_path / rows_kind
     save(make(), str(path))
     header, payload = path.read_bytes().split(b"\n", 1)
     meta, arrays = artifacts.load(
         path, json.loads(header)["format"].removeprefix("leanrag-"))
-    offsets = ["line_offsets"] if rows_kind == "index" else []
-    assert meta["arrays"] == ["digests", "counts", "columns", "values",
-                              *offsets]
+    extra = {"text_rows": np.int32, "window_rows": np.int32,
+             "line_offsets": np.int64} if rows_kind == "index" else {}
+    assert meta["arrays"] == ["counts", "columns", "values", *extra]
     assert [a.dtype for a in arrays.values()] == \
-        [np.uint64, np.int64, np.int32, np.float64, *[np.int64] * len(offsets)]
+        [np.int64, np.int32, np.float64, *extra.values()]
 
 
 def test_stored_rows_smaller_than_dense(tmp_path):

@@ -1,0 +1,40 @@
+"""``tools/call_counts.py``: per-stage call counts that two processes agree
+on."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "call_counts.py"
+
+
+def counts(workload: str, hash_seed: str) -> str:
+    """The tool's output for a smoke run under ``PYTHONHASHSEED``."""
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--workload", workload, "--seed", "2",
+         "--smoke"], cwd=ROOT, capture_output=True, text=True, timeout=170,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("workload", ["short-500", "long-mixed"])
+def test_counts_match_across_hash_seeds(workload):
+    first = counts(workload, "0")
+    assert first == counts(workload, "12345")
+    lines = first.splitlines()
+    # a cold and a warm table, each with every stage and a total
+    for name in ("cold", "warm"):
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith(f"{name} ("))
+        stages = [line.split()[0] for line in lines[at + 2:at + 11]]
+        assert stages == ["embed", "retrieve", "score", "recognize",
+                          "reduce", "prompt", "llm", "other", "total"]
+    # every question embeds, retrieves, scores and asks the LLM
+    for line in lines:
+        if line.split()[0] in ("embed", "retrieve", "score", "llm"):
+            assert float(line.split()[1]) > 0

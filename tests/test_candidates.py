@@ -99,7 +99,7 @@ def test_iterating_builds_the_pairs():
     pairs = [(RetrievedDoc(make_document(f"d{i}", "", "text."), 0.5, i + 1),
               BiLabelScore(float(i), -1.0, 0.25, 0.5)) for i in range(3)]
     scored = arrays(pairs)
-    assert list(scored) == pairs
+    assert list(zip(scored.candidates, map(scored.score, range(3)))) == pairs
     assert list(scored.candidates) == [r for r, _ in pairs]
     assert scored.candidates[-1] == pairs[-1][0]
     assert [scored.score(i) for i in range(3)] == [s for _, s in pairs]

@@ -201,6 +201,21 @@ def test_documents_parsed_on_first_read_give_the_same_reports(
     assert evaluate(qa, concurrent).to_json() == report
 
 
+def test_cold_question_parses_only_the_documents_it_reads(ready):
+    """After a load, a question parses the lines of the documents its
+    reducer reads, at most ``top_rerank``, not of every candidate."""
+    from leanrag.corpus import load_qa
+    from leanrag.pipeline import PipelineConfig, answer_question, load_pipeline
+
+    _, config_path, paths = ready
+    config = PipelineConfig.from_file(config_path)
+    config.top_rerank = 3
+    ctx = load_pipeline(config)
+    trace = answer_question(load_qa(paths["qa"])[0], ctx)
+    assert trace.verdict.decision.value == "Retrieve"
+    assert 0 < len(ctx.retriever.corpus) <= 3 < ctx.top_retrieve
+
+
 def test_eval_ablation_flag(ready):
     root, config_path, paths = ready
     out = root / "report_noreducer.json"

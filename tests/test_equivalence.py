@@ -10,6 +10,7 @@ combination ids, prompt tokens and the evaluation report, and on scores to
 within 1e-9.
 """
 
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -34,8 +35,8 @@ from leanrag.reducer import (DetectorTrainConfig, RerankedDoc, ScoredSubDoc,
                              train_detector)
 from leanrag.retrieval import (ExactScan, HashingEmbedder, RetrievedDoc,
                                Retriever, VectorIndex, build_index)
-from leanrag.scorer import (BiLabelScore, ScoredCandidates, TrainConfig,
-                            build_training_set, pair_features,
+from leanrag.scorer import (BiLabelScore, ScoredCandidates, ScorerModel,
+                            TrainConfig, build_training_set, pair_features,
                             score_candidates, train_scorer)
 
 SCORE_TOLERANCE = 1e-9
@@ -82,6 +83,9 @@ class PerItemScorer:
                          dtype=np.float64).reshape(-1, 2),
                 np.array([[s.p_ans, s.p_pref] for s in scores],
                          dtype=np.float64).reshape(-1, 2))
+
+    def stored_rows(self, candidates):
+        return None  # every text is scored by its text
 
 
 def per_item_reduce(question, scored_top, scorer, detector, max_docs=10,
@@ -144,9 +148,10 @@ def assert_equivalent(qa, ctx, monkeypatch):
         assert replace(trace, timings={}).to_dict() == \
             replace(want, timings={}).to_dict()
         decisions.add(trace.verdict.decision)
-        assert [r.doc.doc_id for r, _ in scored] == \
-            [r.doc.doc_id for r, _ in want_scored]
-        for (_, got), (_, exp) in zip(scored, want_scored):
+        assert [d.doc_id for d in scored.candidates.docs] == \
+            [d.doc_id for d in want_scored.candidates.docs]
+        for got, exp in zip(map(scored.score, range(len(scored))),
+                            map(want_scored.score, range(len(want_scored)))):
             for field in ("logit_ans", "logit_pref", "p_ans", "p_pref"):
                 assert abs(getattr(got, field) - getattr(exp, field)) \
                     <= SCORE_TOLERANCE
@@ -321,42 +326,52 @@ def counted_run(qa, ctx, index):
     return answers, evaluate(qa, counted).to_json(), calls
 
 
-def assert_stored_rows_change_nothing(qa, ctx):
-    """Set-up's index against the same index with its document rows only
-    and against one that serves no row: identical outputs, and set-up's
-    index embeds only the question."""
+def assert_stored_rows_change_nothing(qa, ctx, monkeypatch):
+    """Candidates and windows scored by their stored rows against the same
+    scored by their texts: identical outputs, bit for bit, and the rows
+    embed only the question."""
     index = ctx.retriever.index
     stored, stored_report, stored_calls = counted_run(qa, ctx, index)
     assert stored_calls == [1] * len(qa)
-    n = len(index)
-    documents = dense_rows(index.rows, n)
-    no_sparse = VectorIndex(index.doc_ids, stored_rows(
-        documents, index.rows.digests[:n]), index.provider_fingerprint)
-    no_rows = VectorIndex(index.doc_ids, stored_rows(documents),
-                          index.provider_fingerprint)
-    for other in (no_sparse, no_rows):
+    with monkeypatch.context() as patch:
+        patch.setattr(ScorerModel, "stored_rows",
+                      lambda self, candidates: None)
         embedded, embedded_report, embedded_calls = counted_run(qa, ctx,
-                                                                other)
-        assert stored_report == embedded_report
-        for (trace, scored), (want, want_scored) in zip(stored, embedded):
-            assert replace(trace, timings={}).to_dict() == \
-                replace(want, timings={}).to_dict()
-            # the same documents in the same order, and every similarity
-            # and score bit for bit
-            assert [d.doc_id for d in scored.candidates.docs] == \
-                [d.doc_id for d in want_scored.candidates.docs]
-            for a, b in ((scored.candidates.similarity,
-                          want_scored.candidates.similarity),
-                         (scored.logits, want_scored.logits),
-                         (scored.probs, want_scored.probs)):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            if trace.combination is not None:
-                assert trace.combination.members == want.combination.members
-    # the last, serving no row, also embeds candidates and windows
+                                                                index)
+    assert stored_report == embedded_report
+    for (trace, scored), (want, want_scored) in zip(stored, embedded):
+        assert replace(trace, timings={}).to_dict() == \
+            replace(want, timings={}).to_dict()
+        # the same documents in the same order, and every similarity
+        # and score bit for bit
+        assert [d.doc_id for d in scored.candidates.docs] == \
+            [d.doc_id for d in want_scored.candidates.docs]
+        for a, b in ((scored.candidates.similarity,
+                      want_scored.candidates.similarity),
+                     (scored.logits, want_scored.logits),
+                     (scored.probs, want_scored.probs)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        if trace.combination is not None:
+            assert trace.combination.members == want.combination.members
+    # by text, candidates and windows are embedded too
     assert sum(embedded_calls) > len(qa)
+    # warm, a question hashes no text
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("leanrag") and hasattr(module, "stable_hash"):
+                patch.setattr(module, "stable_hash", no_hash)
+        for q in qa:
+            pipeline_module.answer_question(q, ctx)
+    # four LLM workers filling one fresh row cache give the serial report
+    assert evaluate(qa, replace(ctx, scorer=replace(ctx.scorer),
+                                max_workers=4)).to_json() == stored_report
 
 
-def test_stored_rows_change_nothing_redundant(redundant):
+def no_hash(text):
+    raise AssertionError(f"hashed {text!r}")
+
+
+def test_stored_rows_change_nothing_redundant(redundant, monkeypatch):
     """Titled 12-sentence documents: candidates read text rows, windows
     read window rows."""
     (corpus, qa, mock, provider, retriever, scorer), detector = redundant
@@ -370,17 +385,17 @@ def test_stored_rows_change_nothing_redundant(redundant):
             provider.embed_many([q.question for q in qa]),
             [i % 2 == 0 for i in range(len(qa))], provider.fingerprint),
         top_retrieve=10, top_rerank=10)
-    assert_stored_rows_change_nothing(qa, ctx)
+    assert_stored_rows_change_nothing(qa, ctx, monkeypatch)
 
 
-def test_stored_rows_change_nothing_planted(planted):
+def test_stored_rows_change_nothing_planted(planted, monkeypatch):
     """Untitled documents of at most three sentences: candidates and
     windows read index rows."""
     qa, ctx = planted
-    assert_stored_rows_change_nothing(qa, ctx)
+    assert_stored_rows_change_nothing(qa, ctx, monkeypatch)
 
 
-def test_stored_rows_change_nothing_mixed(redundant):
+def test_stored_rows_change_nothing_mixed(redundant, monkeypatch):
     """Documents of 2 to 6 sentences, every other one untitled: a question
     reads index rows, text rows and window rows."""
     (corpus, qa, mock, provider, _, scorer), detector = redundant
@@ -399,7 +414,7 @@ def test_stored_rows_change_nothing_mixed(redundant):
             provider.embed_many([q.question for q in qa]),
             [i % 2 == 1 for i in range(len(qa))], provider.fingerprint),
         top_retrieve=10, top_rerank=10)
-    assert_stored_rows_change_nothing(qa, ctx)
+    assert_stored_rows_change_nothing(qa, ctx, monkeypatch)
 
 
 def tie_corpus(corpus):

@@ -12,7 +12,11 @@ other than ``__init__.py``, or a ``benchmarks/*.py`` file, reads its name:
 as a name, an attribute, an imported name or a string constant (the
 benchmark patches some by their names), docstrings left out. One that only
 tests read is a second copy of what the library runs, so the tests would
-check code that nothing runs.
+check code that nothing runs. The same rule holds for each method of a
+module-level class (properties, class and static methods included), by its
+name. Special methods (``__len__``, ``__getitem__``, ...) are left out:
+Python calls them by syntax, not by name, so no name check can see who
+reads them.
 """
 
 import ast
@@ -120,14 +124,62 @@ def unread_definitions(definitions: dict[str, str],
     return sorted(defined - read)
 
 
-def test_library_or_benchmark_reads_every_definition():
+def unread_methods(definitions: dict[str, str],
+                   readers: dict[str, str]) -> list[str]:
+    """``Class.method`` of each method of a module-level class of the
+    ``definitions`` sources, special methods left out, whose name none of
+    the ``readers`` sources reads."""
+    read = set().union(*map(used_names, readers.values()))
+    return sorted(
+        f"{node.name}.{item.name}" for source in definitions.values()
+        for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in read)
+
+
+def library_and_benchmark():
+    """(sources of the package's modules, sources that count as readers:
+    those but ``__init__.py``, and every ``benchmarks/*.py``)."""
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in SRC.glob("*.py")}
     readers = {name: source for name, source in sources.items()
                if name != "__init__.py"}
     for path in (ROOT / "benchmarks").glob("*.py"):
         readers[f"benchmarks/{path.name}"] = path.read_text(encoding="utf-8")
-    assert unread_definitions(sources, readers) == sorted(TEST_ONLY)
+    return sources, readers
+
+
+def test_library_or_benchmark_reads_every_method():
+    assert unread_methods(*library_and_benchmark()) == []
+
+
+def test_the_check_finds_a_test_only_method():
+    library = ("class Kept:\n"
+               "    def __len__(self):\n"
+               "        return 0\n"
+               "    def run(self):\n"
+               "        return self._private() + self.value\n"
+               "    def _private(self):\n"
+               "        return 1\n"
+               "    @property\n"
+               "    def value(self):\n"
+               "        return 2\n"
+               "    @classmethod\n"
+               "    def load(cls, path):\n"
+               "        return cls()\n"
+               "    def helper(self):\n"
+               "        return 3\n")
+    benchmark = "Kept.load('path').run()\n"
+    assert unread_methods({"library.py": library},
+                          {"library.py": library,
+                           "benchmarks/run.py": benchmark}) == \
+        ["Kept.helper"]
+
+
+def test_library_or_benchmark_reads_every_definition():
+    assert unread_definitions(*library_and_benchmark()) == sorted(TEST_ONLY)
 
 
 def test_the_check_finds_a_test_only_definition():

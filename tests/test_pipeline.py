@@ -320,8 +320,11 @@ class TestLoadIntegrity:
         with pytest.raises(IndexIntegrityError, match=self.both_files(
                 config, "holds document .*, index row 0 is ")):
             docs[0]
+        # candidates read their documents when a question reads them
+        candidates = ctx.retriever.retrieve("a question",
+                                            len(ctx.retriever.index))
         with pytest.raises(IndexIntegrityError, match="holds document"):
-            ctx.retriever.retrieve("a question", len(ctx.retriever.index))
+            list(candidates.docs)
 
     @pytest.mark.parametrize("fingerprint, dim", [
         ("hash-bow:v1:dim=256:seed=5", 256),  # another embedder

@@ -20,7 +20,6 @@ from leanrag.recognizer import (Decision, NnReferenceSet, RecognizerConfig,
                                 neighbor_score)
 from leanrag.retrieval import HashingEmbedder, IndexIntegrityError, RetrievedDoc
 from leanrag.scorer import BiLabelScore, ScoredCandidates
-from leanrag.seeds import stable_hash
 
 
 def scored_docs(logits):
@@ -175,7 +174,7 @@ class TestNeighborScore:
         assert (ref.dim, ref.rows) == (4, rows)
         assert ref.scan.rows is rows
         # built from questions out of id order, the rows come in id order,
-        # each with its question's digest, and the saved file loads into
+        # each its question's embedding, and the saved file loads into
         # entries kept as read
         qa = TestBuildReference().qa(12)[::-1]
         llm = ScriptedLlmClient({q.question: "gold3" for q in qa})
@@ -184,8 +183,9 @@ class TestNeighborScore:
         assert built.correct.tolist() == \
             [qid == "q3" for qid in built.question_ids]
         by_id = {q.question_id: q.question for q in qa}
-        assert built.rows.digests.tolist() == [
-            stable_hash(by_id[qid]) for qid in built.question_ids]
+        assert dense_rows(built.rows).tobytes() == HashingEmbedder(
+            dim=32, seed=0).embed_many(
+                [by_id[qid] for qid in built.question_ids]).tobytes()
         path = tmp_path / "ref"
         built.save(path)
         read = []

@@ -13,17 +13,22 @@ from hypothesis import strategies as st
 from synthetic import dense_index, dense_rows, exact_search, stored_rows
 
 import leanrag.retrieval as retrieval_module
+import leanrag.seeds as seeds_module
 from leanrag import artifacts
 from leanrag.artifacts import check_provider
 from leanrag.corpus import (WINDOW, Corpus, QARecord, make_document,
                             max_sentences)
 from leanrag.llm import ScriptedLlmClient
+from leanrag.mlp import Mlp
 from leanrag.recognizer import NnReferenceSet, build_nn_reference
-from leanrag.retrieval import (INDEX_FIELDS, EmbeddingProviderError,
-                               ExactScan, HashingEmbedder, IndexIntegrityError,
+from leanrag.reducer import score_windows
+from leanrag.retrieval import (INDEX_FIELDS, Candidates,
+                               EmbeddingProviderError, ExactScan,
+                               HashingEmbedder, IndexIntegrityError,
                                RemoteEmbedder, Retriever, SparseRows,
                                VectorIndex, build_index,
                                document_embedding_text, recall_at_k)
+from leanrag.scorer import ScorerModel, score_candidates
 from leanrag.seeds import stable_hash
 
 
@@ -310,13 +315,14 @@ class TestIndex:
                         index.provider_fingerprint)
 
     def test_one_text_row_per_titled_document(self, provider):
-        index = build_index(titled_corpus(), provider)
-        titled = [doc.text for doc in titled_corpus() if doc.title]
-        digests = index.rows.digests.tolist()
-        got = np.empty((len(titled), index.dim))
-        index.rows.fill(got, range(len(titled)),
-                        [digests.index(stable_hash(text)) for text in titled])
-        assert got.tobytes() == provider.embed_many(titled).tobytes()
+        corpus = titled_corpus()
+        index = build_index(corpus, provider)
+        # a titled document's text has a row after the document rows (a's
+        # two windows follow its own); an untitled one's is its document
+        # row
+        assert index.text_rows.tolist() == [3, 1, 6]
+        assert index.rows.dense(index.text_rows).tobytes() == \
+            provider.embed_many([doc.text for doc in corpus]).tobytes()
 
     def test_ids_in_order_not_copied(self):
         rows = stored_rows(np.arange(12.0).reshape(4, 3))
@@ -332,8 +338,10 @@ class TestIndex:
         index = build_index(titled_corpus(), provider)
         index.save(tmp_path / "index")
         loaded = VectorIndex.load(tmp_path / "index")
-        for name in ("digests", "counts", "columns", "values"):
-            got, want = (getattr(i.rows, name) for i in (loaded, index))
+        for got, want in ((loaded.text_rows, index.text_rows),
+                          *zip(loaded.rows.arrays().values(),
+                               index.rows.arrays().values())):
+            assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
         assert loaded.dim == index.dim == 64
         # built from an in-memory corpus: no file to record
@@ -360,12 +368,36 @@ def titled_corpus():
     ])
 
 
+def stored_texts(index, corpus):
+    """Each document's texts and the rows ``index`` records for them: its
+    "title. text" (its own row), its text and its windows, as (texts,
+    rows)."""
+    texts, rows = [], []
+    for i, doc in enumerate(sorted(corpus, key=lambda d: d.doc_id)):
+        start = int(index.window_rows[i])
+        texts += [document_embedding_text(doc), doc.text, *doc.windows]
+        rows += [i, int(index.text_rows[i]),
+                 *range(start, start + len(doc.windows))]
+    return texts, rows
+
+
+def bound_scorer(index, provider):
+    """A scorer with a small seeded head, bound to ``index``."""
+    return ScorerModel(Mlp([2 * provider.dim, 6, 2], seed=1), 0.5, 0,
+                       provider=provider,
+                       provider_fingerprint=provider.fingerprint,
+                       stored=index)
+
+
 class RecordingProvider:
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
         self.fingerprint = inner.fingerprint
         self.batches = []
+
+    def embed(self, text):
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts):
         self.batches.append(list(texts))
@@ -376,32 +408,34 @@ class TestStoredVectors:
     def test_serves_what_set_up_embedded(self, provider):
         corpus = titled_corpus()
         index = build_index(corpus, provider)
-        texts = ["a question?", *(doc.text for doc in corpus),
-                 "Cats. " + corpus.get("a").text]
-        recording = RecordingProvider(provider)
-        got = index.embed_many(recording, texts)
-        assert got.tobytes() == provider.embed_many(texts).tobytes()
-        assert recording.batches == [["a question?"]]
+        texts, rows = stored_texts(index, corpus)
+        assert index.rows.dense(rows).tobytes() == \
+            provider.embed_many(texts).tobytes()
 
     def test_document_edited_after_indexing_embedded_afresh(self, provider):
         index = build_index(titled_corpus(), provider)
-        edited = Corpus([make_document(doc.doc_id, doc.title,
-                                       doc.text + " Edited.")
-                         for doc in titled_corpus()])
-        texts = [doc.text for doc in edited]
+        edited = [make_document(doc.doc_id, doc.title, doc.text + " Edited.")
+                  for doc in titled_corpus()]
         recording = RecordingProvider(provider)
-        got = index.embed_many(recording, texts)
-        assert got.tobytes() == provider.embed_many(texts).tobytes()
-        assert recording.batches == [texts]
+        # candidates given as documents carry no index rows: their texts
+        # are embedded, never served a stored row
+        scored = score_candidates(bound_scorer(index, recording), "cats?",
+                                  Candidates(edited, np.zeros(3)))
+        texts = [doc.text for doc in edited]
+        assert recording.batches == [["cats?"], texts]
+        want, _ = bound_scorer(None, provider).score_arrays("cats?", texts)
+        assert scored.logits.tobytes() == want.tobytes()
 
     def test_other_provider_served_nothing(self, provider):
         corpus = titled_corpus()
-        other = RecordingProvider(HashingEmbedder(dim=64, seed=8))
         index = build_index(corpus, provider)
-        texts = [doc.text for doc in corpus]
-        assert index.embed_many(other, texts).tobytes() == \
-            other.inner.embed_many(texts).tobytes()
-        assert other.batches == [texts]
+        candidates = Retriever(corpus, index, provider).retrieve("cats", 3)
+        other = RecordingProvider(HashingEmbedder(dim=64, seed=8))
+        scorer = bound_scorer(index, other)
+        assert scorer.stored_rows(candidates) is None
+        score_candidates(scorer, "cats", candidates)
+        assert other.batches == [["cats"],
+                                 [doc.text for doc in candidates.docs]]
 
 
 # words and separators around the single-window test's edges: every
@@ -476,33 +510,47 @@ class TestWindowRows:
     def test_only_the_question_is_embedded(self, provider):
         corpus = long_corpus()
         index = build_index(corpus, provider)
-        texts = ["a question?", *self.windows(corpus),
-                 *(doc.text for doc in corpus)]
         recording = RecordingProvider(provider)
-        got = index.embed_many(recording, texts)
-        assert got.tobytes() == provider.embed_many(texts).tobytes()
-        assert recording.batches == [["a question?"]]
+        scorer = bound_scorer(index, recording)
+        candidates = Retriever(corpus, index, provider).retrieve(
+            "a question?", 4)
+        docs = list(candidates.docs)
+        scored = score_candidates(scorer, "a question?", candidates)
+        windows = score_windows(docs, scorer, "a question?",
+                                rows=scorer.stored_rows(candidates))
+        assert recording.batches == [["a question?"]] * 2
+        # and bit for bit as their texts score
+        by_text = bound_scorer(None, provider)
+        want, _ = by_text.score_arrays("a question?",
+                                       [doc.text for doc in docs])
+        assert scored.logits.tobytes() == want.tobytes()
+        assert windows.logits.tobytes() == score_windows(
+            docs, by_text, "a question?").logits.tobytes()
 
-    def test_one_row_per_window_no_other_row_holds(self, provider):
+    def test_each_document_keeps_its_windows_together(self, provider):
         corpus = long_corpus()
         index = build_index(corpus, provider)
-        # a: its text and 3 windows, b: 4 windows, c: its text and 3
-        # windows, of which "They dig. They sleep. They eat." repeats one of
-        # b's; d's one window is its text; after the 4 document rows
-        assert len(index.rows) == 4 + 1 + 3 + 4 + 1 + 2
-        assert index.rows.digests[:4].tolist() == [
-            stable_hash(document_embedding_text(doc)) for doc in corpus]
-        assert sorted(index.rows.digests[4:].tolist()) == sorted(
-            {stable_hash(text) for text in [
-                *self.windows(corpus)[:-1], corpus.get("a").text,
-                corpus.get("c").text]})
+        # after the 4 document rows, a: its text and 3 windows, b: 4
+        # windows, c: its text and 3 windows, one of them repeating one
+        # of b's, stored again next to c's other two; d's one window is
+        # its text
+        assert len(index.rows) == 4 + 1 + 3 + 4 + 1 + 3
+        assert index.text_rows.tolist() == [4, 1, 12, 3]
+        assert index.window_rows.tolist() == [5, 8, 13, 3]
+        texts, rows = stored_texts(index, corpus)
+        assert index.rows.dense(rows).tobytes() == \
+            provider.embed_many(texts).tobytes()
 
     def test_short_documents_store_no_rows(self, provider):
         corpus = titled_corpus_short()
         index = build_index(corpus, provider)
-        # the titled documents' text rows only, after the document rows
-        assert index.rows.digests[len(index):].tolist() == [
-            stable_hash(doc.text) for doc in corpus if doc.title]
+        # the titled documents' text rows only, after the document rows,
+        # each its document's one window
+        titled = [i for i, doc in enumerate(corpus) if doc.title]
+        assert index.stored_count == len(index) + len(titled)
+        assert index.text_rows[titled].tolist() == list(
+            range(len(index), index.stored_count))
+        assert index.window_rows.tolist() == index.text_rows.tolist()
         assert build_index(small_corpus(), provider).stored_count == 3
 
     def test_irregular_spacing_stores_the_joined_window(self, provider):
@@ -510,10 +558,10 @@ class TestWindowRows:
         index = build_index(corpus, provider)
         # the document row, the text row and the joined window
         assert len(index.rows) == 3
-        recording = RecordingProvider(provider)
-        assert index.embed_many(recording, ["One. Two. Three."]).tobytes() \
-            == provider.embed_many(["One. Two. Three."]).tobytes()
-        assert recording.batches == []
+        assert (index.text_rows.tolist(), index.window_rows.tolist()) == \
+            ([1], [2])
+        assert index.rows.dense([2]).tobytes() == \
+            provider.embed_many(["One. Two. Three."]).tobytes()
 
     @given(window_texts())
     @settings(max_examples=400, deadline=None)
@@ -542,19 +590,24 @@ class TestWindowRows:
             want = build_index(corpus, provider)
         for name, array in want.rows.arrays().items():
             assert getattr(got.rows, name).tobytes() == array.tobytes()
+        assert got.text_rows.tobytes() == want.text_rows.tobytes()
+        assert got.window_rows.tobytes() == want.window_rows.tobytes()
 
     def test_document_edited_after_indexing_embedded_afresh(self, provider):
         index = build_index(long_corpus(), provider)
-        edited = Corpus([
-            make_document(doc.doc_id, doc.title,
-                          doc.text.replace("It slept.", "It dozed."))
-            for doc in long_corpus()])
-        texts = self.windows(edited)
+        edited = [make_document(doc.doc_id, doc.title,
+                                doc.text.replace("It slept.", "It dozed."))
+                  for doc in long_corpus()]
         recording = RecordingProvider(provider)
-        got = index.embed_many(recording, texts)
-        assert got.tobytes() == provider.embed_many(texts).tobytes()
-        # a's three windows all held the edited sentence
-        assert recording.batches == [texts[:3]]
+        question = provider.embed("a question?")
+        # documents given without their rows: every window is embedded,
+        # a's three edited ones among them
+        got = score_windows(edited, bound_scorer(index, recording),
+                            "a question?", question)
+        assert recording.batches == [self.windows(edited)]
+        want = score_windows(edited, bound_scorer(None, provider),
+                             "a question?", question)
+        assert got.logits.tobytes() == want.logits.tobytes()
 
     def test_signed_zeros_and_subnormals_served_bit_for_bit(self, tmp_path):
         fake = SignedZeroProvider()
@@ -565,58 +618,49 @@ class TestWindowRows:
         assert index.scan._dense is not None
         query = fake.embed_many(["a question?"])[0]
         assert index.search(query, 4) == exact_search(index, query, 4)
-        texts = [*self.windows(corpus),
-                 *map(document_embedding_text, corpus)]
+        texts, rows = stored_texts(index, corpus)
         want = fake.embed_many(texts)
         assert (want.view(np.uint64) == np.float64(-0.0).view(
             np.uint64)).any()
         assert (want.view(np.uint64) == np.float64(5e-324).view(
             np.uint64)).any()
-        fake.batches.clear()
-        got = index.embed_many(fake, texts)
-        assert got.tobytes() == want.tobytes()
-        assert fake.batches == []
+        assert index.rows.dense(rows).tobytes() == want.tobytes()
 
     def test_loaded_index_serves_held_texts_without_the_provider(
             self, tmp_path, provider, monkeypatch):
         corpus = long_corpus()
         build_index(corpus, provider).save(tmp_path / "index")
         index = VectorIndex.load(tmp_path / "index")
-        hashed = []
 
-        def counting_hash(text):
-            hashed.append(text)
-            return stable_hash(text)
+        def no_hash(text):
+            raise AssertionError(f"hashed {text!r}")
 
-        monkeypatch.setattr(retrieval_module, "stable_hash", counting_hash)
-        texts = [*self.windows(corpus), *(doc.text for doc in corpus),
-                 *map(document_embedding_text, corpus)]
+        monkeypatch.setattr(seeds_module, "stable_hash", no_hash)
+        texts, rows = stored_texts(index, corpus)
+        assert index.rows.dense(rows).tobytes() == \
+            provider.embed_many(texts).tobytes()
         recording = RecordingProvider(provider)
-        got = index.embed_many(recording, texts)
-        assert got.tobytes() == provider.embed_many(texts).tobytes()
+        scorer = bound_scorer(index, recording)
+        question = provider.embed("a question?")
+        candidates = Retriever(corpus, index, recording).retrieve(
+            "a question?", 4, question)
+        score_candidates(scorer, "a question?", candidates, question)
+        score_windows(list(candidates.docs), scorer, "a question?", question,
+                      scorer.stored_rows(candidates))
         assert recording.batches == []
-        assert len(hashed) <= len(texts)
-        # texts no row holds go to the provider, in one call
-        unheld = ["a question?", "another question?"]
-        got = index.embed_many(recording, [texts[0], *unheld])
-        assert got.tobytes() == provider.embed_many(
-            [texts[0], *unheld]).tobytes()
-        assert recording.batches == [unheld]
 
     def test_threads_sharing_an_index_are_served_alike(self, provider):
         corpus = long_corpus()
         index = build_index(corpus, provider)
-        texts = [*self.windows(corpus), *(doc.text for doc in corpus),
-                 "a question?"]
+        texts, rows = stored_texts(index, corpus)
         want = provider.embed_many(texts).tobytes()
         got = []
 
         def serve(offset):
             # each thread asks in its own order
             for _ in range(50):
-                rows = index.embed_many(provider,
-                                        texts[offset:] + texts[:offset])
-                got.append(np.roll(rows, offset, axis=0).tobytes())
+                dense = index.rows.dense(rows[offset:] + rows[:offset])
+                got.append(np.roll(dense, offset, axis=0).tobytes())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -636,8 +680,9 @@ class TestWindowRows:
         index = build_index(long_corpus(), provider)
         index.save(tmp_path / "index")
         loaded = VectorIndex.load(tmp_path / "index")
-        for name in ("digests", "counts", "columns", "values"):
-            got, want = (getattr(i.rows, name) for i in (loaded, index))
+        for got, want in ((loaded.window_rows, index.window_rows),
+                          *zip(loaded.rows.arrays().values(),
+                               index.rows.arrays().values())):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
@@ -645,10 +690,10 @@ class TestWindowRows:
         index = build_index(long_corpus(), provider)
         path = tmp_path / "index"
         artifacts.save(path, "index",
-                       {"doc_ids": index.doc_ids,
-                        "provider_fingerprint": index.provider_fingerprint},
-                       {"vectors": dense_rows(index.rows, len(index)),
-                        "digests": index.rows.digests[:len(index)]})
+                       {"doc_ids": index.doc_ids, "corpus_sha256": None,
+                        "provider_fingerprint": index.provider_fingerprint,
+                        "dim": index.dim},
+                       {**index.rows.arrays(), "text_rows": index.text_rows})
         with pytest.raises(IndexIntegrityError,
                            match="older layout; rebuild it"):
             VectorIndex.load(path)
@@ -663,10 +708,9 @@ class TestWindowRows:
                        {"doc_ids": index.doc_ids,
                         "provider_fingerprint": index.provider_fingerprint},
                        {"vectors": dense_rows(index.rows, n),
-                        "digests": index.rows.digests[:n],
+                        "digests": np.arange(n, dtype=np.uint64),
                         **{f"row_{name}": array for name, array in
-                           stored_rows(dense_rows(index.rows)[n:],
-                                       index.rows.digests[n:]).arrays(
+                           stored_rows(dense_rows(index.rows)[n:]).arrays(
                            ).items()}})
         with pytest.raises(IndexIntegrityError,
                            match=re.escape(f"{path}: leanrag-index is in an "
@@ -681,8 +725,9 @@ class TestWindowRows:
         path = tmp_path / "index"
         artifacts.save(path, "index",
                        {"doc_ids": index.doc_ids,
-                        "digests": [*index.rows.digests[:len(index)].tolist(),
-                                    *map(stable_hash, titled)],
+                        "digests": [stable_hash(document_embedding_text(doc))
+                                    for doc in long_corpus()] +
+                        list(map(stable_hash, titled)),
                         "provider_fingerprint": index.provider_fingerprint},
                        {"vectors": dense_rows(index.rows, len(index)),
                         "text_vectors": provider.embed_many(titled),
@@ -695,17 +740,18 @@ class TestWindowRows:
         ({"counts": np.array([1, 2], dtype=np.int64)}, "number the counts"),
         ({"columns": np.array([0, 8], dtype=np.int32)}, "column ids"),
         ({"values": np.array([1.0, np.nan])}, "values must be finite"),
-        ({"digests": np.array([1.0, 2.0])}, "uint64"),
+        ({"window_rows": np.array([1], dtype=np.uint64)}, "uint64"),
         ({"counts": np.array([1.0, 1.0])}, "integers"),
     ])
     def test_damaged_window_rows_rejected(self, tmp_path, damage, match):
-        rows = {"digests": np.array([1, 2], dtype=np.uint64),
-                "counts": np.array([1, 1], dtype=np.int64),
+        rows = {"counts": np.array([1, 1], dtype=np.int64),
                 "columns": np.array([0, 7], dtype=np.int32),
-                "values": np.array([1.0, -0.0]), **damage}
+                "values": np.array([1.0, -0.0]),
+                "text_rows": np.array([0], dtype=np.int32),
+                "window_rows": np.array([1], dtype=np.int32), **damage}
         path = tmp_path / "index"
         artifacts.save(path, "index",
-                       {"doc_ids": ["a"],
+                       {"doc_ids": ["a"], "corpus_sha256": None,
                         "provider_fingerprint": "fp", "dim": 8}, rows)
         with pytest.raises(IndexIntegrityError, match=match):
             VectorIndex.load(path)
@@ -752,20 +798,13 @@ class TestChunkedEmbedding:
                  for i in range(10)]
 
     def saved(self, where, provider):
-        """The bytes ``build_index`` and ``build_nn_reference`` save, and
-        the bits ``VectorIndex.embed_many`` serves every stored text and a
-        question with."""
-        corpus = chunk_corpus()
-        index = build_index(corpus, provider)
+        """The bytes ``build_index`` and ``build_nn_reference`` save."""
+        index = build_index(chunk_corpus(), provider)
         index.save(where / "index")
         build_nn_reference(self.QUESTIONS,
                            ScriptedLlmClient(default_answer="cats"),
                            provider).save(where / "ref")
-        texts = ["a question?", *map(document_embedding_text, corpus),
-                 *(doc.text for doc in corpus),
-                 *(text for doc in corpus for text in doc.windows)]
-        return ((where / "index").read_bytes(), (where / "ref").read_bytes(),
-                index.embed_many(provider, texts).tobytes())
+        return (where / "index").read_bytes(), (where / "ref").read_bytes()
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_changes_no_byte(self, tmp_path, provider,
@@ -780,13 +819,20 @@ class TestChunkedEmbedding:
     def test_every_document_keeps_its_own_row(self, provider):
         corpus = chunk_corpus()
         index = build_index(corpus, provider)
-        want = [stable_hash(document_embedding_text(doc)) for doc in corpus]
-        assert index.rows.digests[:len(corpus)].tolist() == want
-        assert want[1] == want[4]
-        # no extra row repeats a document row or another extra row
-        extra = index.rows.digests[len(corpus):].tolist()
-        assert len(set(extra)) == len(extra)
-        assert not set(extra) & set(want)
+        n = len(corpus)
+        rows = [row.tobytes() for row in
+                index.rows.dense(np.arange(index.stored_count))]
+        want = provider.embed_many(
+            [document_embedding_text(doc) for doc in corpus])
+        assert rows[:n] == [row.tobytes() for row in want]
+        assert rows[1] == rows[4]
+        # e's windows are b's run; no extra row repeats a document row,
+        # and one repeats another only in a run of windows: c's and i's
+        # "They dig. They sleep. They eat." repeat one of b's
+        assert index.window_rows[4] == index.window_rows[1]
+        extra = rows[n:]
+        assert not set(extra) & set(rows[:n])
+        assert len(set(extra)) == len(extra) - 2
 
     @pytest.mark.parametrize("chunk", [7, None])
     def test_remote_requests_hold_at_most_a_chunk(self, monkeypatch, chunk):
@@ -800,8 +846,9 @@ class TestChunkedEmbedding:
         assert len(session.batches) == math.ceil(index.stored_count / chunk)
         assert max(map(len, session.batches)) <= chunk
         # every stored row was asked for once, in the order it is kept
-        assert [stable_hash(text) for batch in session.batches
-                for text in batch] == index.rows.digests.tolist()
+        by_row = dict(zip(*reversed(stored_texts(index, chunk_corpus()))))
+        assert [text for batch in session.batches for text in batch] == \
+            [by_row[row] for row in range(index.stored_count)]
 
     def test_build_holds_a_chunk_of_dense_rows(self, monkeypatch):
         provider = HashingEmbedder(dim=256, seed=3)
@@ -976,12 +1023,14 @@ class TestExactScan:
         with pytest.raises(ValueError, match="finite"):
             dense_index(["a", "b", "c"], vectors)
         with pytest.raises(ValueError, match="finite"):
-            SparseRows.compress([([1, 2, 3], vectors)], 3)
+            SparseRows.compress([vectors], 3)
         path = tmp_path / "index"
         arrays = stored_rows(np.eye(3)).arrays()
         arrays["values"][1] = bad
+        arrays["text_rows"] = arrays["window_rows"] = np.arange(
+            3, dtype=np.int32)
         artifacts.save(path, "index",
-                       {"doc_ids": ["a", "b", "c"],
+                       {"doc_ids": ["a", "b", "c"], "corpus_sha256": None,
                         "provider_fingerprint": "fp", "dim": 3}, arrays)
         with pytest.raises(IndexIntegrityError, match="must be finite"):
             VectorIndex.load(path)

@@ -1,4 +1,3 @@
-import copy
 import gc
 import math
 import sys
@@ -11,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthetic import backprop_step, imbalanced_feature_pairs
+from synthetic import (backprop_step, imbalanced_feature_pairs,
+                       planted_corpus, redundant_corpus)
 
-import leanrag.retrieval as retrieval_module
 import leanrag.scorer as scorer_module
+import leanrag.seeds as seeds_module
 from leanrag.artifacts import IndexIntegrityError, check_provider
 from leanrag.corpus import Corpus, QARecord, make_document
 from leanrag.llm import ScriptedLlmClient
@@ -27,7 +27,6 @@ from leanrag.scorer import (AnnotationError, BiLabel,
                             build_training_set, hyper_direction,
                             match_weights, pair_features, train_scorer,
                             validation_blocks, validation_pass)
-from leanrag.seeds import stable_hash
 
 
 def random_batch(rng, head, n):
@@ -520,9 +519,9 @@ WORDS = ("amber basil cedar delta ember fjord grove heron iris jade kelp "
          "lotus maple nectar onyx").split()
 
 
-def memo_corpus(seed=4, n_docs=12, prefix="d"):
+def stored_corpus(seed=4, n_docs=12, prefix="d"):
     """Titled and untitled documents of 2 to 5 sentences, so that the index
-    serves document rows, titled-text rows and window rows."""
+    keeps document rows, titled-text rows and window rows."""
     rng = np.random.default_rng(seed)
     docs = []
     for i in range(n_docs):
@@ -534,20 +533,32 @@ def memo_corpus(seed=4, n_docs=12, prefix="d"):
     return Corpus(docs)
 
 
-MEMO_PROVIDER = HashingEmbedder(dim=16, seed=2)
-MEMO_CORPUS = memo_corpus()
-MEMO_INDEX = build_index(MEMO_CORPUS, MEMO_PROVIDER)
-STORED_TEXTS = sorted({text for doc in MEMO_CORPUS
-                       for text in [doc.text, *doc.windows]})
+def rows_of(index, corpus):
+    """Each text and window of ``corpus``'s documents, by the row
+    ``index`` keeps it in."""
+    rows = {}
+    for i, doc in enumerate(sorted(corpus, key=lambda d: d.doc_id)):
+        rows.setdefault(doc.text, int(index.text_rows[i]))
+        for start, text in enumerate(doc.windows):
+            rows.setdefault(text, int(index.window_rows[i]) + start)
+    return rows
+
+
+PROVIDER = HashingEmbedder(dim=16, seed=2)
+CORPUS = stored_corpus()
+INDEX = build_index(CORPUS, PROVIDER)
+ROW_OF = rows_of(INDEX, CORPUS)
+STORED_TEXTS = sorted(ROW_OF)
+STORED_ROWS = [ROW_OF[text] for text in STORED_TEXTS]
 # texts no stored row holds: an edited document, ad-hoc text
 FRESH_TEXTS = [f"{a} {b} unseen" for a in WORDS[:4] for b in WORDS[4:7]]
 
 
 class CountingProvider:
-    """``MEMO_PROVIDER``, recording the texts of each ``embed_many``."""
+    """``PROVIDER``, recording the texts of each ``embed_many``."""
 
-    dim = MEMO_PROVIDER.dim
-    fingerprint = MEMO_PROVIDER.fingerprint
+    dim = PROVIDER.dim
+    fingerprint = PROVIDER.fingerprint
 
     def __init__(self):
         self.calls = []
@@ -557,14 +568,14 @@ class CountingProvider:
 
     def embed_many(self, texts):
         self.calls.append(list(texts))
-        return MEMO_PROVIDER.embed_many(texts)
+        return PROVIDER.embed_many(texts)
 
 
-def memo_scorer(index=MEMO_INDEX, seed=3):
-    """A scorer bound to ``index``, with its own head and an empty memo."""
-    return ScorerModel(head=Mlp([32, 6, 4, 2], seed=seed), balance_weight=0.5,
-                       seed=0, provider=MEMO_PROVIDER,
-                       provider_fingerprint=MEMO_PROVIDER.fingerprint,
+def bound_scorer(index=INDEX, seed=3, provider=PROVIDER):
+    """A scorer bound to ``index``, with its own head and an empty cache."""
+    return ScorerModel(head=Mlp([2 * provider.dim, 6, 4, 2], seed=seed),
+                       balance_weight=0.5, seed=0, provider=provider,
+                       provider_fingerprint=provider.fingerprint,
                        stored=index)
 
 
@@ -576,120 +587,157 @@ def score_rows(scorer, question, texts, question_embedding=None):
         question, texts, question_embedding)).tolist()]
 
 
+def score_stored(scorer, question, rows, question_embedding=None):
+    """``score_rows`` of ``scorer.stored``'s ``rows``, as ``score_rows``
+    gives them for texts."""
+    return [tuple(row) for row in np.hstack(scorer.score_rows(
+        question, np.asarray(rows, dtype=np.intp),
+        question_embedding)).tolist()]
+
+
 def logits(rows):
     return [row[:2] for row in rows]
 
 
+def cache_consistent(scorer):
+    """The cache's filled slots are 0 to ``used`` - 1, each once."""
+    cache = scorer._cache
+    slots = cache.slots[cache.slots >= 0]
+    return sorted(slots.tolist()) == list(range(cache.used))
+
+
 texts_strategy = st.lists(st.sampled_from(STORED_TEXTS + FRESH_TEXTS),
                           min_size=1, max_size=12)
+stored_strategy = st.lists(st.sampled_from(STORED_TEXTS), min_size=1,
+                           max_size=12)
 question_strategy = st.sampled_from(["amber grove?", "which heron iris",
                                      "kelp onyx lotus nectar"])
 
 
 class TestFactoredScoring:
-    """``score_arrays`` splits the first layer into a question half, computed
-    per call, and a document half, kept per stored row."""
+    """The first layer splits into a question half, computed per call, and
+    a document half: from the text's vector in ``score_arrays``, and kept
+    per stored row in ``score_rows``."""
 
     def test_every_text_kind_is_exercised(self):
-        # stored texts come from document rows and from sparse rows, and
-        # only the fresh ones reach the provider
-        digests = {stable_hash(text) for text in STORED_TEXTS}
-        n = len(MEMO_INDEX)
-        assert digests & set(MEMO_INDEX.rows.digests[:n].tolist())
-        assert digests & set(MEMO_INDEX.rows.digests[n:].tolist())
+        # the rows read include document rows and rows after them (titled
+        # texts and windows), and only the texts reach the provider
+        assert min(STORED_ROWS) < len(INDEX) <= max(STORED_ROWS)
         provider = CountingProvider()
-        MEMO_INDEX.embed_many(provider, STORED_TEXTS + FRESH_TEXTS)
+        scorer = bound_scorer(provider=provider)
+        question = PROVIDER.embed("amber grove?")
+        score_stored(scorer, "amber grove?", STORED_ROWS, question)
+        score_rows(scorer, "amber grove?", FRESH_TEXTS, question)
         assert provider.calls == [FRESH_TEXTS]
 
     @settings(max_examples=40, deadline=None)
     @given(question=question_strategy, texts=texts_strategy)
     def test_logits_match_forward_on_features(self, question, texts):
-        scorer = memo_scorer()
-        features = np.stack([pair_features(MEMO_PROVIDER, question, text)
+        scorer = bound_scorer()
+        features = np.stack([pair_features(PROVIDER, question, text)
                              for text in texts])
         want = scorer.head.forward_logits(features)
-        for _ in range(2):  # cold memo, then warm
-            got = np.array(logits(score_rows(scorer, question, texts)))
-            assert np.abs(got - want).max() <= 1e-12
+        got = np.array(logits(score_rows(scorer, question, texts)))
+        assert np.abs(got - want).max() <= 1e-12
+        stored = [i for i, text in enumerate(texts) if text in ROW_OF]
+        rows = [ROW_OF[texts[i]] for i in stored]
+        for _ in range(2 if rows else 0):  # cold cache, then warm
+            got = np.array(logits(score_stored(scorer, question, rows)))
+            assert np.abs(got - want[stored]).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
-    @given(question=question_strategy, texts=texts_strategy,
+    @given(question=question_strategy, texts=stored_strategy,
            data=st.data())
     def test_identical_texts_tie_cold_and_warm(self, question, texts, data):
         batch = texts + data.draw(st.permutations(texts))
-        scorer = memo_scorer()
-        cold = score_rows(scorer, question, batch)
-        warm = score_rows(scorer, question, batch)
-        assert cold == warm
+        rows = [ROW_OF[text] for text in batch]
+        scorer = bound_scorer()
+        cold = score_stored(scorer, question, rows)
+        warm = score_stored(scorer, question, rows)
+        assert cold == warm == score_rows(scorer, question, batch)
         for i, text in enumerate(batch):
             assert cold[i] == cold[batch.index(text)]
 
     @settings(max_examples=40, deadline=None)
-    @given(question=question_strategy, texts=texts_strategy,
+    @given(question=question_strategy, texts=stored_strategy,
            batch_first=st.booleans())
     def test_batch_equals_one_call_per_text(self, question, texts,
                                             batch_first):
-        scorer = memo_scorer()
+        scorer = bound_scorer()
+        rows = [ROW_OF[text] for text in texts]
         if batch_first:
-            batch = score_rows(scorer, question, texts)
-            single = [astuple(scorer.score(question, text))
-                      for text in texts]
+            batch = score_stored(scorer, question, rows)
+            single = [score_stored(scorer, question, [row])[0]
+                      for row in rows]
         else:
-            single = [astuple(scorer.score(question, text))
-                      for text in texts]
-            batch = score_rows(scorer, question, texts)
+            single = [score_stored(scorer, question, [row])[0]
+                      for row in rows]
+            batch = score_stored(scorer, question, rows)
         assert batch == single
-        # and as a scorer that holds no stored row scores them
-        assert batch == score_rows(replace(scorer, stored=None), question,
-                                   texts)
+        # and as each text scores on its own
+        assert batch == [astuple(scorer.score(question, text))
+                         for text in texts]
 
     def test_set_params_takes_effect(self):
-        scorer = memo_scorer()
-        before = score_rows(scorer, "amber grove?", STORED_TEXTS)
+        scorer = bound_scorer()
+        before = score_stored(scorer, "amber grove?", STORED_ROWS)
         params = np.random.default_rng(6).standard_normal(
             scorer.head.get_params().shape)
         scorer.head.set_params(params)
-        after = score_rows(scorer, "amber grove?", STORED_TEXTS)
-        fresh = memo_scorer()
+        after = score_stored(scorer, "amber grove?", STORED_ROWS)
+        fresh = bound_scorer()
         fresh.head.set_params(params)
+        assert after == score_stored(fresh, "amber grove?", STORED_ROWS)
         assert after == score_rows(fresh, "amber grove?", STORED_TEXTS)
         assert after != before
 
     def test_copy_bound_to_another_index_reads_its_rows(self):
-        scorer = memo_scorer()
-        score_rows(scorer, "amber grove?", STORED_TEXTS)
-        # the same texts, at other positions of another index
-        other = build_index(Corpus([*memo_corpus(seed=9, n_docs=5,
-                                                 prefix="a"),
-                                    *MEMO_CORPUS]), MEMO_PROVIDER)
+        scorer = bound_scorer()
+        score_stored(scorer, "amber grove?", STORED_ROWS)
+        # the same texts, at other rows of another index
+        corpus = Corpus([*stored_corpus(seed=9, n_docs=5, prefix="a"),
+                         *CORPUS])
+        other = build_index(corpus, PROVIDER)
+        rows = rows_of(other, corpus)
         copy = replace(scorer, stored=other)
-        assert score_rows(copy, "amber grove?", STORED_TEXTS) == \
-            score_rows(replace(scorer, stored=None), "amber grove?",
-                       STORED_TEXTS)
+        assert copy._cache is None
+        assert [rows[text] for text in STORED_TEXTS] != STORED_ROWS
+        assert score_stored(copy, "amber grove?",
+                            [rows[text] for text in STORED_TEXTS]) == \
+            score_rows(scorer, "amber grove?", STORED_TEXTS)
 
-    def test_memo_follows_the_provider_and_the_index(self):
-        scorer = memo_scorer()
-        score_rows(scorer, "amber grove?", STORED_TEXTS)
-        scorer.provider = HashingEmbedder(dim=16, seed=5)
-        assert score_rows(scorer, "amber grove?", STORED_TEXTS) == \
-            score_rows(replace(scorer, stored=None), "amber grove?",
-                       STORED_TEXTS)
-        small = build_index(Corpus(list(MEMO_CORPUS)[:3]), MEMO_PROVIDER)
-        scorer.provider, scorer.stored = MEMO_PROVIDER, small
-        score_rows(scorer, "amber grove?", STORED_TEXTS)
-        assert len(scorer._memo) == small.stored_count
+    def test_cache_follows_the_head_and_the_index(self):
+        scorer = bound_scorer()
+        want = score_stored(scorer, "amber grove?", STORED_ROWS)
+        cache = scorer._cache
+        assert cache.used == len(set(STORED_ROWS))
+        # another provider object of the same fingerprint reads the same
+        # rows, from the same cache
+        scorer.provider = HashingEmbedder(dim=16, seed=2)
+        assert score_stored(scorer, "amber grove?", STORED_ROWS) == want
+        assert scorer._cache is cache
+        # binding another index empties it
+        small = build_index(Corpus(list(CORPUS)[:3]), PROVIDER)
+        scorer.stored = small
+        score_stored(scorer, "amber grove?", [0, 1])
+        assert scorer._cache is not cache
+        assert len(scorer._cache.slots) == small.stored_count
+        assert scorer._cache.used == 2
+        # and so does set_params, even to the same parameters
+        cache = scorer._cache
+        scorer.head.set_params(scorer.head.get_params())
+        score_stored(scorer, "amber grove?", [0])
+        assert scorer._cache is not cache
+        assert scorer._cache.used == 1
 
-    def test_memo_keeps_any_text_up_to_the_stored_row_count(self):
-        scorer = memo_scorer()
-        # every stored text kept, and every token the fresh texts use seen
-        score_rows(scorer, "amber grove?", STORED_TEXTS + FRESH_TEXTS)
-        # a text no row holds is kept while there is room, then none is
-        assert len(STORED_TEXTS) < MEMO_INDEX.stored_count < \
-            len(STORED_TEXTS + FRESH_TEXTS)
-        assert FRESH_TEXTS[0] in scorer._memo
-        assert FRESH_TEXTS[-1] not in scorer._memo
-        assert len(scorer._memo) == MEMO_INDEX.stored_count
-        # distinct texts of seen tokens, so no token memo grows either
+    def test_cache_holds_only_rows_read(self):
+        scorer = bound_scorer()
+        score_stored(scorer, "amber grove?", STORED_ROWS[:5] * 2)
+        assert scorer._cache.used == 5
+        assert len(scorer._cache.products) < INDEX.stored_count
+        assert cache_consistent(scorer)
+        # texts scored by text are kept nowhere: distinct texts of seen
+        # tokens, so no token memo grows either
         many = [" ".join(["unseen", *(WORDS[i // 15 ** j % 15]
                                       for j in range(3))])
                 for i in range(3000)]
@@ -707,67 +755,65 @@ class TestFactoredScoring:
         # one kept row of 6 floats for each of the 3,000 texts would be
         # well over 100 kB
         assert grown < 32_000
-        assert len(scorer._memo) <= MEMO_INDEX.stored_count
+        assert scorer._cache.used == 5
 
     def test_warm_batch_hashes_and_embeds_nothing(self, tmp_path,
                                                   monkeypatch):
-        MEMO_INDEX.save(tmp_path / "index")
+        INDEX.save(tmp_path / "index")
         provider = CountingProvider()
-        scorer = replace(memo_scorer(VectorIndex.load(tmp_path / "index")),
-                         provider=provider)
-        hashed = []
+        scorer = bound_scorer(VectorIndex.load(tmp_path / "index"),
+                              provider=provider)
 
-        def counting_hash(text):
-            hashed.append(text)
-            return stable_hash(text)
+        def no_hash(text):
+            raise AssertionError(f"hashed {text!r}")
 
-        monkeypatch.setattr(retrieval_module, "stable_hash", counting_hash)
-        question = MEMO_PROVIDER.embed("which heron iris")
-        texts = STORED_TEXTS + FRESH_TEXTS[:6]
-        cold = score_rows(scorer, "which heron iris", texts, question)
-        # each text hashed once, and only the fresh ones embedded
-        assert sorted(hashed) == sorted(texts)
-        assert provider.calls == [FRESH_TEXTS[:6]]
-        hashed.clear()
-        provider.calls.clear()
-        assert score_rows(scorer, "which heron iris", texts, question) == cold
-        assert hashed == []
+        monkeypatch.setattr(seeds_module, "stable_hash", no_hash)
+        question = PROVIDER.embed("which heron iris")
+        cold = score_stored(scorer, "which heron iris", STORED_ROWS,
+                            question)
         assert provider.calls == []
+        assert score_stored(scorer, "which heron iris", STORED_ROWS,
+                            question) == cold
+        assert provider.calls == []
+        assert cold == score_rows(bound_scorer(), "which heron iris",
+                                  STORED_TEXTS, question)
 
-    def test_a_text_kept_meanwhile_keeps_one_row(self):
-        """A call that finds texts missing while another call keeps some
-        of them keeps each text in one row, so that no later row
+    def test_a_row_kept_meanwhile_keeps_one_slot(self, monkeypatch):
+        """A call that finds rows missing while another call keeps some of
+        them keeps each row in one slot, so that no later product
         overwrites a kept one."""
-        index = copy.copy(MEMO_INDEX)
-        scorer = memo_scorer(index)
-        want = logits(score_rows(memo_scorer(), "amber grove?", STORED_TEXTS))
+        scorer = bound_scorer()
+        want = score_stored(bound_scorer(), "amber grove?", STORED_ROWS)
+        add = scorer_module._RowCache._add
 
-        def meanwhile(provider, texts):
-            del index.embed_many
-            # another call keeps some of this call's texts between its
+        def meanwhile(cache, rows, weights):
+            monkeypatch.setattr(scorer_module._RowCache, "_add", add)
+            # another call keeps some of this call's rows between its
             # look-up and its write
-            score_rows(scorer, "amber grove?", STORED_TEXTS[:2])
-            return index.embed_many(provider, texts)
+            score_stored(scorer, "amber grove?", STORED_ROWS[:2])
+            add(cache, rows, weights)
 
-        index.embed_many = meanwhile
-        score_rows(scorer, "amber grove?", STORED_TEXTS[:3])
-        score_rows(scorer, "amber grove?", STORED_TEXTS)
-        assert logits(score_rows(scorer, "amber grove?", STORED_TEXTS)) == want
-        assert sorted(scorer._memo.values()) == list(range(len(STORED_TEXTS)))
+        monkeypatch.setattr(scorer_module._RowCache, "_add", meanwhile)
+        score_stored(scorer, "amber grove?", STORED_ROWS[:3])
+        assert scorer._cache.used == 3
+        assert score_stored(scorer, "amber grove?", STORED_ROWS) == want
+        assert cache_consistent(scorer)
+        assert scorer._cache.used == len(set(STORED_ROWS))
 
     def test_threads_sharing_a_scorer_score_alike(self):
-        scorer = memo_scorer()
-        texts = STORED_TEXTS + FRESH_TEXTS
-        want = logits(score_rows(memo_scorer(), "amber grove?", texts))
+        scorer = bound_scorer()
+        rows = STORED_ROWS
+        want = logits(score_stored(bound_scorer(), "amber grove?", rows))
         got = []
 
         def serve(offset):
-            # each thread asks in its own order, so they fill the memo at once
+            # each thread asks in its own order, so they fill the cache at
+            # once
             for _ in range(30):
-                rows = logits(score_rows(
-                    scorer, "amber grove?", texts[offset:] + texts[:offset]))
-                got.append(rows[len(texts) - offset:] +
-                           rows[:len(texts) - offset])
+                scored = logits(score_stored(
+                    scorer, "amber grove?", rows[offset:] + rows[:offset]))
+                got.append(scored[len(rows) - offset:] +
+                           scored[:len(rows) - offset])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -782,15 +828,43 @@ class TestFactoredScoring:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == [want] * 120
-        assert len(scorer._memo) <= MEMO_INDEX.stored_count
+        assert cache_consistent(scorer)
+        assert scorer._cache.used == len(set(rows))
+
+    @pytest.mark.parametrize("make", [
+        lambda: planted_corpus()[0], lambda: redundant_corpus()[0],
+        stored_corpus], ids=["planted", "redundant", "stored"])
+    def test_rows_score_as_their_texts_on_every_corpus(self, make):
+        """Each document's text row and window rows score bit for bit as
+        their texts, cold and warm: untitled documents of one window
+        (planted), titled ones of several (redundant), and both kinds
+        mixed, of 2 to 5 sentences (stored)."""
+        corpus = make()
+        index = build_index(corpus, PROVIDER)
+        scorer = bound_scorer(index)
+        docs = sorted(corpus, key=lambda d: d.doc_id)
+        counts = [len(doc.windows) for doc in docs]
+        question = PROVIDER.embed("amber quixilshared capital?")
+        texts = [doc.text for doc in docs]
+        windows = [text for doc in docs for text in doc.windows]
+        rows = np.concatenate([np.arange(n) + index.window_rows[i]
+                               for i, n in enumerate(counts)])
+        for cold_and_warm in range(2):
+            for stored, by_text in (
+                    (scorer.score_rows("", index.text_rows, question),
+                     scorer.score_arrays("", texts, question)),
+                    (scorer.score_rows("", rows, question),
+                     scorer.score_arrays("", windows, question))):
+                for got, want in zip(stored, by_text):
+                    assert got.tobytes() == want.tobytes()
 
     def test_pair_features_embed_once_and_as_two_calls(self):
         for text in STORED_TEXTS[:3] + FRESH_TEXTS[:3]:
             provider = CountingProvider()
             got = pair_features(provider, "which heron iris", text)
             assert provider.calls == [["which heron iris", text]]
-            want = np.concatenate([MEMO_PROVIDER.embed("which heron iris"),
-                                   MEMO_PROVIDER.embed(text)])
+            want = np.concatenate([PROVIDER.embed("which heron iris"),
+                                   PROVIDER.embed(text)])
             assert got.tobytes() == want.tobytes()
 
 

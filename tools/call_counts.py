@@ -1,0 +1,129 @@
+"""Count the Python and C calls a question makes, by pipeline stage.
+
+    python3 tools/call_counts.py --workload short-500 [--seed 1] [--smoke]
+
+Builds the workload's artifacts with the benchmark's own set-up
+(``benchmarks/artifacts.py``) in a temporary directory, loads them with
+``load_pipeline``, and answers the timed questions twice, one at a time,
+under ``sys.setprofile``: first cold, right after the load, then warm. For
+each pass it prints the calls per question in each stage of
+``answer_question`` (the stages it times: embed, retrieve, score,
+recognize, reduce, prompt, llm; ``other`` is the rest of the question) as
+Python function calls and C function calls, and their totals.
+
+A count is exact, and the same in every process for one workload and seed
+(the garbage collector is off while counting), so two checkouts compare by
+their counts where their wall times are noise. A C call's cost varies, so a
+count does not replace timed pairs (``tools/bench_pairs.py``).
+"""
+
+from __future__ import annotations
+
+import os
+
+# as benchmarks/run.py: one BLAS thread
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import gc
+import sys
+import tempfile
+import types
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+STAGES = ("embed", "retrieve", "score", "recognize", "reduce", "prompt",
+          "llm", "other")
+
+
+def stage_code(function) -> types.CodeType:
+    """The code of the ``_timed`` helper that ``function`` defines: each
+    call of it runs one stage, named by its ``stage`` argument."""
+    return next(const for const in function.__code__.co_consts
+                if isinstance(const, types.CodeType)
+                and const.co_name == "_timed")
+
+
+def count_calls(answer, questions, timed_code) -> dict[str, list[int]]:
+    """stage -> [Python calls, C calls] over ``answer(qa)`` for each of
+    ``questions``."""
+    counts: dict[str, list[int]] = defaultdict(lambda: [0, 0])
+    stages = ["other"]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code is timed_code:
+                stages.append(frame.f_locals["stage"])
+            counts[stages[-1]][0] += 1
+        elif event == "c_call":
+            counts[stages[-1]][1] += 1
+        elif event == "return" and frame.f_code is timed_code:
+            stages.pop()
+
+    gc.collect()
+    gc.disable()
+    try:
+        for qa in questions:
+            sys.setprofile(profile)
+            try:
+                answer(qa)
+            finally:
+                sys.setprofile(None)
+    finally:
+        gc.enable()
+    return counts
+
+
+def report(name: str, counts: dict[str, list[int]], n: int) -> None:
+    print(f"{name} ({n} questions): calls per question")
+    print(f"  {'stage':<10} {'python':>9} {'c':>9}")
+    for stage in STAGES:
+        python, c = counts.get(stage, (0, 0))
+        print(f"  {stage:<10} {python / n:>9.1f} {c / n:>9.1f}")
+    python = sum(pair[0] for pair in counts.values())
+    c = sum(pair[1] for pair in counts.values())
+    print(f"  {'total':<10} {python / n:>9.1f} {c / n:>9.1f}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", default="short-500")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--smoke", action="store_true",
+                        help="the benchmark's seconds-long version of the "
+                             "workload")
+    args = parser.parse_args(argv)
+
+    import leanrag.pipeline as pipeline
+    from artifacts import build_artifacts, records, write_inputs
+    from workloads import SMOKE, WORKLOADS, make_inputs
+
+    specs = SMOKE if args.smoke else WORKLOADS
+    if args.workload not in specs:
+        parser.error(f"unknown workload {args.workload!r}; known: "
+                     f"{sorted(specs)}")
+    spec = specs[args.workload]
+    inputs = make_inputs(spec, args.seed)
+    timed = records(inputs.timed)
+    timed_code = stage_code(pipeline._answer_with_details)
+    with tempfile.TemporaryDirectory() as work:
+        config = write_inputs(inputs, spec, args.seed, Path(work))
+        build_artifacts(inputs, spec, config)
+        ctx = pipeline.load_pipeline(config)
+
+        def answer(qa):
+            pipeline.answer_question(qa, ctx)
+
+        print(f"{spec.name}{' (smoke)' if args.smoke else ''}, seed "
+              f"{args.seed}")
+        for name in ("cold", "warm"):
+            report(name, count_calls(answer, timed, timed_code), len(timed))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
