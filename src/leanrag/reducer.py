@@ -125,9 +125,9 @@ def score_windows(docs: Sequence[Document], scorer: ScorerModel,
     document has no sentences."""
     if not docs:
         raise ValueError("docs must be non-empty")
-    counts = [len(d.windows) for d in docs]
-    owners = np.repeat(np.arange(len(docs)), counts)
-    starts = np.concatenate([np.arange(n) for n in counts])
+    owners = np.repeat(np.arange(len(docs)), [len(d.windows) for d in docs])
+    # each row's position less its document's first row
+    starts = np.arange(len(owners)) - np.searchsorted(owners, owners)
     if rows is None:
         logits, probs = scorer.score_arrays(
             question, [text for d in docs for text in d.windows],
@@ -293,7 +293,8 @@ def _top_windows(scored: ScoredCandidates, top: np.ndarray,
     """``score_windows`` of the candidates ``top``, by their stored rows
     when the scorer reads them."""
     rows = scorer.stored_rows(scored.candidates)
-    return score_windows(scored.candidates.take(top), scorer, question,
+    docs = scored.candidates.docs
+    return score_windows([docs[i] for i in top.tolist()], scorer, question,
                          question_embedding, None if rows is None else rows[top])
 
 
@@ -400,8 +401,8 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
         top = rerank_rows(scored, max_docs)
         try:
             with_docs = llm.complete(build_retrieve_prompt(
-                qa.question, [doc.text for doc in scored.candidates.take(top)],
-                template))
+                qa.question, [scored.candidates.docs[i].text
+                              for i in top.tolist()], template))
             if not is_correct(with_docs.text, qa.gold_answers):
                 continue  # retrieval does not help; no positive signal to learn
         except Exception as exc:

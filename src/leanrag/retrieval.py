@@ -9,15 +9,14 @@ from those entries when it is built or loaded. The scan returns index rows,
 and the query path addresses every stored vector by its row: ``Candidates``
 keep the scan's rows, and the index records each document's text row and
 first window row, so no text is looked up or hashed per question. A
-document's
-similarity to a question is defined as the sum, starting from +0.0, of each
-coordinate's separately rounded product ``v_j * q_j``, added in ascending
-coordinate order; equal similarities rank by ascending doc id. So a row's
-similarity depends only on that row and the question, never on where the row
-sits in the index or on how a BLAS routine orders its sums. A row the
-question shares no coordinate with scores exactly +0.0, as most rows of a
-large index do, so the k-th largest similarity is selected among the
-positive ones whenever there are k of them.
+document's similarity to a question is defined as the sum, starting from
++0.0, of each coordinate's separately rounded product ``v_j * q_j``, added
+in ascending coordinate order; equal similarities rank by ascending doc id.
+So a row's similarity depends only on that row and the question, never on
+where the row sits in the index or on how a BLAS routine orders its sums. A
+row the question shares no coordinate with scores exactly +0.0, as most
+rows of a large index do, so the k-th largest similarity is selected among
+the positive ones whenever there are k of them.
 """
 
 from __future__ import annotations
@@ -242,11 +241,10 @@ class RetrievedDoc:
 @dataclass(frozen=True, eq=False)
 class Candidates:
     """Retrieved documents, most similar first: ``docs[i]`` has rank i + 1
-    and similarity ``similarity[i]``. Iterating or indexing builds each
-    ``RetrievedDoc`` anew; the query path reads ``docs`` and the arrays.
-    Candidates a ``Retriever`` returns also keep the scan's ``rows`` of
-    its ``index``, by which the scorer reads their stored vectors, and read
-    a document only when ``docs`` is indexed (``RowDocuments``)."""
+    and similarity ``similarity[i]``; a ``Retriever``'s also keep the
+    scan's ``rows`` of its ``index`` and read a document only when
+    ``docs`` is indexed (``RowDocuments``). Iterating or indexing builds
+    each ``RetrievedDoc`` anew; the query path reads the arrays."""
 
     docs: Sequence[Document]
     similarity: np.ndarray
@@ -255,12 +253,6 @@ class Candidates:
 
     def __len__(self) -> int:
         return len(self.similarity)
-
-    def take(self, positions: np.ndarray) -> list[Document]:
-        """``docs[i]`` for each i of ``positions``, in order."""
-        if isinstance(self.docs, RowDocuments):
-            return self.docs.take(positions)
-        return [self.docs[i] for i in positions.tolist()]
 
     def __getitem__(self, i: int) -> RetrievedDoc:
         try:
@@ -272,28 +264,20 @@ class Candidates:
         return RetrievedDoc(self.docs[i], float(self.similarity[i]), i + 1)
 
 
+@dataclass(frozen=True, eq=False)
 class RowDocuments(Sequence):
-    """The documents of index ``rows``, read from ``documents`` (a list, or
-    a ``CorpusRows`` that parses a line on its first read) when indexed,
-    so that a question parses only the documents it reads."""
+    """The documents of index ``rows``, read from ``documents`` (by row: a
+    list, or a ``CorpusRows`` that parses a line on its first read) when
+    indexed, so that a question parses only the documents it reads."""
 
-    def __init__(self, documents: Mapping[int, Document] | list[Document],
-                 rows: np.ndarray):
-        self._documents = documents
-        self._rows = rows
+    documents: Mapping[int, Document] | list[Document]
+    rows: np.ndarray
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.take(np.arange(len(self._rows))[i])
-        return self._documents[int(self._rows[i])]
-
-    def take(self, positions: np.ndarray) -> list[Document]:
-        """The documents at ``positions``, in order."""
-        documents = self._documents
-        return [documents[row] for row in self._rows[positions].tolist()]
+    def __getitem__(self, i: int) -> Document:
+        return self.documents[int(self.rows[i])]
 
 
 def document_embedding_text(doc: Document) -> str:
@@ -353,11 +337,12 @@ class SparseRows:
                    np.concatenate(values), dim)
 
     @classmethod
-    def load(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "SparseRows":
+    def load(cls, meta: dict, arrays: dict[str, np.ndarray],
+             also: Sequence[str] = ()) -> "SparseRows":
         """The rows of a file that ``arrays`` and the header ``meta`` (its
-        ``dim``) were loaded from; a file with other arrays is in an older
-        layout, a ``ValueError``."""
-        if set(arrays) != set(cls.ARRAYS):
+        ``dim``) were loaded from; a file with other arrays than these and
+        ``also`` is in an older layout, a ``ValueError``."""
+        if set(arrays) != {*cls.ARRAYS, *also}:
             raise ValueError(
                 f"{meta['format']} is in an older layout; rebuild it")
         return cls(*(arrays[name] for name in cls.ARRAYS), meta["dim"])
@@ -415,9 +400,6 @@ class ExactScan:
             self._dense = rows.dense(np.arange(self.n))
             self._max_norm = float(np.sqrt(np.einsum(
                 "ij,ij->i", self._dense, self._dense).max()))
-
-    def __len__(self) -> int:
-        return self.n
 
     def top(self, query: np.ndarray, k: int
             ) -> tuple[np.ndarray, np.ndarray]:
@@ -500,25 +482,18 @@ class VectorIndex:
     ``build_index`` stores. Document i's text, which the scorer reads, is
     row ``text_rows[i]``, and its windows are the rows from
     ``window_rows[i]`` on, one per window of ``Document.windows``, next to
-    each other (``int32``, one per doc id; by default row i). An index built from a corpus
+    each other (``int32``, one per doc id). An index built from a corpus
     file records the file's ``corpus_sha256`` and each doc id's
     ``line_offsets`` in it (``int64``, bytes), by which ``CorpusRows``
     reads the documents; one built from an in-memory corpus records
     neither."""
 
     def __init__(self, doc_ids: Sequence[str], rows: SparseRows,
-                 provider_fingerprint: str,
-                 text_rows: np.ndarray | None = None,
-                 window_rows: np.ndarray | None = None,
-                 corpus_sha256: str | None = None,
+                 provider_fingerprint: str, text_rows: np.ndarray,
+                 window_rows: np.ndarray, corpus_sha256: str | None = None,
                  line_offsets: np.ndarray | None = None):
         if len(doc_ids) == 0:
             raise ValueError("cannot build an index over an empty corpus")
-        # by default each document's own row, as for an untitled document
-        # of one window
-        own = np.arange(len(doc_ids), dtype=np.int32)
-        text_rows = own if text_rows is None else text_rows
-        window_rows = own if window_rows is None else window_rows
         if len(rows) < len(doc_ids):
             raise ValueError("rows must begin with one row per doc id")
         if (corpus_sha256 is None) != (line_offsets is None):
@@ -532,11 +507,10 @@ class VectorIndex:
                     f"{name} must be {np.dtype(dtype)}, one per doc id; got "
                     f"{array.dtype} of shape {array.shape} for "
                     f"{len(doc_ids)}")
-        for name, array in (("text_rows", text_rows),
-                            ("window_rows", window_rows)):
-            if not 0 <= array.min() <= array.max() < len(rows):
-                raise ValueError(f"{name} must be stored rows, in "
-                                 f"[0, {len(rows)})")
+        if not 0 <= min(text_rows.min(), window_rows.min()) <= \
+                max(text_rows.max(), window_rows.max()) < len(rows):
+            raise ValueError(f"text and window rows must be in "
+                             f"[0, {len(rows)})")
         self.doc_ids = ascending_ids(doc_ids, "doc ids")
         repeated = repeated_ids(self.doc_ids)
         if repeated:
@@ -552,11 +526,6 @@ class VectorIndex:
 
     def __len__(self) -> int:
         return len(self.doc_ids)
-
-    @property
-    def stored_count(self) -> int:
-        """The number of stored rows, documents' and others'."""
-        return len(self.rows)
 
     def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
         """The k most similar documents (module docstring), most similar
@@ -581,19 +550,15 @@ class VectorIndex:
     def load(cls, path: str | Path) -> "VectorIndex":
         meta, arrays = artifacts.load(path, "index")
         offsets = arrays.pop("line_offsets", None)
-        positions = [arrays.pop(name, None)
-                     for name in ("text_rows", "window_rows")]
-        rows = SparseRows.load(meta, arrays)
-        if any(array is None for array in positions):
-            raise ValueError("leanrag-index is in an older layout; "
-                             "rebuild it")
+        rows = SparseRows.load(meta, arrays, ("text_rows", "window_rows"))
         digest = meta["corpus_sha256"]
         if digest is not None and not isinstance(digest, str):
             raise IndexIntegrityError(
                 f"{path}: header field 'corpus_sha256' must be a string or "
                 f"null, got {digest!r}; rebuild it")
         return cls(meta["doc_ids"], rows, meta["provider_fingerprint"],
-                   *positions, digest, offsets)
+                   arrays["text_rows"], arrays["window_rows"], digest,
+                   offsets)
 
 
 def _top(sims: np.ndarray, k: int) -> np.ndarray:
@@ -651,10 +616,8 @@ def embedded_rows(texts: Iterable[str], provider: EmbeddingProvider
 
 
 def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
-    """Embed every document ("title. text") into a fresh index, in doc-id
-    order, then the texts and windows ``_stored_texts`` adds. Every row goes
-    through ``embedded_rows``, so set-up never holds more than
-    ``EMBED_CHUNK`` rows densely."""
+    """Embed the rows ``_stored_texts`` lists into a fresh index, through
+    ``embedded_rows``, so set-up holds at most ``EMBED_CHUNK`` densely."""
     if len(corpus) == 0:
         raise ValueError("cannot build an index over an empty corpus")
     docs = sorted(corpus, key=lambda d: d.doc_id)
@@ -673,40 +636,30 @@ def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
 
 def _stored_texts(docs: Sequence[Document], text_rows: np.ndarray,
                   window_rows: np.ndarray) -> Iterator[str]:
-    """The text of each stored row, in row order, writing each document's
-    text row and first window row as it goes: every document's
-    "title. text", then, document by document, its text where no row holds
-    it yet (an untitled document's row already does) and its windows. A
-    document of one window stores it where no row holds it yet (a
-    single-spaced document of at most ``WINDOW`` sentences is its one
-    window); one of several stores them next to each other, unless an
-    earlier document stored the same windows."""
-    held: dict[str, int] = {}  # each stored text's first row
+    """The text of each stored row, in order, writing each document's text
+    and first window row: each document's "title. text", then, document by
+    document, its text and its one window (a single-spaced document of at
+    most ``WINDOW`` sentences is its own) where no row holds them yet, or
+    its several windows together unless a document stored the same ones."""
+    # each stored text's, and each stored run of windows', first row
+    held: dict[str | tuple[str, ...], int] = {}
     for row, doc in enumerate(docs):
         text = document_embedding_text(doc)
         held.setdefault(text, row)
         yield text
     end = len(docs)
-    runs: dict[tuple[str, ...], int] = {}  # each run of windows' first row
     for i, doc in enumerate(docs):
         windows = (doc.text,) if _one_window(doc.text) else doc.windows
-        single = windows if len(windows) == 1 else ()
-        for text in (doc.text, *single):
-            if text not in held:
-                held[text] = end
-                end += 1
-                yield text
-        text_rows[i] = held[doc.text]
-        if len(windows) == 1:
-            window_rows[i] = held[windows[0]]
-            continue
-        if windows not in runs:
-            runs[windows] = end
-            for text in windows:
-                held.setdefault(text, end)
-                end += 1
-                yield text
-        window_rows[i] = runs[windows]
+        run = windows[0] if len(windows) == 1 else windows
+        for key in (doc.text, run):
+            if key not in held:
+                held[key] = end
+                texts = (key,) if isinstance(key, str) else key
+                for text in texts:
+                    held.setdefault(text, end)
+                    end += 1
+                    yield text
+        text_rows[i], window_rows[i] = held[doc.text], held[run]
 
 
 def _one_window(text: str) -> bool:
@@ -732,10 +685,8 @@ class Retriever:
 
     def __init__(self, corpus: Corpus | CorpusRows, index: VectorIndex,
                  provider: EmbeddingProvider):
-        if provider.fingerprint + INDEX_FIELDS != index.provider_fingerprint:
-            raise ValueError(
-                f"index built with {index.provider_fingerprint!r}, provider "
-                f"gives {provider.fingerprint + INDEX_FIELDS!r}")
+        artifacts.check_provider("index", index.provider_fingerprint,
+                                 index.dim, provider, INDEX_FIELDS)
         self.corpus = corpus
         self.index = index
         self.provider = provider

@@ -119,8 +119,7 @@ def score_candidates(scorer: ScorerModel, question: str,
                      question_embedding: np.ndarray | None = None
                      ) -> ScoredCandidates:
     """Every candidate scored in one call: by its text's stored row when
-    the scorer reads the candidates' index (``score_rows``), else by its
-    text (``score_arrays``)."""
+    the scorer reads them (``stored_rows``), else by its text."""
     rows = scorer.stored_rows(candidates)
     if rows is not None:
         return ScoredCandidates(candidates, *scorer.score_rows(
@@ -346,20 +345,16 @@ class EpochStats:
 class ScorerModel:
     """Frozen encoder reference plus the trained two-head MLP.
 
-    The head's first layer acts on [q ; d] as W_q q + W_d d + b, computed
-    in those parts: W_q q once per call, W_d d once per document.
-    ``score_arrays`` embeds the texts it is given. ``score_rows`` reads
-    stored rows of ``stored`` (not saved; ``PipelineContext`` binds its
-    retriever's index), and keeps each row's W_d d in one cache
-    (``_RowCache``) that serves one head at one parameter version and one
-    ``stored`` index, and is replaced by an empty one when any of them
-    changes; a copy made with ``dataclasses.replace`` starts empty. Every
-    part is computed row by row, so: identical texts score identically; a
-    batch scores exactly as one call per text would, whatever the cache
-    held before; a stored row scores exactly as its text would; the logits
-    are within rounding (1e-12) of ``head.forward_logits`` on the
-    concatenated features; and after ``head.set_params`` no kept product
-    is used again."""
+    The head's first layer acts on [q ; d] as W_q q + W_d d + b: W_q q once
+    per call, W_d d of each text it is given (``score_arrays``) or of each
+    stored row of ``stored`` (``score_rows``; not saved, and bound by
+    ``PipelineContext`` to its retriever's index), kept per row in a
+    ``_RowCache`` that a new head version or another ``stored`` replaces
+    (as does a ``dataclasses.replace`` copy). Every part is computed row by
+    row, so identical texts tie, a batch scores exactly as one call per
+    text whatever the cache held, a stored row exactly as its text, and
+    the logits are within rounding (1e-12) of ``head.forward_logits`` on
+    the concatenated features."""
 
     head: Mlp
     balance_weight: float
@@ -380,29 +375,25 @@ class ScorerModel:
         """The candidates' rows of ``stored``, by which ``score_rows``
         reads them; None unless a scan of ``stored`` returned them and it
         was built with this model's provider."""
-        index = candidates.index
-        if index is None or index is not self.stored or \
-                self.provider is None or self.provider.fingerprint + \
-                INDEX_FIELDS != index.provider_fingerprint:
-            return None
-        return candidates.rows
+        index, provider = candidates.index, self.provider
+        reads = index is self.stored is not None and provider is not None \
+            and provider.fingerprint + INDEX_FIELDS == index.provider_fingerprint
+        return candidates.rows if reads else None
 
     def score_arrays(self, question: str, doc_texts: Sequence[str],
                      question_embedding: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
         """(logits, probabilities), each of shape (len(doc_texts), 2),
-        columns (answer, preference), from one ``embed_many`` call for the
-        texts and one forward call from the first layer's pre-activation.
-        ``question_embedding`` reuses the question's vector when the caller
-        already has it from this model's provider."""
+        columns (answer, preference), from one ``embed_many`` and one
+        forward call; ``question_embedding`` is the question's vector, when
+        the caller has it from this model's provider."""
         return self._score(question, question_embedding, doc_texts, None)
 
     def score_rows(self, question: str, rows: np.ndarray,
                    question_embedding: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """``score_arrays`` of the texts of the stored ``rows`` of
-        ``stored``, bit for bit, from their vectors: W_d d of a row is
-        computed on its first read and kept."""
+        """``score_arrays`` of the texts of ``stored``'s ``rows``, bit for
+        bit; W_d d of a row is computed on its first read and kept."""
         return self._score(question, question_embedding, None, rows)
 
     def _score(self, question: str, question_embedding: np.ndarray | None,
@@ -415,32 +406,26 @@ class ScorerModel:
             return np.empty((0, 2)), np.empty((0, 2))
         if question_embedding is None:
             question_embedding = self.provider.embed(question)
-        # the cache's version before the weights, so that a concurrent
-        # set_params can leave new products only under a version no later
-        # call is served from
-        cache = None if texts is not None else self._current_cache()
+        if texts is None:
+            # checked against the head's version before the weights are
+            # read, so a concurrent set_params leaves new products only in
+            # a cache no later call reads; each call reads one cache
+            owner = (self.head, self.head.version, self.stored)
+            cache = self._cache
+            if cache is None or cache.owner != owner:
+                cache = self._cache = _RowCache(owner, self.stored,
+                                                self.head.layer_sizes[1])
         weights, bias = self.head.first_layer()
         width = len(question_embedding)
         question_half = question_embedding @ weights[:, :width].T
-        if cache is None:
+        if texts is None:
+            halves = cache.read(rows, weights[:, width:])
+        else:
             halves = _products(self.provider.embed_many(list(texts)),
                                weights[:, width:])
-        else:
-            halves = cache.read(rows, weights[:, width:])
         pre = question_half + halves + bias
         logits = self.head.forward_logits(pre, preactivated=True)
         return logits, sigmoid(logits)
-
-    def _current_cache(self) -> _RowCache:
-        """The row cache, replaced first by an empty one when the head,
-        its parameter version or ``stored`` is not the one it was filled
-        for. Two threads may each replace it; each call reads one cache."""
-        owner = (self.head, self.head.version, self.stored)
-        cache = self._cache
-        if cache is None or cache.owner != owner:
-            cache = self._cache = _RowCache(owner, self.stored,
-                                            self.head.layer_sizes[1])
-        return cache
 
     def save(self, path: str | Path) -> None:
         artifacts.save(path, "scorer", {
@@ -474,50 +459,44 @@ SCORER_SIZES = artifacts.Check(
 
 
 def _products(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``weights @ v`` for each row v, each row through its own
-    vector-matrix product, as ``Mlp.forward_logits`` computes a layer."""
+    """``weights @ v`` for each row v, each through its own vector-matrix
+    product, as ``Mlp.forward_logits`` computes a layer."""
     return (vectors[:, None, :] @ weights.T)[:, 0, :]
 
 
 class _RowCache:
-    """W_d d of the stored rows of ``stored`` read so far, packed:
-    ``slots[row]`` (``int32``, -1 until the row is first read) is the row
-    of ``products`` holding row ``row``'s product. Products are appended,
-    under a lock, each written before its slot is set, so a read that finds
-    a slot set, taking no lock, finds its product."""
+    """W_d d of the rows of ``stored`` read so far, packed: ``slots[row]``
+    (``int32``, -1 until first read) is its row of ``products``. Products
+    are appended under a lock, each written before its slot is set, so a
+    read that finds a slot set, taking no lock, finds its product."""
 
     def __init__(self, owner: tuple, stored: VectorIndex, width: int):
         self.owner = owner
         self.stored = stored
-        self.slots = np.full(stored.stored_count, -1, dtype=np.int32)
+        self.slots = np.full(len(stored.rows), -1, dtype=np.int32)
         self.products = np.empty((0, width))
         self.used = 0
         self._lock = threading.Lock()
 
     def read(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """W_d d of each of ``rows``, ``weights`` being W_d."""
-        slots = self.slots[rows]
-        if -1 in slots:
-            self._add(rows[slots < 0], weights)
-            slots = self.slots[rows]
-        return self.products[slots]
-
-    def _add(self, rows: np.ndarray, weights: np.ndarray) -> None:
-        with self._lock:
-            # once each, and not those another call kept meanwhile
-            rows = np.unique(rows[self.slots[rows] < 0])
-            if not len(rows):
-                return
-            computed = _products(self.stored.rows.dense(rows), weights)
-            end = self.used + len(rows)
-            if end > len(self.products):
-                grown = np.empty((min(max(end, 2 * len(self.products)),
-                                      len(self.slots)), len(weights)))
-                grown[:self.used] = self.products[:self.used]
-                self.products = grown
-            self.products[self.used:end] = computed
-            self.slots[rows] = np.arange(self.used, end, dtype=np.int32)
-            self.used = end
+        slots = self.slots.take(rows)
+        if slots.min() < 0:
+            with self._lock:
+                # once each, and not those another call kept meanwhile
+                new = np.unique(rows[self.slots[rows] < 0])
+                end = self.used + len(new)
+                if end > len(self.products):
+                    grown = np.empty((min(max(end, 2 * len(self.products)),
+                                          len(self.slots)), len(weights)))
+                    grown[:self.used] = self.products[:self.used]
+                    self.products = grown
+                self.products[self.used:end] = _products(
+                    self.stored.rows.dense(new), weights)
+                self.slots[new] = np.arange(self.used, end, dtype=np.int32)
+                self.used = end
+            slots = self.slots.take(rows)
+        return self.products.take(slots, axis=0)
 
 
 class TrainResult(NamedTuple):

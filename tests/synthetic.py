@@ -70,9 +70,12 @@ def _by_id(ids, *arrays):
 
 def dense_index(ids, vectors, fingerprint="fp"):
     """A ``VectorIndex`` of one row of ``vectors`` per doc id, rows put in
-    doc-id order first."""
+    doc-id order first; each document's text and one window are its own
+    row, as for an untitled document of at most three sentences."""
     ids, vectors = _by_id(ids, np.asarray(vectors, dtype=np.float64))
-    return VectorIndex(ids, stored_rows(vectors), fingerprint)
+    own = np.arange(len(ids), dtype=np.int32)
+    return VectorIndex(ids, stored_rows(vectors), fingerprint, own, own)
+
 
 
 def dense_reference(question_ids, embeddings, correct, fingerprint=None):

@@ -345,7 +345,7 @@ def test_stored_rows_smaller_than_dense(tmp_path):
     index = build_index(corpus, provider)
     reference = build_nn_reference(
         qa, ScriptedLlmClient(default_answer="x"), provider)
-    for obj, n in ((index, index.stored_count), (reference, len(reference))):
+    for obj, n in ((index, len(index.rows)), (reference, len(reference))):
         path = tmp_path / type(obj).__name__
         obj.save(path)
         assert n >= 4

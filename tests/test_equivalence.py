@@ -47,7 +47,7 @@ def per_item_top(scan, query, k):
     index keeps its rows in doc-id order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    hits = exact_search(SimpleNamespace(doc_ids=range(len(scan)),
+    hits = exact_search(SimpleNamespace(doc_ids=range(scan.n),
                                         rows=scan.rows), query, k)
     return (np.array([row for row, _ in hits], dtype=np.intp),
             np.array([sim for _, sim in hits], dtype=np.float64))
@@ -244,7 +244,7 @@ def test_scans_equal_the_sort_at_the_workloads_shape():
     for q in qa[::10] + qa[1:30:10]:
         vector = provider.embed(q.question)
         for scan in (index.scan, reference.scan):
-            n = len(scan)
+            n = scan.n
             rows, sims = per_item_top(scan, vector, n)
             positives = int((sims > 0).sum())
             assert (sims == 0).sum() >= 0.85 * n

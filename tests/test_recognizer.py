@@ -444,7 +444,7 @@ class TestNonFiniteInputs:
         path = tmp_path / "ref.jsonl"
         ref.save(path)
         loaded = NnReferenceSet.load(path)
-        assert len(loaded) == len(loaded.scan) == 0
+        assert len(loaded) == loaded.scan.n == 0
         assert loaded.dim == 32
         with pytest.raises(ValueError, match="need >= 1"):
             neighbor_score(np.zeros(32), loaded, 1)

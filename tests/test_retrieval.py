@@ -326,13 +326,18 @@ class TestIndex:
 
     def test_ids_in_order_not_copied(self):
         rows = stored_rows(np.arange(12.0).reshape(4, 3))
-        index = VectorIndex(["a", "b", "c", "d"], rows, "fp")
+
+        def index_of(ids):
+            own = np.arange(len(ids), dtype=np.int32)
+            return VectorIndex(ids, rows, "fp", own, own)
+
+        index = index_of(["a", "b", "c", "d"])
         assert index.rows is index.scan.rows is rows
         # rows out of doc-id order are refused, not sorted
         with pytest.raises(ValueError, match="ascending order"):
-            VectorIndex(["b", "a", "c", "d"], rows, "fp")
+            index_of(["b", "a", "c", "d"])
         with pytest.raises(ValueError, match="one row per doc id"):
-            VectorIndex(["a", "b", "c", "d", "e"], rows, "fp")
+            index_of(["a", "b", "c", "d", "e"])
 
     def test_round_trip_keeps_text_rows(self, tmp_path, provider):
         index = build_index(titled_corpus(), provider)
@@ -547,11 +552,11 @@ class TestWindowRows:
         # the titled documents' text rows only, after the document rows,
         # each its document's one window
         titled = [i for i, doc in enumerate(corpus) if doc.title]
-        assert index.stored_count == len(index) + len(titled)
+        assert len(index.rows) == len(index) + len(titled)
         assert index.text_rows[titled].tolist() == list(
-            range(len(index), index.stored_count))
+            range(len(index), len(index.rows)))
         assert index.window_rows.tolist() == index.text_rows.tolist()
-        assert build_index(small_corpus(), provider).stored_count == 3
+        assert len(build_index(small_corpus(), provider).rows) == 3
 
     def test_irregular_spacing_stores_the_joined_window(self, provider):
         corpus = Corpus([make_document("a", "T", "One.  Two.\nThree. ")])
@@ -742,6 +747,10 @@ class TestWindowRows:
         ({"values": np.array([1.0, np.nan])}, "values must be finite"),
         ({"window_rows": np.array([1], dtype=np.uint64)}, "uint64"),
         ({"counts": np.array([1.0, 1.0])}, "integers"),
+        ({"window_rows": np.array([2], dtype=np.int32)},
+         "text and window rows must be in"),
+        ({"text_rows": np.array([-1], dtype=np.int32)},
+         "text and window rows must be in"),
     ])
     def test_damaged_window_rows_rejected(self, tmp_path, damage, match):
         rows = {"counts": np.array([1, 1], dtype=np.int64),
@@ -821,7 +830,7 @@ class TestChunkedEmbedding:
         index = build_index(corpus, provider)
         n = len(corpus)
         rows = [row.tobytes() for row in
-                index.rows.dense(np.arange(index.stored_count))]
+                index.rows.dense(np.arange(len(index.rows)))]
         want = provider.embed_many(
             [document_embedding_text(doc) for doc in corpus])
         assert rows[:n] == [row.tobytes() for row in want]
@@ -843,12 +852,12 @@ class TestChunkedEmbedding:
         index = build_index(chunk_corpus(),
                             RemoteEmbedder("http://emb", dim=8,
                                            session=session))
-        assert len(session.batches) == math.ceil(index.stored_count / chunk)
+        assert len(session.batches) == math.ceil(len(index.rows) / chunk)
         assert max(map(len, session.batches)) <= chunk
         # every stored row was asked for once, in the order it is kept
         by_row = dict(zip(*reversed(stored_texts(index, chunk_corpus()))))
         assert [text for batch in session.batches for text in batch] == \
-            [by_row[row] for row in range(index.stored_count)]
+            [by_row[row] for row in range(len(index.rows))]
 
     def test_build_holds_a_chunk_of_dense_rows(self, monkeypatch):
         provider = HashingEmbedder(dim=256, seed=3)
@@ -868,7 +877,7 @@ class TestChunkedEmbedding:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert index.stored_count == 3000
+        assert len(index.rows) == 3000
         dense = 3000 * 256 * 8
         assert peak < dense / 2
 

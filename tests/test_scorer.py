@@ -721,7 +721,7 @@ class TestFactoredScoring:
         scorer.stored = small
         score_stored(scorer, "amber grove?", [0, 1])
         assert scorer._cache is not cache
-        assert len(scorer._cache.slots) == small.stored_count
+        assert len(scorer._cache.slots) == len(small.rows)
         assert scorer._cache.used == 2
         # and so does set_params, even to the same parameters
         cache = scorer._cache
@@ -734,7 +734,7 @@ class TestFactoredScoring:
         scorer = bound_scorer()
         score_stored(scorer, "amber grove?", STORED_ROWS[:5] * 2)
         assert scorer._cache.used == 5
-        assert len(scorer._cache.products) < INDEX.stored_count
+        assert len(scorer._cache.products) < len(INDEX.rows)
         assert cache_consistent(scorer)
         # texts scored by text are kept nowhere: distinct texts of seen
         # tokens, so no token memo grows either
@@ -778,27 +778,36 @@ class TestFactoredScoring:
         assert cold == score_rows(bound_scorer(), "which heron iris",
                                   STORED_TEXTS, question)
 
-    def test_a_row_kept_meanwhile_keeps_one_slot(self, monkeypatch):
+    def test_a_row_kept_meanwhile_keeps_one_slot(self):
         """A call that finds rows missing while another call keeps some of
         them keeps each row in one slot, so that no later product
         overwrites a kept one."""
         scorer = bound_scorer()
         want = score_stored(bound_scorer(), "amber grove?", STORED_ROWS)
-        add = scorer_module._RowCache._add
+        score_stored(scorer, "amber grove?", STORED_ROWS[3:4])
+        cache = scorer._cache
+        lock = cache._lock
 
-        def meanwhile(cache, rows, weights):
-            monkeypatch.setattr(scorer_module._RowCache, "_add", add)
-            # another call keeps some of this call's rows between its
-            # look-up and its write
-            score_stored(scorer, "amber grove?", STORED_ROWS[:2])
-            add(cache, rows, weights)
+        class Meanwhile:
+            """The cache's lock, taken by another call first, once: that
+            call keeps some of this call's rows between its look-up and
+            its write."""
 
-        monkeypatch.setattr(scorer_module._RowCache, "_add", meanwhile)
+            def __enter__(self):
+                cache._lock = lock
+                score_stored(scorer, "amber grove?", STORED_ROWS[:2])
+                return lock.__enter__()
+
+            def __exit__(self, *exc):
+                return lock.__exit__(*exc)
+
+        cache._lock = Meanwhile()
         score_stored(scorer, "amber grove?", STORED_ROWS[:3])
-        assert scorer._cache.used == 3
+        assert scorer._cache is cache and cache._lock is lock
+        assert cache.used == 4
         assert score_stored(scorer, "amber grove?", STORED_ROWS) == want
         assert cache_consistent(scorer)
-        assert scorer._cache.used == len(set(STORED_ROWS))
+        assert cache.used == len(set(STORED_ROWS))
 
     def test_threads_sharing_a_scorer_score_alike(self):
         scorer = bound_scorer()
