@@ -67,9 +67,10 @@ class RecognizerVerdict:
 
 class NnReferenceSet:
     """Labeled question embeddings for the nearest-neighbor facet: row i of
-    ``rows`` (``retrieval.SparseRows``) is the embedding of question ``question_ids[i]``, answered correctly without retrieval when
-    ``correct[i]``. Question ids ascend, each once, so that ``scan``, built
-    here, breaks ties by question id."""
+    ``rows`` (``retrieval.SparseRows``) embeds question ``question_ids[i]``,
+    answered correctly without retrieval when ``correct[i]``. Question ids
+    ascend, each once, so that ``scan``, built here, breaks ties by
+    question id."""
 
     def __init__(self, question_ids: Sequence[str], rows: SparseRows,
                  correct: Sequence[bool],

@@ -295,7 +295,8 @@ def _top_windows(scored: ScoredCandidates, top: np.ndarray,
     rows = scorer.stored_rows(scored.candidates)
     docs = scored.candidates.docs
     return score_windows([docs[i] for i in top.tolist()], scorer, question,
-                         question_embedding, None if rows is None else rows[top])
+                         question_embedding,
+                         None if rows is None else rows[top])
 
 
 @dataclass

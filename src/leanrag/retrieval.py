@@ -503,10 +503,9 @@ class VectorIndex:
                                    ("line_offsets", line_offsets, np.int64)):
             if array is not None and (array.dtype != dtype or
                                       array.shape != (len(doc_ids),)):
-                raise ValueError(
-                    f"{name} must be {np.dtype(dtype)}, one per doc id; got "
-                    f"{array.dtype} of shape {array.shape} for "
-                    f"{len(doc_ids)}")
+                raise ValueError(f"{name} must be {np.dtype(dtype)}, one per "
+                                 f"doc id; got {array.dtype} of shape "
+                                 f"{array.shape} for {len(doc_ids)}")
         if not 0 <= min(text_rows.min(), window_rows.min()) <= \
                 max(text_rows.max(), window_rows.max()) < len(rows):
             raise ValueError(f"text and window rows must be in "

@@ -375,9 +375,10 @@ class ScorerModel:
         """The candidates' rows of ``stored``, by which ``score_rows``
         reads them; None unless a scan of ``stored`` returned them and it
         was built with this model's provider."""
-        index, provider = candidates.index, self.provider
-        reads = index is self.stored is not None and provider is not None \
-            and provider.fingerprint + INDEX_FIELDS == index.provider_fingerprint
+        index = candidates.index
+        fingerprint = getattr(self.provider, "fingerprint", "") + INDEX_FIELDS
+        reads = index is self.stored is not None and \
+            index.provider_fingerprint == fingerprint
         return candidates.rows if reads else None
 
     def score_arrays(self, question: str, doc_texts: Sequence[str],
