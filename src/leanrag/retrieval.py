@@ -479,18 +479,19 @@ class VectorIndex:
 
     ``rows`` holds every stored row, embedded with one provider: first one
     row per doc id ("title. text"), which ``scan`` searches, then the rest
-    ``build_index`` stores. Document i's text, which the scorer reads, is
-    row ``text_rows[i]``, and its windows are the rows from
-    ``window_rows[i]`` on, one per window of ``Document.windows``, next to
-    each other (``int32``, one per doc id). An index built from a corpus
+    ``build_index`` stores. ``docrows`` (``int32``, two per doc id) has
+    document i's text row, which the scorer reads, at ``[0, i]``
+    (``text_rows[i]``), and its first window row at ``[1, i]``
+    (``window_rows[i]``): its windows are the rows from there on, one per
+    window of ``Document.windows``, next to each other. An index built from a corpus
     file records the file's ``corpus_sha256`` and each doc id's
     ``line_offsets`` in it (``int64``, bytes), by which ``CorpusRows``
     reads the documents; one built from an in-memory corpus records
     neither."""
 
     def __init__(self, doc_ids: Sequence[str], rows: SparseRows,
-                 provider_fingerprint: str, text_rows: np.ndarray,
-                 window_rows: np.ndarray, corpus_sha256: str | None = None,
+                 provider_fingerprint: str, docrows: np.ndarray,
+                 corpus_sha256: str | None = None,
                  line_offsets: np.ndarray | None = None):
         if len(doc_ids) == 0:
             raise ValueError("cannot build an index over an empty corpus")
@@ -498,18 +499,17 @@ class VectorIndex:
             raise ValueError("rows must begin with one row per doc id")
         if (corpus_sha256 is None) != (line_offsets is None):
             raise ValueError("corpus_sha256 and line_offsets come together")
-        for name, array, dtype in (("text_rows", text_rows, np.int32),
-                                   ("window_rows", window_rows, np.int32),
-                                   ("line_offsets", line_offsets, np.int64)):
+        n = len(doc_ids)
+        for name, array, dtype, shape, per in (
+                ("docrows", docrows, np.int32, (2, n), "two"),
+                ("line_offsets", line_offsets, np.int64, (n,), "one")):
             if array is not None and (array.dtype != dtype or
-                                      array.shape != (len(doc_ids),)):
-                raise ValueError(f"{name} must be {np.dtype(dtype)}, one per "
-                                 f"doc id; got {array.dtype} of shape "
-                                 f"{array.shape} for {len(doc_ids)}")
-        if not 0 <= min(text_rows.min(), window_rows.min()) <= \
-                max(text_rows.max(), window_rows.max()) < len(rows):
-            raise ValueError(f"text and window rows must be in "
-                             f"[0, {len(rows)})")
+                                      array.shape != shape):
+                raise ValueError(f"{name} must be {np.dtype(dtype)}, {per} "
+                                 f"per doc id; got {array.dtype} of shape "
+                                 f"{array.shape} for {n}")
+        if not 0 <= docrows.min() <= docrows.max() < len(rows):
+            raise ValueError(f"docrows must be in [0, {len(rows)})")
         self.doc_ids = ascending_ids(doc_ids, "doc ids")
         repeated = repeated_ids(self.doc_ids)
         if repeated:
@@ -518,8 +518,8 @@ class VectorIndex:
         self.scan = ExactScan(rows, len(self.doc_ids))
         self.dim = rows.dim
         self.provider_fingerprint = provider_fingerprint
-        self.text_rows = text_rows
-        self.window_rows = window_rows
+        self.docrows = docrows
+        self.text_rows, self.window_rows = docrows
         self.corpus_sha256 = corpus_sha256
         self.line_offsets = line_offsets
 
@@ -534,8 +534,7 @@ class VectorIndex:
                 for row, sim in zip(rows.tolist(), sims.tolist())]
 
     def save(self, path: str | Path) -> None:
-        arrays = {**self.rows.arrays(), "text_rows": self.text_rows,
-                  "window_rows": self.window_rows}
+        arrays = {**self.rows.arrays(), "docrows": self.docrows}
         if self.line_offsets is not None:
             arrays["line_offsets"] = self.line_offsets
         artifacts.save(path, "index",
@@ -549,15 +548,14 @@ class VectorIndex:
     def load(cls, path: str | Path) -> "VectorIndex":
         meta, arrays = artifacts.load(path, "index")
         offsets = arrays.pop("line_offsets", None)
-        rows = SparseRows.load(meta, arrays, ("text_rows", "window_rows"))
+        rows = SparseRows.load(meta, arrays, ("docrows",))
         digest = meta["corpus_sha256"]
         if digest is not None and not isinstance(digest, str):
             raise IndexIntegrityError(
                 f"{path}: header field 'corpus_sha256' must be a string or "
                 f"null, got {digest!r}; rebuild it")
         return cls(meta["doc_ids"], rows, meta["provider_fingerprint"],
-                   arrays["text_rows"], arrays["window_rows"], digest,
-                   offsets)
+                   arrays["docrows"], digest, offsets)
 
 
 def _top(sims: np.ndarray, k: int) -> np.ndarray:
@@ -620,21 +618,20 @@ def build_index(corpus: Corpus, provider: EmbeddingProvider) -> VectorIndex:
     if len(corpus) == 0:
         raise ValueError("cannot build an index over an empty corpus")
     docs = sorted(corpus, key=lambda d: d.doc_id)
-    text_rows = np.empty(len(docs), dtype=np.int32)
-    window_rows = np.empty(len(docs), dtype=np.int32)
-    rows = SparseRows.compress(embedded_rows(
-        _stored_texts(docs, text_rows, window_rows), provider), provider.dim)
+    docrows = np.empty((2, len(docs)), dtype=np.int32)
+    rows = SparseRows.compress(embedded_rows(_stored_texts(docs, docrows),
+                                             provider), provider.dim)
     offsets = None
     if corpus.sha256 is not None:
         offsets = np.array([corpus.offsets[d.doc_id] for d in docs],
                            dtype=np.int64)
     return VectorIndex([d.doc_id for d in docs], rows,
-                       provider.fingerprint + INDEX_FIELDS, text_rows,
-                       window_rows, corpus.sha256, offsets)
+                       provider.fingerprint + INDEX_FIELDS, docrows,
+                       corpus.sha256, offsets)
 
 
-def _stored_texts(docs: Sequence[Document], text_rows: np.ndarray,
-                  window_rows: np.ndarray) -> Iterator[str]:
+def _stored_texts(docs: Sequence[Document],
+                  docrows: np.ndarray) -> Iterator[str]:
     """The text of each stored row, in order, writing each document's text
     and first window row: each document's "title. text", then, document by
     document, its text and its one window (a single-spaced document of at
@@ -658,7 +655,7 @@ def _stored_texts(docs: Sequence[Document], text_rows: np.ndarray,
                     held.setdefault(text, end)
                     end += 1
                     yield text
-        text_rows[i], window_rows[i] = held[doc.text], held[run]
+        docrows[:, i] = held[doc.text], held[run]
 
 
 def _one_window(text: str) -> bool:

@@ -74,7 +74,8 @@ def dense_index(ids, vectors, fingerprint="fp"):
     row, as for an untitled document of at most three sentences."""
     ids, vectors = _by_id(ids, np.asarray(vectors, dtype=np.float64))
     own = np.arange(len(ids), dtype=np.int32)
-    return VectorIndex(ids, stored_rows(vectors), fingerprint, own, own)
+    return VectorIndex(ids, stored_rows(vectors), fingerprint,
+                       np.stack([own, own]))
 
 
 

@@ -73,8 +73,7 @@ def same_rows(a, b):
 def same_index(a, b):
     return (a.doc_ids == b.doc_ids and same_rows(a.rows, b.rows)
             and all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
-                    for x, y in ((a.text_rows, b.text_rows),
-                                 (a.window_rows, b.window_rows),
+                    for x, y in ((a.docrows, b.docrows),
                                  (a.line_offsets, b.line_offsets)))
             and (a.corpus_sha256, a.provider_fingerprint)
             == (b.corpus_sha256, b.provider_fingerprint))
@@ -322,16 +321,16 @@ def test_float_only_kinds_write_float64(float_kind, tmp_path):
 def test_stored_rows_keep_their_dtypes(rows_kind, tmp_path):
     """The index and the NN reference keep their rows as entries: int64
     counts, int32 column ids and float64 values. The index adds its
-    documents' int32 text and first window rows, and their int64 line
-    offsets in the corpus file."""
+    documents' int32 text and first window rows (``docrows``), and their
+    int64 line offsets in the corpus file."""
     make, save, _, _ = KINDS[rows_kind]
     path = tmp_path / rows_kind
     save(make(), str(path))
     header, payload = path.read_bytes().split(b"\n", 1)
     meta, arrays = artifacts.load(
         path, json.loads(header)["format"].removeprefix("leanrag-"))
-    extra = {"text_rows": np.int32, "window_rows": np.int32,
-             "line_offsets": np.int64} if rows_kind == "index" else {}
+    extra = {"docrows": np.int32, "line_offsets": np.int64} \
+        if rows_kind == "index" else {}
     assert meta["arrays"] == ["counts", "columns", "values", *extra]
     assert [a.dtype for a in arrays.values()] == \
         [np.int64, np.int32, np.float64, *extra.values()]

@@ -328,8 +328,8 @@ class TestIndex:
         rows = stored_rows(np.arange(12.0).reshape(4, 3))
 
         def index_of(ids):
-            own = np.arange(len(ids), dtype=np.int32)
-            return VectorIndex(ids, rows, "fp", own, own)
+            return VectorIndex(ids, rows, "fp",
+                               np.zeros((2, len(ids)), dtype=np.int32))
 
         index = index_of(["a", "b", "c", "d"])
         assert index.rows is index.scan.rows is rows
@@ -698,7 +698,7 @@ class TestWindowRows:
                        {"doc_ids": index.doc_ids, "corpus_sha256": None,
                         "provider_fingerprint": index.provider_fingerprint,
                         "dim": index.dim},
-                       {**index.rows.arrays(), "text_rows": index.text_rows})
+                       index.rows.arrays())
         with pytest.raises(IndexIntegrityError,
                            match="older layout; rebuild it"):
             VectorIndex.load(path)
@@ -745,19 +745,20 @@ class TestWindowRows:
         ({"counts": np.array([1, 2], dtype=np.int64)}, "number the counts"),
         ({"columns": np.array([0, 8], dtype=np.int32)}, "column ids"),
         ({"values": np.array([1.0, np.nan])}, "values must be finite"),
-        ({"window_rows": np.array([1], dtype=np.uint64)}, "uint64"),
+        ({"docrows": np.array([[0], [1]], dtype=np.uint64)}, "uint64"),
         ({"counts": np.array([1.0, 1.0])}, "integers"),
-        ({"window_rows": np.array([2], dtype=np.int32)},
-         "text and window rows must be in"),
-        ({"text_rows": np.array([-1], dtype=np.int32)},
-         "text and window rows must be in"),
+        ({"docrows": np.array([[0], [2]], dtype=np.int32)},
+         r"docrows must be in \[0, 2\)"),
+        ({"docrows": np.array([[-1], [1]], dtype=np.int32)},
+         r"docrows must be in \[0, 2\)"),
+        ({"docrows": np.array([0, 1], dtype=np.int32)},
+         "docrows must be int32, two per doc id"),
     ])
     def test_damaged_window_rows_rejected(self, tmp_path, damage, match):
         rows = {"counts": np.array([1, 1], dtype=np.int64),
                 "columns": np.array([0, 7], dtype=np.int32),
                 "values": np.array([1.0, -0.0]),
-                "text_rows": np.array([0], dtype=np.int32),
-                "window_rows": np.array([1], dtype=np.int32), **damage}
+                "docrows": np.array([[0], [1]], dtype=np.int32), **damage}
         path = tmp_path / "index"
         artifacts.save(path, "index",
                        {"doc_ids": ["a"], "corpus_sha256": None,
@@ -1036,8 +1037,7 @@ class TestExactScan:
         path = tmp_path / "index"
         arrays = stored_rows(np.eye(3)).arrays()
         arrays["values"][1] = bad
-        arrays["text_rows"] = arrays["window_rows"] = np.arange(
-            3, dtype=np.int32)
+        arrays["docrows"] = np.zeros((2, 3), dtype=np.int32)
         artifacts.save(path, "index",
                        {"doc_ids": ["a", "b", "c"], "corpus_sha256": None,
                         "provider_fingerprint": "fp", "dim": 3}, arrays)
