@@ -303,6 +303,16 @@ class TestIndex:
         with pytest.raises(IndexIntegrityError):
             self.check(index, other)
 
+    def test_retriever_refuses_another_provider(self, provider):
+        """The retriever's candidates are read by their index rows, so a
+        provider the index was not built with is refused up front."""
+        corpus = small_corpus()
+        index = build_index(corpus, provider)
+        for other in (HashingEmbedder(dim=64, seed=8),
+                      HashingEmbedder(dim=32, seed=7)):
+            with pytest.raises(IndexIntegrityError, match="index built"):
+                Retriever(corpus, index, other)
+
     def test_own_provider_accepted(self, provider):
         self.check(build_index(small_corpus(), provider), provider)
 
