@@ -483,9 +483,9 @@ class VectorIndex:
     document i's text row, which the scorer reads, at ``[0, i]``
     (``text_rows[i]``), and its first window row at ``[1, i]``
     (``window_rows[i]``): its windows are the rows from there on, one per
-    window of ``Document.windows``, next to each other. An index built from a corpus
-    file records the file's ``corpus_sha256`` and each doc id's
-    ``line_offsets`` in it (``int64``, bytes), by which ``CorpusRows``
+    window of ``Document.windows``, next to each other. An index built
+    from a corpus file records the file's ``corpus_sha256`` and each doc
+    id's ``line_offsets`` in it (``int64``, bytes), by which ``CorpusRows``
     reads the documents; one built from an in-memory corpus records
     neither."""
 

@@ -18,10 +18,9 @@ import numpy as np
 import pytest
 
 import leanrag.pipeline as pipeline_module
-from synthetic import (dense_reference, dense_rows, exact_search,
+from synthetic import (dense_reference, exact_search,
                        imbalanced_feature_pairs, planted_corpus,
-                       prefix_detector_examples, stored_rows,
-                       trained_redundant_setup)
+                       prefix_detector_examples, trained_redundant_setup)
 
 from leanrag.corpus import (Corpus, SubDocument, generate_subdocuments,
                             make_document)
@@ -34,7 +33,7 @@ from leanrag.reducer import (DetectorTrainConfig, RerankedDoc, ScoredSubDoc,
                              reduce, rerank_topk, score_windows,
                              train_detector)
 from leanrag.retrieval import (ExactScan, HashingEmbedder, RetrievedDoc,
-                               Retriever, VectorIndex, build_index)
+                               Retriever, build_index)
 from leanrag.scorer import (BiLabelScore, ScoredCandidates, ScorerModel,
                             TrainConfig, build_training_set, pair_features,
                             score_candidates, train_scorer)
@@ -307,17 +306,14 @@ def test_answer_builds_objects_only_for_what_a_prompt_sees(planted,
     assert Decision.RETRIEVE in decisions
 
 
-def counted_context(ctx, index):
-    """``ctx`` over ``index`` with a counting provider."""
+def counted_run(qa, ctx):
+    """Answers, evaluate JSON and embedding calls per answered question,
+    with a counting provider and a fresh scorer cache."""
     counting = CountingProvider(ctx.retriever.provider)
-    return replace(
-        ctx, retriever=Retriever(ctx.retriever.corpus, index, counting),
-        scorer=replace(ctx.scorer, provider=counting)), counting
-
-
-def counted_run(qa, ctx, index):
-    """Answers, evaluate JSON and embedding calls per answered question."""
-    counted, counting = counted_context(ctx, index)
+    counted = replace(
+        ctx, retriever=Retriever(ctx.retriever.corpus, ctx.retriever.index,
+                                 counting),
+        scorer=replace(ctx.scorer, provider=counting))
     answers, calls = [], []
     for q in qa:
         before = counting.calls
@@ -330,14 +326,12 @@ def assert_stored_rows_change_nothing(qa, ctx, monkeypatch):
     """Candidates and windows scored by their stored rows against the same
     scored by their texts: identical outputs, bit for bit, and the rows
     embed only the question."""
-    index = ctx.retriever.index
-    stored, stored_report, stored_calls = counted_run(qa, ctx, index)
+    stored, stored_report, stored_calls = counted_run(qa, ctx)
     assert stored_calls == [1] * len(qa)
     with monkeypatch.context() as patch:
         patch.setattr(ScorerModel, "stored_rows",
                       lambda self, candidates: None)
-        embedded, embedded_report, embedded_calls = counted_run(qa, ctx,
-                                                                index)
+        embedded, embedded_report, embedded_calls = counted_run(qa, ctx)
     assert stored_report == embedded_report
     for (trace, scored), (want, want_scored) in zip(stored, embedded):
         assert replace(trace, timings={}).to_dict() == \
