@@ -78,7 +78,6 @@ def dense_index(ids, vectors, fingerprint="fp"):
                        np.stack([own, own]))
 
 
-
 def dense_reference(question_ids, embeddings, correct, fingerprint=None):
     """An ``NnReferenceSet`` of one row of ``embeddings`` per question id,
     rows and labels put in question-id order first."""
