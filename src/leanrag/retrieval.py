@@ -673,16 +673,20 @@ def _one_window(text: str) -> bool:
 
 
 class Retriever:
-    """Binds a corpus, its index, and the query-side embedding provider,
-    which must be the one the index was built with. ``corpus`` is a parsed
-    ``Corpus`` or the ``CorpusRows`` of the index, which parses a document
-    the first time a question reads it; either must hold the documents the
-    index was built from, as ``load_pipeline`` checks by digest."""
+    """Binds a corpus, its index, and the provider the index was built
+    with. ``corpus``, a parsed ``Corpus`` or the index's ``CorpusRows``
+    (which parses a document when a question first reads it), must hold
+    the documents the index was built from, checked by digest when both
+    record one, since candidates are read by row."""
 
     def __init__(self, corpus: Corpus | CorpusRows, index: VectorIndex,
                  provider: EmbeddingProvider):
         artifacts.check_provider("index", index.provider_fingerprint,
                                  index.dim, provider, INDEX_FIELDS)
+        digests = {getattr(corpus, "sha256", None), index.corpus_sha256}
+        if len(digests - {None}) > 1:
+            raise IndexIntegrityError("the corpus is not the file the index "
+                                      "was built from; rebuild it")
         self.corpus = corpus
         self.index = index
         self.provider = provider

@@ -400,7 +400,6 @@ class ScorerModel:
     def _score(self, question: str, question_embedding: np.ndarray | None,
                texts: Sequence[str] | None, rows: np.ndarray | None
                ) -> tuple[np.ndarray, np.ndarray]:
-        """Of ``texts``, or else of the stored ``rows``."""
         if self.provider is None:
             raise ValueError("model has no embedding provider attached")
         if not len(rows if texts is None else texts):

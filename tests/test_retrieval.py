@@ -16,8 +16,8 @@ import leanrag.retrieval as retrieval_module
 import leanrag.seeds as seeds_module
 from leanrag import artifacts
 from leanrag.artifacts import check_provider
-from leanrag.corpus import (WINDOW, Corpus, QARecord, make_document,
-                            max_sentences)
+from leanrag.corpus import (WINDOW, Corpus, QARecord, load_corpus,
+                            make_document, max_sentences)
 from leanrag.llm import ScriptedLlmClient
 from leanrag.mlp import Mlp
 from leanrag.recognizer import NnReferenceSet, build_nn_reference
@@ -312,6 +312,21 @@ class TestIndex:
                       HashingEmbedder(dim=32, seed=7)):
             with pytest.raises(IndexIntegrityError, match="index built"):
                 Retriever(corpus, index, other)
+
+    def test_retriever_refuses_a_corpus_of_another_digest(self, provider,
+                                                          tmp_path):
+        """A corpus read from a file the index was not built from is
+        refused, since its candidates would read another text's rows."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "title": "", "text": "cats purr"}\n'
+                        '{"id": "b", "title": "", "text": "dogs bark"}\n')
+        index = build_index(load_corpus(path), provider)
+        path.write_text(path.read_text().replace("purr", "nap"))
+        edited = load_corpus(path)
+        with pytest.raises(IndexIntegrityError, match="not the file"):
+            Retriever(edited, index, provider)
+        # an in-memory corpus records no digest, so nothing is compared
+        Retriever(Corpus(list(edited)), index, provider)
 
     def test_own_provider_accepted(self, provider):
         self.check(build_index(small_corpus(), provider), provider)
