@@ -291,12 +291,22 @@ def _top_windows(scored: ScoredCandidates, top: np.ndarray,
                  scorer: ScorerModel, question: str,
                  question_embedding: np.ndarray | None) -> ScoredWindows:
     """``score_windows`` of the candidates ``top``, by their stored rows
-    when the scorer reads them."""
+    when the scorer reads them. When each of them is its one window (its
+    window row is its text row), the windows' scores are the candidates'
+    own: the same question and row give the same bits in any batch."""
     rows = scorer.stored_rows(scored.candidates)
     docs = scored.candidates.docs
-    return score_windows([docs[i] for i in top.tolist()], scorer, question,
-                         question_embedding,
-                         None if rows is None else rows[top])
+    docs = [docs[i] for i in top.tolist()]
+    if rows is None:
+        return score_windows(docs, scorer, question, question_embedding)
+    rows = rows[top]
+    stored = scorer.stored
+    if np.array_equal(stored.window_rows[rows], stored.text_rows[rows]):
+        return ScoredWindows(docs, np.arange(len(docs)),
+                             np.zeros(len(docs), dtype=int),
+                             scored.logits[top], scored.probs[top],
+                             scored.combined[top])
+    return score_windows(docs, scorer, question, question_embedding, rows)
 
 
 @dataclass

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import leanrag.pipeline as pipeline_module
+import leanrag.reducer as reducer_module
 from synthetic import (dense_reference, exact_search,
                        imbalanced_feature_pairs, planted_corpus,
                        prefix_detector_examples, trained_redundant_setup)
@@ -260,6 +261,28 @@ def test_scans_equal_the_sort_at_the_workloads_shape():
                     got_rows, got_sims = scan.top(vector, k)
                     assert got_rows.tolist() == rows[:k].tolist()
                     assert got_sims.tobytes() == sims[:k].tobytes()
+
+
+def test_one_window_documents_reuse_their_candidate_scores(planted):
+    """Every planted document is its one window, stored at its text row:
+    the reducer takes the candidates' scores for the windows, and they are
+    the bits scoring the windows' rows gives."""
+    qa, ctx = planted
+    scorer = ctx.scorer
+    for q in qa[:10]:
+        vector = ctx.retriever.provider.embed(q.question)
+        scored = score_candidates(scorer, q.question, ctx.retriever.retrieve(
+            q.question, ctx.top_retrieve, vector), vector)
+        top = reducer_module.rerank_rows(scored, ctx.top_rerank)
+        rows = scorer.stored_rows(scored.candidates)[top]
+        docs = [scored.candidates.docs[i] for i in top.tolist()]
+        assert [len(doc.windows) for doc in docs] == [1] * len(docs)
+        got = reducer_module._top_windows(scored, top, scorer, q.question,
+                                          vector)
+        want = score_windows(docs, scorer, q.question, vector, rows)
+        for name in ("owners", "starts", "logits", "probs", "combined"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_at_most_three_embedding_calls_per_question(planted):
