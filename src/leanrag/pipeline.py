@@ -129,13 +129,6 @@ class PipelineContext:
             raise IndexIntegrityError(
                 f"detector takes {self.detector.max_docs} documents, fewer "
                 f"than top_rerank={self.top_rerank}; rebuild it")
-        # candidates and windows read the vectors set-up stored with the
-        # index, by row, instead of embedding them again; a scorer already
-        # bound to it is kept, with what its row cache holds
-        if isinstance(self.scorer, ScorerModel) and self.retriever is not None:
-            index = self.retriever.index
-            if self.scorer.stored is not index:
-                self.scorer = replace(self.scorer, stored=index)
 
 
 def _check_rerank(top_rerank: int, top_retrieve: int) -> None:

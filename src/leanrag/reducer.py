@@ -8,17 +8,18 @@ question. Features for the detector are the combination's (p_ans, p_pref)
 pairs in order, zero-padded to a fixed width.
 
 ``reduce`` runs on score arrays: one stable sort picks the top documents,
-``score_windows`` scores all their windows in one forward pass, the best
-window per document and the prerank order are index computations, and the
-detector walks the preranked (p_ans, p_pref) rows with ``accepted_size``,
-the one stop rule. Objects are built only for the accepted prefix; the
-object forms (``rerank_topk``, ``prerank``, ...) call the same functions.
+``score_windows`` scores all their windows' index rows in one forward pass,
+the best window per document and the prerank order are index computations,
+and the detector walks the preranked (p_ans, p_pref) rows with
+``accepted_size``, the one stop rule. Objects are built only for the
+accepted prefix; the object forms (``rerank_topk``, ``prerank``, ...) call
+the same functions, ``representative_subdocs`` scoring windows by text.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -31,8 +32,8 @@ from .corpus import (Document, QARecord, SubDocument,  # noqa: F401
 from .llm import (LlmClient, PromptTemplate, build_noretrieve_prompt,
                   build_retrieve_prompt, is_correct)
 from .mlp import Mlp, sgd_epoch, stratified_split
-from .retrieval import RetrievedDoc, Retriever
-from .scorer import (BiLabelScore, ScoredCandidates, ScorerModel,
+from .retrieval import RetrievedDoc, Retriever, VectorIndex
+from .scorer import (BiLabelScore, ScoredCandidates, ScorerModel, index_rows,
                      score_candidates)
 from .seeds import derive_rng, derive_seed
 
@@ -117,24 +118,25 @@ class ScoredWindows:
 
 def score_windows(docs: Sequence[Document], scorer: ScorerModel,
                   question: str, question_embedding: np.ndarray | None = None,
+                  index: VectorIndex | None = None,
                   rows: np.ndarray | None = None) -> ScoredWindows:
     """Every sliding window of every document, given in rerank order,
-    scored in one call: by the windows' stored rows when ``rows`` gives
-    the documents' rows of the index the scorer reads (``score_rows``),
-    else by their texts. Raises ``ValueError`` when ``docs`` is empty or a
-    document has no sentences."""
+    scored in one call: by the windows' rows of ``index`` when ``rows``
+    gives the documents' rows of it (``score_rows``), else by their texts.
+    Raises ``ValueError`` when ``docs`` is empty or a document has no
+    sentences."""
     if not docs:
         raise ValueError("docs must be non-empty")
     owners = np.repeat(np.arange(len(docs)), [len(d.windows) for d in docs])
     # each row's position less its document's first row
     starts = np.arange(len(owners)) - np.searchsorted(owners, owners)
-    if rows is None:
+    if index is None:
         logits, probs = scorer.score_arrays(
             question, [text for d in docs for text in d.windows],
             question_embedding)
     else:
         logits, probs = scorer.score_rows(
-            question, scorer.stored.window_rows[rows][owners] + starts,
+            question, index, index.window_rows[rows][owners] + starts,
             question_embedding)
     return ScoredWindows(docs, owners, starts, logits, probs,
                          probs[:, 0] + probs[:, 1])
@@ -279,7 +281,8 @@ def reduce(question: str, scored_top: ScoredCandidates, scorer: ScorerModel,
            question_embedding: np.ndarray | None = None) -> SubDocCombination:
     """Full reduction: rerank to the top documents, pick each document's
     best window, sort, and greedily cut off as early as the detector
-    allows, all on score arrays; objects only for the windows kept."""
+    allows, all on score arrays; objects only for the windows kept. Only
+    a ``Retriever``'s candidates have the index rows windows are read by."""
     windows = _top_windows(scored_top, rerank_rows(scored_top, max_docs),
                            scorer, question, question_embedding)
     order = windows.preranked(windows.best_rows())
@@ -290,23 +293,21 @@ def reduce(question: str, scored_top: ScoredCandidates, scorer: ScorerModel,
 def _top_windows(scored: ScoredCandidates, top: np.ndarray,
                  scorer: ScorerModel, question: str,
                  question_embedding: np.ndarray | None) -> ScoredWindows:
-    """``score_windows`` of the candidates ``top``, by their stored rows
-    when the scorer reads them. When each of them is its one window (its
-    window row is its text row), the windows' scores are the candidates'
-    own: the same question and row give the same bits in any batch."""
-    rows = scorer.stored_rows(scored.candidates)
+    """``score_windows`` of the candidates ``top``, by their index rows
+    (``index_rows``). When each of them is its one window (its window row
+    is its text row), the windows' scores are the candidates' own: the
+    same question and row give the same bits in any batch."""
+    index, rows = index_rows(scored.candidates)
+    rows = rows[top]
     docs = scored.candidates.docs
     docs = [docs[i] for i in top.tolist()]
-    if rows is None:
-        return score_windows(docs, scorer, question, question_embedding)
-    rows = rows[top]
-    stored = scorer.stored
-    if np.array_equal(stored.window_rows[rows], stored.text_rows[rows]):
+    if np.array_equal(index.window_rows[rows], index.text_rows[rows]):
         return ScoredWindows(docs, np.arange(len(docs)),
                              np.zeros(len(docs), dtype=int),
                              scored.logits[top], scored.probs[top],
                              scored.combined[top])
-    return score_windows(docs, scorer, question, question_embedding, rows)
+    return score_windows(docs, scorer, question, question_embedding, index,
+                         rows)
 
 
 @dataclass
@@ -391,10 +392,9 @@ def build_detector_dataset(qa_records: Sequence[QARecord], retriever: Retriever,
     survive, and each survivor is labeled by whether the LLM answers
     correctly with it appended. The bare-question probe uses
     ``no_retrieve_template`` (default: the built-in no-retrieve prompt).
-    The question is embedded once, by the retriever's provider.
+    The question is embedded once, by the retriever's provider; a scorer
+    of another provider raises ``IndexIntegrityError``.
     """
-    # candidates and windows read set-up's stored rows
-    scorer = replace(scorer, stored=retriever.index)
     examples: list[DetectorExample] = []
     for qa in qa_records:
         try:

@@ -677,7 +677,8 @@ class Retriever:
     with. ``corpus``, a parsed ``Corpus`` or the index's ``CorpusRows``
     (which parses a document when a question first reads it), must hold
     the documents the index was built from, checked by digest when both
-    record one, since candidates are read by row."""
+    record one, since candidates are read by row; an in-memory ``Corpus``
+    that lacks one of the index's doc ids raises ``IndexIntegrityError``."""
 
     def __init__(self, corpus: Corpus | CorpusRows, index: VectorIndex,
                  provider: EmbeddingProvider):
@@ -691,8 +692,13 @@ class Retriever:
         self.index = index
         self.provider = provider
         # the document of each index row
-        self._docs = corpus if isinstance(corpus, CorpusRows) else \
-            [corpus.get(doc_id) for doc_id in index.doc_ids]
+        try:
+            self._docs = corpus if isinstance(corpus, CorpusRows) else \
+                [corpus.get(doc_id) for doc_id in index.doc_ids]
+        except KeyError as exc:
+            raise IndexIntegrityError(
+                f"the index holds doc id {exc.args[0]!r}, which the corpus "
+                "lacks; rebuild it") from None
 
     def retrieve(self, question: str, k: int,
                  query_embedding: np.ndarray | None = None) -> Candidates:

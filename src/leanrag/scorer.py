@@ -1,10 +1,10 @@
 """Two-headed document scorer and its imbalance-aware training loop.
 
 A frozen embedding provider turns (question, document) into features; a small
-MLP head emits two logits — answer presence and LLM preference. On the query
-path a document's vector is not embedded again: it is the stored row of the
-index that the candidate's scan row names (``ScorerModel.score_rows``), and
-the head's product with it is kept per row. Training pairs
+MLP head emits two logits — answer presence and LLM preference. A retrieved
+document's vector is not embedded again: it is its row of the index its
+scan searched (``ScorerModel.score_rows``), and the head's product with it
+is kept per row. Training pairs
 whose two labels agree ("matched") vastly outnumber the rest, so each
 example's loss is weighted f(w) = w for matched, 1 - w for mismatched, and w
 itself is learned by hypergradient descent: after each parameter update the
@@ -114,18 +114,24 @@ class ScoredCandidates:
                             *self.probs[row].tolist())
 
 
+def index_rows(candidates: Candidates) -> tuple[VectorIndex, np.ndarray]:
+    """The index the candidates' scan searched and their rows of it;
+    ``ValueError`` for candidates built from pairs (``ScoredCandidates.of``)."""
+    if candidates.index is None:
+        raise ValueError("candidates have no index rows to score by; only "
+                         "a Retriever's candidates can be scored")
+    return candidates.index, candidates.rows
+
+
 def score_candidates(scorer: ScorerModel, question: str,
                      candidates: Candidates,
                      question_embedding: np.ndarray | None = None
                      ) -> ScoredCandidates:
-    """Every candidate scored in one call: by its text's stored row when
-    the scorer reads them (``stored_rows``), else by its text."""
-    rows = scorer.stored_rows(candidates)
-    if rows is not None:
-        return ScoredCandidates(candidates, *scorer.score_rows(
-            question, scorer.stored.text_rows[rows], question_embedding))
-    return ScoredCandidates(candidates, *scorer.score_arrays(
-        question, [doc.text for doc in candidates.docs], question_embedding))
+    """Every candidate scored in one call, by its text's row of the index
+    its scan searched (``index_rows``)."""
+    index, rows = index_rows(candidates)
+    return ScoredCandidates(candidates, *scorer.score_rows(
+        question, index, index.text_rows[rows], question_embedding))
 
 
 @dataclass
@@ -346,11 +352,11 @@ class ScorerModel:
     """Frozen encoder reference plus the trained two-head MLP.
 
     The head's first layer acts on [q ; d] as W_q q + W_d d + b: W_q q once
-    per call, W_d d of each text it is given (``score_arrays``) or of each
-    stored row of ``stored`` (``score_rows``; not saved, and bound by
-    ``PipelineContext`` to its retriever's index), kept per row in a
-    ``_RowCache`` that a new head version or another ``stored`` replaces
-    (as does a ``dataclasses.replace`` copy). Every part is computed row by
+    per call, W_d d of each stored row of the index it is given
+    (``score_rows``), kept per row in a ``_RowCache`` that a new head
+    version or another index replaces, or of each text it is given
+    (``score_arrays``, for the object forms). An index built with another
+    provider raises ``IndexIntegrityError``. Every part is computed row by
     row, so identical texts tie, a batch scores exactly as one call per
     text whatever the cache held, a stored row exactly as its text, and
     the logits are within rounding (1e-12) of ``head.forward_logits`` on
@@ -361,8 +367,6 @@ class ScorerModel:
     seed: int
     provider: EmbeddingProvider | None = None
     provider_fingerprint: str | None = None
-    stored: VectorIndex | None = field(default=None, repr=False,
-                                       compare=False)
     _cache: _RowCache | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -370,16 +374,6 @@ class ScorerModel:
         """The one row of ``score_arrays`` for ``doc_text``."""
         logits, probs = self.score_arrays(question, [doc_text])
         return BiLabelScore(*logits[0].tolist(), *probs[0].tolist())
-
-    def stored_rows(self, candidates: Candidates) -> np.ndarray | None:
-        """The candidates' rows of ``stored``, by which ``score_rows``
-        reads them; None unless a scan of ``stored`` returned them and it
-        was built with this model's provider."""
-        index = candidates.index
-        fingerprint = getattr(self.provider, "fingerprint", "") + INDEX_FIELDS
-        reads = index is self.stored is not None and \
-            index.provider_fingerprint == fingerprint
-        return candidates.rows if reads else None
 
     def score_arrays(self, question: str, doc_texts: Sequence[str],
                      question_embedding: np.ndarray | None = None
@@ -390,39 +384,44 @@ class ScorerModel:
         the caller has it from this model's provider."""
         return self._score(question, question_embedding, doc_texts, None)
 
-    def score_rows(self, question: str, rows: np.ndarray,
+    def score_rows(self, question: str, index: VectorIndex, rows: np.ndarray,
                    question_embedding: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """``score_arrays`` of the texts of ``stored``'s ``rows``, bit for
-        bit; W_d d of a row is computed on its first read and kept."""
-        return self._score(question, question_embedding, None, rows)
+        """``score_arrays`` of the texts of ``index``'s ``rows``, bit for
+        bit; W_d d of a row is computed on its first read and kept. Raises
+        ``IndexIntegrityError`` when ``index`` was built with another
+        provider."""
+        return self._score(question, question_embedding, rows, index)
 
     def _score(self, question: str, question_embedding: np.ndarray | None,
-               texts: Sequence[str] | None, rows: np.ndarray | None
+               items: Sequence[str] | np.ndarray, index: VectorIndex | None
                ) -> tuple[np.ndarray, np.ndarray]:
         if self.provider is None:
             raise ValueError("model has no embedding provider attached")
-        if not len(rows if texts is None else texts):
+        if not len(items):
             return np.empty((0, 2)), np.empty((0, 2))
         if question_embedding is None:
             question_embedding = self.provider.embed(question)
-        if texts is None:
+        if index is not None:
             # checked against the head's version before the weights are
             # read, so a concurrent set_params leaves new products only in
             # a cache no later call reads; each call reads one cache
-            owner = (self.head, self.head.version, self.stored)
+            owner = (self.head, self.head.version, index)
             cache = self._cache
             if cache is None or cache.owner != owner:
-                cache = self._cache = _RowCache(owner, self.stored,
+                artifacts.check_provider("index", index.provider_fingerprint,
+                                         index.dim, self.provider,
+                                         INDEX_FIELDS)
+                cache = self._cache = _RowCache(owner, index,
                                                 self.head.layer_sizes[1])
         weights, bias = self.head.first_layer()
         width = len(question_embedding)
         question_half = question_embedding @ weights[:, :width].T
-        if texts is None:
-            halves = cache.read(rows, weights[:, width:])
-        else:
-            halves = _products(self.provider.embed_many(list(texts)),
+        if index is None:
+            halves = _products(self.provider.embed_many(list(items)),
                                weights[:, width:])
+        else:
+            halves = cache.read(items, weights[:, width:])
         pre = question_half + halves + bias
         logits = self.head.forward_logits(pre, preactivated=True)
         return logits, sigmoid(logits)
@@ -465,15 +464,15 @@ def _products(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 class _RowCache:
-    """W_d d of the rows of ``stored`` read so far, packed: ``slots[row]``
+    """W_d d of the rows of ``index`` read so far, packed: ``slots[row]``
     (``int32``, -1 until first read) is its row of ``products``. Products
     are appended under a lock, each written before its slot is set, so a
     read that finds a slot set, taking no lock, finds its product."""
 
-    def __init__(self, owner: tuple, stored: VectorIndex, width: int):
+    def __init__(self, owner: tuple, index: VectorIndex, width: int):
         self.owner = owner
-        self.stored = stored
-        self.slots = np.full(len(stored.rows), -1, dtype=np.int32)
+        self.index = index
+        self.slots = np.full(len(index.rows), -1, dtype=np.int32)
         self.products = np.empty((0, width))
         self.used = 0
         self._lock = threading.Lock()
@@ -492,7 +491,7 @@ class _RowCache:
                     grown[:self.used] = self.products[:self.used]
                     self.products = grown
                 self.products[self.used:end] = _products(
-                    self.stored.rows.dense(new), weights)
+                    self.index.rows.dense(new), weights)
                 self.slots[new] = np.arange(self.used, end, dtype=np.int32)
                 self.used = end
             slots = self.slots.take(rows)

@@ -10,7 +10,7 @@ Three families:
 * a small redundant corpus where each answer sits in one sliding window of a
   12-sentence document (token-reduction tests).
 
-``stored_rows`` keeps a dense matrix as the ``SparseRows`` every stored
+``sparse_rows`` keeps a dense matrix as the ``SparseRows`` every stored
 matrix is held in, and ``dense_index`` and ``dense_reference`` build an
 index and an NN reference from one; ``dense_rows`` fills the rows back.
 ``exact_search`` is the index's documented ranking computed one row at a
@@ -50,7 +50,7 @@ _FILLER = ("the archive holds many records about history and trade routes "
            "over centuries of careful note keeping by patient scribes").split()
 
 
-def stored_rows(dense):
+def sparse_rows(dense):
     """The rows of the matrix ``dense`` as ``SparseRows``."""
     dense = np.asarray(dense, dtype=np.float64)
     return SparseRows.compress([dense], dense.shape[1])
@@ -74,7 +74,7 @@ def dense_index(ids, vectors, fingerprint="fp"):
     row, as for an untitled document of at most three sentences."""
     ids, vectors = _by_id(ids, np.asarray(vectors, dtype=np.float64))
     own = np.arange(len(ids), dtype=np.int32)
-    return VectorIndex(ids, stored_rows(vectors), fingerprint,
+    return VectorIndex(ids, sparse_rows(vectors), fingerprint,
                        np.stack([own, own]))
 
 
@@ -83,7 +83,7 @@ def dense_reference(question_ids, embeddings, correct, fingerprint=None):
     rows and labels put in question-id order first."""
     ids, embeddings, correct = _by_id(question_ids, embeddings,
                                       np.asarray(correct, dtype=bool))
-    return NnReferenceSet(ids, stored_rows(embeddings), correct, fingerprint)
+    return NnReferenceSet(ids, sparse_rows(embeddings), correct, fingerprint)
 
 
 def exact_search(index, query, k):

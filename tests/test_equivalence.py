@@ -1,7 +1,9 @@
 """The batched query path against the per-item path it replaced.
 
 The reference implementations below are the per-item originals: every
-(question, text) pair embedded and scored on its own, the NN facet a sort of
+(question, text) pair embedded and scored on its own (a candidate's
+document vector its row of the index, read one row per call), the NN
+facet a sort of
 reference entries by (-similarity, question id) and the index a sort of
 documents by (-similarity, doc id), each similarity a plain-Python sum of
 products per row (``synthetic.exact_search``).
@@ -33,8 +35,9 @@ from leanrag.reducer import (DetectorTrainConfig, RerankedDoc, ScoredSubDoc,
                              combination_features, make_combination, prerank,
                              reduce, rerank_topk, score_windows,
                              train_detector)
-from leanrag.retrieval import (ExactScan, HashingEmbedder, RetrievedDoc,
-                               Retriever, build_index)
+from leanrag.retrieval import (Candidates, ExactScan, HashingEmbedder,
+                               RetrievedDoc, Retriever, build_index,
+                               document_embedding_text)
 from leanrag.scorer import (BiLabelScore, ScoredCandidates, ScorerModel,
                             TrainConfig, build_training_set, pair_features,
                             score_candidates, train_scorer)
@@ -62,14 +65,13 @@ def per_item_neighbor_score(question_embedding, reference, k):
 
 
 class PerItemScorer:
-    """One (question, text) pair per call, the question embedded each time,
-    the head run on a single row."""
+    """One (question, text) pair or index row per call, the question
+    embedded each time, the full forward pass run on a single row."""
 
     def __init__(self, model):
         self.model = model
 
-    def score(self, question, text):
-        features = pair_features(self.model.provider, question, text)
+    def forward(self, features):
         head = self.model.head
         logits = Backprop(head, head.get_params(), 1).forward(
             features.reshape(1, -1))
@@ -77,15 +79,18 @@ class PerItemScorer:
         return BiLabelScore(float(logits[0, 0]), float(logits[0, 1]),
                             float(probs[0]), float(probs[1]))
 
-    def score_arrays(self, question, texts, question_embedding=None):
-        scores = [self.score(question, text) for text in texts]
+    def score(self, question, text):
+        return self.forward(pair_features(self.model.provider, question,
+                                          text))
+
+    def score_rows(self, question, index, rows, question_embedding=None):
+        scores = [self.forward(np.concatenate([
+            self.model.provider.embed(question), index.rows.dense([row])[0]]))
+            for row in rows.tolist()]
         return (np.array([[s.logit_ans, s.logit_pref] for s in scores],
                          dtype=np.float64).reshape(-1, 2),
                 np.array([[s.p_ans, s.p_pref] for s in scores],
                          dtype=np.float64).reshape(-1, 2))
-
-    def stored_rows(self, candidates):
-        return None  # every text is scored by its text
 
 
 def per_item_reduce(question, scored_top, scorer, detector, max_docs=10,
@@ -274,12 +279,13 @@ def test_one_window_documents_reuse_their_candidate_scores(planted):
         scored = score_candidates(scorer, q.question, ctx.retriever.retrieve(
             q.question, ctx.top_retrieve, vector), vector)
         top = reducer_module.rerank_rows(scored, ctx.top_rerank)
-        rows = scorer.stored_rows(scored.candidates)[top]
         docs = [scored.candidates.docs[i] for i in top.tolist()]
         assert [len(doc.windows) for doc in docs] == [1] * len(docs)
         got = reducer_module._top_windows(scored, top, scorer, q.question,
                                           vector)
-        want = score_windows(docs, scorer, q.question, vector, rows)
+        want = score_windows(docs, scorer, q.question, vector,
+                             scored.candidates.index,
+                             scored.candidates.rows[top])
         for name in ("owners", "starts", "logits", "probs", "combined"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -345,15 +351,31 @@ def counted_run(qa, ctx):
     return answers, evaluate(qa, counted).to_json(), calls
 
 
-def assert_stored_rows_change_nothing(qa, ctx, monkeypatch):
-    """Candidates and windows scored by their stored rows against the same
-    scored by their texts: identical outputs, bit for bit, and the rows
-    embed only the question."""
+def row_texts(retriever):
+    """The text each stored row of the retriever's index holds, by row:
+    each document's "title. text", its text and its windows."""
+    index, texts = retriever.index, {}
+    for i, doc_id in enumerate(index.doc_ids):
+        doc = retriever.corpus.get(doc_id)
+        texts[i] = document_embedding_text(doc)
+        texts[int(index.text_rows[i])] = doc.text
+        for start, window in enumerate(doc.windows):
+            texts[int(index.window_rows[i]) + start] = window
+    return texts
+
+
+def assert_rows_score_as_texts(qa, ctx, monkeypatch):
+    """Candidates and windows scored by their index rows against the same
+    scored by the texts those rows hold: identical outputs, bit for bit,
+    and the rows embed only the question."""
     stored, stored_report, stored_calls = counted_run(qa, ctx)
     assert stored_calls == [1] * len(qa)
+    texts = row_texts(ctx.retriever)
     with monkeypatch.context() as patch:
-        patch.setattr(ScorerModel, "stored_rows",
-                      lambda self, candidates: None)
+        patch.setattr(ScorerModel, "score_rows", lambda self, question, index,
+                      rows, question_embedding=None: self.score_arrays(
+                          question, [texts[row] for row in rows.tolist()],
+                          question_embedding))
         embedded, embedded_report, embedded_calls = counted_run(qa, ctx)
     assert stored_report == embedded_report
     for (trace, scored), (want, want_scored) in zip(stored, embedded):
@@ -388,7 +410,7 @@ def no_hash(text):
     raise AssertionError(f"hashed {text!r}")
 
 
-def test_stored_rows_change_nothing_redundant(redundant, monkeypatch):
+def test_rows_score_as_texts_redundant(redundant, monkeypatch):
     """Titled 12-sentence documents: candidates read text rows, windows
     read window rows."""
     (corpus, qa, mock, provider, retriever, scorer), detector = redundant
@@ -402,17 +424,17 @@ def test_stored_rows_change_nothing_redundant(redundant, monkeypatch):
             provider.embed_many([q.question for q in qa]),
             [i % 2 == 0 for i in range(len(qa))], provider.fingerprint),
         top_retrieve=10, top_rerank=10)
-    assert_stored_rows_change_nothing(qa, ctx, monkeypatch)
+    assert_rows_score_as_texts(qa, ctx, monkeypatch)
 
 
-def test_stored_rows_change_nothing_planted(planted, monkeypatch):
+def test_rows_score_as_texts_planted(planted, monkeypatch):
     """Untitled documents of at most three sentences: candidates and
     windows read index rows."""
     qa, ctx = planted
-    assert_stored_rows_change_nothing(qa, ctx, monkeypatch)
+    assert_rows_score_as_texts(qa, ctx, monkeypatch)
 
 
-def test_stored_rows_change_nothing_mixed(redundant, monkeypatch):
+def test_rows_score_as_texts_mixed(redundant, monkeypatch):
     """Documents of 2 to 6 sentences, every other one untitled: a question
     reads index rows, text rows and window rows."""
     (corpus, qa, mock, provider, _, scorer), detector = redundant
@@ -431,7 +453,7 @@ def test_stored_rows_change_nothing_mixed(redundant, monkeypatch):
             provider.embed_many([q.question for q in qa]),
             [i % 2 == 1 for i in range(len(qa))], provider.fingerprint),
         top_retrieve=10, top_rerank=10)
-    assert_stored_rows_change_nothing(qa, ctx, monkeypatch)
+    assert_rows_score_as_texts(qa, ctx, monkeypatch)
 
 
 def tie_corpus(corpus):
@@ -539,11 +561,12 @@ def test_tied_reduce_equals_per_item(tied):
 def test_document_without_sentences_raises_alike(tied):
     qa, ctx = tied
     empty = make_document("empty", "", "   ")
-    scored = ScoredCandidates.of(
-        [(RetrievedDoc(doc=doc, similarity=0.0, rank=rank),
-          BiLabelScore(0.0, 0.0, 0.5, 0.5))
-         for rank, doc in enumerate([*ctx.retriever.corpus][:2] + [empty],
-                                    start=1)])
+    # a Retriever's candidates, the last document swapped for the empty one
+    retrieved = ctx.retriever.retrieve(qa[0].question, 3)
+    scored = ScoredCandidates(
+        Candidates([retrieved.docs[0], retrieved.docs[1], empty],
+                   retrieved.similarity, retrieved.rows, retrieved.index),
+        np.zeros((3, 2)), np.full((3, 2), 0.5))
     errors = []
     for run in (reduce, per_item_reduce):
         with pytest.raises(ValueError) as info:

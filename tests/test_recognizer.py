@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from synthetic import (dense_reference, dense_rows, exact_search,
-                       planted_corpus, redundant_corpus, stored_rows)
+                       planted_corpus, redundant_corpus, sparse_rows)
 
 import leanrag.recognizer as recognizer_module
 from leanrag import artifacts
@@ -89,7 +89,7 @@ def similarity_ranked(entries, query):
     """Every entry by (-similarity, question id), the similarity a
     plain-Python coordinate-order sum (``synthetic.exact_search``)."""
     by_id = {e.question_id: e for e in entries}
-    rows = SimpleNamespace(doc_ids=list(by_id), rows=stored_rows(
+    rows = SimpleNamespace(doc_ids=list(by_id), rows=sparse_rows(
         np.array([e.embedding for e in entries])))
     return [by_id[qid] for qid, _ in exact_search(rows, query, len(entries))]
 
@@ -169,7 +169,7 @@ class TestNeighborScore:
                 assert neighbor_score(query, ref, k) == fraction(ranked, k)
 
     def test_shares_the_given_matrix(self, tmp_path, monkeypatch):
-        rows = stored_rows(np.arange(12, dtype=np.float64).reshape(3, 4))
+        rows = sparse_rows(np.arange(12, dtype=np.float64).reshape(3, 4))
         ref = NnReferenceSet(["q0", "q1", "q2"], rows, [True, False, True])
         assert (ref.dim, ref.rows) == (4, rows)
         assert ref.scan.rows is rows
@@ -207,7 +207,7 @@ class TestNeighborScore:
         # the rows are the ids' rows only in id order: other orders are
         # refused, not sorted
         with pytest.raises(ValueError, match="ascending order"):
-            NnReferenceSet(["q2", "q0", "q1"], stored_rows(np.eye(3)),
+            NnReferenceSet(["q2", "q0", "q1"], sparse_rows(np.eye(3)),
                            [True, False, False])
         embeddings = np.eye(3)
         ref = dense_reference(["q2", "q0", "q1"], embeddings,
@@ -226,13 +226,13 @@ class TestNeighborScore:
         artifacts.save(path, "nnref", {
             "provider_fingerprint": None, "question_ids": ["a", "a", "b"],
             "correct": [True, False, True], "dim": 3},
-            stored_rows(np.eye(3)).arrays())
+            sparse_rows(np.eye(3)).arrays())
         with pytest.raises(IndexIntegrityError, match="repeats question ids"):
             NnReferenceSet.load(path)
 
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError):
-            NnReferenceSet(["q0"], stored_rows(np.ones((2, 4))),
+            NnReferenceSet(["q0"], sparse_rows(np.ones((2, 4))),
                            [True, False])
 
     def test_reference_smaller_than_k(self):
@@ -420,7 +420,7 @@ class TestNonFiniteInputs:
 
     def test_load_rejects_nan(self, tmp_path):
         path = tmp_path / "ref.jsonl"
-        arrays = stored_rows(np.ones((2, 4))).arrays()
+        arrays = sparse_rows(np.ones((2, 4))).arrays()
         arrays["values"][0] = np.nan
         artifacts.save(path, "nnref", {
             "provider_fingerprint": None, "question_ids": ["q0", "q1"],

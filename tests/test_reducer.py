@@ -17,7 +17,8 @@ from leanrag.reducer import (MAX_OVERLAP, DetectorExample, DetectorModel,
                              representative_subdocs, save_detector_dataset,
                              skyline_filter, train_detector)
 from leanrag.retrieval import HashingEmbedder, RetrievedDoc, Retriever, build_index
-from leanrag.scorer import BiLabelScore, ScoredCandidates, ScorerModel
+from leanrag.scorer import (BiLabelScore, ScoredCandidates, ScorerModel,
+                            score_candidates)
 from leanrag.seeds import derive_rng
 
 
@@ -65,9 +66,6 @@ class FixedScorer:
         scores = [self.score(question, text) for text in texts]
         return (np.array([[s.logit_ans, s.logit_pref] for s in scores]),
                 np.array([[s.p_ans, s.p_pref] for s in scores]))
-
-    def stored_rows(self, candidates):
-        return None  # every text is scored by its text
 
 
 class TestRepresentatives:
@@ -485,9 +483,8 @@ class TestReduce:
     def test_token_count_bounded_by_topk_concat(self, redundant):
         corpus, qa, mock, provider, retriever, scorer = redundant
         q = qa[0]
-        scored = ScoredCandidates.of(
-            [(r, scorer.score(q.question, r.doc.text))
-             for r in retriever.retrieve(q.question, 10)])
+        scored = score_candidates(scorer, q.question,
+                                  retriever.retrieve(q.question, 10))
         combo = reduce(q.question, scored, scorer, ThresholdDetector(0.5),
                        max_docs=10)
         top = rerank_topk(scored, 10)
@@ -498,19 +495,22 @@ class TestReduce:
     def test_deterministic(self, redundant):
         corpus, qa, mock, provider, retriever, scorer = redundant
         q = qa[1]
-        scored = ScoredCandidates.of(
-            [(r, scorer.score(q.question, r.doc.text))
-             for r in retriever.retrieve(q.question, 10)])
+        scored = score_candidates(scorer, q.question,
+                                  retriever.retrieve(q.question, 10))
         first = reduce(q.question, scored, scorer, ThresholdDetector(0.5))
         second = reduce(q.question, scored, scorer, ThresholdDetector(0.5))
         assert first.member_ids() == second.member_ids()
 
     def test_single_sentence_docs_become_whole_doc_members(self):
-        docs = [make_document(f"d{i}", "", f"Lone sentence {i} needle.")
-                for i in range(3)]
-        scored = ScoredCandidates.of([scored_pair(f"d{i}", i + 1, 0.5, 0.5,
-                                                  f"Lone sentence {i} needle.")
-                                      for i in range(3)])
+        corpus = Corpus([make_document(f"d{i}", "",
+                                       f"Lone sentence {i} needle.")
+                         for i in range(3)])
+        provider = HashingEmbedder(dim=32, seed=0)
+        candidates = Retriever(corpus, build_index(corpus, provider),
+                               provider).retrieve("q", 3)
+        # a Retriever's candidates, scored by marker tokens
+        scored = ScoredCandidates(candidates, *FixedScorer().score_arrays(
+            "q", [doc.text for doc in candidates.docs]))
         combo = reduce("q", scored, FixedScorer(), ThresholdDetector(2.0),
                        max_docs=3)
         assert len(combo) == 3

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from synthetic import dense_index, dense_rows, exact_search, stored_rows
+from synthetic import dense_index, dense_rows, exact_search, sparse_rows
 
 import leanrag.retrieval as retrieval_module
 import leanrag.seeds as seeds_module
@@ -21,14 +21,15 @@ from leanrag.corpus import (WINDOW, Corpus, QARecord, load_corpus,
 from leanrag.llm import ScriptedLlmClient
 from leanrag.mlp import Mlp
 from leanrag.recognizer import NnReferenceSet, build_nn_reference
-from leanrag.reducer import score_windows
+from leanrag.reducer import (DetectorModel, build_detector_dataset, reduce,
+                             score_windows)
 from leanrag.retrieval import (INDEX_FIELDS, Candidates,
                                EmbeddingProviderError, ExactScan,
                                HashingEmbedder, IndexIntegrityError,
                                RemoteEmbedder, Retriever, SparseRows,
                                VectorIndex, build_index,
                                document_embedding_text, recall_at_k)
-from leanrag.scorer import ScorerModel, score_candidates
+from leanrag.scorer import ScoredCandidates, ScorerModel, score_candidates
 from leanrag.seeds import stable_hash
 
 
@@ -328,6 +329,14 @@ class TestIndex:
         # an in-memory corpus records no digest, so nothing is compared
         Retriever(Corpus(list(edited)), index, provider)
 
+    def test_retriever_refuses_a_corpus_missing_an_indexed_document(
+            self, provider):
+        corpus = small_corpus()
+        index = build_index(corpus, provider)
+        docs = [doc for doc in corpus if doc.doc_id != "b"]
+        with pytest.raises(IndexIntegrityError, match="doc id 'b'"):
+            Retriever(Corpus(docs), index, provider)
+
     def test_own_provider_accepted(self, provider):
         self.check(build_index(small_corpus(), provider), provider)
 
@@ -350,7 +359,7 @@ class TestIndex:
             provider.embed_many([doc.text for doc in corpus]).tobytes()
 
     def test_ids_in_order_not_copied(self):
-        rows = stored_rows(np.arange(12.0).reshape(4, 3))
+        rows = sparse_rows(np.arange(12.0).reshape(4, 3))
 
         def index_of(ids):
             return VectorIndex(ids, rows, "fp",
@@ -411,12 +420,11 @@ def stored_texts(index, corpus):
     return texts, rows
 
 
-def bound_scorer(index, provider):
-    """A scorer with a small seeded head, bound to ``index``."""
+def new_scorer(provider):
+    """A scorer with a small seeded head."""
     return ScorerModel(Mlp([2 * provider.dim, 6, 2], seed=1), 0.5, 0,
                        provider=provider,
-                       provider_fingerprint=provider.fingerprint,
-                       stored=index)
+                       provider_fingerprint=provider.fingerprint)
 
 
 class RecordingProvider:
@@ -442,30 +450,44 @@ class TestStoredVectors:
         assert index.rows.dense(rows).tobytes() == \
             provider.embed_many(texts).tobytes()
 
-    def test_document_edited_after_indexing_embedded_afresh(self, provider):
-        index = build_index(titled_corpus(), provider)
-        edited = [make_document(doc.doc_id, doc.title, doc.text + " Edited.")
-                  for doc in titled_corpus()]
-        recording = RecordingProvider(provider)
-        # candidates given as documents carry no index rows: their texts
-        # are embedded, never served a stored row
-        scored = score_candidates(bound_scorer(index, recording), "cats?",
-                                  Candidates(edited, np.zeros(3)))
-        texts = [doc.text for doc in edited]
-        assert recording.batches == [["cats?"], texts]
-        want, _ = bound_scorer(None, provider).score_arrays("cats?", texts)
-        assert scored.logits.tobytes() == want.tobytes()
-
-    def test_other_provider_served_nothing(self, provider):
+    def test_candidates_without_rows_raise(self, provider):
+        """Candidates built from documents or pairs carry no index rows;
+        scoring or reducing them is refused, not done by text."""
         corpus = titled_corpus()
         index = build_index(corpus, provider)
-        candidates = Retriever(corpus, index, provider).retrieve("cats", 3)
-        other = RecordingProvider(HashingEmbedder(dim=64, seed=8))
-        scorer = bound_scorer(index, other)
-        assert scorer.stored_rows(candidates) is None
-        score_candidates(scorer, "cats", candidates)
-        assert other.batches == [["cats"],
-                                 [doc.text for doc in candidates.docs]]
+        recording = RecordingProvider(provider)
+        scorer = new_scorer(recording)
+        retrieved = Retriever(corpus, index, provider).retrieve("cats?", 3)
+        scored = score_candidates(scorer, "cats?", retrieved)
+        pairs = ScoredCandidates.of(
+            (retrieved[i], scored.score(i)) for i in range(len(scored)))
+        recording.batches.clear()
+        for candidates in (Candidates(list(corpus), np.zeros(3)),
+                           pairs.candidates):
+            with pytest.raises(ValueError, match="no index rows"):
+                score_candidates(scorer, "cats?", candidates)
+        with pytest.raises(ValueError, match="no index rows"):
+            reduce("cats?", pairs, scorer, DetectorModel(max_docs=3),
+                   max_docs=3)
+        assert recording.batches == []
+
+    def test_other_provider_raises(self, provider):
+        """A scorer whose provider is not the index's, of the same width,
+        is refused: its document halves would come from rows another
+        provider embedded."""
+        corpus = titled_corpus()
+        index = build_index(corpus, provider)
+        retriever = Retriever(corpus, index, provider)
+        scorer = new_scorer(HashingEmbedder(dim=64, seed=8))
+        with pytest.raises(IndexIntegrityError, match="index built with"):
+            score_candidates(scorer, "cats?", retriever.retrieve("cats?", 3))
+        # set-up scores the candidates of each question the LLM cannot
+        # answer bare
+        with pytest.raises(IndexIntegrityError, match="index built with"):
+            build_detector_dataset(
+                [QARecord("q0", "what do cats do?", ["purr"])], retriever,
+                scorer, ScriptedLlmClient(default_answer="no idea"),
+                max_docs=2, top_retrieve=3, samples_per_question=4, seed=0)
 
 
 # words and separators around the single-window test's edges: every
@@ -533,24 +555,20 @@ class SignedZeroProvider:
 
 
 class TestWindowRows:
-    @staticmethod
-    def windows(corpus):
-        return [text for doc in corpus for text in doc.windows]
-
     def test_only_the_question_is_embedded(self, provider):
         corpus = long_corpus()
         index = build_index(corpus, provider)
         recording = RecordingProvider(provider)
-        scorer = bound_scorer(index, recording)
+        scorer = new_scorer(recording)
         candidates = Retriever(corpus, index, provider).retrieve(
             "a question?", 4)
         docs = list(candidates.docs)
         scored = score_candidates(scorer, "a question?", candidates)
-        windows = score_windows(docs, scorer, "a question?",
-                                rows=scorer.stored_rows(candidates))
+        windows = score_windows(docs, scorer, "a question?", index=index,
+                                rows=candidates.rows)
         assert recording.batches == [["a question?"]] * 2
         # and bit for bit as their texts score
-        by_text = bound_scorer(None, provider)
+        by_text = new_scorer(provider)
         want, _ = by_text.score_arrays("a question?",
                                        [doc.text for doc in docs])
         assert scored.logits.tobytes() == want.tobytes()
@@ -623,22 +641,6 @@ class TestWindowRows:
         assert got.text_rows.tobytes() == want.text_rows.tobytes()
         assert got.window_rows.tobytes() == want.window_rows.tobytes()
 
-    def test_document_edited_after_indexing_embedded_afresh(self, provider):
-        index = build_index(long_corpus(), provider)
-        edited = [make_document(doc.doc_id, doc.title,
-                                doc.text.replace("It slept.", "It dozed."))
-                  for doc in long_corpus()]
-        recording = RecordingProvider(provider)
-        question = provider.embed("a question?")
-        # documents given without their rows: every window is embedded,
-        # a's three edited ones among them
-        got = score_windows(edited, bound_scorer(index, recording),
-                            "a question?", question)
-        assert recording.batches == [self.windows(edited)]
-        want = score_windows(edited, bound_scorer(None, provider),
-                             "a question?", question)
-        assert got.logits.tobytes() == want.logits.tobytes()
-
     def test_signed_zeros_and_subnormals_served_bit_for_bit(self, tmp_path):
         fake = SignedZeroProvider()
         corpus = long_corpus()
@@ -670,13 +672,13 @@ class TestWindowRows:
         assert index.rows.dense(rows).tobytes() == \
             provider.embed_many(texts).tobytes()
         recording = RecordingProvider(provider)
-        scorer = bound_scorer(index, recording)
+        scorer = new_scorer(recording)
         question = provider.embed("a question?")
         candidates = Retriever(corpus, index, recording).retrieve(
             "a question?", 4, question)
         score_candidates(scorer, "a question?", candidates, question)
         score_windows(list(candidates.docs), scorer, "a question?", question,
-                      scorer.stored_rows(candidates))
+                      index, candidates.rows)
         assert recording.batches == []
 
     def test_threads_sharing_an_index_are_served_alike(self, provider):
@@ -740,7 +742,7 @@ class TestWindowRows:
                        {"vectors": dense_rows(index.rows, n),
                         "digests": np.arange(n, dtype=np.uint64),
                         **{f"row_{name}": array for name, array in
-                           stored_rows(dense_rows(index.rows)[n:]).arrays(
+                           sparse_rows(dense_rows(index.rows)[n:]).arrays(
                            ).items()}})
         with pytest.raises(IndexIntegrityError,
                            match=re.escape(f"{path}: leanrag-index is in an "
@@ -1060,7 +1062,7 @@ class TestExactScan:
         with pytest.raises(ValueError, match="finite"):
             SparseRows.compress([vectors], 3)
         path = tmp_path / "index"
-        arrays = stored_rows(np.eye(3)).arrays()
+        arrays = sparse_rows(np.eye(3)).arrays()
         arrays["values"][1] = bad
         arrays["docrows"] = np.zeros((2, 3), dtype=np.int32)
         artifacts.save(path, "index",
@@ -1078,11 +1080,11 @@ class TestExactScan:
             index.search(np.ones(3), 1)
 
     def test_zero_rows_and_zero_query(self):
-        rows, sims = ExactScan(stored_rows(np.zeros((0, 3)))).top(
+        rows, sims = ExactScan(sparse_rows(np.zeros((0, 3)))).top(
             np.ones(3), 2)
         assert rows.tolist() == sims.tolist() == []
         # no coordinate to add on the column path: every similarity +0.0
-        scan = ExactScan(stored_rows(np.eye(8)))
+        scan = ExactScan(sparse_rows(np.eye(8)))
         rows, sims = scan.top(np.zeros(8), 2)
         assert scan._dense is None
         assert rows.tolist() == [0, 1]

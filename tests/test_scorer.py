@@ -571,12 +571,11 @@ class CountingProvider:
         return PROVIDER.embed_many(texts)
 
 
-def bound_scorer(index=INDEX, seed=3, provider=PROVIDER):
-    """A scorer bound to ``index``, with its own head and an empty cache."""
+def new_scorer(seed=3, provider=PROVIDER):
+    """A scorer with its own head and an empty cache."""
     return ScorerModel(head=Mlp([2 * provider.dim, 6, 4, 2], seed=seed),
                        balance_weight=0.5, seed=0, provider=provider,
-                       provider_fingerprint=provider.fingerprint,
-                       stored=index)
+                       provider_fingerprint=provider.fingerprint)
 
 
 def score_rows(scorer, question, texts, question_embedding=None):
@@ -587,11 +586,12 @@ def score_rows(scorer, question, texts, question_embedding=None):
         question, texts, question_embedding)).tolist()]
 
 
-def score_stored(scorer, question, rows, question_embedding=None):
-    """``score_rows`` of ``scorer.stored``'s ``rows``, as ``score_rows``
-    gives them for texts."""
+def score_stored(scorer, question, rows, question_embedding=None,
+                 index=INDEX):
+    """``score_rows`` of ``index``'s ``rows``, as ``score_rows`` gives
+    them for texts."""
     return [tuple(row) for row in np.hstack(scorer.score_rows(
-        question, np.asarray(rows, dtype=np.intp),
+        question, index, np.asarray(rows, dtype=np.intp),
         question_embedding)).tolist()]
 
 
@@ -624,7 +624,7 @@ class TestFactoredScoring:
         # texts and windows), and only the texts reach the provider
         assert min(STORED_ROWS) < len(INDEX) <= max(STORED_ROWS)
         provider = CountingProvider()
-        scorer = bound_scorer(provider=provider)
+        scorer = new_scorer(provider=provider)
         question = PROVIDER.embed("amber grove?")
         score_stored(scorer, "amber grove?", STORED_ROWS, question)
         score_rows(scorer, "amber grove?", FRESH_TEXTS, question)
@@ -633,7 +633,7 @@ class TestFactoredScoring:
     @settings(max_examples=40, deadline=None)
     @given(question=question_strategy, texts=texts_strategy)
     def test_logits_match_forward_on_features(self, question, texts):
-        scorer = bound_scorer()
+        scorer = new_scorer()
         features = np.stack([pair_features(PROVIDER, question, text)
                              for text in texts])
         want = scorer.head.forward_logits(features)
@@ -651,7 +651,7 @@ class TestFactoredScoring:
     def test_identical_texts_tie_cold_and_warm(self, question, texts, data):
         batch = texts + data.draw(st.permutations(texts))
         rows = [ROW_OF[text] for text in batch]
-        scorer = bound_scorer()
+        scorer = new_scorer()
         cold = score_stored(scorer, question, rows)
         warm = score_stored(scorer, question, rows)
         assert cold == warm == score_rows(scorer, question, batch)
@@ -663,7 +663,7 @@ class TestFactoredScoring:
            batch_first=st.booleans())
     def test_batch_equals_one_call_per_text(self, question, texts,
                                             batch_first):
-        scorer = bound_scorer()
+        scorer = new_scorer()
         rows = [ROW_OF[text] for text in texts]
         if batch_first:
             batch = score_stored(scorer, question, rows)
@@ -679,35 +679,49 @@ class TestFactoredScoring:
                          for text in texts]
 
     def test_set_params_takes_effect(self):
-        scorer = bound_scorer()
+        scorer = new_scorer()
         before = score_stored(scorer, "amber grove?", STORED_ROWS)
         params = np.random.default_rng(6).standard_normal(
             scorer.head.get_params().shape)
         scorer.head.set_params(params)
         after = score_stored(scorer, "amber grove?", STORED_ROWS)
-        fresh = bound_scorer()
+        fresh = new_scorer()
         fresh.head.set_params(params)
         assert after == score_stored(fresh, "amber grove?", STORED_ROWS)
         assert after == score_rows(fresh, "amber grove?", STORED_TEXTS)
         assert after != before
 
     def test_copy_bound_to_another_index_reads_its_rows(self):
-        scorer = bound_scorer()
+        """A ``dataclasses.replace`` copy starts with no cache; given
+        another index, it keeps that index's rows, and the original keeps
+        its own."""
+        scorer = new_scorer()
         score_stored(scorer, "amber grove?", STORED_ROWS)
+        copy = replace(scorer)
+        assert copy._cache is None
         # the same texts, at other rows of another index
         corpus = Corpus([*stored_corpus(seed=9, n_docs=5, prefix="a"),
                          *CORPUS])
         other = build_index(corpus, PROVIDER)
         rows = rows_of(other, corpus)
-        copy = replace(scorer, stored=other)
-        assert copy._cache is None
         assert [rows[text] for text in STORED_TEXTS] != STORED_ROWS
         assert score_stored(copy, "amber grove?",
-                            [rows[text] for text in STORED_TEXTS]) == \
+                            [rows[text] for text in STORED_TEXTS],
+                            index=other) == \
             score_rows(scorer, "amber grove?", STORED_TEXTS)
+        assert copy._cache.index is other and scorer._cache.index is INDEX
+
+    def test_index_of_another_provider_raises(self):
+        """An index of the same width built with another provider is
+        refused when its cache is made, not scored with mixed halves."""
+        other = build_index(CORPUS, HashingEmbedder(dim=16, seed=5))
+        scorer = new_scorer()
+        with pytest.raises(IndexIntegrityError, match="index built with"):
+            score_stored(scorer, "amber grove?", [0], index=other)
+        assert scorer._cache is None
 
     def test_cache_follows_the_head_and_the_index(self):
-        scorer = bound_scorer()
+        scorer = new_scorer()
         want = score_stored(scorer, "amber grove?", STORED_ROWS)
         cache = scorer._cache
         assert cache.used == len(set(STORED_ROWS))
@@ -716,22 +730,21 @@ class TestFactoredScoring:
         scorer.provider = HashingEmbedder(dim=16, seed=2)
         assert score_stored(scorer, "amber grove?", STORED_ROWS) == want
         assert scorer._cache is cache
-        # binding another index empties it
+        # reading another index empties it
         small = build_index(Corpus(list(CORPUS)[:3]), PROVIDER)
-        scorer.stored = small
-        score_stored(scorer, "amber grove?", [0, 1])
+        score_stored(scorer, "amber grove?", [0, 1], index=small)
         assert scorer._cache is not cache
         assert len(scorer._cache.slots) == len(small.rows)
         assert scorer._cache.used == 2
         # and so does set_params, even to the same parameters
         cache = scorer._cache
         scorer.head.set_params(scorer.head.get_params())
-        score_stored(scorer, "amber grove?", [0])
+        score_stored(scorer, "amber grove?", [0], index=small)
         assert scorer._cache is not cache
         assert scorer._cache.used == 1
 
     def test_cache_holds_only_rows_read(self):
-        scorer = bound_scorer()
+        scorer = new_scorer()
         score_stored(scorer, "amber grove?", STORED_ROWS[:5] * 2)
         assert scorer._cache.used == 5
         assert len(scorer._cache.products) < len(INDEX.rows)
@@ -761,8 +774,8 @@ class TestFactoredScoring:
                                                   monkeypatch):
         INDEX.save(tmp_path / "index")
         provider = CountingProvider()
-        scorer = bound_scorer(VectorIndex.load(tmp_path / "index"),
-                              provider=provider)
+        scorer = new_scorer(provider=provider)
+        loaded = VectorIndex.load(tmp_path / "index")
 
         def no_hash(text):
             raise AssertionError(f"hashed {text!r}")
@@ -770,20 +783,20 @@ class TestFactoredScoring:
         monkeypatch.setattr(seeds_module, "stable_hash", no_hash)
         question = PROVIDER.embed("which heron iris")
         cold = score_stored(scorer, "which heron iris", STORED_ROWS,
-                            question)
+                            question, loaded)
         assert provider.calls == []
         assert score_stored(scorer, "which heron iris", STORED_ROWS,
-                            question) == cold
+                            question, loaded) == cold
         assert provider.calls == []
-        assert cold == score_rows(bound_scorer(), "which heron iris",
+        assert cold == score_rows(new_scorer(), "which heron iris",
                                   STORED_TEXTS, question)
 
     def test_a_row_kept_meanwhile_keeps_one_slot(self):
         """A call that finds rows missing while another call keeps some of
         them keeps each row in one slot, so that no later product
         overwrites a kept one."""
-        scorer = bound_scorer()
-        want = score_stored(bound_scorer(), "amber grove?", STORED_ROWS)
+        scorer = new_scorer()
+        want = score_stored(new_scorer(), "amber grove?", STORED_ROWS)
         score_stored(scorer, "amber grove?", STORED_ROWS[3:4])
         cache = scorer._cache
         lock = cache._lock
@@ -810,9 +823,9 @@ class TestFactoredScoring:
         assert cache.used == len(set(STORED_ROWS))
 
     def test_threads_sharing_a_scorer_score_alike(self):
-        scorer = bound_scorer()
+        scorer = new_scorer()
         rows = STORED_ROWS
-        want = logits(score_stored(bound_scorer(), "amber grove?", rows))
+        want = logits(score_stored(new_scorer(), "amber grove?", rows))
         got = []
 
         def serve(offset):
@@ -850,7 +863,7 @@ class TestFactoredScoring:
         mixed, of 2 to 5 sentences (stored)."""
         corpus = make()
         index = build_index(corpus, PROVIDER)
-        scorer = bound_scorer(index)
+        scorer = new_scorer()
         docs = sorted(corpus, key=lambda d: d.doc_id)
         counts = [len(doc.windows) for doc in docs]
         question = PROVIDER.embed("amber quixilshared capital?")
@@ -860,9 +873,9 @@ class TestFactoredScoring:
                                for i, n in enumerate(counts)])
         for cold_and_warm in range(2):
             for stored, by_text in (
-                    (scorer.score_rows("", index.text_rows, question),
+                    (scorer.score_rows("", index, index.text_rows, question),
                      scorer.score_arrays("", texts, question)),
-                    (scorer.score_rows("", rows, question),
+                    (scorer.score_rows("", index, rows, question),
                      scorer.score_arrays("", windows, question))):
                 for got, want in zip(stored, by_text):
                     assert got.tobytes() == want.tobytes()
