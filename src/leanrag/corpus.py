@@ -156,6 +156,13 @@ class QARecord:
     def __post_init__(self):
         if not self.gold_answers:
             raise ValueError(f"question {self.question_id!r} has no gold answers")
+        for answer in self.gold_answers:
+            if not isinstance(answer, str):
+                raise ValueError(f"question {self.question_id!r}: gold answer "
+                                 f"{answer!r} is not a string")
+            if not normalize_for_match(answer):
+                raise ValueError(f"question {self.question_id!r}: gold answer "
+                                 f"{answer!r} has no word to match")
 
 
 class Corpus:
@@ -339,7 +346,15 @@ def count_tokens(text: str) -> int:
 
 
 def normalize_for_match(text: str) -> str:
-    """Lowercase, collapse whitespace, strip surrounding punctuation per token."""
+    """Lowercase, collapse whitespace, strip surrounding punctuation per
+    token: the form in which ``contains_answer`` compares texts.
+
+    Lowering makes no word boundary and no punctuation: every character of
+    ``string.punctuation`` and every whitespace character lowers to itself,
+    and no other code point lowers to text that holds either (tested over
+    every code point). So the normalized text is ``text.lower()`` with each
+    word cut to its core, the part between its leading and trailing
+    punctuation, and the cores joined by single spaces."""
     tokens = []
     for word in text.split():
         word = word.strip(string.punctuation).lower()
@@ -348,20 +363,49 @@ def normalize_for_match(text: str) -> str:
     return " ".join(tokens)
 
 
+def answer_targets(gold_answers: Iterable[str]) -> list[str]:
+    """The normalized gold answers that ``contains_target`` looks for. An
+    answer that normalizes to nothing can never match and is dropped;
+    ``ValueError`` when there are no answers at all."""
+    targets = [normalize_for_match(answer) for answer in gold_answers]
+    if not targets:
+        raise ValueError("gold_answers must be non-empty")
+    return [target for target in targets if target]
+
+
+def contains_target(text: str, targets: Iterable[str]) -> bool:
+    """True iff ``normalize_for_match(text)`` contains any of ``targets``,
+    each from ``answer_targets``.
+
+    A one-word target is looked for in ``text.lower()``, which is the same
+    test: by the lemma in ``normalize_for_match``, the lowered text holds
+    it only inside one word's core, as the normalized text does, since the
+    target neither starts nor ends in punctuation and holds no whitespace.
+    A multi-word target is looked for in the normalized text, which is
+    built only once each of its words is found in the lowered text, a
+    necessary condition by the same lemma."""
+    lowered = text.lower()
+    normalized = None
+    for target in targets:
+        if " " not in target:
+            if target in lowered:
+                return True
+        elif all(word in lowered for word in target.split(" ")):
+            if normalized is None:
+                normalized = normalize_for_match(text)
+            if target in normalized:
+                return True
+    return False
+
+
 def contains_answer(text: str, gold_answers: Iterable[str]) -> bool:
-    """True iff the normalized text contains any normalized gold answer.
+    """True iff the normalized text contains any normalized gold answer
+    (``contains_target`` over ``answer_targets``), so usually one substring
+    test of the lowered text per answer.
 
     Containment is substring-based ("Parisian" contains "Paris").
     """
-    answers = list(gold_answers)
-    if not answers:
-        raise ValueError("gold_answers must be non-empty")
-    normalized = normalize_for_match(text)
-    for answer in answers:
-        target = normalize_for_match(answer)
-        if target and target in normalized:
-            return True
-    return False
+    return contains_target(text, answer_targets(gold_answers))
 
 
 def generate_subdocuments(doc: Document) -> list[SubDocument]:
@@ -477,7 +521,10 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def load_qa(path: str | Path) -> list[QARecord]:
-    """Read a JSONL QA set ({"question_id", "question", "answers"} per line)."""
+    """Read a JSONL QA set ({"question_id", "question", "answers"} per
+    line). ``answers`` is a non-empty list of strings, each with a word
+    left after ``normalize_for_match``, or ``CorpusFormatError`` names the
+    line."""
     records: dict[str, QARecord] = {}
     for line_no, record in read_jsonl(path,
                                       ("question_id", "question", "answers")):
@@ -485,13 +532,21 @@ def load_qa(path: str | Path) -> list[QARecord]:
         if not isinstance(answers, list) or not answers:
             raise CorpusFormatError(path, line_no,
                                     "answers must be a non-empty list")
+        for answer in answers:
+            # a null read as "None" would match any response holding "none"
+            if not isinstance(answer, str):
+                raise CorpusFormatError(path, line_no, f"gold answer "
+                                        f"{answer!r} is not a string")
         question_id = str(record["question_id"])
         if question_id in records:
             raise CorpusFormatError(
                 path, line_no, f"duplicate question_id {question_id!r}")
-        records[question_id] = QARecord(
-            question_id=question_id,
-            question=str(record["question"]),
-            gold_answers=frozenset(str(a) for a in answers),
-        )
+        try:
+            records[question_id] = QARecord(
+                question_id=question_id,
+                question=str(record["question"]),
+                gold_answers=frozenset(answers),
+            )
+        except ValueError as exc:
+            raise CorpusFormatError(path, line_no, str(exc)) from exc
     return list(records.values())

@@ -23,8 +23,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import check_provider
-from .corpus import (CorpusRows, QARecord, contains_answer, load_corpus,
-                     whole_document_subdoc)
+from .corpus import (CorpusRows, QARecord, answer_targets, contains_target,
+                     load_corpus, whole_document_subdoc)
 from .llm import (DEFAULT_TEMPLATES, HttpLlmClient, LlmClient, LlmTransportError,
                   PromptTemplate, ScriptedLlmClient, build_noretrieve_prompt,
                   build_retrieve_prompt, is_correct)
@@ -379,9 +379,12 @@ def _answer_positions(scored: ScoredCandidates,
                       gold_answers: Iterable[str]) -> list[float]:
     """Per ordering of ``SCORE_ORDERINGS``, the position of its first
     candidate that contains a gold answer (inf when none does): recall@k is
-    1 when it is below k. Each candidate's text is matched at most once."""
-    contains = functools.cache(lambda row: contains_answer(
-        scored.candidates.docs[row].text, gold_answers))
+    1 when it is below k. The gold answers are normalized once, and each
+    candidate's text is matched at most once: for one-word answers, by a
+    substring test of its lowered text (``contains_target``)."""
+    targets = answer_targets(gold_answers)
+    contains = functools.cache(lambda row: contains_target(
+        scored.candidates.docs[row].text, targets))
     return [next((position for position, row in enumerate(
                   ordered_rows(scored, ordering).tolist()) if contains(row)),
                  math.inf)

@@ -22,6 +22,23 @@ def counts(workload: str, hash_seed: str) -> str:
     return proc.stdout
 
 
+STAGES = ["embed", "retrieve", "score", "recognize", "reduce", "prompt",
+          "llm", "other"]
+
+
+def table(lines: list[str], name: str) -> dict[str, tuple[float, float]]:
+    """stage -> (Python, C) calls per question of the table ``name``."""
+    at = lines.index(next(line for line in lines
+                          if line.startswith(f"{name} (")))
+    rows = {}
+    for line in lines[at + 2:]:
+        if not line.startswith("  "):
+            break
+        stage, python, c = line.split()
+        rows[stage] = (float(python), float(c))
+    return rows
+
+
 @pytest.mark.parametrize("workload", ["short-500", "long-mixed"])
 def test_counts_match_across_hash_seeds(workload):
     first = counts(workload, "0")
@@ -29,12 +46,18 @@ def test_counts_match_across_hash_seeds(workload):
     lines = first.splitlines()
     # a cold and a warm table, each with every stage and a total
     for name in ("cold", "warm"):
-        at = next(i for i, line in enumerate(lines)
-                  if line.startswith(f"{name} ("))
-        stages = [line.split()[0] for line in lines[at + 2:at + 11]]
-        assert stages == ["embed", "retrieve", "score", "recognize",
-                          "reduce", "prompt", "llm", "other", "total"]
+        assert list(table(lines, name)) == STAGES + ["total"]
     # every question embeds, retrieves, scores and asks the LLM
     for line in lines:
         if line.split()[0] in ("embed", "retrieve", "score", "llm"):
             assert float(line.split()[1]) > 0
+    # evaluate() on a fresh load: its questions' stages cost what
+    # answer_question's do, and its own work (recall positions and the
+    # aggregation) has a row of its own
+    for name in ("cold", "warm"):
+        answered = table(lines, name)
+        evaluated = table(lines, f"evaluate {name}")
+        assert list(evaluated) == STAGES + ["evaluate", "total"]
+        for stage in STAGES[:-1]:
+            assert evaluated[stage] == answered[stage]
+        assert min(evaluated["evaluate"]) > 0

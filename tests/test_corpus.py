@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import string
 import sys
@@ -15,7 +16,8 @@ import leanrag.corpus as corpus_module
 from leanrag.artifacts import IndexIntegrityError
 from leanrag.corpus import (Corpus, CorpusFormatError, CorpusRows,
                             DuplicateDocumentError,
-                            QARecord, contains_answer, count_tokens,
+                            QARecord, answer_targets, contains_answer,
+                            contains_target, count_tokens,
                             default_tokenizer, generate_subdocuments,
                             load_corpus, load_qa, make_document,
                             max_sentences, normalize_for_match,
@@ -117,6 +119,23 @@ class TestLoadCorpus:
             {"question_id": "q1", "question": "Who?", "answers": []},
         ])
         with pytest.raises(CorpusFormatError):
+            load_qa(path)
+
+    @pytest.mark.parametrize("answer,reason", [
+        (None, "not a string"), (1984, "not a string"),
+        (["x"], "not a string"), ("", "no word"), (" ", "no word"),
+        ("...", "no word"), ("\u3000(!)", "no word")])
+    def test_load_qa_refuses_an_answer_that_cannot_match(self, tmp_path,
+                                                         answer, reason):
+        # [null] was read as the answer "None", which matched any response
+        # holding "none"; "..." normalizes to nothing and matched nothing
+        path = tmp_path / "qa.jsonl"
+        write_jsonl(path, [
+            {"question_id": "q1", "question": "Who?", "answers": ["x"]},
+            {"question_id": "q2", "question": "Why?",
+             "answers": ["y", answer]},
+        ])
+        with pytest.raises(CorpusFormatError, match=rf"qa\.jsonl:2: .*{reason}"):
             load_qa(path)
 
     def test_sentences_split_on_first_use(self, tmp_path, monkeypatch):
@@ -419,6 +438,83 @@ class TestContainsAnswer:
         if contains_answer(text, {answer}):
             assert contains_answer(prefix + text + suffix, {answer})
 
+    def test_lowering_makes_no_word_boundary_or_punctuation(self):
+        # the lemma the one-word test rests on, over every code point:
+        # punctuation and whitespace lower to themselves, and nothing else
+        # lowers to text holding either
+        chars = [chr(code) for code in range(sys.maxunicode + 1)]
+        marks = frozenset(string.punctuation).union(
+            char for char in chars if char.isspace())
+        wrong = [char for char in chars
+                 if (char.lower() != char if char in marks
+                     else not marks.isdisjoint(char.lower()))]
+        assert wrong == []
+        # in context a capital sigma may lower to the final form instead
+        assert "AΣ".lower() == "aς" and "ς" not in marks
+
+    # words, marks and separators whose lowering is not one code point to
+    # one, or whose case depends on the neighbours
+    PIECES = ["a", "b", "ab", "σ", "ς", "Σ", "ΑΣ", "İ", "i", "I", "\u0307",
+              "\u0301", "\u00ad", "ß", "ẞ", "\u212a", "k", "ǅ", "\u0345",
+              " ", " ", "\u00a0", "\u2003", "\x1c", "\n", ".", ",", "'",
+              "(", ")", "-", "?!", "..."]
+
+    @staticmethod
+    def reference(text, answers):
+        """The definition: both strings normalized, then a substring test."""
+        normalized = normalize_for_match(text)
+        return any(target and target in normalized
+                   for target in map(normalize_for_match, answers))
+
+    def test_equals_the_normalized_substring_test(self):
+        rng = random.Random(29)
+        hits = 0
+        for _ in range(20000):
+            text = "".join(rng.choices(self.PIECES, k=rng.randint(0, 14)))
+            answers = []
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.random()
+                if kind < 0.5 and text:
+                    # a cut of the text: one word or several, with or
+                    # without the punctuation around them
+                    start = rng.randrange(len(text))
+                    answers.append(text[start:rng.randint(start + 1,
+                                                          len(text))])
+                elif kind < 0.6:
+                    answers.append("".join(rng.choices("(.)!' ", k=3)))
+                else:
+                    answers.append("".join(
+                        rng.choices(self.PIECES, k=rng.randint(1, 5))))
+            want = self.reference(text, answers)
+            assert contains_answer(text, answers) == want, (text, answers)
+            hits += want
+        # both outcomes are well covered
+        assert 4000 < hits < 16000
+
+    @pytest.mark.parametrize("answers", [["..."], ["", " "], ["?!", "''"]])
+    def test_answers_that_are_all_punctuation_never_match(self, answers):
+        assert not contains_answer("... ?! '' x", answers)
+
+    def test_text_normalized_only_for_a_multi_word_answer_whose_words_occur(
+            self, monkeypatch):
+        seen = []
+        normalize = corpus_module.normalize_for_match
+        monkeypatch.setattr(corpus_module, "normalize_for_match",
+                            lambda text: seen.append(text) or normalize(text))
+        text = "The Eiffel (Tower) stands in Paris."
+        assert contains_target(text, ["paris"])
+        assert not contains_target(text, ["eiffel lyon"])
+        assert seen == []
+        assert contains_target(text, ["eiffel tower", "tower stands"])
+        # one normalized text serves every multi-word target
+        assert seen == [text]
+
+    def test_answer_targets_drop_answers_with_no_word(self):
+        assert answer_targets(["(Paris)", "...", "New  York"]) == \
+            ["paris", "new york"]
+        with pytest.raises(ValueError, match="non-empty"):
+            answer_targets([])
+
 
 class TestSubdocuments:
     def doc(self, n_sentences):
@@ -516,6 +612,13 @@ class TestRecords:
     def test_qa_requires_answers(self):
         with pytest.raises(ValueError):
             QARecord("q", "question?", frozenset())
+
+    @pytest.mark.parametrize("answer,reason", [
+        ("", "no word"), (" \t", "no word"), ("?!", "no word"),
+        ("'...'", "no word"), (None, "not a string"), (1984, "not a string")])
+    def test_qa_refuses_an_answer_that_cannot_match(self, answer, reason):
+        with pytest.raises(ValueError, match=f"'q'.*{reason}"):
+            QARecord("q", "question?", frozenset({"Paris", answer}))
 
     def test_corpus_rejects_duplicates(self):
         doc = make_document("a", "", "Text.")

@@ -16,6 +16,7 @@ from test_llm import FakeResponse, FakeSession, NotJsonResponse
 
 import leanrag
 
+import leanrag.corpus as corpus_module
 from leanrag import artifacts
 from leanrag.corpus import count_tokens, load_corpus, make_document
 from leanrag.llm import (HttpLlmClient, LlmTransportError, ScriptedLlmClient,
@@ -460,6 +461,22 @@ class TestEvaluate:
         assert report.accuracy == 1.0
         assert report.retrieval_skip_rate == 0.0
         assert report.n_excluded == 0
+
+    def test_one_word_answers_normalize_no_text(self, setup, detector,
+                                                 monkeypatch):
+        # every check of a one-word gold answer, the recall positions' and
+        # the response's, is a substring test of the lowered text: only
+        # the gold answers are normalized, once per question for the
+        # positions and once for the response
+        seen = []
+        normalize = corpus_module.normalize_for_match
+        monkeypatch.setattr(corpus_module, "normalize_for_match",
+                            lambda text: seen.append(text) or normalize(text))
+        qa = setup[1]
+        assert {a for q in qa for a in q.gold_answers} == {SHARED_ANSWER}
+        report = evaluate(qa, make_ctx(setup, detector))
+        assert report.recall["similarity"]["10"] == 1.0
+        assert seen == [SHARED_ANSWER] * (2 * len(qa))
 
     def test_no_reducer_tokens_dominate_per_question(self, setup, detector):
         ctx = make_ctx(setup, detector)

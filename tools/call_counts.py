@@ -11,6 +11,13 @@ each pass it prints the calls per question in each stage of
 recognize, reduce, prompt, llm; ``other`` is the rest of the question) as
 Python function calls and C function calls, and their totals.
 
+It then loads the artifacts again and profiles one ``evaluate()`` over the
+same questions, cold, and a second one, warm, as the benchmark's
+``eval_qps`` times it (serially: LLM concurrency 1). Their tables add the
+row ``evaluate``: the calls ``evaluate()`` makes outside
+``answer_question``, that is the recall positions of every ordering and
+the aggregation into the report.
+
 A count is exact, and the same in every process for one workload and seed
 (the garbage collector is off while counting), so two checkouts compare by
 their counts where their wall times are noise. A C call's cost varies, so a
@@ -48,29 +55,35 @@ def stage_code(function) -> types.CodeType:
                 and const.co_name == "_timed")
 
 
-def count_calls(answer, questions, timed_code) -> dict[str, list[int]]:
-    """stage -> [Python calls, C calls] over ``answer(qa)`` for each of
-    ``questions``."""
+def count_calls(run, items, answer_code, timed_code, outside: str = "other"
+                ) -> dict[str, list[int]]:
+    """stage -> [Python calls, C calls] over ``run(item)`` for each of
+    ``items``. A call inside a frame of ``answer_code`` (one question)
+    counts to the stage of the ``timed_code`` frame it runs in, or to
+    ``other``; a call outside every question counts to ``outside``."""
     counts: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-    stages = ["other"]
+    stages = [outside]
 
     def profile(frame, event, arg):
         if event == "call":
             if frame.f_code is timed_code:
                 stages.append(frame.f_locals["stage"])
+            elif frame.f_code is answer_code:
+                stages.append("other")
             counts[stages[-1]][0] += 1
         elif event == "c_call":
             counts[stages[-1]][1] += 1
-        elif event == "return" and frame.f_code is timed_code:
+        elif event == "return" and (frame.f_code is timed_code
+                                    or frame.f_code is answer_code):
             stages.pop()
 
     gc.collect()
     gc.disable()
     try:
-        for qa in questions:
+        for item in items:
             sys.setprofile(profile)
             try:
-                answer(qa)
+                run(item)
             finally:
                 sys.setprofile(None)
     finally:
@@ -78,10 +91,11 @@ def count_calls(answer, questions, timed_code) -> dict[str, list[int]]:
     return counts
 
 
-def report(name: str, counts: dict[str, list[int]], n: int) -> None:
+def report(name: str, counts: dict[str, list[int]], n: int,
+           stages=STAGES) -> None:
     print(f"{name} ({n} questions): calls per question")
     print(f"  {'stage':<10} {'python':>9} {'c':>9}")
-    for stage in STAGES:
+    for stage in stages:
         python, c = counts.get(stage, (0, 0))
         print(f"  {stage:<10} {python / n:>9.1f} {c / n:>9.1f}")
     python = sum(pair[0] for pair in counts.values())
@@ -109,6 +123,7 @@ def main(argv=None) -> int:
     spec = specs[args.workload]
     inputs = make_inputs(spec, args.seed)
     timed = records(inputs.timed)
+    answer_code = pipeline._answer_with_details.__code__
     timed_code = stage_code(pipeline._answer_with_details)
     with tempfile.TemporaryDirectory() as work:
         config = write_inputs(inputs, spec, args.seed, Path(work))
@@ -118,10 +133,19 @@ def main(argv=None) -> int:
         def answer(qa):
             pipeline.answer_question(qa, ctx)
 
+        def evaluate(qa_set):
+            pipeline.evaluate(qa_set, ctx)
+
         print(f"{spec.name}{' (smoke)' if args.smoke else ''}, seed "
               f"{args.seed}")
         for name in ("cold", "warm"):
-            report(name, count_calls(answer, timed, timed_code), len(timed))
+            report(name, count_calls(answer, timed, answer_code, timed_code),
+                   len(timed))
+        ctx = pipeline.load_pipeline(config)
+        for name in ("evaluate cold", "evaluate warm"):
+            counts = count_calls(evaluate, [timed], answer_code, timed_code,
+                                 "evaluate")
+            report(name, counts, len(timed), STAGES + ("evaluate",))
     return 0
 
 
