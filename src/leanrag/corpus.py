@@ -352,9 +352,10 @@ def normalize_for_match(text: str) -> str:
     Lowering makes no word boundary and no punctuation: every character of
     ``string.punctuation`` and every whitespace character lowers to itself,
     and no other code point lowers to text that holds either (tested over
-    every code point). So the normalized text is ``text.lower()`` with each
-    word cut to its core, the part between its leading and trailing
-    punctuation, and the cores joined by single spaces."""
+    every code point). So a one-word target, with no punctuation at its
+    ends, occurs in ``text.lower()`` exactly when it occurs here: inside
+    one word's core, the part between its leading and trailing
+    punctuation."""
     tokens = []
     for word in text.split():
         word = word.strip(string.punctuation).lower()
@@ -374,34 +375,27 @@ def answer_targets(gold_answers: Iterable[str]) -> list[str]:
 
 
 def contains_target(text: str, targets: Iterable[str]) -> bool:
-    """True iff ``normalize_for_match(text)`` contains any of ``targets``,
-    each from ``answer_targets``.
-
-    A one-word target is looked for in ``text.lower()``, which is the same
-    test: by the lemma in ``normalize_for_match``, the lowered text holds
-    it only inside one word's core, as the normalized text does, since the
-    target neither starts nor ends in punctuation and holds no whitespace.
-    A multi-word target is looked for in the normalized text, which is
-    built only once each of its words is found in the lowered text, a
-    necessary condition by the same lemma."""
-    lowered = text.lower()
-    normalized = None
+    """True iff ``normalize_for_match(text)`` contains any of ``targets``
+    (from ``answer_targets``); a one-word target is looked for in
+    ``text.lower()``, the same test by ``normalize_for_match``'s lemma."""
+    lowered = normalized = None
     for target in targets:
         if " " not in target:
-            if target in lowered:
-                return True
-        elif all(word in lowered for word in target.split(" ")):
+            if lowered is None:
+                lowered = text.lower()
+            found = target in lowered
+        else:
             if normalized is None:
                 normalized = normalize_for_match(text)
-            if target in normalized:
-                return True
+            found = target in normalized
+        if found:
+            return True
     return False
 
 
 def contains_answer(text: str, gold_answers: Iterable[str]) -> bool:
     """True iff the normalized text contains any normalized gold answer
-    (``contains_target`` over ``answer_targets``), so usually one substring
-    test of the lowered text per answer.
+    (``contains_target`` over ``answer_targets``).
 
     Containment is substring-based ("Parisian" contains "Paris").
     """
@@ -532,11 +526,6 @@ def load_qa(path: str | Path) -> list[QARecord]:
         if not isinstance(answers, list) or not answers:
             raise CorpusFormatError(path, line_no,
                                     "answers must be a non-empty list")
-        for answer in answers:
-            # a null read as "None" would match any response holding "none"
-            if not isinstance(answer, str):
-                raise CorpusFormatError(path, line_no, f"gold answer "
-                                        f"{answer!r} is not a string")
         question_id = str(record["question_id"])
         if question_id in records:
             raise CorpusFormatError(
@@ -545,8 +534,12 @@ def load_qa(path: str | Path) -> list[QARecord]:
             records[question_id] = QARecord(
                 question_id=question_id,
                 question=str(record["question"]),
+                # not str(a): a null would become "None", matching "none"
                 gold_answers=frozenset(answers),
             )
+        except TypeError as exc:  # a JSON list or object is unhashable
+            raise CorpusFormatError(path, line_no, f"question {question_id!r}"
+                                    ": a gold answer is not a string") from exc
         except ValueError as exc:
             raise CorpusFormatError(path, line_no, str(exc)) from exc
     return list(records.values())

@@ -380,8 +380,7 @@ def _answer_positions(scored: ScoredCandidates,
     """Per ordering of ``SCORE_ORDERINGS``, the position of its first
     candidate that contains a gold answer (inf when none does): recall@k is
     1 when it is below k. The gold answers are normalized once, and each
-    candidate's text is matched at most once: for one-word answers, by a
-    substring test of its lowered text (``contains_target``)."""
+    candidate's text is matched at most once (``contains_target``)."""
     targets = answer_targets(gold_answers)
     contains = functools.cache(lambda row: contains_target(
         scored.candidates.docs[row].text, targets))
