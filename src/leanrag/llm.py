@@ -12,7 +12,6 @@ import functools
 import logging
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,9 +37,6 @@ PASSAGE_HEADER = "Passages:"
 PASSAGE_LINE = "{index}. {text}"
 QUESTION_LINE = "Question: {question}"
 _QUESTION_LINE_RE = re.compile(r"^Question:\s*(.*)$")
-# (prompt, answer) pairs a ScriptedLlmClient keeps, the latest ones, so that
-# a long-lived client's memory does not grow with the prompts it answers
-TRANSCRIPT_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -157,8 +153,8 @@ class ScriptedLlmClient:
     """Deterministic mock. Resolution order: exact question (parsed from the
     prompt's "Question:" line), then ordered regex patterns over the full
     prompt, then the default answer. No default means strict mode: a miss
-    raises UnscriptedPromptError. ``transcript`` holds the last
-    ``TRANSCRIPT_LIMIT`` (prompt, answer) pairs, oldest first."""
+    raises UnscriptedPromptError. It keeps no record of the prompts it
+    answers."""
 
     def __init__(self,
                  answers_by_question: Mapping[str, str] | None = None,
@@ -168,8 +164,6 @@ class ScriptedLlmClient:
         self._patterns = [(re.compile(p) if isinstance(p, str) else p, answer)
                           for p, answer in patterns]
         self._default = default_answer
-        self._lock = threading.Lock()
-        self.transcript: list[tuple[str, str]] = []
 
     @classmethod
     def from_script_file(cls, script_path: str | Path) -> "ScriptedLlmClient":
@@ -193,12 +187,7 @@ class ScriptedLlmClient:
         return cls(by_question, patterns)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
-        text = self._resolve(request.prompt)
-        with self._lock:
-            self.transcript.append((request.prompt, text))
-            if len(self.transcript) > TRANSCRIPT_LIMIT:
-                del self.transcript[0]
-        return LlmResponse(text=text)
+        return LlmResponse(text=self._resolve(request.prompt))
 
     def _resolve(self, prompt: str) -> str:
         question = self._extract_question(prompt)

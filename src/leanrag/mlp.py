@@ -49,11 +49,12 @@ def bce_elementwise(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 class Mlp:
     """Feed-forward net: layer_sizes[0] inputs -> ... -> sigmoid outputs.
 
-    Without ``params`` the weights are drawn from ``seed`` (Gaussian, scaled
-    by 1 / sqrt(fan-in); biases zero), the initialization training starts
-    from. With ``params``, a flat vector such as a saved net's, the net
-    starts at a copy of it and draws nothing; a vector of another length
-    raises ``ValueError``, as ``set_params`` does."""
+    A net's parameters are fixed when it is built. Without ``params`` the
+    weights are drawn from ``seed`` (Gaussian, scaled by 1 / sqrt(fan-in);
+    biases zero), the initialization training starts from. With ``params``,
+    a flat vector such as a trained or saved net's, the net holds a copy of
+    it and draws nothing; a vector of another length raises ``ValueError``.
+    Training builds a new net from the vector it ends at."""
 
     def __init__(self, layer_sizes: Sequence[int], seed: int = 0,
                  params: np.ndarray | None = None):
@@ -73,11 +74,11 @@ class Mlp:
                 parts.append(np.zeros(n_out))
             self._params = np.concatenate(parts)
         else:
-            self._params = self._checked(params)
+            self._params = np.array(params, dtype=np.float64)
+            if self._params.shape != (self._size,):
+                raise ValueError(f"expected {(self._size,)}, "
+                                 f"got {self._params.shape}")
         self._layers = self._unpack(self._params)
-        # bumped by every set_params, so that anything computed from the
-        # parameters can tell that it is stale
-        self.version = 0
 
     @property
     def n_inputs(self) -> int:
@@ -86,24 +87,8 @@ class Mlp:
     def get_params(self) -> np.ndarray:
         return self._params.copy()
 
-    def set_params(self, vec: np.ndarray) -> None:
-        self._params = self._checked(vec)
-        # the new layers before the new version, so that a reader of the
-        # new version never gets the old layers
-        self._layers = self._unpack(self._params)
-        self.version += 1
-
-    def _checked(self, vec: np.ndarray) -> np.ndarray:
-        """A float64 copy of ``vec``, which must hold exactly the net's
-        parameters."""
-        vec = np.array(vec, dtype=np.float64)
-        if vec.shape != (self._size,):
-            raise ValueError(f"expected {(self._size,)}, got {vec.shape}")
-        return vec
-
     def first_layer(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, b) of the first layer, views of the current parameters
-        (``set_params`` replaces them, never writes into them)."""
+        """(W, b) of the first layer, views of the net's parameters."""
         return self._layers[0]
 
     def _unpack(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -78,7 +78,10 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # also covers undecodable bytes
+            raise ValueError(f"config {str(path)!r}: {exc}") from exc
         return _construct(str(path), cls, data)
 
 
@@ -146,11 +149,21 @@ def _check_rerank(top_rerank: int, top_retrieve: int) -> None:
 INJECTED = frozenset({"session", "sleep"})
 
 
+def _section(section: str, spec) -> dict:
+    """A copy of config section ``spec``; one that is not a JSON object is
+    a ``ValueError`` naming the section."""
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"config {section!r}: must be an object, "
+                         f"got {spec!r}")
+    return dict(spec)
+
+
 def _construct(section: str, make, spec: Mapping):
     """``make(**spec)``: a config section goes to the constructor that
-    defines its keys, so each default lives in that constructor and an
-    unknown or missing key, or one in ``INJECTED``, is a ``ValueError``
-    naming the section."""
+    defines its keys, so each default lives in that constructor and a
+    section that is not an object, an unknown or missing key, or one in
+    ``INJECTED``, is a ``ValueError`` naming the section."""
+    spec = _section(section, spec)
     injected = sorted(INJECTED.intersection(spec))
     if injected:
         raise ValueError(f"config {section!r}: {injected[0]!r} cannot be "
@@ -162,7 +175,7 @@ def _construct(section: str, make, spec: Mapping):
 
 
 def _construct_kind(section: str, spec: Mapping, **kinds):
-    rest = dict(spec)
+    rest = _section(section, spec)
     kind = rest.pop("kind", None)
     if kind not in kinds:
         raise ValueError(f"config {section!r}: unknown kind {kind!r}; "
@@ -196,11 +209,11 @@ def load_pipeline(config: PipelineConfig,
     recognizer_config = _construct("recognizer", RecognizerConfig,
                                    config.recognizer)
     templates = dict(DEFAULT_TEMPLATES)
-    for name, spec in config.templates.items():
+    for name, spec in _section("templates", config.templates).items():
         base = asdict(templates[name]) if name in templates else {}
-        templates[name] = _construct(f"templates.{name}", PromptTemplate,
-                                     {**base, **spec, "name": name})
-    llm_spec = dict(config.llm)
+        templates[name] = _construct(f"templates.{name}", PromptTemplate, {
+            **base, **_section(f"templates.{name}", spec), "name": name})
+    llm_spec = _section("llm", config.llm)
     max_workers = llm_spec.pop("concurrency", PipelineContext.max_workers)
     llm = build_llm_client(llm_spec) if "llm" in require else None
 

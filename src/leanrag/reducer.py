@@ -214,18 +214,17 @@ def make_combination(members: Sequence[ScoredSubDoc]) -> SubDocCombination:
 
 
 class DetectorModel:
-    """Four-layer fully connected net over zero-padded score pairs; a single
-    sigmoid output fires (predicts "combination suffices") above threshold."""
+    """A trained fully connected net over zero-padded score pairs, of
+    2 * ``max_docs`` inputs; its single sigmoid output fires (predicts
+    "combination suffices") above threshold."""
 
-    def __init__(self, max_docs: int = 10,
-                 hidden_sizes: Sequence[int] = DEFAULT_DETECTOR_HIDDEN,
-                 seed: int = 0, threshold: float = 0.5,
-                 net: Mlp | None = None):
+    def __init__(self, net: Mlp, max_docs: int, seed: int,
+                 threshold: float = 0.5):
         self.max_docs = max_docs
         self.threshold = threshold
         self.seed = seed
-        self.net = net or Mlp([2 * max_docs, *hidden_sizes, 1], seed=seed)
-        if self.net.n_inputs != 2 * max_docs:
+        self.net = net
+        if net.n_inputs != 2 * max_docs:
             raise ValueError("detector input width must be 2 * max_docs")
         self.holdout_accuracy: float | None = None
 
@@ -251,8 +250,7 @@ class DetectorModel:
             seed=artifacts.COUNT)
         net = Mlp(meta["layer_sizes"], seed=meta["seed"],
                   params=arrays["params"])
-        return cls(max_docs=meta["max_docs"], seed=meta["seed"],
-                   threshold=meta["threshold"], net=net)
+        return cls(net, meta["max_docs"], meta["seed"], meta["threshold"])
 
 
 # one output unit, the probability that the combination suffices
@@ -467,9 +465,10 @@ class DetectorTrainConfig:
 def train_detector(dataset: Sequence[DetectorExample],
                    config: DetectorTrainConfig | None = None,
                    max_docs: int | None = None) -> DetectorModel:
-    """Supervised training of the detector net (scalar BCE, mini-batch
-    gradient descent). Deterministic per seed; stores held-out accuracy on
-    the returned model."""
+    """Supervised training of a ``DEFAULT_DETECTOR_HIDDEN`` net (scalar
+    BCE, mini-batch gradient descent) on features 2 * ``max_docs`` wide
+    (by default, as wide as the first example's). Deterministic per seed;
+    stores held-out accuracy on the returned model."""
     config = config or DetectorTrainConfig()
     if not dataset:
         raise ValueError("empty detector dataset")
@@ -478,22 +477,30 @@ def train_detector(dataset: Sequence[DetectorExample],
         raise ValueError(f"detector dataset must contain both labels, got {labels}")
     if max_docs is None:
         max_docs = dataset[0].features.size // 2
+    width = (2 * max_docs,)
+    for position, ex in enumerate(dataset):
+        if np.shape(ex.features) != width:
+            raise ValueError(
+                f"example {position} (question {ex.question_id!r}) has "
+                f"features of shape {np.shape(ex.features)}, max_docs "
+                f"{max_docs} needs {width}")
     features = np.stack([ex.features for ex in dataset])
     targets = np.array([[ex.label] for ex in dataset], dtype=np.float64)
 
     train_idx, val_idx = stratified_split(
         targets[:, 0] == 1, derive_rng(config.seed, "detector.split"))
 
-    model = DetectorModel(max_docs=max_docs,
-                          seed=derive_seed(config.seed, "detector.init"))
-    params = model.net.get_params()
+    seed = derive_seed(config.seed, "detector.init")
+    net = Mlp([*width, *DEFAULT_DETECTOR_HIDDEN, 1], seed=seed)
+    params = net.get_params()
     batch_rng = derive_rng(config.seed, "detector.batches")
     x_t, y_t = features[train_idx], targets[train_idx]
     for _ in range(config.epochs):
-        params = sgd_epoch(model.net, params, x_t, y_t, np.ones(len(x_t)),
+        params = sgd_epoch(net, params, x_t, y_t, np.ones(len(x_t)),
                            DETECTOR_BATCH_SIZE, config.learning_rate,
                            batch_rng)
-    model.net.set_params(params)
+    model = DetectorModel(Mlp(net.layer_sizes, seed=seed, params=params),
+                          max_docs, seed)
 
     val_probs = model.net.probabilities(features[val_idx])[:, 0]
     predictions = (val_probs > model.threshold).astype(np.float64)

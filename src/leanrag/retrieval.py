@@ -66,9 +66,7 @@ SPARSE_SHARE = 0.25
 
 
 class EmbeddingProviderError(RuntimeError):
-    """Provider failure (network, protocol). Safe to retry."""
-
-    retryable = True
+    """Provider failure (network, protocol)."""
 
 
 class EmbeddingProvider(Protocol):
@@ -177,7 +175,7 @@ class RemoteEmbedder:
     """HTTP embedding client: POST {"texts": [...]} -> {"embeddings": [[...]]}.
 
     The auth token is read from the environment variable named by
-    ``token_env``; failures surface as retryable EmbeddingProviderError.
+    ``token_env``; failures surface as EmbeddingProviderError.
     """
 
     def __init__(self, endpoint: str, dim: int, timeout: float = 30.0,
@@ -546,16 +544,15 @@ class VectorIndex:
     @classmethod
     @artifacts.loader
     def load(cls, path: str | Path) -> "VectorIndex":
-        meta, arrays = artifacts.load(path, "index")
+        meta, arrays = artifacts.load(
+            path, "index", doc_ids=artifacts.STRINGS,
+            provider_fingerprint=artifacts.FINGERPRINT,
+            # null for an index of a corpus built in memory
+            corpus_sha256=artifacts.FINGERPRINT)
         offsets = arrays.pop("line_offsets", None)
         rows = SparseRows.load(meta, arrays, ("docrows",))
-        digest = meta["corpus_sha256"]
-        if digest is not None and not isinstance(digest, str):
-            raise IndexIntegrityError(
-                f"{path}: header field 'corpus_sha256' must be a string or "
-                f"null, got {digest!r}; rebuild it")
         return cls(meta["doc_ids"], rows, meta["provider_fingerprint"],
-                   arrays["docrows"], digest, offsets)
+                   arrays["docrows"], meta["corpus_sha256"], offsets)
 
 
 def _top(sims: np.ndarray, k: int) -> np.ndarray:

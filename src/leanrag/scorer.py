@@ -204,8 +204,7 @@ def annotate_training_pair(qa: QARecord, doc: Document, llm: LlmClient,
     """Label one (question, document) pair.
 
     has_answer: the document text contains a gold answer. llm_prefer: the LLM
-    answers correctly when the document is appended to the question (the
-    prompt used is kept in the client transcript where the client records one).
+    answers correctly when the document is appended to the question.
     """
     has_answer = int(contains_answer(doc.text, qa.gold_answers))
     request = build_retrieve_prompt(qa.question, [doc.text], template)
@@ -353,8 +352,8 @@ class ScorerModel:
 
     The head's first layer acts on [q ; d] as W_q q + W_d d + b: W_q q once
     per call, W_d d of each stored row of the index it is given
-    (``score_rows``), kept per row in a ``_RowCache`` that a new head
-    version or another index replaces, or of each text it is given
+    (``score_rows``), kept per row in a ``_RowCache`` that another head
+    or another index replaces, or of each text it is given
     (``score_arrays``, for the object forms). An index built with another
     provider raises ``IndexIntegrityError``. Every part is computed row by
     row, so identical texts tie, a batch scores exactly as one call per
@@ -403,10 +402,8 @@ class ScorerModel:
         if question_embedding is None:
             question_embedding = self.provider.embed(question)
         if index is not None:
-            # checked against the head's version before the weights are
-            # read, so a concurrent set_params leaves new products only in
-            # a cache no later call reads; each call reads one cache
-            owner = (self.head, self.head.version, index)
+            # each call reads one cache
+            owner = (self.head, index)
             cache = self._cache
             if cache is None or cache.owner != owner:
                 artifacts.check_provider("index", index.provider_fingerprint,
@@ -583,7 +580,7 @@ def train_scorer(pairs: Sequence[LabeledPair],
         history.append(EpochStats(epoch=epoch, val_matched_loss=val_mat,
                                   val_mismatched_loss=val_mis, weight=weight))
 
-    head.set_params(params)
+    head = Mlp(head.layer_sizes, seed=head.seed, params=params)
     model = ScorerModel(head=head, balance_weight=weight, seed=config.seed,
                         provider=provider,
                         provider_fingerprint=getattr(provider, "fingerprint", None))

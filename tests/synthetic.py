@@ -18,6 +18,8 @@ time in plain Python, the oracle for ``VectorIndex.search``;
 ``loop_split_sentences`` is the character-by-character splitter that
 ``split_sentences`` replaced, its oracle. ``backprop_step`` takes one
 ``Backprop.step``, the step ``sgd_epoch`` takes per batch.
+``RecordingLlm`` answers through another client and keeps every prompt it
+was sent, for tests that read the prompts a run issued.
 
 Everything is seeded; rebuilding with the same arguments gives identical
 objects.
@@ -359,6 +361,19 @@ def trained_redundant_setup(seed=99):
         learning_rate=0.25, hyper_step_size=0.0, epochs=60, batch_size=16,
         seed=3), hidden_sizes=(32, 16), provider=provider)
     return corpus, qa, mock, provider, retriever, result.model
+
+
+class RecordingLlm:
+    """An LLM client that answers as ``client`` does and appends each
+    prompt it is sent to ``prompts``."""
+
+    def __init__(self, client):
+        self.client = client
+        self.prompts: list[str] = []
+
+    def complete(self, request):
+        self.prompts.append(request.prompt)
+        return self.client.complete(request)
 
 
 def scored_subdoc(subdoc_id, p_ans, p_pref, parent_position=1,

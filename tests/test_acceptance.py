@@ -4,11 +4,12 @@ the hashing embedder; no network access.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from synthetic import (backprop_step, dense_reference,
+from synthetic import (RecordingLlm, backprop_step, dense_reference,
                        imbalanced_feature_pairs, planted_corpus,
                        prefix_detector_examples, redundant_corpus,
                        scored_subdoc, trained_redundant_setup,
@@ -270,8 +271,8 @@ def test_criterion_5_greedy_filter_minimality():
         n = int(rng.integers(1, 7))
         subs = [scored_subdoc(f"t{trial}s{i}", float(rng.random()),
                               float(rng.random())) for i in range(n)]
-        detector = DetectorModel(max_docs=6, hidden_sizes=(8, 6),
-                                 seed=int(rng.integers(0, 100_000)))
+        seed = int(rng.integers(0, 100_000))
+        detector = DetectorModel(Mlp([12, 8, 6, 1], seed=seed), 6, seed)
         combination = make_combination(subs[:accepted_size(
             [(s.score.p_ans, s.score.p_pref) for s in subs], detector)])
         accepted_sizes = [
@@ -304,15 +305,14 @@ def test_criterion_6_recognizer_branches(redundant_setup, redundant_detector):
     the facet boundary is strict."""
     started = time.monotonic()
     corpus, qa, mock, provider, retriever, scorer = redundant_setup
-    ctx = redundant_ctx(
+    ctx = replace(redundant_ctx(
         redundant_setup, redundant_detector, all_known=True,
         recognizer=RecognizerConfig(delta_ltod=-1e9, s_l=0.0, s_n=0.0,
-                                    k_neighbors=2))
-    before = len(mock.transcript)
+                                    k_neighbors=2)), llm=RecordingLlm(mock))
     report = evaluate(qa, ctx)
     assert report.retrieval_skip_rate == 1.0
-    issued = [prompt for prompt, _ in mock.transcript[before:]]
-    assert all("Passages:" not in prompt for prompt in issued)
+    assert len(ctx.llm.prompts) == len(qa)
+    assert all("Passages:" not in prompt for prompt in ctx.llm.prompts)
     expected = np.mean([build_noretrieve_prompt(q.question).token_count
                         for q in qa])
     assert report.mean_prompt_tokens == expected

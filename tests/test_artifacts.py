@@ -35,7 +35,7 @@ def scorer():
 
 
 def detector():
-    return DetectorModel(max_docs=3, hidden_sizes=(4, 2), seed=5,
+    return DetectorModel(Mlp([6, 4, 2, 1], seed=5), max_docs=3, seed=5,
                          threshold=0.4)
 
 
@@ -407,6 +407,12 @@ BAD_FIELDS = [
     ("detector_data", "question_ids", 5),
     ("detector_data", "member_subdoc_ids", [["s0"], ["s0", 1], ["s0"]]),
     ("detector_data", "labels", [0, 7, 0]),
+    # each of these loaded: "012" as the ids '0', '1' and '2'
+    ("index", "doc_ids", "012"),
+    ("index", "doc_ids", [0, 1, 2]),
+    ("index", "doc_ids", [["0"], ["1"], ["2"]]),
+    ("index", "provider_fingerprint", 5),
+    ("index", "corpus_sha256", 5),
 ]
 
 

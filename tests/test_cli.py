@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from synthetic import write_redundant_fixture
+from synthetic import RecordingLlm, write_redundant_fixture
 
 import leanrag.pipeline
 from leanrag.cli import main
@@ -122,11 +122,12 @@ def test_detector_data_probe_uses_configured_template(workspace, tmp_path,
     clients = []
     build = leanrag.pipeline.build_llm_client
     monkeypatch.setattr(leanrag.pipeline, "build_llm_client",
-                        lambda spec: clients.append(build(spec)) or clients[-1])
+                        lambda spec: clients.append(RecordingLlm(build(spec)))
+                        or clients[-1])
     assert main(["build-detector-data", "--config", str(custom),
                  "--qa", str(paths["qa"]), "--out", str(tmp_path / "d"),
                  "--samples", "5"]) == 0
-    bare = [prompt for prompt, _ in clients[0].transcript
+    bare = [prompt for prompt in clients[0].prompts
             if "Passages:" not in prompt]
     assert len(bare) == 4  # one probe per question
     assert all(p.startswith("Answer from memory.\n") for p in bare)

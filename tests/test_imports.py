@@ -1,16 +1,18 @@
 """Every module of the package reads each name it imports, and the
-library or the benchmark reads every function and class the package
-defines at module level.
+library or the benchmark reads every function, class and constant the
+package defines at module level.
 
 A name counts as read when a later expression (a quoted annotation
 included) names it. ``__future__`` imports, ``__init__.py`` (whose imports
 are the package's re-exports) and an import statement whose first line is
 marked ``# noqa: F401`` are exempt, as flake8 exempts them.
 
-A module-level definition counts as used when a module of the package
-other than ``__init__.py``, or a ``benchmarks/*.py`` file, reads its name:
-as a name, an attribute, an imported name or a string constant (the
-benchmark patches some by their names), docstrings left out. One that only
+A module-level definition (a function, a class or a name an assignment
+binds, such as a constant; dunder names like ``__version__`` left out)
+counts as used when a module of the package other than ``__init__.py``, or
+a ``benchmarks/*.py`` file, reads its name: as a name, an attribute, an
+imported name or a string constant (the benchmark patches some by their
+names), docstrings and assignment targets left out. One that only
 tests read is a second copy of what the library runs, so the tests would
 check code that nothing runs. The same rule holds for each method of a
 module-level class (properties, class and static methods included), by its
@@ -92,8 +94,9 @@ def test_the_check_finds_an_unused_import():
 
 
 def used_names(source: str) -> set[str]:
-    """Every name ``source`` reads as a name, an attribute, an imported name
-    or a string constant other than a docstring."""
+    """Every name ``source`` reads as a name (not one it assigns), an
+    attribute, an imported name or a string constant other than a
+    docstring."""
     tree = ast.parse(source)
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)
@@ -101,7 +104,8 @@ def used_names(source: str) -> set[str]:
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -114,14 +118,25 @@ def used_names(source: str) -> set[str]:
 
 def unread_definitions(definitions: dict[str, str],
                        readers: dict[str, str]) -> list[str]:
-    """The module-level functions and classes of the ``definitions`` sources
-    that none of the ``readers`` sources reads, by name."""
+    """The module-level functions, classes and assigned names of the
+    ``definitions`` sources that none of the ``readers`` sources reads, by
+    name, dunder names left out."""
     read = set().union(*map(used_names, readers.values()))
-    defined = {node.name for source in definitions.values()
-               for node in ast.parse(source).body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.ClassDef))}
-    return sorted(defined - read)
+    defined = set()
+    for source in definitions.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined |= {name.id for target in targets
+                            for name in ast.walk(target)
+                            if isinstance(name, ast.Name)
+                            and isinstance(name.ctx, ast.Store)}
+    return sorted(name for name in defined - read
+                  if not (name.startswith("__") and name.endswith("__")))
 
 
 def unread_methods(definitions: dict[str, str],
@@ -202,3 +217,19 @@ def test_the_check_finds_a_test_only_definition():
     assert unread_definitions({"library.py": library},
                               {"library.py": library,
                                "benchmarks/run.py": benchmark}) == ["helper"]
+
+
+def test_the_check_finds_a_test_only_constant():
+    library = ("__version__ = '1'\n"
+               "LIMIT = 10\n"
+               "USED: int = 2\n"
+               "FIRST, SECOND = 1, 2\n"
+               "TABLE: dict = {}\n"
+               "TABLE['key'] = USED\n"
+               "def run():\n"
+               "    return USED + SECOND\n")
+    benchmark = "from library import run\nlibrary.TABLE.clear()\n"
+    assert unread_definitions({"library.py": library},
+                              {"library.py": library,
+                               "benchmarks/run.py": benchmark}) == \
+        ["FIRST", "LIMIT"]

@@ -141,22 +141,6 @@ class TestScriptedClient:
         response = client.complete(build_noretrieve_prompt(QUESTION))
         assert response.text == "I do not know."
 
-    def test_transcript_records_prompt(self):
-        client = ScriptedLlmClient(default_answer="ok")
-        request = build_noretrieve_prompt(QUESTION)
-        client.complete(request)
-        assert client.transcript == [(request.prompt, "ok")]
-
-    def test_transcript_keeps_the_latest_prompts(self):
-        client = ScriptedLlmClient(default_answer="ok")
-        requests = [build_noretrieve_prompt(f"Question number {i}?")
-                    for i in range(llm_module.TRANSCRIPT_LIMIT + 5)]
-        for request in requests:
-            client.complete(request)
-        assert len(client.transcript) == llm_module.TRANSCRIPT_LIMIT
-        assert client.transcript[0] == (requests[5].prompt, "ok")
-        assert client.transcript[-1] == (requests[-1].prompt, "ok")
-
     def test_same_prompt_same_response(self):
         client = ScriptedLlmClient(default_answer="stable")
         request = build_noretrieve_prompt(QUESTION)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthetic import (SHARED_ANSWER, dense_reference,
+from synthetic import (SHARED_ANSWER, RecordingLlm, dense_reference,
                        prefix_detector_examples, trained_redundant_setup,
                        write_redundant_fixture)
 from test_llm import FakeResponse, FakeSession, NotJsonResponse
@@ -21,6 +21,7 @@ from leanrag import artifacts
 from leanrag.corpus import count_tokens, load_corpus, make_document
 from leanrag.llm import (HttpLlmClient, LlmTransportError, ScriptedLlmClient,
                          build_noretrieve_prompt)
+from leanrag.mlp import Mlp
 from leanrag.pipeline import (PipelineConfig, PipelineContext,
                               PipelineStageError, _answer_with_details,
                               answer_question, build_provider, evaluate,
@@ -72,12 +73,11 @@ class TestAnswerQuestion:
     @pytest.mark.parametrize("ablations", [(), ("no_reducer",)])
     def test_prompt_tokens_count_the_prompt_sent(self, setup, detector,
                                                  ablations):
-        ctx = make_ctx(setup, detector)
+        ctx = make_ctx(setup, detector, llm=RecordingLlm(setup[2]))
         for q in setup[1]:
             trace = answer_question(q, ctx, ablations)
             assert trace.combination is not None
-            prompt, _ = ctx.llm.transcript[-1]
-            assert trace.prompt_tokens == count_tokens(prompt)
+            assert trace.prompt_tokens == count_tokens(ctx.llm.prompts[-1])
 
     def test_forced_noretrieve_has_no_combination(self, setup, detector):
         ctx = make_ctx(
@@ -448,7 +448,7 @@ class TestContextChecks:
 
     def test_detector_narrower_than_rerank_rejected(self, setup):
         # its greedy filter would read only the first 5 of 10 documents
-        narrow = DetectorModel(max_docs=5, hidden_sizes=(4,))
+        narrow = DetectorModel(Mlp([10, 4, 1]), max_docs=5, seed=0)
         with pytest.raises(IndexIntegrityError,
                            match="5 documents, fewer than top_rerank=10"):
             make_ctx(setup, narrow, top_rerank=10)
@@ -670,6 +670,31 @@ class TestConfig:
         key = "session" if "session" in spec else "sleep"
         with pytest.raises(ValueError, match=f"'{section}'.*'{key}'"):
             build(spec)
+
+    @pytest.mark.parametrize("section,fields", [
+        ("provider", {"provider": "hash"}),
+        ("recognizer", {"recognizer": ["s_n"]}),
+        ("llm", {"llm": "mock"}),
+        ("templates", {"templates": "simple"}),
+        ("templates.simple", {"templates": {"simple": "x"}}),
+    ])
+    def test_section_that_is_not_an_object_named(self, section, fields):
+        """A section that is not a JSON object fails naming it; "hash"
+        gave a bare "dictionary update sequence" error and a template
+        string a TypeError."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"config '{section}': must be an object, got ")):
+            load_pipeline(PipelineConfig(**fields), require=())
+
+    @pytest.mark.parametrize("data,reason", [
+        (b'{"seed": 1,', "Expecting"), (b"\xff{}", "'utf-8' codec"),
+        (b"[1, 2]", "must be an object")])
+    def test_unparsable_file_named(self, tmp_path, data, reason):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"config '{path}': {reason}")):
+            PipelineConfig.from_file(path)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "config.json"

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,8 +210,8 @@ class TestGreedyFilter:
             n = int(rng.integers(1, 7))
             subs = [scored_subdoc(f"t{trial}s{i}", float(rng.random()),
                                   float(rng.random())) for i in range(n)]
-            detector = DetectorModel(max_docs=6, hidden_sizes=(8,),
-                                     seed=int(rng.integers(0, 10_000)))
+            seed = int(rng.integers(0, 10_000))
+            detector = DetectorModel(Mlp([12, 8, 1], seed=seed), 6, seed)
             combo = accepted_prefix(subs, detector)
             accepted = [size for size in range(1, n + 1)
                         if detector.predict(combination_features(
@@ -343,6 +346,25 @@ class TestTrainDetector:
         dataset = [ex for ex in self.separable_dataset() if ex.label == 1]
         with pytest.raises(ValueError):
             train_detector(dataset)
+
+    def test_features_wider_than_max_docs_refused(self):
+        """Features of another width than 2 * max_docs fail before
+        training, naming the first such example; they failed inside
+        numpy's matmul."""
+        with pytest.raises(ValueError, match=re.escape(
+                "example 0 (question 'q0') has features of shape (20,), "
+                "max_docs 5 needs (10,)")):
+            train_detector(self.separable_dataset(20),
+                           DetectorTrainConfig(epochs=1), max_docs=5)
+
+    def test_mixed_feature_widths_refused(self):
+        """An example whose width differs from the first's is named by
+        question id and position; it failed in ``np.stack``."""
+        dataset = self.separable_dataset(20)
+        dataset[7] = replace(dataset[7], features=np.zeros(18))
+        with pytest.raises(ValueError, match=re.escape(
+                "example 7 (question 'q7') has features of shape (18,)")):
+            train_detector(dataset, DetectorTrainConfig(epochs=1))
 
     def test_gradient_matches_finite_differences(self):
         net = Mlp([6, 5, 1], seed=2)

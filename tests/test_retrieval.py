@@ -241,12 +241,11 @@ class TestRemoteEmbedder:
         np.testing.assert_allclose(vec, [0.6, 0.8])
         assert session.calls[0]["json"] == {"texts": ["hello"]}
 
-    def test_http_error_is_retryable_provider_error(self):
+    def test_http_error_is_provider_error(self):
         session = FakeSession([FakeResponse({}, status=500)])
         remote = RemoteEmbedder("http://emb", dim=2, session=session)
-        with pytest.raises(EmbeddingProviderError) as excinfo:
+        with pytest.raises(EmbeddingProviderError):
             remote.embed("hello")
-        assert excinfo.value.retryable
 
     @pytest.mark.parametrize("setting", [
         {"dim": 0}, {"dim": 2.5}, {"timeout": 0}, {"timeout": -1.0},
@@ -467,7 +466,8 @@ class TestStoredVectors:
             with pytest.raises(ValueError, match="no index rows"):
                 score_candidates(scorer, "cats?", candidates)
         with pytest.raises(ValueError, match="no index rows"):
-            reduce("cats?", pairs, scorer, DetectorModel(max_docs=3),
+            reduce("cats?", pairs, scorer,
+                   DetectorModel(Mlp([6, 4, 1]), max_docs=3, seed=0),
                    max_docs=3)
         assert recording.batches == []
 
@@ -732,13 +732,15 @@ class TestWindowRows:
 
     def test_file_with_a_dense_matrix_rejected(self, tmp_path, provider):
         """The document rows as a dense ``vectors`` array with their
-        ``digests``, the others as ``row_*`` arrays."""
+        ``digests``, the others as ``row_*`` arrays, under a header that
+        passes every header check."""
         index = build_index(long_corpus(), provider)
         n = len(index)
         path = tmp_path / "index"
         artifacts.save(path, "index",
-                       {"doc_ids": index.doc_ids,
-                        "provider_fingerprint": index.provider_fingerprint},
+                       {"doc_ids": index.doc_ids, "corpus_sha256": None,
+                        "provider_fingerprint": index.provider_fingerprint,
+                        "dim": index.dim},
                        {"vectors": dense_rows(index.rows, n),
                         "digests": np.arange(n, dtype=np.uint64),
                         **{f"row_{name}": array for name, array in

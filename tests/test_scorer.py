@@ -678,18 +678,20 @@ class TestFactoredScoring:
         assert batch == [astuple(scorer.score(question, text))
                          for text in texts]
 
-    def test_set_params_takes_effect(self):
+    def test_another_head_takes_effect(self):
+        """A copy built with another head scores by that head, not from
+        the rows the original kept."""
         scorer = new_scorer()
         before = score_stored(scorer, "amber grove?", STORED_ROWS)
         params = np.random.default_rng(6).standard_normal(
             scorer.head.get_params().shape)
-        scorer.head.set_params(params)
-        after = score_stored(scorer, "amber grove?", STORED_ROWS)
-        fresh = new_scorer()
-        fresh.head.set_params(params)
-        assert after == score_stored(fresh, "amber grove?", STORED_ROWS)
+        sizes = scorer.head.layer_sizes
+        copy = replace(scorer, head=Mlp(sizes, params=params))
+        after = score_stored(copy, "amber grove?", STORED_ROWS)
+        fresh = replace(new_scorer(), head=Mlp(sizes, params=params))
         assert after == score_rows(fresh, "amber grove?", STORED_TEXTS)
         assert after != before
+        assert score_stored(scorer, "amber grove?", STORED_ROWS) == before
 
     def test_copy_bound_to_another_index_reads_its_rows(self):
         """A ``dataclasses.replace`` copy starts with no cache; given
@@ -736,9 +738,10 @@ class TestFactoredScoring:
         assert scorer._cache is not cache
         assert len(scorer._cache.slots) == len(small.rows)
         assert scorer._cache.used == 2
-        # and so does set_params, even to the same parameters
+        # and so does another head, even of the same parameters
         cache = scorer._cache
-        scorer.head.set_params(scorer.head.get_params())
+        scorer.head = Mlp(scorer.head.layer_sizes,
+                          params=scorer.head.get_params())
         score_stored(scorer, "amber grove?", [0], index=small)
         assert scorer._cache is not cache
         assert scorer._cache.used == 1
