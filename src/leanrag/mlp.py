@@ -7,8 +7,11 @@ checks and optimizer code stay trivial.
 Every training gradient and loss comes from one routine, ``Backprop``: the
 forward and backward pass of one net at one parameter vector.
 ``weighted_bce``, ``sgd_epoch`` and the scorer's hypergradient and held-out
-losses all run it. A ``Backprop`` holds the layer views of its vector, their
-transposes, and every activation, delta and gradient buffer, allocated once
+losses all run it; ``train_scorer`` runs the hypergradient's
+split-gradient pass on a worker thread beside the epoch's ``sgd_epoch``,
+each on its own ``Backprop``, which no other thread touches. A
+``Backprop`` holds the layer views of its vector, their transposes, and
+every activation, delta and gradient buffer, allocated once
 when it is built (by ``sgd_epoch``, once per epoch) for batches of up to
 ``rows`` rows; a ``step`` writes into them and allocates only the sigmoid's
 few small arrays. ``sgd_epoch`` updates a copy of its input parameters in

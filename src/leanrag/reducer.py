@@ -352,14 +352,22 @@ def jaccard(a: frozenset | int, b: frozenset | int) -> float:
 def distinct_draws(draws: Sequence[np.ndarray]) -> list[int]:
     """The indices of the draws kept, in order: each draw (distinct row
     numbers) is kept unless its Jaccard similarity with an already-kept one
-    exceeds ``MAX_OVERLAP``; sets are compared as bitmasks."""
+    exceeds ``MAX_OVERLAP``; sets are compared as bitmasks. Jaccard is at
+    most min(|a|, |b|) / max(|a|, |b|), so a draw is compared only with
+    the kept draws of sizes whose ratio to its own exceeds ``MAX_OVERLAP``."""
     kept: list[int] = []
-    masks: list[int] = []
+    by_size: dict[int, list[int]] = {}  # the kept draws' masks
     for i, rows in enumerate(draws):
         mask = sum(1 << row for row in rows.tolist())
-        if all(jaccard(mask, seen) <= MAX_OVERLAP for seen in masks):
+        size = len(rows)
+        # equal sizes first, so that two empty draws divide nothing
+        near = [masks for other, masks in by_size.items()
+                if other == size
+                or min(size, other) / max(size, other) > MAX_OVERLAP]
+        if all(jaccard(mask, seen) <= MAX_OVERLAP
+               for masks in near for seen in masks):
             kept.append(i)
-            masks.append(mask)
+            by_size.setdefault(size, []).append(mask)
     return kept
 
 

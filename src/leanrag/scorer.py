@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -268,24 +269,34 @@ def validation_blocks(features: np.ndarray, targets: np.ndarray,
     return blocks
 
 
-def hyper_direction(head: Mlp, params_before: np.ndarray,
-                    params_after: np.ndarray, train_features: np.ndarray,
-                    train_targets: np.ndarray, train_matched: np.ndarray,
+def split_gradient_gap(head: Mlp, params_before: np.ndarray,
+                       features: np.ndarray, targets: np.ndarray,
+                       matched: np.ndarray) -> np.ndarray:
+    """g_mat - g_mis at ``params_before``: the gradients of the matched and
+    the mismatched examples' BCE, each normalized by the number of all
+    examples. One forward pass serves both, and its buffers are freed on
+    return."""
+    if not matched.any() or matched.all():
+        raise ImbalanceDegenerateError("training data is single-class")
+    n = len(features)
+    work = Backprop(head, params_before, n)
+    work.forward(features)
+    g_mat = work.backward(targets, matched.astype(np.float64), n).copy()
+    return g_mat - work.backward(targets, (~matched).astype(np.float64), n)
+
+
+def hyper_direction(head: Mlp, params_after: np.ndarray, diff: np.ndarray,
                     val_blocks: list[tuple[np.ndarray, np.ndarray]],
                     learning_rate: float) -> tuple[float, list[float]]:
     """Common descent direction of the balance weight, the mean over the two
     ``validation_blocks`` of each block loss's derivative with respect to
-    the weight through the update, and the blocks' losses at ``params_after``.
+    the weight through the update, and the blocks' losses at
+    ``params_after``.
 
     The update moves parameters by -lr * (w * g_mat + (1-w) * g_mis), so the
     chain rule gives d loss_v / dw = -lr * grad_v(after) . (g_mat - g_mis),
-    where g_mat/g_mis are the per-split training gradients (normalized by the
-    full training-set size) at the pre-update parameters.
+    where ``diff`` is ``split_gradient_gap`` at the pre-update parameters.
     """
-    if not train_matched.any() or train_matched.all():
-        raise ImbalanceDegenerateError("training data is single-class")
-    diff = _split_gradient_gap(head, params_before, train_features,
-                               train_targets, train_matched)
     losses, dots = validation_pass(head, params_after, val_blocks, diff)
     d_mat, d_mis = (-learning_rate * dot for dot in dots)
     return (d_mat + d_mis) / 2.0, losses
@@ -306,20 +317,6 @@ def validation_pass(head: Mlp, params: np.ndarray,
         if diff is not None:
             dots.append(float(work.backward(y, np.ones(count), count) @ diff))
     return losses, dots
-
-
-def _split_gradient_gap(head: Mlp, params: np.ndarray, features: np.ndarray,
-                        targets: np.ndarray, matched: np.ndarray
-                        ) -> np.ndarray:
-    """g_mat - g_mis at ``params``: the gradients of the matched and the
-    mismatched examples' BCE, each normalized by the number of all
-    examples. One forward pass serves both, and its buffers are freed on
-    return, before the caller's validation pass allocates its own."""
-    n = len(features)
-    work = Backprop(head, params, n)
-    work.forward(features)
-    g_mat = work.backward(targets, matched.astype(np.float64), n).copy()
-    return g_mat - work.backward(targets, (~matched).astype(np.float64), n)
 
 
 @dataclass
@@ -512,6 +509,15 @@ def train_scorer(pairs: Sequence[LabeledPair],
     parameters with per-split gradients over the full training split (or a
     fixed seeded subsample above ``FULL_GRAD_MAX`` pairs). Deterministic for
     a fixed config.
+
+    The per-split gradients (``split_gradient_gap``) depend only on the
+    epoch's start parameters, so one worker thread, which lives only inside
+    this call, computes them while the calling thread runs the epoch's
+    steps; ``hyper_direction`` then finishes the step at the end
+    parameters. Every product, input and summation order is that of running
+    the two one after the other, so results are bit-identical; on one core
+    the two halves simply interleave. An error in either half is raised
+    here once the worker has stopped.
     """
     config = config or TrainConfig()
     if not pairs:
@@ -550,35 +556,44 @@ def train_scorer(pairs: Sequence[LabeledPair],
 
     history: list[EpochStats] = []
     n_train = len(x_t)
-    subsampled = config.hyper_step_size != 0.0 and n_train > FULL_GRAD_MAX
+    hyper = config.hyper_step_size != 0.0
+    subsampled = hyper and n_train > FULL_GRAD_MAX
     # each epoch's hypergradient subsample is gathered into this one buffer
     sub_x = np.empty((FULL_GRAD_MAX, x_t.shape[1])) if subsampled else None
-    for epoch in range(1, config.epochs + 1):
-        params_start = params
-        params = sgd_epoch(head, params, x_t, y_t, match_weights(m_t, weight),
-                           config.batch_size, config.learning_rate, batch_rng)
-        if config.hyper_step_size != 0.0:
-            hx, hy, hm = x_t, y_t, m_t
-            if subsampled:
-                sub = np.sort(sample_rng.choice(n_train, FULL_GRAD_MAX,
-                                                replace=False))
-                sub_m = m_t[sub]
-                if sub_m.any() and not sub_m.all():
-                    # "clip" takes straight into ``out``; the indices are
-                    # all in range
-                    hx = np.take(x_t, sub, axis=0, out=sub_x, mode="clip")
-                    hy, hm = y_t[sub], sub_m
-            # the validation losses at ``params`` come from the same pass
-            common, losses = hyper_direction(
-                head, params_start, params, hx, hy, hm, val_blocks,
-                config.learning_rate)
-            weight = float(np.clip(weight - config.hyper_step_size * common,
-                                   0.0, 1.0))
-        else:
-            losses = validation_pass(head, params, val_blocks)[0]
-        val_mat, val_mis = losses
-        history.append(EpochStats(epoch=epoch, val_matched_loss=val_mat,
-                                  val_mismatched_loss=val_mis, weight=weight))
+    # the split-gradient gap needs only the epoch's start parameters, so
+    # the worker computes it while this thread runs the epoch's steps; its
+    # big products release the GIL
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for epoch in range(1, config.epochs + 1):
+            if hyper:
+                hx, hy, hm = x_t, y_t, m_t
+                if subsampled:
+                    sub = np.sort(sample_rng.choice(n_train, FULL_GRAD_MAX,
+                                                    replace=False))
+                    sub_m = m_t[sub]
+                    if sub_m.any() and not sub_m.all():
+                        # "clip" takes straight into ``out``; the indices
+                        # are all in range
+                        hx = np.take(x_t, sub, axis=0, out=sub_x, mode="clip")
+                        hy, hm = y_t[sub], sub_m
+                gap = worker.submit(split_gradient_gap, head, params,
+                                    hx, hy, hm)
+            params = sgd_epoch(head, params, x_t, y_t,
+                               match_weights(m_t, weight), config.batch_size,
+                               config.learning_rate, batch_rng)
+            if hyper:
+                # the validation losses at ``params`` come from the same pass
+                common, losses = hyper_direction(
+                    head, params, gap.result(), val_blocks,
+                    config.learning_rate)
+                weight = float(np.clip(
+                    weight - config.hyper_step_size * common, 0.0, 1.0))
+            else:
+                losses = validation_pass(head, params, val_blocks)[0]
+            val_mat, val_mis = losses
+            history.append(EpochStats(epoch=epoch, val_matched_loss=val_mat,
+                                      val_mismatched_loss=val_mis,
+                                      weight=weight))
 
     head = Mlp(head.layer_sizes, seed=head.seed, params=params)
     model = ScorerModel(head=head, balance_weight=weight, seed=config.seed,

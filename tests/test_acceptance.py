@@ -26,7 +26,8 @@ from leanrag.reducer import (DetectorExample, DetectorModel,
                              train_detector)
 from leanrag.retrieval import HashingEmbedder, Retriever, build_index, recall_at_k
 from leanrag.scorer import (TrainConfig, build_training_set, hyper_direction,
-                            match_weights, score_candidates, train_scorer,
+                            match_weights, score_candidates,
+                            split_gradient_gap, train_scorer,
                             validation_blocks, validation_pass)
 from leanrag.seeds import derive_rng
 
@@ -112,8 +113,9 @@ def test_criterion_1_gradient_correctness():
     lr = 0.05
     blocks = validation_blocks(xv, yv, mv)
     after = backprop_step(head, params, x, y, weights, lr)
-    common, _ = hyper_direction(head, params, after, x, y, matched, blocks,
-                                lr)
+    common, _ = hyper_direction(
+        head, after, split_gradient_gap(head, params, x, y, matched), blocks,
+        lr)
 
     def objective(w):
         mat, mis = validation_pass(head, backprop_step(

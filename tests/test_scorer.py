@@ -2,6 +2,7 @@ import gc
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -18,15 +19,17 @@ import leanrag.seeds as seeds_module
 from leanrag.artifacts import IndexIntegrityError, check_provider
 from leanrag.corpus import Corpus, QARecord, make_document
 from leanrag.llm import ScriptedLlmClient
-from leanrag.mlp import Mlp, PROB_EPS, bce_elementwise, sgd_epoch, sigmoid
+from leanrag.mlp import (Mlp, PROB_EPS, TrainingError, bce_elementwise,
+                         sgd_epoch, sigmoid, stratified_split)
 from leanrag.retrieval import (HashingEmbedder, Retriever, VectorIndex,
                                build_index)
-from leanrag.scorer import (AnnotationError, BiLabel,
+from leanrag.scorer import (AnnotationError, BiLabel, EpochStats,
                             ImbalanceDegenerateError, LabeledPair, ScorerModel,
                             TrainConfig, TrainingSet, annotate_training_pair,
                             build_training_set, hyper_direction,
-                            match_weights, pair_features, train_scorer,
-                            validation_blocks, validation_pass)
+                            match_weights, pair_features, split_gradient_gap,
+                            train_scorer, validation_blocks, validation_pass)
+from leanrag.seeds import derive_rng, derive_seed
 
 
 def random_batch(rng, head, n):
@@ -271,7 +274,8 @@ class TestHypergradient:
         after = backprop_step(self.head, params, x, y,
                               match_weights(matched, 0.5), self.lr)
         common, _ = hyper_direction(
-            self.head, params, after, x, y, matched,
+            self.head, after,
+            split_gradient_gap(self.head, params, x, y, matched),
             validation_blocks(self.xv, self.yv, self.mv), self.lr)
         assert abs(common) < 1e-12
 
@@ -288,8 +292,10 @@ class TestHypergradient:
 
         after = backprop_step(self.head, params, self.xt, self.yt,
                               match_weights(self.mt, weight), self.lr)
-        common, losses = hyper_direction(self.head, params, after, self.xt,
-                                         self.yt, self.mt, blocks, self.lr)
+        diff = split_gradient_gap(self.head, params, self.xt, self.yt,
+                                  self.mt)
+        common, losses = hyper_direction(self.head, after, diff, blocks,
+                                         self.lr)
         # the losses of the validation pass the direction comes from
         assert losses == validation_pass(self.head, after, blocks)[0]
         delta = 1e-4
@@ -309,6 +315,13 @@ class TestHypergradient:
         all_matched = np.ones(len(self.xv), dtype=bool)
         with pytest.raises(ImbalanceDegenerateError):
             validation_blocks(self.xv, self.yv, all_matched)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_single_class_training_rejected(self, flag):
+        one_class = np.full(len(self.xt), flag)
+        with pytest.raises(ImbalanceDegenerateError):
+            split_gradient_gap(self.head, self.head.get_params(), self.xt,
+                               self.yt, one_class)
 
 
 @pytest.fixture(scope="module")
@@ -447,6 +460,123 @@ class TestTrainScorer:
         matrix = 3000 * 512 * 8
         subsample = 2000 * 512 * 8
         assert peak < matrix + 1.5 * subsample
+
+
+def sequential_train(pairs, config, hidden_sizes):
+    """``train_scorer`` on one thread, each epoch's halves one after the
+    other: the steps, then the split-gradient gap at the epoch's start
+    parameters, then the hypergradient at its end parameters. Returns the
+    model, the balance weight and the history."""
+    targets = np.array([[p.label.has_answer, p.label.llm_prefer]
+                        for p in pairs], dtype=np.float64)
+    matched = np.array([p.matched for p in pairs])
+    train_idx, val_idx = stratified_split(
+        matched, derive_rng(config.seed, "scorer.split"))
+    x = np.stack([p.features for p in pairs]).astype(np.float64)
+    x_t, y_t, m_t = x[train_idx], targets[train_idx], matched[train_idx]
+    blocks = validation_blocks(x[val_idx], targets[val_idx],
+                               matched[val_idx])
+    head = Mlp([x.shape[1], *hidden_sizes, 2],
+               seed=derive_seed(config.seed, "scorer.init"))
+    params = head.get_params()
+    weight = config.initial_weight
+    batch_rng = derive_rng(config.seed, "scorer.batches")
+    sample_rng = derive_rng(config.seed, "scorer.hypergrad-subsample")
+    limit = scorer_module.FULL_GRAD_MAX
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        start = params
+        params = sgd_epoch(head, params, x_t, y_t, match_weights(m_t, weight),
+                           config.batch_size, config.learning_rate, batch_rng)
+        if config.hyper_step_size == 0.0:
+            losses = validation_pass(head, params, blocks)[0]
+        else:
+            hx, hy, hm = x_t, y_t, m_t
+            if len(x_t) > limit:
+                sub = np.sort(sample_rng.choice(len(x_t), limit,
+                                                replace=False))
+                if 0 < m_t[sub].sum() < limit:
+                    hx, hy, hm = x_t[sub], y_t[sub], m_t[sub]
+            diff = split_gradient_gap(head, start, hx, hy, hm)
+            common, losses = hyper_direction(head, params, diff, blocks,
+                                             config.learning_rate)
+            weight = float(np.clip(weight - config.hyper_step_size * common,
+                                   0.0, 1.0))
+        history.append(EpochStats(epoch=epoch, val_matched_loss=losses[0],
+                                  val_mismatched_loss=losses[1],
+                                  weight=weight))
+    model = ScorerModel(head=Mlp(head.layer_sizes, seed=head.seed,
+                                 params=params),
+                        balance_weight=weight, seed=config.seed)
+    return model, weight, history
+
+
+class TestSplitGradientWorker:
+    """``train_scorer`` computes each epoch's split-gradient gap on a
+    worker thread while the epoch's steps run."""
+
+    @pytest.mark.parametrize("full_grad_max,hyper_step_size", [
+        (10_000, 4.0),  # the gap over the whole training split
+        (100, 4.0),  # over a seeded subsample of it
+        (10_000, 0.0),  # no hypergradient: the worker is never used
+    ])
+    def test_same_as_running_the_halves_in_turn(
+            self, imbalanced_pairs, small_config, tmp_path, monkeypatch,
+            full_grad_max, hyper_step_size):
+        monkeypatch.setattr(scorer_module, "FULL_GRAD_MAX", full_grad_max)
+        config = replace(small_config, hyper_step_size=hyper_step_size)
+        result = train_scorer(imbalanced_pairs, config, hidden_sizes=(16, 8))
+        model, weight, history = sequential_train(imbalanced_pairs, config,
+                                                  (16, 8))
+        result.model.save(tmp_path / "threaded.json")
+        model.save(tmp_path / "sequential.json")
+        assert (tmp_path / "threaded.json").read_bytes() == \
+            (tmp_path / "sequential.json").read_bytes()
+        assert result.balance_weight == weight
+        assert result.history == history
+
+    def test_no_thread_outlives_a_run(self, imbalanced_pairs, small_config):
+        before = threading.active_count()
+        train_scorer(imbalanced_pairs, small_config, hidden_sizes=(16, 8))
+        assert threading.active_count() == before
+
+    def test_worker_error_raised(self, imbalanced_pairs, small_config,
+                                 monkeypatch):
+        def failing_gap(*args):
+            raise ValueError("gap failed")
+
+        monkeypatch.setattr(scorer_module, "split_gradient_gap", failing_gap)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="gap failed"):
+            train_scorer(imbalanced_pairs, small_config, hidden_sizes=(16, 8))
+        assert threading.active_count() == before
+
+    def test_step_error_raised_once_the_worker_stops(
+            self, imbalanced_pairs, small_config, monkeypatch):
+        started, finished = threading.Event(), threading.Event()
+        busy = []
+        real_gap = scorer_module.split_gradient_gap
+
+        def slow_gap(*args):
+            started.set()
+            time.sleep(0.2)
+            finished.set()
+            return real_gap(*args)
+
+        def failing_epoch(*args):
+            assert started.wait(timeout=10)
+            busy.append(not finished.is_set())
+            raise TrainingError("non-finite gradient")
+
+        monkeypatch.setattr(scorer_module, "split_gradient_gap", slow_gap)
+        monkeypatch.setattr(scorer_module, "sgd_epoch", failing_epoch)
+        before = threading.active_count()
+        with pytest.raises(TrainingError):
+            train_scorer(imbalanced_pairs, small_config, hidden_sizes=(16, 8))
+        # raised while the worker ran, and only once it had finished
+        assert busy == [True]
+        assert finished.is_set()
+        assert threading.active_count() == before
 
 
 @pytest.fixture(scope="module")

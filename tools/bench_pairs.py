@@ -16,6 +16,12 @@ quartile distance. A performance claim holds when the change wins at least
 9 of 10 pairs and passes that last test. It also counts the pairs whose two
 runs printed the same ``report_sha256``. A pair in which either run fails is
 left out of the table and makes the exit status 1. Standard library only.
+
+The run's info line (the line before its result) carries ``samples``;
+``--out`` keeps them with each run. When every run's samples hold
+``raw_setup_s``, the set-up times before the speed probe rescales them, one
+more row, ``raw_setup_s``, compares the median of each run's raw set-up
+times, as a check that the rescaling does not hide or make a set-up change.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ from pathlib import Path
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
              trace: int) -> dict | None:
-    """The result line of one benchmark run, with its ``report_sha256``;
-    None when the run failed."""
+    """The result line of one benchmark run, with the ``report_sha256`` and
+    the ``samples`` (empty if absent) of its info line; None when the run
+    failed."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
@@ -43,7 +50,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
               f"{proc.stderr.strip()[-300:]}", file=sys.stderr)
         return None
     result = json.loads(lines[-1])
-    result["report_sha256"] = json.loads(lines[-2])["report_sha256"]
+    info = json.loads(lines[-2])
+    result["report_sha256"] = info["report_sha256"]
+    result["samples"] = info.get("samples", {})
     return result
 
 
@@ -54,26 +63,41 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def raw_setup(run: dict) -> float | None:
+    """The median of the run's raw set-up times, None without them."""
+    values = run["samples"].get("raw_setup_s")
+    return statistics.median(values) if values else None
+
+
+def print_row(name: str, parent: list[float], change: list[float],
+              sign: float) -> None:
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    rel = f"{100.0 * (cm / pm - 1.0):+.1f}%" if pm else "n/a"
+    clear = "yes" if sign * (cm - pm) > p3 - p1 else "no"
+    print(f"{name:<28} {f'{pm:.4g} [{p1:.4g}, {p3:.4g}]':>30} "
+          f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>30} {rel:>8} "
+          f"{f'{wins}/{len(parent)}':>6} {clear:>6}")
+
+
 def summarize(workload: str, pairs: list[tuple[dict, dict]],
               better: dict[str, str]) -> None:
-    """Print one line per metric of the completed ``pairs``."""
+    """Print one line per metric of the completed ``pairs``, and one for
+    their raw set-up times when every run has them."""
     same = sum(a["report_sha256"] == b["report_sha256"] for a, b in pairs)
     print(f"\n{workload}: {len(pairs)} pairs, report_sha256 equal in {same}")
     print(f"{'metric':<28} {'parent median [q1, q3]':>30} "
           f"{'change median [q1, q3]':>30} {'change':>8} {'wins':>6} "
           f"{'> IQR':>6}")
     for name in pairs[0][0]["metrics"]:
-        parent = [a["metrics"][name]["value"] for a, _ in pairs]
-        change = [b["metrics"][name]["value"] for _, b in pairs]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        p1, pm, p3 = quartiles(parent)
-        c1, cm, c3 = quartiles(change)
-        rel = f"{100.0 * (cm / pm - 1.0):+.1f}%" if pm else "n/a"
-        clear = "yes" if sign * (cm - pm) > p3 - p1 else "no"
-        print(f"{name:<28} {f'{pm:.4g} [{p1:.4g}, {p3:.4g}]':>30} "
-              f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>30} {rel:>8} "
-              f"{f'{wins}/{len(pairs)}':>6} {clear:>6}")
+        print_row(name, [a["metrics"][name]["value"] for a, _ in pairs],
+                  [b["metrics"][name]["value"] for _, b in pairs],
+                  -1.0 if better.get(name, "lower") == "lower" else 1.0)
+    raw = [(raw_setup(a), raw_setup(b)) for a, b in pairs]
+    if all(None not in pair for pair in raw):
+        parent, change = zip(*raw)
+        print_row("raw_setup_s", list(parent), list(change), -1.0)
 
 
 def main(argv=None) -> int:
