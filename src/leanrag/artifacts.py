@@ -7,12 +7,20 @@ format name, the format's version, any provider fingerprint and the small
 fields (ids, labels, seeds, layer sizes, thresholds); its ``arrays`` entry
 names the arrays in payload order. Saving the same object twice writes the
 same bytes.
+
+Load reads no more than ``save`` writes: for each array, the ``.npy`` 1.0
+header ``np.save`` gives a C-ordered array of one of those four dtypes,
+then the array's bytes, read straight into a new array of its own. Any
+other header is refused, naming the file and the array.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
+import os
+import re
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
@@ -27,6 +35,17 @@ VERSIONS = {"index": 3, "nnref": 3}
 # the integer dtypes an array keeps on disk; load accepts these and float64
 INTEGER_DTYPES = frozenset(
     np.dtype(t) for t in (np.int32, np.int64, np.uint64))
+# the dtypes load accepts, by the ``descr`` np.save writes for each
+DESCRS = {dtype.str.encode(): dtype
+          for dtype in (np.dtype(np.float64), *INTEGER_DTYPES)}
+# a .npy 1.0 array begins with this, then its header's length (uint16 LE)
+NPY_MAGIC = b"\x93NUMPY\x01\x00"
+# the header np.save writes for a C-ordered array: its dtype and its shape
+# ("()", "(3,)", "(2, 3)"), then spaces up to a newline
+NPY_HEADER = re.compile(
+    rb"\{'descr': '([^']*)', 'fortran_order': False, "
+    rb"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n")
+DIGITS = re.compile(rb"\d+")
 
 
 class IndexIntegrityError(RuntimeError):
@@ -103,13 +122,15 @@ def load(path: str | Path, kind: str,
     """(header, arrays by name) of a ``kind`` file. A file of another format
     or version, a bad header, an ``arrays`` field that is not a list of
     strings, a header field that ``checks`` names and that is missing or
-    fails its check, an array of a dtype ``save`` never writes, or a short,
-    corrupt or overlong payload raises ``IndexIntegrityError`` naming the
-    file, and so does reading a header field or an array the file lacks."""
+    fails its check, an array of a dtype ``save`` never writes or with a
+    ``.npy`` header it never writes, or a short or overlong payload raises
+    ``IndexIntegrityError`` naming the file (and the array), and so does
+    reading a header field or an array the file lacks."""
     expected = f"leanrag-{kind}"
     with open(path, "rb") as handle:
+        line = handle.readline()
         try:
-            header = json.loads(handle.readline())
+            header = json.loads(line)
         except ValueError as exc:  # also covers undecodable bytes
             raise IndexIntegrityError(f"{path}: bad header: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != expected:
@@ -126,18 +147,48 @@ def load(path: str | Path, kind: str,
                     f"{path}: header field {name!r} must be "
                     f"{check.expected}, got {header[name]!r}; rebuild it")
         arrays = _Fields(f"{path}: no array")
+        # the bytes after what has been read
+        left = os.fstat(handle.fileno()).st_size - len(line)
         for name in header["arrays"]:
-            try:
-                arrays[name] = np.load(handle, allow_pickle=False)
-            except (ValueError, EOFError) as exc:
+            prefix = handle.read(10)
+            if prefix[:8] != NPY_MAGIC:
                 raise IndexIntegrityError(
-                    f"{path}: array {name!r} unreadable: {exc}") from exc
-            dtype = arrays[name].dtype
-            if dtype != np.float64 and dtype not in INTEGER_DTYPES:
+                    f"{path}: array {name!r} is not a .npy 1.0 array: it "
+                    f"starts {prefix!r}")
+            length = int.from_bytes(prefix[8:], "little")
+            npy = handle.read(length)
+            left -= len(prefix) + len(npy)
+            if len(npy) < length:
                 raise IndexIntegrityError(
-                    f"{path}: array {name!r} has dtype {dtype}")
-        if handle.read(1):
-            raise IndexIntegrityError(f"{path}: data after the last array")
+                    f"{path}: array {name!r} header runs past the end of "
+                    f"the file")
+            match = NPY_HEADER.fullmatch(npy)
+            if match is None:
+                raise IndexIntegrityError(
+                    f"{path}: array {name!r} header is not one np.save "
+                    f"writes for a C-ordered array: {npy.rstrip()!r}")
+            descr, shape = match.groups()
+            dtype = DESCRS.get(descr)
+            if dtype is None:
+                descr = descr.decode("latin-1")
+                raise IndexIntegrityError(
+                    f"{path}: array {name!r} has dtype {descr}")
+            shape = tuple(map(int, DIGITS.findall(shape)))
+            size = math.prod(shape) * dtype.itemsize
+            if size > left:
+                raise IndexIntegrityError(
+                    f"{path}: array {name!r} needs {size} bytes, the file "
+                    f"has {left} left")
+            array = np.empty(shape, dtype)
+            if handle.readinto(array) != size:
+                raise IndexIntegrityError(
+                    f"{path}: array {name!r} ends before its {size} bytes")
+            left -= size
+            arrays[name] = array
+        if left:
+            last = header["arrays"][-1:]
+            raise IndexIntegrityError(
+                f"{path}: {left} bytes after the last array {last}")
     return header, arrays
 
 

@@ -24,7 +24,7 @@ from . import artifacts
 from .corpus import QARecord
 from .llm import LlmClient, PromptTemplate, build_noretrieve_prompt, is_correct
 from .retrieval import (EmbeddingProvider, ExactScan, SparseRows,
-                        ascending_ids, embedded_rows, repeated_ids)
+                        ascending_ids, embedded_rows)
 from .scorer import ScoredCandidates
 
 logger = logging.getLogger(__name__)
@@ -75,14 +75,11 @@ class NnReferenceSet:
     def __init__(self, question_ids: Sequence[str], rows: SparseRows,
                  correct: Sequence[bool],
                  provider_fingerprint: str | None = None):
-        self.question_ids = ascending_ids(question_ids, "question ids")
+        self.question_ids = ascending_ids(question_ids, "NN reference",
+                                          "question ids")
         self.correct = np.asarray(correct, dtype=bool)
         if not len(self.question_ids) == len(rows) == len(self.correct):
             raise ValueError("question_ids, rows and correct differ in length")
-        repeated = repeated_ids(self.question_ids)
-        if repeated:
-            raise ValueError(f"NN reference repeats question ids, "
-                             f"e.g. {repeated[:3]}")
         self.rows = rows
         self.dim = rows.dim
         self.scan = ExactScan(rows)

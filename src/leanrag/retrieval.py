@@ -457,18 +457,17 @@ class ExactScan:
         return np.flatnonzero(approx >= kth - margin)
 
 
-def ascending_ids(ids: Sequence[str], what: str) -> list[str]:
-    """``ids`` as a list; ``ValueError`` unless they ascend (repeats
-    allowed), the order rows are kept in and ties broken by."""
+def ascending_ids(ids: Sequence[str], owner: str, what: str) -> list[str]:
+    """``ids`` as a list; ``ValueError`` unless each is above the one before,
+    the order ``owner`` keeps its rows in and breaks ties by. Ids that
+    strictly ascend take one pass; the error names the first repeats."""
     ids = list(ids)
+    if all(map(operator.lt, ids, ids[1:])):
+        return ids
     if ids != sorted(ids):
         raise ValueError(f"{what} must be in ascending order")
-    return ids
-
-
-def repeated_ids(ids: Sequence[str]) -> list[str]:
-    """Each id of the sorted ``ids`` that repeats the one before it."""
-    return [a for a, b in zip(ids, ids[1:]) if a == b]
+    repeated = [a for a, b in zip(ids, ids[1:]) if a == b]
+    raise ValueError(f"{owner} repeats {what}, e.g. {repeated[:3]}")
 
 
 class VectorIndex:
@@ -508,10 +507,7 @@ class VectorIndex:
                                  f"{array.shape} for {n}")
         if not 0 <= docrows.min() <= docrows.max() < len(rows):
             raise ValueError(f"docrows must be in [0, {len(rows)})")
-        self.doc_ids = ascending_ids(doc_ids, "doc ids")
-        repeated = repeated_ids(self.doc_ids)
-        if repeated:
-            raise ValueError(f"index repeats doc ids, e.g. {repeated[:3]}")
+        self.doc_ids = ascending_ids(doc_ids, "index", "doc ids")
         self.rows = rows
         self.scan = ExactScan(rows, len(self.doc_ids))
         self.dim = rows.dim

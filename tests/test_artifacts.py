@@ -1,6 +1,7 @@
 """Every saved artifact kind: header checks, payload checks, exact round
 trips and deterministic bytes."""
 
+import io
 import json
 import re
 
@@ -204,7 +205,8 @@ def test_wrong_version_rejected(kind, saved, version):
     _, path = saved
     current = json.loads(path.read_bytes().split(b"\n", 1)[0])["version"]
     rewrite_header(path, version=2 if version == current else version)
-    with pytest.raises(IndexIntegrityError, match="version"):
+    with pytest.raises(IndexIntegrityError,
+                       match=r" version \S+, expected \d; rebuild it$"):
         load(kind, path)
 
 
@@ -351,32 +353,99 @@ def test_stored_rows_smaller_than_dense(tmp_path):
         assert path.stat().st_size < 8 * n * provider.dim
 
 
+def npy(array: np.ndarray, **options) -> bytes:
+    """``array`` as ``np.save`` writes it, or as numpy's ``write_array``
+    does with ``options``."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, **options)
+    return buffer.getvalue()
+
+
+def write_one_array(path, payload: bytes) -> None:
+    """A ``mixed`` file whose header names one array, 'x', with
+    ``payload`` after it."""
+    artifacts.save(path, "mixed", {}, {})
+    header = path.read_bytes().rstrip(b"\n")
+    path.write_bytes(header.replace(b'"arrays": []', b'"arrays": ["x"]')
+                     + b"\n" + payload)
+
+
 @pytest.mark.parametrize("bad", [np.array(["a", "b"]),
                                  np.array([1.5, 2.5], dtype=np.float32),
                                  np.array([1, 2], dtype=np.int16)])
 def test_dtype_never_saved_rejected(tmp_path, bad):
     path = tmp_path / "bad"
-    artifacts.save(path, "mixed", {}, {})
-    header = path.read_bytes().rstrip(b"\n")
-    with open(path, "wb") as handle:
-        handle.write(header.replace(b'"arrays": []', b'"arrays": ["x"]')
-                     + b"\n")
-        np.save(handle, bad, allow_pickle=False)
-    with pytest.raises(IndexIntegrityError, match="dtype"):
+    write_one_array(path, npy(bad))
+    with pytest.raises(IndexIntegrityError, match=re.escape(
+            f"{path}: array 'x' has dtype {bad.dtype.str}")):
         artifacts.load(path, "mixed")
 
 
 def test_object_array_rejected(tmp_path):
     path = tmp_path / "bad"
-    artifacts.save(path, "mixed", {}, {})
-    header = path.read_bytes().rstrip(b"\n")
-    with open(path, "wb") as handle:
-        handle.write(header.replace(b'"arrays": []', b'"arrays": ["x"]')
-                     + b"\n")
-        np.save(handle, np.array([{"a": 1}, None], dtype=object),
-                allow_pickle=True)
+    write_one_array(path, npy(np.array([{"a": 1}, None], dtype=object)))
     with pytest.raises(IndexIntegrityError):
         artifacts.load(path, "mixed")
+
+
+def npy_header(shape: tuple) -> bytes:
+    """The .npy 1.0 header np.save writes for a float64 array of
+    ``shape``."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buffer.getvalue()
+
+
+THREE = npy(np.arange(3.0))
+# .npy payloads load refuses: what save never writes (np.load reads these),
+# or a header or data that runs past the end of the file
+NEVER_SAVED = {
+    "fortran order": npy(np.asfortranarray(np.arange(6.0).reshape(2, 3))),
+    "npy 2.0": npy(np.arange(3.0), version=(2, 0)),
+    "other byte order": npy(np.arange(3.0).astype(">f8")),
+    "header past the end": THREE[:8] + len(THREE).to_bytes(2, "little")
+    + THREE[10:],
+    "shape past the end": npy_header((4,)) + np.arange(3.0).tobytes(),
+    # refused before any allocation of its 8 PiB
+    "shape past memory": npy_header((2 ** 50,)) + np.arange(3.0).tobytes(),
+}
+
+
+@pytest.mark.parametrize("payload", NEVER_SAVED.values(), ids=NEVER_SAVED)
+def test_npy_save_never_writes_rejected(tmp_path, payload):
+    """Each is refused, naming the file and the array."""
+    path = tmp_path / "bad"
+    write_one_array(path, payload)
+    with pytest.raises(IndexIntegrityError,
+                       match=re.escape(f"{path}: array 'x' ")):
+        artifacts.load(path, "mixed")
+
+
+def owns_its_bytes(array: np.ndarray) -> bool:
+    """Whether ``array`` owns its memory, or is a view of all of an array
+    that does (as numpy 2's ``np.load`` reshapes what it reads)."""
+    base = array if array.base is None else array.base
+    return base.flags.owndata and base.nbytes == array.nbytes
+
+
+def test_arrays_load_as_np_load_reads_them(kind, saved):
+    """Each array has the dtype, shape and bytes ``np.load`` gives, and is
+    as ``np.load``'s: C-ordered, aligned, writeable and the only user of
+    its memory. It owns its data, so no view keeps another array alive."""
+    _, path = saved
+    with open(path, "rb") as handle:
+        fields = json.loads(handle.readline())
+        expected = [np.load(handle) for _ in fields["arrays"]]
+    _, arrays = artifacts.load(path,
+                               fields["format"].removeprefix("leanrag-"))
+    assert len(arrays) == len(expected) > 0
+    for array, want in zip(arrays.values(), expected):
+        assert (array.dtype, array.shape, array.tobytes()) == \
+            (want.dtype, want.shape, want.tobytes())
+        for flag in ("C_CONTIGUOUS", "ALIGNED", "WRITEABLE"):
+            assert array.flags[flag] == want.flags[flag] is True
+        assert array.flags.owndata and owns_its_bytes(want)
 
 
 # (kind, header field, value of the wrong type or out of range)

@@ -1,5 +1,5 @@
-"""``tools/call_counts.py``: per-stage call counts that two processes agree
-on."""
+"""``tools/call_counts.py``: per-artifact and per-stage call counts that two
+processes agree on."""
 
 import os
 import subprocess
@@ -24,6 +24,7 @@ def counts(workload: str, hash_seed: str) -> str:
 
 STAGES = ["embed", "retrieve", "score", "recognize", "reduce", "prompt",
           "llm", "other"]
+ARTIFACTS = ["index", "corpus", "scorer", "detector", "nn_ref", "other"]
 
 
 def table(lines: list[str], name: str) -> dict[str, tuple[float, float]]:
@@ -44,6 +45,12 @@ def test_counts_match_across_hash_seeds(workload):
     first = counts(workload, "0")
     assert first == counts(workload, "12345")
     lines = first.splitlines()
+    # one load_pipeline, split by the artifact it reads: each of the five
+    # costs calls, and so does the rest (config, provider and checks)
+    loaded = table(lines, "load")
+    assert list(loaded) == ARTIFACTS + ["total"]
+    assert min(min(calls) for calls in loaded.values()) > 0
+    assert loaded["total"] == tuple(map(sum, zip(*list(loaded.values())[:-1])))
     # a cold and a warm table, each with every stage and a total
     for name in ("cold", "warm"):
         assert list(table(lines, name)) == STAGES + ["total"]

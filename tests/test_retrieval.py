@@ -27,7 +27,7 @@ from leanrag.retrieval import (INDEX_FIELDS, Candidates,
                                EmbeddingProviderError, ExactScan,
                                HashingEmbedder, IndexIntegrityError,
                                RemoteEmbedder, Retriever, SparseRows,
-                               VectorIndex, build_index,
+                               VectorIndex, ascending_ids, build_index,
                                document_embedding_text, recall_at_k)
 from leanrag.scorer import ScoredCandidates, ScorerModel, score_candidates
 from leanrag.seeds import stable_hash
@@ -371,6 +371,23 @@ class TestIndex:
             index_of(["b", "a", "c", "d"])
         with pytest.raises(ValueError, match="one row per doc id"):
             index_of(["a", "b", "c", "d", "e"])
+
+    @given(st.lists(st.sampled_from("abcd"), max_size=6))
+    def test_ids_must_strictly_ascend(self, ids):
+        """Ids out of order are refused as such; sorted ids with a repeat
+        are refused naming the first repeated id; only distinct ascending
+        ids pass, as a list."""
+        if ids != sorted(ids):
+            with pytest.raises(ValueError,
+                               match="^doc ids must be in ascending order$"):
+                ascending_ids(ids, "index", "doc ids")
+        elif len(set(ids)) < len(ids):
+            first = next(a for a, b in zip(ids, ids[1:]) if a == b)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"index repeats doc ids, e.g. [{first!r}")):
+                ascending_ids(ids, "index", "doc ids")
+        else:
+            assert ascending_ids(tuple(ids), "index", "doc ids") == ids
 
     def test_round_trip_keeps_text_rows(self, tmp_path, provider):
         index = build_index(titled_corpus(), provider)

@@ -1,15 +1,20 @@
-"""Count the Python and C calls a question makes, by pipeline stage.
+"""Count the Python and C calls a load and a question make, by artifact
+and by pipeline stage.
 
     python3 tools/call_counts.py --workload short-500 [--seed 1] [--smoke]
 
 Builds the workload's artifacts with the benchmark's own set-up
-(``benchmarks/artifacts.py``) in a temporary directory, loads them with
-``load_pipeline``, and answers the timed questions twice, one at a time,
-under ``sys.setprofile``: first cold, right after the load, then warm. For
-each pass it prints the calls per question in each stage of
-``answer_question`` (the stages it times: embed, retrieve, score,
-recognize, reduce, prompt, llm; ``other`` is the rest of the question) as
-Python function calls and C function calls, and their totals.
+(``benchmarks/artifacts.py``) in a temporary directory and loads them with
+``load_pipeline`` under ``sys.setprofile``. The ``load`` table gives that
+one load's calls by the artifact whose ``_read`` they run in (index,
+corpus, scorer, detector, nn_ref; ``other`` is the rest: the config
+sections, the provider and the provider checks). It then answers the
+timed questions twice, one at a time, under ``sys.setprofile``: first
+cold, right after the load, then warm. For each pass it prints the calls
+per question in each stage of ``answer_question`` (the stages it times:
+embed, retrieve, score, recognize, reduce, prompt, llm; ``other`` is the
+rest of the question) as Python function calls and C function calls, and
+their totals.
 
 It then loads the artifacts again and profiles one ``evaluate()`` over the
 same questions, cold, and a second one, warm, as the benchmark's
@@ -45,29 +50,33 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 STAGES = ("embed", "retrieve", "score", "recognize", "reduce", "prompt",
           "llm", "other")
+# the artifacts load_pipeline reads, by the name its _read helper gets
+ARTIFACTS = ("index", "corpus", "scorer", "detector", "nn_ref", "other")
 
 
-def stage_code(function) -> types.CodeType:
-    """The code of the ``_timed`` helper that ``function`` defines: each
-    call of it runs one stage, named by its ``stage`` argument."""
+def stage_code(function, name: str = "_timed") -> types.CodeType:
+    """The code of the helper ``name`` that ``function`` defines: each call
+    of ``_answer_with_details``'s ``_timed`` runs one stage, each call of
+    ``load_pipeline``'s ``_read`` reads one artifact."""
     return next(const for const in function.__code__.co_consts
                 if isinstance(const, types.CodeType)
-                and const.co_name == "_timed")
+                and const.co_name == name)
 
 
-def count_calls(run, items, answer_code, timed_code, outside: str = "other"
-                ) -> dict[str, list[int]]:
+def count_calls(run, items, answer_code, timed_code, outside: str = "other",
+                label: str = "stage") -> dict[str, list[int]]:
     """stage -> [Python calls, C calls] over ``run(item)`` for each of
     ``items``. A call inside a frame of ``answer_code`` (one question)
-    counts to the stage of the ``timed_code`` frame it runs in, or to
-    ``other``; a call outside every question counts to ``outside``."""
+    counts to the stage the ``timed_code`` frame it runs in names by its
+    argument ``label``, or to ``other``; a call outside every question
+    counts to ``outside``."""
     counts: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     stages = [outside]
 
     def profile(frame, event, arg):
         if event == "call":
             if frame.f_code is timed_code:
-                stages.append(frame.f_locals["stage"])
+                stages.append(frame.f_locals[label])
             elif frame.f_code is answer_code:
                 stages.append("other")
             counts[stages[-1]][0] += 1
@@ -92,8 +101,8 @@ def count_calls(run, items, answer_code, timed_code, outside: str = "other"
 
 
 def report(name: str, counts: dict[str, list[int]], n: int,
-           stages=STAGES) -> None:
-    print(f"{name} ({n} questions): calls per question")
+           stages=STAGES, unit: str = "question") -> None:
+    print(f"{name} ({n} {unit}{'s' * (n != 1)}): calls per {unit}")
     print(f"  {'stage':<10} {'python':>9} {'c':>9}")
     for stage in stages:
         python, c = counts.get(stage, (0, 0))
@@ -128,7 +137,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         config = write_inputs(inputs, spec, args.seed, Path(work))
         build_artifacts(inputs, spec, config)
-        ctx = pipeline.load_pipeline(config)
+        loaded = []
+        load_counts = count_calls(
+            lambda config: loaded.append(pipeline.load_pipeline(config)),
+            [config], pipeline.load_pipeline.__code__,
+            stage_code(pipeline.load_pipeline, "_read"), label="name")
+        ctx = loaded[0]
 
         def answer(qa):
             pipeline.answer_question(qa, ctx)
@@ -138,6 +152,7 @@ def main(argv=None) -> int:
 
         print(f"{spec.name}{' (smoke)' if args.smoke else ''}, seed "
               f"{args.seed}")
+        report("load", load_counts, 1, ARTIFACTS, "load_pipeline")
         for name in ("cold", "warm"):
             report(name, count_calls(answer, timed, answer_code, timed_code),
                    len(timed))
